@@ -4,10 +4,20 @@
 //! ([`TopKOracle::top_k_into`]) — the steady-state regime of the query
 //! pipeline; `segtree_alloc` measures the one-off allocating wrapper for
 //! comparison.
+//!
+//! `segtree` repeats one identical probe, so after the first iteration
+//! every node bound comes out of the scratch's memo — the best case. The
+//! series that bracket what a request really sees: `segtree_fresh_scorer`
+//! changes the preference every iteration (every bound is computed, the
+//! memo only costs its bookkeeping), `segtree_slide` keeps the preference
+//! and steps the window back by one (T-Hop's pattern: most bounds were
+//! seen by the previous probe), and `segtree_slide_dyn` is the same probe
+//! reached through `&dyn OracleScorer`, as `ScorerSpec::Custom` is.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use durable_topk::{
-    LinearScorer, OracleScratch, ScanOracle, SegTreeOracle, TopKOracle, TopKResult, Window,
+    LinearScorer, OracleScorer, OracleScratch, ScanOracle, SegTreeOracle, TopKOracle, TopKResult,
+    Window,
 };
 use durable_topk_workloads::ind;
 
@@ -31,6 +41,36 @@ fn bench(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("scan", wlen), &w, |b, w| {
             b.iter(|| scan.top_k_into(&ds, &scorer, 10, *w, &mut scratch, &mut out))
+        });
+    }
+    // 1024 distinct preferences cycled against 16 memo slots: no probe
+    // ever finds its pair memoized.
+    let fresh: Vec<LinearScorer> =
+        (0..1024).map(|i| LinearScorer::new(vec![1.0 + i as f64 / 1024.0, 1.0])).collect();
+    // `black_box` keeps the optimizer from seeing through the trait object.
+    let dynamic: &dyn OracleScorer = std::hint::black_box(&scorer);
+    for wlen in [1_000u32, 10_000] {
+        let w = Window::new(n - wlen, n - 1);
+        let mut i = 0usize;
+        g.bench_with_input(BenchmarkId::new("segtree_fresh_scorer", wlen), &w, |b, w| {
+            b.iter(|| {
+                i += 1;
+                seg.top_k_into(&ds, &fresh[i % fresh.len()], 10, *w, &mut scratch, &mut out)
+            })
+        });
+        // Slide back one record per probe, wrapping before the window
+        // would leave the data.
+        let slide = |i: &mut u32| {
+            *i = (*i + 1) % (n - wlen);
+            Window::new(n - wlen - *i, n - 1 - *i)
+        };
+        let mut i = 0u32;
+        g.bench_function(BenchmarkId::new("segtree_slide", wlen), |b| {
+            b.iter(|| seg.top_k_into(&ds, &scorer, 10, slide(&mut i), &mut scratch, &mut out))
+        });
+        let mut i = 0u32;
+        g.bench_function(BenchmarkId::new("segtree_slide_dyn", wlen), |b| {
+            b.iter(|| seg.top_k_into(&ds, dynamic, 10, slide(&mut i), &mut scratch, &mut out))
         });
     }
     g.finish();

@@ -13,7 +13,9 @@
 //! output.
 //!
 //! Every algorithm is monomorphized over the oracle *and* the scoring
-//! function, and draws all working memory from a
+//! function — on the serving path too, where
+//! [`ScorerSpec`](crate::ScorerSpec) resolves to a concrete scorer type
+//! before dispatching here — and draws all working memory from a
 //! [`QueryContext`](crate::QueryContext): repeated queries through one
 //! context perform no per-probe allocations.
 

@@ -10,7 +10,7 @@
 //! ([`ServeEngine`](crate::ServeEngine)) turns them into per-request
 //! failures.
 
-use durable_topk_temporal::Time;
+use durable_topk_temporal::{ScorerError, Time};
 
 /// Why a `DurTop(k, I, τ)` request cannot be answered.
 ///
@@ -49,6 +49,10 @@ pub enum QueryError {
         /// Arity actually supplied.
         got: usize,
     },
+    /// The request's preference vector cannot parameterize its scorer
+    /// family: a negative or non-finite linear weight, a non-finite or
+    /// all-zero cosine vector.
+    InvalidScorer(ScorerError),
 }
 
 impl std::fmt::Display for QueryError {
@@ -68,6 +72,7 @@ impl std::fmt::Display for QueryError {
             QueryError::Arity { expected, got } => {
                 write!(f, "arity mismatch: the data has {expected} attributes, got {got}")
             }
+            QueryError::InvalidScorer(e) => write!(f, "invalid scorer: {e}"),
         }
     }
 }

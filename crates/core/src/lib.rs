@@ -87,5 +87,5 @@ pub use durable_topk_index::{
 };
 pub use durable_topk_temporal::{
     Anchor, CosineScorer, Dataset, LinearScorer, MonotoneCombinationScorer, MonotoneTransform,
-    RecordId, Scorer, SingleAttributeScorer, Time, Window,
+    RecordId, Scorer, ScorerError, SingleAttributeScorer, Time, Window,
 };

@@ -11,6 +11,10 @@
 //! resolves the scorer statically, so the per-probe path carries no virtual
 //! dispatch, and results land in caller-provided buffers drawn from a
 //! [`QueryContext`](crate::QueryContext) — no per-probe allocations either.
+//! Requests that carry their scorer as data reach this trait the same way:
+//! [`ScorerSpec`](crate::ScorerSpec) resolves to a concrete
+//! `LinearScorer` / `CosineScorer` before the first probe, and only its
+//! `Custom` variant probes through a trait object.
 //!
 //! Two implementations ship with the crate:
 //!

@@ -42,15 +42,14 @@ use crate::context::QueryContext;
 use crate::engine::Algorithm;
 use crate::error::QueryError;
 use crate::pool::WorkerPool;
-use crate::query::{DurableQuery, QueryStats};
+use crate::query::{DurableQuery, QueryResult, QueryStats};
 use crate::sharded::ShardedEngine;
 use crate::subscribe::{
-    with_scorer, RefreshPlan, SubscriptionId, SubscriptionRegistry, SubscriptionSnapshot,
-    SubscriptionTotals,
+    RefreshPlan, SubscriptionId, SubscriptionRegistry, SubscriptionSnapshot, SubscriptionTotals,
 };
 use crate::sync::{lock, OnceSlot};
 use durable_topk_index::{OracleScorer, TopKResult};
-use durable_topk_temporal::RecordId;
+use durable_topk_temporal::{CosineScorer, LinearScorer, RecordId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +73,55 @@ pub enum ScorerSpec {
     Custom(Arc<dyn OracleScorer + Send + Sync>),
 }
 
+/// A computation generic over the concrete scorer a [`ScorerSpec`] resolves
+/// to. [`ScorerSpec::resolve`] calls [`visit`](ScorerVisitor::visit) with a
+/// `&LinearScorer` or `&CosineScorer`, so everything the visitor runs — the
+/// shard fan-out, the five algorithms, the segment-tree probes — is
+/// monomorphized for that type and scores records without virtual calls.
+pub(crate) trait ScorerVisitor {
+    /// What the computation returns.
+    type Output;
+
+    /// Runs the computation with the resolved scorer.
+    fn visit<S: OracleScorer + Sync + ?Sized>(self, scorer: &S) -> Self::Output;
+}
+
 impl ScorerSpec {
+    /// Turns the spec back into scoring code for a `dim`-attribute engine
+    /// and hands it to `visitor` — the one place serving, subscriptions and
+    /// network nodes resolve request data, so validation cannot drift
+    /// between them. A weight vector of the wrong arity is
+    /// [`QueryError::Arity`]; one its scorer family cannot take (negative
+    /// or non-finite linear weights, a non-finite or all-zero cosine
+    /// vector) is [`QueryError::InvalidScorer`]. Only `Custom` stays a
+    /// trait object.
+    pub(crate) fn resolve<V: ScorerVisitor>(
+        &self,
+        dim: usize,
+        visitor: V,
+    ) -> Result<V::Output, QueryError> {
+        let checked = |w: &Vec<f64>| {
+            if w.len() != dim {
+                return Err(QueryError::Arity { expected: dim, got: w.len() });
+            }
+            Ok(w.clone())
+        };
+        match self {
+            ScorerSpec::Uniform => Ok(visitor.visit(&LinearScorer::uniform(dim))),
+            ScorerSpec::Linear(w) => {
+                let scorer =
+                    LinearScorer::try_new(checked(w)?).map_err(QueryError::InvalidScorer)?;
+                Ok(visitor.visit(&scorer))
+            }
+            ScorerSpec::Cosine(w) => {
+                let scorer =
+                    CosineScorer::try_new(checked(w)?).map_err(QueryError::InvalidScorer)?;
+                Ok(visitor.visit(&scorer))
+            }
+            ScorerSpec::Custom(scorer) => Ok(visitor.visit(scorer.as_ref())),
+        }
+    }
+
     /// The structural fingerprint of the scorer this spec resolves to for
     /// a `dim`-attribute engine — what the sealed-shard result cache keys
     /// memoized answers on (see
@@ -87,24 +134,14 @@ impl ScorerSpec {
     /// resolution (wrong arity, invalid weights) return `None` rather than
     /// panicking.
     pub fn fingerprint(&self, dim: usize) -> Option<u64> {
-        use durable_topk_temporal::{CosineScorer, LinearScorer};
-        match self {
-            ScorerSpec::Uniform => LinearScorer::uniform(dim).fingerprint(),
-            ScorerSpec::Linear(w)
-                if w.len() == dim && w.iter().all(|x| x.is_finite() && *x >= 0.0) =>
-            {
-                LinearScorer::new(w.clone()).fingerprint()
+        struct Fingerprint;
+        impl ScorerVisitor for Fingerprint {
+            type Output = Option<u64>;
+            fn visit<S: OracleScorer + Sync + ?Sized>(self, scorer: &S) -> Option<u64> {
+                scorer.fingerprint()
             }
-            ScorerSpec::Cosine(w)
-                if w.len() == dim
-                    && w.iter().all(|x| x.is_finite())
-                    && w.iter().map(|x| x * x).sum::<f64>() > 0.0 =>
-            {
-                CosineScorer::new(w.clone()).fingerprint()
-            }
-            ScorerSpec::Custom(s) => s.fingerprint(),
-            _ => None,
         }
+        self.resolve(dim, Fingerprint).ok().flatten()
     }
 }
 
@@ -413,6 +450,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
+/// The full `DurTop(k, I, τ)` fan-out as a [`ScorerVisitor`]: what
+/// [`execute_request`] runs, and what subscriptions run to materialize and
+/// to verify their answer sets.
+pub(crate) struct RunQuery<'a> {
+    pub(crate) engine: &'a ShardedEngine,
+    pub(crate) alg: Algorithm,
+    pub(crate) query: &'a DurableQuery,
+}
+
+impl ScorerVisitor for RunQuery<'_> {
+    type Output = Result<QueryResult, QueryError>;
+
+    fn visit<S: OracleScorer + Sync + ?Sized>(self, scorer: &S) -> Self::Output {
+        self.engine.try_query(self.alg, scorer, self.query)
+    }
+}
+
 /// Resolves a request's [`ScorerSpec`] to a concrete monomorphized scorer
 /// and runs its query against `engine` on the calling thread.
 ///
@@ -420,15 +474,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// shares — the serve queue's workers, the subscription refresh planner,
 /// and network nodes (which execute decoded wire requests on their own
 /// connection threads) — so validation and scorer resolution can never
-/// drift between them. Arity errors surface as
-/// [`QueryError::Arity`](crate::QueryError) like any other bad input.
+/// drift between them. Arity errors and unusable weight vectors surface as
+/// [`QueryError::Arity`] and [`QueryError::InvalidScorer`] like any other
+/// bad input.
 pub fn execute_request(
     engine: &ShardedEngine,
     req: &ServeRequest,
 ) -> Result<(Vec<RecordId>, QueryStats), QueryError> {
-    with_scorer(engine.dim(), &req.scorer, |scorer: &(dyn OracleScorer + Sync)| {
-        engine.try_query(req.alg, scorer, &req.query).map(|r| (r.records, r.stats))
-    })?
+    let run = RunQuery { engine, alg: req.alg, query: &req.query };
+    req.scorer.resolve(engine.dim(), run)?.map(|r| (r.records, r.stats))
 }
 
 /// A bounded request queue serving durable top-k queries through the
@@ -803,6 +857,37 @@ mod tests {
         let ok = serve.submit(request(Algorithm::THop, 2, 10, 0, 299)).expect("accepted");
         assert!(ok.wait().is_ok());
         assert_eq!(serve.stats().failed, 3);
+        serve.shutdown();
+    }
+
+    #[test]
+    fn invalid_scorer_specs_are_typed_errors_not_panics() {
+        use durable_topk_temporal::ScorerError;
+        let serve = serve_over(300);
+        let cases = [
+            (ScorerSpec::Linear(vec![-1.0, f64::NAN]), ScorerError::NonFinite),
+            (ScorerSpec::Linear(vec![0.5, -0.5]), ScorerError::Negative),
+            (ScorerSpec::Linear(vec![f64::INFINITY, 1.0]), ScorerError::NonFinite),
+            (ScorerSpec::Cosine(vec![0.0, 0.0]), ScorerError::ZeroNorm),
+            (ScorerSpec::Cosine(vec![1.0, f64::NEG_INFINITY]), ScorerError::NonFinite),
+        ];
+        for (scorer, why) in cases {
+            let req = ServeRequest { scorer, ..request(Algorithm::THop, 2, 10, 0, 299) };
+            let expected = QueryError::InvalidScorer(why);
+            // On the caller's thread, through the queue, and at registration.
+            assert_eq!(execute_request(&serve.engine(), &req).unwrap_err(), expected, "{req:?}");
+            let handle = serve.submit(req.clone()).expect("accepted");
+            assert_eq!(handle.wait(), Err(ServeError::Query(expected)), "{req:?}");
+            assert_eq!(serve.subscribe(req.clone()).unwrap_err(), ServeError::Query(expected));
+            assert_eq!(req.scorer.fingerprint(2), None, "an unresolvable spec has no print");
+        }
+        assert_eq!(serve.stats().subscriptions, 0);
+        // Valid negative cosine weights still serve.
+        let cosine = ServeRequest {
+            scorer: ScorerSpec::Cosine(vec![1.0, -0.25]),
+            ..request(Algorithm::THop, 2, 10, 0, 299)
+        };
+        assert!(serve.submit(cosine).expect("accepted").wait().is_ok());
         serve.shutdown();
     }
 

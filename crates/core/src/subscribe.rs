@@ -46,11 +46,11 @@ use crate::check::{LockClass, TrackedMutex};
 use crate::context::QueryContext;
 use crate::error::QueryError;
 use crate::query::DurableQuery;
-use crate::serve::{ScorerSpec, ServeRequest};
+use crate::serve::{RunQuery, ScorerVisitor, ServeRequest};
 use crate::sharded::ShardedEngine;
 use crate::sync::lock;
 use durable_topk_index::{OracleScorer, TopKResult};
-use durable_topk_temporal::{CosineScorer, LinearScorer, RecordId, Time, Window};
+use durable_topk_temporal::{RecordId, Time, Window};
 use std::sync::Arc;
 
 /// Identifies one registered subscription within its registry.
@@ -96,41 +96,37 @@ pub struct SubscriptionTotals {
     pub full_recomputes: u64,
 }
 
-/// Checks a parameter vector's arity against the engine dimension.
-pub(crate) fn check_arity(expected: usize, got: usize) -> Result<(), QueryError> {
-    if expected != got {
-        return Err(QueryError::Arity { expected, got });
-    }
-    Ok(())
+/// Tier 2 as a [`ScorerVisitor`]: the look-back probe for one arrival plus
+/// its admission test.
+struct ProbeArrival<'a> {
+    engine: &'a ShardedEngine,
+    query: &'a DurableQuery,
+    id: RecordId,
+    attrs: &'a [f64],
+    ctx: &'a mut QueryContext,
+    out: &'a mut TopKResult,
 }
 
-/// Resolves a [`ScorerSpec`] into a concrete scorer and applies `f` to it
-/// — the one place serving and subscriptions turn request data back into
-/// scoring code. Arity of explicit weight vectors is checked against the
-/// engine dimension first.
-pub(crate) fn with_scorer<R>(
-    dim: usize,
-    spec: &ScorerSpec,
-    f: impl FnOnce(&(dyn OracleScorer + Sync)) -> R,
-) -> Result<R, QueryError> {
-    match spec {
-        ScorerSpec::Uniform => Ok(f(&LinearScorer::uniform(dim))),
-        ScorerSpec::Linear(w) => {
-            check_arity(dim, w.len())?;
-            Ok(f(&LinearScorer::new(w.clone())))
-        }
-        ScorerSpec::Cosine(w) => {
-            check_arity(dim, w.len())?;
-            Ok(f(&CosineScorer::new(w.clone())))
-        }
-        ScorerSpec::Custom(scorer) => Ok(f(scorer.as_ref())),
+impl ScorerVisitor for ProbeArrival<'_> {
+    type Output = bool;
+
+    fn visit<S: OracleScorer + Sync + ?Sized>(self, scorer: &S) -> bool {
+        let window = Window::lookback(self.id, self.query.tau);
+        self.engine.top_k_into(scorer, self.query.k, window, self.ctx, self.out);
+        self.out.admits_score(scorer.score(self.attrs))
     }
 }
 
-/// Whether the spec resolves to a monotone scorer (the precondition of
-/// the skyband fast-path gate).
-fn is_monotone(dim: usize, spec: &ScorerSpec) -> Result<bool, QueryError> {
-    with_scorer(dim, spec, |s| s.is_monotone())
+/// Whether the resolved scorer is monotone (the precondition of the
+/// skyband fast-path gate).
+struct IsMonotone;
+
+impl ScorerVisitor for IsMonotone {
+    type Output = bool;
+
+    fn visit<S: OracleScorer + Sync + ?Sized>(self, scorer: &S) -> bool {
+        scorer.is_monotone()
+    }
 }
 
 /// Mutable half of one subscription, behind its own lock so refresh jobs
@@ -191,18 +187,15 @@ impl Subscription {
         ctx: &mut QueryContext,
         out: &mut TopKResult,
     ) {
-        let q = &self.req.query;
-        let admitted = with_scorer(engine.dim(), &self.req.scorer, |scorer| {
-            engine.top_k_into(scorer, q.k, Window::lookback(id, q.tau), ctx, out);
-            out.admits_score(scorer.score(attrs))
-        });
+        let probe = ProbeArrival { engine, query: &self.req.query, id, attrs, ctx, out };
+        let admitted = self.req.scorer.resolve(engine.dim(), probe);
         let mut state = lock(&self.state);
         state.refreshes += 1;
         match admitted {
             Ok(true) => state.admit(id),
             Ok(false) => {}
-            // Arity was validated at registration; reaching this means the
-            // engine changed shape underneath us — surface, don't guess.
+            // The spec was validated at registration; reaching this means
+            // the engine changed shape underneath us — surface, don't guess.
             Err(_) => state.diverged = true,
         }
     }
@@ -223,9 +216,8 @@ impl Subscription {
         let upto = q.interval.end().min((len - 1) as Time);
         let full =
             DurableQuery { k: q.k, tau: q.tau, interval: Window::new(q.interval.start(), upto) };
-        let fresh = with_scorer(engine.dim(), &self.req.scorer, |scorer| {
-            engine.try_query(self.req.alg, scorer, &full)
-        });
+        let run = RunQuery { engine, alg: self.req.alg, query: &full };
+        let fresh = self.req.scorer.resolve(engine.dim(), run);
         let mut state = lock(&self.state);
         state.full_recomputes += 1;
         match fresh {
@@ -317,8 +309,8 @@ impl SubscriptionRegistry {
     /// set over the already-ingested prefix (one full recompute).
     ///
     /// Validation mirrors the serving path: zero `k`/`τ`, `τ` beyond the
-    /// engine's overlap bound, and weight-vector arity all come back as
-    /// typed [`QueryError`]s.
+    /// engine's overlap bound, weight-vector arity and weights the scorer
+    /// family cannot take all come back as typed [`QueryError`]s.
     pub(crate) fn register(
         &mut self,
         engine: &ShardedEngine,
@@ -335,7 +327,7 @@ impl SubscriptionRegistry {
         if q.tau > engine.max_tau() {
             return Err(QueryError::TauExceedsOverlap { tau: q.tau, max_tau: engine.max_tau() });
         }
-        let monotone = is_monotone(engine.dim(), &req.scorer)?;
+        let monotone = req.scorer.resolve(engine.dim(), IsMonotone)?;
         let len = engine.len();
         let mut state = SubState::default();
         if len > 0 && (q.interval.start() as usize) < len {
@@ -345,9 +337,8 @@ impl SubscriptionRegistry {
                 tau: q.tau,
                 interval: Window::new(q.interval.start(), upto),
             };
-            let fresh = with_scorer(engine.dim(), &req.scorer, |scorer| {
-                engine.try_query(req.alg, scorer, &init)
-            })??;
+            let run = RunQuery { engine, alg: req.alg, query: &init };
+            let fresh = req.scorer.resolve(engine.dim(), run)??;
             state.delta = fresh.records.clone();
             state.records = fresh.records;
             state.full_recomputes = 1;
@@ -443,6 +434,8 @@ impl SubscriptionRegistry {
 mod tests {
     use super::*;
     use crate::engine::Algorithm;
+    use crate::serve::ScorerSpec;
+    use durable_topk_temporal::LinearScorer;
 
     fn row(i: u32) -> [f64; 2] {
         [((i * 37) % 101) as f64, ((i * 73) % 97) as f64]

@@ -49,6 +49,15 @@ impl Fenwick {
         self.tree.resize(len + 1, 0);
     }
 
+    /// Re-sizes a tree whose counts are **all zero** to address `0..len`,
+    /// writing only the cells it gains — for callers that emptied the tree
+    /// by undoing their own additions, where [`reset`](Fenwick::reset)
+    /// would zero the whole domain again.
+    pub fn resize_zeroed(&mut self, len: usize) {
+        debug_assert!(self.tree.iter().all(|&c| c == 0), "tree still holds counts");
+        self.tree.resize(len + 1, 0);
+    }
+
     /// Adds `delta` at position `i` (0-based).
     #[inline]
     pub fn add(&mut self, i: usize, delta: i64) {

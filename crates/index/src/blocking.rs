@@ -27,10 +27,12 @@ use durable_topk_temporal::Time;
 pub struct BlockingSet {
     fenwick: Fenwick,
     tau: Time,
+    /// Every left endpoint inserted since the last reset, so the next
+    /// reset can take them back out instead of zeroing the domain.
+    lefts: Vec<Time>,
     /// Left endpoints inserted at the current (lowest-so-far) score level.
     tie_lefts: Vec<Time>,
     tie_score: f64,
-    len: usize,
 }
 
 impl Default for BlockingSet {
@@ -48,31 +50,45 @@ impl BlockingSet {
         Self {
             fenwick: Fenwick::new(n),
             tau,
+            lefts: Vec::new(),
             tie_lefts: Vec::new(),
             tie_score: f64::INFINITY,
-            len: 0,
         }
     }
 
     /// Empties the set and re-sizes it for the time domain `[0, n)` with
     /// intervals of length `tau`, reusing the Fenwick allocation — the
     /// scratch-reuse path of the score-prioritized algorithms.
+    ///
+    /// S-Band and S-Hop insert a few hundred intervals into a domain of a
+    /// whole shard, so the inserted endpoints are taken back out one by
+    /// one (`O(inserts · log n)`); only a set dense enough that this would
+    /// touch more cells than the domain has (S-Base inserts every record)
+    /// is zeroed wholesale.
     pub fn reset(&mut self, n: usize, tau: Time) {
-        self.fenwick.reset(n);
+        let cells = self.fenwick.len();
+        if self.lefts.len().saturating_mul(cells.max(2).ilog2() as usize) < cells {
+            for &left in &self.lefts {
+                self.fenwick.add(left as usize, -1);
+            }
+            self.fenwick.resize_zeroed(n);
+        } else {
+            self.fenwick.reset(n);
+        }
+        self.lefts.clear();
         self.tau = tau;
         self.tie_lefts.clear();
         self.tie_score = f64::INFINITY;
-        self.len = 0;
     }
 
     /// Number of intervals inserted.
     pub fn len(&self) -> usize {
-        self.len
+        self.lefts.len()
     }
 
     /// Whether no interval was inserted.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.lefts.is_empty()
     }
 
     /// Inserts the blocking interval `[left, left + τ]` contributed by a
@@ -85,7 +101,7 @@ impl BlockingSet {
     /// level that can tie future probes.
     pub fn insert(&mut self, left: Time, score: f64) {
         self.fenwick.add(left as usize, 1);
-        self.len += 1;
+        self.lefts.push(left);
         if score < self.tie_score {
             self.tie_lefts.clear();
             self.tie_score = score;
@@ -171,6 +187,39 @@ mod tests {
         assert_eq!(b.coverage(0), 1);
         assert_eq!(b.coverage(8), 1);
         assert_eq!(b.coverage(9), 0);
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_set_sparse_and_dense() {
+        // One set reused across domains that shrink and grow, with few
+        // inserts (endpoints taken back out) and with every position
+        // inserted (zeroed wholesale), against a fresh set each round.
+        let rounds: [(usize, Time, usize); 5] =
+            [(200, 10, 7), (50, 5, 50), (400, 30, 3), (400, 30, 400), (64, 8, 9)];
+        let mut reused = BlockingSet::default();
+        for (round, &(n, tau, inserts)) in rounds.iter().enumerate() {
+            reused.reset(n, tau);
+            let mut fresh = BlockingSet::new(n, tau);
+            assert!(reused.is_empty());
+            for i in 0..inserts {
+                let left = ((i * 37 + round * 11) % n) as Time;
+                let score = 100.0 - (i / 3) as f64;
+                reused.insert(left, score);
+                fresh.insert(left, score);
+            }
+            assert_eq!(reused.len(), inserts);
+            let level = 100.0 - ((inserts - 1) / 3) as f64;
+            for t in 0..n as Time {
+                assert_eq!(reused.coverage(t), fresh.coverage(t), "round={round} t={t}");
+                for probe in [level, level - 1.0] {
+                    assert_eq!(
+                        reused.coverage_above(t, probe),
+                        fresh.coverage_above(t, probe),
+                        "round={round} t={t} probe={probe}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

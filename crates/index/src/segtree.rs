@@ -113,8 +113,9 @@ pub trait OracleScorer: Scorer {
     /// has no canonical structure (opaque custom scorers).
     ///
     /// The contract is one-directional: two scorers returning the *same*
-    /// fingerprint must score every record bit-identically — memoization
-    /// layers (the sealed-shard result cache) key cached answers on it.
+    /// fingerprint must score every record and bound every node
+    /// bit-identically — memoization layers (the sealed-shard result cache,
+    /// the per-scratch [node-bound memo](OracleScratch)) key on it.
     /// Parameters are canonicalized bit-exactly through `f64::to_bits`
     /// (the same total-order view [`OrdF64`] takes), so distinct weight
     /// vectors never alias. The default is `None`: an unfingerprintable
@@ -291,18 +292,25 @@ impl TopKResult {
         out
     }
 
-    /// Finalizes `items` in place: sorts best-first (descending score,
-    /// ascending id), derives the k-th score and drops everything strictly
-    /// below it. The allocation-free counterpart of
+    /// Finalizes `items` in place: derives the k-th score, drops everything
+    /// strictly below it and sorts the survivors best-first (descending
+    /// score, ascending id). The allocation-free counterpart of
     /// [`finalize`](TopKResult::finalize).
+    ///
+    /// The k-th score comes from a linear-time selection, so only the
+    /// `k + ties` survivors pay for a sort — candidate buffers routinely
+    /// hold several times `k`.
     pub fn finalize_in_place(&mut self, k: usize) {
-        self.items.sort_unstable_by(|a, b| {
+        let best_first = |a: &(RecordId, f64), b: &(RecordId, f64)| {
             b.1.partial_cmp(&a.1).expect("scores must not be NaN").then(a.0.cmp(&b.0))
-        });
-        self.kth_score =
-            if self.items.len() >= k { self.items[k - 1].1 } else { f64::NEG_INFINITY };
-        let kth = self.kth_score;
-        self.items.retain(|&(_, s)| s >= kth);
+        };
+        self.kth_score = f64::NEG_INFINITY;
+        if self.items.len() >= k {
+            let kth = self.items.select_nth_unstable_by(k - 1, best_first).1 .1;
+            self.kth_score = kth;
+            self.items.retain(|&(_, s)| s >= kth);
+        }
+        self.items.sort_unstable_by(best_first);
     }
 }
 
@@ -375,18 +383,138 @@ impl Ord for OrdF64 {
     }
 }
 
+/// Trees one scratch memoizes node bounds for at once. A head forest under
+/// the sharded engine's merge cap holds its context tree, up to three
+/// cap-sized trees and one binary-counter remnant per power of two below
+/// the cap — 14 at a cap of 1024 — so every tree of one forest keeps its slot
+/// while a probe walks the forest.
+const MEMO_SLOTS: usize = 16;
+
+/// One memoized bound; live iff `stamp` equals its slot's current stamp.
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoEntry {
+    stamp: u32,
+    bound: f64,
+}
+
+/// The bounds of one `(tree, scorer)` pair, indexed by node slot.
+#[derive(Debug, Clone, Default)]
+struct MemoSlot {
+    /// [`SkylineSegTree`] id the entries belong to; `0` while unbound.
+    tree: u64,
+    /// [`OracleScorer::fingerprint`] the entries were computed under.
+    fingerprint: u64,
+    /// Stamp of the live entries. Rebinding the slot draws a fresh stamp,
+    /// which invalidates every entry at once without touching them.
+    stamp: u32,
+    /// [`BoundMemo::clock`] reading of the last probe bound here.
+    last_used: u64,
+    entries: Vec<MemoEntry>,
+}
+
+/// Memo of [`OracleScorer::node_bound`] values, so the probes of one request
+/// — same tree, same scorer, overlapping windows — evaluate each node's
+/// bound once.
+///
+/// A bound is a pure function of `(tree, node, scorer)`: trees are immutable
+/// once built and carry a process-unique id, and scorers with equal
+/// fingerprints bound bit-identically. Every probe re-derives its slot from
+/// exactly that pair ([`bind`](BoundMemo::bind)), so a bound computed for
+/// another tree or scorer is unreachable rather than merely avoided.
+#[derive(Debug, Clone, Default)]
+struct BoundMemo {
+    slots: [MemoSlot; MEMO_SLOTS],
+    /// Last stamp handed out; `0` is never live ([`MemoEntry::default`]).
+    last_stamp: u32,
+    /// Probes bound so far — the LRU clock.
+    clock: u64,
+}
+
+impl BoundMemo {
+    /// The bounds memoized for `(tree, fingerprint)`, evicting the least
+    /// recently probed pair when no slot matches. A scorer without a
+    /// fingerprint gets an empty view: every lookup computes.
+    fn bind(&mut self, tree: u64, nodes: usize, fingerprint: Option<u64>) -> NodeBounds<'_> {
+        let Some(fingerprint) = fingerprint else {
+            return NodeBounds { stamp: 0, entries: &mut [] };
+        };
+        self.clock += 1;
+        let found = self.slots.iter().position(|s| s.tree == tree && s.fingerprint == fingerprint);
+        let at = found.unwrap_or_else(|| {
+            // Least recently probed; never-bound slots read 0 and go first.
+            let at = (0..MEMO_SLOTS).min_by_key(|&at| self.slots[at].last_used).unwrap_or(0);
+            let stamp = self.fresh_stamp();
+            let slot = &mut self.slots[at];
+            (slot.tree, slot.fingerprint, slot.stamp) = (tree, fingerprint, stamp);
+            if slot.entries.len() < nodes {
+                slot.entries.resize(nodes, MemoEntry::default());
+            }
+            at
+        });
+        let slot = &mut self.slots[at];
+        slot.last_used = self.clock;
+        NodeBounds { stamp: slot.stamp, entries: &mut slot.entries }
+    }
+
+    /// A stamp no live or dead entry carries. When the counter is
+    /// exhausted every slot is unbound and wiped first, so a stamp from the
+    /// previous cycle can never read as live.
+    fn fresh_stamp(&mut self) -> u32 {
+        if self.last_stamp == u32::MAX {
+            for slot in &mut self.slots {
+                slot.tree = 0;
+                slot.entries.fill(MemoEntry::default());
+            }
+            self.last_stamp = 0;
+        }
+        self.last_stamp += 1;
+        self.last_stamp
+    }
+}
+
+/// One probe's view of the memo: the entries of the `(tree, scorer)` pair
+/// it was [bound](BoundMemo::bind) to.
+struct NodeBounds<'a> {
+    stamp: u32,
+    entries: &'a mut [MemoEntry],
+}
+
+impl NodeBounds<'_> {
+    /// Node `idx`'s bound, computing and recording it on first use.
+    #[inline]
+    fn get_or_compute(&mut self, idx: i32, compute: impl FnOnce() -> f64) -> f64 {
+        match self.entries.get_mut(idx as usize) {
+            Some(entry) if entry.stamp == self.stamp => entry.bound,
+            Some(entry) => {
+                *entry = MemoEntry { stamp: self.stamp, bound: compute() };
+                entry.bound
+            }
+            None => compute(),
+        }
+    }
+}
+
 /// Reusable scratch space for [`SkylineSegTree::top_k_with`] and
 /// [`scan_top_k_into`]: the best-first node priority queue, the running
-/// best-k threshold heap, and a merge buffer used by composite indexes.
+/// best-k threshold heap, the node-bound memo, and a merge buffer used by
+/// composite indexes.
 ///
 /// One instance per query thread; reusing it across calls removes every
-/// per-probe heap allocation from the oracle path.
+/// per-probe heap allocation from the oracle path, and lets the probes of
+/// one request share each node's bound: `top_k_with` looks a bound up under
+/// `(tree id, scorer fingerprint)` before asking the scorer for it. Any
+/// interleaving of trees, scorers and `k` values through one scratch answers
+/// exactly as a fresh scratch would; scorers whose
+/// [`fingerprint`](OracleScorer::fingerprint) is `None` simply bypass the
+/// memo.
 #[derive(Debug, Clone, Default)]
 pub struct OracleScratch {
     /// Best-first frontier: (bound, node, window slice).
     pq: BinaryHeap<(OrdF64, i32, Time, Time)>,
     /// Min-heap over the best k scores seen; its top is the running s_k.
     best_k: BinaryHeap<Reverse<OrdF64>>,
+    /// Node bounds already evaluated for recently probed trees.
+    bounds: BoundMemo,
     /// Candidate accumulation across forest trees (see `forest`).
     pub(crate) merge: Vec<(RecordId, f64)>,
     /// Best-first frontier for out-of-crate oracles that address nodes by
@@ -415,12 +543,40 @@ impl OracleScratch {
 /// Built once per dataset in `O(n · s̄ + n log n)` where `s̄` is the mean
 /// node skyline size; answers `Q(u, k, W)` for any window `W` and any
 /// [`OracleScorer`] given at query time.
-#[derive(Debug, Clone)]
+///
+/// A tree is immutable once built and must always be probed with the
+/// dataset it was built over (rows inside its coverage never change in the
+/// append-only [`Dataset`]); its process-unique id is what lets an
+/// [`OracleScratch`] reuse node bounds across probes.
+#[derive(Debug)]
 pub struct SkylineSegTree {
+    /// Process-unique, never reused: a rebuilt or cloned tree is a new
+    /// identity to every memo keyed on it.
+    id: u64,
     nodes: Vec<TreeNode>,
     root: i32,
     leaf_size: usize,
     counters: QueryCounters,
+}
+
+/// Source of [`SkylineSegTree`] ids; `0` is reserved for "no tree".
+static NEXT_TREE_ID: AtomicU64 = AtomicU64::new(1);
+
+fn next_tree_id() -> u64 {
+    // Relaxed: the id only has to be unique; it publishes nothing.
+    NEXT_TREE_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Clone for SkylineSegTree {
+    fn clone(&self) -> Self {
+        Self {
+            id: next_tree_id(),
+            nodes: self.nodes.clone(),
+            root: self.root,
+            leaf_size: self.leaf_size,
+            counters: self.counters.clone(),
+        }
+    }
 }
 
 impl Clone for QueryCounters {
@@ -458,6 +614,7 @@ impl SkylineSegTree {
     /// a frozen head snapshot's range on a background worker).
     pub fn build_over(ds: &Dataset, lo: Time, hi: Time, leaf_size: usize) -> Self {
         let mut tree = Self {
+            id: next_tree_id(),
             nodes: Vec::with_capacity(2 * ((hi - lo) as usize + 1) / leaf_size + 2),
             root: -1,
             leaf_size,
@@ -571,23 +728,26 @@ impl SkylineSegTree {
         // Best-first search over canonical nodes. Heap entries carry the
         // node's admissible bound and the window slice it must scan (only
         // partial leaves differ from the node range).
-        let pq = &mut scratch.pq;
+        let OracleScratch { pq, best_k, bounds, .. } = scratch;
+        let mut bounds = bounds.bind(self.id, self.nodes.len(), scorer.fingerprint());
         pq.clear();
-        self.seed_canonical(ds, scorer, self.root, w, pq);
+        self.seed_canonical(ds, scorer, self.root, w, &mut bounds, pq);
 
         // Candidates accumulate directly in the output buffer.
         let candidates = &mut out.items;
-        let best_k = &mut scratch.best_k;
         best_k.clear();
+        let running_kth = |best_k: &BinaryHeap<Reverse<OrdF64>>| {
+            if best_k.len() >= k {
+                best_k.peek().expect("non-empty").0 .0
+            } else {
+                f64::NEG_INFINITY
+            }
+        };
         let mut scanned = 0u64;
         let mut opened = 0u64;
 
         while let Some((bound, idx, lo, hi)) = pq.pop() {
-            let threshold = if best_k.len() >= k {
-                best_k.peek().expect("non-empty").0 .0
-            } else {
-                f64::NEG_INFINITY
-            };
+            let threshold = running_kth(best_k);
             // Strictly below the threshold: no record inside can enter π≤k
             // (equal bounds may still contain ties of s_k).
             if bound.0 < threshold {
@@ -600,12 +760,7 @@ impl SkylineSegTree {
                 for id in lo..=hi {
                     let s = scorer.score(ds.row(id));
                     scanned += 1;
-                    let threshold = if best_k.len() >= k {
-                        best_k.peek().expect("non-empty").0 .0
-                    } else {
-                        f64::NEG_INFINITY
-                    };
-                    if s >= threshold {
+                    if s >= running_kth(best_k) {
                         candidates.push((id, s));
                         best_k.push(Reverse(OrdF64(s)));
                         if best_k.len() > k {
@@ -616,11 +771,7 @@ impl SkylineSegTree {
                 // Keep the candidate buffer from growing without bound on
                 // tie-heavy data.
                 if candidates.len() > 8 * k + 64 {
-                    let thr = if best_k.len() >= k {
-                        best_k.peek().expect("non-empty").0 .0
-                    } else {
-                        f64::NEG_INFINITY
-                    };
+                    let thr = running_kth(best_k);
                     candidates.retain(|&(_, s)| s >= thr);
                 }
             } else {
@@ -628,7 +779,13 @@ impl SkylineSegTree {
                     let c = &self.nodes[child as usize];
                     let cw = Window::new(c.lo, c.hi);
                     if let Some(iw) = cw.intersect(Window::new(lo, hi)) {
-                        let b = scorer.node_bound(ds, &c.summary);
+                        let b = bounds.get_or_compute(child, || scorer.node_bound(ds, &c.summary));
+                        // The threshold only rises, so a child already
+                        // strictly below it would be popped only to end the
+                        // search; leave it off the frontier.
+                        if b < threshold {
+                            continue;
+                        }
                         pq.push((OrdF64(b), child, iw.start(), iw.end()));
                     }
                 }
@@ -646,18 +803,19 @@ impl SkylineSegTree {
         scorer: &S,
         idx: i32,
         w: Window,
+        bounds: &mut NodeBounds<'_>,
         pq: &mut BinaryHeap<(OrdF64, i32, Time, Time)>,
     ) {
         let node = &self.nodes[idx as usize];
         let range = Window::new(node.lo, node.hi);
         let Some(iw) = range.intersect(w) else { return };
         if w.contains_window(range) || node.left < 0 {
-            let b = scorer.node_bound(ds, &node.summary);
+            let b = bounds.get_or_compute(idx, || scorer.node_bound(ds, &node.summary));
             pq.push((OrdF64(b), idx, iw.start(), iw.end()));
             return;
         }
-        self.seed_canonical(ds, scorer, node.left, w, pq);
-        self.seed_canonical(ds, scorer, node.right, w, pq);
+        self.seed_canonical(ds, scorer, node.left, w, bounds, pq);
+        self.seed_canonical(ds, scorer, node.right, w, bounds, pq);
     }
 }
 
@@ -846,6 +1004,70 @@ mod tests {
         assert!(tree.counters().nodes_opened() > 0);
         tree.counters().reset();
         assert_eq!(tree.counters().queries(), 0);
+    }
+
+    #[test]
+    fn memo_bypasses_scorers_without_a_fingerprint() {
+        let mut memo = BoundMemo::default();
+        let mut calls = 0;
+        for _ in 0..2 {
+            let mut bounds = memo.bind(1, 4, None);
+            assert_eq!(
+                bounds.get_or_compute(0, || {
+                    calls += 1;
+                    5.0
+                }),
+                5.0
+            );
+        }
+        assert_eq!(calls, 2, "nothing to key on: every lookup computes");
+        assert!(memo.slots.iter().all(|s| s.tree == 0), "and no slot is bound");
+    }
+
+    #[test]
+    fn memo_evicts_the_least_recently_probed_pair() {
+        let mut memo = BoundMemo::default();
+        for tree in 1..=MEMO_SLOTS as u64 {
+            memo.bind(tree, 2, Some(9)).get_or_compute(0, || tree as f64);
+        }
+        // Touch tree 1 so tree 2 is the oldest, then bring in a newcomer.
+        assert_eq!(memo.bind(1, 2, Some(9)).get_or_compute(0, || f64::NAN), 1.0);
+        memo.bind(99, 2, Some(9)).get_or_compute(0, || 99.0);
+        assert_eq!(memo.bind(1, 2, Some(9)).get_or_compute(0, || f64::NAN), 1.0, "kept");
+        assert_eq!(memo.bind(3, 2, Some(9)).get_or_compute(0, || f64::NAN), 3.0, "kept");
+        // Tree 2 lost its slot: its bound is computed again, never read
+        // from whatever now occupies that slot.
+        assert_eq!(memo.bind(2, 2, Some(9)).get_or_compute(0, || -2.0), -2.0);
+        // The same tree under another scorer is another pair.
+        assert_eq!(memo.bind(1, 2, Some(10)).get_or_compute(0, || 7.0), 7.0);
+        assert_eq!(memo.bind(1, 2, Some(9)).get_or_compute(0, || f64::NAN), 1.0);
+    }
+
+    #[test]
+    fn memo_survives_stamp_wrap_around() {
+        let mut memo = BoundMemo::default();
+        for tree in 1..=MEMO_SLOTS as u64 {
+            memo.bind(tree, 2, Some(9)).get_or_compute(0, || tree as f64);
+        }
+        assert_eq!((memo.slots[0].tree, memo.slots[0].stamp), (1, 1));
+        // Exhaust the counter: the next rebind reuses slot 0 (the oldest)
+        // and is handed stamp 1 again — the stamp slot 0's stale entry
+        // still carries unless the wrap wiped it.
+        memo.last_stamp = u32::MAX;
+        assert_eq!(memo.bind(77, 2, Some(9)).get_or_compute(0, || 77.0), 77.0);
+        assert_eq!((memo.slots[0].tree, memo.slots[0].stamp), (77, 1));
+        // Everything bound before the wrap is forgotten, not misread.
+        assert_eq!(memo.bind(5, 2, Some(9)).get_or_compute(0, || -5.0), -5.0);
+        assert_eq!(memo.bind(77, 2, Some(9)).get_or_compute(0, || f64::NAN), 77.0);
+    }
+
+    #[test]
+    fn rebuilt_and_cloned_trees_get_fresh_ids() {
+        let ds = Dataset::from_rows(1, [[1.0], [2.0], [3.0]]);
+        let a = SkylineSegTree::build(&ds);
+        let b = SkylineSegTree::build(&ds);
+        let c = a.clone();
+        assert!(a.id != 0 && a.id != b.id && a.id != c.id && b.id != c.id);
     }
 
     #[test]

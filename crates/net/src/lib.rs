@@ -45,8 +45,8 @@ mod tests {
     use std::time::Duration;
 
     use durable_topk::{
-        Algorithm, DurableQuery, FallbackReason, QueryError, QueryStats, ScorerSpec, ServeError,
-        ServeRequest, ServeResponse, ServeStats, Window,
+        Algorithm, DurableQuery, FallbackReason, QueryError, QueryStats, ScorerError, ScorerSpec,
+        ServeError, ServeRequest, ServeResponse, ServeStats, Window,
     };
     use proptest::prelude::*;
 
@@ -142,6 +142,10 @@ mod tests {
             ServeError::Query(QueryError::IntervalOutOfRange { start: 9, last: 4 }),
             ServeError::Query(QueryError::TauExceedsOverlap { tau: 99, max_tau: 64 }),
             ServeError::Query(QueryError::Arity { expected: 4, got: 2 }),
+            ServeError::Query(QueryError::InvalidScorer(ScorerError::Empty)),
+            ServeError::Query(QueryError::InvalidScorer(ScorerError::NonFinite)),
+            ServeError::Query(QueryError::InvalidScorer(ScorerError::Negative)),
+            ServeError::Query(QueryError::InvalidScorer(ScorerError::ZeroNorm)),
             ServeError::Panicked("boom — unicode: τ".to_string()),
         ];
         for err in errors {

@@ -29,8 +29,8 @@ use std::io::{Read, Write};
 use std::time::Duration;
 
 use durable_topk::{
-    Algorithm, DurableQuery, FallbackReason, QueryError, QueryStats, ScorerSpec, ServeError,
-    ServeRequest, ServeResponse, ServeStats, Window,
+    Algorithm, DurableQuery, FallbackReason, QueryError, QueryStats, ScorerError, ScorerSpec,
+    ServeError, ServeRequest, ServeResponse, ServeStats, Window,
 };
 
 use crate::node::NodeRanges;
@@ -40,7 +40,7 @@ pub const MAGIC: [u8; 4] = *b"DTKN";
 
 /// The protocol version this build speaks (see the module docs for the
 /// bump policy). Decoders reject every other value.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 
 /// Fixed frame-header length in bytes.
 pub const HEADER_LEN: usize = 12;
@@ -428,6 +428,15 @@ fn encode_query_error(out: &mut Vec<u8>, e: &QueryError) {
             push_u64(out, *expected as u64);
             push_u64(out, *got as u64);
         }
+        QueryError::InvalidScorer(why) => {
+            out.push(6);
+            out.push(match why {
+                ScorerError::Empty => 0,
+                ScorerError::NonFinite => 1,
+                ScorerError::Negative => 2,
+                ScorerError::ZeroNorm => 3,
+            });
+        }
     }
 }
 
@@ -440,6 +449,13 @@ fn decode_query_error(r: &mut Reader<'_>) -> Result<QueryError, WireError> {
         3 => QueryError::IntervalOutOfRange { start: r.u32()?, last: r.u32()? },
         4 => QueryError::TauExceedsOverlap { tau: r.u32()?, max_tau: r.u32()? },
         5 => QueryError::Arity { expected: usize_from(r.u64()?)?, got: usize_from(r.u64()?)? },
+        6 => QueryError::InvalidScorer(match r.u8()? {
+            0 => ScorerError::Empty,
+            1 => ScorerError::NonFinite,
+            2 => ScorerError::Negative,
+            3 => ScorerError::ZeroNorm,
+            tag => return Err(WireError::UnknownTag { what: "scorer error", tag }),
+        }),
         _ => return Err(WireError::UnknownTag { what: "query error", tag }),
     })
 }

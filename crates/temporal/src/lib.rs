@@ -29,7 +29,7 @@ pub mod window;
 pub use dataset::{Dataset, RecordId, RecordRef};
 pub use io::{read_csv, read_csv_file, write_csv, write_csv_file, CsvError, CsvImport};
 pub use scoring::{
-    CosineScorer, LinearScorer, MonotoneCombinationScorer, MonotoneTransform, Scorer,
+    CosineScorer, LinearScorer, MonotoneCombinationScorer, MonotoneTransform, Scorer, ScorerError,
     SingleAttributeScorer,
 };
 pub use stats::{ColumnStats, DatasetStats};

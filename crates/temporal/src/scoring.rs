@@ -32,6 +32,37 @@ pub trait Scorer {
     fn is_monotone(&self) -> bool;
 }
 
+/// Why a preference vector cannot parameterize a scorer.
+///
+/// Preference vectors arrive as request data (CLI flags, decoded wire
+/// frames), so a bad one must be a value the serving path can report, not a
+/// panic: [`LinearScorer::try_new`] and [`CosineScorer::try_new`] return it,
+/// and the panicking constructors print its `Display`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScorerError {
+    /// The preference vector has no entries.
+    Empty,
+    /// A weight is NaN or infinite.
+    NonFinite,
+    /// A weight is negative where the scorer must stay monotone.
+    Negative,
+    /// Every weight is zero where the scorer needs a direction.
+    ZeroNorm,
+}
+
+impl std::fmt::Display for ScorerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ScorerError::Empty => "preference vector must be non-empty",
+            ScorerError::NonFinite => "preference weights must be finite",
+            ScorerError::Negative => "preference weights must be finite and non-negative",
+            ScorerError::ZeroNorm => "preference vector must be non-zero",
+        })
+    }
+}
+
+impl std::error::Error for ScorerError {}
+
 /// Linear preference scorer `f_u(p) = Σ u_i · p.x_i`.
 ///
 /// Weights must be non-negative for the scorer to be monotone (this is the
@@ -47,14 +78,25 @@ impl LinearScorer {
     ///
     /// # Panics
     /// Panics if `weights` is empty, contains a negative or non-finite
-    /// weight.
+    /// weight (see [`try_new`](LinearScorer::try_new)).
     pub fn new(weights: Vec<f64>) -> Self {
-        assert!(!weights.is_empty(), "preference vector must be non-empty");
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "preference weights must be finite and non-negative"
-        );
-        Self { weights }
+        // lint: allow(panic) — documented-panic wrapper over try_new.
+        Self::try_new(weights).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible form of [`new`](LinearScorer::new) for preference vectors
+    /// that arrive as request data.
+    pub fn try_new(weights: Vec<f64>) -> Result<Self, ScorerError> {
+        if weights.is_empty() {
+            return Err(ScorerError::Empty);
+        }
+        if !weights.iter().all(|w| w.is_finite()) {
+            return Err(ScorerError::NonFinite);
+        }
+        if weights.iter().any(|w| *w < 0.0) {
+            return Err(ScorerError::Negative);
+        }
+        Ok(Self { weights })
     }
 
     /// Uniform preference over `d` attributes (each weight `1/d`).
@@ -187,11 +229,24 @@ impl CosineScorer {
     /// # Panics
     /// Panics if `u` is empty, non-finite, or has zero norm.
     pub fn new(weights: Vec<f64>) -> Self {
-        assert!(!weights.is_empty(), "preference vector must be non-empty");
-        assert!(weights.iter().all(|w| w.is_finite()), "weights must be finite");
+        // lint: allow(panic) — documented-panic wrapper over try_new.
+        Self::try_new(weights).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible form of [`new`](CosineScorer::new) for preference vectors
+    /// that arrive as request data.
+    pub fn try_new(weights: Vec<f64>) -> Result<Self, ScorerError> {
+        if weights.is_empty() {
+            return Err(ScorerError::Empty);
+        }
+        if !weights.iter().all(|w| w.is_finite()) {
+            return Err(ScorerError::NonFinite);
+        }
         let norm = weights.iter().map(|w| w * w).sum::<f64>().sqrt();
-        assert!(norm > 0.0, "preference vector must be non-zero");
-        Self { weights, norm }
+        if norm <= 0.0 {
+            return Err(ScorerError::ZeroNorm);
+        }
+        Ok(Self { weights, norm })
     }
 
     /// The preference vector `u`.

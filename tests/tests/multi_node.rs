@@ -10,12 +10,12 @@
 //! *observationally absent*.
 
 use durable_topk::{
-    Algorithm, Backpressure, DurableQuery, EngineConfig, LinearScorer, ScorerSpec, ServeEngine,
-    ServeRequest, ShardedEngine, Window,
+    Algorithm, Backpressure, DurableQuery, EngineConfig, LinearScorer, QueryError, ScorerError,
+    ScorerSpec, ServeEngine, ServeError, ServeRequest, ShardedEngine, Window,
 };
 use durable_topk_net::{
-    Coordinator, LocalNode, Node, NodeIdentity, NodeServer, NodeServerOptions, RemoteNode,
-    RemoteOptions,
+    Coordinator, LocalNode, NetError, Node, NodeIdentity, NodeServer, NodeServerOptions,
+    RemoteNode, RemoteOptions,
 };
 use durable_topk_temporal::Dataset;
 use proptest::prelude::*;
@@ -104,6 +104,42 @@ fn check_query(
         q
     );
     Ok(())
+}
+
+/// A preference vector its scorer family cannot take is request data like
+/// any other: a cluster answers it with a typed error — in process and
+/// through a frame a `NodeServer` decoded — and keeps serving.
+#[test]
+fn invalid_scorer_specs_are_typed_errors_across_the_cluster() {
+    let ds = Dataset::from_rows(2, (0..48).map(|i| [(i % 7) as f64, (i % 5) as f64]));
+    let (serve, id) = slice_node(&ds, 0, 47, 4);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server = NodeServer::spawn(listener, serve.clone(), id, NodeServerOptions::default())
+        .expect("spawn server");
+    let remote: Arc<dyn Node> =
+        Arc::new(RemoteNode::connect(server.addr().to_string(), RemoteOptions::default()));
+    let local: Arc<dyn Node> = Arc::new(LocalNode::new(serve.clone(), id));
+
+    let request = |scorer| ServeRequest {
+        alg: Algorithm::SHop,
+        query: DurableQuery { k: 2, tau: 3, interval: Window::new(0, 47) },
+        scorer,
+    };
+    let bad = request(ScorerSpec::Linear(vec![-1.0, f64::NAN]));
+    let expected = QueryError::InvalidScorer(ScorerError::NonFinite);
+    for (node, what) in [(local, "local"), (remote, "remote")] {
+        let cluster = Coordinator::new(vec![node]).expect("one-node cluster");
+        match cluster.query(&bad) {
+            Err(NetError::Serve(ServeError::Query(e))) => assert_eq!(e, expected, "{what}"),
+            other => panic!("{what}: expected a typed scorer error, got {other:?}"),
+        }
+        let ok = cluster.query(&request(ScorerSpec::Linear(vec![0.5, 0.5])));
+        assert!(ok.is_ok(), "{what}: the node must keep serving, got {ok:?}");
+    }
+    assert_eq!((server.served(), server.failed()), (1, 1), "one frame each way over TCP");
+
+    drop(server);
+    serve.shutdown();
 }
 
 proptest! {
