@@ -865,11 +865,11 @@ mod tests {
         use durable_topk_temporal::ScorerError;
         let serve = serve_over(300);
         let cases = [
-            (ScorerSpec::Linear(vec![-1.0, f64::NAN]), ScorerError::NonFinite),
-            (ScorerSpec::Linear(vec![0.5, -0.5]), ScorerError::Negative),
-            (ScorerSpec::Linear(vec![f64::INFINITY, 1.0]), ScorerError::NonFinite),
-            (ScorerSpec::Cosine(vec![0.0, 0.0]), ScorerError::ZeroNorm),
-            (ScorerSpec::Cosine(vec![1.0, f64::NEG_INFINITY]), ScorerError::NonFinite),
+            (ScorerSpec::Linear(vec![-1.0, f64::NAN]), ScorerError::InvalidWeight),
+            (ScorerSpec::Linear(vec![0.5, -0.5]), ScorerError::InvalidWeight),
+            (ScorerSpec::Linear(vec![f64::INFINITY, 1.0]), ScorerError::InvalidWeight),
+            (ScorerSpec::Cosine(vec![0.0, 0.0]), ScorerError::NoDirection),
+            (ScorerSpec::Cosine(vec![1.0, f64::NEG_INFINITY]), ScorerError::NoDirection),
         ];
         for (scorer, why) in cases {
             let req = ServeRequest { scorer, ..request(Algorithm::THop, 2, 10, 0, 299) };

@@ -42,17 +42,10 @@ impl Fenwick {
         self.len() == 0
     }
 
-    /// Clears all counts and re-sizes the tree to address `0..len`,
-    /// reusing the existing allocation when the capacity suffices.
-    pub fn reset(&mut self, len: usize) {
-        self.tree.clear();
-        self.tree.resize(len + 1, 0);
-    }
-
     /// Re-sizes a tree whose counts are **all zero** to address `0..len`,
-    /// writing only the cells it gains — for callers that emptied the tree
-    /// by undoing their own additions, where [`reset`](Fenwick::reset)
-    /// would zero the whole domain again.
+    /// reusing the allocation and writing only the cells it gains — for
+    /// callers that emptied the tree by undoing their own additions, so
+    /// re-use costs what they added, not the whole domain.
     pub fn resize_zeroed(&mut self, len: usize) {
         debug_assert!(self.tree.iter().all(|&c| c == 0), "tree still holds counts");
         self.tree.resize(len + 1, 0);

@@ -60,21 +60,14 @@ impl BlockingSet {
     /// intervals of length `tau`, reusing the Fenwick allocation — the
     /// scratch-reuse path of the score-prioritized algorithms.
     ///
-    /// S-Band and S-Hop insert a few hundred intervals into a domain of a
-    /// whole shard, so the inserted endpoints are taken back out one by
-    /// one (`O(inserts · log n)`); only a set dense enough that this would
-    /// touch more cells than the domain has (S-Base inserts every record)
-    /// is zeroed wholesale.
+    /// The inserted left endpoints are taken back out one by one
+    /// (`O(inserts · log n)`) rather than zeroing the domain: S-Band and
+    /// S-Hop insert a few hundred intervals into a domain of a whole shard.
     pub fn reset(&mut self, n: usize, tau: Time) {
-        let cells = self.fenwick.len();
-        if self.lefts.len().saturating_mul(cells.max(2).ilog2() as usize) < cells {
-            for &left in &self.lefts {
-                self.fenwick.add(left as usize, -1);
-            }
-            self.fenwick.resize_zeroed(n);
-        } else {
-            self.fenwick.reset(n);
+        for &left in &self.lefts {
+            self.fenwick.add(left as usize, -1);
         }
+        self.fenwick.resize_zeroed(n);
         self.lefts.clear();
         self.tau = tau;
         self.tie_lefts.clear();
@@ -192,8 +185,8 @@ mod tests {
     #[test]
     fn reset_matches_a_fresh_set_sparse_and_dense() {
         // One set reused across domains that shrink and grow, with few
-        // inserts (endpoints taken back out) and with every position
-        // inserted (zeroed wholesale), against a fresh set each round.
+        // inserts and with every position inserted, against a fresh set
+        // each round.
         let rounds: [(usize, Time, usize); 5] =
             [(200, 10, 7), (50, 5, 50), (400, 30, 3), (400, 30, 400), (64, 8, 9)];
         let mut reused = BlockingSet::default();

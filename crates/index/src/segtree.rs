@@ -117,10 +117,22 @@ pub trait OracleScorer: Scorer {
     /// bit-identically — memoization layers (the sealed-shard result cache,
     /// the per-scratch [node-bound memo](OracleScratch)) key on it.
     /// Parameters are canonicalized bit-exactly through `f64::to_bits`
-    /// (the same total-order view [`OrdF64`] takes), so distinct weight
-    /// vectors never alias. The default is `None`: an unfingerprintable
-    /// scorer simply bypasses caches, which costs performance, never
-    /// correctness.
+    /// (the same total-order view [`OrdF64`] takes), so `0.0`/`-0.0` or two
+    /// NaN payloads are distinct inputs to the hash. The default is `None`:
+    /// an unfingerprintable scorer simply bypasses caches, which costs
+    /// performance, never correctness.
+    ///
+    /// **Collisions are accepted, not excluded.** The print is 64 bits of
+    /// an unkeyed hash ([`structural_fingerprint`]) and both memoization
+    /// layers trust it as the scorer's identity without comparing the
+    /// parameters behind it. Two unrelated scorers alias with probability
+    /// about 2⁻⁶⁴; a client that *chooses* its last weight can construct an
+    /// alias of a known vector, after which the result cache may replay
+    /// the other scorer's answer and the node-bound memo may prune with
+    /// the other scorer's (possibly inadmissible) bounds — records dropped
+    /// silently. That is inside the serving layer's trust model (the wire
+    /// protocol authenticates nobody); closing it needs a keyed hash or a
+    /// parameter compare on every lookup, which ROADMAP lists as open.
     fn fingerprint(&self) -> Option<u64> {
         None
     }
@@ -420,7 +432,16 @@ struct MemoSlot {
 /// once built and carry a process-unique id, and scorers with equal
 /// fingerprints bound bit-identically. Every probe re-derives its slot from
 /// exactly that pair ([`bind`](BoundMemo::bind)), so a bound computed for
-/// another tree or scorer is unreachable rather than merely avoided.
+/// another tree or scorer is unreachable rather than merely avoided — up to
+/// a 64-bit fingerprint collision, which
+/// [`OracleScorer::fingerprint`] documents as accepted.
+///
+/// **Footprint.** A slot's entries are indexed by node slot, grow to the
+/// largest tree ever bound to the slot and never shrink, so one scratch
+/// holds at most `MEMO_SLOTS × max nodes × 16 B`, i.e. about
+/// `16 × 2n/leaf × 16 B` for trees over `n` records: ~140 KiB per worker
+/// for 35k-record shard trees at the default 128-record leaves, and MiBs
+/// with small leaves or one large flat tree — not a few KB.
 #[derive(Debug, Clone, Default)]
 struct BoundMemo {
     slots: [MemoSlot; MEMO_SLOTS],
@@ -502,7 +523,9 @@ impl NodeBounds<'_> {
 /// One instance per query thread; reusing it across calls removes every
 /// per-probe heap allocation from the oracle path, and lets the probes of
 /// one request share each node's bound: `top_k_with` looks a bound up under
-/// `(tree id, scorer fingerprint)` before asking the scorer for it. Any
+/// `(tree id, scorer fingerprint)` before asking the scorer for it. The
+/// memo costs up to 16 slots × the largest probed tree's node count × 16 B
+/// per scratch and is never given back while the scratch lives. Any
 /// interleaving of trees, scorers and `k` values through one scratch answers
 /// exactly as a fresh scratch would; scorers whose
 /// [`fingerprint`](OracleScorer::fingerprint) is `None` simply bypass the

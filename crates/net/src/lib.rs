@@ -143,9 +143,8 @@ mod tests {
             ServeError::Query(QueryError::TauExceedsOverlap { tau: 99, max_tau: 64 }),
             ServeError::Query(QueryError::Arity { expected: 4, got: 2 }),
             ServeError::Query(QueryError::InvalidScorer(ScorerError::Empty)),
-            ServeError::Query(QueryError::InvalidScorer(ScorerError::NonFinite)),
-            ServeError::Query(QueryError::InvalidScorer(ScorerError::Negative)),
-            ServeError::Query(QueryError::InvalidScorer(ScorerError::ZeroNorm)),
+            ServeError::Query(QueryError::InvalidScorer(ScorerError::InvalidWeight)),
+            ServeError::Query(QueryError::InvalidScorer(ScorerError::NoDirection)),
             ServeError::Panicked("boom — unicode: τ".to_string()),
         ];
         for err in errors {

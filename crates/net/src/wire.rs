@@ -432,9 +432,8 @@ fn encode_query_error(out: &mut Vec<u8>, e: &QueryError) {
             out.push(6);
             out.push(match why {
                 ScorerError::Empty => 0,
-                ScorerError::NonFinite => 1,
-                ScorerError::Negative => 2,
-                ScorerError::ZeroNorm => 3,
+                ScorerError::InvalidWeight => 1,
+                ScorerError::NoDirection => 2,
             });
         }
     }
@@ -451,9 +450,8 @@ fn decode_query_error(r: &mut Reader<'_>) -> Result<QueryError, WireError> {
         5 => QueryError::Arity { expected: usize_from(r.u64()?)?, got: usize_from(r.u64()?)? },
         6 => QueryError::InvalidScorer(match r.u8()? {
             0 => ScorerError::Empty,
-            1 => ScorerError::NonFinite,
-            2 => ScorerError::Negative,
-            3 => ScorerError::ZeroNorm,
+            1 => ScorerError::InvalidWeight,
+            2 => ScorerError::NoDirection,
             tag => return Err(WireError::UnknownTag { what: "scorer error", tag }),
         }),
         _ => return Err(WireError::UnknownTag { what: "query error", tag }),

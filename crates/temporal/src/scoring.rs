@@ -42,21 +42,20 @@ pub trait Scorer {
 pub enum ScorerError {
     /// The preference vector has no entries.
     Empty,
-    /// A weight is NaN or infinite.
-    NonFinite,
-    /// A weight is negative where the scorer must stay monotone.
-    Negative,
-    /// Every weight is zero where the scorer needs a direction.
-    ZeroNorm,
+    /// A linear weight is negative, NaN or infinite; linear scorers must
+    /// stay monotone.
+    InvalidWeight,
+    /// A cosine preference vector's norm is zero, NaN or infinite (an
+    /// all-zero vector, or a non-finite entry), so it names no direction.
+    NoDirection,
 }
 
 impl std::fmt::Display for ScorerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             ScorerError::Empty => "preference vector must be non-empty",
-            ScorerError::NonFinite => "preference weights must be finite",
-            ScorerError::Negative => "preference weights must be finite and non-negative",
-            ScorerError::ZeroNorm => "preference vector must be non-zero",
+            ScorerError::InvalidWeight => "preference weights must be finite and non-negative",
+            ScorerError::NoDirection => "preference vector must be finite and non-zero",
         })
     }
 }
@@ -90,11 +89,8 @@ impl LinearScorer {
         if weights.is_empty() {
             return Err(ScorerError::Empty);
         }
-        if !weights.iter().all(|w| w.is_finite()) {
-            return Err(ScorerError::NonFinite);
-        }
-        if weights.iter().any(|w| *w < 0.0) {
-            return Err(ScorerError::Negative);
+        if !weights.iter().all(|w| w.is_finite() && *w >= 0.0) {
+            return Err(ScorerError::InvalidWeight);
         }
         Ok(Self { weights })
     }
@@ -239,12 +235,11 @@ impl CosineScorer {
         if weights.is_empty() {
             return Err(ScorerError::Empty);
         }
-        if !weights.iter().all(|w| w.is_finite()) {
-            return Err(ScorerError::NonFinite);
-        }
         let norm = weights.iter().map(|w| w * w).sum::<f64>().sqrt();
-        if norm <= 0.0 {
-            return Err(ScorerError::ZeroNorm);
+        // A NaN or infinite entry (or an overflowing square) surfaces in
+        // the norm, so one test covers non-finite and all-zero vectors.
+        if !(norm.is_finite() && norm > 0.0) {
+            return Err(ScorerError::NoDirection);
         }
         Ok(Self { weights, norm })
     }
@@ -331,6 +326,23 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn linear_rejects_negative_weights() {
         LinearScorer::new(vec![1.0, -0.1]);
+    }
+
+    #[test]
+    fn try_new_reports_what_new_panics_with() {
+        assert_eq!(LinearScorer::try_new(vec![]), Err(ScorerError::Empty));
+        for bad in [vec![1.0, -0.1], vec![-1.0, f64::NAN], vec![f64::INFINITY, 1.0]] {
+            assert_eq!(LinearScorer::try_new(bad), Err(ScorerError::InvalidWeight));
+        }
+        assert_eq!(
+            ScorerError::InvalidWeight.to_string(),
+            "preference weights must be finite and non-negative"
+        );
+        assert_eq!(CosineScorer::try_new(vec![]), Err(ScorerError::Empty));
+        for bad in [vec![0.0, 0.0], vec![1.0, f64::NAN], vec![f64::NEG_INFINITY, 1.0]] {
+            assert_eq!(CosineScorer::try_new(bad), Err(ScorerError::NoDirection));
+        }
+        assert!(CosineScorer::try_new(vec![-1.0, 0.5]).is_ok());
     }
 
     #[test]

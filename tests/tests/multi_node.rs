@@ -126,7 +126,7 @@ fn invalid_scorer_specs_are_typed_errors_across_the_cluster() {
         scorer,
     };
     let bad = request(ScorerSpec::Linear(vec![-1.0, f64::NAN]));
-    let expected = QueryError::InvalidScorer(ScorerError::NonFinite);
+    let expected = QueryError::InvalidScorer(ScorerError::InvalidWeight);
     for (node, what) in [(local, "local"), (remote, "remote")] {
         let cluster = Coordinator::new(vec![node]).expect("one-node cluster");
         match cluster.query(&bad) {
