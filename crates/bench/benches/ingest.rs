@@ -8,7 +8,9 @@
 //! through the persistent worker pool on a sealed engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use durable_topk::{Algorithm, Dataset, DurableQuery, LinearScorer, ShardedEngine, Window};
+use durable_topk::{
+    Algorithm, Dataset, DurableQuery, EngineConfig, LinearScorer, Window, WorkerPool,
+};
 use durable_topk_workloads::ind;
 
 const N: usize = 20_000;
@@ -31,7 +33,7 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("append_20k", |b| {
         b.iter(|| {
-            let mut live = ShardedEngine::new_live(2, SPAN, MAX_TAU);
+            let mut live = EngineConfig::new(2, SPAN, MAX_TAU).build().expect("config");
             for id in 0..N as u32 {
                 live.append(ds.row(id));
             }
@@ -41,7 +43,7 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("append_20k_query_every_500", |b| {
         b.iter(|| {
-            let mut live = ShardedEngine::new_live(2, SPAN, MAX_TAU);
+            let mut live = EngineConfig::new(2, SPAN, MAX_TAU).build().expect("config");
             let mut durable = 0usize;
             for id in 0..N as u32 {
                 live.append(ds.row(id));
@@ -61,7 +63,8 @@ fn bench(c: &mut Criterion) {
             for id in 0..N as u32 {
                 prefix.push(ds.row(id));
                 if (id + 1) % CHECKPOINT == 0 {
-                    let built = ShardedEngine::build(&prefix, prefix.len().div_ceil(SPAN), MAX_TAU)
+                    let built = EngineConfig::new(2, SPAN, MAX_TAU)
+                        .build_from(&prefix, prefix.len().div_ceil(SPAN))
                         .expect("build");
                     durable +=
                         built.query(Algorithm::THop, &scorer, &checkpoint_query(id)).records.len();
@@ -71,7 +74,8 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    let sealed = ShardedEngine::build(&ds, N.div_ceil(SPAN), MAX_TAU).expect("build");
+    let sealed =
+        EngineConfig::new(2, SPAN, MAX_TAU).build_from(&ds, N.div_ceil(SPAN)).expect("build");
     let q = DurableQuery { k: 5, tau: 256, interval: Window::new(0, N as u32 - 1) };
     g.bench_function("sharded_query_pool", |b| {
         b.iter(|| sealed.query(Algorithm::THop, &scorer, &q).records.len())
@@ -81,9 +85,12 @@ fn bench(c: &mut Criterion) {
     let engine = durable_topk::DurableTopKEngine::new(ds.clone());
     let scorers: Vec<LinearScorer> =
         (1..=8).map(|i| LinearScorer::new(vec![i as f64, (9 - i) as f64])).collect();
-    let executor = durable_topk::BatchExecutor::new(4);
     g.bench_function("batch_run_8_scorers", |b| {
-        b.iter(|| executor.run(&engine, Algorithm::THop, &scorers, &q).len())
+        b.iter(|| {
+            let job =
+                |i: usize, ctx: &mut _| engine.query_with(Algorithm::THop, &scorers[i], &q, ctx);
+            WorkerPool::global().run_jobs(scorers.len(), 4, job).len()
+        })
     });
 
     g.finish();

@@ -7,7 +7,8 @@
 //! `ShardedEngine::query` calls — the queue's overhead is the difference.
 //! `append_cross_seal_{background,sync}` measure a fresh live engine
 //! ingesting one full shard span plus one record (exactly one seal
-//! hand-off) under each [`SealMode`].
+//! hand-off), leaving the seal to the pool or finishing it inline with a
+//! `quiesce()` after every append.
 //!
 //! Before the criterion groups run, the harness prints one-shot p50/p99
 //! serving latencies and per-append seal tail latencies (p50/p999/max) —
@@ -16,8 +17,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use durable_topk::{
-    Algorithm, Backpressure, DurableQuery, EngineConfig, ScorerSpec, SealMode, ServeEngine,
-    ServeRequest, ShardedEngine, Window,
+    percentile, Algorithm, Backpressure, DurableQuery, EngineConfig, ScorerSpec, ServeEngine,
+    ServeRequest, Window,
 };
 use durable_topk_workloads::ind;
 use std::time::{Duration, Instant};
@@ -42,15 +43,6 @@ fn request(i: usize, n: u32) -> ServeRequest {
     }
 }
 
-/// p-th percentile of a sorted latency list.
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 /// One-shot serving-latency distribution: 512 requests through the queue.
 fn report_serving_percentiles(serve: &ServeEngine, n: u32) {
     let handles: Vec<_> =
@@ -72,19 +64,23 @@ fn report_serving_percentiles(serve: &ServeEngine, n: u32) {
 }
 
 /// One-shot per-append latency distribution across several seal
-/// boundaries under the given mode. Seal-triggering appends (global id
-/// `k·span − 1`) are reported separately: they are the appends the
-/// background hand-off is meant to flatten, while the forest's own
-/// binary-counter merge spikes affect both modes identically.
-fn report_seal_tail(mode: SealMode) {
+/// boundaries, with seals left to the pool or (`inline`) finished on the
+/// appending thread by a `quiesce()` inside every timed append.
+/// Seal-triggering appends (global id `k·span − 1`) are reported
+/// separately: they are the appends the background hand-off is meant to
+/// flatten, while the forest's own binary-counter merge spikes affect both
+/// identically.
+fn report_seal_tail(inline: bool) {
     let rows = ind(4 * SPAN + 64, 2, 11);
-    let mut live =
-        EngineConfig::new(2, SPAN, MAX_TAU).seal_mode(mode).build().expect("live config");
+    let mut live = EngineConfig::new(2, SPAN, MAX_TAU).build().expect("live config");
     let mut lat = Vec::with_capacity(rows.len());
     let mut seal_lat = Vec::new();
     for id in 0..rows.len() as u32 {
         let t = Instant::now();
         live.append(rows.row(id));
+        if inline {
+            live.quiesce();
+        }
         let elapsed = t.elapsed();
         lat.push(elapsed);
         if (id as usize + 1) % SPAN == 0 {
@@ -95,8 +91,9 @@ fn report_seal_tail(mode: SealMode) {
     lat.sort_unstable();
     seal_lat.sort_unstable();
     eprintln!(
-        "append latency ({mode:?}, {} appends, {} seals): p50={:.2?} p999={:.2?} max={:.2?}; \
+        "append latency ({}, {} appends, {} seals): p50={:.2?} p999={:.2?} max={:.2?}; \
          seal-boundary appends: median={:.2?} max={:.2?}",
+        if inline { "inline seals" } else { "background seals" },
         lat.len(),
         seal_lat.len(),
         percentile(&lat, 0.50),
@@ -109,14 +106,15 @@ fn report_seal_tail(mode: SealMode) {
 
 fn bench(c: &mut Criterion) {
     let ds = ind(N, 2, 7);
-    let engine = ShardedEngine::build(&ds, N.div_ceil(SPAN), MAX_TAU).expect("build");
-    let serve = ServeEngine::new(engine, 1_024, Backpressure::Block);
-    let direct = ShardedEngine::build(&ds, N.div_ceil(SPAN), MAX_TAU).expect("build");
+    let build =
+        || EngineConfig::new(2, SPAN, MAX_TAU).build_from(&ds, N.div_ceil(SPAN)).expect("build");
+    let serve = ServeEngine::new(build(), 1_024, Backpressure::Block);
+    let direct = build();
     let scorer = durable_topk::LinearScorer::uniform(2);
 
     report_serving_percentiles(&serve, N as u32);
-    report_seal_tail(SealMode::Synchronous);
-    report_seal_tail(SealMode::Background);
+    report_seal_tail(true);
+    report_seal_tail(false);
 
     let mut g = c.benchmark_group("serving");
     g.sample_size(10);
@@ -142,7 +140,7 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("append_cross_seal_background", |b| {
         b.iter(|| {
-            let mut live = ShardedEngine::new_live(2, SPAN, MAX_TAU);
+            let mut live = EngineConfig::new(2, SPAN, MAX_TAU).build().expect("config");
             for id in 0..(SPAN + 1) as u32 {
                 live.append(ds.row(id));
             }
@@ -153,12 +151,10 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("append_cross_seal_sync", |b| {
         b.iter(|| {
-            let mut live = EngineConfig::new(2, SPAN, MAX_TAU)
-                .seal_mode(SealMode::Synchronous)
-                .build()
-                .expect("live config");
+            let mut live = EngineConfig::new(2, SPAN, MAX_TAU).build().expect("config");
             for id in 0..(SPAN + 1) as u32 {
                 live.append(ds.row(id));
+                live.quiesce();
             }
             live.sealed_shards()
         })

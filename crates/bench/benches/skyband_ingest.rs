@@ -8,7 +8,7 @@
 //! algorithm the old fallback substituted.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use durable_topk::{Algorithm, DurableQuery, EngineConfig, LinearScorer, ShardedEngine, Window};
+use durable_topk::{Algorithm, DurableQuery, EngineConfig, LinearScorer, Window};
 use durable_topk_workloads::ind;
 
 const N: usize = 20_000;
@@ -28,7 +28,7 @@ fn bench(c: &mut Criterion) {
 
     g.bench_function("append_20k_no_skyband", |b| {
         b.iter(|| {
-            let mut live = ShardedEngine::new_live(2, SPAN, MAX_TAU);
+            let mut live = EngineConfig::new(2, SPAN, MAX_TAU).build().expect("config");
             for id in 0..N as u32 {
                 live.append(ds.row(id));
             }

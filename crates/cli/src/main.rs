@@ -15,9 +15,9 @@ use args::{
     parse_storage, parse_stream, parse_threads, parse_weights, Args, ServeMode, StorageChoice,
 };
 use durable_topk::{
-    Algorithm, Anchor, Backpressure, BatchExecutor, DurableQuery, DurableTopKEngine, EngineConfig,
-    FallbackReason, LinearScorer, PagedStorage, QueryStats, ScorerSpec, ServeEngine, ServeRequest,
-    Window,
+    percentile, Algorithm, Anchor, Backpressure, DurableQuery, DurableTopKEngine, EngineConfig,
+    FallbackReason, LinearScorer, PagedStorage, QueryStats, ScorerSpec, ServeEngine, ServeError,
+    ServeRequest, ServeResponse, SubscriptionId, Window, WorkerPool,
 };
 use durable_topk_net::{
     Coordinator, NetError, Node, NodeIdentity, NodeServer, NodeServerOptions, RemoteNode,
@@ -54,7 +54,7 @@ USAGE:
 Records are rows in arrival order; an optional header row names columns and
 an optional leading `t` column holds wall-clock stamps. Weights default to
 uniform. `query` defaults to --alg shop over the whole history; --alg all
-sweeps every algorithm through the parallel batch executor (--threads 0 =
+sweeps every algorithm in parallel on the worker pool (--threads 0 =
 use all cores). --stream replays the file into a live sharded engine,
 interleaving appends with a progress query every M arrivals (default: a
 tenth of the file); incompatible with --alg all, --lookahead, --durations,
@@ -177,20 +177,21 @@ fn engine_config(
     Ok(cfg)
 }
 
-fn scorer_for(args: &Args, dim: usize) -> Result<LinearScorer, String> {
-    match args.options.get("weights") {
-        None => Ok(LinearScorer::uniform(dim)),
-        Some(w) => {
-            let weights = parse_weights(w)?;
-            if weights.len() != dim {
-                return Err(format!(
-                    "--weights has {} entries but the data has {dim} attributes",
-                    weights.len()
-                ));
-            }
-            Ok(LinearScorer::new(weights))
-        }
+/// `--weights`, arity-checked against the data; `None` means uniform.
+fn weights_for(args: &Args, dim: usize) -> Result<Option<Vec<f64>>, String> {
+    let Some(w) = args.options.get("weights") else { return Ok(None) };
+    let weights = parse_weights(w)?;
+    if weights.len() != dim {
+        return Err(format!(
+            "--weights has {} entries but the data has {dim} attributes",
+            weights.len()
+        ));
     }
+    Ok(Some(weights))
+}
+
+fn scorer_for(args: &Args, dim: usize) -> Result<LinearScorer, String> {
+    Ok(weights_for(args, dim)?.map_or_else(|| LinearScorer::uniform(dim), LinearScorer::new))
 }
 
 fn generate(args: &Args) -> Result<(), String> {
@@ -432,127 +433,104 @@ fn stream_replay(
     Ok(())
 }
 
-/// Latency record of one served request: time in the queue plus execution.
-fn total_latency(queued: Duration, service: Duration) -> Duration {
-    queued + service
+/// The mode-specific ends of the summary.
+struct Report {
+    /// Everything after "N verified, " on the first line.
+    counts: String,
+    /// Appended to the latency line.
+    latency: String,
+    /// Further lines, printed as they are.
+    lines: Vec<String>,
 }
 
-/// The `p`-th percentile of a sorted latency list.
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
+/// What the replay's clients talk to — everything in which the two `serve`
+/// modes differ: the in-process serve queue with its live appender and
+/// subscriptions ([`QueueTarget`]) or a coordinator over remote nodes
+/// ([`ClusterTarget`]).
+trait ReplayTarget: Sync {
+    /// Records safely queryable right now: queries only look backwards, so
+    /// any interval ending before this watermark gets the same answer no
+    /// matter how far ingestion has advanced.
+    fn watermark(&self) -> u32;
+
+    /// Sends one request and waits for its answer; `Ok(None)` when a full
+    /// queue shed it.
+    fn request(&self, req: &ServeRequest) -> Result<Option<ServeResponse>, String>;
+
+    /// The main thread's part while the clients run.
+    fn drive(&self) -> Result<(), String> {
+        Ok(())
     }
-    let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+
+    /// Runs once every client is done: brings the target to rest so
+    /// [`reference`](ReplayTarget::reference) is stable, and checks
+    /// whatever else the mode promised.
+    fn settle(&self) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// The answer `req` must have received, from the mode's reference.
+    fn reference(&self, req: &ServeRequest) -> Result<Vec<u32>, String>;
+
+    /// The mode-specific parts of the summary.
+    fn report(&self, rejected: usize, fallbacks: usize) -> Report;
 }
 
-/// Replays a mixed workload through the bounded request queue (`serve`):
-/// client threads submit durable top-k requests with varied parameters
-/// while the tail of the file is appended live, exercising background
-/// shard seals under load. A sample of the served answers is re-checked
-/// against the quiesced engine before the summary prints.
+/// The deterministic sweep both modes replay.
+struct Sweep {
+    k: usize,
+    tau: u32,
+    algs: Vec<Algorithm>,
+    spec: ScorerSpec,
+    clients: usize,
+    requests: usize,
+}
+
+/// Replays a mixed workload (`serve`): resolves the arguments, then drives
+/// the same client storm at the serve queue of a live in-process engine
+/// or, with `--nodes`, at a scatter-gather coordinator.
 fn serve(args: &Args) -> Result<(), String> {
-    if let Some(nodes) = parse_nodes(args)? {
-        return serve_cluster(args, &nodes);
+    let nodes = parse_nodes(args)?;
+    if nodes.is_some() {
+        for flag in ["ingest", "subscribe", "queue-cap", "storage", "spill-after", "result-cache"] {
+            if args.options.contains_key(flag) || args.has(flag) {
+                return Err(format!(
+                    "--nodes serving is query-only over remote engines; \
+                     --{flag} applies to single-process serve"
+                ));
+            }
+        }
+        if args.has("reject") {
+            return Err("--nodes serving has no local queue; --reject does not apply".to_string());
+        }
     }
     let ds = load(args)?;
     non_empty(&ds, args.positional.first().map_or("input", String::as_str))?;
-    let n = ds.len();
     let k: usize = parse_positive(args, "k", 10)?;
-    let tau: u32 = parse_positive(args, "tau", ((n as u32) / 10).max(1))?;
+    let tau: u32 = parse_positive(args, "tau", ((ds.len() as u32) / 10).max(1))?;
     let algs = parse_algorithms(args.get_or("alg", "all"))?;
     let mode = parse_serve(args)?;
-    let weights = match args.options.get("weights") {
-        None => None,
-        Some(w) => {
-            let weights = parse_weights(w)?;
-            if weights.len() != ds.dim() {
-                return Err(format!(
-                    "--weights has {} entries but the data has {} attributes",
-                    weights.len(),
-                    ds.dim()
-                ));
-            }
-            Some(weights)
-        }
-    };
-    let scorer = match &weights {
-        None => LinearScorer::uniform(ds.dim()),
-        Some(w) => LinearScorer::new(w.clone()),
-    };
-    let spec = match weights {
-        None => ScorerSpec::Uniform,
-        Some(w) => ScorerSpec::Linear(w),
-    };
-
-    // Withhold the tail for live ingestion; keep at least one record in
-    // the base so the queue has something to serve from the first request.
-    let ingest = mode.ingest.unwrap_or(n / 10).min(n - 1);
-    let base = n - ingest;
-    let span = (tau as usize * 4).clamp(1_024, 262_144);
-    let skyband = algs.contains(&Algorithm::SBand).then_some(k);
-    let mut engine = engine_config(
-        ds.dim(),
-        span,
-        tau,
-        skyband,
-        parse_storage(args)?,
-        parse_result_cache(args)?,
-    )?
-    .build()
-    .map_err(|e| e.to_string())?;
-    for id in 0..base {
-        engine.append(ds.row(id as u32));
+    let scorer = scorer_for(args, ds.dim())?;
+    let spec = weights_for(args, ds.dim())?.map_or(ScorerSpec::Uniform, ScorerSpec::Linear);
+    let sweep = Sweep { k, tau, algs, spec, clients: mode.clients, requests: mode.requests };
+    match nodes {
+        Some(nodes) => replay(&sweep, &ClusterTarget::connect(&nodes, ds, scorer, &sweep)?),
+        None => replay(&sweep, &QueueTarget::start(args, &ds, scorer, &sweep, mode)?),
     }
-    let backpressure = if mode.reject { Backpressure::Reject } else { Backpressure::Block };
-    let serving = ServeEngine::new(engine, mode.queue_cap, backpressure);
-    eprintln!(
-        "serving {} base records, ingesting {ingest} live; {} clients x {} requests, \
-         queue capacity {} ({})",
-        base,
-        mode.clients,
-        mode.requests,
-        mode.queue_cap,
-        if mode.reject { "reject when full" } else { "block when full" },
-    );
+}
 
-    // Standing queries: registered before the storm, kept current by the
-    // live appends, verified against full recomputes at every shard seal
-    // and re-checked against the quiesced engine at the end.
-    let mut subs = Vec::new();
-    for s in 0..mode.subscribe {
-        let req = ServeRequest {
-            alg: Algorithm::THop,
-            query: DurableQuery {
-                k: 1 + s % k,
-                tau: 1 + (s as u32).wrapping_mul(13) % tau,
-                interval: Window::new((s as u32).wrapping_mul(97) % (base as u32), u32::MAX),
-            },
-            scorer: spec.clone(),
-        };
-        let id = serving
-            .subscribe_verified(req.clone())
-            .map_err(|e| format!("subscription {s} rejected: {e}"))?;
-        subs.push((id, req));
-    }
-    if mode.subscribe > 0 {
-        eprintln!("registered {} standing subscriptions", mode.subscribe);
-    }
-
-    // `appended` publishes how many records are safely queryable: queries
-    // only look backwards, so any interval ending before this watermark
-    // gets the same answer no matter how far ingestion has advanced.
-    let appended = AtomicU32::new(base as u32);
-    let per_client = mode.requests.div_ceil(mode.clients);
+/// The client storm, its verification and its summary — once, for both
+/// modes: client threads send requests with parameters varied
+/// deterministically around `--k`/`--tau`, a sample of the answers is
+/// re-checked against the target's reference, and the summary prints
+/// throughput and latency percentiles.
+fn replay(sweep: &Sweep, target: &impl ReplayTarget) -> Result<(), String> {
+    let per_client = sweep.requests.div_ceil(sweep.clients);
     let started = Instant::now();
     type Sample = (ServeRequest, Vec<u32>);
-    let (latencies, samples, rejected, fallbacks) = std::thread::scope(|scope| {
+    let (mut latencies, samples, rejected, fallbacks) = std::thread::scope(|scope| {
         let mut clients = Vec::new();
-        for c in 0..mode.clients {
-            let serving = serving.clone();
-            let appended = &appended;
-            let algs = &algs;
-            let spec = spec.clone();
+        for c in 0..sweep.clients {
             clients.push(scope.spawn(move || {
                 let mut latencies = Vec::with_capacity(per_client);
                 let mut samples: Vec<Sample> = Vec::new();
@@ -560,47 +538,36 @@ fn serve(args: &Args) -> Result<(), String> {
                 let mut fallbacks = 0usize;
                 // The last client takes the remainder so exactly
                 // --requests are issued overall.
-                for i in (c * per_client)..((c + 1) * per_client).min(mode.requests) {
-                    let upto = appended.load(Ordering::Acquire);
+                for i in (c * per_client)..((c + 1) * per_client).min(sweep.requests) {
+                    let upto = target.watermark();
                     // Deterministic parameter sweep around --k/--tau, with
                     // the interval always inside the published watermark.
                     let b = (i as u32).wrapping_mul(7919) % upto;
                     let a = b.saturating_sub(1 + (i as u32).wrapping_mul(104_729) % upto);
                     let req = ServeRequest {
-                        alg: algs[i % algs.len()],
+                        alg: sweep.algs[i % sweep.algs.len()],
                         query: DurableQuery {
-                            k: 1 + i % k,
-                            tau: 1 + (i as u32).wrapping_mul(31) % tau,
+                            k: 1 + i % sweep.k,
+                            tau: 1 + (i as u32).wrapping_mul(31) % sweep.tau,
                             interval: Window::new(a, b),
                         },
-                        scorer: spec.clone(),
+                        scorer: sweep.spec.clone(),
                     };
-                    match serving.submit(req.clone()) {
-                        Ok(handle) => match handle.wait() {
-                            Ok(response) => {
-                                latencies.push(total_latency(response.queued, response.service));
-                                fallbacks += usize::from(response.stats.is_fallback());
-                                if i % 50 == 0 {
-                                    samples.push((req, response.records));
-                                }
+                    match target.request(&req).map_err(|e| format!("request {i} {e}"))? {
+                        Some(response) => {
+                            latencies.push(response.queued + response.service);
+                            fallbacks += usize::from(response.stats.is_fallback());
+                            if i % 50 == 0 {
+                                samples.push((req, response.records));
                             }
-                            Err(e) => return Err(format!("request {i} failed: {e}")),
-                        },
-                        Err(durable_topk::ServeError::QueueFull) => rejected += 1,
-                        Err(e) => return Err(format!("request {i} not accepted: {e}")),
+                        }
+                        None => rejected += 1,
                     }
                 }
-                Ok((latencies, samples, rejected, fallbacks))
+                Ok::<_, String>((latencies, samples, rejected, fallbacks))
             }));
         }
-        // The main thread plays the ingestion side: append the withheld
-        // tail while the clients hammer the queue.
-        for id in base..n {
-            if let Err(e) = serving.append(ds.row(id as u32)) {
-                return Err(format!("append {id} failed: {e}"));
-            }
-            appended.store(id as u32 + 1, Ordering::Release);
-        }
+        target.drive()?;
         let mut latencies = Vec::new();
         let mut samples = Vec::new();
         let mut rejected = 0usize;
@@ -612,102 +579,317 @@ fn serve(args: &Args) -> Result<(), String> {
             rejected += rej;
             fallbacks += fbk;
         }
-        Ok((latencies, samples, rejected, fallbacks))
+        Ok::<_, String>((latencies, samples, rejected, fallbacks))
     })?;
-    serving.shutdown();
     let elapsed = started.elapsed();
 
-    // Exactness spot-check: served answers must match direct queries
-    // against the (now quiesced) engine — the ingestion race never shows.
-    serving.quiesce();
-    serving.subscription_sync();
-    let engine = serving.engine();
+    // Exactness spot-check: served answers must match the reference record
+    // for record — neither the ingestion race nor the partitioning shows.
+    target.settle()?;
     for (req, records) in &samples {
-        let direct = engine
-            .try_query(req.alg, &scorer, &req.query)
-            .map_err(|e| format!("verification query failed: {e}"))?;
-        if &direct.records != records {
+        let direct = target.reference(req)?;
+        if &direct != records {
             return Err(format!(
-                "served answer diverged from the engine for {req:?}: {} vs {} records",
+                "served answer diverged from the reference for {req:?}: {} vs {} records",
                 records.len(),
-                direct.records.len()
+                direct.len()
             ));
         }
     }
-    // Every standing subscription must now hold exactly what a full
-    // recompute over its interval yields — no drift allowed.
-    for (sid, req) in &subs {
-        let snap = serving.poll_subscription(*sid).ok_or("registered subscription disappeared")?;
-        if snap.diverged {
-            return Err(format!("subscription {sid:?} diverged from its seal verification"));
-        }
-        let full = DurableQuery {
-            k: req.query.k,
-            tau: req.query.tau,
-            interval: Window::new(req.query.interval.start(), (n - 1) as u32),
-        };
-        let direct = engine
-            .try_query(req.alg, &scorer, &full)
-            .map_err(|e| format!("subscription recompute failed: {e}"))?;
-        if snap.records != direct.records {
-            return Err(format!(
-                "subscription {sid:?} diverged from recompute: {} vs {} records",
-                snap.records.len(),
-                direct.records.len()
-            ));
-        }
-    }
-    drop(engine);
 
-    let stats = serving.stats();
-    let mut sorted = latencies.clone();
-    sorted.sort_unstable();
-    // `fallbacks=` is machine-checked by the CI serve smoke: with a
+    latencies.sort_unstable();
+    let report = target.report(rejected, fallbacks);
+    // `fallbacks=` is machine-checked by the CI serve smokes: with a
     // skyband bound covering the sweep, any nonzero count means an index
-    // went missing somewhere on the ingestion timeline.
-    // `cache-hits=` is likewise grepped nonzero by the smoke when the
-    // result cache is on: the deterministic sweep revisits sealed shards.
+    // went missing somewhere on the ingestion timeline or on some node.
     println!(
-        "served {} requests in {elapsed:.2?} ({:.0} req/s) — {} verified, {} rejected, \
-         fallbacks={fallbacks}, cold-page-hits={}, cache-hits={} cache-misses={} \
-         cache-evictions={} cache-bytes={}, subs={} refreshes={} fast-path-skips={} \
-         full-recomputes={}",
-        stats.completed,
-        stats.completed as f64 / elapsed.as_secs_f64().max(1e-9),
+        "served {} requests in {elapsed:.2?} ({:.0} req/s) — {} verified, {}",
+        latencies.len(),
+        latencies.len() as f64 / elapsed.as_secs_f64().max(1e-9),
         samples.len(),
-        rejected,
-        stats.cold_page_hits,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.cache_evictions,
-        stats.cache_bytes,
-        stats.subscriptions,
-        stats.refreshes,
-        stats.fast_path_skips,
-        stats.full_recomputes,
+        report.counts,
     );
     println!(
-        "latency p50={:.2?} p99={:.2?} max={:.2?}; queue high-water {} of {}; \
-         refresh high-water {}; avg queued {:.2?}, avg service {:.2?}",
-        percentile(&sorted, 0.50),
-        percentile(&sorted, 0.99),
-        sorted.last().copied().unwrap_or_default(),
-        stats.max_depth,
-        mode.queue_cap,
-        stats.max_refresh_inflight,
-        stats.total_queued.checked_div(stats.completed.max(1) as u32).unwrap_or_default(),
-        stats.total_service.checked_div(stats.completed.max(1) as u32).unwrap_or_default(),
+        "latency p50={:.2?} p99={:.2?} max={:.2?}{}",
+        percentile(&latencies, 0.50),
+        percentile(&latencies, 0.99),
+        latencies.last().copied().unwrap_or_default(),
+        report.latency,
     );
-    // Lock-tracking stats: a no-op line in release builds (tracking off),
-    // the checker's acquisition count and deepest nesting in debug runs.
-    let check = durable_topk::check::report();
-    if check.enabled {
-        println!(
-            "lock-check: tracked-acquisitions={} max-held-depth={}",
-            check.tracked_acquisitions, check.max_held_depth
-        );
+    for line in report.lines {
+        println!("{line}");
     }
     Ok(())
+}
+
+/// Single-process `serve`: the bounded request queue over a live engine
+/// whose tail is appended while the clients run (exercising background
+/// shard seals under load), plus `--subscribe` standing queries kept
+/// current by those appends.
+struct QueueTarget<'a> {
+    serving: ServeEngine,
+    ds: &'a Dataset,
+    /// Records appended before the clients start; the rest arrive live.
+    base: usize,
+    appended: AtomicU32,
+    scorer: LinearScorer,
+    subs: Vec<(SubscriptionId, ServeRequest)>,
+    queue_cap: usize,
+}
+
+impl<'a> QueueTarget<'a> {
+    fn start(
+        args: &Args,
+        ds: &'a Dataset,
+        scorer: LinearScorer,
+        sweep: &Sweep,
+        mode: ServeMode,
+    ) -> Result<Self, String> {
+        let n = ds.len();
+        let (k, tau) = (sweep.k, sweep.tau);
+        // Withhold the tail for live ingestion; keep at least one record in
+        // the base so the queue has something to serve from the first request.
+        let ingest = mode.ingest.unwrap_or(n / 10).min(n - 1);
+        let base = n - ingest;
+        let span = (tau as usize * 4).clamp(1_024, 262_144);
+        let skyband = sweep.algs.contains(&Algorithm::SBand).then_some(k);
+        let mut engine = engine_config(
+            ds.dim(),
+            span,
+            tau,
+            skyband,
+            parse_storage(args)?,
+            parse_result_cache(args)?,
+        )?
+        .build()
+        .map_err(|e| e.to_string())?;
+        for id in 0..base {
+            engine.append(ds.row(id as u32));
+        }
+        let backpressure = if mode.reject { Backpressure::Reject } else { Backpressure::Block };
+        let serving = ServeEngine::new(engine, mode.queue_cap, backpressure);
+        eprintln!(
+            "serving {} base records, ingesting {ingest} live; {} clients x {} requests, \
+             queue capacity {} ({})",
+            base,
+            mode.clients,
+            mode.requests,
+            mode.queue_cap,
+            if mode.reject { "reject when full" } else { "block when full" },
+        );
+
+        // Standing queries: registered before the storm, kept current by the
+        // live appends, verified against full recomputes at every shard seal
+        // and re-checked against the quiesced engine at the end.
+        let mut subs = Vec::new();
+        for s in 0..mode.subscribe {
+            let req = ServeRequest {
+                alg: Algorithm::THop,
+                query: DurableQuery {
+                    k: 1 + s % k,
+                    tau: 1 + (s as u32).wrapping_mul(13) % tau,
+                    interval: Window::new((s as u32).wrapping_mul(97) % (base as u32), u32::MAX),
+                },
+                scorer: sweep.spec.clone(),
+            };
+            let id = serving
+                .subscribe_verified(req.clone())
+                .map_err(|e| format!("subscription {s} rejected: {e}"))?;
+            subs.push((id, req));
+        }
+        if mode.subscribe > 0 {
+            eprintln!("registered {} standing subscriptions", mode.subscribe);
+        }
+        let appended = AtomicU32::new(base as u32);
+        Ok(Self { serving, ds, base, appended, scorer, subs, queue_cap: mode.queue_cap })
+    }
+}
+
+impl ReplayTarget for QueueTarget<'_> {
+    fn watermark(&self) -> u32 {
+        self.appended.load(Ordering::Acquire)
+    }
+
+    fn request(&self, req: &ServeRequest) -> Result<Option<ServeResponse>, String> {
+        match self.serving.submit(req.clone()) {
+            Ok(handle) => handle.wait().map(Some).map_err(|e| format!("failed: {e}")),
+            Err(ServeError::QueueFull) => Ok(None),
+            Err(e) => Err(format!("not accepted: {e}")),
+        }
+    }
+
+    /// The ingestion side: append the withheld tail while the clients
+    /// hammer the queue.
+    fn drive(&self) -> Result<(), String> {
+        for id in self.base..self.ds.len() {
+            self.serving
+                .append(self.ds.row(id as u32))
+                .map_err(|e| format!("append {id} failed: {e}"))?;
+            self.appended.store(id as u32 + 1, Ordering::Release);
+        }
+        Ok(())
+    }
+
+    fn settle(&self) -> Result<(), String> {
+        self.serving.shutdown();
+        self.serving.quiesce();
+        self.serving.subscription_sync();
+        // Every standing subscription must now hold exactly what a full
+        // recompute over its interval yields — no drift allowed.
+        for (sid, req) in &self.subs {
+            let snap = self
+                .serving
+                .poll_subscription(*sid)
+                .ok_or("registered subscription disappeared")?;
+            if snap.diverged {
+                return Err(format!("subscription {sid:?} diverged from its seal verification"));
+            }
+            let last = (self.ds.len() - 1) as u32;
+            let full = DurableQuery {
+                interval: Window::new(req.query.interval.start(), last),
+                ..req.query
+            };
+            let direct = self.reference(&ServeRequest { query: full, ..req.clone() })?;
+            if snap.records != direct {
+                return Err(format!(
+                    "subscription {sid:?} diverged from recompute: {} vs {} records",
+                    snap.records.len(),
+                    direct.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// A direct query against the (by now quiesced) engine.
+    fn reference(&self, req: &ServeRequest) -> Result<Vec<u32>, String> {
+        let direct = self.serving.engine().try_query(req.alg, &self.scorer, &req.query);
+        direct.map(|r| r.records).map_err(|e| format!("verification query failed: {e}"))
+    }
+
+    fn report(&self, rejected: usize, fallbacks: usize) -> Report {
+        let stats = self.serving.stats();
+        let per_request =
+            |total: Duration| total.checked_div(stats.completed.max(1) as u32).unwrap_or_default();
+        // `cache-hits=` is grepped nonzero by the CI smoke when the result
+        // cache is on: the deterministic sweep revisits sealed shards.
+        let counts = format!(
+            "{rejected} rejected, fallbacks={fallbacks}, cold-page-hits={}, cache-hits={} \
+             cache-misses={} cache-evictions={} cache-bytes={}, subs={} refreshes={} \
+             fast-path-skips={} full-recomputes={}",
+            stats.cold_page_hits,
+            stats.cache_hits,
+            stats.cache_misses,
+            stats.cache_evictions,
+            stats.cache_bytes,
+            stats.subscriptions,
+            stats.refreshes,
+            stats.fast_path_skips,
+            stats.full_recomputes,
+        );
+        let latency = format!(
+            "; queue high-water {} of {}; refresh high-water {}; avg queued {:.2?}, \
+             avg service {:.2?}",
+            stats.max_depth,
+            self.queue_cap,
+            stats.max_refresh_inflight,
+            per_request(stats.total_queued),
+            per_request(stats.total_service),
+        );
+        // Lock-tracking stats: nothing in release builds (tracking off),
+        // the checker's acquisition count and deepest nesting in debug runs.
+        let check = durable_topk::check::report();
+        let lines = check.enabled.then(|| {
+            format!(
+                "lock-check: tracked-acquisitions={} max-held-depth={}",
+                check.tracked_acquisitions, check.max_held_depth
+            )
+        });
+        Report { counts, latency, lines: lines.into_iter().collect() }
+    }
+}
+
+/// `serve --nodes`: a query-only storm through the scatter-gather
+/// coordinator, answered by remote nodes instead of an in-process queue,
+/// re-checked against a local flat engine over the same file.
+struct ClusterTarget {
+    coordinator: Coordinator,
+    reference: DurableTopKEngine,
+    scorer: LinearScorer,
+}
+
+impl ClusterTarget {
+    fn connect(
+        nodes: &[String],
+        ds: Dataset,
+        scorer: LinearScorer,
+        sweep: &Sweep,
+    ) -> Result<Self, String> {
+        let coordinator = connect_cluster(nodes)?;
+        let (n, total) = (ds.len(), coordinator.total_len());
+        if total != n {
+            return Err(format!(
+                "cluster covers {total} records but the file holds {n}; \
+                 every node must serve a slice of the same file"
+            ));
+        }
+        let (tau, cluster_tau) = (sweep.tau, coordinator.cluster_max_tau());
+        if tau > cluster_tau {
+            return Err(format!(
+                "--tau {tau} exceeds the cluster's exactness bound {cluster_tau} \
+                 (restart the nodes with a larger --tau)"
+            ));
+        }
+        eprintln!(
+            "cluster of {} nodes covering {total} records (max tau {cluster_tau}); \
+             {} clients x {} requests",
+            nodes.len(),
+            sweep.clients,
+            sweep.requests,
+        );
+        // The reference answers come from a local flat engine over the same
+        // file — the cluster must agree with it bit for bit.
+        let mut reference = DurableTopKEngine::new(ds);
+        if sweep.algs.contains(&Algorithm::SBand) {
+            reference = reference.with_skyband_index(sweep.k);
+        }
+        Ok(Self { coordinator, reference, scorer })
+    }
+}
+
+impl ReplayTarget for ClusterTarget {
+    fn watermark(&self) -> u32 {
+        self.reference.dataset().len() as u32
+    }
+
+    fn request(&self, req: &ServeRequest) -> Result<Option<ServeResponse>, String> {
+        self.coordinator.query(req).map(Some).map_err(|e| format!("failed: {e}"))
+    }
+
+    fn reference(&self, req: &ServeRequest) -> Result<Vec<u32>, String> {
+        Ok(self.reference.query(req.alg, &self.scorer, &req.query).records)
+    }
+
+    fn report(&self, _rejected: usize, fallbacks: usize) -> Report {
+        let stats = self.coordinator.stats();
+        let retries: u64 = stats.nodes.iter().map(|node| node.net_retries).sum();
+        // The per-node `requests=` counts are machine-checked by the CI
+        // multi-node smoke.
+        let lines = stats.nodes.iter().enumerate().map(|(i, node)| {
+            format!(
+                "node[{i}] {} requests={} errors={} net-retries={} p50={:.2?} p99={:.2?}",
+                node.label, node.requests, node.errors, node.net_retries, node.p50, node.p99,
+            )
+        });
+        Report {
+            counts: format!(
+                "fallbacks={fallbacks}, nodes={} net-retries={retries}",
+                stats.nodes.len()
+            ),
+            latency: String::new(),
+            lines: lines.collect(),
+        }
+    }
 }
 
 /// Hosts one contiguous slice of the file behind the TCP wire protocol
@@ -777,182 +959,8 @@ fn connect_cluster(nodes: &[String]) -> Result<Coordinator, String> {
     }
 }
 
-/// Drives a query-only client storm through the scatter-gather
-/// coordinator (`serve --nodes`): the deterministic parameter sweep of
-/// `serve`, answered by remote nodes instead of an in-process queue, with
-/// sampled answers re-checked against a local reference engine and
-/// per-node counters in the summary.
-fn serve_cluster(args: &Args, nodes: &[String]) -> Result<(), String> {
-    for flag in ["ingest", "subscribe", "queue-cap", "storage", "spill-after", "result-cache"] {
-        if args.options.contains_key(flag) || args.has(flag) {
-            return Err(format!(
-                "--nodes serving is query-only over remote engines; \
-                 --{flag} applies to single-process serve"
-            ));
-        }
-    }
-    if args.has("reject") {
-        return Err("--nodes serving has no local queue; --reject does not apply".to_string());
-    }
-    let ds = load(args)?;
-    non_empty(&ds, args.positional.first().map_or("input", String::as_str))?;
-    let n = ds.len();
-    let k: usize = parse_positive(args, "k", 10)?;
-    let tau: u32 = parse_positive(args, "tau", ((n as u32) / 10).max(1))?;
-    let algs = parse_algorithms(args.get_or("alg", "all"))?;
-    let mode: ServeMode = parse_serve(args)?;
-    let weights = match args.options.get("weights") {
-        None => None,
-        Some(w) => {
-            let weights = parse_weights(w)?;
-            if weights.len() != ds.dim() {
-                return Err(format!(
-                    "--weights has {} entries but the data has {} attributes",
-                    weights.len(),
-                    ds.dim()
-                ));
-            }
-            Some(weights)
-        }
-    };
-    let scorer = match &weights {
-        None => LinearScorer::uniform(ds.dim()),
-        Some(w) => LinearScorer::new(w.clone()),
-    };
-    let spec = match weights {
-        None => ScorerSpec::Uniform,
-        Some(w) => ScorerSpec::Linear(w),
-    };
-
-    let coordinator = connect_cluster(nodes)?;
-    let total = coordinator.total_len();
-    if total != n {
-        return Err(format!(
-            "cluster covers {total} records but the file holds {n}; \
-             every node must serve a slice of the same file"
-        ));
-    }
-    let cluster_tau = coordinator.cluster_max_tau();
-    if tau > cluster_tau {
-        return Err(format!(
-            "--tau {tau} exceeds the cluster's exactness bound {cluster_tau} \
-             (restart the nodes with a larger --tau)"
-        ));
-    }
-    eprintln!(
-        "cluster of {} nodes covering {total} records (max tau {cluster_tau}); \
-         {} clients x {} requests",
-        nodes.len(),
-        mode.clients,
-        mode.requests,
-    );
-
-    // The reference answers come from a local flat engine over the same
-    // file — the cluster must agree with it bit for bit.
-    let mut reference = DurableTopKEngine::new(ds);
-    if algs.contains(&Algorithm::SBand) {
-        reference = reference.with_skyband_index(k);
-    }
-
-    let per_client = mode.requests.div_ceil(mode.clients);
-    let upto = total as u32;
-    let started = Instant::now();
-    type Sample = (ServeRequest, Vec<u32>);
-    let (latencies, samples, fallbacks) = std::thread::scope(|scope| -> Result<_, String> {
-        let mut clients = Vec::new();
-        for c in 0..mode.clients {
-            let coordinator = &coordinator;
-            let algs = &algs;
-            let spec = spec.clone();
-            clients.push(scope.spawn(move || {
-                let mut latencies = Vec::with_capacity(per_client);
-                let mut samples: Vec<Sample> = Vec::new();
-                let mut fallbacks = 0usize;
-                // The same deterministic sweep as single-process serve so
-                // the two modes exercise comparable workloads.
-                for i in (c * per_client)..((c + 1) * per_client).min(mode.requests) {
-                    let b = (i as u32).wrapping_mul(7919) % upto;
-                    let a = b.saturating_sub(1 + (i as u32).wrapping_mul(104_729) % upto);
-                    let req = ServeRequest {
-                        alg: algs[i % algs.len()],
-                        query: DurableQuery {
-                            k: 1 + i % k,
-                            tau: 1 + (i as u32).wrapping_mul(31) % tau,
-                            interval: Window::new(a, b),
-                        },
-                        scorer: spec.clone(),
-                    };
-                    match coordinator.query(&req) {
-                        Ok(response) => {
-                            latencies.push(response.service);
-                            fallbacks += usize::from(response.stats.is_fallback());
-                            if i % 50 == 0 {
-                                samples.push((req, response.records));
-                            }
-                        }
-                        Err(e) => return Err(format!("request {i} failed: {e}")),
-                    }
-                }
-                Ok((latencies, samples, fallbacks))
-            }));
-        }
-        let mut latencies = Vec::new();
-        let mut samples = Vec::new();
-        let mut fallbacks = 0usize;
-        for client in clients {
-            let (lat, smp, fbk) = client.join().map_err(|_| "client thread panicked")??;
-            latencies.extend(lat);
-            samples.extend(smp);
-            fallbacks += fbk;
-        }
-        Ok((latencies, samples, fallbacks))
-    })?;
-    let elapsed = started.elapsed();
-
-    // Exactness spot-check: scatter-gather answers must match the local
-    // reference engine record for record.
-    for (req, records) in &samples {
-        let direct = reference.query(req.alg, &scorer, &req.query);
-        if &direct.records != records {
-            return Err(format!(
-                "cluster answer diverged from the reference for {req:?}: {} vs {} records",
-                records.len(),
-                direct.records.len()
-            ));
-        }
-    }
-
-    let stats = coordinator.stats();
-    let retries: u64 = stats.nodes.iter().map(|node| node.net_retries).sum();
-    let mut sorted = latencies.clone();
-    sorted.sort_unstable();
-    // `fallbacks=` and the per-node `requests=` counts are machine-checked
-    // by the CI multi-node smoke.
-    println!(
-        "served {} requests in {elapsed:.2?} ({:.0} req/s) — {} verified, fallbacks={fallbacks}, \
-         nodes={} net-retries={retries}",
-        latencies.len(),
-        latencies.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-        samples.len(),
-        stats.nodes.len(),
-    );
-    println!(
-        "latency p50={:.2?} p99={:.2?} max={:.2?}",
-        percentile(&sorted, 0.50),
-        percentile(&sorted, 0.99),
-        sorted.last().copied().unwrap_or_default(),
-    );
-    for (i, node) in stats.nodes.iter().enumerate() {
-        println!(
-            "node[{i}] {} requests={} errors={} net-retries={} p50={:.2?} p99={:.2?}",
-            node.label, node.requests, node.errors, node.net_retries, node.p50, node.p99,
-        );
-    }
-    Ok(())
-}
-
-/// Runs the same query under every algorithm through the batch executor and
-/// prints a comparison table (`--alg all`).
+/// Runs the same query under every algorithm in parallel on the worker pool
+/// and prints a comparison table (`--alg all`).
 fn sweep(
     engine: &DurableTopKEngine,
     algs: &[Algorithm],
@@ -960,9 +968,11 @@ fn sweep(
     q: &DurableQuery,
     threads: usize,
 ) -> Result<(), String> {
-    let executor = BatchExecutor::new(threads);
+    let pool = WorkerPool::global();
+    let threads = if threads == 0 { pool.threads() } else { threads }.min(algs.len());
     let started = std::time::Instant::now();
-    let results = executor.run_sweep(engine, algs, scorer, q);
+    let results =
+        pool.run_jobs(algs.len(), threads, |i, ctx| engine.query_with(algs[i], scorer, q, ctx));
     let elapsed = started.elapsed();
     println!(
         "{} durable records (k={}, tau={}, I={}) — {} algorithms on {} threads in {:.2?}",
@@ -971,7 +981,7 @@ fn sweep(
         q.tau,
         q.interval,
         algs.len(),
-        executor.resolved_threads(algs.len()),
+        threads,
         elapsed,
     );
     println!(

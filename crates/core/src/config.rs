@@ -1,36 +1,30 @@
 //! One validated builder for every [`ShardedEngine`] knob.
 //!
-//! The engine grew its options one chainable method at a time —
-//! `try_new_live_with_leaf` + `with_skyband_bound` + `with_storage` +
-//! `with_result_cache` — which meant half the knobs were applied after
-//! construction (sometimes with real work, like a storage migration over an
-//! engine that was empty a microsecond earlier) and none of them were
-//! validated together. [`EngineConfig`] replaces that chain: describe the
-//! engine declaratively, then [`build`](EngineConfig::build) an empty live
-//! engine or [`build_from`](EngineConfig::build_from) a batch engine over
-//! an existing dataset, with every parameter checked up front and reported
-//! as a typed [`BuildError`].
+//! [`EngineConfig`] is the only way to construct a [`ShardedEngine`]:
+//! describe the engine declaratively, then [`build`](EngineConfig::build)
+//! an empty live engine or [`build_from`](EngineConfig::build_from) one
+//! over an existing dataset. Every parameter is checked up front and
+//! reported as a typed [`BuildError`], and every subsystem — storage
+//! backend, skyband bound, result cache — is in place before the first
+//! record lands; nothing is applied to a constructed engine afterwards.
 //!
 //! ```
-//! use durable_topk::{EngineConfig, SealMode};
+//! use durable_topk::EngineConfig;
 //!
 //! let mut engine = EngineConfig::new(2, 1_024, 64)
 //!     .skyband_bound(10)
 //!     .result_cache(1 << 20)
-//!     .seal_mode(SealMode::Synchronous)
 //!     .build()
 //!     .expect("valid configuration");
 //! engine.append(&[1.0, 2.0]);
 //! ```
 //!
-//! The old chainable methods survive as `#[deprecated]` shims so downstream
-//! code keeps compiling while it migrates; the only post-construction
-//! mutation with standalone semantics —
+//! The one post-construction mutation with standalone semantics —
 //! [`migrate_storage`](ShardedEngine::migrate_storage), which re-homes the
-//! sealed tails of a *running* engine — remains a first-class method.
+//! sealed tails of a *running* engine — remains a method of the engine.
 
 use crate::error::BuildError;
-use crate::sharded::{SealMode, ShardedEngine};
+use crate::sharded::ShardedEngine;
 use crate::storage::ShardStorage;
 use durable_topk_index::DEFAULT_LEAF_SIZE;
 use durable_topk_temporal::{Dataset, Time};
@@ -39,33 +33,15 @@ use std::sync::Arc;
 /// Declarative configuration for a [`ShardedEngine`]: required shape
 /// parameters up front, optional subsystems as chainable setters, one
 /// validated build step.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct EngineConfig {
     pub(crate) dim: usize,
     pub(crate) shard_span: usize,
     pub(crate) max_tau: Time,
     pub(crate) leaf_size: usize,
     pub(crate) skyband_bound: Option<usize>,
-    pub(crate) merge_limit: Option<usize>,
-    pub(crate) seal_mode: SealMode,
     pub(crate) storage: Option<Arc<dyn ShardStorage>>,
     pub(crate) result_cache_bytes: Option<usize>,
-}
-
-impl std::fmt::Debug for EngineConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineConfig")
-            .field("dim", &self.dim)
-            .field("shard_span", &self.shard_span)
-            .field("max_tau", &self.max_tau)
-            .field("leaf_size", &self.leaf_size)
-            .field("skyband_bound", &self.skyband_bound)
-            .field("merge_limit", &self.merge_limit)
-            .field("seal_mode", &self.seal_mode)
-            .field("storage", &self.storage.as_ref().map(|_| "<backend>"))
-            .field("result_cache_bytes", &self.result_cache_bytes)
-            .finish()
-    }
 }
 
 impl EngineConfig {
@@ -79,8 +55,6 @@ impl EngineConfig {
             max_tau,
             leaf_size: DEFAULT_LEAF_SIZE,
             skyband_bound: None,
-            merge_limit: None,
-            seal_mode: SealMode::Background,
             storage: None,
             result_cache_bytes: None,
         }
@@ -99,21 +73,6 @@ impl EngineConfig {
     /// fallback) on every substrate — head, in-flight seals, sealed tails.
     pub fn skyband_bound(mut self, k_max: usize) -> Self {
         self.skyband_bound = Some(k_max);
-        self
-    }
-
-    /// Caps the head forest's merge cascade at `cap` records per merge
-    /// instead of the span-derived default (`span/4`, clamped) — the knob
-    /// previously reached through the index-level `with_merge_limit`.
-    pub fn merge_limit(mut self, cap: usize) -> Self {
-        self.merge_limit = Some(cap);
-        self
-    }
-
-    /// Selects how head seals are executed (default:
-    /// [`SealMode::Background`]).
-    pub fn seal_mode(mut self, mode: SealMode) -> Self {
-        self.seal_mode = mode;
         self
     }
 
@@ -151,9 +110,6 @@ impl EngineConfig {
         if self.skyband_bound == Some(0) {
             return Err(BuildError::ZeroParam("skyband bound"));
         }
-        if self.merge_limit == Some(0) {
-            return Err(BuildError::ZeroParam("merge limit"));
-        }
         if self.result_cache_bytes == Some(0) {
             return Err(BuildError::ZeroParam("result cache budget"));
         }
@@ -165,22 +121,35 @@ impl EngineConfig {
     /// records, and queries are exact for `τ ≤ max_tau`.
     pub fn build(self) -> Result<ShardedEngine, BuildError> {
         self.validate()?;
-        ShardedEngine::live_from_config(self)
+        Ok(ShardedEngine::from_config(self, None))
     }
 
     /// Builds an engine over `ds` partitioned into `shard_count`
-    /// contiguous time shards (capped at the dataset size), then applies
-    /// every configured subsystem. The engine stays appendable.
+    /// contiguous time shards (capped at the dataset size), each built in
+    /// parallel on the worker pool with `max_tau` records of left context,
+    /// so any query with `τ ≤ max_tau` matches the unsharded engine. The
+    /// engine stays appendable: new arrivals land in a fresh head shard
+    /// primed with the trailing `max_tau` records.
     ///
     /// The partition supersedes [`shard_span`](EngineConfig::new): each
     /// sealed shard owns `ceil(ds.len() / shard_count)` records, and that
     /// figure also becomes the span at which future appends seal.
+    ///
+    /// Errors on an empty dataset, an arity mismatch or a zero parameter
+    /// instead of panicking, so a serving front end can surface bad input
+    /// as a response rather than an abort.
     pub fn build_from(self, ds: &Dataset, shard_count: usize) -> Result<ShardedEngine, BuildError> {
         self.validate()?;
         if ds.dim() != self.dim {
             return Err(BuildError::DimMismatch { config: self.dim, data: ds.dim() });
         }
-        ShardedEngine::batch_from_config(self, ds, shard_count)
+        if ds.is_empty() {
+            return Err(BuildError::EmptyDataset);
+        }
+        if shard_count == 0 {
+            return Err(BuildError::ZeroParam("shard_count"));
+        }
+        Ok(ShardedEngine::from_config(self, Some((ds, shard_count))))
     }
 }
 
@@ -214,10 +183,6 @@ mod tests {
         assert_eq!(
             EngineConfig::new(2, 8, 4).skyband_bound(0).build().unwrap_err(),
             BuildError::ZeroParam("skyband bound")
-        );
-        assert_eq!(
-            EngineConfig::new(2, 8, 4).merge_limit(0).build().unwrap_err(),
-            BuildError::ZeroParam("merge limit")
         );
         assert_eq!(
             EngineConfig::new(2, 8, 4).result_cache(0).build().unwrap_err(),
@@ -284,13 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_limit_and_leaf_size_only_change_performance_shape() {
+    fn leaf_size_only_changes_performance_shape() {
         let ds = dataset(200);
-        let mut tuned = EngineConfig::new(2, 32, 16)
-            .leaf_size(8)
-            .merge_limit(64)
-            .build()
-            .expect("valid configuration");
+        let mut tuned =
+            EngineConfig::new(2, 32, 16).leaf_size(8).build().expect("valid configuration");
         let mut stock = EngineConfig::new(2, 32, 16).build().expect("valid configuration");
         for id in 0..200u32 {
             tuned.append(ds.row(id));

@@ -9,7 +9,7 @@
 //!
 //! One context per thread: contexts are cheap to create, internally reset
 //! between queries, and deliberately `!Sync` usage — batch executors hold
-//! one per worker (see [`crate::batch::BatchExecutor`]).
+//! one per worker (see [`crate::WorkerPool`]).
 
 use crate::algorithms::ShopScratch;
 use durable_topk_index::{BlockingSet, OracleScratch, TopKResult};

@@ -40,13 +40,13 @@
 
 pub mod algorithms;
 pub mod alternatives;
-pub mod batch;
 pub mod config;
 pub mod context;
 pub mod duration;
 pub mod engine;
 pub mod error;
 pub mod oracle;
+pub mod plan;
 pub mod pool;
 pub mod query;
 pub mod result_cache;
@@ -63,20 +63,19 @@ mod sync;
 /// [`check::report`]).
 pub use durable_topk_check as check;
 
-pub use batch::{batch_query, BatchExecutor};
 pub use config::EngineConfig;
 pub use context::QueryContext;
 pub use engine::{Algorithm, DurableTopKEngine};
 pub use error::{BuildError, QueryError};
 pub use oracle::{ForestOracle, ScanOracle, SegTreeOracle, TopKOracle};
 pub use pool::WorkerPool;
-pub use query::{DurableQuery, FallbackReason, QueryResult, QueryStats};
+pub use query::{percentile, DurableQuery, FallbackReason, QueryResult, QueryStats};
 pub use result_cache::{ResultCacheStats, ShardResultCache};
 pub use serve::{
     execute_request, Backpressure, ResponseHandle, ScorerSpec, ServeEngine, ServeError,
     ServeRequest, ServeResponse, ServeStats,
 };
-pub use sharded::{SealMode, ShardedEngine};
+pub use sharded::ShardedEngine;
 pub use storage::{ChunkId, MemoryStorage, PagedStorage, ShardStorage, StorageStats};
 pub use streaming::StreamingMonitor;
 pub use subscribe::{SubscriptionId, SubscriptionSnapshot, SubscriptionTotals};

@@ -15,10 +15,10 @@
 //! behind unrelated work, and nested submissions cannot deadlock: whoever
 //! submitted the batch can always finish it alone.
 //!
-//! One process-wide pool ([`WorkerPool::global`]) is shared by
-//! [`BatchExecutor`](crate::BatchExecutor) and
-//! [`ShardedEngine`](crate::ShardedEngine); dedicated pools can be built
-//! for tests or isolation.
+//! One process-wide pool ([`WorkerPool::global`]) is shared by every
+//! [`ShardedEngine`](crate::ShardedEngine), the serve queue and callers
+//! batching their own queries through [`WorkerPool::run_jobs`]; dedicated
+//! pools can be built for tests or isolation.
 
 use crate::check::{LockClass, TrackedCondvar, TrackedMutex};
 use crate::context::QueryContext;
@@ -246,9 +246,9 @@ impl WorkerPool {
         }
     }
 
-    /// The process-wide pool shared by [`BatchExecutor`](crate::BatchExecutor)
-    /// and [`ShardedEngine`](crate::ShardedEngine), created on first use
-    /// with one worker per available core.
+    /// The process-wide pool shared by every
+    /// [`ShardedEngine`](crate::ShardedEngine) and serve queue, created on
+    /// first use with one worker per available core.
     pub fn global() -> &'static WorkerPool {
         static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
         GLOBAL.get_or_init(|| WorkerPool::new(0))
@@ -427,6 +427,27 @@ mod tests {
         let pool = WorkerPool::new(3);
         let out = pool.run_jobs(100, 3, |i, _ctx| i * 2);
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    /// How callers batch queries now that no executor type wraps the pool:
+    /// `run_jobs` over `query_with`, each job on its participant's reused
+    /// context. Results answer their inputs in order, and asking for more
+    /// participants than jobs is harmless.
+    #[test]
+    fn more_threads_than_jobs_is_fine() {
+        use crate::{Algorithm, DurableQuery, DurableTopKEngine};
+        use durable_topk_temporal::{Dataset, LinearScorer, Window};
+        let rows = (0..400).map(|i| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64]);
+        let engine = DurableTopKEngine::new(Dataset::from_rows(2, rows));
+        let scorers = [LinearScorer::uniform(2), LinearScorer::new(vec![3.0, 1.0])];
+        let q = DurableQuery { k: 2, tau: 40, interval: Window::new(0, 399) };
+        let out = WorkerPool::global().run_jobs(scorers.len(), 64, |i, ctx| {
+            engine.query_with(Algorithm::SHop, &scorers[i], &q, ctx)
+        });
+        assert_eq!(out.len(), 2);
+        for (scorer, got) in scorers.iter().zip(&out) {
+            assert_eq!(got.records, engine.query(Algorithm::SHop, scorer, &q).records);
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::error::QueryError;
 use durable_topk_temporal::{RecordId, Time, Window};
+use std::time::Duration;
 
 /// Parameters of a durable top-k query `DurTop(k, I, τ)`.
 ///
@@ -170,6 +171,19 @@ impl QueryStats {
     }
 }
 
+/// The `p`-th percentile (`0.0..=1.0`) of an ascending latency list by the
+/// nearest-rank rule — the smallest sample with at least `p·n` samples at
+/// or below it; zero for an empty list. The one rank rule every summary
+/// line in the workspace (CLI, coordinator, benches) reports with, so a
+/// cluster p50 and its per-node p50s are comparable.
+pub fn percentile(sorted: &[Duration], p: f64) -> Duration {
+    if sorted.is_empty() {
+        return Duration::ZERO;
+    }
+    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
 /// The answer to a durable top-k query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
@@ -260,6 +274,24 @@ mod tests {
         let mut d = QueryStats::default();
         d.absorb(&expected);
         assert_eq!(d.fallback, Some(FallbackReason::NonMonotoneScorer));
+    }
+
+    #[test]
+    fn nearest_rank_on_empty_single_and_even_inputs() {
+        let ms = |v: &[u64]| v.iter().map(|&m| Duration::from_millis(m)).collect::<Vec<_>>();
+        assert_eq!(percentile(&[], 0.5), Duration::ZERO);
+        let one = ms(&[7]);
+        for p in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(percentile(&one, p), one[0], "p={p}");
+        }
+        // Even length: the median is the lower middle sample (rank 5 of
+        // 10), where round((n − 1)·p) would pick the upper one.
+        let ten = ms(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(percentile(&ten, 0.50), ten[4]);
+        assert_eq!(percentile(&ten, 0.90), ten[8]);
+        assert_eq!(percentile(&ten, 0.99), ten[9]);
+        assert_eq!(percentile(&ten, 0.0), ten[0]);
+        assert_eq!(percentile(&ten, 1.0), ten[9]);
     }
 
     #[test]

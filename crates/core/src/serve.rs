@@ -366,32 +366,19 @@ impl Shared {
         let Some(item) = item else { return };
         let queued = item.enqueued.elapsed();
         let started = Instant::now();
-        // Catch panics at request granularity: a poisoned scorer must fail
-        // exactly one completion handle, never a worker or the queue. The
-        // engine read lock is scoped inside the catch; RwLocks only poison
-        // on exclusive-access panics, so readers stay healthy.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let engine = self.read_engine();
-            execute_request(&engine, &item.req)
-        }));
+        let outcome = self.execute_isolated(&item.req);
         let service = started.elapsed();
         let result = match outcome {
-            Ok(Ok((records, stats))) => {
+            Ok((records, stats)) => {
                 self.counters.completed.fetch_add(1, Ordering::Relaxed);
                 self.counters.queue_ns.fetch_add(queued.as_nanos() as u64, Ordering::Relaxed);
                 self.counters.service_ns.fetch_add(service.as_nanos() as u64, Ordering::Relaxed);
                 self.counters.cold_page_hits.fetch_add(stats.cold_page_hits, Ordering::Relaxed);
                 Ok(ServeResponse { records, stats, queued, service })
             }
-            Ok(Err(e)) => {
+            Err(e) => {
                 self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Query(e))
-            }
-            Err(payload) => {
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                // `as_ref` matters: coercing `&Box<dyn Any>` would downcast
-                // against the box, not the payload inside it.
-                Err(ServeError::Panicked(panic_message(payload.as_ref())))
+                Err(e)
             }
         };
         item.slot.publish(result);
@@ -400,6 +387,24 @@ impl Shared {
         if state.outstanding == 0 {
             self.idle.notify_all();
         }
+    }
+
+    /// What the queue's workers and [`ServeEngine::execute`] both run:
+    /// [`execute_request`] with panics caught at request granularity. The
+    /// read lock is scoped inside the catch; RwLocks only poison on
+    /// exclusive-access panics, so readers stay healthy.
+    fn execute_isolated(
+        &self,
+        req: &ServeRequest,
+    ) -> Result<(Vec<RecordId>, QueryStats), ServeError> {
+        catch_unwind(AssertUnwindSafe(|| {
+            let engine = self.read_engine();
+            execute_request(&engine, req)
+        }))
+        // `as_ref` matters: coercing `&Box<dyn Any>` would downcast
+        // against the box, not the payload inside it.
+        .map_err(|payload| ServeError::Panicked(panic_message(payload.as_ref())))?
+        .map_err(ServeError::Query)
     }
 
     /// Executes one append's refresh plan: the bounded probe for every
@@ -493,12 +498,12 @@ pub fn execute_request(
 ///
 /// ```
 /// use durable_topk::{
-///     Algorithm, Backpressure, Dataset, DurableQuery, ScorerSpec, ServeEngine, ServeRequest,
-///     ShardedEngine, Window,
+///     Algorithm, Backpressure, Dataset, DurableQuery, EngineConfig, ScorerSpec, ServeEngine,
+///     ServeRequest, Window,
 /// };
 ///
 /// let ds = Dataset::from_rows(2, (0..100).map(|i| [(i % 13) as f64, (i % 7) as f64]));
-/// let engine = ShardedEngine::build(&ds, 4, 16).expect("build");
+/// let engine = EngineConfig::new(2, 25, 16).build_from(&ds, 4).expect("build");
 /// let serve = ServeEngine::new(engine, 64, Backpressure::Block);
 /// let handle = serve
 ///     .submit(ServeRequest {
@@ -608,6 +613,16 @@ impl ServeEngine {
             self.shared.serve_one();
         }
         Ok(ResponseHandle { slot })
+    }
+
+    /// Executes one request on the calling thread, bypassing the queue,
+    /// with the queue's per-request isolation: a poisoned scorer fails
+    /// exactly this request ([`ServeError::Panicked`]), never a worker, the
+    /// queue or the caller. Cluster members answer through this — a
+    /// coordinator's fan-out jobs run *on* the pool that drains the queue,
+    /// so parking them behind it could deadlock a single-worker host.
+    pub fn execute(&self, req: &ServeRequest) -> Result<(Vec<RecordId>, QueryStats), ServeError> {
+        self.shared.execute_isolated(req)
     }
 
     /// Ingests one record into the underlying live engine (short write
@@ -783,6 +798,7 @@ impl ServeEngine {
 mod tests {
     use super::*;
     use crate::engine::DurableTopKEngine;
+    use crate::EngineConfig;
     use durable_topk_temporal::{Dataset, Window};
 
     fn dataset(n: usize) -> Dataset {
@@ -798,7 +814,7 @@ mod tests {
     }
 
     fn serve_over(n: usize) -> ServeEngine {
-        let engine = ShardedEngine::build(&dataset(n), 4, 50).expect("build");
+        let engine = EngineConfig::new(2, n, 50).build_from(&dataset(n), 4).expect("build");
         ServeEngine::new(engine, 32, Backpressure::Block)
     }
 
@@ -896,7 +912,7 @@ mod tests {
         // Capacity 1 with no worker able to run yet is hard to force
         // deterministically; instead, saturate with slow-ish requests and
         // accept that at least the accounting holds.
-        let engine = ShardedEngine::build(&dataset(50), 2, 10).expect("build");
+        let engine = EngineConfig::new(2, 25, 10).build_from(&dataset(50), 2).expect("build");
         let serve = ServeEngine::new(engine, 1, Backpressure::Reject);
         let mut outcomes = Vec::new();
         for _ in 0..64 {
@@ -926,7 +942,7 @@ mod tests {
 
     #[test]
     fn standing_queries_refresh_incrementally_on_append() {
-        let engine = crate::EngineConfig::new(2, 32, 16).skyband_bound(4).build().expect("config");
+        let engine = EngineConfig::new(2, 32, 16).skyband_bound(4).build().expect("config");
         let serve = ServeEngine::new(engine, 8, Backpressure::Block);
         let row = |i: usize| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64];
         for i in 0..80 {
@@ -968,7 +984,7 @@ mod tests {
 
     #[test]
     fn subscriptions_validate_like_requests() {
-        let engine = ShardedEngine::new_live(2, 32, 16);
+        let engine = EngineConfig::new(2, 32, 16).build().expect("config");
         let serve = ServeEngine::new(engine, 8, Backpressure::Block);
         serve.append(&[1.0, 2.0]).expect("arity matches");
         assert_eq!(
@@ -993,7 +1009,7 @@ mod tests {
 
     #[test]
     fn fixed_interval_subscriptions_complete() {
-        let engine = ShardedEngine::new_live(2, 64, 8);
+        let engine = EngineConfig::new(2, 64, 8).build().expect("config");
         let serve = ServeEngine::new(engine, 8, Backpressure::Block);
         let row = |i: usize| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64];
         for i in 0..10 {
@@ -1019,7 +1035,7 @@ mod tests {
         // Cosine is non-monotone: the skyband gate is unsound for it, so
         // every in-interval arrival must probe — and the answers must
         // still match the full recompute.
-        let engine = ShardedEngine::new_live(2, 32, 16);
+        let engine = EngineConfig::new(2, 32, 16).build().expect("config");
         let serve = ServeEngine::new(engine, 8, Backpressure::Block);
         let row = |i: usize| [((i * 37) % 101) as f64 + 1.0, ((i * 73) % 97) as f64 + 1.0];
         for i in 0..40 {
@@ -1049,7 +1065,7 @@ mod tests {
 
     #[test]
     fn appends_flow_through_the_serving_engine() {
-        let engine = ShardedEngine::new_live(2, 16, 8);
+        let engine = EngineConfig::new(2, 16, 8).build().expect("config");
         let serve = ServeEngine::new(engine, 8, Backpressure::Block);
         for i in 0..100usize {
             let id = serve

@@ -5,6 +5,8 @@
 //! that owns records `[lo, hi]` can answer their durability exactly from a
 //! sub-dataset extended `max_tau` records to the left — the overlap region
 //! supplies every potential blocker without any cross-shard communication.
+//! [`crate::plan`] states that decomposition once, as plain data; this
+//! module supplies the shards it routes over.
 //!
 //! The paper's setting is inherently temporal: records keep arriving in
 //! time order. [`ShardedEngine`] therefore treats sharding and ingestion as
@@ -24,15 +26,15 @@
 //!   `τ ≤ max_tau` at every point of the ingestion timeline.
 //!
 //! Sealing is the one super-constant step of the append path: collapsing a
-//! forest rebuilds `O(span)` records' worth of index. Under
-//! [`SealMode::Background`] (the default) the collapse runs as a detached
-//! job on the persistent [`WorkerPool`] instead of stalling the appender:
-//! the outgoing head is frozen into an immutable *pending* snapshot that
-//! keeps serving queries through its forest — exactly as it did a moment
-//! earlier as the head — until the sealed tree is published and a later
-//! `append` (or [`quiesce`](ShardedEngine::quiesce)) splices it into the
-//! tail list. Answers are bit-identical either way; only the append tail
-//! latency changes.
+//! forest rebuilds `O(span)` records' worth of index. The collapse runs as
+//! a detached job on the persistent [`WorkerPool`] instead of stalling the
+//! appender: the outgoing head is frozen into an immutable *pending*
+//! snapshot that keeps serving queries through its forest — exactly as it
+//! did a moment earlier as the head — until the sealed tree is published
+//! and a later `append` (or [`quiesce`](ShardedEngine::quiesce)) splices it
+//! into the tail list. Answers are bit-identical before and after the
+//! splice; a caller that wants every seal finished before its next step
+//! calls `quiesce()` after the append.
 //!
 //! Queries fan `DurTop(k, I, τ)` out across the shards owning a piece of
 //! `I` through the persistent [`WorkerPool`] (no `thread::spawn` on the
@@ -45,38 +47,33 @@ use crate::check::LockClass;
 use crate::config::EngineConfig;
 use crate::context::QueryContext;
 use crate::engine::{run_algorithm, Algorithm};
-use crate::error::{BuildError, QueryError};
+use crate::error::QueryError;
 use crate::oracle::{ForestOracle, SegTreeOracle, TopKOracle};
+use crate::plan::{merge, route, OwnedRange};
 use crate::pool::WorkerPool;
-use crate::query::{DurableQuery, QueryResult, QueryStats};
+use crate::query::{DurableQuery, QueryResult};
 use crate::result_cache::{next_shard_gen, CacheKey, ShardResultCache};
 use crate::storage::{ChunkId, MemoryStorage, ShardStorage};
 use crate::sync::OnceSlot;
-use durable_topk_index::{
-    AppendableTopKIndex, DurableSkybandIndex, OracleScorer, TopKResult, DEFAULT_LEAF_SIZE,
-};
+use durable_topk_index::{AppendableTopKIndex, DurableSkybandIndex, OracleScorer, TopKResult};
 use durable_topk_temporal::{Dataset, RecordId, Time, Window};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One sealed time shard: a collapsed segment-tree oracle plus optional
-/// frozen skyband index over `[ext_lo, hi]`, *owning* (reporting answers
-/// for) `[lo, hi]`. The record chunk itself lives in the engine's
-/// [`ShardStorage`] backend, reached by handle — under
-/// [`PagedStorage`](crate::PagedStorage) it may be spilled to pages and is
-/// faulted back in transparently at query time.
+/// frozen skyband index over `[range.ext_lo, range.hi]`, *owning*
+/// (reporting answers for) `[range.lo, range.hi]`. The record chunk itself
+/// lives in the engine's [`ShardStorage`] backend, reached by handle —
+/// under [`PagedStorage`](crate::PagedStorage) it may be spilled to pages
+/// and is faulted back in transparently at query time.
 #[derive(Debug)]
 struct Shard {
     oracle: SegTreeOracle,
     skyband: Option<DurableSkybandIndex>,
     /// Handle to the shard's record chunk (`[ext_lo, hi]`) in storage.
     chunk: ChunkId,
-    /// First global id present in the shard's sub-dataset (context overlap).
-    ext_lo: Time,
-    /// First global id the shard owns.
-    lo: Time,
-    /// Last global id the shard owns.
-    hi: Time,
+    range: OwnedRange,
     /// Process-global, never-reused generation id keying this shard's
     /// entries in the [`ShardResultCache`]: re-sealing, storage migration
     /// or any other shard replacement stamps a fresh generation, so stale
@@ -86,7 +83,8 @@ struct Shard {
 
 /// The mutable ingestion shard: `max_tau` records of left context plus
 /// every record appended since the last seal, indexed by the appendable
-/// forest.
+/// forest (which, with a skyband bound, maintains the durable k-skyband
+/// incrementally so S-Band serves natively from the first append).
 #[derive(Debug)]
 struct Head {
     ds: Dataset,
@@ -97,52 +95,35 @@ struct Head {
     lo: Time,
 }
 
-impl Head {
-    /// An empty head whose first owned record will be global id `at`; with
-    /// a skyband bound, the head forest maintains the durable k-skyband
-    /// incrementally so S-Band serves natively from the first append.
-    fn empty(
-        dim: usize,
-        leaf_size: usize,
-        merge_cap: usize,
-        at: usize,
-        k_max: Option<usize>,
-    ) -> Self {
-        let ds = Dataset::new(dim);
-        let mut index = AppendableTopKIndex::new(leaf_size).with_merge_limit(merge_cap);
-        if let Some(k_max) = k_max {
+/// The construction-time parameters every head and every seal is cut from.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    dim: usize,
+    /// Owned records per sealed shard.
+    shard_span: usize,
+    max_tau: Time,
+    /// Leaf granularity of the head forest and the trees sealed from it.
+    leaf_size: usize,
+    /// Skyband bound every head maintains and every seal freezes.
+    k_max: Option<usize>,
+}
+
+impl Shape {
+    /// Builds a head whose context is the trailing `max_tau` of the first
+    /// `n` global records, read through `row`.
+    fn fresh_head<'a>(&self, row: impl Fn(usize) -> &'a [f64], n: usize) -> Head {
+        let ctx_len = (self.max_tau as usize).min(n);
+        let mut ds = Dataset::with_capacity(self.dim, ctx_len + self.shard_span);
+        for i in (n - ctx_len)..n {
+            ds.push(row(i));
+        }
+        let mut index = AppendableTopKIndex::build(&ds, self.leaf_size)
+            .with_merge_limit(merge_cap_for(self.shard_span));
+        if let Some(k_max) = self.k_max {
             index = index.with_skyband_bound(&ds, k_max);
         }
-        Self { ds, index, ext_lo: at as Time, lo: at as Time }
+        Head { ds, index, ext_lo: (n - ctx_len) as Time, lo: n as Time }
     }
-}
-
-/// How the `O(span)` head-seal collapse is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SealMode {
-    /// Hand the collapse to the persistent worker pool as a detached job;
-    /// the appender returns immediately and the outgoing head keeps
-    /// serving queries until the sealed tail is published. The default.
-    Background,
-    /// Collapse inline on the appending thread — the pre-serving behavior,
-    /// kept for tail-latency comparison benchmarks and fully deterministic
-    /// shard-state tests.
-    Synchronous,
-}
-
-/// An immutable snapshot of a head handed off for sealing: the data plus
-/// its forest, still serving queries while the background collapse runs.
-#[derive(Debug)]
-struct HeadSnapshot {
-    /// The head's sub-dataset, shared: the seal job, the storage backend
-    /// and any history view all reference this one copy — freezing a head
-    /// never duplicates its records.
-    ds: Arc<Dataset>,
-    index: AppendableTopKIndex,
-    ext_lo: Time,
-    lo: Time,
-    hi: Time,
-    k_max: Option<usize>,
 }
 
 /// The completion slot a seal publishes into. The producer side is
@@ -150,12 +131,18 @@ struct HeadSnapshot {
 /// waiter that steals the work seals the snapshot, never both.
 type SealSlot = OnceSlot<Result<Shard, String>>;
 
-/// A seal in flight: the snapshot still serving queries, and the slot the
-/// sealed shard will land in.
+/// A seal in flight: an immutable snapshot of the head handed off for
+/// sealing — the data plus its forest, still serving queries while the
+/// background collapse runs — and the slot the sealed shard will land in.
 #[derive(Debug)]
 struct PendingSeal {
-    snap: Arc<HeadSnapshot>,
-    slot: Arc<SealSlot>,
+    /// The head's sub-dataset, shared: the seal job, the storage backend
+    /// and any history view all reference this one copy — freezing a head
+    /// never duplicates its records.
+    ds: Arc<Dataset>,
+    index: AppendableTopKIndex,
+    range: OwnedRange,
+    slot: SealSlot,
 }
 
 impl PendingSeal {
@@ -166,40 +153,33 @@ impl PendingSeal {
     /// seal job first would deadlock).
     fn steal_if_unclaimed(&self, storage: &Arc<dyn ShardStorage>) {
         if self.slot.claim() {
-            self.slot.publish(Ok(run_seal(&self.snap, storage)));
+            self.slot.publish(Ok(run_seal(self, storage)));
         }
     }
 }
 
-/// Collapses a head snapshot into a sealed tail shard and hands its record
-/// chunk to the storage backend (where [`PagedStorage`](crate::PagedStorage)
-/// serializes it to pages — on this seal path, never on the append hot
-/// path). Runs on a pool worker under [`SealMode::Background`], inline
-/// otherwise; either way the snapshot is read-only and the produced shard
-/// is published whole.
-fn run_seal(snap: &HeadSnapshot, storage: &Arc<dyn ShardStorage>) -> Shard {
-    let tree = snap.index.seal_ref(&snap.ds);
-    let oracle = SegTreeOracle::from_tree(tree);
-    let skyband = snap.index.sealed_skyband().or_else(|| {
-        // The incremental maintainer (attached when the skyband bound was
-        // set before this head's records arrived) freezes its known
-        // durations for free; the legacy path builds statically.
-        snap.k_max.map(|k_max| DurableSkybandIndex::build(&snap.ds, k_max))
-    });
-    let chunk = storage.store(Arc::clone(&snap.ds));
+/// Collapses a head snapshot into a sealed tail shard — freezing the
+/// durations its incremental skyband maintainer already knows — and hands
+/// its record chunk to the storage backend (where
+/// [`PagedStorage`](crate::PagedStorage) serializes it to pages — on this
+/// seal path, never on the append hot path). Runs on a pool worker, or on
+/// a waiter that stole the seal; either way the snapshot is read-only and
+/// the produced shard is published whole.
+fn run_seal(snap: &PendingSeal, storage: &Arc<dyn ShardStorage>) -> Shard {
     Shard {
-        oracle,
-        skyband,
-        chunk,
-        ext_lo: snap.ext_lo,
-        lo: snap.lo,
-        hi: snap.hi,
+        oracle: SegTreeOracle::from_tree(snap.index.seal_ref(&snap.ds)),
+        skyband: snap.index.sealed_skyband(),
+        chunk: storage.store(Arc::clone(&snap.ds)),
+        range: snap.range,
         generation: next_shard_gen(),
     }
 }
 
-/// Head-forest merge cap for a given shard span (see
-/// [`ShardedEngine::merge_cap`]).
+/// Largest tree the head forest's merge cascade may build. The head is
+/// sealed (rebuilt into one balanced tree, off the append path) every
+/// `shard_span` records anyway, so merges beyond a fraction of the span are
+/// wasted work *and* the dominant append-latency spike; capping them bounds
+/// the worst single append at an `O(span/4)` rebuild.
 fn merge_cap_for(shard_span: usize) -> usize {
     (shard_span / 4).clamp(64, 65_536)
 }
@@ -209,9 +189,20 @@ fn merge_cap_for(shard_span: usize) -> usize {
 /// data plus forest) without stalling the common case.
 const MAX_PENDING_SEALS: usize = 4;
 
+/// What serves one owned range of the timeline.
+#[derive(Clone, Copy)]
+enum Substrate<'a> {
+    /// A sealed tail: collapsed tree, frozen skyband, records in storage.
+    Sealed(&'a Shard),
+    /// A forest over a resident sub-dataset: the mutable head, or a
+    /// snapshot whose seal is still in flight.
+    Forest(&'a Dataset, &'a AppendableTopKIndex),
+}
+
 /// A durable top-k engine over contiguous time shards with an appendable
 /// head, serving parallel fan-out queries through the persistent worker
-/// pool.
+/// pool. Built by [`EngineConfig::build`] (empty, live) or
+/// [`EngineConfig::build_from`] (over an existing dataset).
 #[derive(Debug)]
 pub struct ShardedEngine {
     tails: Vec<Shard>,
@@ -223,23 +214,12 @@ pub struct ShardedEngine {
     /// Seals handed to the pool, oldest first. Their snapshots keep
     /// serving queries until a `&mut self` call splices the published
     /// shards into `tails`.
-    pending: Vec<PendingSeal>,
+    pending: Vec<Arc<PendingSeal>>,
     head: Head,
-    /// Owned records per sealed shard.
-    shard_span: usize,
-    max_tau: Time,
+    shape: Shape,
     len: usize,
-    dim: usize,
-    /// Skyband build bound applied to shards sealed from now on.
-    k_max: Option<usize>,
-    /// Leaf granularity of the head forest and sealed trees.
-    leaf_size: usize,
-    /// Explicit head-forest merge cascade cap; `None` derives it from the
-    /// shard span (see [`merge_cap_for`]).
-    merge_cap_override: Option<usize>,
-    seal_mode: SealMode,
-    /// Memoized immutable per-shard answers, consulted by the `Job::Tail`
-    /// arm of [`try_query`](ShardedEngine::try_query) before `storage.fetch`
+    /// Memoized immutable per-shard answers, consulted by the sealed arm
+    /// of [`try_query`](ShardedEngine::try_query) before `storage.fetch`
     /// — `None` (the default) disables memoization entirely.
     result_cache: Option<Arc<ShardResultCache>>,
     /// Head rotations so far — bumps when a full head is handed off for
@@ -249,180 +229,82 @@ pub struct ShardedEngine {
     /// Oracle queries served by seal snapshots that have since been
     /// integrated (their forest counters die with them; this keeps
     /// [`oracle_queries`](ShardedEngine::oracle_queries) monotone).
-    retired_queries: std::sync::atomic::AtomicU64,
+    retired_queries: AtomicU64,
 }
 
 impl ShardedEngine {
-    /// Creates an empty, appendable engine: records arrive via
-    /// [`append`](ShardedEngine::append), shards seal every `shard_span`
-    /// records (in the background by default), and queries are exact for
-    /// `τ ≤ max_tau`.
-    ///
-    /// # Panics
-    /// Panics if `dim == 0`, `shard_span == 0` or `max_tau == 0`. Fallible
-    /// callers use [`try_new_live`](ShardedEngine::try_new_live).
-    pub fn new_live(dim: usize, shard_span: usize, max_tau: Time) -> Self {
-        // lint: allow(panic) — documented-panic wrapper over try_new_live.
-        Self::try_new_live(dim, shard_span, max_tau).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// As [`new_live`](ShardedEngine::new_live), returning a typed error
-    /// instead of panicking on zero parameters.
-    pub fn try_new_live(dim: usize, shard_span: usize, max_tau: Time) -> Result<Self, BuildError> {
-        Self::try_new_live_inner(dim, shard_span, max_tau, DEFAULT_LEAF_SIZE, None)
-    }
-
-    /// As [`new_live`](ShardedEngine::new_live) with an explicit index
-    /// leaf granularity.
-    ///
-    /// # Panics
-    /// Panics if any parameter is zero.
-    #[deprecated(note = "use `EngineConfig::new(dim, span, max_tau).leaf_size(n).build()`")]
-    pub fn new_live_with_leaf(
-        dim: usize,
-        shard_span: usize,
-        max_tau: Time,
-        leaf_size: usize,
-    ) -> Self {
-        Self::try_new_live_inner(dim, shard_span, max_tau, leaf_size, None)
-            // lint: allow(panic) — documented-panic wrapper.
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// As `new_live_with_leaf`, returning a typed error instead of
-    /// panicking on zero parameters.
-    #[deprecated(note = "use `EngineConfig::new(dim, span, max_tau).leaf_size(n).build()`")]
-    pub fn try_new_live_with_leaf(
-        dim: usize,
-        shard_span: usize,
-        max_tau: Time,
-        leaf_size: usize,
-    ) -> Result<Self, BuildError> {
-        Self::try_new_live_inner(dim, shard_span, max_tau, leaf_size, None)
-    }
-
-    fn try_new_live_inner(
-        dim: usize,
-        shard_span: usize,
-        max_tau: Time,
-        leaf_size: usize,
-        merge_cap_override: Option<usize>,
-    ) -> Result<Self, BuildError> {
-        if dim == 0 {
-            return Err(BuildError::ZeroParam("dim"));
-        }
-        if shard_span == 0 {
-            return Err(BuildError::ZeroParam("shard_span"));
-        }
-        if max_tau == 0 {
-            return Err(BuildError::ZeroParam("max_tau"));
-        }
-        if leaf_size == 0 {
-            return Err(BuildError::ZeroParam("leaf size"));
-        }
-        let merge_cap = merge_cap_override.unwrap_or_else(|| merge_cap_for(shard_span));
-        Ok(Self {
-            tails: Vec::new(),
-            storage: Arc::new(MemoryStorage::new()),
+    /// Builds an engine from a configuration [`EngineConfig`] already
+    /// validated: empty and appendable for `data = None`, otherwise over
+    /// `ds` partitioned into `shard_count` contiguous time shards (capped
+    /// at the dataset size), each built in parallel on the worker pool.
+    /// Either way the storage backend is chosen first, so built tails are
+    /// stored straight into it, and the head is created with its skyband
+    /// bound — nothing is applied after construction.
+    pub(crate) fn from_config(cfg: EngineConfig, data: Option<(&Dataset, usize)>) -> Self {
+        let storage = cfg.storage.unwrap_or_else(|| Arc::new(MemoryStorage::new()));
+        let mut shape = Shape {
+            dim: cfg.dim,
+            shard_span: cfg.shard_span,
+            max_tau: cfg.max_tau,
+            leaf_size: cfg.leaf_size,
+            k_max: cfg.skyband_bound,
+        };
+        let (tails, head, len) = match data {
+            None => (Vec::new(), shape.fresh_head(|_| &[], 0), 0),
+            Some((ds, shard_count)) => {
+                let n = ds.len();
+                // Ceil-division can need fewer shards than requested (e.g.
+                // 10 records across 7 shards -> 2 per shard -> 5 shards);
+                // recompute so no degenerate (empty) shard is emitted. The
+                // partition supersedes the configured span.
+                shape.shard_span = n.div_ceil(shard_count.min(n));
+                let ranges: Vec<OwnedRange> = (0..n.div_ceil(shape.shard_span))
+                    .map(|s| {
+                        let lo = (s * shape.shard_span) as Time;
+                        let hi = (((s + 1) * shape.shard_span).min(n) - 1) as Time;
+                        OwnedRange { ext_lo: lo.saturating_sub(shape.max_tau), lo, hi }
+                    })
+                    .collect();
+                // Each job copies its extended sub-range and indexes it.
+                let parts = WorkerPool::global().run_jobs(ranges.len(), ranges.len(), |s, _ctx| {
+                    let OwnedRange { ext_lo, hi, .. } = ranges[s];
+                    let mut sub = Dataset::with_capacity(ds.dim(), (hi - ext_lo + 1) as usize);
+                    for id in ext_lo..=hi {
+                        sub.push(ds.row(id));
+                    }
+                    let oracle = SegTreeOracle::build(&sub);
+                    let skyband = shape.k_max.map(|k_max| DurableSkybandIndex::build(&sub, k_max));
+                    (Arc::new(sub), oracle, skyband)
+                });
+                // Store the chunks sequentially after the parallel index
+                // build so chunk ids land in time order — under a paged
+                // backend that keeps the *newest* shards resident and
+                // spills the oldest first.
+                let tails = parts
+                    .into_iter()
+                    .zip(&ranges)
+                    .map(|((sub, oracle, skyband), &range)| Shard {
+                        oracle,
+                        skyband,
+                        chunk: storage.store(sub),
+                        range,
+                        generation: next_shard_gen(),
+                    })
+                    .collect();
+                (tails, shape.fresh_head(|i| ds.row(i as Time), n), n)
+            }
+        };
+        Self {
+            tails,
+            storage,
             pending: Vec::new(),
-            head: Head::empty(dim, leaf_size, merge_cap, 0, None),
-            shard_span,
-            max_tau,
-            len: 0,
-            dim,
-            k_max: None,
-            leaf_size,
-            merge_cap_override,
-            seal_mode: SealMode::Background,
-            result_cache: None,
+            head,
+            shape,
+            len,
+            result_cache: cfg.result_cache_bytes.map(|b| Arc::new(ShardResultCache::new(b))),
             seal_epoch: 0,
-            retired_queries: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-
-    /// Builds an empty live engine from a validated [`EngineConfig`] — the
-    /// implementation behind [`EngineConfig::build`].
-    pub(crate) fn live_from_config(cfg: EngineConfig) -> Result<Self, BuildError> {
-        let mut engine = Self::try_new_live_inner(
-            cfg.dim,
-            cfg.shard_span,
-            cfg.max_tau,
-            cfg.leaf_size,
-            cfg.merge_limit,
-        )?;
-        if let Some(k_max) = cfg.skyband_bound {
-            engine.set_skyband_bound(k_max);
+            retired_queries: AtomicU64::new(0),
         }
-        engine.seal_mode = cfg.seal_mode;
-        if let Some(storage) = cfg.storage {
-            engine = engine.migrate_storage(storage);
-        }
-        if let Some(bytes) = cfg.result_cache_bytes {
-            engine.set_result_cache(bytes);
-        }
-        Ok(engine)
-    }
-
-    /// Builds a batch engine over `ds` from a validated [`EngineConfig`] —
-    /// the implementation behind [`EngineConfig::build_from`].
-    pub(crate) fn batch_from_config(
-        cfg: EngineConfig,
-        ds: &Dataset,
-        shard_count: usize,
-    ) -> Result<Self, BuildError> {
-        let mut engine = Self::build_inner(
-            ds,
-            shard_count,
-            cfg.max_tau,
-            cfg.skyband_bound,
-            cfg.leaf_size,
-            cfg.merge_limit,
-            cfg.seal_mode,
-        )?;
-        if let Some(storage) = cfg.storage {
-            engine = engine.migrate_storage(storage);
-        }
-        if let Some(bytes) = cfg.result_cache_bytes {
-            engine.set_result_cache(bytes);
-        }
-        Ok(engine)
-    }
-
-    /// Requests durable k-skyband maintenance (serving [`Algorithm::SBand`]
-    /// natively, without fallback) for `k <= k_max`: the mutable head —
-    /// including any records it already holds — gains an incrementally
-    /// maintained skyband candidate set, and every shard sealed from now
-    /// on freezes those durations into its static index.
-    pub(crate) fn set_skyband_bound(&mut self, k_max: usize) {
-        self.k_max = Some(k_max);
-        let index = std::mem::replace(&mut self.head.index, AppendableTopKIndex::new(1));
-        self.head.index = index.with_skyband_bound(&self.head.ds, k_max);
-    }
-
-    /// Enables the sealed-shard result cache with the given byte budget
-    /// (see [`EngineConfig::result_cache`]).
-    pub(crate) fn set_result_cache(&mut self, budget_bytes: usize) {
-        self.result_cache = Some(Arc::new(ShardResultCache::new(budget_bytes)));
-    }
-
-    /// Selects how head seals are executed (see [`SealMode`]).
-    pub(crate) fn set_seal_mode(&mut self, mode: SealMode) {
-        self.seal_mode = mode;
-    }
-
-    /// As `set_skyband_bound`, chainable.
-    #[deprecated(note = "use `EngineConfig::new(..).skyband_bound(k_max).build()`")]
-    pub fn with_skyband_bound(mut self, k_max: usize) -> Self {
-        self.set_skyband_bound(k_max);
-        self
-    }
-
-    /// Selects how head seals are executed (default:
-    /// [`SealMode::Background`]).
-    #[deprecated(note = "use `EngineConfig::new(..).seal_mode(mode).build()`")]
-    pub fn with_seal_mode(mut self, mode: SealMode) -> Self {
-        self.set_seal_mode(mode);
-        self
     }
 
     /// Switches the storage backend for sealed tails' record chunks
@@ -432,7 +314,8 @@ impl ShardedEngine {
     /// [`PagedStorage`](crate::PagedStorage) backend immediately starts
     /// spilling everything older than its residency window. Answers are
     /// bit-identical under every backend; only residency and query-time
-    /// page faults ([`QueryStats::cold_page_hits`]) change.
+    /// page faults ([`QueryStats::cold_page_hits`](crate::QueryStats::cold_page_hits))
+    /// change.
     ///
     /// This is the mid-life migration API; to start an engine on a
     /// non-default backend, use [`EngineConfig::storage`] instead.
@@ -449,14 +332,6 @@ impl ShardedEngine {
         self
     }
 
-    /// As [`migrate_storage`](ShardedEngine::migrate_storage), under the
-    /// builder-chain name.
-    #[deprecated(note = "use `EngineConfig::new(..).storage(backend).build()` at construction, \
-                         or `migrate_storage` for a mid-life backend switch")]
-    pub fn with_storage(self, storage: Arc<dyn ShardStorage>) -> Self {
-        self.migrate_storage(storage)
-    }
-
     /// The storage backend holding the sealed tails' record chunks (its
     /// [`stats`](ShardStorage::stats) expose residency and cold-read
     /// counters; [`resident_bytes`](ShardStorage::resident_bytes) the
@@ -465,197 +340,24 @@ impl ShardedEngine {
         &self.storage
     }
 
-    /// Enables the sealed-shard result cache with the given byte budget:
-    /// per-shard partial answers of [`try_query`](ShardedEngine::try_query)
-    /// over a sealed tail's full owned range are memoized by
-    /// `(shard generation, algorithm, scorer fingerprint, k, τ)` and
-    /// replayed on repeat probes — *before* `storage.fetch`, so a hit
-    /// never faults spilled pages back in. Answers are bit-identical with
-    /// and without the cache at every point of the ingestion timeline;
-    /// scorers without a structural fingerprint (opaque
-    /// [`ScorerSpec::Custom`](crate::ScorerSpec) closures) bypass it.
-    #[deprecated(note = "use `EngineConfig::new(..).result_cache(bytes).build()`")]
-    pub fn with_result_cache(mut self, budget_bytes: usize) -> Self {
-        self.set_result_cache(budget_bytes);
-        self
-    }
-
-    /// The sealed-shard result cache, if one is configured (its
+    /// The sealed-shard result cache, if one is configured
+    /// ([`EngineConfig::result_cache`]); its
     /// [`stats`](ShardResultCache::stats) expose hits, misses, evictions
-    /// and residency).
+    /// and residency.
     pub fn result_cache(&self) -> Option<&Arc<ShardResultCache>> {
         self.result_cache.as_ref()
     }
 
-    /// Partitions `ds` into `shard_count` contiguous time shards (capped at
-    /// the dataset size) and builds each shard's engine in parallel on the
-    /// worker pool. The engine stays appendable: new arrivals land in a
-    /// fresh head shard primed with the trailing `max_tau` records.
-    ///
-    /// `max_tau` bounds the durability window length the sharded engine can
-    /// serve exactly: every shard keeps `max_tau` records of left context,
-    /// so any query with `τ ≤ max_tau` matches the unsharded engine.
-    ///
-    /// Errors on an empty dataset or a zero parameter instead of
-    /// panicking, so a serving front end can surface bad input as a
-    /// response rather than an abort.
-    pub fn build(ds: &Dataset, shard_count: usize, max_tau: Time) -> Result<Self, BuildError> {
-        Self::build_inner(
-            ds,
-            shard_count,
-            max_tau,
-            None,
-            DEFAULT_LEAF_SIZE,
-            None,
-            SealMode::Background,
-        )
-    }
-
-    /// As [`build`](ShardedEngine::build), additionally constructing each
-    /// shard's durable k-skyband index (enabling [`Algorithm::SBand`]) for
-    /// `k <= k_max`.
-    pub fn build_with_skyband(
-        ds: &Dataset,
-        shard_count: usize,
-        max_tau: Time,
-        k_max: usize,
-    ) -> Result<Self, BuildError> {
-        Self::build_inner(
-            ds,
-            shard_count,
-            max_tau,
-            Some(k_max),
-            DEFAULT_LEAF_SIZE,
-            None,
-            SealMode::Background,
-        )
-    }
-
-    fn build_inner(
-        ds: &Dataset,
-        shard_count: usize,
-        max_tau: Time,
-        k_max: Option<usize>,
-        leaf_size: usize,
-        merge_cap_override: Option<usize>,
-        seal_mode: SealMode,
-    ) -> Result<Self, BuildError> {
-        if ds.is_empty() {
-            return Err(BuildError::EmptyDataset);
-        }
-        if shard_count == 0 {
-            return Err(BuildError::ZeroParam("shard_count"));
-        }
-        if max_tau == 0 {
-            return Err(BuildError::ZeroParam("max_tau"));
-        }
-        if leaf_size == 0 {
-            return Err(BuildError::ZeroParam("leaf size"));
-        }
-        let n = ds.len();
-        let per_shard = n.div_ceil(shard_count.min(n));
-        // Ceil-division can need fewer shards than requested (e.g. 10
-        // records across 7 shards -> 2 per shard -> 5 shards); recompute so
-        // no degenerate (empty) shard is emitted.
-        let shard_count = n.div_ceil(per_shard);
-
-        // Slice the owned ranges, then build every shard engine in
-        // parallel on the worker pool: each job copies its extended
-        // sub-range and indexes it.
-        let ranges: Vec<(Time, Time, Time)> = (0..shard_count)
-            .map(|s| {
-                let lo = (s * per_shard) as Time;
-                let hi = (((s + 1) * per_shard).min(n) - 1) as Time;
-                (lo.saturating_sub(max_tau), lo, hi)
-            })
-            .collect();
-        let parts = WorkerPool::global().run_jobs(ranges.len(), ranges.len(), |s, _ctx| {
-            let (ext_lo, _lo, hi) = ranges[s];
-            let mut sub = Dataset::with_capacity(ds.dim(), (hi - ext_lo + 1) as usize);
-            for id in ext_lo..=hi {
-                sub.push(ds.row(id));
-            }
-            let oracle = SegTreeOracle::build(&sub);
-            let skyband = k_max.map(|k_max| DurableSkybandIndex::build(&sub, k_max));
-            (Arc::new(sub), oracle, skyband)
-        });
-        // Store the chunks sequentially after the parallel index build so
-        // chunk ids land in time order — under a paged backend that keeps
-        // the *newest* shards resident and spills the oldest first.
-        let storage: Arc<dyn ShardStorage> = Arc::new(MemoryStorage::new());
-        let tails = parts
-            .into_iter()
-            .zip(&ranges)
-            .map(|((sub, oracle, skyband), &(ext_lo, lo, hi))| Shard {
-                oracle,
-                skyband,
-                chunk: storage.store(sub),
-                ext_lo,
-                lo,
-                hi,
-                generation: next_shard_gen(),
-            })
-            .collect();
-
-        // Prime an empty head with the trailing max_tau records as context.
-        let head_cap = merge_cap_override.unwrap_or_else(|| merge_cap_for(per_shard));
-        let mut engine = Self {
-            tails,
-            storage,
-            pending: Vec::new(),
-            head: Head::empty(ds.dim(), leaf_size, head_cap, n, k_max),
-            shard_span: per_shard,
-            max_tau,
-            len: n,
-            dim: ds.dim(),
-            k_max,
-            leaf_size,
-            merge_cap_override,
-            seal_mode,
-            result_cache: None,
-            seal_epoch: 0,
-            retired_queries: std::sync::atomic::AtomicU64::new(0),
-        };
-        engine.head = engine.fresh_head(|i| ds.row(i as Time), n);
-        Ok(engine)
-    }
-
-    /// Largest tree the head forest's merge cascade may build. The head
-    /// is sealed (rebuilt into one balanced tree, off the append path)
-    /// every `shard_span` records anyway, so merges beyond a fraction of
-    /// the span are wasted work *and* the dominant append-latency spike;
-    /// capping them bounds the worst single append at an `O(span/4)`
-    /// rebuild. [`EngineConfig::merge_limit`] overrides the derived value.
-    fn merge_cap(&self) -> usize {
-        self.merge_cap_override.unwrap_or_else(|| merge_cap_for(self.shard_span))
-    }
-
-    /// Builds a head whose context is the trailing `max_tau` of the first
-    /// `n` global records, read through `row`.
-    fn fresh_head<'a>(&self, row: impl Fn(usize) -> &'a [f64], n: usize) -> Head {
-        let ctx_len = (self.max_tau as usize).min(n);
-        let mut ds = Dataset::with_capacity(self.dim, ctx_len + self.shard_span);
-        for i in (n - ctx_len)..n {
-            ds.push(row(i));
-        }
-        let mut index =
-            AppendableTopKIndex::build(&ds, self.leaf_size).with_merge_limit(self.merge_cap());
-        if let Some(k_max) = self.k_max {
-            index = index.with_skyband_bound(&ds, k_max);
-        }
-        Head { ds, index, ext_lo: (n - ctx_len) as Time, lo: n as Time }
-    }
-
     /// Ingests one record, returning its global id. The record lands in
     /// the head shard's forest in amortized polylogarithmic time; every
-    /// `shard_span` appends the head is handed off for sealing (a
-    /// background pool job by default — see [`SealMode`]), so the append
-    /// path itself never pays the `O(span)` collapse.
+    /// `shard_span` appends the head is handed off for sealing as a
+    /// background pool job, so the append path itself never pays the
+    /// `O(span)` collapse.
     ///
     /// # Panics
     /// Panics if the attribute arity mismatches.
     pub fn append(&mut self, attrs: &[f64]) -> RecordId {
-        assert_eq!(attrs.len(), self.dim, "attribute arity mismatch");
+        assert_eq!(attrs.len(), self.shape.dim, "attribute arity mismatch");
         // Splice in any seals the pool finished since the last call —
         // O(1) amortized, keeps the pending list short.
         self.integrate_ready();
@@ -663,7 +365,7 @@ impl ShardedEngine {
         self.head.ds.push(attrs);
         self.head.index.append(&self.head.ds);
         self.len += 1;
-        if self.head_owned() >= self.shard_span {
+        if self.head_owned() >= self.shape.shard_span {
             self.hand_off_seal();
         }
         id
@@ -675,10 +377,9 @@ impl ShardedEngine {
     }
 
     /// Freezes the full head into an immutable pending snapshot, hands the
-    /// `O(span)` collapse to the worker pool (or runs it inline under
-    /// [`SealMode::Synchronous`]), and starts a fresh head whose context is
-    /// the trailing `max_tau` records. The snapshot keeps serving queries
-    /// until the sealed shard is published and integrated.
+    /// `O(span)` collapse to the worker pool, and starts a fresh head whose
+    /// context is the trailing `max_tau` records. The snapshot keeps
+    /// serving queries until the sealed shard is published and integrated.
     fn hand_off_seal(&mut self) {
         self.seal_epoch += 1;
         // Backpressure: never hold more than a few snapshots' worth of
@@ -687,57 +388,35 @@ impl ShardedEngine {
         while self.pending.len() >= MAX_PENDING_SEALS {
             self.integrate_front_blocking();
         }
-        let hi = (self.len - 1) as Time;
-        let merge_cap = self.merge_cap();
-        let head = std::mem::replace(
-            &mut self.head,
-            Head::empty(self.dim, self.leaf_size, merge_cap, self.len, self.k_max),
-        );
-        let snap = Arc::new(HeadSnapshot {
-            ds: Arc::new(head.ds),
-            index: head.index,
-            ext_lo: head.ext_lo,
-            lo: head.lo,
-            hi,
-            k_max: self.k_max,
-        });
         // The outgoing head's sub-dataset always reaches back max_tau
         // records (or to time zero), so its tail is exactly the new head's
         // context.
-        let base = snap.ext_lo as usize;
-        self.head = self.fresh_head(|i| snap.ds.row((i - base) as RecordId), self.len);
+        let base = self.head.ext_lo as usize;
+        let fresh = self.shape.fresh_head(|i| self.head.ds.row((i - base) as RecordId), self.len);
+        let head = std::mem::replace(&mut self.head, fresh);
+        let sealing = Arc::new(PendingSeal {
+            ds: Arc::new(head.ds),
+            index: head.index,
+            range: OwnedRange { ext_lo: head.ext_lo, lo: head.lo, hi: (self.len - 1) as Time },
+            slot: SealSlot::new(LockClass::SealSlot),
+        });
 
-        let slot = Arc::new(SealSlot::new(LockClass::SealSlot));
-        match self.seal_mode {
-            SealMode::Background => {
-                let job_snap = Arc::clone(&snap);
-                let job_slot = Arc::clone(&slot);
-                let job_storage = Arc::clone(&self.storage);
-                let submitted = WorkerPool::global().submit(move |_ctx| {
-                    // A waiter may have stolen the seal while this job sat
-                    // in the pool queue; produce only if we claim first.
-                    if job_slot.claim() {
-                        let outcome =
-                            catch_unwind(AssertUnwindSafe(|| run_seal(&job_snap, &job_storage)))
-                                .map_err(|_| "background seal panicked".to_string());
-                        job_slot.publish(outcome);
-                    }
-                });
-                if !submitted && slot.claim() {
-                    // Pool shutting down: seal inline rather than leak an
-                    // unfulfillable slot.
-                    slot.publish(Ok(run_seal(&snap, &self.storage)));
-                }
+        let (job, job_storage) = (Arc::clone(&sealing), Arc::clone(&self.storage));
+        let submitted = WorkerPool::global().submit(move |_ctx| {
+            // A waiter may have stolen the seal while this job sat in the
+            // pool queue; produce only if we claim first.
+            if job.slot.claim() {
+                let outcome = catch_unwind(AssertUnwindSafe(|| run_seal(&job, &job_storage)))
+                    .map_err(|_| "background seal panicked".to_string());
+                job.slot.publish(outcome);
             }
-            SealMode::Synchronous => {
-                slot.claim();
-                slot.publish(Ok(run_seal(&snap, &self.storage)));
-            }
+        });
+        if !submitted {
+            // Pool shutting down: seal inline rather than leak an
+            // unfulfillable slot.
+            sealing.steal_if_unclaimed(&self.storage);
         }
-        self.pending.push(PendingSeal { snap, slot });
-        if self.seal_mode == SealMode::Synchronous {
-            self.integrate_ready();
-        }
+        self.pending.push(sealing);
     }
 
     /// Splices every already-published seal (oldest first) into the tail
@@ -754,12 +433,9 @@ impl ShardedEngine {
     /// Retires a completed seal into the tail list, carrying the
     /// snapshot's query counters over so cumulative instrumentation never
     /// goes backwards when the snapshot (and its forest counters) drops.
-    fn integrate(&mut self, sealed: PendingSeal, outcome: Result<Shard, String>) {
-        self.retired_queries.fetch_add(
-            sealed.snap.index.counters().queries(),
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        let shard = outcome.unwrap_or_else(|_| run_seal(&sealed.snap, &self.storage));
+    fn integrate(&mut self, sealed: Arc<PendingSeal>, outcome: Result<Shard, String>) {
+        self.retired_queries.fetch_add(sealed.index.counters().queries(), Ordering::Relaxed);
+        let shard = outcome.unwrap_or_else(|_| run_seal(&sealed, &self.storage));
         self.tails.push(shard);
     }
 
@@ -780,10 +456,12 @@ impl ShardedEngine {
         self.integrate(sealed, outcome);
     }
 
-    /// Waits for every in-flight background seal and splices the results
-    /// into the tail list. Queries do not need this — pending snapshots
-    /// serve exactly — but deterministic shard-state inspection and
-    /// orderly teardown do.
+    /// Waits for every in-flight background seal (running any the pool has
+    /// not started yet on this thread) and splices the results into the
+    /// tail list. Queries do not need this — pending snapshots serve
+    /// exactly — but deterministic shard-state inspection, orderly teardown
+    /// and callers that want seals finished inline on the appending thread
+    /// (call it after every `append`) do.
     pub fn quiesce(&mut self) {
         while !self.pending.is_empty() {
             self.integrate_front_blocking();
@@ -819,12 +497,12 @@ impl ShardedEngine {
 
     /// Attribute arity of the engine's records.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.shape.dim
     }
 
     /// The largest `τ` this engine answers exactly.
     pub fn max_tau(&self) -> Time {
-        self.max_tau
+        self.shape.max_tau
     }
 
     /// Head rotations so far: increments every time a full head is handed
@@ -835,6 +513,22 @@ impl ShardedEngine {
         self.seal_epoch
     }
 
+    /// Every shard in time order — integrated tails, then in-flight seal
+    /// snapshots, then the mutable head when it owns records — with the
+    /// range it owns and what serves it. The one place the three lists are
+    /// walked: routing, the top-k building block, the history view, the
+    /// routing table and the counters all iterate this.
+    fn pieces(&self) -> impl Iterator<Item = (OwnedRange, Substrate<'_>)> {
+        let tails = self.tails.iter().map(|shard| (shard.range, Substrate::Sealed(shard)));
+        let sealing = self.pending.iter().map(|p| (p.range, Substrate::Forest(&p.ds, &p.index)));
+        let head = (self.head_owned() > 0).then(|| {
+            let Head { ds, index, ext_lo, lo } = &self.head;
+            let range = OwnedRange { ext_lo: *ext_lo, lo: *lo, hi: (self.len - 1) as Time };
+            (range, Substrate::Forest(ds, index))
+        });
+        tails.chain(sealing).chain(head)
+    }
+
     /// The owned `[lo, hi]` record range of every shard in time order:
     /// integrated tails, then in-flight seal snapshots, then the mutable
     /// head when it owns records. Ranges are disjoint, contiguous, and
@@ -843,13 +537,7 @@ impl ShardedEngine {
     /// exactness and not reported here. This is the routing table a
     /// scatter-gather coordinator works from.
     pub fn shard_ranges(&self) -> Vec<(Time, Time)> {
-        let mut ranges: Vec<(Time, Time)> =
-            self.tails.iter().map(|shard| (shard.lo, shard.hi)).collect();
-        ranges.extend(self.pending.iter().map(|p| (p.snap.lo, p.snap.hi)));
-        if self.head_owned() > 0 {
-            ranges.push((self.head.lo, (self.len - 1) as Time));
-        }
-        ranges
+        self.pieces().map(|(range, _)| (range.lo, range.hi)).collect()
     }
 
     /// The newest record's durable k-skyband duration at the level
@@ -884,13 +572,12 @@ impl ShardedEngine {
     /// [`DurableTopKEngine::query`](crate::DurableTopKEngine::query) over the same
     /// history for `τ ≤ max_tau`.
     ///
-    /// With a skyband bound configured ([`EngineConfig::skyband_bound`] /
-    /// [`build_with_skyband`](ShardedEngine::build_with_skyband)),
+    /// With a skyband bound configured ([`EngineConfig::skyband_bound`]),
     /// [`Algorithm::SBand`] runs natively everywhere — sealed tails,
     /// snapshots whose background seal is still in flight, and the mutable
     /// head (whose forest maintains its k-skyband incrementally) — so
-    /// [`QueryStats::fallback`] stays `None` at every point of the
-    /// ingestion timeline for `k` within the bound.
+    /// [`QueryStats::fallback`](crate::QueryStats::fallback) stays `None`
+    /// at every point of the ingestion timeline for `k` within the bound.
     ///
     /// # Panics
     /// Panics on invalid parameters or if `query.tau > self.max_tau()` (the
@@ -918,123 +605,79 @@ impl ShardedEngine {
         scorer: &S,
         query: &DurableQuery,
     ) -> Result<QueryResult, QueryError> {
-        if query.tau > self.max_tau {
-            return Err(QueryError::TauExceedsOverlap { tau: query.tau, max_tau: self.max_tau });
+        if query.tau > self.shape.max_tau {
+            return Err(QueryError::TauExceedsOverlap {
+                tau: query.tau,
+                max_tau: self.shape.max_tau,
+            });
         }
         let interval = query.check(self.len)?;
-
-        /// One fan-out unit: a shard (sealed, sealing, or the head) plus
-        /// its localized query.
-        enum Job<'a> {
-            Tail(&'a Shard, DurableQuery),
-            Sealing(&'a HeadSnapshot, DurableQuery),
-            Head(DurableQuery),
-        }
-        let localize = |piece: Window, ext_lo: Time| DurableQuery {
-            k: query.k,
-            tau: query.tau,
-            interval: Window::new(piece.start() - ext_lo, piece.end() - ext_lo),
-        };
-        let mut jobs: Vec<Job<'_>> = self
-            .tails
-            .iter()
-            .filter_map(|shard| {
-                let piece = interval.intersect(Window::new(shard.lo, shard.hi))?;
-                Some(Job::Tail(shard, localize(piece, shard.ext_lo)))
-            })
-            .collect();
-        for pending in &self.pending {
-            let snap = pending.snap.as_ref();
-            if let Some(piece) = interval.intersect(Window::new(snap.lo, snap.hi)) {
-                jobs.push(Job::Sealing(snap, localize(piece, snap.ext_lo)));
-            }
-        }
-        if self.head_owned() > 0 {
-            let owned = Window::new(self.head.lo, (self.len - 1) as Time);
-            if let Some(piece) = interval.intersect(owned) {
-                jobs.push(Job::Head(localize(piece, self.head.ext_lo)));
-            }
-        }
+        let jobs = route(interval, self.pieces());
 
         // One fingerprint per query, not per shard: `None` (no cache, or
         // an unfingerprintable scorer) makes every tail probe bypass the
         // cache — neither a hit nor a miss.
         let scorer_fp = self.result_cache.as_ref().and_then(|_| scorer.fingerprint());
 
-        let partials =
-            WorkerPool::global().run_jobs(jobs.len(), jobs.len(), |i, ctx| match &jobs[i] {
-                Job::Tail(shard, local) => {
-                    // A sealed tail's answer over its FULL owned range is a
-                    // pure function of (shard, alg, scorer, k, τ) — consult
-                    // the result cache before touching storage, so a hit
-                    // never faults spilled pages back in. Boundary pieces
-                    // (the query interval clips the owned range) always
-                    // probe: their answers depend on the interval, which is
-                    // deliberately not part of the key.
-                    let full_range = Window::new(shard.lo - shard.ext_lo, shard.hi - shard.ext_lo);
-                    let cached = match (&self.result_cache, scorer_fp) {
-                        (Some(cache), Some(fp)) if local.interval == full_range => {
-                            let key = CacheKey {
-                                shard_gen: shard.generation,
-                                alg,
-                                scorer: fp,
-                                k: local.k,
-                                tau: local.tau,
-                            };
-                            if let Some(hit) = cache.get(&key) {
-                                return hit;
-                            }
-                            Some((cache, key))
-                        }
-                        _ => None,
-                    };
-                    // Resident chunks come back as a free Arc clone; a
-                    // spilled one faults its pages in, and the query's
-                    // stats carry the physical reads it paid.
-                    let (chunk, cold) = self.storage.fetch(shard.chunk);
-                    let mut result = run_algorithm(
-                        &chunk,
-                        &shard.oracle,
-                        shard.skyband.as_ref(),
-                        alg,
-                        scorer,
-                        local,
-                        ctx,
-                    );
-                    if let Some((cache, key)) = cached {
-                        // Snapshot before the cold-read accounting below: a
-                        // future hit skips storage, so it must replay with
-                        // zero cold-page hits.
-                        cache.insert(key, &result.records, result.stats);
-                        result.stats.cache_misses += 1;
-                    }
-                    result.stats.cold_page_hits += cold;
-                    result
+        let partials = WorkerPool::global().run_jobs(jobs.len(), jobs.len(), |i, ctx| {
+            let local = DurableQuery { k: query.k, tau: query.tau, interval: jobs[i].local };
+            let shard = match jobs[i].owner {
+                Substrate::Sealed(shard) => shard,
+                Substrate::Forest(ds, index) => {
+                    return query_forest(ds, index, alg, scorer, &local, ctx)
                 }
-                Job::Sealing(snap, local) => {
-                    query_forest(&snap.ds, &snap.index, alg, scorer, local, ctx)
-                }
-                Job::Head(local) => {
-                    query_forest(&self.head.ds, &self.head.index, alg, scorer, local, ctx)
-                }
-            });
-
-        // Merge: map local ids home and concatenate. Shards own disjoint,
-        // increasing time ranges, so per-shard sorted answers concatenate
-        // into a globally sorted answer set. One exact reservation up
-        // front instead of per-shard growth doublings.
-        let total: usize = partials.iter().map(|p| p.records.len()).sum();
-        let mut records = Vec::with_capacity(total);
-        let mut stats = QueryStats::default();
-        for (job, partial) in jobs.iter().zip(partials) {
-            let ext_lo = match job {
-                Job::Tail(shard, _) => shard.ext_lo,
-                Job::Sealing(snap, _) => snap.ext_lo,
-                Job::Head(_) => self.head.ext_lo,
             };
-            records.extend(partial.records.iter().map(|&id| id + ext_lo));
-            stats.absorb(&partial.stats);
-        }
+            // A sealed tail's answer over its FULL owned range is a pure
+            // function of (shard, alg, scorer, k, τ) — consult the result
+            // cache before touching storage, so a hit never faults spilled
+            // pages back in. Boundary pieces (the query interval clips the
+            // owned range) always probe: their answers depend on the
+            // interval, which is deliberately not part of the key.
+            let cached = match (&self.result_cache, scorer_fp) {
+                (Some(cache), Some(fp)) if local.interval == shard.range.local_full() => {
+                    let key = CacheKey {
+                        shard_gen: shard.generation,
+                        alg,
+                        scorer: fp,
+                        k: local.k,
+                        tau: local.tau,
+                    };
+                    if let Some(hit) = cache.get(&key) {
+                        return hit;
+                    }
+                    Some((cache, key))
+                }
+                _ => None,
+            };
+            // Resident chunks come back as a free Arc clone; a spilled one
+            // faults its pages in, and the query's stats carry the physical
+            // reads it paid.
+            let (chunk, cold) = self.storage.fetch(shard.chunk);
+            let mut result = run_algorithm(
+                &chunk,
+                &shard.oracle,
+                shard.skyband.as_ref(),
+                alg,
+                scorer,
+                &local,
+                ctx,
+            );
+            if let Some((cache, key)) = cached {
+                // Snapshot before the cold-read accounting below: a future
+                // hit skips storage, so it must replay with zero cold-page
+                // hits.
+                cache.insert(key, &result.records, result.stats);
+                result.stats.cache_misses += 1;
+            }
+            result.stats.cold_page_hits += cold;
+            result
+        });
+
+        let (records, stats) = merge(
+            jobs.iter()
+                .zip(&partials)
+                .map(|(job, part)| (job.ext_lo, &part.records[..], &part.stats)),
+        );
         Ok(QueryResult { records, stats })
     }
 
@@ -1066,38 +709,25 @@ impl ShardedEngine {
         let w = w.clamp_to(self.len);
         let mut merge = std::mem::take(&mut ctx.scored);
         merge.clear();
-        for shard in &self.tails {
-            if let Some(piece) = w.intersect(Window::new(shard.lo, shard.hi)) {
-                let local = Window::new(piece.start() - shard.ext_lo, piece.end() - shard.ext_lo);
-                // The building-block path has no per-query stats channel,
-                // so cold reads accumulate in the context's scratch;
-                // callers drain them into `QueryStats::cold_page_hits` via
-                // `QueryContext::take_cold_page_hits`.
-                let (chunk, cold) = self.storage.fetch(shard.chunk);
-                ctx.cold_page_hits += cold;
-                shard.oracle.tree().top_k_with(&chunk, scorer, k, local, &mut ctx.oracle, out);
-                merge.reserve(out.items.len());
-                merge.extend(out.items.iter().map(|&(id, s)| (id + shard.ext_lo, s)));
+        for (range, substrate) in self.pieces() {
+            let Some(local) = range.localize(w) else { continue };
+            match substrate {
+                Substrate::Sealed(shard) => {
+                    // The building-block path has no per-query stats
+                    // channel, so cold reads accumulate in the context's
+                    // scratch; callers drain them into
+                    // `QueryStats::cold_page_hits` via
+                    // `QueryContext::take_cold_page_hits`.
+                    let (chunk, cold) = self.storage.fetch(shard.chunk);
+                    ctx.cold_page_hits += cold;
+                    shard.oracle.tree().top_k_with(&chunk, scorer, k, local, &mut ctx.oracle, out);
+                }
+                Substrate::Forest(ds, index) => {
+                    index.top_k_with(ds, scorer, k, local, &mut ctx.oracle, out);
+                }
             }
-        }
-        for pending in &self.pending {
-            let snap = pending.snap.as_ref();
-            if let Some(piece) = w.intersect(Window::new(snap.lo, snap.hi)) {
-                let local = Window::new(piece.start() - snap.ext_lo, piece.end() - snap.ext_lo);
-                snap.index.top_k_with(&snap.ds, scorer, k, local, &mut ctx.oracle, out);
-                merge.reserve(out.items.len());
-                merge.extend(out.items.iter().map(|&(id, s)| (id + snap.ext_lo, s)));
-            }
-        }
-        if self.head_owned() > 0 {
-            let owned = Window::new(self.head.lo, (self.len - 1) as Time);
-            if let Some(piece) = w.intersect(owned) {
-                let local =
-                    Window::new(piece.start() - self.head.ext_lo, piece.end() - self.head.ext_lo);
-                self.head.index.top_k_with(&self.head.ds, scorer, k, local, &mut ctx.oracle, out);
-                merge.reserve(out.items.len());
-                merge.extend(out.items.iter().map(|&(id, s)| (id + self.head.ext_lo, s)));
-            }
+            merge.reserve(out.items.len());
+            merge.extend(out.items.iter().map(|&(id, s)| (id + range.ext_lo, s)));
         }
         out.clear();
         std::mem::swap(&mut out.items, &mut merge);
@@ -1128,27 +758,20 @@ impl ShardedEngine {
     /// are not carried over (the view is attribute rows keyed by arrival
     /// id, which is all the scan-exact algorithms read).
     pub fn copy_history_into(&self, out: &mut Dataset, from: usize) {
-        for shard in &self.tails {
-            if (shard.hi as usize) < from {
+        for (range, substrate) in self.pieces() {
+            if (range.hi as usize) < from {
                 continue;
             }
-            let (chunk, _cold) = self.storage.fetch(shard.chunk);
-            for id in from.max(shard.lo as usize)..=shard.hi as usize {
-                out.push(chunk.row((id - shard.ext_lo as usize) as RecordId));
-            }
-        }
-        for pending in &self.pending {
-            let snap = pending.snap.as_ref();
-            if (snap.hi as usize) < from {
-                continue;
-            }
-            for id in from.max(snap.lo as usize)..=snap.hi as usize {
-                out.push(snap.ds.row((id - snap.ext_lo as usize) as RecordId));
-            }
-        }
-        if self.head_owned() > 0 {
-            for id in from.max(self.head.lo as usize)..self.len {
-                out.push(self.head.ds.row((id - self.head.ext_lo as usize) as RecordId));
+            let fetched;
+            let rows = match substrate {
+                Substrate::Sealed(shard) => {
+                    fetched = self.storage.fetch(shard.chunk).0;
+                    &*fetched
+                }
+                Substrate::Forest(ds, _) => ds,
+            };
+            for id in from.max(range.lo as usize)..=range.hi as usize {
+                out.push(rows.row((id - range.ext_lo as usize) as RecordId));
             }
         }
     }
@@ -1158,22 +781,25 @@ impl ShardedEngine {
     /// integrated — plus the head forest). Monotone until
     /// [`reset_counters`](ShardedEngine::reset_counters).
     pub fn oracle_queries(&self) -> u64 {
-        let tails: u64 = self.tails.iter().map(|s| s.oracle.queries_issued()).sum();
-        let sealing: u64 = self.pending.iter().map(|p| p.snap.index.counters().queries()).sum();
-        let retired = self.retired_queries.load(std::sync::atomic::Ordering::Relaxed);
-        tails + sealing + retired + self.head.index.counters().queries()
+        let live: u64 = self
+            .pieces()
+            .map(|(_, substrate)| match substrate {
+                Substrate::Sealed(shard) => shard.oracle.queries_issued(),
+                Substrate::Forest(_, index) => index.counters().queries(),
+            })
+            .sum();
+        live + self.retired_queries.load(Ordering::Relaxed)
     }
 
     /// Resets instrumentation on every shard.
     pub fn reset_counters(&self) {
-        for shard in &self.tails {
-            shard.oracle.reset_counters();
+        for (_, substrate) in self.pieces() {
+            match substrate {
+                Substrate::Sealed(shard) => shard.oracle.reset_counters(),
+                Substrate::Forest(_, index) => index.counters().reset(),
+            }
         }
-        for pending in &self.pending {
-            pending.snap.index.counters().reset();
-        }
-        self.retired_queries.store(0, std::sync::atomic::Ordering::Relaxed);
-        self.head.index.counters().reset();
+        self.retired_queries.store(0, Ordering::Relaxed);
     }
 }
 
@@ -1199,11 +825,21 @@ fn query_forest<S: OracleScorer + ?Sized>(
 mod tests {
     use super::*;
     use crate::engine::DurableTopKEngine;
+    use crate::error::BuildError;
     use crate::storage::PagedStorage;
     use durable_topk_temporal::LinearScorer;
 
     fn dataset(n: usize) -> Dataset {
         Dataset::from_rows(2, (0..n).map(|i| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64]))
+    }
+
+    /// `ds` partitioned into `shard_count` shards (the partition sets the span).
+    fn built(ds: &Dataset, shard_count: usize, max_tau: Time) -> Result<ShardedEngine, BuildError> {
+        EngineConfig::new(2, 1, max_tau).build_from(ds, shard_count)
+    }
+
+    fn live(shard_span: usize, max_tau: Time) -> ShardedEngine {
+        EngineConfig::new(2, shard_span, max_tau).build().expect("config")
     }
 
     #[test]
@@ -1214,7 +850,7 @@ mod tests {
         let q = DurableQuery { k: 4, tau: 150, interval: Window::new(100, 1_899) };
         let expected = flat.query(Algorithm::THop, &scorer, &q);
         for shard_count in [1, 2, 3, 7, 16] {
-            let sharded = ShardedEngine::build(&ds, shard_count, 200).expect("build");
+            let sharded = built(&ds, shard_count, 200).expect("build");
             for alg in [Algorithm::THop, Algorithm::SHop, Algorithm::TBase] {
                 let got = sharded.query(alg, &scorer, &q);
                 assert_eq!(got.records, expected.records, "shards={shard_count} alg={alg}");
@@ -1225,7 +861,7 @@ mod tests {
     #[test]
     fn interval_touching_few_shards_only_queries_those() {
         let ds = dataset(1_000);
-        let sharded = ShardedEngine::build(&ds, 10, 50).expect("build");
+        let sharded = built(&ds, 10, 50).expect("build");
         sharded.reset_counters();
         let scorer = LinearScorer::uniform(2);
         // Interval inside shard 3's owned range [300, 399].
@@ -1241,7 +877,8 @@ mod tests {
     #[test]
     fn sband_served_per_shard_with_skyband_indexes() {
         let ds = dataset(1_200);
-        let sharded = ShardedEngine::build_with_skyband(&ds, 4, 100, 8).expect("build");
+        let sharded =
+            EngineConfig::new(2, 1, 100).skyband_bound(8).build_from(&ds, 4).expect("build");
         let flat = DurableTopKEngine::new(ds).with_skyband_index(8);
         let scorer = LinearScorer::new(vec![0.4, 0.6]);
         let q = DurableQuery { k: 5, tau: 90, interval: Window::new(0, 1_199) };
@@ -1254,7 +891,7 @@ mod tests {
     #[should_panic(expected = "exceeds the shard overlap")]
     fn tau_beyond_overlap_is_rejected() {
         let ds = dataset(300);
-        let sharded = ShardedEngine::build(&ds, 3, 20).expect("build");
+        let sharded = built(&ds, 3, 20).expect("build");
         let scorer = LinearScorer::uniform(2);
         let q = DurableQuery { k: 1, tau: 21, interval: Window::new(0, 299) };
         sharded.query(Algorithm::THop, &scorer, &q);
@@ -1263,7 +900,7 @@ mod tests {
     #[test]
     fn try_query_reports_bad_requests_as_typed_errors() {
         let ds = dataset(300);
-        let sharded = ShardedEngine::build(&ds, 3, 20).expect("build");
+        let sharded = built(&ds, 3, 20).expect("build");
         let scorer = LinearScorer::uniform(2);
         let base = DurableQuery { k: 1, tau: 5, interval: Window::new(0, 299) };
         let over = DurableQuery { tau: 21, ..base };
@@ -1287,21 +924,15 @@ mod tests {
 
     #[test]
     fn build_rejects_degenerate_inputs_without_panicking() {
-        assert_eq!(
-            ShardedEngine::build(&Dataset::new(2), 3, 10).unwrap_err(),
-            BuildError::EmptyDataset
-        );
+        assert_eq!(built(&Dataset::new(2), 3, 10).unwrap_err(), BuildError::EmptyDataset);
         let ds = dataset(10);
+        assert_eq!(built(&ds, 0, 10).unwrap_err(), BuildError::ZeroParam("shard_count"));
+        assert_eq!(built(&ds, 3, 0).unwrap_err(), BuildError::ZeroParam("max_tau"));
         assert_eq!(
-            ShardedEngine::build(&ds, 0, 10).unwrap_err(),
-            BuildError::ZeroParam("shard_count")
-        );
-        assert_eq!(ShardedEngine::build(&ds, 3, 0).unwrap_err(), BuildError::ZeroParam("max_tau"));
-        assert_eq!(
-            ShardedEngine::try_new_live(2, 0, 4).unwrap_err(),
+            EngineConfig::new(2, 0, 4).build().unwrap_err(),
             BuildError::ZeroParam("shard_span")
         );
-        assert_eq!(ShardedEngine::try_new_live(0, 8, 4).unwrap_err(), BuildError::ZeroParam("dim"));
+        assert_eq!(EngineConfig::new(0, 8, 4).build().unwrap_err(), BuildError::ZeroParam("dim"));
     }
 
     #[test]
@@ -1309,7 +940,7 @@ mod tests {
         // ceil(10/7) = 2 per shard -> only 5 shards are needed; shards 6 and
         // 7 must not materialize as empty (they used to crash build/query).
         let ds = dataset(10);
-        let sharded = ShardedEngine::build(&ds, 7, 2).expect("build");
+        let sharded = built(&ds, 7, 2).expect("build");
         assert_eq!(sharded.shard_count(), 5);
         let flat = DurableTopKEngine::new(ds.clone());
         let scorer = LinearScorer::uniform(2);
@@ -1320,7 +951,7 @@ mod tests {
         );
         // A second awkward split: 5 records over 4 shards.
         let ds = dataset(5);
-        let sharded = ShardedEngine::build(&ds, 4, 1).expect("build");
+        let sharded = built(&ds, 4, 1).expect("build");
         assert_eq!(sharded.shard_count(), 3);
         let flat = DurableTopKEngine::new(ds);
         let q = DurableQuery { k: 1, tau: 1, interval: Window::new(0, 4) };
@@ -1333,7 +964,7 @@ mod tests {
     #[test]
     fn more_shards_than_records_clamps() {
         let ds = dataset(5);
-        let sharded = ShardedEngine::build(&ds, 64, 3).expect("build");
+        let sharded = built(&ds, 64, 3).expect("build");
         assert_eq!(sharded.shard_count(), 5);
         let scorer = LinearScorer::uniform(2);
         let q = DurableQuery { k: 1, tau: 2, interval: Window::new(0, 4) };
@@ -1348,7 +979,7 @@ mod tests {
     fn appends_grow_a_live_engine_that_matches_flat() {
         let ds = dataset(500);
         let scorer = LinearScorer::new(vec![0.6, 0.4]);
-        let mut live = ShardedEngine::new_live(2, 64, 40);
+        let mut live = live(64, 40);
         for id in 0..500u32 {
             live.append(ds.row(id));
         }
@@ -1377,30 +1008,35 @@ mod tests {
         );
     }
 
+    /// Where a seal completes never shows in an answer: one engine leaves
+    /// every seal to the pool and never waits, the other completes each one
+    /// synchronously by calling `quiesce()` after every append, and they
+    /// agree at every prefix, for every algorithm, across a dozen seals.
     #[test]
     fn background_and_synchronous_sealing_agree() {
         let ds = dataset(400);
         let scorer = LinearScorer::new(vec![0.3, 0.7]);
-        let mut background = ShardedEngine::new_live(2, 32, 24);
-        let mut synchronous = EngineConfig::new(2, 32, 24)
-            .seal_mode(SealMode::Synchronous)
-            .build()
-            .expect("config builds");
+        let mut background = live(32, 24);
+        let mut synchronous = live(32, 24);
         for id in 0..400u32 {
             background.append(ds.row(id));
             synchronous.append(ds.row(id));
-            if id % 37 == 5 {
-                let q = DurableQuery { k: 2, tau: 20, interval: Window::new(0, id) };
-                assert_eq!(
-                    background.query(Algorithm::THop, &scorer, &q).records,
-                    synchronous.query(Algorithm::THop, &scorer, &q).records,
-                    "after {} appends",
-                    id + 1
-                );
-            }
+            synchronous.quiesce();
+            assert_eq!(synchronous.pending_seals(), 0, "quiesce leaves no seal in flight");
+            let q = DurableQuery {
+                k: 1 + id as usize % 3,
+                tau: 1 + id % 24,
+                interval: Window::new(0, id),
+            };
+            let alg = Algorithm::ALL[id as usize % Algorithm::ALL.len()];
+            assert_eq!(
+                background.query(alg, &scorer, &q).records,
+                synchronous.query(alg, &scorer, &q).records,
+                "alg={alg} after {} appends",
+                id + 1
+            );
         }
-        // Synchronous mode never leaves seals in flight.
-        assert_eq!(synchronous.pending_seals(), 0);
+        assert_eq!(synchronous.sealed_shards(), 12);
         // Cumulative instrumentation survives integration: the queries a
         // pending snapshot served must not vanish when its sealed shard
         // replaces it.
@@ -1411,12 +1047,13 @@ mod tests {
             "oracle_queries must stay monotone across seal integration"
         );
         assert_eq!(background.sealed_shards(), synchronous.sealed_shards());
+        assert_eq!(background.shard_ranges(), synchronous.shard_ranges());
     }
 
     #[test]
     fn append_after_build_continues_the_timeline() {
         let ds = dataset(300);
-        let mut sharded = ShardedEngine::build(&ds, 3, 30).expect("build");
+        let mut sharded = built(&ds, 3, 30).expect("build");
         let mut full = ds.clone();
         for i in 300..420usize {
             let row = [((i * 37) % 101) as f64, ((i * 73) % 97) as f64];
@@ -1441,7 +1078,7 @@ mod tests {
         // Span smaller than max_tau: the sealed sub-dataset is shorter than
         // the overlap early on; context must clamp to the full history.
         let scorer = LinearScorer::uniform(2);
-        let mut live = ShardedEngine::new_live(2, 4, 10);
+        let mut live = live(4, 10);
         let mut full = Dataset::new(2);
         for i in 0..40usize {
             let row = [((i * 13) % 17) as f64, ((i * 5) % 11) as f64];
@@ -1463,7 +1100,7 @@ mod tests {
     fn sharded_top_k_matches_the_flat_oracle() {
         let ds = dataset(700);
         let scorer = LinearScorer::new(vec![0.3, 0.7]);
-        let mut live = ShardedEngine::new_live(2, 100, 50);
+        let mut live = live(100, 50);
         for id in 0..700u32 {
             live.append(ds.row(id));
         }
@@ -1534,7 +1171,7 @@ mod tests {
     fn paged_storage_serves_identical_answers_from_spilled_tails() {
         let ds = dataset(600);
         let scorer = LinearScorer::new(vec![0.7, 0.3]);
-        let mut live = ShardedEngine::new_live(2, 64, 32);
+        let mut live = live(64, 32);
         for id in 0..600u32 {
             live.append(ds.row(id));
         }
@@ -1582,7 +1219,7 @@ mod tests {
     #[test]
     fn copy_history_into_reconstructs_the_global_timeline() {
         let ds = dataset(300);
-        let mut live = ShardedEngine::new_live(2, 32, 16);
+        let mut live = live(32, 16);
         for id in 0..300u32 {
             live.append(ds.row(id));
         }
@@ -1604,7 +1241,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dataset is empty")]
     fn querying_an_empty_live_engine_is_rejected() {
-        let live = ShardedEngine::new_live(2, 8, 4);
+        let live = live(8, 4);
         let q = DurableQuery { k: 1, tau: 2, interval: Window::new(0, 0) };
         live.query(Algorithm::THop, &LinearScorer::uniform(2), &q);
     }

@@ -28,9 +28,10 @@
 
 use crate::algorithms::{s_hop, t_hop, RefillMode};
 use crate::check::{LockClass, TrackedMutex, TrackedMutexGuard};
+use crate::config::EngineConfig;
 use crate::context::QueryContext;
 use crate::engine::Algorithm;
-use crate::error::QueryError;
+use crate::error::{BuildError, QueryError};
 use crate::oracle::TopKOracle;
 use crate::query::{DurableQuery, FallbackReason, QueryResult};
 use crate::serve::ServeRequest;
@@ -72,13 +73,6 @@ impl TopKOracle for EngineOracle<'_> {
     }
 }
 
-/// Default owned records per sealed shard of the backing engine.
-const DEFAULT_SHARD_SPAN: usize = 4_096;
-/// Default exactness bound for historical `DurTop` queries (`τ ≤` this is
-/// served by the sharded fan-out; larger `τ` falls back to a scan-backed
-/// execution over the full history).
-const DEFAULT_MAX_TAU: Time = 4_096;
-
 /// An online durable top-k engine over an append-only record stream.
 ///
 /// A facade over the live [`ShardedEngine`]. The engine's shards (and
@@ -111,68 +105,39 @@ pub struct StreamingMonitor {
 }
 
 impl StreamingMonitor {
-    /// Creates an empty monitor for records with `dim` attributes, using
-    /// default shard bounds (shards of 4096 records, exact historical
-    /// queries up to `τ = 4096`).
-    ///
-    /// # Panics
-    /// Panics if `dim == 0` or `leaf_size == 0`.
-    pub fn new(dim: usize, leaf_size: usize) -> Self {
-        Self::with_bounds(dim, leaf_size, DEFAULT_SHARD_SPAN, DEFAULT_MAX_TAU)
-    }
-
-    /// Creates an empty monitor with explicit shard bounds: the backing
+    /// Creates an empty monitor over the live engine `cfg` describes: the
     /// engine seals a shard every `shard_span` records and answers
-    /// historical queries exactly for `τ ≤ max_tau` without fallback.
-    ///
-    /// # Panics
-    /// Panics if any parameter is zero.
-    pub fn with_bounds(dim: usize, leaf_size: usize, shard_span: usize, max_tau: Time) -> Self {
-        let engine = crate::EngineConfig::new(dim, shard_span, max_tau)
-            .leaf_size(leaf_size)
-            .build()
-            // lint: allow(panic) — documented-panic wrapper over EngineConfig::build.
-            .unwrap_or_else(|e| panic!("{e}"));
+    /// historical queries exactly for `τ ≤ max_tau` without fallback; a
+    /// [`skyband_bound`](EngineConfig::skyband_bound) enables S-Band *and*
+    /// the zero-change fast-path gate for standing queries with
+    /// `k ≤ k_max` (see [`subscribe`](StreamingMonitor::subscribe)), a
+    /// [`result_cache`](EngineConfig::result_cache) memoizes repeated
+    /// historical queries over sealed tails.
+    pub fn new(cfg: EngineConfig) -> Result<Self, BuildError> {
+        let engine = cfg.build()?;
         let subs = SubscriptionRegistry::anchored(&engine);
-        Self {
+        Ok(Self {
+            history: TrackedMutex::new(LockClass::MonitorCache, Dataset::new(engine.dim())),
             engine,
-            history: TrackedMutex::new(LockClass::MonitorCache, Dataset::new(dim)),
             ctx: QueryContext::new(),
             probe: TopKResult::empty(),
             subs,
-        }
-    }
-
-    /// Builder: bounds the head shard's incremental skyband at `k_max`,
-    /// enabling S-Band on the backing engine *and* the zero-change
-    /// fast-path gate for standing queries with `k ≤ k_max` (see
-    /// [`subscribe`](StreamingMonitor::subscribe)). Call before the first
-    /// push.
-    pub fn with_skyband_bound(mut self, k_max: usize) -> Self {
-        self.engine.set_skyband_bound(k_max);
-        self
-    }
-
-    /// Builder: enables the backing engine's sealed-shard result cache
-    /// with the given byte budget (see
-    /// [`EngineConfig::result_cache`](crate::EngineConfig::result_cache))
-    /// — repeated historical `DurTop` queries replay memoized per-shard
-    /// answers instead of re-probing sealed tails.
-    pub fn with_result_cache(mut self, budget_bytes: usize) -> Self {
-        self.engine.set_result_cache(budget_bytes);
-        self
+        })
     }
 
     /// Bootstraps the monitor from existing history. The given dataset
     /// seeds the history cache directly (preserving any wall-clock
     /// column), so no copy is rebuilt from the shards later.
-    pub fn from_history(ds: Dataset, leaf_size: usize) -> Self {
-        let mut monitor = Self::new(ds.dim(), leaf_size);
+    pub fn from_history(cfg: EngineConfig, ds: Dataset) -> Result<Self, BuildError> {
+        let mut monitor = Self::new(cfg)?;
+        if ds.dim() != monitor.engine.dim() {
+            return Err(BuildError::DimMismatch { config: monitor.engine.dim(), data: ds.dim() });
+        }
         for id in 0..ds.len() {
             monitor.engine.append(ds.row(id as RecordId));
         }
         *monitor.history.lock() = ds;
-        monitor
+        Ok(monitor)
     }
 
     /// Records ingested so far.
@@ -370,10 +335,15 @@ mod tests {
     use durable_topk_temporal::LinearScorer;
     use rand::prelude::*;
 
+    fn stream(dim: usize, leaf_size: usize, shard_span: usize, max_tau: Time) -> StreamingMonitor {
+        StreamingMonitor::new(EngineConfig::new(dim, shard_span, max_tau).leaf_size(leaf_size))
+            .expect("config")
+    }
+
     #[test]
     fn push_classification_matches_offline_query() {
         let mut rng = StdRng::seed_from_u64(404);
-        let mut monitor = StreamingMonitor::new(2, 8);
+        let mut monitor = stream(2, 8, 4_096, 4_096);
         let scorer = LinearScorer::new(vec![0.5, 0.5]);
         let (k, tau) = (3usize, 20u32);
         let mut online = Vec::new();
@@ -395,7 +365,7 @@ mod tests {
         // Tight bounds force many seals mid-stream; classifications and
         // historical queries must not notice.
         let mut rng = StdRng::seed_from_u64(405);
-        let mut monitor = StreamingMonitor::with_bounds(2, 4, 16, 24);
+        let mut monitor = stream(2, 4, 16, 24);
         let scorer = LinearScorer::new(vec![0.4, 0.6]);
         let (k, tau) = (2usize, 24u32);
         let mut online = Vec::new();
@@ -414,7 +384,7 @@ mod tests {
 
     #[test]
     fn historical_queries_through_the_engine() {
-        let mut monitor = StreamingMonitor::new(1, 4);
+        let mut monitor = stream(1, 4, 4_096, 4_096);
         let scorer = LinearScorer::new(vec![1.0]);
         for i in 0..200u32 {
             monitor.push(&[((i * 31) % 57) as f64], &scorer, 1, 10);
@@ -431,7 +401,7 @@ mod tests {
 
     #[test]
     fn tau_beyond_the_bound_falls_back_exactly() {
-        let mut monitor = StreamingMonitor::with_bounds(1, 4, 32, 16);
+        let mut monitor = stream(1, 4, 32, 16);
         let scorer = LinearScorer::new(vec![1.0]);
         for i in 0..120u32 {
             monitor.push(&[((i * 13) % 37) as f64], &scorer, 1, 8);
@@ -453,7 +423,9 @@ mod tests {
     #[test]
     fn bootstrapping_from_history() {
         let ds = Dataset::from_rows(1, (0..50).map(|i| [i as f64]));
-        let mut monitor = StreamingMonitor::from_history(ds, 4);
+        let mut monitor =
+            StreamingMonitor::from_history(EngineConfig::new(1, 4_096, 4_096).leaf_size(4), ds)
+                .expect("config");
         assert_eq!(monitor.len(), 50);
         let scorer = LinearScorer::new(vec![1.0]);
         // Increasing data: every newcomer is durable.
@@ -469,7 +441,7 @@ mod tests {
         // must reconstruct the history from the shards — across sealed
         // tails, in-flight seals and the mutable head — and keep the cache
         // consistent as the stream grows between fallback queries.
-        let mut monitor = StreamingMonitor::with_bounds(2, 4, 16, 8);
+        let mut monitor = stream(2, 4, 16, 8);
         let scorer = LinearScorer::new(vec![0.6, 0.4]);
         let row = |i: u32| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64];
         for i in 0..100u32 {
@@ -500,7 +472,9 @@ mod tests {
     fn standing_queries_track_the_stream_across_seals() {
         use crate::serve::{ScorerSpec, ServeRequest};
         let mut rng = StdRng::seed_from_u64(406);
-        let mut monitor = StreamingMonitor::with_bounds(2, 4, 16, 24).with_skyband_bound(4);
+        let mut monitor =
+            StreamingMonitor::new(EngineConfig::new(2, 16, 24).leaf_size(4).skyband_bound(4))
+                .expect("config");
         let push_scorer = LinearScorer::new(vec![0.5, 0.5]);
         let mut row = |_: u32| [rng.random_range(0..12) as f64, rng.random_range(0..12) as f64];
         for i in 0..60u32 {
@@ -530,7 +504,7 @@ mod tests {
 
     #[test]
     fn current_top_reflects_recent_window() {
-        let mut monitor = StreamingMonitor::new(1, 4);
+        let mut monitor = stream(1, 4, 4_096, 4_096);
         let scorer = LinearScorer::new(vec![1.0]);
         for v in [5.0, 9.0, 1.0, 7.0] {
             monitor.push(&[v], &scorer, 2, 2);

@@ -504,7 +504,7 @@ mod tests {
 
     #[test]
     fn registration_validates_like_the_serving_path() {
-        let mut engine = ShardedEngine::new_live(2, 32, 16);
+        let mut engine = crate::EngineConfig::new(2, 32, 16).build().expect("config");
         engine.append(&row(0));
         let mut registry = SubscriptionRegistry::anchored(&engine);
         let w = Window::new(0, u32::MAX);
@@ -531,7 +531,7 @@ mod tests {
 
     #[test]
     fn fixed_intervals_complete_and_stop_matching() {
-        let mut engine = ShardedEngine::new_live(2, 64, 8);
+        let mut engine = crate::EngineConfig::new(2, 64, 8).build().expect("config");
         for i in 0..10u32 {
             engine.append(&row(i));
         }

@@ -24,7 +24,7 @@ pub struct AppendableTopKIndex {
     leaf_size: usize,
     /// Largest tree the binary-counter cascade may produce; `None` keeps
     /// the classical unbounded counter.
-    merge_limit: Option<usize>,
+    merge_cap: Option<usize>,
     /// Incrementally-maintained durable k-skyband candidates whose search
     /// blocks shadow the forest trees — enables native S-Band over a
     /// still-growing head shard.
@@ -43,7 +43,7 @@ impl AppendableTopKIndex {
             trees: Vec::new(),
             n: 0,
             leaf_size,
-            merge_limit: None,
+            merge_cap: None,
             skyband: None,
             counters: QueryCounters::default(),
         }
@@ -65,7 +65,7 @@ impl AppendableTopKIndex {
     /// Panics if `limit == 0`.
     pub fn with_merge_limit(mut self, limit: usize) -> Self {
         assert!(limit > 0, "merge limit must be positive");
-        self.merge_limit = Some(limit);
+        self.merge_cap = Some(limit);
         self
     }
 
@@ -164,7 +164,7 @@ impl AppendableTopKIndex {
             if prev.len() != last.len() {
                 break;
             }
-            if self.merge_limit.is_some_and(|cap| prev.len() + last.len() > cap) {
+            if self.merge_cap.is_some_and(|cap| prev.len() + last.len() > cap) {
                 break;
             }
             self.trees.pop();

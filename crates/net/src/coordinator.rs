@@ -1,17 +1,19 @@
 //! The scatter-gather [`Coordinator`]: routes a global query to the nodes
 //! whose owned ranges intersect it, fans the per-node pieces out on the
-//! shared worker pool, and merges the answers exactly as
-//! [`ShardedEngine`](durable_topk::ShardedEngine) merges its own shards —
-//! so a cluster answer is bit-identical to the single-node answer.
+//! shared worker pool, and merges the answers — with the very
+//! [`route`]/[`merge`] a [`ShardedEngine`](durable_topk::ShardedEngine)
+//! applies to its own shards, so a cluster answer is bit-identical to the
+//! single-node answer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use durable_topk::check::{LockClass, TrackedMutex};
+use durable_topk::plan::{merge, route, OwnedRange};
 use durable_topk::{
-    DurableQuery, QueryError, QueryStats, RecordId, ServeError, ServeRequest, ServeResponse,
-    ServeStats, Time, Window, WorkerPool,
+    percentile, DurableQuery, QueryError, ServeError, ServeRequest, ServeResponse, ServeStats,
+    Time, WorkerPool,
 };
 
 use crate::error::NetError;
@@ -42,16 +44,12 @@ impl LatencyRing {
         }
     }
 
-    /// The `p`-th percentile (0.0–1.0) of the retained samples, by the
-    /// nearest-rank method; zero when nothing has been recorded.
-    fn percentile(&self, p: f64) -> Duration {
-        if self.samples.is_empty() {
-            return Duration::ZERO;
-        }
+    /// The retained samples in ascending order, ready for
+    /// [`percentile`].
+    fn sorted(&self) -> Vec<Duration> {
         let mut sorted = self.samples.clone();
         sorted.sort_unstable();
-        let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
+        sorted
     }
 }
 
@@ -108,16 +106,14 @@ pub struct CoordinatorStats {
 ///
 /// # Exactness
 ///
-/// Routing sends node `i` the piece `I ∩ [lo_i, hi_i]` of the query
-/// interval, translated into the node's local coordinates. Each node
-/// carries `max_tau` records of left context below its owned range, so
-/// every durability window `[t − τ, t]` with `t` owned by the node is
-/// evaluated against the full global history it needs — the same overlap
-/// argument [`ShardedEngine`](durable_topk::ShardedEngine) makes for its
-/// sealed shards, one level up. Answers come back as node-local ids, are
-/// translated to global ids, and are concatenated in timeline order —
-/// owned ranges are disjoint and increasing, so the concatenation is
-/// sorted and equals the single-engine answer record for record.
+/// Each node carries `max_tau` records of left context below its owned
+/// range, so every durability window `[t − τ, t]` with `t` owned by the
+/// node is evaluated against the full global history it needs — the
+/// decomposition [`durable_topk::plan`] states, one level above a
+/// [`ShardedEngine`](durable_topk::ShardedEngine)'s own shards. Its
+/// [`route`] sends node `i` the piece `I ∩ [lo_i, hi_i]` in the node's
+/// local coordinates; its [`merge`] translates the answers back and
+/// concatenates them into the single-engine answer, record for record.
 ///
 /// # Concurrency
 ///
@@ -190,30 +186,20 @@ impl Coordinator {
         let interval =
             req.query.check(topo.total_len).map_err(|e| NetError::Serve(ServeError::Query(e)))?;
 
-        // One job per node whose owned range intersects the interval, in
-        // timeline order, each with the piece translated to node-local
-        // coordinates.
-        let mut jobs: Vec<(usize, Time, ServeRequest)> = Vec::new();
-        for (idx, desc) in topo.descs.iter().enumerate() {
-            let owned = Window::new(desc.lo, desc.hi);
-            let Some(piece) = interval.intersect(owned) else { continue };
-            let local = Window::new(piece.start() - desc.ext_lo, piece.end() - desc.ext_lo);
-            jobs.push((
-                idx,
-                desc.ext_lo,
-                ServeRequest {
-                    alg: req.alg,
-                    query: DurableQuery { k: req.query.k, tau: req.query.tau, interval: local },
-                    scorer: req.scorer.clone(),
-                },
-            ));
-        }
+        // One piece per node whose owned range intersects the interval, in
+        // timeline order, in that node's local coordinates.
+        let owners = topo.descs.iter().map(|d| OwnedRange { ext_lo: d.ext_lo, lo: d.lo, hi: d.hi });
+        let pieces = route(interval, owners.zip(0usize..));
 
-        let answers = WorkerPool::global().run_jobs(jobs.len(), jobs.len(), |i, _ctx| {
-            let (idx, _, local_req) = &jobs[i];
-            let member = &self.members[*idx];
+        let answers = WorkerPool::global().run_jobs(pieces.len(), pieces.len(), |i, _ctx| {
+            let member = &self.members[pieces[i].owner];
+            let local = ServeRequest {
+                alg: req.alg,
+                query: DurableQuery { interval: pieces[i].local, ..req.query },
+                scorer: req.scorer.clone(),
+            };
             let rpc_start = Instant::now();
-            let outcome = member.node.query(local_req);
+            let outcome = member.node.query(&local);
             let elapsed = rpc_start.elapsed();
             member.requests.fetch_add(1, Ordering::Relaxed);
             if outcome.is_err() {
@@ -223,16 +209,11 @@ impl Coordinator {
             outcome
         });
 
-        // Merge in timeline order: translate node-local ids back to global
-        // and concatenate — disjoint increasing owned ranges keep the
-        // result sorted, mirroring ShardedEngine's shard merge.
-        let mut records: Vec<RecordId> = Vec::new();
-        let mut stats = QueryStats::default();
-        for ((_, ext_lo, _), answer) in jobs.iter().zip(answers) {
-            let answer = answer?;
-            records.extend(answer.records.iter().map(|&id| id + ext_lo));
-            stats.absorb(&answer.stats);
-        }
+        // All or nothing: any member's error fails the whole request.
+        let answers = answers.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let (records, stats) = merge(
+            pieces.iter().zip(&answers).map(|(piece, a)| (piece.ext_lo, &a.records[..], &a.stats)),
+        );
         Ok(ServeResponse { records, stats, queued: Duration::ZERO, service: start.elapsed() })
     }
 
@@ -244,14 +225,14 @@ impl Coordinator {
             .members
             .iter()
             .map(|m| {
-                let latency = m.latency.lock();
+                let latency = m.latency.lock().sorted();
                 NodePerf {
                     label: m.node.label(),
                     requests: m.requests.load(Ordering::Relaxed),
                     errors: m.errors.load(Ordering::Relaxed),
                     net_retries: m.node.net_retries(),
-                    p50: latency.percentile(0.50),
-                    p99: latency.percentile(0.99),
+                    p50: percentile(&latency, 0.50),
+                    p99: percentile(&latency, 0.99),
                 }
             })
             .collect();

@@ -16,8 +16,7 @@
 use std::time::{Duration, Instant};
 
 use durable_topk::{
-    execute_request, QueryStats, RecordId, ServeEngine, ServeError, ServeRequest, ServeStats,
-    ShardedEngine, Time,
+    QueryStats, RecordId, ServeEngine, ServeRequest, ServeStats, ShardedEngine, Time,
 };
 
 use crate::error::NetError;
@@ -116,13 +115,10 @@ pub(crate) fn describe(engine: &ShardedEngine, identity: NodeIdentity) -> NodeRa
 /// An in-process cluster member wrapping a [`ServeEngine`].
 ///
 /// Queries execute directly on the calling thread via
-/// [`execute_request`] under the engine's read lock — they do *not* go
-/// through the serve queue. The coordinator fans out on the shared
-/// [`WorkerPool`](durable_topk::WorkerPool), so parking a fan-out job
-/// behind a queue served by that same pool could deadlock on a
-/// single-worker host; direct execution keeps the fan-out self-contained.
-/// The wrapped queue (and its subscriptions) remains fully usable for
-/// other clients of the same engine.
+/// [`ServeEngine::execute`] (which says why they bypass the serve queue),
+/// with the queue's per-request panic isolation. The wrapped queue (and
+/// its subscriptions) remains fully usable for other clients of the same
+/// engine.
 pub struct LocalNode {
     serve: ServeEngine,
     identity: NodeIdentity,
@@ -150,11 +146,8 @@ impl LocalNode {
 impl Node for LocalNode {
     fn query(&self, req: &ServeRequest) -> Result<NodeAnswer, NetError> {
         let start = Instant::now();
-        let engine = self.serve.engine();
-        match execute_request(&engine, req) {
-            Ok((records, stats)) => Ok(NodeAnswer { records, stats, service: start.elapsed() }),
-            Err(e) => Err(NetError::Serve(ServeError::Query(e))),
-        }
+        let (records, stats) = self.serve.execute(req).map_err(NetError::Serve)?;
+        Ok(NodeAnswer { records, stats, service: start.elapsed() })
     }
 
     fn stats(&self) -> Result<ServeStats, NetError> {

@@ -4,14 +4,13 @@
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use durable_topk::check::{LockClass, TrackedMutex};
-use durable_topk::{execute_request, ServeEngine, ServeError, ServeResponse};
+use durable_topk::{ServeEngine, ServeResponse};
 
 use crate::node::{describe, NodeIdentity};
 use crate::wire::{read_message, write_message, Message, WireError};
@@ -54,13 +53,11 @@ struct ServerShared {
 
 /// A running TCP node: an acceptor thread plus one handler thread per
 /// connection, each executing decoded query frames directly via
-/// [`execute_request`] under the engine's read lock.
+/// [`ServeEngine::execute`] (engine read lock, per-request panic isolation).
 ///
-/// Handlers deliberately bypass the [`ServeEngine`] queue: the queue is
-/// drained by the shared worker pool, and a coordinator's fan-out jobs run
-/// *on* that pool — if every worker were blocked waiting on queued network
-/// requests the cluster would deadlock on a single-worker host. Dedicated
-/// I/O threads keep the node's service path independent of pool capacity.
+/// Handlers deliberately bypass the [`ServeEngine`] queue (see
+/// [`ServeEngine::execute`]); dedicated I/O threads keep the node's
+/// service path independent of pool capacity.
 ///
 /// Dropping the handle shuts the server down (idempotent with
 /// [`shutdown`](NodeServer::shutdown)).
@@ -233,16 +230,12 @@ fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>) {
     shared.live.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// Executes one query frame on the handler thread, isolating panics to
-/// this request (mirroring the serve queue's per-request isolation).
+/// Executes one query frame on the handler thread; a panicking request
+/// fails only itself ([`ServeEngine::execute`]'s isolation).
 fn answer_query(shared: &ServerShared, req: &durable_topk::ServeRequest) -> Message {
     let start = Instant::now();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let engine = shared.serve.engine();
-        execute_request(&engine, req)
-    }));
-    match outcome {
-        Ok(Ok((records, stats))) => {
+    match shared.serve.execute(req) {
+        Ok((records, stats)) => {
             shared.served.fetch_add(1, Ordering::Relaxed);
             Message::QueryOk(ServeResponse {
                 records,
@@ -251,18 +244,9 @@ fn answer_query(shared: &ServerShared, req: &durable_topk::ServeRequest) -> Mess
                 service: start.elapsed(),
             })
         }
-        Ok(Err(e)) => {
+        Err(e) => {
             shared.failed.fetch_add(1, Ordering::Relaxed);
-            Message::QueryErr(ServeError::Query(e))
-        }
-        Err(payload) => {
-            shared.failed.fetch_add(1, Ordering::Relaxed);
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Message::QueryErr(ServeError::Panicked(msg))
+            Message::QueryErr(e)
         }
     }
 }

@@ -15,7 +15,9 @@
 //!   `// lint: allow(panic)` marker documenting why it is unreachable or
 //!   part of a documented-panic API;
 //! * every `LockClass` variant has an explicit rank (no wildcard arm in
-//!   `LockClass::rank`).
+//!   `LockClass::rank`);
+//! * no `#[deprecated]` item (a shim is deleted by the PR that supersedes
+//!   it, not parked; this rule takes no allow marker).
 //!
 //! A finding is suppressed by putting `lint: allow(<rule>)` in a comment on
 //! the same line or anywhere in the contiguous comment block directly
@@ -201,6 +203,9 @@ fn scan_file(rel: &Path, source: &str, findings: &mut Vec<Finding>) {
         {
             hit("panic");
         }
+        if trimmed.starts_with("#[deprecated") {
+            hit("deprecated");
+        }
         block.clear();
     }
 }
@@ -348,6 +353,17 @@ mod tests {
         scan_file(Path::new("crates/core/src/foo.rs"), src, &mut findings);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].line, 1);
+    }
+
+    #[test]
+    fn deprecated_items_are_findings_no_marker_excuses() {
+        let src = "// lint: allow(deprecated)\n#[deprecated(note = \"use new\")]\nfn old() {}\n";
+        let mut findings = Vec::new();
+        scan_file(Path::new("crates/temporal/src/foo.rs"), src, &mut findings);
+        assert_eq!(
+            findings.iter().map(|f| (f.line, f.rule)).collect::<Vec<_>>(),
+            [(2, "deprecated")]
+        );
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //!
 //! Run with `cargo run --release -p durable-topk-examples --bin streaming_dashboard`.
 
-use durable_topk::{DurableQuery, LinearScorer, StreamingMonitor, Window};
+use durable_topk::{DurableQuery, EngineConfig, LinearScorer, StreamingMonitor, Window};
 use rand::prelude::*;
 
 fn main() {
-    let mut monitor = StreamingMonitor::new(2, 64);
+    // Shards of 4096 records. Historical queries fan out across them for
+    // τ ≤ 4096; beyond that (the τ = 5000 re-check below) the monitor falls
+    // back to its exact single-threaded path.
+    let cfg = EngineConfig::new(2, 4_096, 4_096).leaf_size(64);
+    let mut monitor = StreamingMonitor::new(cfg).expect("valid configuration");
     let scorer = LinearScorer::new(vec![0.6, 0.4]);
     let (k, tau) = (3usize, 5_000u32);
     let mut rng = StdRng::seed_from_u64(7);

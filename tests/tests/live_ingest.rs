@@ -7,13 +7,13 @@
 //! dataset and a flat unsharded engine — at every prefix of the ingestion
 //! timeline, not just at the end.
 //!
-//! Separately, the query path must spawn no threads: `BatchExecutor` and
+//! Separately, the query path must spawn no threads: batched queries and
 //! `ShardedEngine::query` run on the persistent [`WorkerPool`], so the
 //! process-wide spawn counter stays flat across arbitrarily many queries.
 
 use durable_topk::{
-    Algorithm, BatchExecutor, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer,
-    QueryContext, ShardedEngine, TopKOracle, TopKResult, Window, WorkerPool,
+    Algorithm, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer, QueryContext,
+    TopKOracle, TopKResult, Window, WorkerPool,
 };
 use durable_topk_temporal::Dataset;
 use proptest::prelude::*;
@@ -81,7 +81,7 @@ proptest! {
         let ds = Dataset::from_rows(2, rows);
         let n = ds.len();
         let scorer = LinearScorer::new(vec![0.6, 0.4]);
-        let mut live = ShardedEngine::new_live(2, span, max_tau);
+        let mut live = EngineConfig::new(2, span, max_tau).build().expect("config");
 
         // Interleave: append everything, querying a few growing prefixes
         // against a flat engine over the same prefix.
@@ -102,7 +102,9 @@ proptest! {
         }
 
         // Final dataset: grown engine vs from-scratch sharded build vs flat.
-        let rebuilt = ShardedEngine::build(&ds, n.div_ceil(span), max_tau).expect("build");
+        let rebuilt = EngineConfig::new(2, span, max_tau)
+            .build_from(&ds, n.div_ceil(span))
+            .expect("build");
         let flat = DurableTopKEngine::new(ds.clone());
         for spec in &specs {
             let (alg, q) = materialize(spec, n as u32, max_tau);
@@ -117,7 +119,7 @@ proptest! {
     /// The tentpole gate for head-shard S-Band: an engine grown by appends
     /// with a skyband bound serves `Algorithm::SBand` *natively* — exact
     /// against the definition-level brute force and against a
-    /// rebuilt-from-scratch `build_with_skyband` engine, with
+    /// rebuilt-from-scratch `build_from` engine, with
     /// `QueryStats::fallback == None`, at **every** prefix of the
     /// ingestion timeline, across at least two seal boundaries.
     #[test]
@@ -157,9 +159,10 @@ proptest! {
         prop_assert!(live.sealed_shards() >= 2, "the run must cross two seal boundaries");
 
         // Final state: grown engine vs a from-scratch skyband build.
-        let rebuilt =
-            ShardedEngine::build_with_skyband(&ds, n.div_ceil(span), max_tau, k_max)
-                .expect("build");
+        let rebuilt = EngineConfig::new(2, span, max_tau)
+            .skyband_bound(k_max)
+            .build_from(&ds, n.div_ceil(span))
+            .expect("build");
         for k in 1..=k_max {
             let q = DurableQuery {
                 k,
@@ -185,7 +188,7 @@ proptest! {
         let ds = Dataset::from_rows(2, rows);
         let n = ds.len() as u32;
         let scorer = LinearScorer::new(vec![0.3, 0.7]);
-        let mut live = ShardedEngine::new_live(2, span, 4);
+        let mut live = EngineConfig::new(2, span, 4).build().expect("config");
         for id in 0..n {
             live.append(ds.row(id));
         }
@@ -207,25 +210,25 @@ proptest! {
 #[test]
 fn query_path_spawns_no_threads() {
     let ds = Dataset::from_rows(2, (0..600).map(|i| [((i * 37) % 101) as f64, (i % 13) as f64]));
-    let sharded = ShardedEngine::build(&ds, 5, 60).expect("build");
+    let sharded = EngineConfig::new(2, 120, 60).build_from(&ds, 5).expect("build");
     let engine = DurableTopKEngine::new(ds.clone());
-    let executor = BatchExecutor::new(4);
     let scorer = LinearScorer::new(vec![0.5, 0.5]);
     let scorers: Vec<LinearScorer> =
         (1..=6).map(|i| LinearScorer::new(vec![i as f64, (7 - i) as f64])).collect();
     let q = DurableQuery { k: 3, tau: 50, interval: Window::new(100, 599) };
+    let batch = |alg| {
+        WorkerPool::global().run_jobs(6, 4, |i, ctx| engine.query_with(alg, &scorers[i], &q, ctx))
+    };
 
     // Warm-up: force the global pool (and its one-time worker spawns).
     let warm = sharded.query(Algorithm::THop, &scorer, &q);
-    executor.run(&engine, Algorithm::THop, &scorers, &q);
+    batch(Algorithm::THop);
 
     let before = WorkerPool::threads_spawned();
     for _ in 0..25 {
         let got = sharded.query(Algorithm::THop, &scorer, &q);
         assert_eq!(got.records, warm.records);
-        executor.run(&engine, Algorithm::SHop, &scorers, &q);
-        executor.run_sweep(&engine, &[Algorithm::THop, Algorithm::SHop], &scorer, &q);
-        executor.run_queries(&engine, Algorithm::THop, &scorer, std::slice::from_ref(&q));
+        batch(Algorithm::SHop);
     }
     assert_eq!(
         WorkerPool::threads_spawned(),
@@ -238,10 +241,10 @@ fn query_path_spawns_no_threads() {
 /// in place on the ingesting thread.
 #[test]
 fn append_path_spawns_no_threads() {
-    let mut live = ShardedEngine::new_live(2, 32, 16);
+    let mut live = EngineConfig::new(2, 32, 16).build().expect("config");
     // Warm the global pool through an unrelated build first.
     let warm_ds = Dataset::from_rows(2, (0..64).map(|i| [i as f64, (64 - i) as f64]));
-    let _ = ShardedEngine::build(&warm_ds, 2, 8).expect("build");
+    let _ = EngineConfig::new(2, 32, 8).build_from(&warm_ds, 2).expect("build");
     let before = WorkerPool::threads_spawned();
     for i in 0..500usize {
         live.append(&[((i * 7) % 23) as f64, ((i * 3) % 17) as f64]);

@@ -10,8 +10,9 @@
 //! *observationally absent*.
 
 use durable_topk::{
-    Algorithm, Backpressure, DurableQuery, EngineConfig, LinearScorer, QueryError, ScorerError,
-    ScorerSpec, ServeEngine, ServeError, ServeRequest, ShardedEngine, Window,
+    Algorithm, Backpressure, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer,
+    QueryError, ScorerError, ScorerSpec, ServeEngine, ServeError, ServeRequest, ShardedEngine,
+    SingleAttributeScorer, Window,
 };
 use durable_topk_net::{
     Coordinator, LocalNode, NetError, Node, NodeIdentity, NodeServer, NodeServerOptions,
@@ -140,6 +141,44 @@ fn invalid_scorer_specs_are_typed_errors_across_the_cluster() {
 
     drop(server);
     serve.shutdown();
+}
+
+/// A panicking request through in-process members fails like it does
+/// through the serve queue or a `NodeServer` — a typed `Panicked` error
+/// carrying the message, not an unwind into the coordinator's caller — and
+/// the cluster answers the next request exactly.
+#[test]
+fn a_panicking_request_fails_alone_across_local_nodes() {
+    let ds = Dataset::from_rows(2, (0..48).map(|i| [(i % 7) as f64, (i % 5) as f64]));
+    let (serve0, id0) = slice_node(&ds, 0, 23, 4);
+    let (serve1, id1) = slice_node(&ds, 24, 47, 4);
+    let cluster = Coordinator::new(vec![
+        Arc::new(LocalNode::new(serve0.clone(), id0)) as Arc<dyn Node>,
+        Arc::new(LocalNode::new(serve1.clone(), id1)),
+    ])
+    .expect("two-node cluster");
+
+    // The interval straddles both nodes, so both fan-out jobs panic: the
+    // scorer reads attribute 7 of 2-attribute records. Only an opaque
+    // `Custom` spec can carry it, so it never crosses the wire.
+    let query = DurableQuery { k: 2, tau: 3, interval: Window::new(10, 40) };
+    let scorer = ScorerSpec::Custom(Arc::new(SingleAttributeScorer::new(7)));
+    let boom = ServeRequest { alg: Algorithm::THop, query, scorer };
+    match cluster.query(&boom) {
+        Err(NetError::Serve(ServeError::Panicked(msg))) => {
+            assert!(msg.contains("index out of bounds"), "msg={msg}")
+        }
+        other => panic!("expected a typed panic error, got {other:?}"),
+    }
+
+    let ok = cluster
+        .query(&ServeRequest { scorer: ScorerSpec::Uniform, ..boom })
+        .expect("the cluster must keep serving");
+    let flat = DurableTopKEngine::new(ds);
+    assert_eq!(ok.records, flat.query(Algorithm::THop, &LinearScorer::uniform(2), &query).records);
+
+    serve0.shutdown();
+    serve1.shutdown();
 }
 
 proptest! {

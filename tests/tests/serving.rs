@@ -17,8 +17,8 @@
 //!    beyond the persistent pool's.
 
 use durable_topk::{
-    Algorithm, Backpressure, Dataset, DurableQuery, DurableTopKEngine, LinearScorer, OracleScorer,
-    Scorer, ScorerSpec, ServeEngine, ServeError, ServeRequest, ShardedEngine, Window, WorkerPool,
+    Algorithm, Backpressure, Dataset, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer,
+    OracleScorer, Scorer, ScorerSpec, ServeEngine, ServeError, ServeRequest, Window, WorkerPool,
 };
 use durable_topk_index::NodeSummary;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -40,7 +40,7 @@ fn ingest_while_serving_stays_exact() {
     const TOTAL: usize = 2_200;
     const SPAN: usize = 256;
     const MAX_TAU: u32 = 64;
-    let mut engine = ShardedEngine::new_live(2, SPAN, MAX_TAU);
+    let mut engine = EngineConfig::new(2, SPAN, MAX_TAU).build().expect("config");
     for i in 0..BASE {
         engine.append(&row(i));
     }
@@ -116,7 +116,7 @@ fn ingest_while_serving_stays_exact() {
 fn append_backpressure_never_deadlocks_against_busy_workers() {
     const SPAN: usize = 32;
     const MAX_TAU: u32 = 16;
-    let mut engine = ShardedEngine::new_live(2, SPAN, MAX_TAU);
+    let mut engine = EngineConfig::new(2, SPAN, MAX_TAU).build().expect("config");
     for i in 0..64 {
         engine.append(&row(i));
     }
@@ -167,7 +167,7 @@ fn append_backpressure_never_deadlocks_against_busy_workers() {
 /// Shutdown must serve (not discard) every request accepted before it.
 #[test]
 fn shutdown_drains_in_flight_requests() {
-    let engine = ShardedEngine::build(&dataset(800), 4, 60).expect("build");
+    let engine = EngineConfig::new(2, 800, 60).build_from(&dataset(800), 4).expect("build");
     let serve = ServeEngine::new(engine, 128, Backpressure::Block);
     let handles: Vec<_> = (0..96)
         .map(|i| {
@@ -234,7 +234,7 @@ impl OracleScorer for ExplodingScorer {
 /// by the same persistent workers.
 #[test]
 fn panicking_scorer_fails_one_handle_and_the_pool_recovers() {
-    let engine = ShardedEngine::build(&dataset(500), 3, 40).expect("build");
+    let engine = EngineConfig::new(2, 500, 40).build_from(&dataset(500), 3).expect("build");
     let serve = ServeEngine::new(engine, 32, Backpressure::Block);
     let query = DurableQuery { k: 2, tau: 30, interval: Window::new(0, 499) };
     // Warm the pool, then freeze the spawn counter.
@@ -280,7 +280,7 @@ fn panicking_scorer_fails_one_handle_and_the_pool_recovers() {
 /// threads beyond the persistent pool's.
 #[test]
 fn serving_spawns_no_threads() {
-    let engine = ShardedEngine::build(&dataset(600), 4, 50).expect("build");
+    let engine = EngineConfig::new(2, 600, 50).build_from(&dataset(600), 4).expect("build");
     let serve = ServeEngine::new(engine, 64, Backpressure::Block);
     let request = |i: usize| ServeRequest {
         alg: [Algorithm::THop, Algorithm::SHop, Algorithm::TBase][i % 3],
@@ -310,7 +310,7 @@ fn serving_spawns_no_threads() {
 /// not aborts — reachable straight through the public serving API.
 #[test]
 fn bad_request_input_never_panics_the_server() {
-    let engine = ShardedEngine::build(&dataset(300), 3, 20).expect("build");
+    let engine = EngineConfig::new(2, 300, 20).build_from(&dataset(300), 3).expect("build");
     let serve = ServeEngine::new(engine, 16, Backpressure::Block);
     let cases: Vec<(ServeRequest, &str)> = vec![
         (

@@ -55,8 +55,10 @@ fn all_algorithms_agree_on_anticorrelated_data() {
 fn sharded_engine_matches_unsharded_on_smoke_datasets() {
     for (ds, name) in [(ind(256, 2, 7), "ind"), (anti(256, 9), "anti")] {
         let flat = DurableTopKEngine::new(ds.clone()).with_skyband_index(16);
-        let sharded =
-            durable_topk::ShardedEngine::build_with_skyband(&ds, 4, 64, 16).expect("build");
+        let sharded = durable_topk::EngineConfig::new(ds.dim(), ds.len(), 64)
+            .skyband_bound(16)
+            .build_from(&ds, 4)
+            .expect("build");
         let scorer = LinearScorer::new(vec![0.6, 0.4]);
         for (k, tau, lo, hi) in [(1, 8, 0, 255), (3, 16, 40, 200), (5, 64, 100, 255)] {
             let q = DurableQuery { k, tau, interval: Window::new(lo, hi) };

@@ -120,7 +120,7 @@ proptest! {
         let n = ds.len() as u32;
         let span = (n as usize / 5).max(1);
         let scorer = LinearScorer::new(vec![0.45, 0.55]);
-        let mut live = ShardedEngine::new_live(2, span, max_tau);
+        let mut live = EngineConfig::new(2, span, max_tau).build().expect("config");
         for id in 0..n {
             live.append(ds.row(id));
         }
