@@ -16,15 +16,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use durable_topk::{
-    LinearScorer, OracleScorer, OracleScratch, ScanOracle, SegTreeOracle, TopKOracle, TopKResult,
-    Window,
+    DurableTopKEngine, LinearScorer, OracleScorer, OracleScratch, ScanOracle, TopKOracle,
+    TopKResult, Window,
 };
 use durable_topk_workloads::ind;
 
 fn bench(c: &mut Criterion) {
     let n = 100_000u32;
-    let ds = ind(n as usize, 2, 42);
-    let seg = SegTreeOracle::build(&ds);
+    let engine = DurableTopKEngine::new(ind(n as usize, 2, 42));
+    let (ds, seg) = (engine.dataset(), engine.oracle());
     let scan = ScanOracle::new();
     let scorer = LinearScorer::uniform(2);
     let mut scratch = OracleScratch::new();
@@ -34,13 +34,13 @@ fn bench(c: &mut Criterion) {
     for wlen in [1_000u32, 10_000, 100_000] {
         let w = Window::new(n - wlen, n - 1);
         g.bench_with_input(BenchmarkId::new("segtree", wlen), &w, |b, w| {
-            b.iter(|| seg.top_k_into(&ds, &scorer, 10, *w, &mut scratch, &mut out))
+            b.iter(|| seg.top_k_into(ds, &scorer, 10, *w, &mut scratch, &mut out))
         });
         g.bench_with_input(BenchmarkId::new("segtree_alloc", wlen), &w, |b, w| {
-            b.iter(|| seg.top_k(&ds, &scorer, 10, *w))
+            b.iter(|| seg.top_k(ds, &scorer, 10, *w))
         });
         g.bench_with_input(BenchmarkId::new("scan", wlen), &w, |b, w| {
-            b.iter(|| scan.top_k_into(&ds, &scorer, 10, *w, &mut scratch, &mut out))
+            b.iter(|| scan.top_k_into(ds, &scorer, 10, *w, &mut scratch, &mut out))
         });
     }
     // 1024 distinct preferences cycled against 16 memo slots: no probe
@@ -55,7 +55,7 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("segtree_fresh_scorer", wlen), &w, |b, w| {
             b.iter(|| {
                 i += 1;
-                seg.top_k_into(&ds, &fresh[i % fresh.len()], 10, *w, &mut scratch, &mut out)
+                seg.top_k_into(ds, &fresh[i % fresh.len()], 10, *w, &mut scratch, &mut out)
             })
         });
         // Slide back one record per probe, wrapping before the window
@@ -66,11 +66,11 @@ fn bench(c: &mut Criterion) {
         };
         let mut i = 0u32;
         g.bench_function(BenchmarkId::new("segtree_slide", wlen), |b| {
-            b.iter(|| seg.top_k_into(&ds, &scorer, 10, slide(&mut i), &mut scratch, &mut out))
+            b.iter(|| seg.top_k_into(ds, &scorer, 10, slide(&mut i), &mut scratch, &mut out))
         });
         let mut i = 0u32;
         g.bench_function(BenchmarkId::new("segtree_slide_dyn", wlen), |b| {
-            b.iter(|| seg.top_k_into(&ds, dynamic, 10, slide(&mut i), &mut scratch, &mut out))
+            b.iter(|| seg.top_k_into(ds, dynamic, 10, slide(&mut i), &mut scratch, &mut out))
         });
     }
     g.finish();

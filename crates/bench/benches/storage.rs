@@ -12,10 +12,8 @@
 //! Before the group runs, the harness prints a one-shot resident-set
 //! report: raw dataset bytes, each backend's `resident_bytes()`, and the
 //! spill counters — the numbers BENCHMARKS.md's storage table records.
-//! The dataset-bytes line doubles as the dedup measurement: before the
-//! shared-`Arc` chunk refactor, a `StreamingMonitor` held a second full
-//! copy of the history next to the engine's, so its resident set was
-//! `2 × dataset` even before index overhead.
+//! The dataset-bytes line is the yardstick: the shards are the only copy
+//! of the history, so the memory backend should sit close to it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use durable_topk::{
@@ -60,9 +58,9 @@ fn bench(c: &mut Criterion) {
     let mem_stats = memory.storage().stats();
     let paged_stats = paged.storage().stats();
     eprintln!(
-        "resident set over {N} records: dataset={:.2} MiB (a pre-dedup StreamingMonitor held \
-         2x this); memory backend={:.2} MiB ({} chunks, all resident); paged backend \
-         (spill_after={SPILL_AFTER})={:.2} MiB ({} of {} chunks spilled)",
+        "resident set over {N} records: dataset={:.2} MiB; memory backend={:.2} MiB ({} chunks, \
+         all resident); paged backend (spill_after={SPILL_AFTER})={:.2} MiB ({} of {} chunks \
+         spilled)",
         mib(ds.heap_bytes()),
         mib(memory.storage().resident_bytes()),
         mem_stats.chunks,

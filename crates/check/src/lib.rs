@@ -93,8 +93,6 @@ pub enum LockClass {
     /// The serve queue bookkeeping (`QueueState`, refresh in-flight count)
     /// — short critical sections around condvar waits.
     ServeQueue,
-    /// The streaming monitor's history cache.
-    MonitorCache,
     /// One lock shard of the `ShardResultCache` LRU.
     CacheShard,
     /// Shard storage internals: `MemoryStorage` chunk list, `PagedStorage`
@@ -124,12 +122,11 @@ pub enum LockClass {
 impl LockClass {
     /// Every class, in rank order. Kept in sync with [`rank`](Self::rank)
     /// by a unit test and the `xtask lint` rank-completeness rule.
-    pub const ALL: [LockClass; 14] = [
+    pub const ALL: [LockClass; 13] = [
         LockClass::Engine,
         LockClass::SubscriptionRegistry,
         LockClass::SubscriptionState,
         LockClass::ServeQueue,
-        LockClass::MonitorCache,
         LockClass::CacheShard,
         LockClass::PagePool,
         LockClass::PoolQueue,
@@ -150,7 +147,6 @@ impl LockClass {
             LockClass::SubscriptionRegistry => 20,
             LockClass::SubscriptionState => 30,
             LockClass::ServeQueue => 40,
-            LockClass::MonitorCache => 50,
             LockClass::CacheShard => 60,
             LockClass::PagePool => 70,
             LockClass::PoolQueue => 80,
@@ -170,7 +166,6 @@ impl LockClass {
             LockClass::SubscriptionRegistry => "SubscriptionRegistry",
             LockClass::SubscriptionState => "SubscriptionState",
             LockClass::ServeQueue => "ServeQueue",
-            LockClass::MonitorCache => "MonitorCache",
             LockClass::CacheShard => "CacheShard",
             LockClass::PagePool => "PagePool",
             LockClass::PoolQueue => "PoolQueue",
@@ -553,8 +548,8 @@ mod tests {
     #[cfg(any(debug_assertions, feature = "lock-check"))]
     #[test]
     fn same_class_nesting_panics() {
-        let a = Arc::new(TrackedMutex::new(LockClass::MonitorCache, ()));
-        let b = Arc::new(TrackedMutex::new(LockClass::MonitorCache, ()));
+        let a = Arc::new(TrackedMutex::new(LockClass::CacheShard, ()));
+        let b = Arc::new(TrackedMutex::new(LockClass::CacheShard, ()));
         let handle = thread::spawn(move || {
             let _x = a.lock();
             let _y = b.lock();

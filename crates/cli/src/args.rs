@@ -87,6 +87,16 @@ pub fn parse_range(s: &str) -> Result<(u32, u32), String> {
     Ok((a, b))
 }
 
+/// Parses `--{flag} a:b` for a file of `n` records: `a` must name one of
+/// them (callers clamp `b`), or the clamped window would be inverted.
+pub fn parse_range_in(flag: &str, s: &str, n: usize) -> Result<(u32, u32), String> {
+    let (a, b) = parse_range(s)?;
+    if a as usize >= n {
+        return Err(format!("--{flag} starts at {a} but the file has {n} records"));
+    }
+    Ok((a, b))
+}
+
 /// Parses `w1,w2,…` into a weight vector.
 pub fn parse_weights(s: &str) -> Result<Vec<f64>, String> {
     s.split(',').map(|w| w.trim().parse::<f64>().map_err(|_| format!("bad weight {w:?}"))).collect()
@@ -373,6 +383,9 @@ mod tests {
         assert_eq!(parse_range("3:9").expect("range"), (3, 9));
         assert!(parse_range("9:3").is_err());
         assert!(parse_range("nope").is_err());
+        assert_eq!(parse_range_in("interval", "99:600", 100).expect("starts inside"), (99, 600));
+        let err = parse_range_in("interval", "500:600", 100).expect_err("starts past the end");
+        assert_eq!(err, "--interval starts at 500 but the file has 100 records");
         assert_eq!(parse_weights("0.5, 0.25,0.25").expect("weights"), vec![0.5, 0.25, 0.25]);
         assert!(parse_weights("1,x").is_err());
     }

@@ -11,8 +11,9 @@
 mod args;
 
 use args::{
-    parse_algorithms, parse_nodes, parse_range, parse_result_cache, parse_serve, parse_serve_node,
-    parse_storage, parse_stream, parse_threads, parse_weights, Args, ServeMode, StorageChoice,
+    parse_algorithms, parse_nodes, parse_range_in, parse_result_cache, parse_serve,
+    parse_serve_node, parse_storage, parse_stream, parse_threads, parse_weights, Args, ServeMode,
+    StorageChoice,
 };
 use durable_topk::{
     percentile, Algorithm, Anchor, Backpressure, DurableQuery, DurableTopKEngine, EngineConfig,
@@ -148,7 +149,6 @@ fn fallback_cell(stats: &QueryStats) -> &'static str {
         Some(FallbackReason::MissingSkybandIndex) => "missing-index",
         Some(FallbackReason::SkybandBoundExceeded) => "k-bound",
         Some(FallbackReason::NonMonotoneScorer) => "non-monotone",
-        Some(FallbackReason::TauBeyondOverlap) => "tau-overlap",
     }
 }
 
@@ -240,10 +240,10 @@ fn topk(args: &Args) -> Result<(), String> {
     let ds = load(args)?;
     non_empty(&ds, args.positional.first().map_or("input", String::as_str))?;
     let k: usize = parse_positive(args, "k", 10)?;
-    let (a, b) = parse_range(args.require("window")?)?;
+    let (a, b) = parse_range_in("window", args.require("window")?, ds.len())?;
     let scorer = scorer_for(args, ds.dim())?;
     let engine = DurableTopKEngine::new(ds);
-    let result = engine.oracle().tree().top_k(engine.dataset(), &scorer, k, Window::new(a, b));
+    let result = engine.oracle().top_k(engine.dataset(), &scorer, k, Window::new(a, b));
     println!("top-{k} of [{a}, {b}] (ties of the k-th score included):");
     for (id, score) in result.items {
         println!("  t={id}  score={score:.6}  attrs={:?}", engine.dataset().row(id));
@@ -259,7 +259,7 @@ fn query(args: &Args) -> Result<(), String> {
     let tau: u32 = parse_positive(args, "tau", (n / 10).max(1))?;
     let interval = match args.options.get("interval") {
         Some(r) => {
-            let (a, b) = parse_range(r)?;
+            let (a, b) = parse_range_in("interval", r, ds.len())?;
             Window::new(a, b.min(n - 1))
         }
         None => Window::new(0, n - 1),

@@ -112,9 +112,9 @@ impl QueryContext {
 
     /// Drains the cold page reads accumulated by building-block probes
     /// ([`ShardedEngine::top_k_into`](crate::ShardedEngine::top_k_into))
-    /// run through this context since the last drain. Callers surface the
-    /// count through [`QueryStats::cold_page_hits`](crate::QueryStats) —
-    /// the streaming scan fallback and the subscription refresh path do.
+    /// run through this context since the last drain. The subscription
+    /// refresh path folds the count into
+    /// [`ServeStats::cold_page_hits`](crate::ServeStats).
     pub fn take_cold_page_hits(&mut self) -> u64 {
         std::mem::take(&mut self.cold_page_hits)
     }

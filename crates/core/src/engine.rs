@@ -1,15 +1,14 @@
-//! High-level query engine tying the dataset, indexes and algorithms
-//! together.
+//! The paper's offline engine: one dataset, one skyline segment tree, the
+//! five algorithms — and the dispatch (`run_algorithm`) every shard of
+//! the live engine shares with it.
 
 use crate::algorithms::{s_band, s_base, s_hop, sband_fallback_reason, t_base, t_hop, RefillMode};
 use crate::context::QueryContext;
 use crate::duration::max_duration;
-use crate::error::BuildError;
-use crate::oracle::{SegTreeOracle, TopKOracle};
+use crate::oracle::TopKOracle;
 use crate::query::{DurableQuery, QueryResult};
-use durable_topk_index::{DurableSkybandIndex, OracleScorer, SkybandCandidates};
+use durable_topk_index::{DurableSkybandIndex, OracleScorer, SkybandCandidates, SkylineSegTree};
 use durable_topk_temporal::{Anchor, Dataset, RecordId, Time, Window};
-use std::sync::Arc;
 
 /// Which durable top-k algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,10 +64,9 @@ impl std::fmt::Display for Algorithm {
 
 /// Shared per-substrate dispatch: runs `alg` over one dataset + oracle +
 /// optional skyband candidate source, with S-Band's graceful degradation
-/// to S-Hop (reason recorded in the stats). Both the sealed-engine
-/// front-end and every arm of the sharded fan-out delegate here, so the
-/// same request can never be dispatched differently depending on which
-/// substrate serves it.
+/// to S-Hop (reason recorded in the stats). Both the offline engine and
+/// every arm of the sharded fan-out delegate here, so the same request can
+/// never be dispatched differently depending on which substrate serves it.
 pub(crate) fn run_algorithm<O, C, S>(
     ds: &Dataset,
     oracle: &O,
@@ -107,17 +105,19 @@ where
     }
 }
 
-/// A ready-to-query durable top-k engine over one dataset.
+/// The paper's offline durable top-k engine over one immutable dataset,
+/// and the reference the live engines are tested against.
 ///
-/// Holds the dataset as a shared [`Arc`] — the sharded engine's seal path
-/// and the storage backends reference the same chunk without copying —
-/// plus the segment-tree top-k oracle, and optionally the durable
-/// k-skyband index (for S-Band) and a reversed twin (for look-ahead
-/// durability).
+/// Owns the dataset and its skyline segment tree (the top-k oracle), and
+/// optionally the durable k-skyband index (for S-Band) and a reversed twin
+/// (for look-ahead durability). It answers any `τ`, offers the leaf-size
+/// ablation and [`max_duration`](DurableTopKEngine::max_duration), and is
+/// not a shard: [`ShardedEngine`](crate::ShardedEngine) keeps its own
+/// trees and shares only [`Algorithm`] dispatch with this type.
 #[derive(Debug)]
 pub struct DurableTopKEngine {
-    ds: Arc<Dataset>,
-    oracle: SegTreeOracle,
+    ds: Dataset,
+    oracle: SkylineSegTree,
     skyband: Option<DurableSkybandIndex>,
     /// Reversed dataset + oracle, built on demand for look-ahead queries.
     reversed: Option<Box<DurableTopKEngine>>,
@@ -129,47 +129,20 @@ impl DurableTopKEngine {
     /// # Panics
     /// Panics if the dataset is empty.
     pub fn new(ds: Dataset) -> Self {
-        let oracle = SegTreeOracle::build(&ds);
-        Self { ds: Arc::new(ds), oracle, skyband: None, reversed: None }
+        let oracle = SkylineSegTree::build(&ds);
+        Self { ds, oracle, skyband: None, reversed: None }
     }
 
     /// Builds the engine with a custom oracle leaf size (ablations).
     pub fn with_leaf_size(ds: Dataset, leaf_size: usize) -> Self {
-        let oracle = SegTreeOracle::with_leaf_size(&ds, leaf_size);
-        Self { ds: Arc::new(ds), oracle, skyband: None, reversed: None }
-    }
-
-    /// Assembles an engine from a dataset and an already-built oracle —
-    /// the shard-sealing path, where a head shard's forest collapses into
-    /// the tree the sealed shard serves (moved outright when the forest
-    /// already holds a single tree).
-    ///
-    /// Errors on an empty dataset instead of panicking: sealing runs on
-    /// pool workers in a serving deployment, where an abort is never the
-    /// right failure mode.
-    ///
-    /// The dataset arrives as a shared `Arc`: sealing snapshots the head's
-    /// chunk once and the storage backend, the sealed engine and any
-    /// history view all reference that single copy.
-    pub fn from_parts(ds: Arc<Dataset>, oracle: SegTreeOracle) -> Result<Self, BuildError> {
-        if ds.is_empty() {
-            return Err(BuildError::EmptyDataset);
-        }
-        Ok(Self { ds, oracle, skyband: None, reversed: None })
+        let oracle = SkylineSegTree::with_leaf_size(&ds, leaf_size);
+        Self { ds, oracle, skyband: None, reversed: None }
     }
 
     /// Adds the durable k-skyband index serving queries with `k <= k_max`
     /// (rounded up to a power of two), enabling [`Algorithm::SBand`].
     pub fn with_skyband_index(mut self, k_max: usize) -> Self {
         self.skyband = Some(DurableSkybandIndex::build(&self.ds, k_max));
-        self
-    }
-
-    /// Installs an already-built skyband index — the shard-sealing path,
-    /// where the head's incremental maintainer froze its durations into
-    /// the static index so the seal never rescans the history.
-    pub fn with_prebuilt_skyband(mut self, index: DurableSkybandIndex) -> Self {
-        self.skyband = Some(index);
         self
     }
 
@@ -190,14 +163,8 @@ impl DurableTopKEngine {
         &self.ds
     }
 
-    /// The underlying dataset as a shared handle (no copy) — what the
-    /// tiered storage and the history cache hold on to.
-    pub fn dataset_arc(&self) -> Arc<Dataset> {
-        Arc::clone(&self.ds)
-    }
-
     /// The top-k oracle (for direct `Q(u, k, W)` queries).
-    pub fn oracle(&self) -> &SegTreeOracle {
+    pub fn oracle(&self) -> &SkylineSegTree {
         &self.oracle
     }
 

@@ -53,7 +53,6 @@ pub mod result_cache;
 pub mod serve;
 pub mod sharded;
 pub mod storage;
-pub mod streaming;
 pub mod subscribe;
 mod sync;
 
@@ -67,7 +66,7 @@ pub use config::EngineConfig;
 pub use context::QueryContext;
 pub use engine::{Algorithm, DurableTopKEngine};
 pub use error::{BuildError, QueryError};
-pub use oracle::{ForestOracle, ScanOracle, SegTreeOracle, TopKOracle};
+pub use oracle::{ScanOracle, TopKOracle};
 pub use pool::WorkerPool;
 pub use query::{percentile, DurableQuery, FallbackReason, QueryResult, QueryStats};
 pub use result_cache::{ResultCacheStats, ShardResultCache};
@@ -77,7 +76,6 @@ pub use serve::{
 };
 pub use sharded::ShardedEngine;
 pub use storage::{ChunkId, MemoryStorage, PagedStorage, ShardStorage, StorageStats};
-pub use streaming::StreamingMonitor;
 pub use subscribe::{SubscriptionId, SubscriptionSnapshot, SubscriptionTotals};
 
 // Re-export the vocabulary types callers need.

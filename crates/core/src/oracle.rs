@@ -16,12 +16,15 @@
 //! `LinearScorer` / `CosineScorer` before the first probe, and only its
 //! `Custom` variant probes through a trait object.
 //!
-//! Two implementations ship with the crate:
+//! Three implementations ship with the crate; the index types are their
+//! own oracles, no wrapper in between:
 //!
-//! * [`SegTreeOracle`] — the skyline segment tree of Appendix A (the
-//!   production path).
+//! * [`SkylineSegTree`] — the skyline segment tree of Appendix A (the
+//!   production path over sealed data).
+//! * [`AppendableTopKIndex`] — the appendable forest of such trees (the
+//!   production path over the live head shard).
 //! * [`ScanOracle`] — a linear scan of the window (the correctness
-//!   reference, and the fallback when no index has been built).
+//!   reference).
 
 use durable_topk_index::{
     scan_top_k_into, AppendableTopKIndex, OracleScorer, OracleScratch, SkylineSegTree, TopKResult,
@@ -69,39 +72,10 @@ pub trait TopKOracle {
     fn reset_counters(&self);
 }
 
-/// Oracle backed by the skyline segment tree (paper Appendix A).
-#[derive(Debug, Clone)]
-pub struct SegTreeOracle {
-    tree: SkylineSegTree,
-}
-
-impl SegTreeOracle {
-    /// Builds the index over the dataset.
-    ///
-    /// # Panics
-    /// Panics if the dataset is empty.
-    pub fn build(ds: &Dataset) -> Self {
-        Self { tree: SkylineSegTree::build(ds) }
-    }
-
-    /// Builds with an explicit leaf granularity (ablation experiments).
-    pub fn with_leaf_size(ds: &Dataset, leaf_size: usize) -> Self {
-        Self { tree: SkylineSegTree::with_leaf_size(ds, leaf_size) }
-    }
-
-    /// Wraps an already-built tree — the shard-sealing path, where the
-    /// appendable forest collapses into the tree this oracle serves.
-    pub fn from_tree(tree: SkylineSegTree) -> Self {
-        Self { tree }
-    }
-
-    /// Access to the underlying tree (extra instrumentation).
-    pub fn tree(&self) -> &SkylineSegTree {
-        &self.tree
-    }
-}
-
-impl TopKOracle for SegTreeOracle {
+/// The skyline segment tree of Appendix A is its own oracle: the static
+/// index behind [`DurableTopKEngine`](crate::DurableTopKEngine) and every
+/// sealed shard.
+impl TopKOracle for SkylineSegTree {
     fn top_k_into<S: OracleScorer + ?Sized>(
         &self,
         ds: &Dataset,
@@ -111,34 +85,22 @@ impl TopKOracle for SegTreeOracle {
         scratch: &mut OracleScratch,
         out: &mut TopKResult,
     ) {
-        self.tree.top_k_with(ds, scorer, k, w, scratch, out);
+        self.top_k_with(ds, scorer, k, w, scratch, out);
     }
 
     fn queries_issued(&self) -> u64 {
-        self.tree.counters().queries()
+        self.counters().queries()
     }
 
     fn reset_counters(&self) {
-        self.tree.counters().reset();
+        self.counters().reset();
     }
 }
 
-/// Oracle backed by a borrowed appendable segment-tree forest — the
-/// building block of the mutable *head shard* during live ingestion (see
+/// The appendable segment-tree forest is the building block of the mutable
+/// *head shard* during live ingestion (see
 /// [`ShardedEngine`](crate::ShardedEngine)).
-#[derive(Debug)]
-pub struct ForestOracle<'a> {
-    index: &'a AppendableTopKIndex,
-}
-
-impl<'a> ForestOracle<'a> {
-    /// Wraps a forest index for use as a durable top-k building block.
-    pub fn new(index: &'a AppendableTopKIndex) -> Self {
-        Self { index }
-    }
-}
-
-impl TopKOracle for ForestOracle<'_> {
+impl TopKOracle for AppendableTopKIndex {
     fn top_k_into<S: OracleScorer + ?Sized>(
         &self,
         ds: &Dataset,
@@ -148,15 +110,15 @@ impl TopKOracle for ForestOracle<'_> {
         scratch: &mut OracleScratch,
         out: &mut TopKResult,
     ) {
-        self.index.top_k_with(ds, scorer, k, w, scratch, out);
+        self.top_k_with(ds, scorer, k, w, scratch, out);
     }
 
     fn queries_issued(&self) -> u64 {
-        self.index.counters().queries()
+        self.counters().queries()
     }
 
     fn reset_counters(&self) {
-        self.index.counters().reset();
+        self.counters().reset();
     }
 }
 
@@ -205,22 +167,28 @@ mod tests {
     fn oracles_agree_and_count() {
         let ds = Dataset::from_rows(2, [[1.0, 0.0], [3.0, 1.0], [2.0, 5.0], [0.0, 0.0]]);
         let scorer = LinearScorer::new(vec![1.0, 1.0]);
-        let seg = SegTreeOracle::build(&ds);
+        let seg = SkylineSegTree::build(&ds);
+        let forest = AppendableTopKIndex::build(&ds, 2);
         let scan = ScanOracle::new();
         let w = Window::new(0, 3);
-        assert_eq!(seg.top_k(&ds, &scorer, 2, w), scan.top_k(&ds, &scorer, 2, w));
+        let expected = scan.top_k(&ds, &scorer, 2, w);
+        assert_eq!(TopKOracle::top_k(&seg, &ds, &scorer, 2, w), expected);
+        assert_eq!(TopKOracle::top_k(&forest, &ds, &scorer, 2, w), expected);
         assert_eq!(seg.queries_issued(), 1);
+        assert_eq!(forest.queries_issued(), 1);
         assert_eq!(scan.queries_issued(), 1);
         seg.reset_counters();
+        forest.reset_counters();
         scan.reset_counters();
         assert_eq!(seg.queries_issued(), 0);
+        assert_eq!(forest.queries_issued(), 0);
         assert_eq!(scan.queries_issued(), 0);
     }
 
     #[test]
     fn scratch_reuse_matches_fresh_buffers() {
         let ds = Dataset::from_rows(1, (0..64).map(|i| [((i * 23) % 17) as f64]));
-        let seg = SegTreeOracle::build(&ds);
+        let seg = SkylineSegTree::build(&ds);
         let scorer = LinearScorer::new(vec![1.0]);
         let mut scratch = OracleScratch::new();
         let mut out = TopKResult::empty();

@@ -57,10 +57,12 @@ impl DurableQuery {
 /// Why an engine substituted a different execution for the requested one.
 ///
 /// Splitting the old boolean flag into reasons separates *expected*
-/// degradations (a non-monotone scorer cannot use skyband pruning; a `τ`
-/// beyond the shard overlap is served by the scan-backed exact path) from
-/// the one that signals a missing capability — an S-Band request finding
-/// no skyband index at all, which a regression gate should fail on.
+/// degradations (a non-monotone scorer cannot use skyband pruning; `k`
+/// exceeds the skyband build bound) from the one that signals a missing
+/// capability — an S-Band request finding no skyband index at all, which
+/// a regression gate should fail on. Every reason is an S-Band → S-Hop
+/// substitution; a `τ` beyond a live engine's `max_tau` is a typed
+/// [`QueryError::TauExceedsOverlap`](crate::QueryError), never a fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
     /// S-Band was requested but the serving substrate carries no durable
@@ -74,12 +76,6 @@ pub enum FallbackReason {
     /// S-Band's k-skyband pruning argument requires a monotone scoring
     /// function; S-Hop (which does not) serves non-monotone scorers.
     NonMonotoneScorer,
-    /// `τ` exceeded the sharded engine's overlap (`max_tau`), so the query
-    /// ran on the ingesting thread against the scan-exact whole-history
-    /// oracle instead of the per-shard fan-out — the expected overlap miss
-    /// of [`StreamingMonitor::query`](crate::StreamingMonitor::query),
-    /// still exact.
-    TauBeyondOverlap,
 }
 
 impl FallbackReason {
@@ -98,9 +94,6 @@ impl std::fmt::Display for FallbackReason {
                 "k exceeds the skyband build bound; S-Hop served the query"
             }
             FallbackReason::NonMonotoneScorer => "non-monotone scorer; S-Hop served the query",
-            FallbackReason::TauBeyondOverlap => {
-                "tau exceeds the shard overlap; served exactly by the scan-backed oracle"
-            }
         })
     }
 }
@@ -267,7 +260,7 @@ mod tests {
         // Two expected reasons: the first one set is kept; None absorbs.
         let mut c = expected;
         c.absorb(&QueryStats {
-            fallback: Some(FallbackReason::TauBeyondOverlap),
+            fallback: Some(FallbackReason::SkybandBoundExceeded),
             ..Default::default()
         });
         assert_eq!(c.fallback, Some(FallbackReason::NonMonotoneScorer));

@@ -48,20 +48,22 @@ use crate::config::EngineConfig;
 use crate::context::QueryContext;
 use crate::engine::{run_algorithm, Algorithm};
 use crate::error::QueryError;
-use crate::oracle::{ForestOracle, SegTreeOracle, TopKOracle};
+use crate::oracle::TopKOracle;
 use crate::plan::{merge, route, OwnedRange};
 use crate::pool::WorkerPool;
 use crate::query::{DurableQuery, QueryResult};
 use crate::result_cache::{next_shard_gen, CacheKey, ShardResultCache};
 use crate::storage::{ChunkId, MemoryStorage, ShardStorage};
 use crate::sync::OnceSlot;
-use durable_topk_index::{AppendableTopKIndex, DurableSkybandIndex, OracleScorer, TopKResult};
+use durable_topk_index::{
+    AppendableTopKIndex, DurableSkybandIndex, OracleScorer, SkylineSegTree, TopKResult,
+};
 use durable_topk_temporal::{Dataset, RecordId, Time, Window};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One sealed time shard: a collapsed segment-tree oracle plus optional
+/// One sealed time shard: a collapsed skyline segment tree plus optional
 /// frozen skyband index over `[range.ext_lo, range.hi]`, *owning*
 /// (reporting answers for) `[range.lo, range.hi]`. The record chunk itself
 /// lives in the engine's [`ShardStorage`] backend, reached by handle —
@@ -69,7 +71,7 @@ use std::sync::Arc;
 /// and is faulted back in transparently at query time.
 #[derive(Debug)]
 struct Shard {
-    oracle: SegTreeOracle,
+    oracle: SkylineSegTree,
     skyband: Option<DurableSkybandIndex>,
     /// Handle to the shard's record chunk (`[ext_lo, hi]`) in storage.
     chunk: ChunkId,
@@ -167,7 +169,7 @@ impl PendingSeal {
 /// the produced shard is published whole.
 fn run_seal(snap: &PendingSeal, storage: &Arc<dyn ShardStorage>) -> Shard {
     Shard {
-        oracle: SegTreeOracle::from_tree(snap.index.seal_ref(&snap.ds)),
+        oracle: snap.index.seal_ref(&snap.ds),
         skyband: snap.index.sealed_skyband(),
         chunk: storage.store(Arc::clone(&snap.ds)),
         range: snap.range,
@@ -272,7 +274,7 @@ impl ShardedEngine {
                     for id in ext_lo..=hi {
                         sub.push(ds.row(id));
                     }
-                    let oracle = SegTreeOracle::build(&sub);
+                    let oracle = SkylineSegTree::build(&sub);
                     let skyband = shape.k_max.map(|k_max| DurableSkybandIndex::build(&sub, k_max));
                     (Arc::new(sub), oracle, skyband)
                 });
@@ -623,8 +625,12 @@ impl ShardedEngine {
             let local = DurableQuery { k: query.k, tau: query.tau, interval: jobs[i].local };
             let shard = match jobs[i].owner {
                 Substrate::Sealed(shard) => shard,
+                // The forest's incrementally-maintained skyband serves
+                // S-Band natively at every point of the append timeline,
+                // and the shared dispatch degrades for the same
+                // request-level reasons on both substrates.
                 Substrate::Forest(ds, index) => {
-                    return query_forest(ds, index, alg, scorer, &local, ctx)
+                    return run_algorithm(ds, index, index.skyband(), alg, scorer, &local, ctx)
                 }
             };
             // A sealed tail's answer over its FULL owned range is a pure
@@ -683,9 +689,8 @@ impl ShardedEngine {
 
     /// Answers the preference top-k query `Q(u, k, W)` over the whole
     /// sharded history into `out`, drawing scratch from `ctx` — the
-    /// building-block view of the engine, used by
-    /// [`StreamingMonitor`](crate::StreamingMonitor) for per-arrival
-    /// durability probes.
+    /// building-block view of the engine, which standing-query refreshes
+    /// use for per-arrival durability probes.
     ///
     /// Exact for **any** window (the owned shard ranges partition the
     /// history; no overlap is needed for a plain top-k).
@@ -715,12 +720,11 @@ impl ShardedEngine {
                 Substrate::Sealed(shard) => {
                     // The building-block path has no per-query stats
                     // channel, so cold reads accumulate in the context's
-                    // scratch; callers drain them into
-                    // `QueryStats::cold_page_hits` via
+                    // scratch; callers drain them via
                     // `QueryContext::take_cold_page_hits`.
                     let (chunk, cold) = self.storage.fetch(shard.chunk);
                     ctx.cold_page_hits += cold;
-                    shard.oracle.tree().top_k_with(&chunk, scorer, k, local, &mut ctx.oracle, out);
+                    shard.oracle.top_k_with(&chunk, scorer, k, local, &mut ctx.oracle, out);
                 }
                 Substrate::Forest(ds, index) => {
                     index.top_k_with(ds, scorer, k, local, &mut ctx.oracle, out);
@@ -752,11 +756,24 @@ impl ShardedEngine {
     /// chunks are faulted in), then in-flight seal snapshots, then the
     /// mutable head — in global time order.
     ///
-    /// This is how [`StreamingMonitor`](crate::StreamingMonitor) keeps a
-    /// contiguous history view for its τ-overlap scan fallback without
-    /// holding a second permanent copy of every record. Wall-clock stamps
-    /// are not carried over (the view is attribute rows keyed by arrival
-    /// id, which is all the scan-exact algorithms read).
+    /// This is the route to an exact answer for `τ > max_tau` over
+    /// live-ingested data: copy the history out and hand it to the offline
+    /// engine, which takes any `τ`.
+    ///
+    /// ```
+    /// # use durable_topk::*;
+    /// # let mut engine = EngineConfig::new(1, 8, 4).build().unwrap();
+    /// # for i in 0..40 { engine.append(&[(i % 7) as f64]); }
+    /// # let (scorer, q) = (LinearScorer::uniform(1),
+    /// #     DurableQuery { k: 1, tau: 20, interval: Window::new(0, 39) });
+    /// let mut ds = Dataset::new(engine.dim());
+    /// engine.copy_history_into(&mut ds, 0);
+    /// let answer = DurableTopKEngine::new(ds).query(Algorithm::THop, &scorer, &q);
+    /// # assert_eq!(answer.records, [0, 1, 2, 3, 4, 5, 6, 13, 20, 27, 34]);
+    /// ```
+    ///
+    /// Wall-clock stamps are not carried over (the view is attribute rows
+    /// keyed by arrival id, which is all the algorithms read).
     pub fn copy_history_into(&self, out: &mut Dataset, from: usize) {
         for (range, substrate) in self.pieces() {
             if (range.hi as usize) < from {
@@ -801,24 +818,6 @@ impl ShardedEngine {
         }
         self.retired_queries.store(0, Ordering::Relaxed);
     }
-}
-
-/// Runs a localized query against a forest-indexed sub-dataset (the
-/// mutable head, or a pending snapshot whose seal is still collapsing).
-fn query_forest<S: OracleScorer + ?Sized>(
-    ds: &Dataset,
-    index: &AppendableTopKIndex,
-    alg: Algorithm,
-    scorer: &S,
-    local: &DurableQuery,
-    ctx: &mut QueryContext,
-) -> QueryResult {
-    // The forest's incrementally-maintained skyband serves S-Band natively
-    // at every point of the append timeline; the shared dispatch degrades
-    // for exactly the same request-level reasons the sealed engine does,
-    // so both substrates classify identically.
-    let oracle = ForestOracle::new(index);
-    run_algorithm(ds, &oracle, index.skyband(), alg, scorer, local, ctx)
 }
 
 #[cfg(test)]

@@ -13,9 +13,9 @@
 //! **append-monotone**: maintaining it exactly means deciding, once per
 //! arrival, whether the newcomer joins — existing entries are settled
 //! forever. That single decision is a bounded probe: one look-back top-k
-//! (`Q(u, k, [t−τ, t])`) plus an admission check, the same classification
-//! [`StreamingMonitor`](crate::StreamingMonitor) performs per push. No
-//! eviction re-pull exists because no eviction exists.
+//! (`Q(u, k, [t−τ, t])`) plus an admission check — which also makes a
+//! standing `DurTop(k, [0, ∞), τ)` the per-arrival alert of continuous
+//! monitoring. No eviction re-pull exists because no eviction exists.
 //!
 //! Three tiers of per-arrival work, cheapest first:
 //!
@@ -35,10 +35,10 @@
 //!    scorers skip tier 1 (the skyband gate argument needs monotonicity)
 //!    but stay exact through tier 2: the probe itself is scorer-agnostic.
 //!
-//! The registry is engine-agnostic glue: [`ServeEngine`](crate::ServeEngine)
-//! drives it from its append path (refresh jobs ride the persistent
-//! [`WorkerPool`](crate::WorkerPool) as detached jobs), while
-//! [`StreamingMonitor`](crate::StreamingMonitor) drives it inline per push.
+//! The registry is engine-agnostic glue with one driver:
+//! [`ServeEngine`](crate::ServeEngine) plans from its append path and runs
+//! the refresh jobs on the persistent [`WorkerPool`](crate::WorkerPool) as
+//! detached jobs.
 //!
 //! [`SkybandMaintainer`]: durable_topk_geom::SkybandMaintainer
 
@@ -267,8 +267,8 @@ impl Subscription {
 /// The per-arrival work one append produced: subscriptions needing the
 /// bounded probe, and subscriptions due a seal-boundary verification.
 /// Built under the engine lock (classification reads the head skyband),
-/// executed after it is released — on a pool worker for
-/// [`ServeEngine`](crate::ServeEngine), inline for the monitor.
+/// executed after it is released, on a pool worker of
+/// [`ServeEngine`](crate::ServeEngine).
 #[derive(Debug, Default)]
 pub(crate) struct RefreshPlan {
     pub(crate) probes: Vec<Arc<Subscription>>,

@@ -134,6 +134,13 @@ mod tests {
             panic!("kind preserved");
         };
         assert_eq!(out, resp);
+        // Tags 0–3 are the whole fallback vocabulary: 4 is unknown.
+        let mut frame = encode_message(&Message::QueryOk(resp.clone())).expect("encodable");
+        frame[HEADER_LEN + 4 + 4 * resp.records.len() + 7 * 8] = 4;
+        assert!(matches!(
+            decode_message(&frame),
+            Err(WireError::UnknownTag { what: "fallback", tag: 4 })
+        ));
 
         let errors = [
             ServeError::QueueFull,

@@ -341,7 +341,6 @@ fn fallback_tag(f: Option<FallbackReason>) -> u8 {
         Some(FallbackReason::MissingSkybandIndex) => 1,
         Some(FallbackReason::SkybandBoundExceeded) => 2,
         Some(FallbackReason::NonMonotoneScorer) => 3,
-        Some(FallbackReason::TauBeyondOverlap) => 4,
     }
 }
 
@@ -351,7 +350,6 @@ fn fallback_from(tag: u8) -> Result<Option<FallbackReason>, WireError> {
         1 => Some(FallbackReason::MissingSkybandIndex),
         2 => Some(FallbackReason::SkybandBoundExceeded),
         3 => Some(FallbackReason::NonMonotoneScorer),
-        4 => Some(FallbackReason::TauBeyondOverlap),
         _ => return Err(WireError::UnknownTag { what: "fallback", tag }),
     })
 }

@@ -5,7 +5,7 @@
 //! answers are both robust (insensitive to window placement) and
 //! interpretable (every answer reads "best in the preceding 5 years").
 //!
-//! Run with `cargo run --release -p durable-topk-examples --bin nba_highlights`.
+//! Run with `cargo run --release -p durable_topk_examples --example nba_highlights`.
 
 use durable_topk::{alternatives, Algorithm, DurableQuery, DurableTopKEngine, Window};
 use durable_topk_temporal::SingleAttributeScorer;

@@ -7,7 +7,7 @@
 //! intrusions — and the analyst can re-weight features at query time without
 //! rebuilding anything.
 //!
-//! Run with `cargo run --release -p durable-topk-examples --bin network_anomaly`.
+//! Run with `cargo run --release -p durable_topk_examples --example network_anomaly`.
 
 use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, Scorer, Window};
 use durable_topk_workloads::network_like;

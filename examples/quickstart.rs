@@ -1,6 +1,6 @@
 //! Quickstart: build a dataset, run a durable top-k query, inspect results.
 //!
-//! Run with `cargo run --release -p durable-topk-examples --bin quickstart`.
+//! Run with `cargo run --release -p durable_topk_examples --example quickstart`.
 
 use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, Window};
 use durable_topk_temporal::Dataset;

@@ -1,1 +1,1 @@
-//! Example binaries live at the crate root; see the `[[bin]]` entries in Cargo.toml.
+//! Example programs live at the crate root; see the `[[example]]` entries in Cargo.toml.

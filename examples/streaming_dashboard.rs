@@ -1,62 +1,88 @@
 //! Streaming ingestion with immediate durable-record detection.
 //!
 //! The paper analyzes historical data offline; this example exercises the
-//! library's streaming extension: records arrive one by one, the appendable
-//! index forest keeps the top-k building block current, and each newcomer is
-//! classified as a durable record (or not) the instant it lands — the
-//! "record-breaking event" push-notification use case.
+//! library's live engine through the door the product serves through:
+//! records arrive one by one at a [`ServeEngine`], and the "record-breaking
+//! event" push notification is what it is — a standing
+//! `DurTop(k, [0, ∞), τ)` subscription. Durability only looks back, so the
+//! subscription's per-arrival delta is exactly "did this newcomer land as a
+//! τ-durable top-k record?".
 //!
-//! Run with `cargo run --release -p durable-topk-examples --bin streaming_dashboard`.
+//! Run with `cargo run --release -p durable_topk_examples --example streaming_dashboard`.
 
-use durable_topk::{DurableQuery, EngineConfig, LinearScorer, StreamingMonitor, Window};
+use durable_topk::{
+    Algorithm, Backpressure, DurableQuery, EngineConfig, LinearScorer, Scorer, ScorerSpec,
+    ServeEngine, ServeRequest, Window,
+};
 use rand::prelude::*;
 
 fn main() {
-    // Shards of 4096 records. Historical queries fan out across them for
-    // τ ≤ 4096; beyond that (the τ = 5000 re-check below) the monitor falls
-    // back to its exact single-threaded path.
-    let cfg = EngineConfig::new(2, 4_096, 4_096).leaf_size(64);
-    let mut monitor = StreamingMonitor::new(cfg).expect("valid configuration");
-    let scorer = LinearScorer::new(vec![0.6, 0.4]);
     let (k, tau) = (3usize, 5_000u32);
+    // Shards of 4096 records, exact for τ ≤ 5000; the skyband bound lets
+    // the subscription skip arrivals that provably cannot enter the top-k.
+    let cfg = EngineConfig::new(2, 4_096, tau).skyband_bound(k);
+    let serve =
+        ServeEngine::new(cfg.build().expect("valid configuration"), 64, Backpressure::Block);
+    let weights = vec![0.6, 0.4];
+    let scorer = LinearScorer::new(weights.clone());
+    let request = |interval| ServeRequest {
+        alg: Algorithm::SHop,
+        query: DurableQuery { k, tau, interval },
+        scorer: ScorerSpec::Linear(weights.clone()),
+    };
+    let alert = serve.subscribe(request(Window::new(0, u32::MAX))).expect("valid subscription");
     let mut rng = StdRng::seed_from_u64(7);
 
     let total = 60_000usize;
-    let mut alerts = 0usize;
-    let mut recent_alerts: Vec<(usize, f64)> = Vec::new();
+    let mut alerts: Vec<(u32, f64)> = Vec::new();
     for i in 0..total {
         // A slowly drifting signal with occasional spikes.
         let drift = (i as f64 / total as f64) * 3.0;
         let spike = if rng.random::<f64>() < 5e-4 { 20.0 * rng.random::<f64>() } else { 0.0 };
         let attrs =
             [drift + rng.random::<f64>() * 4.0 + spike, rng.random::<f64>() * 6.0 + spike * 0.5];
-        // `push` indexes the record and answers "is this a τ-durable
-        // top-k record as of right now?" in one call.
-        if monitor.push(&attrs, &scorer, k, tau) {
-            alerts += 1;
-            let score = attrs[0] * 0.6 + attrs[1] * 0.4;
-            recent_alerts.push((i, score));
+        // `append` indexes the record and refreshes the subscription; once
+        // that settles, the delta answers "is this a τ-durable top-k record
+        // as of right now?".
+        serve.append(&attrs).expect("arity matches");
+        serve.subscription_sync();
+        for t in serve.take_delta(alert).expect("registered") {
+            alerts.push((t, scorer.score(&attrs)));
         }
     }
     println!(
-        "ingested {total} records; {alerts} arrived as durable top-{k} records of their trailing {tau} instants"
+        "ingested {total} records; {} arrived as durable top-{k} records of their trailing {tau} instants",
+        alerts.len()
     );
-    for (t, score) in recent_alerts.iter().rev().take(5) {
+    for (t, score) in alerts.iter().rev().take(5) {
         println!("  alert at t={t}: score {score:.2}");
     }
 
-    // The same monitor also answers historical queries over everything
-    // ingested so far, served through the forest oracle.
-    let n = monitor.len() as u32;
-    let q = DurableQuery { k, tau, interval: Window::new(n - 20_000, n - 1) };
-    let history = monitor.query(&scorer, &q, true);
+    // The same engine answers historical queries over everything ingested
+    // so far through its serving queue — and the standing answer over the
+    // same range must be that answer.
+    let n = total as u32;
+    let lo = n - 20_000;
+    let history =
+        serve.submit(request(Window::new(lo, n - 1))).expect("accepted").wait().expect("served");
     println!(
         "historical re-check over the last 20k records: {} durable ({} top-k probes)",
         history.records.len(),
         history.stats.topk_queries()
     );
+    let standing = serve.poll_subscription(alert).expect("registered").records;
+    let standing: Vec<u32> = standing.into_iter().filter(|&t| t >= lo).collect();
+    assert_eq!(history.records, standing, "the subscription and the re-check must agree");
 
     // And the "current champions" view of continuous monitoring.
-    let champs = monitor.current_top(&scorer, k, tau);
+    let champs = serve.engine().top_k(&scorer, k, Window::lookback(n - 1, tau));
+    let champs: Vec<u32> = champs.items.into_iter().map(|(id, _)| id).collect();
     println!("current top-{k} of the trailing window: records {champs:?}");
+    serve.shutdown();
+
+    // A live engine answers τ ≤ max_tau (5000 here) at every door. An exact
+    // answer for a larger τ is three lines away, through the offline engine:
+    //     let mut ds = Dataset::new(2);
+    //     serve.engine().copy_history_into(&mut ds, 0);
+    //     DurableTopKEngine::new(ds).query(Algorithm::SHop, &scorer, &q);
 }

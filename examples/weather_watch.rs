@@ -6,7 +6,7 @@
 //! *coldness* over a long look-back window. The look-ahead variant answers
 //! the dual question: which records then stood unbeaten for years to come?
 //!
-//! Run with `cargo run --release -p durable-topk-examples --bin weather_watch`.
+//! Run with `cargo run --release -p durable_topk_examples --example weather_watch`.
 
 use durable_topk::{Algorithm, Anchor, DurableQuery, DurableTopKEngine, Window};
 use durable_topk_temporal::{Dataset, SingleAttributeScorer};

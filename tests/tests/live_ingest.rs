@@ -13,7 +13,7 @@
 
 use durable_topk::{
     Algorithm, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer, QueryContext,
-    TopKOracle, TopKResult, Window, WorkerPool,
+    TopKResult, Window, WorkerPool,
 };
 use durable_topk_temporal::Dataset;
 use proptest::prelude::*;
@@ -177,7 +177,7 @@ proptest! {
         }
     }
 
-    /// The sharded top-k building block (what `StreamingMonitor::push`
+    /// The sharded top-k building block (what a standing query's refresh
     /// probes) is exact for arbitrary windows, including `τ > max_tau`.
     #[test]
     fn sharded_top_k_is_exact_for_any_window(

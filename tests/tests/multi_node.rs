@@ -181,6 +181,58 @@ fn a_panicking_request_fails_alone_across_local_nodes() {
     serve1.shutdown();
 }
 
+/// The stats RPC end to end: `Coordinator::cluster_stats` →
+/// `RemoteNode::stats` → the `NodeServer`'s `StatsRequest` arm, which folds
+/// the traffic its connection threads served (bypassing the queue) into
+/// the queue's ledger so a remote observer sees it.
+#[test]
+fn cluster_stats_reports_each_nodes_connection_traffic() {
+    let ds = Dataset::from_rows(2, (0..96).map(|i| [(i % 7) as f64, (i % 5) as f64]));
+    let nodes = [(0, 47), (48, 95)].map(|(lo, hi)| {
+        let (serve, id) = slice_node(&ds, lo, hi, 4);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let server = NodeServer::spawn(listener, serve.clone(), id, NodeServerOptions::default())
+            .expect("spawn server");
+        (serve, server)
+    });
+    let members = nodes
+        .iter()
+        .map(|(_, server)| {
+            let addr = server.addr().to_string();
+            Arc::new(RemoteNode::connect(addr, RemoteOptions::default())) as Arc<dyn Node>
+        })
+        .collect();
+    let cluster = Coordinator::new(members).expect("two-node cluster");
+
+    let request = |scorer, lo, hi| ServeRequest {
+        alg: Algorithm::THop,
+        query: DurableQuery { k: 2, tau: 3, interval: Window::new(lo, hi) },
+        scorer,
+    };
+    // Five good queries straddle both nodes; one bad one lands on each.
+    for _ in 0..5 {
+        cluster.query(&request(ScorerSpec::Uniform, 0, 95)).expect("good query");
+    }
+    for (lo, hi) in [(0, 47), (48, 95)] {
+        let bad = cluster.query(&request(ScorerSpec::Linear(vec![-1.0, 1.0]), lo, hi));
+        assert!(matches!(bad, Err(NetError::Serve(ServeError::Query(_)))), "got {bad:?}");
+    }
+
+    let stats = cluster.cluster_stats();
+    assert_eq!(stats.len(), nodes.len());
+    for (stats, (_, server)) in stats.iter().zip(&nodes) {
+        let stats = stats.as_ref().expect("stats RPC");
+        assert_eq!((server.served(), server.failed()), (5, 1));
+        assert_eq!((stats.completed, stats.failed), (server.served(), server.failed()));
+        assert_eq!(stats.enqueued, stats.completed + stats.failed);
+    }
+
+    for (serve, server) in nodes {
+        drop(server);
+        serve.shutdown();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
