@@ -1,16 +1,16 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
-//! Usage: `cargo run --release -p durable-topk-bench --bin experiments --
+//! Usage: `cargo run --release -p durable_topk_bench --bin experiments --
 //! [all|fig1|fig7|fig8|fig9|fig10|fig11|fig12|fig13|tab4|tab5|tab6|lemma4|lemma5|ablation]
 //! [--scale X] [--reps N] [--seed S]`
 //!
-//! Dataset sizes are laptop-scaled (see DESIGN.md); `--scale` multiplies
-//! them. Numbers are means over `--reps` random preference vectors, as the
-//! paper averages over 100 vectors.
+//! Dataset sizes are laptop-scaled (each figure's `cfg.n(..)` default);
+//! `--scale` multiplies them. Numbers are means over `--reps` random
+//! preference vectors, as the paper averages over 100 vectors.
 
 use durable_topk::{
     alternatives, Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, ScanOracle,
-    SingleAttributeScorer, TopKOracle, Window,
+    SingleAttributeScorer, SkybandCandidates, TopKOracle, Window,
 };
 use durable_topk_bench::{default_query, mean_std, measure, pm, query_pct, Config, TablePrinter};
 use durable_topk_store::{t_base_proc, t_hop_proc, RelStore};
@@ -577,7 +577,7 @@ fn lemma5(cfg: &Config) {
         for &tau_pct in &[0.05f64, 0.10, 0.25] {
             let q = query_pct(n, 10, tau_pct, 0.50);
             let idx = engine.skyband_index().expect("built");
-            let c = idx.candidate_count(q.interval, q.tau, q.k) as f64;
+            let c = idx.candidates(q.interval, q.tau, q.k).0.len() as f64;
             let base = q.k as f64 * q.interval.len() as f64 / q.tau as f64;
             let logs = (q.tau as f64).ln().powi(d as i32 - 1);
             t.row(vec![

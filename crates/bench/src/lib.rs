@@ -104,7 +104,7 @@ pub fn measure(
     }
 }
 
-/// Builds the default query (paper Table III bold defaults, see DESIGN.md):
+/// Builds the default query (paper Table III bold defaults):
 /// `k = 10`, `τ = 10%` of the domain, `|I| = 50%` anchored at the most
 /// recent timestamp.
 pub fn default_query(n: usize) -> DurableQuery {

@@ -799,13 +799,25 @@ impl ReplayTarget for QueueTarget<'_> {
         // Lock-tracking stats: nothing in release builds (tracking off),
         // the checker's acquisition count and deepest nesting in debug runs.
         let check = durable_topk::check::report();
-        let lines = check.enabled.then(|| {
+        let lock_check = check.enabled.then(|| {
             format!(
                 "lock-check: tracked-acquisitions={} max-held-depth={}",
                 check.tracked_acquisitions, check.max_held_depth
             )
         });
-        Report { counts, latency, lines: lines.into_iter().collect() }
+        // Resident bytes by structure (sealed + head skyband); the CI smoke
+        // greps `skyband=` nonzero.
+        let mib = |bytes: usize| bytes as f64 / (1 << 20) as f64;
+        let usage = self.serving.engine().memory_usage();
+        let memory = format!(
+            "memory: records={:.2}MiB trees={:.2}MiB skyband={:.2}+{:.2}MiB cache={:.2}MiB",
+            mib(usage.records),
+            mib(usage.trees),
+            mib(usage.skyband_sealed),
+            mib(usage.skyband_head),
+            mib(usage.result_cache),
+        );
+        Report { counts, latency, lines: [memory].into_iter().chain(lock_check).collect() }
     }
 }
 

@@ -2,7 +2,7 @@
 //! (Section IV-B, Algorithm 2). Monotone scoring functions only.
 //!
 //! The durable k-skyband index yields a candidate superset `C ⊇ S` with one
-//! 3-sided range query; the candidates are then sorted by descending score
+//! range query; the candidates are then sorted by descending score
 //! and verified with the blocking mechanism plus durability checks. Unlike
 //! S-Base, a blocking count below `k` does **not** prove durability —
 //! higher-scoring records outside `C` may never have been visited — so each
@@ -43,7 +43,7 @@ where
 /// [`DurableSkybandIndex`](durable_topk_index::DurableSkybandIndex) of a
 /// sealed shard, or the
 /// [`IncrementalSkybandIndex`](durable_topk_index::IncrementalSkybandIndex)
-/// riding a still-growing head shard's forest.
+/// of a still-growing head shard's forest.
 ///
 /// # Panics
 /// Panics on invalid query parameters, if the scorer is not monotone (the
@@ -68,11 +68,12 @@ pub fn s_band<O: TopKOracle + ?Sized, C: SkybandCandidates + ?Sized, S: OracleSc
     let mut stats = QueryStats::default();
     ctx.answers.clear();
 
-    let (mut candidates, _k_bar) = index.candidates(interval, tau, k);
-    stats.candidates = candidates.len() as u64;
     let scored = &mut ctx.scored;
     scored.clear();
-    scored.extend(candidates.drain(..).map(|id| (id, scorer.score(ds.row(id)))));
+    index.for_each_candidate(interval, tau, k, &mut |id| {
+        scored.push((id, scorer.score(ds.row(id))));
+    });
+    stats.candidates = scored.len() as u64;
     scored.sort_unstable_by(|a, b| {
         // lint: allow(expect) — documented scorer contract: scores are
         // total-ordered (no NaN); see OracleScorer.
@@ -141,7 +142,7 @@ mod tests {
         let scorer = LinearScorer::new(vec![0.5, 0.5]);
         let q = DurableQuery { k: 4, tau: 40, interval: Window::new(60, 299) };
         let r = s_band(&ds, &oracle, &idx, &scorer, &q, &mut QueryContext::new());
-        let direct = idx.candidate_count(q.interval, q.tau, q.k);
+        let direct = idx.candidates(q.interval, q.tau, q.k).0.len();
         assert_eq!(r.stats.candidates as usize, direct);
         assert!(r.records.len() <= direct, "S ⊆ C");
     }

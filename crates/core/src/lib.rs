@@ -74,7 +74,7 @@ pub use serve::{
     execute_request, Backpressure, ResponseHandle, ScorerSpec, ServeEngine, ServeError,
     ServeRequest, ServeResponse, ServeStats,
 };
-pub use sharded::ShardedEngine;
+pub use sharded::{MemoryUsage, ShardedEngine};
 pub use storage::{ChunkId, MemoryStorage, PagedStorage, ShardStorage, StorageStats};
 pub use subscribe::{SubscriptionId, SubscriptionSnapshot, SubscriptionTotals};
 

@@ -63,9 +63,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One sealed time shard: a collapsed skyline segment tree plus optional
-/// frozen skyband index over `[range.ext_lo, range.hi]`, *owning*
-/// (reporting answers for) `[range.lo, range.hi]`. The record chunk itself
+/// One sealed time shard: a collapsed skyline segment tree over
+/// `[range.ext_lo, range.hi]`, *owning* (reporting answers for)
+/// `[range.lo, range.hi]`, plus optional frozen skyband durations for the
+/// owned records only — S-Band is only ever asked about `I ∩ [lo, hi]`, so
+/// the left context has none. The record chunk itself
 /// lives in the engine's [`ShardStorage`] backend, reached by handle —
 /// under [`PagedStorage`](crate::PagedStorage) it may be spilled to pages
 /// and is faulted back in transparently at query time.
@@ -160,8 +162,9 @@ impl PendingSeal {
     }
 }
 
-/// Collapses a head snapshot into a sealed tail shard — freezing the
-/// durations its incremental skyband maintainer already knows — and hands
+/// Collapses a head snapshot into a sealed tail shard — copying out the
+/// owned records' durations its incremental skyband maintainer already
+/// knows (the context's stay behind with the snapshot) — and hands
 /// its record chunk to the storage backend (where
 /// [`PagedStorage`](crate::PagedStorage) serializes it to pages — on this
 /// seal path, never on the append hot path). Runs on a pool worker, or on
@@ -170,7 +173,7 @@ impl PendingSeal {
 fn run_seal(snap: &PendingSeal, storage: &Arc<dyn ShardStorage>) -> Shard {
     Shard {
         oracle: snap.index.seal_ref(&snap.ds),
-        skyband: snap.index.sealed_skyband(),
+        skyband: snap.index.skyband().map(|sb| sb.to_static(snap.range.lo - snap.range.ext_lo)),
         chunk: storage.store(Arc::clone(&snap.ds)),
         range: snap.range,
         generation: next_shard_gen(),
@@ -199,6 +202,24 @@ enum Substrate<'a> {
     /// A forest over a resident sub-dataset: the mutable head, or a
     /// snapshot whose seal is still in flight.
     Forest(&'a Dataset, &'a AppendableTopKIndex),
+}
+
+/// Resident heap bytes of a [`ShardedEngine`], by structure
+/// ([`ShardedEngine::memory_usage`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoryUsage {
+    /// Record rows: the storage backend's decoded chunks plus the forests'
+    /// sub-datasets (the head's, and in-flight seal snapshots').
+    pub records: usize,
+    /// Skyline segment trees: sealed shards' and the forests'.
+    pub trees: usize,
+    /// Sealed shards' skyband durations — owned records only.
+    pub skyband_sealed: usize,
+    /// The forests' incremental skyband indexes, which also cover their
+    /// `max_tau` records of left context and carry `Vec` growth slack.
+    pub skyband_head: usize,
+    /// Memoized answers in the result cache.
+    pub result_cache: usize,
 }
 
 /// A durable top-k engine over contiguous time shards with an appendable
@@ -269,13 +290,15 @@ impl ShardedEngine {
                     .collect();
                 // Each job copies its extended sub-range and indexes it.
                 let parts = WorkerPool::global().run_jobs(ranges.len(), ranges.len(), |s, _ctx| {
-                    let OwnedRange { ext_lo, hi, .. } = ranges[s];
+                    let OwnedRange { ext_lo, lo, hi } = ranges[s];
                     let mut sub = Dataset::with_capacity(ds.dim(), (hi - ext_lo + 1) as usize);
                     for id in ext_lo..=hi {
                         sub.push(ds.row(id));
                     }
                     let oracle = SkylineSegTree::build(&sub);
-                    let skyband = shape.k_max.map(|k_max| DurableSkybandIndex::build(&sub, k_max));
+                    let skyband = shape
+                        .k_max
+                        .map(|k_max| DurableSkybandIndex::build_owned(&sub, k_max, lo - ext_lo));
                     (Arc::new(sub), oracle, skyband)
                 });
                 // Store the chunks sequentially after the parallel index
@@ -348,6 +371,36 @@ impl ShardedEngine {
     /// and residency.
     pub fn result_cache(&self) -> Option<&Arc<ShardResultCache>> {
         self.result_cache.as_ref()
+    }
+
+    /// Resident heap bytes by structure. Call after
+    /// [`quiesce`](ShardedEngine::quiesce) for a settled reading: a seal
+    /// in flight holds its snapshot's forest next to the tree it is
+    /// building, and its chunk may already be counted by the storage.
+    pub fn memory_usage(&self) -> MemoryUsage {
+        let mut usage = MemoryUsage {
+            records: self.storage.resident_bytes(),
+            result_cache: self
+                .result_cache
+                .as_ref()
+                .map_or(0, |cache| cache.stats().resident_bytes as usize),
+            ..MemoryUsage::default()
+        };
+        for shard in &self.tails {
+            usage.trees += shard.oracle.heap_bytes();
+            usage.skyband_sealed +=
+                shard.skyband.as_ref().map_or(0, DurableSkybandIndex::heap_bytes);
+        }
+        // The head holds context (and its skyband) even while it owns no
+        // record, so it is counted directly rather than through `pieces`.
+        let sealing = self.pending.iter().map(|p| (&*p.ds, &p.index));
+        for (ds, index) in sealing.chain([(&self.head.ds, &self.head.index)]) {
+            let skyband = index.skyband().map_or(0, |skyband| skyband.heap_bytes());
+            usage.records += ds.heap_bytes();
+            usage.trees += index.heap_bytes() - skyband;
+            usage.skyband_head += skyband;
+        }
+        usage
     }
 
     /// Ingests one record, returning its global id. The record lands in
@@ -1136,6 +1189,40 @@ mod tests {
         let got = live.query(Algorithm::SBand, &scorer, &q);
         assert!(got.stats.fallback.is_none(), "sealed shards carry the skyband index");
         assert_eq!(got.records, flat.query(Algorithm::SBand, &scorer, &q).records);
+    }
+
+    /// A sealed shard's skyband never reports a context id, and inside the
+    /// owned range reports exactly what an index over the shard's whole
+    /// sub-dataset does — for shards built from a dataset and for shards
+    /// sealed from a grown head, with `max_tau` below and above the span.
+    #[test]
+    fn sealed_skybands_cover_exactly_the_owned_records() {
+        use durable_topk_index::SkybandCandidates;
+        let ds = dataset(600);
+        for max_tau in [20, 150] {
+            let cfg = EngineConfig::new(2, 60, max_tau).skyband_bound(4);
+            let built = cfg.clone().build_from(&ds, 10).expect("build");
+            let mut grown = cfg.build().expect("config");
+            for id in 0..600u32 {
+                grown.append(ds.row(id));
+            }
+            grown.quiesce();
+            for engine in [&built, &grown] {
+                assert_eq!(engine.tails.len(), 10);
+                for shard in &engine.tails {
+                    let (chunk, _) = engine.storage.fetch(shard.chunk);
+                    let whole = DurableSkybandIndex::build(&chunk, 4);
+                    let sealed = shard.skyband.as_ref().expect("bound configured");
+                    let OwnedRange { ext_lo, lo, hi } = shard.range;
+                    let owned = Window::new(lo - ext_lo, hi - ext_lo);
+                    for (k, tau) in [(1usize, 1u32), (2, 7), (3, 20), (4, 150)] {
+                        let (got, _) = sealed.candidates(Window::new(0, hi - ext_lo), tau, k);
+                        assert!(got.iter().all(|&id| owned.contains(id)), "context id reported");
+                        assert_eq!(got, whole.candidates(owned, tau, k).0, "k={k} tau={tau}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * `d == 2`: CDQ divide-and-conquer on time with a Fenwick sweep on the
 //!   y-rank — `O(n log² n)`.
 //! * `d != 2`: per-record backward scan with per-pair early exit —
-//!   `O(n²)` worst case (documented in DESIGN.md; used only at the reduced
-//!   sizes the high-dimensional experiments run at).
+//!   `O(n²)` worst case (used only at the reduced sizes the
+//!   high-dimensional experiments run at).
 
 use crate::dominance::dominates;
 use durable_topk_temporal::Dataset;

@@ -14,18 +14,14 @@
 //! * [`domcount`] — offline past-dominator counting: an `O(n log² n)`
 //!   CDQ divide-and-conquer with a Fenwick sweep for d = 2, and a blocked
 //!   early-exit scan for general d.
-//! * [`pst`] — a static priority search tree answering the 3-sided range
-//!   queries `I × [τ, +∞)` of the durable k-skyband index (paper Fig. 4).
 
 pub mod domcount;
 pub mod dominance;
-pub mod pst;
 pub mod skyband;
 pub mod skyline;
 
 pub use domcount::{past_dominator_counts, Fenwick};
 pub use dominance::{dominates, weakly_dominates};
-pub use pst::{PrioritySearchTree, PstPoint};
 pub use skyband::{
     k_skyband, level_ks, skyband_durations, skyband_durations_multi, SkybandMaintainer,
     DURATION_UNBOUNDED,

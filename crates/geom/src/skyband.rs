@@ -53,7 +53,7 @@ pub fn k_skyband(ds: &Dataset, ids: &[RecordId], k: usize) -> Vec<RecordId> {
 /// is the arrival time of the k-th most recent past dominator, or
 /// [`DURATION_UNBOUNDED`] when fewer than `k` past dominators exist.
 ///
-/// Strategy (see DESIGN.md): for `d == 2` an `O(n log² n)` offline
+/// Strategy: for `d == 2` an `O(n log² n)` offline
 /// dominator-count pass first identifies the unbounded records so that the
 /// exact backward scan runs only on records guaranteed to find their k-th
 /// dominator; for other dimensionalities the backward scan runs directly
@@ -89,22 +89,28 @@ pub fn skyband_durations(ds: &Dataset, k: usize) -> Vec<u32> {
 /// level along the way. This is how the S-Band index builds its logarithmic
 /// family of levels (`k = 1, 2, 4, …`) without multiplying the build cost.
 ///
-/// Returns one duration vector per entry of `ks`, in order.
+/// Durations are computed for records `first..` only — a shard passes the
+/// first record it owns, so its left context is read by the backward scans
+/// (every potential dominator is there) but never scanned *for*. Returns
+/// one duration vector per entry of `ks`, in order, whose entry `j` belongs
+/// to record `first + j`.
 ///
 /// # Panics
-/// Panics if `ks` is empty, unsorted, or contains zero or duplicates.
-pub fn skyband_durations_multi(ds: &Dataset, ks: &[usize]) -> Vec<Vec<u32>> {
+/// Panics if `ks` is empty, unsorted, or contains zero or duplicates, or if
+/// `first` lies beyond the dataset.
+pub fn skyband_durations_multi(ds: &Dataset, ks: &[usize], first: RecordId) -> Vec<Vec<u32>> {
     assert!(!ks.is_empty(), "at least one k level required");
     assert!(ks[0] > 0, "k must be positive");
     assert!(ks.windows(2).all(|w| w[0] < w[1]), "ks must be strictly ascending");
-    let n = ds.len();
-    let mut out = vec![vec![DURATION_UNBOUNDED; n]; ks.len()];
+    let (n, first) = (ds.len(), first as usize);
+    assert!(first <= n, "first record lies beyond the dataset");
+    let mut out = vec![vec![DURATION_UNBOUNDED; n - first]; ks.len()];
     // For d == 2, the count pass tells us exactly how deep each record's
     // scan must go; in higher dimensions we scan until the largest level or
     // exhaustion.
     let counts = (ds.dim() == 2).then(|| past_dominator_counts(ds));
     let k_max = *ks.last().expect("non-empty");
-    for i in 0..n {
+    for i in first..n {
         let target = match &counts {
             Some(c) => {
                 // Deepest satisfiable level for this record.
@@ -123,7 +129,7 @@ pub fn skyband_durations_multi(ds: &Dataset, ks: &[usize]) -> Vec<Vec<u32>> {
             if dominates(ds.row(j as RecordId), row) {
                 found += 1;
                 while level < ks.len() && ks[level] == found {
-                    out[level][i] = (i - j - 1) as u32;
+                    out[level][i - first] = (i - j - 1) as u32;
                     level += 1;
                 }
                 if found == target {
@@ -248,6 +254,14 @@ impl SkybandMaintainer {
     /// Durations of level `self.levels()[level]`, indexed by record id.
     pub fn durations(&self, level: usize) -> &[u32] {
         &self.durs[level]
+    }
+
+    /// Heap bytes held: every level's durations plus the active list, by
+    /// capacity.
+    pub fn heap_bytes(&self) -> usize {
+        let durs: usize = self.durs.iter().map(Vec::capacity).sum();
+        durs * std::mem::size_of::<u32>()
+            + self.active.capacity() * std::mem::size_of::<ActiveRecord>()
     }
 
     /// Live (non-tombstoned) entries of the active list — instrumentation
@@ -429,9 +443,13 @@ mod tests {
                 (0..n).map(|_| (0..d).map(|_| rng.random_range(0..9) as f64).collect()).collect();
             let ds = Dataset::from_rows(d, rows);
             let ks = [1usize, 2, 4, 8];
-            let multi = skyband_durations_multi(&ds, &ks);
+            let multi = skyband_durations_multi(&ds, &ks, 0);
+            // From a later first record: the same durations, context rows
+            // read but not reported.
+            let owned = skyband_durations_multi(&ds, &ks, 45);
             for (level, &k) in ks.iter().enumerate() {
                 assert_eq!(multi[level], skyband_durations(&ds, k), "d={d} k={k}");
+                assert_eq!(owned[level], multi[level][45..], "d={d} k={k}");
             }
         }
     }
@@ -450,7 +468,7 @@ mod tests {
                     ds.push(&row);
                     m.append(&ds);
                     if step % 29 == 11 {
-                        let offline = skyband_durations_multi(&ds, m.levels());
+                        let offline = skyband_durations_multi(&ds, m.levels(), 0);
                         for (level, durs) in offline.iter().enumerate() {
                             assert_eq!(
                                 m.durations(level),
@@ -520,7 +538,7 @@ mod tests {
     #[should_panic(expected = "ascending")]
     fn multi_level_rejects_unsorted() {
         let ds = Dataset::from_rows(2, [[1.0, 1.0]]);
-        skyband_durations_multi(&ds, &[2, 1]);
+        skyband_durations_multi(&ds, &[2, 1], 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! polylogarithmic time" for the append-heavy temporal setting.
 
 use crate::segtree::{OracleScorer, OracleScratch, QueryCounters, SkylineSegTree, TopKResult};
-use crate::skyband_index::{DurableSkybandIndex, IncrementalSkybandIndex};
+use crate::skyband_index::IncrementalSkybandIndex;
 use durable_topk_temporal::{Dataset, Time, Window};
 
 /// A forest of skyline segment trees supporting appends.
@@ -25,9 +25,8 @@ pub struct AppendableTopKIndex {
     /// Largest tree the binary-counter cascade may produce; `None` keeps
     /// the classical unbounded counter.
     merge_cap: Option<usize>,
-    /// Incrementally-maintained durable k-skyband candidates whose search
-    /// blocks shadow the forest trees — enables native S-Band over a
-    /// still-growing head shard.
+    /// Incrementally-maintained durable k-skyband candidates — enables
+    /// native S-Band over a still-growing head shard.
     skyband: Option<IncrementalSkybandIndex>,
     counters: QueryCounters,
 }
@@ -85,26 +84,13 @@ impl AppendableTopKIndex {
             self.n,
             "skyband bound must be attached over the dataset this index covers"
         );
-        let mut skyband = IncrementalSkybandIndex::build(ds, k_max);
-        skyband.sync(self.trees.iter().map(SkylineSegTree::coverage));
-        self.skyband = Some(skyband);
+        self.skyband = Some(IncrementalSkybandIndex::build(ds, k_max));
         self
     }
 
     /// The incremental skyband candidate index, when one was attached.
     pub fn skyband(&self) -> Option<&IncrementalSkybandIndex> {
         self.skyband.as_ref()
-    }
-
-    /// Freezes the maintained skyband durations into the static index a
-    /// sealed shard serves — the skyband half of
-    /// [`seal`](AppendableTopKIndex::seal), reusing every duration the
-    /// maintainer already computed instead of rescanning the history.
-    ///
-    /// Returns `None` when no skyband bound was attached or the index is
-    /// empty.
-    pub fn sealed_skyband(&self) -> Option<DurableSkybandIndex> {
-        self.skyband.as_ref().filter(|sb| !sb.is_empty()).map(IncrementalSkybandIndex::to_static)
     }
 
     /// Builds the index over an existing dataset (one tree), ready for
@@ -139,11 +125,11 @@ impl AppendableTopKIndex {
     }
 
     /// Heap bytes held by the forest's trees (see
-    /// [`SkylineSegTree::heap_bytes`]) — resident-set accounting for the
-    /// storage-tier bench. The incremental skyband maintainer is excluded:
-    /// it is duration bookkeeping, not record storage.
+    /// [`SkylineSegTree::heap_bytes`]) plus the attached skyband index, if
+    /// any (see [`IncrementalSkybandIndex::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        self.trees.iter().map(SkylineSegTree::heap_bytes).sum()
+        let trees: usize = self.trees.iter().map(SkylineSegTree::heap_bytes).sum();
+        trees + self.skyband.as_ref().map_or(0, IncrementalSkybandIndex::heap_bytes)
     }
 
     /// Indexes the most recently appended record of `ds`.
@@ -176,12 +162,10 @@ impl AppendableTopKIndex {
                 self.leaf_size,
             ));
         }
-        // The skyband rides the same cascade: ingest the newcomer's
-        // durations, then realign the search blocks to the (suffix of)
-        // trees the counter just rebuilt.
+        // The skyband is independent of the cascade: durations only look
+        // backwards, so the newcomer's are pushed and nothing is rebuilt.
         if let Some(skyband) = self.skyband.as_mut() {
             skyband.push(ds);
-            skyband.sync(self.trees.iter().map(SkylineSegTree::coverage));
         }
     }
 
@@ -389,37 +373,40 @@ mod tests {
     }
 
     #[test]
-    fn skyband_rides_the_merge_cascade() {
+    fn skyband_is_independent_of_the_merge_cascade() {
         use crate::skyband_index::{DurableSkybandIndex, SkybandCandidates};
         let mut rng = StdRng::seed_from_u64(53);
         let mut ds = Dataset::new(2);
-        let mut idx = AppendableTopKIndex::new(4).with_merge_limit(16).with_skyband_bound(&ds, 6);
+        // Two forests whose cascades produce different tree shapes.
+        let mut capped =
+            AppendableTopKIndex::new(4).with_merge_limit(16).with_skyband_bound(&ds, 6);
+        let mut classic = AppendableTopKIndex::new(4).with_skyband_bound(&ds, 6);
         for step in 0..180usize {
             ds.push(&[rng.random_range(0..14) as f64, rng.random_range(0..14) as f64]);
-            idx.append(&ds);
-            if step % 19 == 3 {
-                let stat = DurableSkybandIndex::build(&ds, 6);
-                let sb = idx.skyband().expect("attached");
-                let n = ds.len() as Time;
-                for (k, tau) in [(1usize, 2u32), (3, 9), (6, 40)] {
-                    let w = Window::new(n / 3, n - 1);
-                    let (mut got, gl) = sb.candidates(w, tau, k);
-                    let (mut want, wl) = stat.candidates(w, tau, k);
-                    got.sort_unstable();
-                    want.sort_unstable();
-                    assert_eq!((got, gl), (want, wl), "step={step} k={k} tau={tau}");
+            capped.append(&ds);
+            classic.append(&ds);
+            let (a, b) =
+                (capped.skyband().expect("attached"), classic.skyband().expect("attached"));
+            let n = ds.len() as Time;
+            let w = Window::new(n / 3, n - 1);
+            for (k, tau) in [(1usize, 2u32), (3, 9), (6, 40)] {
+                assert_eq!(a.candidates(w, tau, k), b.candidates(w, tau, k), "step={step} k={k}");
+                if step % 19 == 3 {
+                    let stat = DurableSkybandIndex::build(&ds, 6);
+                    assert_eq!(a.candidates(w, tau, k), stat.candidates(w, tau, k), "step={step}");
                 }
             }
         }
-        // The sealed skyband equals a from-scratch static build.
-        let sealed = idx.sealed_skyband().expect("attached and non-empty");
-        let stat = DurableSkybandIndex::build(&ds, 6);
-        let w = Window::new(20, 170);
-        let (mut a, _) = sealed.candidates(w, 12, 4);
-        let (mut b, _) = stat.candidates(w, 12, 4);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        assert!(capped.tree_count() > classic.tree_count(), "the cascades did differ");
+        // The sealed skyband equals a from-scratch static build, whole and
+        // from a later first owned record.
+        for first in [0, 60] {
+            let sealed = capped.skyband().expect("attached").to_static(first);
+            let stat = DurableSkybandIndex::build_owned(&ds, 6, first);
+            let w = Window::new(20, 170);
+            assert_eq!(sealed.candidates(w, 12, 4), stat.candidates(w, 12, 4));
+            assert_eq!(sealed.heap_bytes(), stat.heap_bytes());
+        }
     }
 
     #[test]
@@ -429,7 +416,7 @@ mod tests {
         let mut idx = AppendableTopKIndex::build(&ds, 4).with_skyband_bound(&ds, 3);
         full.push(&[11.0, 4.0]);
         idx.append(&full);
-        assert_eq!(idx.skyband().expect("attached").len(), 41);
+        assert_eq!(idx.skyband().expect("attached").maintainer().len(), 41);
     }
 
     #[test]

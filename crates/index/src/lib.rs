@@ -13,8 +13,8 @@
 //!   ([`BlockingSet`]): a Fenwick-backed multiset of τ-length intervals with
 //!   tie-safe coverage counting.
 //! * [`skyband_index`] — the durable k-skyband candidate index of Section
-//!   IV-B ([`DurableSkybandIndex`]): per-record skyband durations in
-//!   priority search trees, one per logarithmic k level.
+//!   IV-B ([`DurableSkybandIndex`]): per-record skyband durations in a
+//!   block-maxima array, one per logarithmic k level.
 //! * [`sliding`] — incremental top-k maintenance over sliding windows
 //!   ([`SkybandBuffer`]), the substrate of the T-Base baseline (after
 //!   Mouratidis et al.'s continuous-monitoring approach).

@@ -1,197 +1,194 @@
 //! The durable k-skyband candidate index (paper Section IV-B, Fig. 4).
 //!
 //! For a monotone scoring function, any τ-durable top-k record must be
-//! τ-durable for the k-skyband as well. Mapping each record `p` to the point
-//! `(p.t, τ_p)` — arrival time versus longest skyband-resident duration —
-//! turns candidate retrieval into a 3-sided range query `I × [τ, +∞)` on a
-//! priority search tree.
+//! τ-durable for the k-skyband as well. The paper maps each record `p` to
+//! the point `(p.t, τ_p)` — arrival time versus longest skyband-resident
+//! duration — and retrieves candidates with the 3-sided range query
+//! `I × [τ, +∞)`. Here `p.t` *is* the dense record id, so the search
+//! dimension is an array index and the query reads "every `i ∈ I` with
+//! `dur[i] >= τ`": each level is a plain duration array with one layer of
+//! per-block maxima, and one loop reports from it, skipping the blocks
+//! whose maximum is below `τ`. Durations are append-stable (they only look
+//! backwards), so an append pushes one value per level and raises the last
+//! block's maximum; nothing is ever rebuilt, at append or at seal.
 //!
 //! Because `k` is a query parameter, the index keeps a logarithmic family of
 //! levels `k = 1, 2, 4, …, 2^⌈log κ⌉`; a query with parameter `k` uses the
 //! smallest level `k̄ >= k`, whose candidate set is a superset of the answer
 //! (`S ⊆ C`), at the cost of at most doubling the effective `k`.
 
-use durable_topk_geom::{
-    level_ks, skyband_durations_multi, PrioritySearchTree, PstPoint, SkybandMaintainer,
-};
+use durable_topk_geom::{level_ks, skyband_durations_multi, SkybandMaintainer};
 use durable_topk_temporal::{Dataset, RecordId, Time, Window};
 
 /// A source of S-Band candidate supersets: anything that can answer the
-/// 3-sided query "records arriving in `I` whose k̄-skyband duration is at
-/// least `τ`". Implemented by the static [`DurableSkybandIndex`] (sealed
-/// shards) and the [`IncrementalSkybandIndex`] riding the appendable
-/// forest (the mutable head shard), so the S-Band algorithm runs
-/// unchanged over both.
+/// query "records arriving in `I` whose k̄-skyband duration is at least
+/// `τ`". Implemented by the static [`DurableSkybandIndex`] (sealed shards)
+/// and the [`IncrementalSkybandIndex`] of the appendable forest (the
+/// mutable head shard), so the S-Band algorithm runs unchanged over both.
 pub trait SkybandCandidates {
+    /// The levels (`k̄` values) kept, strictly ascending powers of two.
+    fn levels(&self) -> &[usize];
+
+    /// Calls `visit` with every record arriving in `interval` whose
+    /// k̄-skyband duration is at least `tau` — the candidate superset `C`
+    /// for `DurTop(k, I, τ)`, in ascending id order, without allocating —
+    /// and returns the level `k̄` used.
+    ///
+    /// # Panics
+    /// Panics if `k` is zero or exceeds the largest level (the source
+    /// cannot guarantee a superset then).
+    fn for_each_candidate(
+        &self,
+        interval: Window,
+        tau: Time,
+        k: usize,
+        visit: &mut dyn FnMut(RecordId),
+    ) -> usize;
+
     /// The largest `k` the candidate source can serve.
-    fn max_k(&self) -> usize;
+    fn max_k(&self) -> usize {
+        self.levels().last().copied().unwrap_or(0)
+    }
 
-    /// The level (`k̄`) that will serve a query with parameter `k`, if any.
-    fn level_for(&self, k: usize) -> Option<usize>;
-
-    /// Retrieves the candidate superset `C` for `DurTop(k, I, τ)` and the
-    /// level `k̄` used; ids are unsorted.
-    fn candidates(&self, interval: Window, tau: Time, k: usize) -> (Vec<RecordId>, usize);
+    /// Allocating convenience over
+    /// [`for_each_candidate`](SkybandCandidates::for_each_candidate): the
+    /// candidate ids and the level `k̄` used.
+    fn candidates(&self, interval: Window, tau: Time, k: usize) -> (Vec<RecordId>, usize) {
+        let mut ids = Vec::new();
+        let k_bar = self.for_each_candidate(interval, tau, k, &mut |id| ids.push(id));
+        (ids, k_bar)
+    }
 }
 
-/// Builds one level's priority search tree from its duration vector.
-fn level_pst(durs: Vec<u32>) -> PrioritySearchTree {
-    let points = durs
-        .into_iter()
-        .enumerate()
-        .map(|(id, tau)| PstPoint { x: id as u32, y: tau, id: id as u32 })
-        .collect();
-    PrioritySearchTree::build(points)
+/// Records per block maximum: one extra `u32` per 64 durations (+1.6 %).
+const BLOCK: usize = 64;
+
+/// Position in `ks` of the level serving `k`.
+fn level_index(ks: &[usize], k: usize) -> usize {
+    assert!(k >= 1, "k must be positive");
+    ks.iter().position(|&lk| lk >= k).unwrap_or_else(|| {
+        // lint: allow(panic) — documented-panic API: k beyond the build
+        // bound is a caller bug, not a query-path state.
+        panic!("index built for k <= {}, got {k}", ks.last().copied().unwrap_or(0))
+    })
 }
 
-/// The durable k-skyband index: one priority search tree per k level.
+/// The maximum of every [`BLOCK`] consecutive durations.
+fn block_maxima(durs: &[u32]) -> Vec<u32> {
+    durs.chunks(BLOCK).map(|block| block.iter().fold(0, |max, &dur| max.max(dur))).collect()
+}
+
+/// Reports every record of `interval` whose duration is at least `tau`,
+/// where `durs[i]` belongs to record `base + i` and `maxima` are its
+/// [`block_maxima`]. Records outside `base..base + durs.len()` are not
+/// covered and never reported.
+fn report(
+    durs: &[u32],
+    maxima: &[u32],
+    base: RecordId,
+    interval: Window,
+    tau: Time,
+    visit: &mut dyn FnMut(RecordId),
+) {
+    let mut from = interval.start().saturating_sub(base) as usize;
+    let end = durs.len().min((interval.end() as usize + 1).saturating_sub(base as usize));
+    while from < end {
+        let to = end.min((from / BLOCK + 1) * BLOCK);
+        if maxima[from / BLOCK] >= tau {
+            for (i, &dur) in durs[from..to].iter().enumerate() {
+                if dur >= tau {
+                    visit(base + (from + i) as RecordId);
+                }
+            }
+        }
+        from = to;
+    }
+}
+
+/// The static durable k-skyband index of a sealed shard (or of the flat
+/// engine): per level, the durations of the records it owns.
 #[derive(Debug, Clone)]
 pub struct DurableSkybandIndex {
-    levels: Vec<(usize, PrioritySearchTree)>,
+    ks: Vec<usize>,
+    /// Id of the first owned record; earlier records (a shard's left
+    /// context) have no duration here and are never reported.
+    base: RecordId,
+    /// Per level: durations of records `base..` and their block maxima.
+    levels: Vec<(Vec<u32>, Vec<u32>)>,
 }
 
 impl DurableSkybandIndex {
     /// Builds levels `k = 1, 2, 4, …` up to the first power of two at or
-    /// above `k_max`.
+    /// above `k_max` over the whole dataset.
     ///
     /// # Panics
     /// Panics if the dataset is empty or `k_max == 0`.
     pub fn build(ds: &Dataset, k_max: usize) -> Self {
-        assert!(!ds.is_empty(), "cannot index an empty dataset");
+        Self::build_owned(ds, k_max, 0)
+    }
+
+    /// As [`build`](DurableSkybandIndex::build), keeping (and computing)
+    /// durations for records `first..` only: rows before `first` are left
+    /// context — read as potential dominators, never candidates.
+    ///
+    /// # Panics
+    /// Panics if no record is owned (`first >= ds.len()`) or `k_max == 0`.
+    pub fn build_owned(ds: &Dataset, k_max: usize, first: RecordId) -> Self {
+        assert!((first as usize) < ds.len(), "cannot index an empty dataset");
         let ks = level_ks(k_max);
-        let durations = skyband_durations_multi(ds, &ks);
-        let levels = ks.into_iter().zip(durations).map(|(k, durs)| (k, level_pst(durs))).collect();
-        Self { levels }
+        let durations = skyband_durations_multi(ds, &ks, first);
+        Self::from_durations(ks, durations, first)
     }
 
-    /// Assembles the index from already-computed per-level durations —
-    /// the shard-sealing path, where the head's incremental maintainer
-    /// already knows every record's duration and only the search trees
-    /// need building (an `O(n log n)` restructure instead of the
-    /// `O(n · scan)` duration recompute).
-    ///
-    /// # Panics
-    /// Panics if `levels` is empty, its `k` values are not strictly
-    /// ascending, or the duration vectors are empty or unequal in length.
-    pub fn from_durations(levels: Vec<(usize, Vec<u32>)>) -> Self {
-        assert!(!levels.is_empty(), "at least one level required");
-        assert!(
-            levels.windows(2).all(|w| w[0].0 < w[1].0),
-            "levels must be strictly ascending in k"
-        );
-        let n = levels[0].1.len();
-        assert!(n > 0, "cannot index an empty dataset");
-        assert!(levels.iter().all(|(_, d)| d.len() == n), "level lengths must agree");
-        Self { levels: levels.into_iter().map(|(k, durs)| (k, level_pst(durs))).collect() }
+    /// Assembles the index from per-level durations of records `base..`.
+    fn from_durations(ks: Vec<usize>, durations: Vec<Vec<u32>>, base: RecordId) -> Self {
+        let levels = durations
+            .into_iter()
+            .map(|durs| {
+                let maxima = block_maxima(&durs);
+                (durs, maxima)
+            })
+            .collect();
+        Self { ks, base, levels }
     }
 
-    /// The largest `k` the index can serve.
-    pub fn max_k(&self) -> usize {
-        self.levels.last().map_or(0, |&(k, _)| k)
-    }
-
-    /// The level (`k̄`) that will serve a query with parameter `k`, if any.
-    pub fn level_for(&self, k: usize) -> Option<usize> {
-        self.levels.iter().map(|&(lk, _)| lk).find(|&lk| lk >= k)
-    }
-
-    /// Retrieves the candidate superset `C` for `DurTop(k, I, τ)`: records
-    /// arriving in `interval` whose k̄-skyband duration is at least `tau`.
-    ///
-    /// Returns the candidate ids (unsorted) and the level `k̄` used.
-    ///
-    /// # Panics
-    /// Panics if `k` exceeds the largest built level (the index cannot
-    /// guarantee a superset then).
-    pub fn candidates(&self, interval: Window, tau: Time, k: usize) -> (Vec<RecordId>, usize) {
-        assert!(k >= 1, "k must be positive");
-        let k_bar = self
-            .level_for(k)
-            // lint: allow(panic) — documented-panic API: k beyond the build
-            // bound is a caller bug, not a query-path state.
-            .unwrap_or_else(|| panic!("index built for k <= {}, got {k}", self.max_k()));
-        let pst = &self
-            .levels
-            .iter()
-            .find(|&&(lk, _)| lk == k_bar)
-            .expect("level_for returned an existing level")
-            .1;
-        let ids =
-            pst.query(interval.start(), interval.end(), tau).into_iter().map(|p| p.id).collect();
-        (ids, k_bar)
-    }
-
-    /// Total candidate count for instrumentation without materializing ids.
-    pub fn candidate_count(&self, interval: Window, tau: Time, k: usize) -> usize {
-        self.candidates(interval, tau, k).0.len()
+    /// Heap bytes held: every level's durations and block maxima.
+    pub fn heap_bytes(&self) -> usize {
+        let words: usize = self.levels.iter().map(|(d, m)| d.capacity() + m.capacity()).sum();
+        words * std::mem::size_of::<u32>()
     }
 }
 
 impl SkybandCandidates for DurableSkybandIndex {
-    fn max_k(&self) -> usize {
-        DurableSkybandIndex::max_k(self)
+    fn levels(&self) -> &[usize] {
+        &self.ks
     }
 
-    fn level_for(&self, k: usize) -> Option<usize> {
-        DurableSkybandIndex::level_for(self, k)
-    }
-
-    fn candidates(&self, interval: Window, tau: Time, k: usize) -> (Vec<RecordId>, usize) {
-        DurableSkybandIndex::candidates(self, interval, tau, k)
-    }
-}
-
-/// One contiguous run of records whose per-level search trees mirror a
-/// segment tree of the appendable forest.
-#[derive(Debug, Clone)]
-struct SkybandBlock {
-    /// Record-id range `[lo, hi]` this block covers — always equal to the
-    /// coverage of the forest tree it shadows.
-    range: Window,
-    /// One priority search tree per maintained level, same order as
-    /// [`SkybandMaintainer::levels`].
-    levels: Vec<PrioritySearchTree>,
-}
-
-impl SkybandBlock {
-    fn build(range: Window, maintainer: &SkybandMaintainer) -> Self {
-        let levels = (0..maintainer.levels().len())
-            .map(|level| {
-                let durs = maintainer.durations(level);
-                let points =
-                    range.iter().map(|id| PstPoint { x: id, y: durs[id as usize], id }).collect();
-                PrioritySearchTree::build(points)
-            })
-            .collect();
-        Self { range, levels }
+    fn for_each_candidate(
+        &self,
+        interval: Window,
+        tau: Time,
+        k: usize,
+        visit: &mut dyn FnMut(RecordId),
+    ) -> usize {
+        let level = level_index(&self.ks, k);
+        let (durs, maxima) = &self.levels[level];
+        report(durs, maxima, self.base, interval, tau, visit);
+        self.ks[level]
     }
 }
 
-/// An appendable durable k-skyband index for the mutable head shard.
-///
-/// Two halves, mirroring the split between data and search structure:
-///
-/// * a [`SkybandMaintainer`] computes every arriving record's skyband
-///   duration once, incrementally (durations are append-stable — they
-///   only look backwards — so no insertion ever revisits old records);
-/// * a list of skyband blocks partitions the covered ids into
-///   contiguous runs of per-level priority search trees, *riding the
-///   forest's merge cascade*: [`sync`](IncrementalSkybandIndex::sync)
-///   realigns the blocks to the forest's tree coverages after each
-///   append, rebuilding only the suffix the binary counter touched.
-///   Because the forest caps its merges (`span/4` in the sharded
-///   engine), block rebuilds inherit the same bound, keeping the worst
-///   single append polylogarithmic-amortized with an `O(cap · log)`
-///   ceiling.
-///
-/// Candidate retrieval fans the 3-sided query over the blocks
-/// intersecting `I` — identical semantics to the static index, so
-/// [`SkybandCandidates`] serves S-Band over either without the algorithm
-/// noticing.
+/// An appendable durable k-skyband index for the mutable head shard: a
+/// [`SkybandMaintainer`] computes every arriving record's duration once,
+/// incrementally, and keeps the per-level duration arrays; this type adds
+/// their block maxima. Candidate retrieval is the static index's loop over
+/// the maintainer's arrays, so [`SkybandCandidates`] serves S-Band over
+/// either without the algorithm noticing.
 #[derive(Debug, Clone)]
 pub struct IncrementalSkybandIndex {
     maintainer: SkybandMaintainer,
-    blocks: Vec<SkybandBlock>,
+    /// Per level: block maxima of the maintainer's durations.
+    maxima: Vec<Vec<u32>>,
 }
 
 impl IncrementalSkybandIndex {
@@ -201,107 +198,80 @@ impl IncrementalSkybandIndex {
     /// # Panics
     /// Panics if `k_max == 0`.
     pub fn new(k_max: usize) -> Self {
-        Self { maintainer: SkybandMaintainer::new(k_max), blocks: Vec::new() }
+        let maintainer = SkybandMaintainer::new(k_max);
+        let maxima = vec![Vec::new(); maintainer.levels().len()];
+        Self { maintainer, maxima }
     }
 
-    /// Bootstraps the maintainer over existing history; call
-    /// [`sync`](IncrementalSkybandIndex::sync) afterwards to align the
-    /// blocks with the owning forest.
+    /// Bootstraps the index over existing history by replaying pushes.
     pub fn build(ds: &Dataset, k_max: usize) -> Self {
-        Self { maintainer: SkybandMaintainer::build(ds, k_max), blocks: Vec::new() }
+        let mut index = Self::new(k_max);
+        for _ in 0..ds.len() {
+            // `push` reads only rows up to the one it ingests.
+            index.push(ds);
+        }
+        index
     }
 
-    /// Records covered.
-    pub fn len(&self) -> usize {
-        self.maintainer.len()
-    }
-
-    /// Whether no record is covered.
-    pub fn is_empty(&self) -> bool {
-        self.maintainer.is_empty()
-    }
-
-    /// The duration maintainer (instrumentation, seal hand-off).
+    /// The duration maintainer (records covered, arrival verdicts).
     pub fn maintainer(&self) -> &SkybandMaintainer {
         &self.maintainer
     }
 
-    /// Ingests the most recently appended record of `ds` (durations only;
-    /// follow with [`sync`](IncrementalSkybandIndex::sync) to realign the
-    /// search blocks).
+    /// Ingests the most recently appended record of `ds`: one duration per
+    /// level, folded into the last block's maximum.
     pub fn push(&mut self, ds: &Dataset) {
+        let id = self.maintainer.len();
         self.maintainer.append(ds);
-    }
-
-    /// Realigns the search blocks to the given forest tree coverages,
-    /// reusing every block whose range is unchanged (the merge cascade
-    /// only ever touches a suffix) and rebuilding the rest from the
-    /// maintained durations.
-    pub fn sync<I: Iterator<Item = Window>>(&mut self, coverages: I) {
-        let coverages: Vec<Window> = coverages.collect();
-        let mut common = 0usize;
-        while common < self.blocks.len()
-            && common < coverages.len()
-            && self.blocks[common].range == coverages[common]
-        {
-            common += 1;
-        }
-        self.blocks.truncate(common);
-        for &range in &coverages[common..] {
-            self.blocks.push(SkybandBlock::build(range, &self.maintainer));
+        for (level, maxima) in self.maxima.iter_mut().enumerate() {
+            let dur = self.maintainer.durations(level)[id];
+            match maxima.last_mut() {
+                Some(last) if id % BLOCK != 0 => *last = dur.max(*last),
+                _ => maxima.push(dur),
+            }
         }
     }
 
-    /// Freezes the maintained durations into a static
-    /// [`DurableSkybandIndex`] — the seal path: one balanced search tree
-    /// per level over the whole coverage, durations reused verbatim.
+    /// Does nothing; kept only because the frozen benchmark harness calls it.
+    #[doc(hidden)]
+    pub fn sync<I: Iterator<Item = Window>>(&mut self, _coverages: I) {}
+
+    /// Freezes the durations of records `first..` into the static index a
+    /// sealed shard serves — a slice copy per level.
     ///
     /// # Panics
-    /// Panics if the index is empty.
-    pub fn to_static(&self) -> DurableSkybandIndex {
-        assert!(!self.is_empty(), "cannot seal an empty skyband index");
-        let levels = self
-            .maintainer
-            .levels()
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, self.maintainer.durations(i).to_vec()))
+    /// Panics if no record is owned (`first` is not a covered record).
+    pub fn to_static(&self, first: RecordId) -> DurableSkybandIndex {
+        assert!((first as usize) < self.maintainer.len(), "cannot seal an empty skyband index");
+        let durations = (0..self.maxima.len())
+            .map(|level| self.maintainer.durations(level)[first as usize..].to_vec())
             .collect();
-        DurableSkybandIndex::from_durations(levels)
+        DurableSkybandIndex::from_durations(self.maintainer.levels().to_vec(), durations, first)
+    }
+
+    /// Heap bytes held: the maintainer (durations, active list) plus the
+    /// block maxima, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        let maxima: usize = self.maxima.iter().map(Vec::capacity).sum();
+        self.maintainer.heap_bytes() + maxima * std::mem::size_of::<u32>()
     }
 }
 
 impl SkybandCandidates for IncrementalSkybandIndex {
-    fn max_k(&self) -> usize {
-        self.maintainer.k_max()
+    fn levels(&self) -> &[usize] {
+        self.maintainer.levels()
     }
 
-    fn level_for(&self, k: usize) -> Option<usize> {
-        self.maintainer.levels().iter().copied().find(|&lk| lk >= k)
-    }
-
-    fn candidates(&self, interval: Window, tau: Time, k: usize) -> (Vec<RecordId>, usize) {
-        assert!(k >= 1, "k must be positive");
-        let k_bar = self
-            .level_for(k)
-            // lint: allow(panic) — documented-panic API: k beyond the build
-            // bound is a caller bug, not a query-path state.
-            .unwrap_or_else(|| panic!("index built for k <= {}, got {k}", self.max_k()));
-        let level = self
-            .maintainer
-            .levels()
-            .iter()
-            .position(|&lk| lk == k_bar)
-            .expect("level_for returned an existing level");
-        let mut ids = Vec::new();
-        for block in &self.blocks {
-            if let Some(piece) = block.range.intersect(interval) {
-                for p in block.levels[level].query(piece.start(), piece.end(), tau) {
-                    ids.push(p.id);
-                }
-            }
-        }
-        (ids, k_bar)
+    fn for_each_candidate(
+        &self,
+        interval: Window,
+        tau: Time,
+        k: usize,
+        visit: &mut dyn FnMut(RecordId),
+    ) -> usize {
+        let level = level_index(self.levels(), k);
+        report(self.maintainer.durations(level), &self.maxima[level], 0, interval, tau, visit);
+        self.levels()[level]
     }
 }
 
@@ -311,36 +281,96 @@ mod tests {
     use durable_topk_geom::{skyband_durations, DURATION_UNBOUNDED};
     use rand::prelude::*;
 
+    fn random_rows(seed: u64, n: usize, dim: usize) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = (0..n).map(|_| (0..dim).map(|_| rng.random_range(0..10) as f64).collect());
+        Dataset::from_rows(dim, rows.collect::<Vec<Vec<f64>>>())
+    }
+
+    /// The brute-force filter `{ i ∈ I : i >= base, dur[i] >= τ }`.
+    fn filter(durs: &[u32], base: RecordId, interval: Window, tau: Time) -> Vec<RecordId> {
+        (interval.start().max(base)..=interval.end())
+            .filter(|&i| durs.get(i as usize).is_some_and(|&d| d >= tau))
+            .collect()
+    }
+
+    /// Every level × `τ ∈ {1, mid, MAX}` × interval shape (whole, inner,
+    /// single-record, clipped on each side, fully out of range) of `idx`,
+    /// covering `base..n`, against the brute-force filter over `durs`.
+    fn check(idx: &dyn SkybandCandidates, durs: &[Vec<u32>], base: RecordId, n: usize, at: &str) {
+        let last = n as RecordId - 1;
+        let intervals = [
+            Window::new(0, last),
+            Window::new(last / 3, last - last / 4),
+            Window::new(last / 2, last / 2),
+            Window::new(last, last),
+            Window::new(last / 2, last + 70),
+            Window::new(0, base + (last - base) / 2),
+            Window::new(last + 1, last + 200),
+        ];
+        for (level, &k_bar) in idx.levels().iter().enumerate() {
+            for tau in [1, 6, u32::MAX] {
+                for w in intervals {
+                    // The smallest k served by this level.
+                    let (got, used) = idx.candidates(w, tau, k_bar / 2 + 1);
+                    assert_eq!(used, k_bar);
+                    let want = filter(&durs[level][..n], base, w, tau);
+                    assert_eq!(got, want, "{at} n={n} base={base} k̄={k_bar} τ={tau} I={w:?}");
+                }
+            }
+        }
+    }
+
+    /// Grows an incremental index over `full` one push at a time — never
+    /// calling `sync` — checking it at every short prefix and at lengths
+    /// straddling block edges, where the static index (whole and owned-only)
+    /// and the frozen incremental one are checked as well.
+    fn check_stream(full: &Dataset, k_max: usize, at: &str) -> Vec<Vec<u32>> {
+        let durs: Vec<Vec<u32>> =
+            level_ks(k_max).iter().map(|&k| skyband_durations(full, k)).collect();
+        let mut ds = Dataset::new(full.dim());
+        let mut inc = IncrementalSkybandIndex::new(k_max);
+        for id in 0..full.len() as RecordId {
+            ds.push(full.row(id));
+            inc.push(&ds);
+            let n = ds.len();
+            let edge = [1, 63, 64, 65, 127, 128, 129, 4_097].contains(&n);
+            if n <= 130 || edge {
+                check(&inc, &durs, 0, n, at);
+            }
+            if edge {
+                check(&DurableSkybandIndex::build(&ds, k_max), &durs, 0, n, at);
+                for first in [n as RecordId / 2, n as RecordId - 1] {
+                    let built = DurableSkybandIndex::build_owned(&ds, k_max, first);
+                    check(&built, &durs, first, n, at);
+                    check(&inc.to_static(first), &durs, first, n, at);
+                }
+            }
+        }
+        durs
+    }
+
     #[test]
     fn levels_are_powers_of_two() {
         let ds = Dataset::from_rows(2, (0..32).map(|i| [i as f64, (32 - i) as f64]));
         let idx = DurableSkybandIndex::build(&ds, 10);
         assert_eq!(idx.max_k(), 16);
-        assert_eq!(idx.level_for(1), Some(1));
-        assert_eq!(idx.level_for(3), Some(4));
-        assert_eq!(idx.level_for(16), Some(16));
-        assert_eq!(idx.level_for(17), None);
+        assert_eq!(idx.levels(), [1, 2, 4, 8, 16]);
+        let level = |k| idx.for_each_candidate(Window::new(0, 31), 1, k, &mut |_| {});
+        assert_eq!([level(1), level(3), level(16)], [1, 4, 16]);
     }
 
     #[test]
     fn candidates_match_direct_duration_filter() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let rows: Vec<[f64; 2]> = (0..150)
-            .map(|_| [rng.random_range(0..10) as f64, rng.random_range(0..10) as f64])
-            .collect();
-        let ds = Dataset::from_rows(2, rows);
+        let ds = random_rows(5, 150, 2);
         let idx = DurableSkybandIndex::build(&ds, 8);
-        for k in [1usize, 2, 3, 5, 8] {
-            let k_bar = idx.level_for(k).expect("built");
+        for (k, k_bar) in [(1usize, 1usize), (2, 2), (3, 4), (5, 8), (8, 8)] {
             let durs = skyband_durations(&ds, k_bar);
             for tau in [1u32, 5, 20, 100] {
                 let interval = Window::new(30, 120);
-                let (mut got, used) = idx.candidates(interval, tau, k);
+                let (got, used) = idx.candidates(interval, tau, k);
                 assert_eq!(used, k_bar);
-                got.sort_unstable();
-                let expected: Vec<RecordId> =
-                    (30..=120u32).filter(|&i| durs[i as usize] >= tau).collect();
-                assert_eq!(got, expected, "k={k} tau={tau}");
+                assert_eq!(got, filter(&durs, 0, interval, tau), "k={k} tau={tau}");
             }
         }
     }
@@ -348,12 +378,26 @@ mod tests {
     #[test]
     fn unbounded_records_are_always_candidates() {
         // Strictly increasing chain: nobody is ever dominated.
-        let ds = Dataset::from_rows(2, (0..20).map(|i| [i as f64, i as f64]));
-        let durs = skyband_durations(&ds, 1);
-        assert!(durs.iter().all(|&d| d == DURATION_UNBOUNDED));
+        let ds = Dataset::from_rows(2, (0..130).map(|i| [i as f64, i as f64]));
+        let durs = check_stream(&ds, 4, "increasing");
+        assert!(durs.iter().flatten().all(|&d| d == DURATION_UNBOUNDED));
         let idx = DurableSkybandIndex::build(&ds, 4);
-        let (got, _) = idx.candidates(Window::new(0, 19), 19, 1);
-        assert_eq!(got.len(), 20);
+        let (got, _) = idx.candidates(Window::new(0, 129), u32::MAX, 1);
+        assert_eq!(got.len(), 130);
+    }
+
+    #[test]
+    fn decreasing_stream_has_duration_k_bar_minus_one() {
+        // Every record is dominated by all its predecessors, so its k̄-th
+        // most recent dominator sits exactly k̄ arrivals back.
+        let ds = Dataset::from_rows(2, (0..130).map(|i| [(200 - i) as f64, (200 - i) as f64]));
+        let durs = check_stream(&ds, 8, "decreasing");
+        for (durs, k_bar) in durs.iter().zip(level_ks(8)) {
+            for (i, &d) in durs.iter().enumerate() {
+                let want = if i >= k_bar { k_bar as u32 - 1 } else { DURATION_UNBOUNDED };
+                assert_eq!(d, want, "record {i} k̄={k_bar}");
+            }
+        }
     }
 
     #[test]
@@ -366,96 +410,37 @@ mod tests {
 
     #[test]
     fn from_durations_equals_build() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let rows: Vec<[f64; 2]> = (0..120)
-            .map(|_| [rng.random_range(0..12) as f64, rng.random_range(0..12) as f64])
-            .collect();
-        let ds = Dataset::from_rows(2, rows);
+        let ds = random_rows(14, 120, 2);
         let built = DurableSkybandIndex::build(&ds, 4);
-        let ks = durable_topk_geom::level_ks(4);
-        let durs = durable_topk_geom::skyband_durations_multi(&ds, &ks);
-        let assembled = DurableSkybandIndex::from_durations(ks.into_iter().zip(durs).collect());
+        let ks = level_ks(4);
+        let durs = skyband_durations_multi(&ds, &ks, 0);
+        let assembled = DurableSkybandIndex::from_durations(ks, durs, 0);
         for k in [1usize, 2, 4] {
             for tau in [1u32, 7, 40] {
                 let w = Window::new(15, 100);
-                let (mut a, la) = built.candidates(w, tau, k);
-                let (mut b, lb) = assembled.candidates(w, tau, k);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!((a, la), (b, lb), "k={k} tau={tau}");
+                assert_eq!(built.candidates(w, tau, k), assembled.candidates(w, tau, k));
             }
         }
     }
 
-    /// The incremental index under appends, blocks synced to an evolving
-    /// binary-counter-style partition, must report exactly the static
-    /// index's candidates at every prefix.
+    /// The incremental index under appends — `sync` never called — reports
+    /// exactly the brute-force filter, and so exactly the static index's
+    /// candidates, at every prefix.
     #[test]
     fn incremental_candidates_match_static_at_every_prefix() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let rows: Vec<[f64; 2]> = (0..140)
-            .map(|_| [rng.random_range(0..10) as f64, rng.random_range(0..10) as f64])
-            .collect();
-        let full = Dataset::from_rows(2, rows);
-        let mut ds = Dataset::new(2);
-        let mut inc = IncrementalSkybandIndex::new(5);
-        for i in 0..full.len() {
-            ds.push(full.row(i as RecordId));
-            inc.push(&ds);
-            // A deliberately uneven partition that changes shape as it
-            // grows: blocks of 8 plus a remainder, mimicking forest
-            // coverages after a capped merge cascade.
-            let n = ds.len() as u32;
-            let mut coverages = Vec::new();
-            let mut lo = 0u32;
-            while lo < n {
-                let hi = (lo + 7).min(n - 1);
-                coverages.push(Window::new(lo, hi));
-                lo = hi + 1;
-            }
-            inc.sync(coverages.into_iter());
-            if i % 13 == 5 {
-                let stat = DurableSkybandIndex::build(&ds, 5);
-                assert_eq!(SkybandCandidates::max_k(&inc), stat.max_k());
-                for k in [1usize, 2, 5, 8] {
-                    for tau in [1u32, 4, 30] {
-                        let w = Window::new((n / 4).min(n - 1), n - 1);
-                        let (mut a, la) = inc.candidates(w, tau, k);
-                        let (mut b, lb) = stat.candidates(w, tau, k);
-                        a.sort_unstable();
-                        b.sort_unstable();
-                        assert_eq!((a, la), (b, lb), "prefix={} k={k} tau={tau}", i + 1);
-                    }
-                }
-            }
-        }
+        check_stream(&random_rows(77, 4_097, 2), 5, "random");
     }
 
     #[test]
     fn incremental_seals_into_the_static_shape() {
-        let mut rng = StdRng::seed_from_u64(91);
-        let rows: Vec<[f64; 3]> = (0..90)
-            .map(|_| {
-                [
-                    rng.random_range(0..6) as f64,
-                    rng.random_range(0..6) as f64,
-                    rng.random_range(0..6) as f64,
-                ]
-            })
-            .collect();
-        let ds = Dataset::from_rows(3, rows);
-        let mut inc = IncrementalSkybandIndex::build(&ds, 3);
-        inc.sync(std::iter::once(Window::new(0, 89)));
-        let sealed = inc.to_static();
+        let ds = random_rows(91, 90, 3);
+        let sealed = IncrementalSkybandIndex::build(&ds, 3).to_static(0);
         let stat = DurableSkybandIndex::build(&ds, 3);
+        assert_eq!(sealed.heap_bytes(), stat.heap_bytes());
         for k in [1usize, 3, 4] {
             for tau in [2u32, 11, 60] {
                 let w = Window::new(10, 80);
-                let (mut a, la) = sealed.candidates(w, tau, k);
-                let (mut b, lb) = stat.candidates(w, tau, k);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!((a, la), (b, lb), "k={k} tau={tau}");
+                assert_eq!(sealed.candidates(w, tau, k), stat.candidates(w, tau, k));
             }
         }
     }
@@ -463,6 +448,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot seal an empty skyband index")]
     fn sealing_an_empty_incremental_index_is_rejected() {
-        IncrementalSkybandIndex::new(2).to_static();
+        IncrementalSkybandIndex::new(2).to_static(0);
     }
 }

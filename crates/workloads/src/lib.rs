@@ -8,8 +8,8 @@
 //! * [`rpm`] — the random permutation model of Section V-A (adversarial
 //!   values, random arrival order), used to validate Lemma 4.
 //! * [`nba`] — a generator standing in for the proprietary NBA box-score
-//!   dataset (1M records, 15 attributes, era trends); see DESIGN.md for the
-//!   substitution argument.
+//!   dataset (1M records, 15 attributes, era trends): the algorithms read only
+//!   arrival order and attribute dominance, which the generator reproduces.
 //! * [`network`] — a generator standing in for KDD Cup 1999 network
 //!   connection records (5M records, 37 MinMax-normalized attributes with
 //!   heavy tails and bursty attack episodes).

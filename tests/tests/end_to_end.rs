@@ -3,7 +3,7 @@
 
 use durable_topk::{
     duration::max_duration, Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, QueryContext,
-    SingleAttributeScorer, Window,
+    SingleAttributeScorer, SkybandCandidates, Window,
 };
 use durable_topk_store::{t_base_proc, t_hop_proc, RelStore};
 use durable_topk_workloads::{ind, nba_attribute, nba_like, random_permutation_dataset};
