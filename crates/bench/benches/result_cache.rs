@@ -51,7 +51,6 @@ fn grow(ds: &Dataset, cache_budget: Option<usize>) -> ShardedEngine {
     for id in 0..ds.len() as u32 {
         live.append(ds.row(id));
     }
-    live.quiesce();
     live
 }
 
@@ -133,7 +132,6 @@ fn seal_storm(cache_budget: Option<usize>) -> f64 {
     for i in STORM_BASE..STORM_BASE + STORM_BATCH {
         serving.append(&storm_row(i)).expect("arity matches");
     }
-    serving.quiesce();
     serving.subscription_sync();
     let per_append = t.elapsed().as_nanos() as f64 / STORM_BATCH as f64;
     serving.shutdown();

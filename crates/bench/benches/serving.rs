@@ -5,10 +5,8 @@
 //! completion handle (ns/iter ÷ 64 = per-request serving cost);
 //! `direct_64req` runs the identical workload as plain sequential
 //! `ShardedEngine::query` calls — the queue's overhead is the difference.
-//! `append_cross_seal_{background,sync}` measure a fresh live engine
-//! ingesting one full shard span plus one record (exactly one seal
-//! hand-off), leaving the seal to the pool or finishing it inline with a
-//! `quiesce()` after every append.
+//! `append_cross_seal` measures a fresh live engine ingesting one full
+//! shard span plus one record (exactly one seal).
 //!
 //! Before the criterion groups run, the harness prints one-shot p50/p99
 //! serving latencies and per-append seal tail latencies (p50/p999/max) —
@@ -64,13 +62,11 @@ fn report_serving_percentiles(serve: &ServeEngine, n: u32) {
 }
 
 /// One-shot per-append latency distribution across several seal
-/// boundaries, with seals left to the pool or (`inline`) finished on the
-/// appending thread by a `quiesce()` inside every timed append.
-/// Seal-triggering appends (global id `k·span − 1`) are reported
-/// separately: they are the appends the background hand-off is meant to
-/// flatten, while the forest's own binary-counter merge spikes affect both
-/// identically.
-fn report_seal_tail(inline: bool) {
+/// boundaries. Seal-triggering appends (global id `k·span − 1`) are
+/// reported separately: they pay the seal's joins, the chunk store and the
+/// fresh head's context replay on top of the forest's own binary-counter
+/// joins.
+fn report_seal_tail() {
     let rows = ind(4 * SPAN + 64, 2, 11);
     let mut live = EngineConfig::new(2, SPAN, MAX_TAU).build().expect("live config");
     let mut lat = Vec::with_capacity(rows.len());
@@ -78,22 +74,17 @@ fn report_seal_tail(inline: bool) {
     for id in 0..rows.len() as u32 {
         let t = Instant::now();
         live.append(rows.row(id));
-        if inline {
-            live.quiesce();
-        }
         let elapsed = t.elapsed();
         lat.push(elapsed);
         if (id as usize + 1) % SPAN == 0 {
             seal_lat.push(elapsed);
         }
     }
-    live.quiesce();
     lat.sort_unstable();
     seal_lat.sort_unstable();
     eprintln!(
-        "append latency ({}, {} appends, {} seals): p50={:.2?} p999={:.2?} max={:.2?}; \
+        "append latency ({} appends, {} seals): p50={:.2?} p999={:.2?} max={:.2?}; \
          seal-boundary appends: median={:.2?} max={:.2?}",
-        if inline { "inline seals" } else { "background seals" },
         lat.len(),
         seal_lat.len(),
         percentile(&lat, 0.50),
@@ -113,8 +104,7 @@ fn bench(c: &mut Criterion) {
     let scorer = durable_topk::LinearScorer::uniform(2);
 
     report_serving_percentiles(&serve, N as u32);
-    report_seal_tail(true);
-    report_seal_tail(false);
+    report_seal_tail();
 
     let mut g = c.benchmark_group("serving");
     g.sample_size(10);
@@ -138,23 +128,11 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("append_cross_seal_background", |b| {
+    g.bench_function("append_cross_seal", |b| {
         b.iter(|| {
             let mut live = EngineConfig::new(2, SPAN, MAX_TAU).build().expect("config");
             for id in 0..(SPAN + 1) as u32 {
                 live.append(ds.row(id));
-            }
-            live.quiesce();
-            live.sealed_shards()
-        })
-    });
-
-    g.bench_function("append_cross_seal_sync", |b| {
-        b.iter(|| {
-            let mut live = EngineConfig::new(2, SPAN, MAX_TAU).build().expect("config");
-            for id in 0..(SPAN + 1) as u32 {
-                live.append(ds.row(id));
-                live.quiesce();
             }
             live.sealed_shards()
         })

@@ -41,7 +41,6 @@ fn grow(ds: &Dataset, paged: bool) -> ShardedEngine {
     for id in 0..ds.len() as u32 {
         live.append(ds.row(id));
     }
-    live.quiesce();
     live
 }
 

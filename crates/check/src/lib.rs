@@ -1,9 +1,8 @@
 //! Machine-checked concurrency invariants for the `durable_topk` workspace.
 //!
 //! The serving stack is genuinely concurrent — a worker pool with detached
-//! jobs, claim-based seal work-stealing, subscription refresh planned under
-//! the engine lock, a sharded-lock result cache, page pinning in the buffer
-//! pool — and its deadlock-freedom argument is a **total order over lock
+//! jobs, subscription refresh planned under the engine lock, a sharded-lock
+//! result cache, page pinning in the buffer pool — and its deadlock-freedom argument is a **total order over lock
 //! classes**: a thread may only acquire a lock whose class ranks *strictly
 //! higher* than every class it already holds. This crate turns that
 //! argument from comments into an executable specification.
@@ -101,8 +100,6 @@ pub enum LockClass {
     /// Worker-pool internals: work queues, batch state, panic slot, spare
     /// contexts, the shared job receiver.
     PoolQueue,
-    /// A seal hand-off `OnceSlot` (claim-based work stealing).
-    SealSlot,
     /// A detached-job response `OnceSlot` (completion handles).
     ResponseSlot,
     /// The coordinator's cached cluster topology (per-node shard-range
@@ -122,7 +119,7 @@ pub enum LockClass {
 impl LockClass {
     /// Every class, in rank order. Kept in sync with [`rank`](Self::rank)
     /// by a unit test and the `xtask lint` rank-completeness rule.
-    pub const ALL: [LockClass; 13] = [
+    pub const ALL: [LockClass; 12] = [
         LockClass::Engine,
         LockClass::SubscriptionRegistry,
         LockClass::SubscriptionState,
@@ -130,7 +127,6 @@ impl LockClass {
         LockClass::CacheShard,
         LockClass::PagePool,
         LockClass::PoolQueue,
-        LockClass::SealSlot,
         LockClass::ResponseSlot,
         LockClass::NetTopology,
         LockClass::NetConnection,
@@ -150,7 +146,6 @@ impl LockClass {
             LockClass::CacheShard => 60,
             LockClass::PagePool => 70,
             LockClass::PoolQueue => 80,
-            LockClass::SealSlot => 90,
             LockClass::ResponseSlot => 95,
             LockClass::NetTopology => 100,
             LockClass::NetConnection => 110,
@@ -169,7 +164,6 @@ impl LockClass {
             LockClass::CacheShard => "CacheShard",
             LockClass::PagePool => "PagePool",
             LockClass::PoolQueue => "PoolQueue",
-            LockClass::SealSlot => "SealSlot",
             LockClass::ResponseSlot => "ResponseSlot",
             LockClass::NetTopology => "NetTopology",
             LockClass::NetConnection => "NetConnection",

@@ -623,8 +623,8 @@ fn replay(sweep: &Sweep, target: &impl ReplayTarget) -> Result<(), String> {
 }
 
 /// Single-process `serve`: the bounded request queue over a live engine
-/// whose tail is appended while the clients run (exercising background
-/// shard seals under load), plus `--subscribe` standing queries kept
+/// whose tail is appended while the clients run (exercising shard seals
+/// under load), plus `--subscribe` standing queries kept
 /// current by those appends.
 struct QueueTarget<'a> {
     serving: ServeEngine,
@@ -680,7 +680,7 @@ impl<'a> QueueTarget<'a> {
 
         // Standing queries: registered before the storm, kept current by the
         // live appends, verified against full recomputes at every shard seal
-        // and re-checked against the quiesced engine at the end.
+        // and re-checked against the settled engine at the end.
         let mut subs = Vec::new();
         for s in 0..mode.subscribe {
             let req = ServeRequest {
@@ -732,7 +732,6 @@ impl ReplayTarget for QueueTarget<'_> {
 
     fn settle(&self) -> Result<(), String> {
         self.serving.shutdown();
-        self.serving.quiesce();
         self.serving.subscription_sync();
         // Every standing subscription must now hold exactly what a full
         // recompute over its interval yields — no drift allowed.
@@ -761,7 +760,7 @@ impl ReplayTarget for QueueTarget<'_> {
         Ok(())
     }
 
-    /// A direct query against the (by now quiesced) engine.
+    /// A direct query against the (by now settled) engine.
     fn reference(&self, req: &ServeRequest) -> Result<Vec<u32>, String> {
         let direct = self.serving.engine().try_query(req.alg, &self.scorer, &req.query);
         direct.map(|r| r.records).map_err(|e| format!("verification query failed: {e}"))

@@ -70,7 +70,7 @@ impl EngineConfig {
 
     /// Maintains the durable k-skyband for `k <= k_max`, serving
     /// [`Algorithm::SBand`](crate::Algorithm::SBand) natively (without
-    /// fallback) on every substrate — head, in-flight seals, sealed tails.
+    /// fallback) on every substrate — head and sealed tails.
     pub fn skyband_bound(mut self, k_max: usize) -> Self {
         self.skyband_bound = Some(k_max);
         self
@@ -219,7 +219,6 @@ mod tests {
         for id in 0..300u32 {
             live.append(ds.row(id));
         }
-        live.quiesce();
         assert!(live.result_cache().is_some(), "result cache configured");
         assert!(live.storage().stats().spilled_chunks > 0, "paged backend spills");
         let flat = DurableTopKEngine::new(ds).with_skyband_index(4);

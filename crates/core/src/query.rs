@@ -124,7 +124,7 @@ pub struct QueryStats {
     pub cache_hits: u64,
     /// Cacheable per-shard probes that ran because no memoized answer
     /// existed yet (uncacheable probes — boundary pieces, unfingerprintable
-    /// scorers, head/pending shards — count as neither hit nor miss).
+    /// scorers, the head shard — count as neither hit nor miss).
     pub cache_misses: u64,
     /// Set when the engine substituted a different execution for the
     /// requested one, carrying why (see [`FallbackReason`]); `None` means

@@ -25,9 +25,9 @@
 //!   during execution comes back as [`ServeError::Panicked`]. Either way
 //!   the worker, the queue, and every other request keep going.
 //! * **Live ingestion** — [`append`](ServeEngine::append) feeds the
-//!   underlying [`ShardedEngine`] under a write lock; head seals run as
-//!   background pool jobs, so appends stay short and queries served during
-//!   a pending seal remain exact.
+//!   underlying [`ShardedEngine`] under a write lock; a full head is
+//!   sealed inside the append that fills it (its trees are joined, not
+//!   rebuilt), so no request ever sees a shard between two states.
 //! * **Standing queries** — [`subscribe`](ServeEngine::subscribe)
 //!   registers a request once; the append path keeps its materialized
 //!   answer set current incrementally (see [`crate::subscribe`]), with a
@@ -574,7 +574,7 @@ impl ServeEngine {
     /// has begun, every submission fails with
     /// [`ServeError::ShuttingDown`].
     pub fn submit(&self, req: ServeRequest) -> Result<ResponseHandle, ServeError> {
-        let slot = Arc::new(ResponseSlot::new(LockClass::ResponseSlot));
+        let slot = Arc::new(ResponseSlot::new());
         {
             let mut state = lock(&self.shared.state);
             loop {
@@ -681,10 +681,9 @@ impl ServeEngine {
         }
     }
 
-    /// Waits out every in-flight background shard seal (write lock).
-    pub fn quiesce(&self) {
-        self.shared.engine.write().quiesce();
-    }
+    /// Does nothing; kept only because the frozen benchmark harness calls it.
+    #[doc(hidden)]
+    pub fn quiesce(&self) {}
 
     /// Registers a standing query: the request is validated and its
     /// answer set over the already-ingested prefix materialized (one full
@@ -955,7 +954,6 @@ mod tests {
         for i in 80..300 {
             serve.append(&row(i)).expect("arity matches");
         }
-        serve.quiesce();
         serve.subscription_sync();
         let snap = serve.poll_subscription(id).expect("registered");
         assert!(!snap.diverged, "seal verifications must agree with the fast path");
@@ -1077,7 +1075,6 @@ mod tests {
             serve.append(&[1.0]),
             Err(ServeError::Query(QueryError::Arity { expected: 2, got: 1 }))
         );
-        serve.quiesce();
         assert_eq!(serve.engine().len(), 100);
         let handle = serve.submit(request(Algorithm::THop, 2, 8, 0, 99)).expect("accepted");
         assert!(handle.wait().is_ok());

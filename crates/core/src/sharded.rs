@@ -19,22 +19,18 @@
 //! * **One mutable head shard** receives [`append`](ShardedEngine::append)s,
 //!   indexed incrementally by the appendable segment-tree forest
 //!   ([`AppendableTopKIndex`]). When the head has accumulated `shard_span`
-//!   owned records it is *sealed*: its forest collapses into a regular
-//!   segment tree, the head becomes the next tail shard, and a fresh head
-//!   starts with the trailing `max_tau` records as left context —
-//!   preserving the overlap invariant, so queries stay exact for any
-//!   `τ ≤ max_tau` at every point of the ingestion timeline.
+//!   owned records it is *sealed* where it stands: its forest's trees are
+//!   joined into one segment tree, the head becomes the next tail shard,
+//!   and a fresh head starts with the trailing `max_tau` records as left
+//!   context — preserving the overlap invariant, so queries stay exact for
+//!   any `τ ≤ max_tau` at every point of the ingestion timeline.
 //!
-//! Sealing is the one super-constant step of the append path: collapsing a
-//! forest rebuilds `O(span)` records' worth of index. The collapse runs as
-//! a detached job on the persistent [`WorkerPool`] instead of stalling the
-//! appender: the outgoing head is frozen into an immutable *pending*
-//! snapshot that keeps serving queries through its forest — exactly as it
-//! did a moment earlier as the head — until the sealed tree is published
-//! and a later `append` (or [`quiesce`](ShardedEngine::quiesce)) splices it
-//! into the tail list. Answers are bit-identical before and after the
-//! splice; a caller that wants every seal finished before its next step
-//! calls `quiesce()` after the append.
+//! A shard is in one of those two states and nothing about a seal is
+//! concurrent. Joining trees moves their nodes and adds one root per join
+//! ([`AppendableTopKIndex::seal`]) — no record is indexed again — so the
+//! seal costs less than the fresh head's context replay and runs on the
+//! appending thread, inside the `append` that fills the head; so does the
+//! storage backend's chunk write.
 //!
 //! Queries fan `DurTop(k, I, τ)` out across the shards owning a piece of
 //! `I` through the persistent [`WorkerPool`] (no `thread::spawn` on the
@@ -43,7 +39,6 @@
 //! record-for-record identical to an unsharded engine over the same
 //! history for every `τ ≤ max_tau`.
 
-use crate::check::LockClass;
 use crate::config::EngineConfig;
 use crate::context::QueryContext;
 use crate::engine::{run_algorithm, Algorithm};
@@ -54,16 +49,13 @@ use crate::pool::WorkerPool;
 use crate::query::{DurableQuery, QueryResult};
 use crate::result_cache::{next_shard_gen, CacheKey, ShardResultCache};
 use crate::storage::{ChunkId, MemoryStorage, ShardStorage};
-use crate::sync::OnceSlot;
 use durable_topk_index::{
     AppendableTopKIndex, DurableSkybandIndex, OracleScorer, SkylineSegTree, TopKResult,
 };
 use durable_topk_temporal::{Dataset, RecordId, Time, Window};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One sealed time shard: a collapsed skyline segment tree over
+/// One sealed time shard: a skyline segment tree over
 /// `[range.ext_lo, range.hi]`, *owning* (reporting answers for)
 /// `[range.lo, range.hi]`, plus optional frozen skyband durations for the
 /// owned records only — S-Band is only ever asked about `I ∩ [lo, hi]`, so
@@ -121,8 +113,7 @@ impl Shape {
         for i in (n - ctx_len)..n {
             ds.push(row(i));
         }
-        let mut index = AppendableTopKIndex::build(&ds, self.leaf_size)
-            .with_merge_limit(merge_cap_for(self.shard_span));
+        let mut index = AppendableTopKIndex::build(&ds, self.leaf_size);
         if let Some(k_max) = self.k_max {
             index = index.with_skyband_bound(&ds, k_max);
         }
@@ -130,77 +121,12 @@ impl Shape {
     }
 }
 
-/// The completion slot a seal publishes into. The producer side is
-/// claim-based ([`OnceSlot::claim`]): either the background pool job or a
-/// waiter that steals the work seals the snapshot, never both.
-type SealSlot = OnceSlot<Result<Shard, String>>;
-
-/// A seal in flight: an immutable snapshot of the head handed off for
-/// sealing — the data plus its forest, still serving queries while the
-/// background collapse runs — and the slot the sealed shard will land in.
-#[derive(Debug)]
-struct PendingSeal {
-    /// The head's sub-dataset, shared: the seal job, the storage backend
-    /// and any history view all reference this one copy — freezing a head
-    /// never duplicates its records.
-    ds: Arc<Dataset>,
-    index: AppendableTopKIndex,
-    range: OwnedRange,
-    slot: SealSlot,
-}
-
-impl PendingSeal {
-    /// Produces and publishes this seal on the calling thread if no one
-    /// else claimed it yet — the work-stealing path that keeps waiters
-    /// independent of pool scheduling (a waiter may hold a lock the pool
-    /// workers are queued behind; depending on the pool to get to the
-    /// seal job first would deadlock).
-    fn steal_if_unclaimed(&self, storage: &Arc<dyn ShardStorage>) {
-        if self.slot.claim() {
-            self.slot.publish(Ok(run_seal(self, storage)));
-        }
-    }
-}
-
-/// Collapses a head snapshot into a sealed tail shard — copying out the
-/// owned records' durations its incremental skyband maintainer already
-/// knows (the context's stay behind with the snapshot) — and hands
-/// its record chunk to the storage backend (where
-/// [`PagedStorage`](crate::PagedStorage) serializes it to pages — on this
-/// seal path, never on the append hot path). Runs on a pool worker, or on
-/// a waiter that stole the seal; either way the snapshot is read-only and
-/// the produced shard is published whole.
-fn run_seal(snap: &PendingSeal, storage: &Arc<dyn ShardStorage>) -> Shard {
-    Shard {
-        oracle: snap.index.seal_ref(&snap.ds),
-        skyband: snap.index.skyband().map(|sb| sb.to_static(snap.range.lo - snap.range.ext_lo)),
-        chunk: storage.store(Arc::clone(&snap.ds)),
-        range: snap.range,
-        generation: next_shard_gen(),
-    }
-}
-
-/// Largest tree the head forest's merge cascade may build. The head is
-/// sealed (rebuilt into one balanced tree, off the append path) every
-/// `shard_span` records anyway, so merges beyond a fraction of the span are
-/// wasted work *and* the dominant append-latency spike; capping them bounds
-/// the worst single append at an `O(span/4)` rebuild.
-fn merge_cap_for(shard_span: usize) -> usize {
-    (shard_span / 4).clamp(64, 65_536)
-}
-
-/// Most seals allowed in flight before the appender waits for the oldest —
-/// bounds the extra memory of pending snapshots (each holds one shard's
-/// data plus forest) without stalling the common case.
-const MAX_PENDING_SEALS: usize = 4;
-
 /// What serves one owned range of the timeline.
 #[derive(Clone, Copy)]
 enum Substrate<'a> {
-    /// A sealed tail: collapsed tree, frozen skyband, records in storage.
+    /// A sealed tail: one tree, frozen skyband, records in storage.
     Sealed(&'a Shard),
-    /// A forest over a resident sub-dataset: the mutable head, or a
-    /// snapshot whose seal is still in flight.
+    /// The mutable head: a forest over its resident sub-dataset.
     Forest(&'a Dataset, &'a AppendableTopKIndex),
 }
 
@@ -208,15 +134,15 @@ enum Substrate<'a> {
 /// ([`ShardedEngine::memory_usage`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryUsage {
-    /// Record rows: the storage backend's decoded chunks plus the forests'
-    /// sub-datasets (the head's, and in-flight seal snapshots').
+    /// Record rows: the storage backend's decoded chunks plus the head's
+    /// sub-dataset.
     pub records: usize,
-    /// Skyline segment trees: sealed shards' and the forests'.
+    /// Skyline segment trees: sealed shards' and the head forest's.
     pub trees: usize,
     /// Sealed shards' skyband durations — owned records only.
     pub skyband_sealed: usize,
-    /// The forests' incremental skyband indexes, which also cover their
-    /// `max_tau` records of left context and carry `Vec` growth slack.
+    /// The head's incremental skyband index, which also covers its
+    /// `max_tau` records of left context and carries `Vec` growth slack.
     pub skyband_head: usize,
     /// Memoized answers in the result cache.
     pub result_cache: usize,
@@ -234,10 +160,6 @@ pub struct ShardedEngine {
     /// to pager-backed pages (see [`EngineConfig::storage`] and
     /// [`migrate_storage`](ShardedEngine::migrate_storage)).
     storage: Arc<dyn ShardStorage>,
-    /// Seals handed to the pool, oldest first. Their snapshots keep
-    /// serving queries until a `&mut self` call splices the published
-    /// shards into `tails`.
-    pending: Vec<Arc<PendingSeal>>,
     head: Head,
     shape: Shape,
     len: usize,
@@ -245,14 +167,10 @@ pub struct ShardedEngine {
     /// of [`try_query`](ShardedEngine::try_query) before `storage.fetch`
     /// — `None` (the default) disables memoization entirely.
     result_cache: Option<Arc<ShardResultCache>>,
-    /// Head rotations so far — bumps when a full head is handed off for
-    /// sealing. Standing-query consumers compare epochs across appends to
-    /// notice a freshly crossed shard boundary.
+    /// Head rotations so far — bumps when a full head is sealed.
+    /// Standing-query consumers compare epochs across appends to notice a
+    /// freshly crossed shard boundary.
     seal_epoch: u64,
-    /// Oracle queries served by seal snapshots that have since been
-    /// integrated (their forest counters die with them; this keeps
-    /// [`oracle_queries`](ShardedEngine::oracle_queries) monotone).
-    retired_queries: AtomicU64,
 }
 
 impl ShardedEngine {
@@ -295,7 +213,7 @@ impl ShardedEngine {
                     for id in ext_lo..=hi {
                         sub.push(ds.row(id));
                     }
-                    let oracle = SkylineSegTree::build(&sub);
+                    let oracle = SkylineSegTree::with_leaf_size(&sub, shape.leaf_size);
                     let skyband = shape
                         .k_max
                         .map(|k_max| DurableSkybandIndex::build_owned(&sub, k_max, lo - ext_lo));
@@ -322,20 +240,17 @@ impl ShardedEngine {
         Self {
             tails,
             storage,
-            pending: Vec::new(),
             head,
             shape,
             len,
             result_cache: cfg.result_cache_bytes.map(|b| Arc::new(ShardResultCache::new(b))),
             seal_epoch: 0,
-            retired_queries: AtomicU64::new(0),
         }
     }
 
     /// Switches the storage backend for sealed tails' record chunks
-    /// (default: [`MemoryStorage`]). Existing chunks are migrated —
-    /// in-flight seals are waited out, then every tail's chunk is
-    /// re-stored into the new backend in time order, so a
+    /// (default: [`MemoryStorage`]). Existing chunks are migrated — every
+    /// tail's chunk is re-stored into the new backend in time order, so a
     /// [`PagedStorage`](crate::PagedStorage) backend immediately starts
     /// spilling everything older than its residency window. Answers are
     /// bit-identical under every backend; only residency and query-time
@@ -345,7 +260,6 @@ impl ShardedEngine {
     /// This is the mid-life migration API; to start an engine on a
     /// non-default backend, use [`EngineConfig::storage`] instead.
     pub fn migrate_storage(mut self, storage: Arc<dyn ShardStorage>) -> Self {
-        self.quiesce();
         for shard in &mut self.tails {
             let (chunk, _) = self.storage.fetch(shard.chunk);
             shard.chunk = storage.store(chunk);
@@ -373,10 +287,7 @@ impl ShardedEngine {
         self.result_cache.as_ref()
     }
 
-    /// Resident heap bytes by structure. Call after
-    /// [`quiesce`](ShardedEngine::quiesce) for a settled reading: a seal
-    /// in flight holds its snapshot's forest next to the tree it is
-    /// building, and its chunk may already be counted by the storage.
+    /// Resident heap bytes by structure.
     pub fn memory_usage(&self) -> MemoryUsage {
         let mut usage = MemoryUsage {
             records: self.storage.resident_bytes(),
@@ -393,35 +304,28 @@ impl ShardedEngine {
         }
         // The head holds context (and its skyband) even while it owns no
         // record, so it is counted directly rather than through `pieces`.
-        let sealing = self.pending.iter().map(|p| (&*p.ds, &p.index));
-        for (ds, index) in sealing.chain([(&self.head.ds, &self.head.index)]) {
-            let skyband = index.skyband().map_or(0, |skyband| skyband.heap_bytes());
-            usage.records += ds.heap_bytes();
-            usage.trees += index.heap_bytes() - skyband;
-            usage.skyband_head += skyband;
-        }
+        let Head { ds, index, .. } = &self.head;
+        usage.skyband_head = index.skyband().map_or(0, |skyband| skyband.heap_bytes());
+        usage.records += ds.heap_bytes();
+        usage.trees += index.heap_bytes() - usage.skyband_head;
         usage
     }
 
     /// Ingests one record, returning its global id. The record lands in
-    /// the head shard's forest in amortized polylogarithmic time; every
-    /// `shard_span` appends the head is handed off for sealing as a
-    /// background pool job, so the append path itself never pays the
-    /// `O(span)` collapse.
+    /// the head shard's forest in amortized polylogarithmic time; the
+    /// append that fills the head to `shard_span` owned records also seals
+    /// it, which joins the forest's trees and rebuilds nothing.
     ///
     /// # Panics
     /// Panics if the attribute arity mismatches.
     pub fn append(&mut self, attrs: &[f64]) -> RecordId {
         assert_eq!(attrs.len(), self.shape.dim, "attribute arity mismatch");
-        // Splice in any seals the pool finished since the last call —
-        // O(1) amortized, keeps the pending list short.
-        self.integrate_ready();
         let id = self.len as RecordId;
         self.head.ds.push(attrs);
         self.head.index.append(&self.head.ds);
         self.len += 1;
         if self.head_owned() >= self.shape.shard_span {
-            self.hand_off_seal();
+            self.seal_head();
         }
         id
     }
@@ -431,113 +335,46 @@ impl ShardedEngine {
         self.len - self.head.lo as usize
     }
 
-    /// Freezes the full head into an immutable pending snapshot, hands the
-    /// `O(span)` collapse to the worker pool, and starts a fresh head whose
-    /// context is the trailing `max_tau` records. The snapshot keeps
-    /// serving queries until the sealed shard is published and integrated.
-    fn hand_off_seal(&mut self) {
+    /// Turns the full head into the next tail shard — its forest's trees
+    /// joined into one, the owned records' durations copied out of the
+    /// incremental skyband maintainer (the context's stay behind), its
+    /// sub-dataset handed to the storage backend as the shard's chunk
+    /// (where [`PagedStorage`](crate::PagedStorage) serializes it to pages)
+    /// — and starts a fresh head whose context is the trailing `max_tau`
+    /// records.
+    fn seal_head(&mut self) {
         self.seal_epoch += 1;
-        // Backpressure: never hold more than a few snapshots' worth of
-        // extra memory. Waiting here is rare (the pool seals far faster
-        // than `span` records usually arrive).
-        while self.pending.len() >= MAX_PENDING_SEALS {
-            self.integrate_front_blocking();
-        }
         // The outgoing head's sub-dataset always reaches back max_tau
         // records (or to time zero), so its tail is exactly the new head's
         // context.
         let base = self.head.ext_lo as usize;
         let fresh = self.shape.fresh_head(|i| self.head.ds.row((i - base) as RecordId), self.len);
-        let head = std::mem::replace(&mut self.head, fresh);
-        let sealing = Arc::new(PendingSeal {
-            ds: Arc::new(head.ds),
-            index: head.index,
-            range: OwnedRange { ext_lo: head.ext_lo, lo: head.lo, hi: (self.len - 1) as Time },
-            slot: SealSlot::new(LockClass::SealSlot),
+        let Head { ds, index, ext_lo, lo } = std::mem::replace(&mut self.head, fresh);
+        let skyband = index.skyband().map(|sb| sb.to_static(lo - ext_lo));
+        let oracle = index.seal(&ds);
+        self.tails.push(Shard {
+            oracle,
+            skyband,
+            chunk: self.storage.store(Arc::new(ds)),
+            range: OwnedRange { ext_lo, lo, hi: (self.len - 1) as Time },
+            generation: next_shard_gen(),
         });
-
-        let (job, job_storage) = (Arc::clone(&sealing), Arc::clone(&self.storage));
-        let submitted = WorkerPool::global().submit(move |_ctx| {
-            // A waiter may have stolen the seal while this job sat in the
-            // pool queue; produce only if we claim first.
-            if job.slot.claim() {
-                let outcome = catch_unwind(AssertUnwindSafe(|| run_seal(&job, &job_storage)))
-                    .map_err(|_| "background seal panicked".to_string());
-                job.slot.publish(outcome);
-            }
-        });
-        if !submitted {
-            // Pool shutting down: seal inline rather than leak an
-            // unfulfillable slot.
-            sealing.steal_if_unclaimed(&self.storage);
-        }
-        self.pending.push(sealing);
     }
 
-    /// Splices every already-published seal (oldest first) into the tail
-    /// list. Stops at the first still-running seal: tails must stay in
-    /// time order.
-    fn integrate_ready(&mut self) {
-        while !self.pending.is_empty() {
-            let Some(outcome) = self.pending[0].slot.try_take() else { break };
-            let sealed = self.pending.remove(0);
-            self.integrate(sealed, outcome);
-        }
+    /// Always zero; kept only because the frozen benchmark harness calls it.
+    #[doc(hidden)]
+    pub fn pending_seals(&self) -> usize {
+        0
     }
 
-    /// Retires a completed seal into the tail list, carrying the
-    /// snapshot's query counters over so cumulative instrumentation never
-    /// goes backwards when the snapshot (and its forest counters) drops.
-    fn integrate(&mut self, sealed: Arc<PendingSeal>, outcome: Result<Shard, String>) {
-        self.retired_queries.fetch_add(sealed.index.counters().queries(), Ordering::Relaxed);
-        let shard = outcome.unwrap_or_else(|_| run_seal(&sealed, &self.storage));
-        self.tails.push(shard);
-    }
-
-    /// Integrates the oldest pending seal, producing it on this thread if
-    /// the pool has not started it yet (work stealing — see
-    /// [`PendingSeal::steal_if_unclaimed`]). Never depends on pool
-    /// progress: the callers hold locks that pool workers may be queued
-    /// behind (e.g. the serving engine's write lock while every worker
-    /// waits on its read side), so merely *waiting* for the pool here
-    /// could deadlock the process. If the pool job already claimed the
-    /// seal it is actively running on snapshot-only data and publishes
-    /// promptly; a failed (panicked) job is redone inline from the still-
-    /// whole snapshot.
-    fn integrate_front_blocking(&mut self) {
-        let sealed = self.pending.remove(0);
-        sealed.steal_if_unclaimed(&self.storage);
-        let outcome = sealed.slot.take_blocking();
-        self.integrate(sealed, outcome);
-    }
-
-    /// Waits for every in-flight background seal (running any the pool has
-    /// not started yet on this thread) and splices the results into the
-    /// tail list. Queries do not need this — pending snapshots serve
-    /// exactly — but deterministic shard-state inspection, orderly teardown
-    /// and callers that want seals finished inline on the appending thread
-    /// (call it after every `append`) do.
-    pub fn quiesce(&mut self) {
-        while !self.pending.is_empty() {
-            self.integrate_front_blocking();
-        }
-    }
-
-    /// Number of shards (sealed tails, seals in flight, plus the head when
-    /// it owns records).
+    /// Number of shards (sealed tails, plus the head when it owns records).
     pub fn shard_count(&self) -> usize {
         self.sealed_shards() + usize::from(self.head_owned() > 0)
     }
 
-    /// Number of sealed shards: integrated tails plus seals still in
-    /// flight (their snapshots are already immutable).
+    /// Number of sealed shards.
     pub fn sealed_shards(&self) -> usize {
-        self.tails.len() + self.pending.len()
-    }
-
-    /// Seals currently in flight on the worker pool.
-    pub fn pending_seals(&self) -> usize {
-        self.pending.len()
+        self.tails.len()
     }
 
     /// Records covered by the sharded engine.
@@ -560,34 +397,32 @@ impl ShardedEngine {
         self.shape.max_tau
     }
 
-    /// Head rotations so far: increments every time a full head is handed
-    /// off for sealing. The subscription layer compares this across
-    /// appends to notice a freshly crossed shard boundary and re-anchor
-    /// standing queries that straddle it.
+    /// Head rotations so far: increments every time a full head is
+    /// sealed. The subscription layer compares this across appends to
+    /// notice a freshly crossed shard boundary and re-anchor standing
+    /// queries that straddle it.
     pub fn seal_epoch(&self) -> u64 {
         self.seal_epoch
     }
 
-    /// Every shard in time order — integrated tails, then in-flight seal
-    /// snapshots, then the mutable head when it owns records — with the
-    /// range it owns and what serves it. The one place the three lists are
-    /// walked: routing, the top-k building block, the history view, the
-    /// routing table and the counters all iterate this.
+    /// Every shard in time order — the sealed tails, then the mutable head
+    /// when it owns records — with the range it owns and what serves it.
+    /// The one place the shards are walked: routing, the top-k building
+    /// block, the history view, the routing table and the counters all
+    /// iterate this.
     fn pieces(&self) -> impl Iterator<Item = (OwnedRange, Substrate<'_>)> {
         let tails = self.tails.iter().map(|shard| (shard.range, Substrate::Sealed(shard)));
-        let sealing = self.pending.iter().map(|p| (p.range, Substrate::Forest(&p.ds, &p.index)));
         let head = (self.head_owned() > 0).then(|| {
             let Head { ds, index, ext_lo, lo } = &self.head;
             let range = OwnedRange { ext_lo: *ext_lo, lo: *lo, hi: (self.len - 1) as Time };
             (range, Substrate::Forest(ds, index))
         });
-        tails.chain(sealing).chain(head)
+        tails.chain(head)
     }
 
     /// The owned `[lo, hi]` record range of every shard in time order:
-    /// integrated tails, then in-flight seal snapshots, then the mutable
-    /// head when it owns records. Ranges are disjoint, contiguous, and
-    /// cover `[0, len)`; each shard additionally holds up to `max_tau`
+    /// sealed tails, then the mutable head when it owns records. Ranges are
+    /// disjoint, contiguous, and cover `[0, len)`; each shard additionally holds up to `max_tau`
     /// records of left context, which is an implementation detail of
     /// exactness and not reported here. This is the routing table a
     /// scatter-gather coordinator works from.
@@ -628,10 +463,9 @@ impl ShardedEngine {
     /// history for `τ ≤ max_tau`.
     ///
     /// With a skyband bound configured ([`EngineConfig::skyband_bound`]),
-    /// [`Algorithm::SBand`] runs natively everywhere — sealed tails,
-    /// snapshots whose background seal is still in flight, and the mutable
-    /// head (whose forest maintains its k-skyband incrementally) — so
-    /// [`QueryStats::fallback`](crate::QueryStats::fallback) stays `None`
+    /// [`Algorithm::SBand`] runs natively everywhere — sealed tails and the
+    /// mutable head (whose forest maintains its k-skyband incrementally) —
+    /// so [`QueryStats::fallback`](crate::QueryStats::fallback) stays `None`
     /// at every point of the ingestion timeline for `k` within the bound.
     ///
     /// # Panics
@@ -806,8 +640,7 @@ impl ShardedEngine {
 
     /// Appends the attribute rows of global records `[from, len)` to
     /// `out`, reading sealed tails through the storage backend (spilled
-    /// chunks are faulted in), then in-flight seal snapshots, then the
-    /// mutable head — in global time order.
+    /// chunks are faulted in), then the mutable head — in global time order.
     ///
     /// This is the route to an exact answer for `τ > max_tau` over
     /// live-ingested data: copy the history out and hand it to the offline
@@ -847,18 +680,16 @@ impl ShardedEngine {
     }
 
     /// Cumulative top-k queries issued across all shard oracles (sealed
-    /// tails, sealing snapshots — including ones that have since
-    /// integrated — plus the head forest). Monotone until
+    /// tails plus the head forest; a sealed tree carries on from its
+    /// forest's count). Monotone until
     /// [`reset_counters`](ShardedEngine::reset_counters).
     pub fn oracle_queries(&self) -> u64 {
-        let live: u64 = self
-            .pieces()
+        self.pieces()
             .map(|(_, substrate)| match substrate {
                 Substrate::Sealed(shard) => shard.oracle.queries_issued(),
                 Substrate::Forest(_, index) => index.counters().queries(),
             })
-            .sum();
-        live + self.retired_queries.load(Ordering::Relaxed)
+            .sum()
     }
 
     /// Resets instrumentation on every shard.
@@ -869,7 +700,6 @@ impl ShardedEngine {
                 Substrate::Forest(_, index) => index.counters().reset(),
             }
         }
-        self.retired_queries.store(0, Ordering::Relaxed);
     }
 }
 
@@ -1049,57 +879,55 @@ mod tests {
                 assert_eq!(got.records, expected.records, "alg={alg} q={q:?}");
             }
         }
-        // Quiescing (waiting out the background seals) changes which
-        // substrate serves each piece, never the answers.
-        live.quiesce();
-        assert_eq!(live.pending_seals(), 0);
-        let q = DurableQuery { k: 3, tau: 40, interval: Window::new(0, 499) };
-        assert_eq!(
-            live.query(Algorithm::THop, &scorer, &q).records,
-            flat.query(Algorithm::THop, &scorer, &q).records
-        );
     }
 
-    /// Where a seal completes never shows in an answer: one engine leaves
-    /// every seal to the pool and never waits, the other completes each one
-    /// synchronously by calling `quiesce()` after every append, and they
-    /// agree at every prefix, for every algorithm, across a dozen seals.
+    /// How a shard came to be never shows: an engine grown one append at a
+    /// time and engines built from each prefix route alike and answer alike
+    /// at every prefix, for every algorithm, across a dozen seals — and the
+    /// queries a head served stay counted once it is a tail.
     #[test]
-    fn background_and_synchronous_sealing_agree() {
+    fn grown_and_built_engines_agree_at_every_prefix() {
         let ds = dataset(400);
         let scorer = LinearScorer::new(vec![0.3, 0.7]);
-        let mut background = live(32, 24);
-        let mut synchronous = live(32, 24);
+        let cfg = EngineConfig::new(2, 32, 24).skyband_bound(4).leaf_size(4);
+        let mut grown = cfg.clone().build().expect("config");
+        let mut prefix = Dataset::new(2);
+        let mut queries_so_far = 0;
         for id in 0..400u32 {
-            background.append(ds.row(id));
-            synchronous.append(ds.row(id));
-            synchronous.quiesce();
-            assert_eq!(synchronous.pending_seals(), 0, "quiesce leaves no seal in flight");
+            grown.append(ds.row(id));
+            prefix.push(ds.row(id));
+            let built = cfg.clone().build_from(&prefix, prefix.len().div_ceil(32)).expect("build");
+            if prefix.len() % 32 == 0 {
+                // Whole spans only: `build_from` partitions evenly.
+                assert_eq!(grown.shard_ranges(), built.shard_ranges(), "after {}", id + 1);
+            }
             let q = DurableQuery {
                 k: 1 + id as usize % 3,
                 tau: 1 + id % 24,
-                interval: Window::new(0, id),
+                interval: Window::new(id / 3, id),
             };
             let alg = Algorithm::ALL[id as usize % Algorithm::ALL.len()];
-            assert_eq!(
-                background.query(alg, &scorer, &q).records,
-                synchronous.query(alg, &scorer, &q).records,
-                "alg={alg} after {} appends",
-                id + 1
-            );
+            let (got, want) = (grown.query(alg, &scorer, &q), built.query(alg, &scorer, &q));
+            assert_eq!(got.records, want.records, "alg={alg} after {} appends", id + 1);
+            assert_eq!(got.stats.fallback, want.stats.fallback, "alg={alg}");
+            let queries = grown.oracle_queries();
+            assert!(queries >= queries_so_far, "oracle_queries went backwards at seal {id}");
+            queries_so_far = queries;
         }
-        assert_eq!(synchronous.sealed_shards(), 12);
-        // Cumulative instrumentation survives integration: the queries a
-        // pending snapshot served must not vanish when its sealed shard
-        // replaces it.
-        let before_quiesce = background.oracle_queries();
-        background.quiesce();
-        assert!(
-            background.oracle_queries() >= before_quiesce,
-            "oracle_queries must stay monotone across seal integration"
-        );
-        assert_eq!(background.sealed_shards(), synchronous.sealed_shards());
-        assert_eq!(background.shard_ranges(), synchronous.shard_ranges());
+        assert_eq!(grown.sealed_shards(), 12);
+        assert!(queries_so_far > 0);
+    }
+
+    #[test]
+    fn built_tails_use_the_configured_leaf_size() {
+        let ds = dataset(900);
+        let tail_tree_bytes = |cfg: EngineConfig| -> usize {
+            let engine = cfg.build_from(&ds, 3).expect("build");
+            engine.tails.iter().map(|shard| shard.oracle.heap_bytes()).sum()
+        };
+        let coarse = tail_tree_bytes(EngineConfig::new(2, 1, 30));
+        let fine = tail_tree_bytes(EngineConfig::new(2, 1, 30).leaf_size(8));
+        assert!(fine > 4 * coarse, "8-record leaves need many more nodes: {fine} vs {coarse}");
     }
 
     #[test]
@@ -1178,14 +1006,6 @@ mod tests {
         assert_eq!(live.sealed_shards(), 4);
         assert_eq!(live.shard_count(), 4, "no owned head records after an exact multiple");
         let flat = DurableTopKEngine::new(ds.clone()).with_skyband_index(4);
-        // Snapshots whose background seal is still in flight serve S-Band
-        // natively through their forest's incremental skyband — no
-        // quiesce needed for a fallback-free answer.
-        let got = live.query(Algorithm::SBand, &scorer, &q);
-        assert!(got.stats.fallback.is_none(), "in-flight seals serve S-Band natively");
-        assert_eq!(got.records, flat.query(Algorithm::SBand, &scorer, &q).records);
-        // Once integrated, the sealed shards carry the frozen skyband.
-        live.quiesce();
         let got = live.query(Algorithm::SBand, &scorer, &q);
         assert!(got.stats.fallback.is_none(), "sealed shards carry the skyband index");
         assert_eq!(got.records, flat.query(Algorithm::SBand, &scorer, &q).records);
@@ -1206,7 +1026,6 @@ mod tests {
             for id in 0..600u32 {
                 grown.append(ds.row(id));
             }
-            grown.quiesce();
             for engine in [&built, &grown] {
                 assert_eq!(engine.tails.len(), 10);
                 for shard in &engine.tails {
@@ -1261,7 +1080,6 @@ mod tests {
         for id in 0..600u32 {
             live.append(ds.row(id));
         }
-        live.quiesce();
         // Keep only the newest chunk decoded: everything older must be
         // served by faulting pages back in.
         let live =
@@ -1289,7 +1107,6 @@ mod tests {
         for id in 0..200u32 {
             live.append(ds.row(id));
         }
-        live.quiesce();
         let q = DurableQuery { k: 2, tau: 30, interval: Window::new(550, 799) };
         let mut full = ds.clone();
         for id in 0..200u32 {
@@ -1309,8 +1126,8 @@ mod tests {
         for id in 0..300u32 {
             live.append(ds.row(id));
         }
-        // From zero: the whole history, bit-identical, even with seals in
-        // flight and spilled chunks.
+        // From zero: the whole history, bit-identical, even with spilled
+        // chunks.
         let live =
             live.migrate_storage(Arc::new(PagedStorage::with_temp_file(1).expect("paged backend")));
         let mut out = Dataset::new(2);

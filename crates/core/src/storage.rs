@@ -1,7 +1,7 @@
 //! Tiered storage for sealed shard record chunks.
 //!
 //! A sealed tail shard of the [`ShardedEngine`](crate::ShardedEngine) is
-//! three things: a collapsed segment tree, an optional frozen skyband
+//! three things: a segment tree, an optional frozen skyband
 //! index, and the *record chunk* — the immutable sub-dataset covering the
 //! shard's extended time range. The first two are compact; the chunk is
 //! where the resident set lives. This module puts the chunk behind a
@@ -10,8 +10,8 @@
 //! * [`MemoryStorage`] — every chunk stays decoded in memory as a shared
 //!   [`Arc<Dataset>`]. Today's behavior, zero-cost fetches, the default.
 //! * [`PagedStorage`] — chunks are serialized page-aligned into a
-//!   [`BufferPool`] file at store time (on the background seal worker, off
-//!   the append path). The newest `spill_after` chunks additionally stay
+//!   [`BufferPool`] file at store time (once per seal, about 0.1 ms for a
+//!   4 096-record chunk). The newest `spill_after` chunks additionally stay
 //!   decoded; older ones are *spilled* — a query touching one transparently
 //!   faults its pages back in, decodes, and reports the physical page
 //!   reads as cold-page hits
@@ -20,8 +20,9 @@
 //!   (up to half its frames), so an immediately repeated cold query is
 //!   served warm.
 //!
-//! Because chunks are shared `Arc`s end to end — head snapshot, seal job,
-//! storage, query fan-out — sealing no longer copies the record data and
+//! Because chunks are shared `Arc`s end to end — the sealed head's
+//! sub-dataset, storage, query fan-out — sealing does not copy the record
+//! data and
 //! the engine holds exactly one decoded copy of each chunk, whichever
 //! backend is active. Exactness is non-negotiable: the paged roundtrip is
 //! bit-identical (see the store crate's chunk format), proptested against
@@ -59,13 +60,11 @@ pub struct StorageStats {
 
 /// Where sealed shards keep their record chunks.
 ///
-/// Implementations are shared across the appending thread, the background
-/// seal workers and the query fan-out (`Send + Sync`); all methods take
-/// `&self`.
+/// Implementations are shared across the appending thread and the query
+/// fan-out (`Send + Sync`); all methods take `&self`.
 pub trait ShardStorage: Send + Sync + std::fmt::Debug {
-    /// Stores an immutable chunk, returning its handle. Runs on the seal
-    /// path (a background pool job by default), never on the append hot
-    /// path.
+    /// Stores an immutable chunk, returning its handle. Runs once per
+    /// seal, on the appending thread.
     fn store(&self, chunk: Arc<Dataset>) -> ChunkId;
 
     /// Retrieves a chunk by handle, together with the number of physical

@@ -7,7 +7,6 @@
 //! "Concurrency invariants").
 
 use crate::check::{LockClass, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Locks a tracked mutex. Poisoning is swallowed by the wrapper — safe
 /// throughout this crate because guarded state is updated in single steps
@@ -19,41 +18,23 @@ pub(crate) fn lock<'a, T>(m: &'a TrackedMutex<T>) -> TrackedMutexGuard<'a, T> {
 }
 
 /// A oneshot completion slot: one producer publishes a value, consumers
-/// poll or block for it. Backs both seal publication
-/// ([`ShardedEngine`](crate::ShardedEngine)'s background collapses) and
-/// request completion handles ([`ServeEngine`](crate::ServeEngine)) —
-/// declared with [`LockClass::SealSlot`] and [`LockClass::ResponseSlot`]
-/// respectively, the two innermost classes of the lock hierarchy.
-///
-/// The `claim` flag supports *work stealing*: when the value is produced
-/// by a detached pool job, a waiter that cannot afford to depend on pool
-/// scheduling (e.g. an appender holding a lock the pool workers might be
-/// queued behind) first tries to claim production for itself; whoever
-/// wins the claim computes and publishes, the loser just waits. This
-/// breaks any cycle where the producer's turn on the pool never comes.
+/// poll or block for it. Backs request completion handles
+/// ([`ServeEngine`](crate::ServeEngine)); its lock is a
+/// [`LockClass::ResponseSlot`], the innermost engine-side class of the lock
+/// hierarchy.
 #[derive(Debug)]
 pub(crate) struct OnceSlot<T> {
     ready: TrackedMutex<Option<T>>,
     done: TrackedCondvar,
-    claimed: AtomicBool,
 }
 
 impl<T> OnceSlot<T> {
-    /// Creates an empty slot whose internal lock carries `class` (use
-    /// [`LockClass::SealSlot`] for seal hand-offs,
-    /// [`LockClass::ResponseSlot`] for completion handles).
-    pub(crate) fn new(class: LockClass) -> Self {
+    /// Creates an empty slot.
+    pub(crate) fn new() -> Self {
         Self {
-            ready: TrackedMutex::new(class, None),
+            ready: TrackedMutex::new(LockClass::ResponseSlot, None),
             done: TrackedCondvar::new(),
-            claimed: AtomicBool::new(false),
         }
-    }
-
-    /// Atomically claims the right to produce the value. Returns `true`
-    /// exactly once across all callers.
-    pub(crate) fn claim(&self) -> bool {
-        !self.claimed.swap(true, Ordering::AcqRel)
     }
 
     /// Publishes the value and wakes every waiter.
@@ -85,16 +66,8 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn claim_is_granted_exactly_once() {
-        let slot: OnceSlot<u32> = OnceSlot::new(LockClass::SealSlot);
-        assert!(slot.claim());
-        assert!(!slot.claim());
-        assert!(!slot.claim());
-    }
-
-    #[test]
     fn publish_wakes_a_blocked_taker() {
-        let slot = Arc::new(OnceSlot::<u32>::new(LockClass::SealSlot));
+        let slot = Arc::new(OnceSlot::<u32>::new());
         let taker = {
             let slot = Arc::clone(&slot);
             std::thread::spawn(move || slot.take_blocking())
@@ -102,102 +75,5 @@ mod tests {
         slot.publish(42);
         assert_eq!(taker.join().expect("taker"), 42);
         assert_eq!(slot.try_take(), None, "oneshot: the value is consumed");
-    }
-
-    /// Yield seeds the permutation tests below run under: seed 0 disables
-    /// injection (the unperturbed schedule); the rest shift every tracked
-    /// acquisition by a seed-dependent number of `yield_now` calls,
-    /// walking the claim/steal races through distinct interleavings.
-    const SEEDS: [u64; 6] = [0, 1, 2, 3, 0x9e37, 0x7f4a7c15];
-
-    #[test]
-    fn claim_then_steal_under_yield_injection() {
-        for seed in SEEDS {
-            crate::check::set_yield_seed(seed);
-            // The appender (cannot wait on pool scheduling) claims first;
-            // the pool job arrives late, loses the claim, and must still
-            // observe the published value.
-            let slot = Arc::new(OnceSlot::<u64>::new(LockClass::SealSlot));
-            assert!(slot.claim(), "first claim wins (seed {seed})");
-            let late = {
-                let slot = Arc::clone(&slot);
-                std::thread::spawn(move || {
-                    assert!(!slot.claim(), "late claimer must lose");
-                    slot.take_blocking()
-                })
-            };
-            slot.publish(seed);
-            assert_eq!(late.join().expect("late thread"), seed);
-        }
-        crate::check::set_yield_seed(0);
-    }
-
-    #[test]
-    fn steal_while_producing_grants_one_producer() {
-        use std::sync::atomic::AtomicUsize;
-        for seed in SEEDS {
-            crate::check::set_yield_seed(seed);
-            // Two producers race the claim mid-flight; exactly one may
-            // produce, and the taker sees that producer's value.
-            let slot = Arc::new(OnceSlot::<usize>::new(LockClass::SealSlot));
-            let winners = Arc::new(AtomicUsize::new(0));
-            let producers: Vec<_> = (1..=2usize)
-                .map(|id| {
-                    let slot = Arc::clone(&slot);
-                    let winners = Arc::clone(&winners);
-                    std::thread::spawn(move || {
-                        if slot.claim() {
-                            winners.fetch_add(1, Ordering::Relaxed);
-                            slot.publish(id);
-                        }
-                    })
-                })
-                .collect();
-            let got = slot.take_blocking();
-            for p in producers {
-                p.join().expect("producer");
-            }
-            assert_eq!(winners.load(Ordering::Relaxed), 1, "seed {seed}");
-            assert!((1..=2).contains(&got), "value came from the winner (seed {seed})");
-            assert!(!slot.claim(), "the claim stays spent");
-        }
-        crate::check::set_yield_seed(0);
-    }
-
-    #[test]
-    fn double_claim_three_way_race_stays_oneshot() {
-        use std::sync::atomic::AtomicUsize;
-        for seed in SEEDS {
-            crate::check::set_yield_seed(seed);
-            // Three claimants, one blocked taker: however the schedule
-            // lands, the claim is granted once, the value is produced
-            // once, and the taker drains it exactly once.
-            let slot = Arc::new(OnceSlot::<usize>::new(LockClass::SealSlot));
-            let taker = {
-                let slot = Arc::clone(&slot);
-                std::thread::spawn(move || slot.take_blocking())
-            };
-            let winners = Arc::new(AtomicUsize::new(0));
-            let claimants: Vec<_> = (1..=3usize)
-                .map(|id| {
-                    let slot = Arc::clone(&slot);
-                    let winners = Arc::clone(&winners);
-                    std::thread::spawn(move || {
-                        if slot.claim() {
-                            winners.fetch_add(1, Ordering::Relaxed);
-                            slot.publish(id);
-                        }
-                    })
-                })
-                .collect();
-            for c in claimants {
-                c.join().expect("claimant");
-            }
-            let got = taker.join().expect("taker");
-            assert_eq!(winners.load(Ordering::Relaxed), 1, "seed {seed}");
-            assert!((1..=3).contains(&got), "seed {seed}");
-            assert_eq!(slot.try_take(), None, "oneshot after the drain (seed {seed})");
-        }
-        crate::check::set_yield_seed(0);
     }
 }

@@ -4,10 +4,12 @@
 //! dataset; instant-stamped data, however, keeps arriving. This module
 //! provides the classical logarithmic method: maintain a forest of segment
 //! trees over consecutive arrival ranges whose sizes follow a binary
-//! counter. Appending a record adds a singleton tree and merges equal-sized
-//! neighbors (rebuilding their range), giving amortized `O(log n)` merge
-//! events and keeping at most `⌈log₂ n⌉ + 1` trees; queries fan out over the
-//! forest and merge the per-tree `π≤k` sets.
+//! counter. Appending a record adds a singleton tree and
+//! [joins](SkylineSegTree::join) equal-sized neighbors — a new root over
+//! the two trees as they stand, no record is indexed twice — keeping at most
+//! `⌈log₂ n⌉ + 1` trees; queries fan out over the forest and merge the
+//! per-tree `π≤k` sets. [Sealing](AppendableTopKIndex::seal) joins what is
+//! left into one tree the same way.
 //!
 //! This realizes the paper's claim that the index "supports updates in
 //! polylogarithmic time" for the append-heavy temporal setting.
@@ -17,14 +19,11 @@ use crate::skyband_index::IncrementalSkybandIndex;
 use durable_topk_temporal::{Dataset, Time, Window};
 
 /// A forest of skyline segment trees supporting appends.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AppendableTopKIndex {
     trees: Vec<SkylineSegTree>,
     n: usize,
     leaf_size: usize,
-    /// Largest tree the binary-counter cascade may produce; `None` keeps
-    /// the classical unbounded counter.
-    merge_cap: Option<usize>,
     /// Incrementally-maintained durable k-skyband candidates — enables
     /// native S-Band over a still-growing head shard.
     skyband: Option<IncrementalSkybandIndex>,
@@ -42,30 +41,9 @@ impl AppendableTopKIndex {
             trees: Vec::new(),
             n: 0,
             leaf_size,
-            merge_cap: None,
             skyband: None,
             counters: QueryCounters::default(),
         }
-    }
-
-    /// Caps the binary-counter cascade: no merge may produce a tree
-    /// covering more than `limit` records, bounding the worst-case cost
-    /// of a single [`append`](AppendableTopKIndex::append) at an
-    /// `O(limit)` rebuild instead of `O(n)`.
-    ///
-    /// The price is more trees — `O(n / limit)` full-sized ones instead
-    /// of `O(log n)` total — so queries fan out wider. The sweet spot is
-    /// a forest that is *sealed* (rebuilt into one balanced tree) every
-    /// `span` appends anyway: merges past the cap are pure wasted work
-    /// there, because [`seal`](AppendableTopKIndex::seal) rebuilds from
-    /// scratch whenever more than one tree remains.
-    ///
-    /// # Panics
-    /// Panics if `limit == 0`.
-    pub fn with_merge_limit(mut self, limit: usize) -> Self {
-        assert!(limit > 0, "merge limit must be positive");
-        self.merge_cap = Some(limit);
-        self
     }
 
     /// Attaches an incrementally-maintained durable k-skyband index
@@ -142,25 +120,14 @@ impl AppendableTopKIndex {
         let t = self.n as Time;
         self.trees.push(SkylineSegTree::build_over(ds, t, t, self.leaf_size));
         self.n += 1;
-        // Binary-counter merge: combine equal-length suffix trees (up to
-        // the merge cap, when one is set).
-        while self.trees.len() >= 2 {
-            let last = self.trees[self.trees.len() - 1].coverage();
-            let prev = self.trees[self.trees.len() - 2].coverage();
-            if prev.len() != last.len() {
+        // Binary-counter merge: join equal-length suffix trees.
+        while let [.., prev, last] = &self.trees[..] {
+            if prev.coverage().len() != last.coverage().len() {
                 break;
             }
-            if self.merge_cap.is_some_and(|cap| prev.len() + last.len() > cap) {
-                break;
-            }
-            self.trees.pop();
-            self.trees.pop();
-            self.trees.push(SkylineSegTree::build_over(
-                ds,
-                prev.start(),
-                last.end(),
-                self.leaf_size,
-            ));
+            let last = self.trees.pop().expect("two trees");
+            let prev = self.trees.pop().expect("two trees");
+            self.trees.push(SkylineSegTree::join(ds, prev, last));
         }
         // The skyband is independent of the cascade: durations only look
         // backwards, so the newcomer's are pushed and nothing is rebuilt.
@@ -169,41 +136,23 @@ impl AppendableTopKIndex {
         }
     }
 
-    /// Consumes the forest, collapsing it into a single balanced tree over
-    /// its whole coverage — the *sealing* step of shard rotation: a head
-    /// shard grown by appends freezes into the same index shape a
-    /// from-scratch build produces, ready to serve as an immutable tail
-    /// shard.
-    ///
-    /// When the binary counter already holds a single tree (record count a
-    /// power of two), that tree is moved out as-is; otherwise the covered
-    /// range is rebuilt once into a fresh balanced tree (segment trees do
-    /// not merge structurally).
+    /// Consumes the forest, joining its trees into one over its whole
+    /// coverage — the *sealing* step of shard rotation: a head shard grown
+    /// by appends freezes into an immutable tail shard's tree. Nothing is
+    /// rebuilt: the trees are folded right to left (smallest first, so every
+    /// node is moved a constant number of times), each step one
+    /// [`SkylineSegTree::join`]. The tree takes over the forest's
+    /// [`counters`](AppendableTopKIndex::counters), so the queries the forest
+    /// served stay counted.
     ///
     /// # Panics
     /// Panics if the index is empty.
     pub fn seal(mut self, ds: &Dataset) -> SkylineSegTree {
-        assert!(!self.is_empty(), "cannot seal an empty index");
-        if self.trees.len() == 1 {
-            return self.trees.pop().expect("one tree");
+        let mut sealed = self.trees.pop().expect("cannot seal an empty index");
+        while let Some(prev) = self.trees.pop() {
+            sealed = SkylineSegTree::join(ds, prev, sealed);
         }
-        SkylineSegTree::build_over(ds, 0, (self.n - 1) as Time, self.leaf_size)
-    }
-
-    /// As [`seal`](AppendableTopKIndex::seal), leaving the forest intact —
-    /// the background-seal path, where a frozen head snapshot must keep
-    /// serving queries while its collapse runs on a pool worker. The
-    /// single-tree case clones that tree (a flat memcpy) instead of
-    /// rebuilding.
-    ///
-    /// # Panics
-    /// Panics if the index is empty.
-    pub fn seal_ref(&self, ds: &Dataset) -> SkylineSegTree {
-        assert!(!self.is_empty(), "cannot seal an empty index");
-        if self.trees.len() == 1 {
-            return self.trees[0].clone();
-        }
-        SkylineSegTree::build_over(ds, 0, (self.n - 1) as Time, self.leaf_size)
+        sealed.with_counters(self.counters)
     }
 
     /// Answers `Q(u, k, W)` over the forest.
@@ -323,35 +272,41 @@ mod tests {
         assert_eq!(r.items, vec![(3, 9.0), (0, 3.0)]);
     }
 
+    /// A seal joins and nothing else: over the same range the sealed tree
+    /// answers exactly like a balanced `build_over`, it is made of the
+    /// forest's own nodes plus one new root per join, and it carries the
+    /// forest's query count.
     #[test]
-    fn merge_limit_bounds_tree_size_and_stays_exact() {
+    fn seal_only_joins_and_answers_like_a_balanced_build() {
         let mut rng = StdRng::seed_from_u64(47);
-        let mut ds = Dataset::new(2);
-        let mut capped = AppendableTopKIndex::new(4).with_merge_limit(16);
-        let mut classic = AppendableTopKIndex::new(4);
-        let scorer = LinearScorer::new(vec![0.7, 0.3]);
-        for step in 0..300usize {
+        let mut ds = Dataset::from_rows(2, (0..40).map(|i| [(i % 9) as f64, (i % 7) as f64]));
+        // A context-sized first tree, then a binary counter on top of it.
+        let mut idx = AppendableTopKIndex::build(&ds, 4);
+        for _ in 0..(256 + 64 + 16 + 4) {
             ds.push(&[rng.random_range(0..25) as f64, rng.random_range(0..25) as f64]);
-            capped.append(&ds);
-            classic.append(&ds);
-            if step % 23 == 0 {
-                let n = ds.len() as Time;
-                let w = Window::new(n / 3, n - 1);
-                let k = 1 + step % 4;
-                assert_eq!(
-                    capped.top_k(&ds, &scorer, k, w),
-                    classic.top_k(&ds, &scorer, k, w),
-                    "step={step}"
-                );
-            }
+            idx.append(&ds);
         }
-        // No tree exceeds the cap, so the worst single append rebuilt at
-        // most 16 records; the price is a linear (bounded) tree count.
-        assert!(capped.tree_count() >= 300 / 16, "capped forests keep cap-sized trees");
-        // The sealed shapes agree too.
-        let a = capped.seal(&ds);
-        let b = classic.seal(&ds);
-        assert_eq!(a.coverage(), b.coverage());
+        let sizes: Vec<usize> = idx.trees.iter().map(|t| t.coverage().len()).collect();
+        assert_eq!(sizes, [40, 256, 64, 16, 4], "every tree is larger than the fuse bound");
+        let forest_nodes: usize = idx.trees.iter().map(SkylineSegTree::node_count).sum();
+        let scorer = LinearScorer::new(vec![0.7, 0.3]);
+        idx.top_k(&ds, &scorer, 2, Window::new(0, 100));
+        idx.top_k(&ds, &scorer, 2, Window::new(90, 300));
+
+        let sealed = idx.seal(&ds);
+        assert_eq!(sealed.node_count(), forest_nodes + sizes.len() - 1);
+        assert_eq!(sealed.counters().queries(), 2, "the forest's queries stay counted");
+        let n = ds.len() as Time;
+        let balanced = SkylineSegTree::build_over(&ds, 0, n - 1, 4);
+        assert_eq!(sealed.coverage(), balanced.coverage());
+        for _ in 0..60 {
+            let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+            let w = Window::new(a.min(b), a.max(b));
+            let k = rng.random_range(1..6);
+            let got = sealed.top_k(&ds, &scorer, k, w);
+            assert_eq!(got, balanced.top_k(&ds, &scorer, k, w), "k={k} w={w}");
+            assert_eq!(got, scan_top_k(&ds, &scorer, k, w), "k={k} w={w}");
+        }
     }
 
     #[test]
@@ -377,16 +332,24 @@ mod tests {
         use crate::skyband_index::{DurableSkybandIndex, SkybandCandidates};
         let mut rng = StdRng::seed_from_u64(53);
         let mut ds = Dataset::new(2);
-        // Two forests whose cascades produce different tree shapes.
-        let mut capped =
-            AppendableTopKIndex::new(4).with_merge_limit(16).with_skyband_bound(&ds, 6);
+        let mut rows = std::iter::repeat_with(|| {
+            [rng.random_range(0..14) as f64, rng.random_range(0..14) as f64]
+        });
+        // Two forests whose cascades produce different tree shapes: one
+        // counts up from the first record, the other starts from one tree
+        // over the first 37.
         let mut classic = AppendableTopKIndex::new(4).with_skyband_bound(&ds, 6);
-        for step in 0..180usize {
-            ds.push(&[rng.random_range(0..14) as f64, rng.random_range(0..14) as f64]);
-            capped.append(&ds);
+        for row in rows.by_ref().take(37) {
+            ds.push(&row);
+            classic.append(&ds);
+        }
+        let mut prebuilt = AppendableTopKIndex::build(&ds, 4).with_skyband_bound(&ds, 6);
+        for (step, row) in rows.take(143).enumerate() {
+            ds.push(&row);
+            prebuilt.append(&ds);
             classic.append(&ds);
             let (a, b) =
-                (capped.skyband().expect("attached"), classic.skyband().expect("attached"));
+                (prebuilt.skyband().expect("attached"), classic.skyband().expect("attached"));
             let n = ds.len() as Time;
             let w = Window::new(n / 3, n - 1);
             for (k, tau) in [(1usize, 2u32), (3, 9), (6, 40)] {
@@ -397,11 +360,11 @@ mod tests {
                 }
             }
         }
-        assert!(capped.tree_count() > classic.tree_count(), "the cascades did differ");
+        assert!(prebuilt.tree_count() > classic.tree_count(), "the cascades did differ");
         // The sealed skyband equals a from-scratch static build, whole and
         // from a later first owned record.
         for first in [0, 60] {
-            let sealed = capped.skyband().expect("attached").to_static(first);
+            let sealed = prebuilt.skyband().expect("attached").to_static(first);
             let stat = DurableSkybandIndex::build_owned(&ds, 6, first);
             let w = Window::new(20, 170);
             assert_eq!(sealed.candidates(w, 12, 4), stat.candidates(w, 12, 4));

@@ -140,9 +140,8 @@ fn seeded_yield_stress_completes_deadlock_free_without_fallbacks() {
                 appended.store(i as u32 + 1, Ordering::Release);
             }
         });
-        serve.quiesce();
 
-        // Repeat one sealed-range query: with the stream quiesced, shard
+        // Repeat one sealed-range query: with the stream stopped, shard
         // generations are stable, so the second run must replay memoized
         // per-shard answers.
         let cached_req = ServeRequest {

@@ -4,7 +4,7 @@
 //! keyed on `(shard generation, algorithm, scorer fingerprint, k, τ)`.
 //! Correctness rests on two invariants these tests drive end to end:
 //! a cached answer must be **bit-identical** to a recomputation (across
-//! seals, pending splices and paged spills), and a shard that changes
+//! seals and paged spills), and a shard that changes
 //! identity (merge, storage migration) must never serve a stale entry.
 
 use durable_topk::{
@@ -112,7 +112,6 @@ proptest! {
 
         // The equivalence must actually have replayed memoized answers
         // over a run with enough seals and at least one spilled chunk.
-        cached.quiesce();
         prop_assert!(cached.sealed_shards() >= 2, "run must cross at least two seals");
         let storage = cached.storage().stats();
         prop_assert!(storage.spilled_chunks >= 1, "run must spill at least one chunk");
@@ -145,7 +144,6 @@ fn storage_migration_invalidates_without_changing_answers() {
     for id in 0..ds.len() as u32 {
         engine.append(ds.row(id));
     }
-    engine.quiesce();
     assert!(engine.sealed_shards() >= 2, "fixture must seal at least twice");
 
     let q = DurableQuery { k: 3, tau: 5, interval: Window::new(0, ds.len() as u32 - 1) };
@@ -185,7 +183,6 @@ fn opaque_scorers_bypass_the_cache() {
     for id in 0..ds.len() as u32 {
         engine.append(ds.row(id));
     }
-    engine.quiesce();
 
     let q = DurableQuery { k: 2, tau: 6, interval: Window::new(0, ds.len() as u32 - 1) };
     let want = engine.query(Algorithm::SHop, &linear, &q);
@@ -213,8 +210,6 @@ fn byte_budget_evicts_under_pressure_without_losing_exactness() {
         plain.append(ds.row(id));
         tiny.append(ds.row(id));
     }
-    plain.quiesce();
-    tiny.quiesce();
 
     // A wide parameter sweep mints far more distinct cache keys than the
     // budget can hold resident.
@@ -252,7 +247,6 @@ fn serve_stats_surface_cache_counters() {
     for id in 0..ds.len() as u32 {
         engine.append(ds.row(id));
     }
-    engine.quiesce();
     let serving = ServeEngine::new(engine, 16, Backpressure::Block);
 
     let req = ServeRequest {
@@ -265,7 +259,6 @@ fn serve_stats_surface_cache_counters() {
         let handle = serving.submit(req.clone()).expect("submit");
         responses.push(handle.wait().expect("response"));
     }
-    serving.quiesce();
     let stats = serving.stats();
     serving.shutdown();
 

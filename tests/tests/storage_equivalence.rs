@@ -80,7 +80,6 @@ proptest! {
 
         // The equivalence must have been exercised against spilled chunks,
         // not a run where everything stayed resident.
-        paged.quiesce();
         let stats = paged.storage().stats();
         prop_assert!(
             stats.spilled_chunks >= 2,
