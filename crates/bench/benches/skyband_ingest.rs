@@ -6,9 +6,18 @@
 //! pair measures what that buys: the same `DurTop` query against a head
 //! shard that never sealed, answered by native S-Band versus S-Hop — the
 //! algorithm the old fallback substituted.
+//!
+//! The `skyband_build` series prices the dominance-scan kernel at the
+//! benchmark's `adhoc_uncached` shape: the static durations of one
+//! `build_from` shard, the head's context bootstrap, and the inheritance
+//! that replaces it at a seal.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use durable_topk::{Algorithm, DurableQuery, EngineConfig, LinearScorer, Window};
+use durable_topk::{
+    Algorithm, Dataset, DurableQuery, EngineConfig, IncrementalSkybandIndex, LinearScorer,
+    RecordId, Window,
+};
+use durable_topk_index::DurableSkybandIndex;
 use durable_topk_workloads::ind;
 
 const N: usize = 20_000;
@@ -80,5 +89,44 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench);
+/// One `adhoc_uncached` shard: 15 385 owned records after 20 000 of
+/// context, three uniform attributes, levels up to `k_max = 20`.
+const SHARD_ROWS: usize = 35_385;
+const CONTEXT: usize = 20_000;
+const BUILD_K_MAX: usize = 20;
+
+fn bench_build(c: &mut Criterion) {
+    let shard = ind(SHARD_ROWS, 3, 11);
+    let rows = |lo: usize, hi: usize| {
+        Dataset::from_rows(3, (lo..hi).map(|i| shard.row(i as RecordId)).collect::<Vec<_>>())
+    };
+    // A head bootstrapped over the first 20 000 records and grown over the
+    // rest, so it is full when a seal hands its state on.
+    let mut grown = rows(0, CONTEXT);
+    let mut head = IncrementalSkybandIndex::with_context(&grown, BUILD_K_MAX);
+    for id in CONTEXT..SHARD_ROWS {
+        grown.push(shard.row(id as RecordId));
+        head.push(&grown);
+    }
+    let context = rows(SHARD_ROWS - CONTEXT, SHARD_ROWS);
+    let from = (SHARD_ROWS - CONTEXT) as RecordId;
+    assert_eq!(
+        head.inherit(from).maintainer().active_len(),
+        IncrementalSkybandIndex::with_context(&context, BUILD_K_MAX).maintainer().active_len(),
+        "inheritance and bootstrap keep the same active entries"
+    );
+
+    let mut g = c.benchmark_group("skyband_build");
+    g.sample_size(10);
+    g.bench_function("static_shard_35k_k20", |b| {
+        b.iter(|| DurableSkybandIndex::build_owned(&shard, BUILD_K_MAX, CONTEXT as RecordId))
+    });
+    g.bench_function("context_bootstrap_20k_k20", |b| {
+        b.iter(|| IncrementalSkybandIndex::with_context(&context, BUILD_K_MAX))
+    });
+    g.bench_function("seal_inheritance_20k_k20", |b| b.iter(|| head.inherit(from)));
+    g.finish();
+}
+
+criterion_group!(benches, bench, bench_build);
 criterion_main!(benches);

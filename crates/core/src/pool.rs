@@ -24,6 +24,7 @@ use crate::check::{LockClass, TrackedCondvar, TrackedMutex};
 use crate::context::QueryContext;
 use crate::sync::lock;
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -42,6 +43,11 @@ static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 /// (shard seals, serving requests, subscription refreshes) must show up
 /// here — as pool jobs — rather than as spawned threads.
 static DETACHED_JOBS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on every pool's worker threads ([`WorkerPool::on_worker`]).
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// One batch's work, type-erased. The object lives on the submitting
 /// thread's stack; the pool only dereferences it under the visitor
@@ -375,6 +381,13 @@ impl WorkerPool {
         DETACHED_JOBS.load(Ordering::Relaxed)
     }
 
+    /// Whether the calling thread is a worker of some pool. A worker must
+    /// not wait for detached jobs to finish: one queued behind it may need
+    /// its thread to run at all.
+    pub(crate) fn on_worker() -> bool {
+        ON_WORKER.with(Cell::get)
+    }
+
     /// Borrows a spare context (or creates one on cold start).
     fn checkout(&self) -> QueryContext {
         lock(&self.spares).pop().unwrap_or_default()
@@ -399,6 +412,7 @@ impl Drop for WorkerPool {
 /// A worker: one persistent context, fed wake-up tokens until the pool
 /// closes its channel.
 fn worker_loop(rx: &TrackedMutex<Receiver<Token>>) {
+    ON_WORKER.with(|w| w.set(true));
     let mut ctx = QueryContext::new();
     loop {
         // Holding the lock while blocked is the classic shared-receiver
@@ -470,13 +484,19 @@ mod tests {
 
     #[test]
     fn workers_persist_across_batches() {
+        // Counted per thread, not with the process-wide spawn counter:
+        // tests running alongside build pools of their own.
         let pool = WorkerPool::new(2);
-        let before = WorkerPool::threads_spawned();
+        let seen = TrackedMutex::new(LockClass::PoolQueue, std::collections::HashSet::new());
         for round in 0..20usize {
-            let out = pool.run_jobs(17, 4, move |i, _ctx| i + round);
+            let out = pool.run_jobs(17, 4, |i, _ctx| {
+                lock(&seen).insert(std::thread::current().id());
+                i + round
+            });
             assert_eq!(out[16], 16 + round);
         }
-        assert_eq!(WorkerPool::threads_spawned(), before, "batches must not spawn");
+        // The caller and the two persistent workers: batches spawn nothing.
+        assert!(lock(&seen).len() <= 3, "batches must not spawn");
     }
 
     #[test]

@@ -339,10 +339,20 @@ struct Shared {
     /// enforced by [`LockClass::Engine`] < [`LockClass::SubscriptionRegistry`].
     subs: TrackedMutex<SubscriptionRegistry>,
     /// Refresh jobs currently in flight (spawned but not finished).
-    refreshing: TrackedMutex<usize>,
-    /// Signalled when `refreshing` reaches zero
-    /// ([`subscription_sync`](ServeEngine::subscription_sync) waits here).
+    refreshing: TrackedMutex<InFlight>,
+    /// Signalled when either count of `refreshing` reaches zero
+    /// ([`subscription_sync`](ServeEngine::subscription_sync) and
+    /// [`append`](ServeEngine::append) wait here).
     refresh_idle: TrackedCondvar,
+}
+
+/// Refresh jobs in flight.
+#[derive(Debug, Default)]
+struct InFlight {
+    jobs: usize,
+    /// Those carrying seal-boundary verifications: whole recomputes under
+    /// the engine read lock.
+    verifying: usize,
 }
 
 impl Shared {
@@ -439,8 +449,9 @@ impl Shared {
             }
         }
         let mut refreshing = lock(&self.refreshing);
-        *refreshing -= 1;
-        if *refreshing == 0 {
+        refreshing.jobs -= 1;
+        refreshing.verifying -= usize::from(!plan.verifies.is_empty());
+        if refreshing.jobs == 0 || refreshing.verifying == 0 {
             self.refresh_idle.notify_all();
         }
     }
@@ -560,7 +571,7 @@ impl ServeEngine {
                 backpressure,
                 counters: Counters::default(),
                 subs,
-                refreshing: TrackedMutex::new(LockClass::ServeQueue, 0),
+                refreshing: TrackedMutex::new(LockClass::ServeQueue, InFlight::default()),
                 refresh_idle: TrackedCondvar::new(),
             }),
         }
@@ -625,8 +636,9 @@ impl ServeEngine {
         self.shared.execute_isolated(req)
     }
 
-    /// Ingests one record into the underlying live engine (short write
-    /// lock; the `O(span)` head seal runs as a background pool job).
+    /// Ingests one record into the underlying live engine under the write
+    /// lock, sealing the head there when the record fills it (see
+    /// [`ShardedEngine::append`]).
     ///
     /// With subscriptions registered, the arrival is classified under the
     /// same write lock (one head-skyband lookup — the maintainer already
@@ -636,9 +648,23 @@ impl ServeEngine {
     /// persistent [`WorkerPool`] as a detached job, *after* the lock is
     /// released — queries keep serving while subscriptions catch up.
     ///
+    /// While a seal-boundary verification of a
+    /// [verified](ServeEngine::subscribe_verified) subscription is queued
+    /// or running — a whole recompute under the read lock — the append
+    /// first waits for it, *before* taking the write lock: queued on the
+    /// lock it would hold back every query submitted behind it. Called
+    /// from a pool worker, where waiting could stall the very worker the
+    /// verification needs, it skips that wait and queues on the lock.
+    ///
     /// Returns the record's global id, or [`ServeError::Query`] with
     /// [`QueryError::Arity`] on an arity mismatch.
     pub fn append(&self, attrs: &[f64]) -> Result<RecordId, ServeError> {
+        if !WorkerPool::on_worker() {
+            let mut refreshing = lock(&self.shared.refreshing);
+            while refreshing.verifying > 0 {
+                refreshing = self.shared.refresh_idle.wait(refreshing);
+            }
+        }
         let (id, plan) = {
             let mut engine = self.shared.engine.write();
             if attrs.len() != engine.dim() {
@@ -663,11 +689,12 @@ impl ServeEngine {
     fn spawn_refresh(&self, id: RecordId, attrs: Vec<f64>, plan: RefreshPlan) {
         {
             let mut refreshing = lock(&self.shared.refreshing);
-            *refreshing += 1;
+            refreshing.jobs += 1;
+            refreshing.verifying += usize::from(!plan.verifies.is_empty());
             self.shared
                 .counters
                 .max_refresh_inflight
-                .fetch_max(*refreshing as u64, Ordering::Relaxed);
+                .fetch_max(refreshing.jobs as u64, Ordering::Relaxed);
         }
         // `WorkerPool::submit` consumes its closure even when it refuses
         // the job, so the payload travels in an `Arc` the fallback can
@@ -738,7 +765,7 @@ impl ServeEngine {
     /// snapshot against a full recompute.
     pub fn subscription_sync(&self) {
         let mut refreshing = lock(&self.shared.refreshing);
-        while *refreshing > 0 {
+        while refreshing.jobs > 0 {
             refreshing = self.shared.refresh_idle.wait(refreshing);
         }
     }
@@ -977,6 +1004,44 @@ mod tests {
         assert!(serve.unsubscribe(id));
         assert!(serve.poll_subscription(id).is_none());
         assert!(!serve.unsubscribe(id));
+        serve.shutdown();
+    }
+
+    /// Appends across seal boundaries wait out each seal's verification
+    /// and never leave one counted after `subscription_sync`; an append
+    /// made from a pool worker skips that wait and cannot stall the pool.
+    #[test]
+    fn appends_across_seals_settle_their_verifications() {
+        let engine = EngineConfig::new(2, 32, 16).skyband_bound(4).build().expect("config");
+        let serve = ServeEngine::new(engine, 8, Backpressure::Block);
+        let row = |i: usize| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64];
+        for i in 0..20 {
+            serve.append(&row(i)).expect("arity matches");
+        }
+        let id = serve
+            .subscribe_verified(request(Algorithm::THop, 2, 10, 0, u32::MAX))
+            .expect("valid request");
+        for i in 20..200 {
+            serve.append(&row(i)).expect("arity matches");
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker_side = serve.clone();
+        assert!(WorkerPool::global().submit(move |_ctx| {
+            let ids: Vec<_> = (200..300).map(|i| worker_side.append(&row(i))).collect();
+            let _ = tx.send((WorkerPool::on_worker(), ids));
+        }));
+        let (on_worker, ids) =
+            rx.recv_timeout(std::time::Duration::from_secs(60)).expect("pool appends finish");
+        assert!(on_worker && !WorkerPool::on_worker());
+        assert_eq!(ids.last(), Some(&Ok(299)));
+        serve.subscription_sync();
+        let refreshing = lock(&serve.shared.refreshing);
+        assert_eq!((refreshing.jobs, refreshing.verifying), (0, 0));
+        drop(refreshing);
+        assert!(serve.engine().sealed_shards() >= 8, "the run crosses seal boundaries");
+        let snap = serve.poll_subscription(id).expect("registered");
+        assert!(!snap.diverged, "seal verifications must agree with the fast path");
+        assert!(snap.full_recomputes > 1, "every seal verifies: {}", snap.full_recomputes);
         serve.shutdown();
     }
 

@@ -27,10 +27,11 @@
 //!
 //! A shard is in one of those two states and nothing about a seal is
 //! concurrent. Joining trees moves their nodes and adds one root per join
-//! ([`AppendableTopKIndex::seal`]) — no record is indexed again — so the
-//! seal costs less than the fresh head's context replay and runs on the
-//! appending thread, inside the `append` that fills the head; so does the
-//! storage backend's chunk write.
+//! ([`AppendableTopKIndex::seal`]) — no record is indexed again — and the
+//! fresh head inherits the outgoing head's skyband state for its context
+//! ([`IncrementalSkybandIndex::inherit`]) instead of replaying it, so the
+//! seal runs on the appending thread, inside the `append` that fills the
+//! head; so does the storage backend's chunk write.
 //!
 //! Queries fan `DurTop(k, I, τ)` out across the shards owning a piece of
 //! `I` through the persistent [`WorkerPool`] (no `thread::spawn` on the
@@ -38,6 +39,8 @@
 //! answers are mapped back to global record ids and merged. The result is
 //! record-for-record identical to an unsharded engine over the same
 //! history for every `τ ≤ max_tau`.
+//!
+//! [`IncrementalSkybandIndex::inherit`]: durable_topk_index::IncrementalSkybandIndex::inherit
 
 use crate::config::EngineConfig;
 use crate::context::QueryContext;
@@ -106,19 +109,40 @@ struct Shape {
 
 impl Shape {
     /// Builds a head whose context is the trailing `max_tau` of the first
-    /// `n` global records, read through `row`.
-    fn fresh_head<'a>(&self, row: impl Fn(usize) -> &'a [f64], n: usize) -> Head {
+    /// `n` global records, read through `row`. Its skyband state for the
+    /// context is inherited from `outgoing`, the head being sealed, which
+    /// covers every context record and every later one; without it, the
+    /// context is bootstrapped.
+    fn fresh_head<'a>(
+        &self,
+        row: impl Fn(usize) -> &'a [f64],
+        n: usize,
+        outgoing: Option<&Head>,
+    ) -> Head {
         let ctx_len = (self.max_tau as usize).min(n);
+        let ext_lo = (n - ctx_len) as Time;
         let mut ds = Dataset::with_capacity(self.dim, ctx_len + self.shard_span);
         for i in (n - ctx_len)..n {
             ds.push(row(i));
         }
         let mut index = AppendableTopKIndex::build(&ds, self.leaf_size);
-        if let Some(k_max) = self.k_max {
-            index = index.with_skyband_bound(&ds, k_max);
-        }
-        Head { ds, index, ext_lo: (n - ctx_len) as Time, lo: n as Time }
+        let inherited =
+            outgoing.and_then(|head| Some(head.index.skyband()?.inherit(ext_lo - head.ext_lo)));
+        index = match (inherited, self.k_max) {
+            (Some(skyband), _) => index.with_skyband(skyband),
+            (None, Some(k_max)) => index.with_skyband_bound(&ds, k_max),
+            (None, None) => index,
+        };
+        Head { ds, index, ext_lo, lo: n as Time }
     }
+}
+
+/// What one job of [`ShardedEngine::from_config`]'s parallel build makes.
+enum Part {
+    /// A tail's record chunk, tree and skyband.
+    Tail(Arc<Dataset>, SkylineSegTree, Option<DurableSkybandIndex>),
+    /// The head over the trailing context.
+    Head(Head),
 }
 
 /// What serves one owned range of the timeline.
@@ -141,8 +165,9 @@ pub struct MemoryUsage {
     pub trees: usize,
     /// Sealed shards' skyband durations — owned records only.
     pub skyband_sealed: usize,
-    /// The head's incremental skyband index, which also covers its
-    /// `max_tau` records of left context and carries `Vec` growth slack.
+    /// The head's incremental skyband index: durations of its owned
+    /// records (with `Vec` growth slack) and the active list, which also
+    /// holds entries for its `max_tau` records of left context.
     pub skyband_head: usize,
     /// Memoized answers in the result cache.
     pub result_cache: usize,
@@ -191,7 +216,7 @@ impl ShardedEngine {
             k_max: cfg.skyband_bound,
         };
         let (tails, head, len) = match data {
-            None => (Vec::new(), shape.fresh_head(|_| &[], 0), 0),
+            None => (Vec::new(), shape.fresh_head(|_| &[], 0, None), 0),
             Some((ds, shard_count)) => {
                 let n = ds.len();
                 // Ceil-division can need fewer shards than requested (e.g.
@@ -206,9 +231,13 @@ impl ShardedEngine {
                         OwnedRange { ext_lo: lo.saturating_sub(shape.max_tau), lo, hi }
                     })
                     .collect();
-                // Each job copies its extended sub-range and indexes it.
-                let parts = WorkerPool::global().run_jobs(ranges.len(), ranges.len(), |s, _ctx| {
-                    let OwnedRange { ext_lo, lo, hi } = ranges[s];
+                // Each job copies its extended sub-range and indexes it;
+                // one more job bootstraps the head beside them.
+                let jobs = ranges.len() + 1;
+                let parts = WorkerPool::global().run_jobs(jobs, jobs, |s, _ctx| {
+                    let Some(&OwnedRange { ext_lo, lo, hi }) = ranges.get(s) else {
+                        return Part::Head(shape.fresh_head(|i| ds.row(i as Time), n, None));
+                    };
                     let mut sub = Dataset::with_capacity(ds.dim(), (hi - ext_lo + 1) as usize);
                     for id in ext_lo..=hi {
                         sub.push(ds.row(id));
@@ -217,24 +246,28 @@ impl ShardedEngine {
                     let skyband = shape
                         .k_max
                         .map(|k_max| DurableSkybandIndex::build_owned(&sub, k_max, lo - ext_lo));
-                    (Arc::new(sub), oracle, skyband)
+                    Part::Tail(Arc::new(sub), oracle, skyband)
                 });
                 // Store the chunks sequentially after the parallel index
                 // build so chunk ids land in time order — under a paged
                 // backend that keeps the *newest* shards resident and
                 // spills the oldest first.
-                let tails = parts
-                    .into_iter()
-                    .zip(&ranges)
-                    .map(|((sub, oracle, skyband), &range)| Shard {
-                        oracle,
-                        skyband,
-                        chunk: storage.store(sub),
-                        range,
-                        generation: next_shard_gen(),
-                    })
-                    .collect();
-                (tails, shape.fresh_head(|i| ds.row(i as Time), n), n)
+                let mut tails = Vec::with_capacity(ranges.len());
+                let mut head = None;
+                for part in parts {
+                    match part {
+                        Part::Tail(sub, oracle, skyband) => tails.push(Shard {
+                            oracle,
+                            skyband,
+                            chunk: storage.store(sub),
+                            range: ranges[tails.len()],
+                            generation: next_shard_gen(),
+                        }),
+                        Part::Head(built) => head = Some(built),
+                    }
+                }
+                // lint: allow(expect) — the job past the last range always builds the head.
+                (tails, head.expect("the last build job makes the head"), n)
             }
         };
         Self {
@@ -337,18 +370,23 @@ impl ShardedEngine {
 
     /// Turns the full head into the next tail shard — its forest's trees
     /// joined into one, the owned records' durations copied out of the
-    /// incremental skyband maintainer (the context's stay behind), its
-    /// sub-dataset handed to the storage backend as the shard's chunk
-    /// (where [`PagedStorage`](crate::PagedStorage) serializes it to pages)
-    /// — and starts a fresh head whose context is the trailing `max_tau`
-    /// records.
+    /// incremental skyband maintainer, its sub-dataset handed to the
+    /// storage backend as the shard's chunk (where
+    /// [`PagedStorage`](crate::PagedStorage) serializes it to pages) — and
+    /// starts a fresh head whose context is the trailing `max_tau` records,
+    /// inheriting their skyband state from the outgoing head.
     fn seal_head(&mut self) {
         self.seal_epoch += 1;
         // The outgoing head's sub-dataset always reaches back max_tau
         // records (or to time zero), so its tail is exactly the new head's
         // context.
         let base = self.head.ext_lo as usize;
-        let fresh = self.shape.fresh_head(|i| self.head.ds.row((i - base) as RecordId), self.len);
+        let outgoing = &self.head;
+        let fresh = self.shape.fresh_head(
+            |i| outgoing.ds.row((i - base) as RecordId),
+            self.len,
+            Some(outgoing),
+        );
         let Head { ds, index, ext_lo, lo } = std::mem::replace(&mut self.head, fresh);
         let skyband = index.skyband().map(|sb| sb.to_static(lo - ext_lo));
         let oracle = index.seal(&ds);
@@ -431,7 +469,10 @@ impl ShardedEngine {
     }
 
     /// The newest record's durable k-skyband duration at the level
-    /// serving `k`, read from the head forest's incremental maintainer.
+    /// serving `k`, read from the head forest's incremental maintainer —
+    /// or, when that arrival filled the head and was sealed with it, from
+    /// the newest tail's frozen copy (the fresh head keeps no duration for
+    /// its context).
     ///
     /// This is the per-arrival verdict the S-Band structures already
     /// computed on append, repurposed as a zero-change gate for standing
@@ -439,20 +480,24 @@ impl ShardedEngine {
     /// arrival is beaten by at least `k` records inside its own look-back
     /// window — the same superset argument [`Algorithm::SBand`] relies on
     /// — so no standing `DurTop(k', I, τ')` with `k' ≤ k`, `τ' ≥` the
-    /// duration can admit it. The head maintainer sees at least `max_tau`
-    /// records of left context, and truncation only *overestimates* a
-    /// duration, so a reading below `τ ≤ max_tau` is always sound.
+    /// duration can admit it. Both sources see at least `max_tau` records
+    /// of left context, and truncation only *overestimates* a duration, so
+    /// a reading below `τ ≤ max_tau` is always sound.
     ///
     /// Returns `None` when no skyband bound is configured, `k` exceeds
     /// it, or no record has arrived yet — callers must then run the full
     /// bounded probe instead.
     pub fn arrival_skyband_duration(&self, k: usize) -> Option<Time> {
         let maintainer = self.head.index.skyband()?.maintainer();
-        if maintainer.is_empty() || maintainer.len() != self.head.ds.len() {
+        // Context included, the maintainer covers every head row.
+        if maintainer.len() != self.head.ds.len() {
             return None;
         }
         let level = maintainer.levels().iter().position(|&lk| lk >= k)?;
-        maintainer.durations(level).last().copied()
+        match maintainer.durations(level).last() {
+            Some(&duration) => Some(duration),
+            None => self.tails.last()?.skyband.as_ref()?.durations(level).last().copied(),
+        }
     }
 
     /// Answers `DurTop(k, I, τ)` by fanning out over the shards owning a
@@ -916,6 +961,27 @@ mod tests {
         }
         assert_eq!(grown.sealed_shards(), 12);
         assert!(queries_so_far > 0);
+    }
+
+    /// Every arrival gets a verdict — the one that fills the head, too,
+    /// though the fresh head keeps no duration for its context — and it
+    /// is the exact duration wherever that is below `max_tau`.
+    #[test]
+    fn every_arrival_has_a_skyband_verdict() {
+        let ds = dataset(300);
+        let max_tau = 24;
+        for k in [1usize, 2, 4] {
+            let exact = durable_topk_geom::skyband_durations(&ds, k);
+            let mut live =
+                EngineConfig::new(2, 32, max_tau).skyband_bound(4).build().expect("config");
+            assert_eq!(live.arrival_skyband_duration(k), None, "nothing arrived yet");
+            for id in 0..300u32 {
+                live.append(ds.row(id));
+                let got = live.arrival_skyband_duration(k).expect("a verdict for every arrival");
+                assert_eq!(got.min(max_tau), exact[id as usize].min(max_tau), "k={k} id={id}");
+            }
+            assert_eq!(live.sealed_shards(), 9);
+        }
     }
 
     #[test]

@@ -10,17 +10,16 @@
 //!   used by the segment-tree index.
 //! * [`skyband`] — k-skyband computation and the per-record *durable
 //!   k-skyband duration* `τ_p` (the longest look-back window in which a
-//!   record stays in the k-skyband), the quantity indexed by S-Band.
-//! * [`domcount`] — offline past-dominator counting: an `O(n log² n)`
-//!   CDQ divide-and-conquer with a Fenwick sweep for d = 2, and a blocked
-//!   early-exit scan for general d.
+//!   record stays in the k-skyband), the quantity indexed by S-Band, all
+//!   computed by one block-pruned dominance-scan kernel.
+//! * [`domcount`] — the Fenwick tree behind the blocking-interval counts.
 
 pub mod domcount;
 pub mod dominance;
 pub mod skyband;
 pub mod skyline;
 
-pub use domcount::{past_dominator_counts, Fenwick};
+pub use domcount::Fenwick;
 pub use dominance::{dominates, weakly_dominates};
 pub use skyband::{
     k_skyband, level_ks, skyband_durations, skyband_durations_multi, SkybandMaintainer,

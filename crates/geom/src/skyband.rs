@@ -8,14 +8,155 @@
 //! scoring function lie in the k-skyband, `τ_p >= τ` is a necessary
 //! condition for `p` to be τ-durable — this is the pruning the S-Band index
 //! exploits.
+//!
+//! Every duration is computed by one private dominance-scan kernel:
+//! per-block maximum corners at two granularities let a scan skip whole
+//! blocks that cannot hold a dominator, and inside a block a branch-free
+//! bitmask of dominators is visited in arrival order, stopping as soon as
+//! enough were found.
 
-use crate::domcount::past_dominator_counts;
 use crate::dominance::dominates;
 use durable_topk_temporal::{Dataset, RecordId};
 
 /// Sentinel duration for records that stay in the k-skyband for every window
 /// length (fewer than `k` past dominators exist at all).
 pub const DURATION_UNBOUNDED: u32 = u32::MAX;
+
+/// Rows per fine block of the kernel: one bitmask's worth.
+const FINE: usize = 16;
+/// Rows per coarse block of the kernel: sixteen fine blocks.
+const COARSE: usize = 256;
+
+/// Block-pruned dominance scans over the rows of one dataset.
+///
+/// Keeps, for every [`FINE`]- and [`COARSE`]-row block, the corner of
+/// per-dimension maxima. A row dominating `p` is nowhere below `p`, so a
+/// block whose corner is below `p` in some dimension holds no dominator and
+/// is skipped. A NaN coordinate compares neither below nor above anything
+/// in [`dominates`], so it sets its corner coordinate to `+∞`: a block with
+/// a NaN is never skipped on that dimension, and the kernel's verdict is
+/// exactly `dominates`, row for row.
+struct DominanceKernel<'a> {
+    attrs: &'a [f64],
+    dim: usize,
+    rows: usize,
+    /// Corner of fine block `b` at `fine[b * dim..(b + 1) * dim]`.
+    fine: Vec<f64>,
+    /// Corner of coarse block `b`, likewise.
+    coarse: Vec<f64>,
+}
+
+impl<'a> DominanceKernel<'a> {
+    fn new(ds: &'a Dataset) -> Self {
+        let (attrs, dim) = (ds.raw_attrs(), ds.dim());
+        let fine = corners(attrs, dim, FINE, |v| if v.is_nan() { f64::INFINITY } else { v });
+        let coarse = corners(&fine, dim, COARSE / FINE, |v| v);
+        Self { attrs, dim, rows: ds.len(), fine, coarse }
+    }
+
+    /// Whether block `b` of `corners` may hold a dominator of `row`.
+    #[inline]
+    fn may_dominate(&self, corners: &[f64], b: usize, row: &[f64]) -> bool {
+        let corner = &corners[b * self.dim..(b + 1) * self.dim];
+        !corner.iter().zip(row).any(|(c, y)| c < y)
+    }
+
+    /// Bit `j` set iff row `lo + j` dominates `row`, for rows `lo..hi`
+    /// (at most [`FINE`] of them) — [`dominates`] without branches.
+    #[inline]
+    fn mask(&self, lo: usize, hi: usize, row: &[f64]) -> u32 {
+        let rows = &self.attrs[lo * self.dim..hi * self.dim];
+        // A literal arity lets the inlined test unroll: the benchmark's
+        // 3-d shard builds in about a third less time than through the
+        // generic call (BENCHMARKS.md, PR 25).
+        match self.dim {
+            3 => dominance_mask(rows, row, 3),
+            dim => dominance_mask(rows, row, dim),
+        }
+    }
+
+    /// Calls `visit` with the rows among `0..end` dominating `row`, newest
+    /// first, until it returns `true`.
+    fn scan_back(&self, row: &[f64], end: usize, mut visit: impl FnMut(usize) -> bool) {
+        let mut hi = end;
+        while hi > 0 {
+            let coarse_lo = (hi - 1) / COARSE * COARSE;
+            if self.may_dominate(&self.coarse, coarse_lo / COARSE, row) {
+                while hi > coarse_lo {
+                    let lo = (hi - 1) / FINE * FINE;
+                    if self.may_dominate(&self.fine, lo / FINE, row) {
+                        let mut mask = self.mask(lo, hi, row);
+                        while mask != 0 {
+                            let j = 31 - mask.leading_zeros() as usize;
+                            if visit(lo + j) {
+                                return;
+                            }
+                            mask ^= 1 << j;
+                        }
+                    }
+                    hi = lo;
+                }
+            }
+            hi = coarse_lo;
+        }
+    }
+
+    /// Calls `visit` with the rows among `start..` dominating `row`, oldest
+    /// first, until it returns `true`.
+    fn scan_forward(&self, row: &[f64], start: usize, mut visit: impl FnMut(usize) -> bool) {
+        let mut lo = start;
+        while lo < self.rows {
+            let coarse_hi = ((lo / COARSE + 1) * COARSE).min(self.rows);
+            if self.may_dominate(&self.coarse, lo / COARSE, row) {
+                while lo < coarse_hi {
+                    let hi = ((lo / FINE + 1) * FINE).min(self.rows);
+                    if self.may_dominate(&self.fine, lo / FINE, row) {
+                        let mut mask = self.mask(lo, hi, row);
+                        while mask != 0 {
+                            if visit(lo + mask.trailing_zeros() as usize) {
+                                return;
+                            }
+                            mask &= mask - 1;
+                        }
+                    }
+                    lo = hi;
+                }
+            }
+            lo = coarse_hi;
+        }
+    }
+}
+
+/// Bit `j` set iff the `j`-th `dim`-wide row of `rows` dominates `row`.
+#[inline(always)]
+fn dominance_mask(rows: &[f64], row: &[f64], dim: usize) -> u32 {
+    let mut mask = 0;
+    for (j, other) in rows.chunks_exact(dim).enumerate() {
+        let (mut worse, mut better) = (false, false);
+        for (x, y) in other.iter().zip(&row[..dim]) {
+            worse |= x < y;
+            better |= x > y;
+        }
+        mask |= u32::from(!worse & better) << j;
+    }
+    mask
+}
+
+/// Per-dimension maxima of every `per_block` consecutive `dim`-wide rows of
+/// `attrs`, each value passed through `key` first.
+fn corners(attrs: &[f64], dim: usize, per_block: usize, key: impl Fn(f64) -> f64) -> Vec<f64> {
+    let mut out = Vec::with_capacity(attrs.len().div_ceil(per_block));
+    for block in attrs.chunks(per_block * dim) {
+        let corner = out.len();
+        out.resize(corner + dim, f64::NEG_INFINITY);
+        for row in block.chunks_exact(dim) {
+            for (c, &v) in out[corner..].iter_mut().zip(row) {
+                *c = c.max(key(v));
+            }
+        }
+    }
+    out
+}
 
 /// Computes the k-skyband of the records `ids`: those dominated by at most
 /// `k − 1` others in the set.
@@ -51,43 +192,21 @@ pub fn k_skyband(ds: &Dataset, ids: &[RecordId], k: usize) -> Vec<RecordId> {
 /// `τ_p` is the largest `τ` such that fewer than `k` records in
 /// `[p.t − τ, p.t]` dominate `p`; equivalently `p.t − t_k − 1` where `t_k`
 /// is the arrival time of the k-th most recent past dominator, or
-/// [`DURATION_UNBOUNDED`] when fewer than `k` past dominators exist.
-///
-/// Strategy: for `d == 2` an `O(n log² n)` offline
-/// dominator-count pass first identifies the unbounded records so that the
-/// exact backward scan runs only on records guaranteed to find their k-th
-/// dominator; for other dimensionalities the backward scan runs directly
-/// with per-pair early exit.
+/// [`DURATION_UNBOUNDED`] when fewer than `k` past dominators exist. The
+/// single-level case of [`skyband_durations_multi`].
 ///
 /// # Panics
 /// Panics if `k == 0`.
 pub fn skyband_durations(ds: &Dataset, k: usize) -> Vec<u32> {
-    assert!(k > 0, "k must be positive");
-    let n = ds.len();
-    if ds.dim() == 2 {
-        let counts = past_dominator_counts(ds);
-        let mut out = vec![DURATION_UNBOUNDED; n];
-        for i in 0..n {
-            if (counts[i] as usize) >= k {
-                out[i] = kth_recent_dominator_duration(ds, i as RecordId, k)
-                    .expect("count pass guarantees k dominators exist");
-            }
-        }
-        out
-    } else {
-        (0..n as RecordId)
-            .map(|i| kth_recent_dominator_duration(ds, i, k).unwrap_or(DURATION_UNBOUNDED))
-            .collect()
-    }
+    skyband_durations_multi(ds, &[k], 0).swap_remove(0)
 }
 
 /// Computes durable skyband durations for several `k` values in one pass.
 ///
-/// Equivalent to calling [`skyband_durations`] per level but sharing the
-/// dominator scans: each record is scanned backwards once, up to the largest
-/// level that can be satisfied, recording the duration at every requested
-/// level along the way. This is how the S-Band index builds its logarithmic
-/// family of levels (`k = 1, 2, 4, …`) without multiplying the build cost.
+/// Each record is scanned backwards once, newest dominator first, up to the
+/// largest level, recording the duration at every requested level along the
+/// way. This is how the S-Band index builds its logarithmic family of
+/// levels (`k = 1, 2, 4, …`) without multiplying the build cost.
 ///
 /// Durations are computed for records `first..` only — a shard passes the
 /// first record it owns, so its left context is read by the backward scans
@@ -105,38 +224,17 @@ pub fn skyband_durations_multi(ds: &Dataset, ks: &[usize], first: RecordId) -> V
     let (n, first) = (ds.len(), first as usize);
     assert!(first <= n, "first record lies beyond the dataset");
     let mut out = vec![vec![DURATION_UNBOUNDED; n - first]; ks.len()];
-    // For d == 2, the count pass tells us exactly how deep each record's
-    // scan must go; in higher dimensions we scan until the largest level or
-    // exhaustion.
-    let counts = (ds.dim() == 2).then(|| past_dominator_counts(ds));
-    let k_max = *ks.last().expect("non-empty");
+    let kernel = DominanceKernel::new(ds);
     for i in first..n {
-        let target = match &counts {
-            Some(c) => {
-                // Deepest satisfiable level for this record.
-                let avail = c[i] as usize;
-                match ks.iter().rev().find(|&&k| k <= avail) {
-                    Some(&k) => k,
-                    None => continue, // all levels unbounded
-                }
+        let (mut found, mut level) = (0usize, 0usize);
+        kernel.scan_back(ds.row(i as RecordId), i, |j| {
+            found += 1;
+            while level < ks.len() && ks[level] == found {
+                out[level][i - first] = (i - j - 1) as u32;
+                level += 1;
             }
-            None => k_max,
-        };
-        let row = ds.row(i as RecordId);
-        let mut found = 0usize;
-        let mut level = 0usize;
-        for j in (0..i).rev() {
-            if dominates(ds.row(j as RecordId), row) {
-                found += 1;
-                while level < ks.len() && ks[level] == found {
-                    out[level][i - first] = (i - j - 1) as u32;
-                    level += 1;
-                }
-                if found == target {
-                    break;
-                }
-            }
-        }
+            level == ks.len()
+        });
     }
     out
 }
@@ -159,7 +257,7 @@ pub fn level_ks(k_max: usize) -> Vec<usize> {
 
 /// A record still worth scanning when classifying future arrivals, plus
 /// how many *later* records dominate it so far.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ActiveRecord {
     id: RecordId,
     later_dominators: u32,
@@ -187,6 +285,13 @@ struct ActiveRecord {
 ///   scan from testing them) and compacted away once they outnumber the
 ///   live half of the list.
 ///
+/// Records before [`base`](SkybandMaintainer::base) are *context*: they
+/// sit in the active list as potential dominators, but no duration is kept
+/// for them — a head shard never reports them. Context arrives whole,
+/// either [bootstrapped](SkybandMaintainer::with_context) by one forward
+/// kernel pass or [inherited](SkybandMaintainer::inherit) from the
+/// maintainer whose trailing records it is.
+///
 /// Per-append cost is `O(|active|)` dominance tests; the active list is
 /// the "k_max-skyband with respect to later arrivals", which stays near
 /// `O(k_max · skyline)` on well-behaved data and degrades to `O(n)` only
@@ -194,13 +299,16 @@ struct ActiveRecord {
 /// offline build pays the same quadratic cost.
 ///
 /// Durations produced are bit-identical to [`skyband_durations_multi`]
-/// over the same prefix (property-tested below), so an index sealed from
+/// over the same rows (property-tested below), so an index sealed from
 /// the maintainer equals one built from scratch.
 #[derive(Debug, Clone)]
 pub struct SkybandMaintainer {
     ks: Vec<usize>,
-    /// Per level, per record: the durable skyband duration.
+    /// Per level, per owned record (`base..n`): the durable skyband
+    /// duration.
     durs: Vec<Vec<u32>>,
+    /// Context records: those before `base` have no duration.
+    base: usize,
     n: usize,
     active: Vec<ActiveRecord>,
     /// Tombstoned entries awaiting compaction.
@@ -213,14 +321,20 @@ impl SkybandMaintainer {
     /// # Panics
     /// Panics if `k_max == 0`.
     pub fn new(k_max: usize) -> Self {
-        let ks = level_ks(k_max);
-        let durs = vec![Vec::new(); ks.len()];
-        Self { ks, durs, n: 0, active: Vec::new(), evicted: 0 }
+        Self::over_context(k_max, 0, Vec::new())
     }
 
-    /// Builds the maintainer over existing history by replaying appends —
-    /// the same code path live ingestion uses, so grown and bootstrapped
-    /// states are indistinguishable.
+    /// A maintainer whose context is `base` records with the given live
+    /// active entries, owning nothing yet.
+    fn over_context(k_max: usize, base: usize, active: Vec<ActiveRecord>) -> Self {
+        let ks = level_ks(k_max);
+        let durs = vec![Vec::new(); ks.len()];
+        Self { ks, durs, base, n: base, active, evicted: 0 }
+    }
+
+    /// The reference replay: every record of `ds` appended in turn, so all
+    /// of them are owned. Context bootstraps and seal inheritance are
+    /// tested against it.
     pub fn build(ds: &Dataset, k_max: usize) -> Self {
         let mut m = Self::new(k_max);
         for _ in 0..ds.len() {
@@ -231,14 +345,65 @@ impl SkybandMaintainer {
         m
     }
 
-    /// Records covered so far.
+    /// A maintainer whose context is every record of `ds`, owning none.
+    ///
+    /// One forward kernel pass counts each record's later dominators,
+    /// stopping at `k_max`; the records that stay below it form the active
+    /// list — exactly the live entries a replay of `ds` would leave.
+    ///
+    /// # Panics
+    /// Panics if `k_max == 0`.
+    pub fn with_context(ds: &Dataset, k_max: usize) -> Self {
+        let mut m = Self::over_context(k_max, ds.len(), Vec::new());
+        let cap = m.k_max() as u32;
+        let kernel = DominanceKernel::new(ds);
+        m.active = (0..ds.len())
+            .filter_map(|i| {
+                let mut later_dominators = 0;
+                kernel.scan_forward(ds.row(i as RecordId), i + 1, |_| {
+                    later_dominators += 1;
+                    later_dominators == cap
+                });
+                let id = i as RecordId;
+                (later_dominators < cap).then_some(ActiveRecord { id, later_dominators })
+            })
+            .collect();
+        m
+    }
+
+    /// A maintainer whose context is this one's records `from..len()`,
+    /// renumbered from zero, owning none — the state a seal hands the next
+    /// head. Every record after a context record is itself in the context,
+    /// so the live active entries from `from` on carry exactly the counts
+    /// a [bootstrap](SkybandMaintainer::with_context) would compute.
+    ///
+    /// # Panics
+    /// Panics if `from > self.len()`.
+    pub fn inherit(&self, from: RecordId) -> Self {
+        assert!(from as usize <= self.n, "context starts beyond the covered records");
+        let cap = self.k_max() as u32;
+        let active = self
+            .active
+            .iter()
+            .filter(|e| e.id >= from && e.later_dominators < cap)
+            .map(|e| ActiveRecord { id: e.id - from, ..*e })
+            .collect();
+        Self::over_context(self.k_max(), self.n - from as usize, active)
+    }
+
+    /// Records covered so far, context included.
     pub fn len(&self) -> usize {
         self.n
     }
 
-    /// Whether no record was appended yet.
+    /// Whether no record is covered, context included.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Id of the first owned record: earlier ones are context.
+    pub fn base(&self) -> RecordId {
+        self.base as RecordId
     }
 
     /// The maintained levels, strictly ascending powers of two.
@@ -251,7 +416,8 @@ impl SkybandMaintainer {
         *self.ks.last().expect("levels are never empty")
     }
 
-    /// Durations of level `self.levels()[level]`, indexed by record id.
+    /// Durations of level `self.levels()[level]` of the owned records:
+    /// entry `i` belongs to record `base() + i`.
     pub fn durations(&self, level: usize) -> &[u32] {
         &self.durs[level]
     }
@@ -287,6 +453,7 @@ impl SkybandMaintainer {
         for level in &mut self.durs {
             level.push(DURATION_UNBOUNDED);
         }
+        let owned = self.n - self.base;
         let mut found = 0u32;
         let mut level = 0usize;
         // One backward pass, most recent first: collect the newcomer's
@@ -301,7 +468,7 @@ impl SkybandMaintainer {
             if found < k_max && dominates(other, row) {
                 found += 1;
                 while level < self.ks.len() && self.ks[level] as u32 == found {
-                    self.durs[level][p as usize] = p - entry.id - 1;
+                    self.durs[level][owned] = p - entry.id - 1;
                     level += 1;
                 }
             } else if dominates(row, other) {
@@ -321,44 +488,125 @@ impl SkybandMaintainer {
     }
 }
 
-/// Scans backwards from `p` for its k-th most recent dominator; returns the
-/// corresponding duration, or `None` if fewer than `k` dominators exist.
-fn kth_recent_dominator_duration(ds: &Dataset, p: RecordId, k: usize) -> Option<u32> {
-    let row = ds.row(p);
-    let mut found = 0usize;
-    for j in (0..p).rev() {
-        if dominates(ds.row(j), row) {
-            found += 1;
-            if found == k {
-                return Some(p - j - 1);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
+    /// Reference: for each p, the largest τ with fewer than k dominators in
+    /// `[p.t − τ, p.t]`, found by widening the window one record at a time
+    /// and testing each pair with [`dominates`].
     fn brute_durations(ds: &Dataset, k: usize) -> Vec<u32> {
-        // Reference: for each p, the largest τ with fewer than k dominators
-        // in [p.t - τ, p.t], found by trying every τ.
-        let n = ds.len();
-        (0..n as RecordId)
+        (0..ds.len() as RecordId)
             .map(|p| {
-                let mut best: u32 = DURATION_UNBOUNDED;
-                for tau in 0..n as u32 {
-                    let lo = p.saturating_sub(tau);
-                    let doms = (lo..p).filter(|&j| dominates(ds.row(j), ds.row(p))).count();
-                    if doms >= k {
-                        best = tau - 1;
-                        break;
+                let mut doms = 0;
+                for tau in 1..=p {
+                    if dominates(ds.row(p - tau), ds.row(p)) {
+                        doms += 1;
+                        if doms == k {
+                            return tau - 1;
+                        }
                     }
                 }
-                best
+                DURATION_UNBOUNDED
             })
             .collect()
+    }
+
+    /// The live active entries, tombstones dropped.
+    fn live(m: &SkybandMaintainer) -> Vec<ActiveRecord> {
+        let cap = m.k_max() as u32;
+        m.active.iter().copied().filter(|e| e.later_dominators < cap).collect()
+    }
+
+    /// The dimensionalities the exactness tests cover.
+    fn dims() -> impl Strategy<Value = usize> {
+        (0usize..4).prop_map(|i| [1, 2, 3, 5][i])
+    }
+
+    /// Rows of `d` coordinates drawn from five values (ties, duplicates),
+    /// with NaN, +∞ and −∞ each once in `special` codes, and column
+    /// `constant_col`, if it exists, held constant.
+    fn degenerate_rows(codes: &[u32], special: u32, d: usize, constant_col: usize) -> Dataset {
+        let value = |code: u32| match code % special {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            _ => f64::from(code % 5),
+        };
+        let rows: Vec<Vec<f64>> = codes
+            .chunks_exact(d)
+            .map(|row| {
+                row.iter()
+                    .enumerate()
+                    .map(|(c, &code)| if c == constant_col { 2.0 } else { value(code) })
+                    .collect()
+            })
+            .collect();
+        Dataset::from_rows(d, rows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The kernel-driven multi-level build equals the brute-force
+        /// definition on degenerate data: ties, duplicates, constant
+        /// columns, NaN and ±∞ (a NaN never lets a block be skipped), at
+        /// lengths and first records straddling the 16- and 256-row block
+        /// edges, in every dimensionality the engine uses.
+        #[test]
+        fn durations_match_brute_force_on_degenerate_data(
+            d in dims(),
+            len in 1usize..530,
+            codes in prop::collection::vec(0u32..1_000_000, 530 * 5),
+            special in (0usize..4).prop_map(|i| [u32::MAX, 10, 60, 400][i]),
+            constant_col in 0usize..8,
+            first_frac in 0usize..5,
+        ) {
+            let ds = degenerate_rows(&codes[..len * d], special, d, constant_col);
+            let first = [0, 15, 16, 255, len][first_frac].min(len);
+            let ks = [1usize, 2, 4, 8];
+            let multi = skyband_durations_multi(&ds, &ks, first as RecordId);
+            for (level, &k) in ks.iter().enumerate() {
+                prop_assert_eq!(&multi[level][..], &brute_durations(&ds, k)[first..], "d={} k={}", d, k);
+            }
+        }
+
+        /// Streams where every record dominates all earlier ones (never
+        /// dominated) or is dominated by all of them.
+        #[test]
+        fn durations_match_brute_force_on_chains(
+            d in dims(),
+            len in 1usize..530,
+            rising in prop::bool::ANY,
+        ) {
+            let step = |i: usize| if rising { i as f64 } else { -(i as f64) };
+            let ds = Dataset::from_rows(d, (0..len).map(|i| vec![step(i); d]));
+            for k in [1usize, 3, 16] {
+                prop_assert_eq!(skyband_durations(&ds, k), brute_durations(&ds, k), "k={}", k);
+            }
+        }
+    }
+
+    /// A row whose NaN coordinate is neutral still dominates, so the block
+    /// around it must be scanned although its other rows sit below the
+    /// newcomer in that dimension — at both block granularities, forwards
+    /// and backwards.
+    #[test]
+    fn nan_rows_never_let_a_block_be_skipped() {
+        let mut rows = vec![[0.0, 0.0]; 300];
+        rows[5] = [f64::NAN, 9.0];
+        rows[200] = [f64::NAN, 9.0];
+        rows[299] = [5.0, 1.0];
+        let ds = Dataset::from_rows(2, rows);
+        let durs = skyband_durations_multi(&ds, &[1, 2], 299);
+        assert_eq!(durs, [[299 - 200 - 1], [299 - 5 - 1]]);
+        let mut ds = Dataset::from_rows(2, [[5.0, 1.0]]);
+        for i in 1..300 {
+            ds.push(if i % 150 == 0 { &[f64::NAN, 9.0] } else { &[0.0, 0.0] });
+        }
+        let m = SkybandMaintainer::with_context(&ds, 2);
+        assert_eq!(live(&m)[0], ActiveRecord { id: 0, later_dominators: 1 });
     }
 
     #[test]
@@ -503,6 +751,68 @@ mod tests {
         }
     }
 
+    /// A context bootstrap followed by appends holds exactly what a replay
+    /// of the context followed by the same appends holds — the same owned
+    /// durations and the same live active list — and so does a maintainer
+    /// inherited at a seal, against a replay over the suffix it inherits.
+    #[test]
+    fn context_bootstrap_and_inheritance_equal_a_replay() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(31);
+        for (d, vals) in [(1usize, 40u32), (2, 12), (3, 7), (5, 4)] {
+            for k_max in [1usize, 3, 8] {
+                for ctx in [0usize, 1, 17, 300] {
+                    let rows: Vec<Vec<f64>> = (0..ctx + 200)
+                        .map(|_| (0..d).map(|_| f64::from(rng.random_range(0..vals))).collect())
+                        .collect();
+                    let full = Dataset::from_rows(d, rows);
+                    let at = format!("d={d} k_max={k_max} ctx={ctx}");
+                    let mut ds = Dataset::from_rows(d, (0..ctx).map(|i| full.row(i as RecordId)));
+                    let mut booted = SkybandMaintainer::with_context(&ds, k_max);
+                    let mut replay = SkybandMaintainer::build(&ds, k_max);
+                    assert_eq!((booted.base(), booted.len()), (ctx as RecordId, ctx), "{at}");
+                    assert_eq!(live(&booted), live(&replay), "{at}");
+                    assert_eq!(booted.active_len(), replay.active_len(), "{at}");
+                    for i in ctx..full.len() {
+                        ds.push(full.row(i as RecordId));
+                        booted.append(&ds);
+                        replay.append(&ds);
+                    }
+                    assert_eq!(live(&booted), live(&replay), "{at}");
+                    for level in 0..replay.levels().len() {
+                        assert_eq!(
+                            booted.durations(level),
+                            &replay.durations(level)[ctx..],
+                            "{at}"
+                        );
+                    }
+
+                    // Seal: the trailing records become the next context.
+                    let from = (ds.len() - ctx.min(ds.len())) as RecordId;
+                    let mut heir = booted.inherit(from);
+                    let suffix =
+                        Dataset::from_rows(d, (from..ds.len() as RecordId).map(|i| ds.row(i)));
+                    let mut replay = SkybandMaintainer::build(&suffix, k_max);
+                    assert_eq!(heir.base() as usize, suffix.len(), "{at}");
+                    assert_eq!(live(&heir), live(&replay), "{at}");
+                    let mut ds = suffix;
+                    for _ in 0..60 {
+                        let row: Vec<f64> =
+                            (0..d).map(|_| f64::from(rng.random_range(0..vals))).collect();
+                        ds.push(&row);
+                        heir.append(&ds);
+                        replay.append(&ds);
+                    }
+                    let base = heir.base() as usize;
+                    assert_eq!(live(&heir), live(&replay), "{at}");
+                    for level in 0..replay.levels().len() {
+                        assert_eq!(heir.durations(level), &replay.durations(level)[base..], "{at}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn eviction_bounds_the_active_list_on_dominated_chains() {
         // Strictly increasing chain: every newcomer dominates all previous
@@ -519,11 +829,10 @@ mod tests {
             "dominated records must be evicted, active={}",
             m.active_len()
         );
-        // Every record's level-1 duration is still exact: its most recent
-        // dominator is its immediate successor-free past neighbour... i.e.
-        // the previous record dominates nothing *backwards*; here nobody
-        // has past dominators, so all durations stay unbounded.
+        // Nobody has a past dominator, so all durations stay unbounded.
         assert!(m.durations(0).iter().all(|&d| d == DURATION_UNBOUNDED));
+        // A bootstrap over the same chain keeps only the last k_max.
+        assert_eq!(SkybandMaintainer::with_context(&ds, 2).active_len(), 2);
     }
 
     #[test]

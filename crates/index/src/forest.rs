@@ -50,19 +50,37 @@ impl AppendableTopKIndex {
     /// serving `k <= k_max` (rounded up to a power of two), so
     /// `Algorithm::SBand` runs natively over the forest at every point of
     /// the append timeline. `ds` must be the dataset this index already
-    /// covers (it seeds durations for records indexed before the call);
-    /// later [`append`](AppendableTopKIndex::append)s keep the skyband in
+    /// covers; those records become the skyband's left *context* —
+    /// dominators of later arrivals, never candidates themselves, so they
+    /// get no duration (see [`IncrementalSkybandIndex::with_context`]).
+    /// Later [`append`](AppendableTopKIndex::append)s keep the skyband in
     /// step automatically.
     ///
     /// # Panics
     /// Panics if `k_max == 0` or `ds.len() != self.len()`.
-    pub fn with_skyband_bound(mut self, ds: &Dataset, k_max: usize) -> Self {
+    pub fn with_skyband_bound(self, ds: &Dataset, k_max: usize) -> Self {
         assert_eq!(
             ds.len(),
             self.n,
             "skyband bound must be attached over the dataset this index covers"
         );
-        self.skyband = Some(IncrementalSkybandIndex::build(ds, k_max));
+        self.with_skyband(IncrementalSkybandIndex::with_context(ds, k_max))
+    }
+
+    /// Attaches a skyband index that already covers this index's records
+    /// as context — one [inherited](IncrementalSkybandIndex::inherit) at a
+    /// seal.
+    ///
+    /// # Panics
+    /// Panics if the skyband covers a different number of records or owns
+    /// any.
+    pub fn with_skyband(mut self, skyband: IncrementalSkybandIndex) -> Self {
+        let maintainer = skyband.maintainer();
+        assert!(
+            maintainer.len() == self.n && maintainer.base() as usize == self.n,
+            "a skyband is attached over the records this index covers, as context"
+        );
+        self.skyband = Some(skyband);
         self
     }
 
@@ -337,7 +355,8 @@ mod tests {
         });
         // Two forests whose cascades produce different tree shapes: one
         // counts up from the first record, the other starts from one tree
-        // over the first 37.
+        // over the first 37, which its skyband takes as context. Over the
+        // records both own they hold the same durations and candidates.
         let mut classic = AppendableTopKIndex::new(4).with_skyband_bound(&ds, 6);
         for row in rows.by_ref().take(37) {
             ds.push(&row);
@@ -350,20 +369,28 @@ mod tests {
             classic.append(&ds);
             let (a, b) =
                 (prebuilt.skyband().expect("attached"), classic.skyband().expect("attached"));
+            let (a, b) = (a.maintainer(), b.maintainer());
+            for level in 0..a.levels().len() {
+                assert_eq!(a.durations(level), &b.durations(level)[37..], "step={step}");
+            }
+            // Asked about every record, the prebuilt skyband still reports
+            // only those from 37 on.
             let n = ds.len() as Time;
-            let w = Window::new(n / 3, n - 1);
+            let (w, owned) = (Window::new(0, n - 1), Window::new(37, n - 1));
+            let (a, b) =
+                (prebuilt.skyband().expect("attached"), classic.skyband().expect("attached"));
             for (k, tau) in [(1usize, 2u32), (3, 9), (6, 40)] {
-                assert_eq!(a.candidates(w, tau, k), b.candidates(w, tau, k), "step={step} k={k}");
+                assert_eq!(a.candidates(w, tau, k), b.candidates(owned, tau, k), "step={step}");
                 if step % 19 == 3 {
-                    let stat = DurableSkybandIndex::build(&ds, 6);
+                    let stat = DurableSkybandIndex::build_owned(&ds, 6, 37);
                     assert_eq!(a.candidates(w, tau, k), stat.candidates(w, tau, k), "step={step}");
                 }
             }
         }
         assert!(prebuilt.tree_count() > classic.tree_count(), "the cascades did differ");
-        // The sealed skyband equals a from-scratch static build, whole and
-        // from a later first owned record.
-        for first in [0, 60] {
+        // The sealed skyband equals a from-scratch static build, from the
+        // first owned record and from a later one.
+        for first in [37, 60] {
             let sealed = prebuilt.skyband().expect("attached").to_static(first);
             let stat = DurableSkybandIndex::build_owned(&ds, 6, first);
             let w = Window::new(20, 170);

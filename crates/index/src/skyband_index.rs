@@ -152,6 +152,12 @@ impl DurableSkybandIndex {
         Self { ks, base, levels }
     }
 
+    /// Durations of level `self.levels()[level]` of the owned records:
+    /// entry `i` belongs to record `base + i`.
+    pub fn durations(&self, level: usize) -> &[u32] {
+        &self.levels[level].0
+    }
+
     /// Heap bytes held: every level's durations and block maxima.
     pub fn heap_bytes(&self) -> usize {
         let words: usize = self.levels.iter().map(|(d, m)| d.capacity() + m.capacity()).sum();
@@ -180,10 +186,12 @@ impl SkybandCandidates for DurableSkybandIndex {
 
 /// An appendable durable k-skyband index for the mutable head shard: a
 /// [`SkybandMaintainer`] computes every arriving record's duration once,
-/// incrementally, and keeps the per-level duration arrays; this type adds
-/// their block maxima. Candidate retrieval is the static index's loop over
-/// the maintainer's arrays, so [`SkybandCandidates`] serves S-Band over
-/// either without the algorithm noticing.
+/// incrementally, and keeps the per-level duration arrays of the records
+/// it owns; this type adds their block maxima. The head's left context is
+/// the maintainer's: dominators only, never candidates. Candidate
+/// retrieval is the static index's loop over the maintainer's arrays, so
+/// [`SkybandCandidates`] serves S-Band over either without the algorithm
+/// noticing.
 #[derive(Debug, Clone)]
 pub struct IncrementalSkybandIndex {
     maintainer: SkybandMaintainer,
@@ -198,19 +206,31 @@ impl IncrementalSkybandIndex {
     /// # Panics
     /// Panics if `k_max == 0`.
     pub fn new(k_max: usize) -> Self {
-        let maintainer = SkybandMaintainer::new(k_max);
-        let maxima = vec![Vec::new(); maintainer.levels().len()];
-        Self { maintainer, maxima }
+        Self::over(SkybandMaintainer::new(k_max))
     }
 
-    /// Bootstraps the index over existing history by replaying pushes.
-    pub fn build(ds: &Dataset, k_max: usize) -> Self {
-        let mut index = Self::new(k_max);
-        for _ in 0..ds.len() {
-            // `push` reads only rows up to the one it ingests.
-            index.push(ds);
-        }
-        index
+    /// An index whose left context is every record of `ds`, owning none
+    /// (see [`SkybandMaintainer::with_context`]).
+    ///
+    /// # Panics
+    /// Panics if `k_max == 0`.
+    pub fn with_context(ds: &Dataset, k_max: usize) -> Self {
+        Self::over(SkybandMaintainer::with_context(ds, k_max))
+    }
+
+    /// The index a seal hands the next head, whose left context is this
+    /// one's records `from..` (see [`SkybandMaintainer::inherit`]).
+    ///
+    /// # Panics
+    /// Panics if `from` lies beyond the covered records.
+    pub fn inherit(&self, from: RecordId) -> Self {
+        Self::over(self.maintainer.inherit(from))
+    }
+
+    /// Wraps a maintainer that owns no record yet.
+    fn over(maintainer: SkybandMaintainer) -> Self {
+        let maxima = vec![Vec::new(); maintainer.levels().len()];
+        Self { maintainer, maxima }
     }
 
     /// The duration maintainer (records covered, arrival verdicts).
@@ -221,12 +241,13 @@ impl IncrementalSkybandIndex {
     /// Ingests the most recently appended record of `ds`: one duration per
     /// level, folded into the last block's maximum.
     pub fn push(&mut self, ds: &Dataset) {
-        let id = self.maintainer.len();
+        // Position of the newcomer among the owned records.
+        let owned = self.maintainer.len() - self.maintainer.base() as usize;
         self.maintainer.append(ds);
         for (level, maxima) in self.maxima.iter_mut().enumerate() {
-            let dur = self.maintainer.durations(level)[id];
+            let dur = self.maintainer.durations(level)[owned];
             match maxima.last_mut() {
-                Some(last) if id % BLOCK != 0 => *last = dur.max(*last),
+                Some(last) if owned % BLOCK != 0 => *last = dur.max(*last),
                 _ => maxima.push(dur),
             }
         }
@@ -240,11 +261,13 @@ impl IncrementalSkybandIndex {
     /// sealed shard serves — a slice copy per level.
     ///
     /// # Panics
-    /// Panics if no record is owned (`first` is not a covered record).
+    /// Panics if `first` is context or not a covered record.
     pub fn to_static(&self, first: RecordId) -> DurableSkybandIndex {
+        let base = self.maintainer.base();
+        assert!(first >= base, "context records have no duration to seal");
         assert!((first as usize) < self.maintainer.len(), "cannot seal an empty skyband index");
         let durations = (0..self.maxima.len())
-            .map(|level| self.maintainer.durations(level)[first as usize..].to_vec())
+            .map(|level| self.maintainer.durations(level)[(first - base) as usize..].to_vec())
             .collect();
         DurableSkybandIndex::from_durations(self.maintainer.levels().to_vec(), durations, first)
     }
@@ -270,7 +293,8 @@ impl SkybandCandidates for IncrementalSkybandIndex {
         visit: &mut dyn FnMut(RecordId),
     ) -> usize {
         let level = level_index(self.levels(), k);
-        report(self.maintainer.durations(level), &self.maxima[level], 0, interval, tau, visit);
+        let (durs, base) = (self.maintainer.durations(level), self.maintainer.base());
+        report(durs, &self.maxima[level], base, interval, tau, visit);
         self.levels()[level]
     }
 }
@@ -433,8 +457,14 @@ mod tests {
 
     #[test]
     fn incremental_seals_into_the_static_shape() {
-        let ds = random_rows(91, 90, 3);
-        let sealed = IncrementalSkybandIndex::build(&ds, 3).to_static(0);
+        let full = random_rows(91, 90, 3);
+        let mut ds = Dataset::new(3);
+        let mut inc = IncrementalSkybandIndex::new(3);
+        for id in 0..full.len() as RecordId {
+            ds.push(full.row(id));
+            inc.push(&ds);
+        }
+        let sealed = inc.to_static(0);
         let stat = DurableSkybandIndex::build(&ds, 3);
         assert_eq!(sealed.heap_bytes(), stat.heap_bytes());
         for k in [1usize, 3, 4] {
@@ -442,6 +472,44 @@ mod tests {
                 let w = Window::new(10, 80);
                 assert_eq!(sealed.candidates(w, tau, k), stat.candidates(w, tau, k));
             }
+        }
+    }
+
+    /// Grown from a bootstrapped context or from one inherited at a seal,
+    /// the incremental index reports owned records only, exactly as the
+    /// static index over the same rows does, and seals into its shape.
+    #[test]
+    fn context_is_never_a_candidate() {
+        let full = random_rows(91, 290, 3);
+        let rows = |lo: usize, hi: usize| {
+            Dataset::from_rows(3, (lo..hi).map(|i| full.row(i as RecordId)).collect::<Vec<_>>())
+        };
+        let mut ds = rows(0, 70);
+        let mut inc = IncrementalSkybandIndex::with_context(&ds, 3);
+        for id in 70..200 {
+            ds.push(full.row(id));
+            inc.push(&ds);
+        }
+        // A seal at 200 keeps the last 50 records as the next context.
+        let mut heir = inc.inherit(150);
+        let mut next = rows(150, 200);
+        for id in 200..290 {
+            next.push(full.row(id));
+            heir.push(&next);
+        }
+        for (idx, ds, base) in [(&inc, &ds, 70), (&heir, &next, 50)] {
+            let stat = DurableSkybandIndex::build_owned(ds, 3, base);
+            let all = Window::new(0, ds.len() as RecordId - 1);
+            for k in [1usize, 3, 4] {
+                for tau in [1u32, 2, 11, 60] {
+                    let got = idx.candidates(all, tau, k);
+                    assert!(got.0.iter().all(|&id| id >= base), "context id reported");
+                    assert_eq!(got, stat.candidates(all, tau, k), "k={k} tau={tau}");
+                }
+            }
+            let sealed = idx.to_static(base);
+            assert_eq!(sealed.heap_bytes(), stat.heap_bytes());
+            assert_eq!(sealed.candidates(all, 5, 2), stat.candidates(all, 5, 2));
         }
     }
 
