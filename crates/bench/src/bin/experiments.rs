@@ -10,7 +10,7 @@
 
 use durable_topk::{
     alternatives, Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, ScanOracle,
-    SingleAttributeScorer, SkybandCandidates, TopKOracle, Window,
+    SingleAttributeScorer, SkybandCandidates, Window,
 };
 use durable_topk_bench::{default_query, mean_std, measure, pm, query_pct, Config, TablePrinter};
 use durable_topk_store::{t_base_proc, t_hop_proc, RelStore};

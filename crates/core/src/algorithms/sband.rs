@@ -11,10 +11,10 @@
 //! "missing records" of Fig. 5).
 
 use crate::context::QueryContext;
-use crate::oracle::TopKOracle;
+use crate::oracle::{Rows, TopKOracle};
 use crate::query::{DurableQuery, FallbackReason, QueryResult, QueryStats};
 use durable_topk_index::{OracleScorer, SkybandCandidates};
-use durable_topk_temporal::{Dataset, Window};
+use durable_topk_temporal::Window;
 
 /// Classifies why an S-Band request cannot be served natively by the given
 /// candidate source, or `None` when it can. One derivation shared by every
@@ -52,7 +52,7 @@ where
 /// ([`DurableTopKEngine::query`](crate::DurableTopKEngine::query)) degrades
 /// to S-Hop instead of panicking on the latter two.
 pub fn s_band<O: TopKOracle + ?Sized, C: SkybandCandidates + ?Sized, S: OracleScorer + ?Sized>(
-    ds: &Dataset,
+    ds: &O::Rows,
     oracle: &O,
     index: &C,
     scorer: &S,

@@ -10,15 +10,16 @@
 //! queries — its `O(n log n)` sort is what makes it slow.
 
 use crate::context::QueryContext;
+use crate::oracle::Rows;
 use crate::query::{DurableQuery, QueryResult, QueryStats};
-use durable_topk_temporal::{Dataset, Scorer};
+use durable_topk_temporal::Scorer;
 
 /// Runs S-Base. See the module docs.
 ///
 /// # Panics
 /// Panics on invalid query parameters (see [`DurableQuery::validate`]).
-pub fn s_base<S: Scorer + ?Sized>(
-    ds: &Dataset,
+pub fn s_base<D: Rows + ?Sized, S: Scorer + ?Sized>(
+    ds: &D,
     scorer: &S,
     query: &DurableQuery,
     ctx: &mut QueryContext,

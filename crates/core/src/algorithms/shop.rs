@@ -19,10 +19,10 @@
 //! [`QueryContext`], so repeated queries allocate nothing on this path.
 
 use crate::context::QueryContext;
-use crate::oracle::TopKOracle;
+use crate::oracle::{Rows, TopKOracle};
 use crate::query::{DurableQuery, QueryResult, QueryStats};
 use durable_topk_index::OracleScorer;
-use durable_topk_temporal::{Dataset, RecordId, Time, Window};
+use durable_topk_temporal::{RecordId, Time, Window};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -117,7 +117,7 @@ fn expose(
 /// # Panics
 /// Panics on invalid query parameters (see [`DurableQuery::validate`]).
 pub fn s_hop<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
-    ds: &Dataset,
+    ds: &O::Rows,
     oracle: &O,
     scorer: &S,
     query: &DurableQuery,

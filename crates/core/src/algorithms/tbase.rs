@@ -9,10 +9,10 @@
 //! baseline the hop algorithms beat.
 
 use crate::context::QueryContext;
-use crate::oracle::TopKOracle;
+use crate::oracle::{Rows, TopKOracle};
 use crate::query::{DurableQuery, QueryResult, QueryStats};
 use durable_topk_index::{OracleScorer, SkybandBuffer};
-use durable_topk_temporal::{Dataset, Window};
+use durable_topk_temporal::Window;
 
 /// Runs T-Base. See the module docs.
 ///
@@ -20,7 +20,7 @@ use durable_topk_temporal::{Dataset, Window};
 /// Panics on invalid query parameters (see
 /// [`DurableQuery::validate`]).
 pub fn t_base<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
-    ds: &Dataset,
+    ds: &O::Rows,
     oracle: &O,
     scorer: &S,
     query: &DurableQuery,
@@ -73,7 +73,7 @@ pub fn t_base<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
 mod tests {
     use super::*;
     use crate::oracle::ScanOracle;
-    use durable_topk_temporal::SingleAttributeScorer;
+    use durable_topk_temporal::{Dataset, SingleAttributeScorer};
 
     #[test]
     fn visits_every_record_in_interval() {

@@ -14,17 +14,17 @@
 //! skipped region non-durable; this keeps the hop sound when scores collide.
 
 use crate::context::QueryContext;
-use crate::oracle::TopKOracle;
+use crate::oracle::{Rows, TopKOracle};
 use crate::query::{DurableQuery, QueryResult, QueryStats};
 use durable_topk_index::OracleScorer;
-use durable_topk_temporal::{Dataset, Window};
+use durable_topk_temporal::Window;
 
 /// Runs T-Hop. See the module docs.
 ///
 /// # Panics
 /// Panics on invalid query parameters (see [`DurableQuery::validate`]).
 pub fn t_hop<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
-    ds: &Dataset,
+    ds: &O::Rows,
     oracle: &O,
     scorer: &S,
     query: &DurableQuery,
@@ -67,7 +67,7 @@ pub fn t_hop<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
 mod tests {
     use super::*;
     use crate::oracle::ScanOracle;
-    use durable_topk_temporal::SingleAttributeScorer;
+    use durable_topk_temporal::{Dataset, SingleAttributeScorer};
 
     #[test]
     fn hops_over_shadowed_stretches() {

@@ -5,9 +5,9 @@
 //! the union over all placements, with the discontinuity artifacts the paper
 //! illustrates with Drummond's 29-rebound game).
 
-use crate::oracle::TopKOracle;
+use crate::oracle::{Rows, TopKOracle};
 use durable_topk_index::{OracleScorer, SkybandBuffer};
-use durable_topk_temporal::{Dataset, RecordId, Time, Window};
+use durable_topk_temporal::{RecordId, Time, Window};
 
 /// Tumbling-window top-k: partitions `interval` into consecutive τ-length
 /// windows starting at `interval.start() + offset` and reports each window's
@@ -19,7 +19,7 @@ use durable_topk_temporal::{Dataset, RecordId, Time, Window};
 /// # Panics
 /// Panics if `k == 0`, `tau == 0`, or the interval is outside the dataset.
 pub fn tumbling_topk<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
-    ds: &Dataset,
+    ds: &O::Rows,
     oracle: &O,
     scorer: &S,
     k: usize,
@@ -58,7 +58,7 @@ pub fn tumbling_topk<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
 /// # Panics
 /// Panics if `k == 0`, `tau == 0`, or the interval is outside the dataset.
 pub fn sliding_topk_union<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
-    ds: &Dataset,
+    ds: &O::Rows,
     oracle: &O,
     scorer: &S,
     k: usize,
@@ -105,7 +105,7 @@ fn ids(items: Vec<(RecordId, f64)>) -> Vec<RecordId> {
 mod tests {
     use super::*;
     use crate::oracle::ScanOracle;
-    use durable_topk_temporal::SingleAttributeScorer;
+    use durable_topk_temporal::{Dataset, SingleAttributeScorer};
 
     fn ds() -> Dataset {
         Dataset::from_rows(1, [[5.0], [1.0], [7.0], [2.0], [6.0], [3.0], [9.0], [0.0]])

@@ -46,8 +46,15 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Starts a configuration from the three required shape parameters:
-    /// attribute arity, owned records per sealed shard, and the largest
-    /// `τ` the engine must answer exactly.
+    /// attribute arity, records per sealed shard, and `max_tau`, how far
+    /// back the durable k-skyband durations behind S-Band look.
+    ///
+    /// `max_tau` bounds no query: every `τ` is answered exactly, a window
+    /// reaching past its shard reading the predecessors it overlaps. A
+    /// duration truncated at `max_tau` only overestimates, so S-Band's
+    /// candidates stay a superset of the answer for any `τ`; a `τ` at or
+    /// below `max_tau` keeps that superset tight. It costs memory only in
+    /// the head's skyband state for the `max_tau` records before it.
     pub fn new(dim: usize, shard_span: usize, max_tau: Time) -> Self {
         Self {
             dim,
@@ -60,9 +67,11 @@ impl EngineConfig {
         }
     }
 
-    /// Index leaf granularity for the head forest and sealed trees
-    /// (default: [`DEFAULT_LEAF_SIZE`]). Streaming callers ingesting few
-    /// records per query may prefer smaller leaves.
+    /// Index leaf granularity (default: [`DEFAULT_LEAF_SIZE`]): the head
+    /// forest fuses one-record leaves up to half of it, and trees built
+    /// over a dataset's shards get leaves of at most that half too.
+    /// Streaming callers ingesting few records per query may prefer
+    /// smaller leaves.
     pub fn leaf_size(mut self, leaf_size: usize) -> Self {
         self.leaf_size = leaf_size;
         self
@@ -118,7 +127,8 @@ impl EngineConfig {
 
     /// Builds an empty, appendable engine: records arrive via
     /// [`append`](ShardedEngine::append), shards seal every `shard_span`
-    /// records, and queries are exact for `τ ≤ max_tau`.
+    /// records, and queries are exact for every `τ`; skyband durations
+    /// look `max_tau` records back.
     pub fn build(self) -> Result<ShardedEngine, BuildError> {
         self.validate()?;
         Ok(ShardedEngine::from_config(self, None))
@@ -126,10 +136,11 @@ impl EngineConfig {
 
     /// Builds an engine over `ds` partitioned into `shard_count`
     /// contiguous time shards (capped at the dataset size), each built in
-    /// parallel on the worker pool with `max_tau` records of left context,
-    /// so any query with `τ ≤ max_tau` matches the unsharded engine. The
-    /// engine stays appendable: new arrivals land in a fresh head shard
-    /// primed with the trailing `max_tau` records.
+    /// parallel on the worker pool over the records it owns — its skyband
+    /// durations looking `max_tau` records back — so a query with any `τ`
+    /// matches the unsharded engine. The engine stays appendable: new
+    /// arrivals land in an empty head shard whose skyband state is
+    /// bootstrapped from the trailing `max_tau` records.
     ///
     /// The partition supersedes [`shard_span`](EngineConfig::new): each
     /// sealed shard owns `ceil(ds.len() / shard_count)` records, and that

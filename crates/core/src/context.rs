@@ -70,7 +70,7 @@ impl StampSet {
 /// engines and datasets may share one context.
 #[derive(Debug, Default)]
 pub struct QueryContext {
-    /// Segment-tree / scan oracle scratch (node pq, best-k heap, merge).
+    /// Segment-tree / scan oracle scratch (frontier, best-k heap, memo).
     pub(crate) oracle: OracleScratch,
     /// Reusable `π≤k` buffer for durability checks.
     pub(crate) pi: TopKResult,

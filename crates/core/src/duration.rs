@@ -7,9 +7,9 @@
 //! algorithm produced the record.
 
 use crate::context::QueryContext;
-use crate::oracle::TopKOracle;
+use crate::oracle::{Rows, TopKOracle};
 use durable_topk_index::OracleScorer;
-use durable_topk_temporal::{Dataset, RecordId, Time, Window};
+use durable_topk_temporal::{RecordId, Time, Window};
 
 /// The largest `τ` for which record `p` is τ-durable under `scorer` and `k`
 /// (look-back anchoring).
@@ -24,7 +24,7 @@ use durable_topk_temporal::{Dataset, RecordId, Time, Window};
 /// # Panics
 /// Panics if `k == 0` or `p` is out of bounds.
 pub fn max_duration<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
-    ds: &Dataset,
+    ds: &O::Rows,
     oracle: &O,
     scorer: &S,
     p: RecordId,
@@ -62,7 +62,7 @@ pub fn max_duration<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
 mod tests {
     use super::*;
     use crate::oracle::ScanOracle;
-    use durable_topk_temporal::{Scorer, SingleAttributeScorer};
+    use durable_topk_temporal::{Dataset, Scorer, SingleAttributeScorer};
 
     fn brute_max_duration(ds: &Dataset, p: RecordId, k: usize) -> Time {
         let scorer = SingleAttributeScorer::new(0);

@@ -68,7 +68,7 @@ impl std::fmt::Display for Algorithm {
 /// every arm of the sharded fan-out delegate here, so the same request can
 /// never be dispatched differently depending on which substrate serves it.
 pub(crate) fn run_algorithm<O, C, S>(
-    ds: &Dataset,
+    ds: &O::Rows,
     oracle: &O,
     skyband: Option<&C>,
     alg: Algorithm,
@@ -267,12 +267,12 @@ impl DurableTopKEngine {
 
     /// Cumulative top-k queries issued by the engine's oracle.
     pub fn oracle_queries(&self) -> u64 {
-        self.oracle.queries_issued()
+        self.oracle.counters().queries()
     }
 
     /// Resets oracle instrumentation.
     pub fn reset_counters(&self) {
-        self.oracle.reset_counters();
+        self.oracle.counters().reset();
         if let Some(rev) = &self.reversed {
             rev.reset_counters();
         }

@@ -2,7 +2,7 @@
 //!
 //! The offline experiment driver could afford to `panic!` on bad input —
 //! the process was the experiment. A serving deployment cannot: a panic on
-//! a routine bad request (a `τ` beyond the shard overlap, an empty CSV)
+//! a routine bad request (a zero `k`, an empty CSV)
 //! would take a worker, or the whole process, down with it. These enums
 //! carry the same diagnostics as the old panic messages, so callers that
 //! still want to abort (`ShardedEngine::query`,
@@ -32,13 +32,14 @@ pub enum QueryError {
         /// Last record id currently covered by the engine.
         last: Time,
     },
-    /// `τ` exceeds the sharded engine's overlap bound: shards keep only
-    /// `max_tau` records of left context, so exactness cannot be
-    /// guaranteed beyond it.
+    /// `τ` exceeds a cluster's exactness bound: the coordinator's nodes
+    /// are separate processes, each holding `max_tau` records of left
+    /// context at least, so exactness cannot be guaranteed beyond it. An
+    /// in-process engine answers every `τ` and never reports this.
     TauExceedsOverlap {
         /// Requested durability window length.
         tau: Time,
-        /// The engine's exactness bound.
+        /// The cluster's exactness bound.
         max_tau: Time,
     },
     /// A parameter vector's arity does not match the dataset's attribute
@@ -66,8 +67,8 @@ impl std::fmt::Display for QueryError {
             }
             QueryError::TauExceedsOverlap { tau, max_tau } => write!(
                 f,
-                "tau {tau} exceeds the shard overlap max_tau {max_tau}; \
-                 rebuild with a larger bound"
+                "tau {tau} exceeds the node context max_tau {max_tau}; \
+                 give the cluster's nodes deeper left context"
             ),
             QueryError::Arity { expected, got } => {
                 write!(f, "arity mismatch: the data has {expected} attributes, got {got}")
@@ -127,7 +128,7 @@ mod tests {
             .contains("starts past"));
         assert!(QueryError::TauExceedsOverlap { tau: 9, max_tau: 4 }
             .to_string()
-            .contains("exceeds the shard overlap"));
+            .contains("exceeds the node context"));
         assert!(BuildError::ZeroParam("shard_span").to_string().contains("shard_span"));
     }
 }

@@ -55,6 +55,7 @@ pub mod sharded;
 pub mod storage;
 pub mod subscribe;
 mod sync;
+mod view;
 
 /// Ranked lock tracking: the concurrency-invariant checker every internal
 /// lock is declared against (re-exported so binaries and tests can arm
@@ -66,7 +67,7 @@ pub use config::EngineConfig;
 pub use context::QueryContext;
 pub use engine::{Algorithm, DurableTopKEngine};
 pub use error::{BuildError, QueryError};
-pub use oracle::{ScanOracle, TopKOracle};
+pub use oracle::{Rows, ScanOracle, TopKOracle};
 pub use pool::WorkerPool;
 pub use query::{percentile, DurableQuery, FallbackReason, QueryResult, QueryStats};
 pub use result_cache::{ResultCacheStats, ShardResultCache};

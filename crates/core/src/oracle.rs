@@ -16,31 +16,62 @@
 //! `LinearScorer` / `CosineScorer` before the first probe, and only its
 //! `Custom` variant probes through a trait object.
 //!
-//! Three implementations ship with the crate; the index types are their
-//! own oracles, no wrapper in between:
+//! Every oracle answers over a [`Rows`] source — the records the
+//! algorithms score directly. Four implementations ship with the crate;
+//! the index types are their own oracles, no wrapper in between:
 //!
-//! * [`SkylineSegTree`] — the skyline segment tree of Appendix A (the
-//!   production path over sealed data).
-//! * [`AppendableTopKIndex`] — the appendable forest of such trees (the
-//!   production path over the live head shard).
+//! * [`SkylineSegTree`] — the skyline segment tree of Appendix A, over a
+//!   [`Dataset`] (the offline engine).
+//! * [`AppendableTopKIndex`] — the appendable forest of such trees.
+//! * the per-request timeline view of a
+//!   [`ShardedEngine`](crate::ShardedEngine) — its own rows, read from
+//!   every shard a window touches and searched as one forest.
 //! * [`ScanOracle`] — a linear scan of the window (the correctness
 //!   reference).
 
 use durable_topk_index::{
     scan_top_k_into, AppendableTopKIndex, OracleScorer, OracleScratch, SkylineSegTree, TopKResult,
 };
-use durable_topk_temporal::{Dataset, Window};
+use durable_topk_temporal::{Dataset, RecordId, Window};
 use std::cell::Cell;
+
+/// The records an algorithm reads: `len()` of them, ids `0..len()`, each an
+/// attribute row.
+pub trait Rows {
+    /// Number of records.
+    fn len(&self) -> usize;
+
+    /// Whether there is no record.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Record `id`'s attribute row.
+    fn row(&self, id: RecordId) -> &[f64];
+}
+
+impl Rows for Dataset {
+    fn len(&self) -> usize {
+        Dataset::len(self)
+    }
+
+    fn row(&self, id: RecordId) -> &[f64] {
+        Dataset::row(self, id)
+    }
+}
 
 /// A building block answering preference top-k queries over time windows.
 pub trait TopKOracle {
+    /// The records the oracle answers over.
+    type Rows: Rows + ?Sized;
+
     /// Answers `Q(u, k, W)` into `out`: the top-k records (with ties of the
     /// k-th score) among records arriving in `w`, best first. Internal
     /// search state comes from `scratch`, so repeated probes allocate
     /// nothing.
     fn top_k_into<S: OracleScorer + ?Sized>(
         &self,
-        ds: &Dataset,
+        ds: &Self::Rows,
         scorer: &S,
         k: usize,
         w: Window,
@@ -52,7 +83,7 @@ pub trait TopKOracle {
     /// [`top_k_into`](TopKOracle::top_k_into) for one-off probes.
     fn top_k<S: OracleScorer + ?Sized>(
         &self,
-        ds: &Dataset,
+        ds: &Self::Rows,
         scorer: &S,
         k: usize,
         w: Window,
@@ -62,20 +93,14 @@ pub trait TopKOracle {
         self.top_k_into(ds, scorer, k, w, &mut scratch, &mut out);
         out
     }
-
-    /// Number of top-k queries issued since construction or the last
-    /// [`reset_counters`](TopKOracle::reset_counters) — the metric every
-    /// figure in the paper's evaluation reports.
-    fn queries_issued(&self) -> u64;
-
-    /// Resets instrumentation.
-    fn reset_counters(&self);
 }
 
 /// The skyline segment tree of Appendix A is its own oracle: the static
 /// index behind [`DurableTopKEngine`](crate::DurableTopKEngine) and every
 /// sealed shard.
 impl TopKOracle for SkylineSegTree {
+    type Rows = Dataset;
+
     fn top_k_into<S: OracleScorer + ?Sized>(
         &self,
         ds: &Dataset,
@@ -86,14 +111,6 @@ impl TopKOracle for SkylineSegTree {
         out: &mut TopKResult,
     ) {
         self.top_k_with(ds, scorer, k, w, scratch, out);
-    }
-
-    fn queries_issued(&self) -> u64 {
-        self.counters().queries()
-    }
-
-    fn reset_counters(&self) {
-        self.counters().reset();
     }
 }
 
@@ -101,6 +118,8 @@ impl TopKOracle for SkylineSegTree {
 /// *head shard* during live ingestion (see
 /// [`ShardedEngine`](crate::ShardedEngine)).
 impl TopKOracle for AppendableTopKIndex {
+    type Rows = Dataset;
+
     fn top_k_into<S: OracleScorer + ?Sized>(
         &self,
         ds: &Dataset,
@@ -111,14 +130,6 @@ impl TopKOracle for AppendableTopKIndex {
         out: &mut TopKResult,
     ) {
         self.top_k_with(ds, scorer, k, w, scratch, out);
-    }
-
-    fn queries_issued(&self) -> u64 {
-        self.counters().queries()
-    }
-
-    fn reset_counters(&self) {
-        self.counters().reset();
     }
 }
 
@@ -133,9 +144,24 @@ impl ScanOracle {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Number of top-k queries issued since construction or the last
+    /// [`reset_counters`](ScanOracle::reset_counters) — the metric every
+    /// figure in the paper's evaluation reports (the index types count
+    /// theirs in `counters()`).
+    pub fn queries_issued(&self) -> u64 {
+        self.queries.get()
+    }
+
+    /// Resets the query count.
+    pub fn reset_counters(&self) {
+        self.queries.set(0);
+    }
 }
 
 impl TopKOracle for ScanOracle {
+    type Rows = Dataset;
+
     fn top_k_into<S: OracleScorer + ?Sized>(
         &self,
         ds: &Dataset,
@@ -147,14 +173,6 @@ impl TopKOracle for ScanOracle {
     ) {
         self.queries.set(self.queries.get() + 1);
         scan_top_k_into(ds, scorer, k, w, out);
-    }
-
-    fn queries_issued(&self) -> u64 {
-        self.queries.get()
-    }
-
-    fn reset_counters(&self) {
-        self.queries.set(0);
     }
 }
 
@@ -174,15 +192,13 @@ mod tests {
         let expected = scan.top_k(&ds, &scorer, 2, w);
         assert_eq!(TopKOracle::top_k(&seg, &ds, &scorer, 2, w), expected);
         assert_eq!(TopKOracle::top_k(&forest, &ds, &scorer, 2, w), expected);
-        assert_eq!(seg.queries_issued(), 1);
-        assert_eq!(forest.queries_issued(), 1);
-        assert_eq!(scan.queries_issued(), 1);
-        seg.reset_counters();
-        forest.reset_counters();
+        let counts =
+            || (seg.counters().queries(), forest.counters().queries(), scan.queries_issued());
+        assert_eq!(counts(), (1, 1, 1));
+        seg.counters().reset();
+        forest.counters().reset();
         scan.reset_counters();
-        assert_eq!(seg.queries_issued(), 0);
-        assert_eq!(forest.queries_issued(), 0);
-        assert_eq!(scan.queries_issued(), 0);
+        assert_eq!(counts(), (0, 0, 0));
     }
 
     #[test]

@@ -1,22 +1,24 @@
 //! The time decomposition of `DurTop(k, I, τ)` as plain data.
 //!
 //! A durability window `[p.t − τ, p.t]` only looks backwards, so any
-//! contiguous time range that carries `τ` records of left context answers
-//! its own records exactly, and the per-range answers concatenate. This
-//! module is that sentence as code, and the only place it is written:
-//! [`route`] splits an interval over a time-ordered list of [`OwnedRange`]s
-//! into per-owner local windows, [`merge`] maps the per-owner answers home
-//! and concatenates them. [`ShardedEngine`](crate::ShardedEngine) routes
-//! over its shards with it; a scatter-gather coordinator routes over its
-//! nodes with the same two functions, one level up.
+//! contiguous time range whose owner can read the `τ` records before it —
+//! its own left context, or its predecessors' rows — answers its own
+//! records exactly, and the per-range answers concatenate. This module is
+//! that sentence as code, and the only place it is written: [`route`]
+//! splits an interval over a time-ordered list of [`OwnedRange`]s into
+//! per-owner local windows, [`merge`] maps the per-owner answers home and
+//! concatenates them. [`ShardedEngine`](crate::ShardedEngine) routes over
+//! its shards with it, in global ids, each piece reading its predecessors;
+//! a scatter-gather coordinator routes over its nodes, each holding its own
+//! left context, with the same two functions, one level up.
 
 use crate::query::QueryStats;
 use durable_topk_temporal::{RecordId, Time, Window};
 
 /// One contiguous slice of the global timeline as its owner sees it: the
-/// owner's sub-dataset starts at `ext_lo` (left context), and it reports
-/// answers for `[lo, hi]` only. Global record `g` is the owner's local
-/// record `g − ext_lo`.
+/// owner's ids start at `ext_lo` (a node's left context; `0` for owners
+/// that speak global ids), and it reports answers for `[lo, hi]` only.
+/// Global record `g` is the owner's local record `g − ext_lo`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OwnedRange {
     /// Global id of the owner's local record 0 (`≤ lo`).
@@ -33,11 +35,6 @@ impl OwnedRange {
     pub fn localize(&self, w: Window) -> Option<Window> {
         let piece = w.intersect(Window::new(self.lo, self.hi))?;
         Some(Window::new(piece.start() - self.ext_lo, piece.end() - self.ext_lo))
-    }
-
-    /// The whole owned range in the owner's local coordinates.
-    pub fn local_full(&self) -> Window {
-        Window::new(self.lo - self.ext_lo, self.hi - self.ext_lo)
     }
 }
 
@@ -71,19 +68,21 @@ pub fn route<T>(
         .collect()
 }
 
-/// Merges per-piece answers given as `(ext_lo, local records, stats)` in
-/// time order: local ids are mapped home and concatenated (owners are
-/// disjoint and increasing, so sorted per-piece answers concatenate into a
-/// sorted global answer) into one exactly-reserved vector, and every
-/// piece's stats are [`absorb`](QueryStats::absorb)ed.
+/// Merges per-piece answers given as `(base, local records, stats)` in
+/// time order, where `base` is the global id of the piece's local record 0
+/// (its owner's `ext_lo`, or the first id of the view it ran over): local
+/// ids are mapped home and concatenated (owners are disjoint and
+/// increasing, so sorted per-piece answers concatenate into a sorted
+/// global answer) into one exactly-reserved vector, and every piece's
+/// stats are [`absorb`](QueryStats::absorb)ed.
 pub fn merge<'a>(
     parts: impl Iterator<Item = (Time, &'a [RecordId], &'a QueryStats)> + Clone,
 ) -> (Vec<RecordId>, QueryStats) {
     let total = parts.clone().map(|(_, records, _)| records.len()).sum();
     let mut records = Vec::with_capacity(total);
     let mut stats = QueryStats::default();
-    for (ext_lo, local, part) in parts {
-        records.extend(local.iter().map(|&id| id + ext_lo));
+    for (base, local, part) in parts {
+        records.extend(local.iter().map(|&id| id + base));
         stats.absorb(part);
     }
     (records, stats)
@@ -124,7 +123,6 @@ mod tests {
                 let owner = ranges[piece.owner];
                 assert!(i == 0 || pieces[i - 1].owner < piece.owner, "case {case}: time order");
                 assert_eq!(piece.ext_lo, owner.ext_lo, "case {case}");
-                assert!(owner.local_full().contains_window(piece.local), "case {case}");
                 let global = (piece.local.start() + owner.ext_lo, piece.local.end() + owner.ext_lo);
                 assert!(owner.lo <= global.0 && global.1 <= owner.hi, "case {case}: inside owner");
                 assert_eq!(global.0, next, "case {case}: images are disjoint and gap-free");

@@ -61,8 +61,8 @@ impl DurableQuery {
 /// exceeds the skyband build bound) from the one that signals a missing
 /// capability — an S-Band request finding no skyband index at all, which
 /// a regression gate should fail on. Every reason is an S-Band → S-Hop
-/// substitution; a `τ` beyond a live engine's `max_tau` is a typed
-/// [`QueryError::TauExceedsOverlap`](crate::QueryError), never a fallback.
+/// substitution; no `τ` is one — S-Band's candidates stay a superset for
+/// any `τ`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FallbackReason {
     /// S-Band was requested but the serving substrate carries no durable

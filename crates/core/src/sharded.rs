@@ -1,11 +1,14 @@
 //! A time-sharded durable top-k engine with live ingestion.
 //!
 //! Durable top-k queries decompose naturally along arrival time: a record's
-//! durability window `[p.t − τ, p.t]` only looks *backwards*, so a shard
-//! that owns records `[lo, hi]` can answer their durability exactly from a
-//! sub-dataset extended `max_tau` records to the left — the overlap region
-//! supplies every potential blocker without any cross-shard communication.
-//! [`crate::plan`] states that decomposition once, as plain data; this
+//! durability window `[p.t − τ, p.t]` only looks *backwards*, and the
+//! building block `Q(u, k, W)` composes over any partition of `W` (§IV's
+//! canonical decomposition). So every shard holds the rows and the tree of
+//! the records it owns and nothing else, and a query over the records
+//! `[lo, hi]` of one shard reads `[lo − τ, hi]` through a per-request
+//! view: rows from the shard's own chunk plus every predecessor the reach
+//! overlaps, probes as one best-first search over every tree there.
+//! [`crate::plan`] states the decomposition once, as plain data; this
 //! module supplies the shards it routes over.
 //!
 //! The paper's setting is inherently temporal: records keep arriving in
@@ -14,31 +17,34 @@
 //!
 //! * **Sealed tail shards** are immutable: a frozen segment-tree oracle,
 //!   an optional skyband index, and a record chunk held by the
-//!   [`ShardStorage`] backend, over contiguous time ranges each extended
-//!   `max_tau` records to the left.
+//!   [`ShardStorage`] backend, over contiguous time ranges.
 //! * **One mutable head shard** receives [`append`](ShardedEngine::append)s,
 //!   indexed incrementally by the appendable segment-tree forest
 //!   ([`AppendableTopKIndex`]). When the head has accumulated `shard_span`
-//!   owned records it is *sealed* where it stands: its forest's trees are
-//!   joined into one segment tree, the head becomes the next tail shard,
-//!   and a fresh head starts with the trailing `max_tau` records as left
-//!   context — preserving the overlap invariant, so queries stay exact for
-//!   any `τ ≤ max_tau` at every point of the ingestion timeline.
+//!   records it is *sealed* where it stands: its forest's trees are joined
+//!   into one segment tree, the head becomes the next tail shard, and a
+//!   fresh, empty head starts.
+//!
+//! `max_tau` means one thing: how far back the durable k-skyband durations
+//! that serve S-Band look. A fresh head inherits the outgoing head's
+//! skyband state for the trailing `max_tau` records
+//! ([`IncrementalSkybandIndex::inherit`]) — active entries and their rows,
+//! no tree, no chunk — and sealed shards keep durations for the records
+//! they own. A truncated look-back only overestimates a duration, so the
+//! candidates stay an exact superset for any `τ`.
 //!
 //! A shard is in one of those two states and nothing about a seal is
 //! concurrent. Joining trees moves their nodes and adds one root per join
-//! ([`AppendableTopKIndex::seal`]) — no record is indexed again — and the
-//! fresh head inherits the outgoing head's skyband state for its context
-//! ([`IncrementalSkybandIndex::inherit`]) instead of replaying it, so the
+//! ([`AppendableTopKIndex::seal`]) — no record is indexed again — so the
 //! seal runs on the appending thread, inside the `append` that fills the
 //! head; so does the storage backend's chunk write.
 //!
 //! Queries fan `DurTop(k, I, τ)` out across the shards owning a piece of
 //! `I` through the persistent [`WorkerPool`] (no `thread::spawn` on the
-//! query path; each worker reuses its own [`QueryContext`]); per-shard
+//! query path; each worker reuses its own [`QueryContext`]); per-piece
 //! answers are mapped back to global record ids and merged. The result is
 //! record-for-record identical to an unsharded engine over the same
-//! history for every `τ ≤ max_tau`.
+//! history for every `τ`.
 //!
 //! [`IncrementalSkybandIndex::inherit`]: durable_topk_index::IncrementalSkybandIndex::inherit
 
@@ -52,17 +58,16 @@ use crate::pool::WorkerPool;
 use crate::query::{DurableQuery, QueryResult};
 use crate::result_cache::{next_shard_gen, CacheKey, ShardResultCache};
 use crate::storage::{ChunkId, MemoryStorage, ShardStorage};
+use crate::view::View;
 use durable_topk_index::{
-    AppendableTopKIndex, DurableSkybandIndex, OracleScorer, SkylineSegTree, TopKResult,
+    AppendableTopKIndex, DurableSkybandIndex, IncrementalSkybandIndex, OracleScorer,
+    SkybandCandidates, SkylineSegTree, TopKResult,
 };
 use durable_topk_temporal::{Dataset, RecordId, Time, Window};
 use std::sync::Arc;
 
-/// One sealed time shard: a skyline segment tree over
-/// `[range.ext_lo, range.hi]`, *owning* (reporting answers for)
-/// `[range.lo, range.hi]`, plus optional frozen skyband durations for the
-/// owned records only — S-Band is only ever asked about `I ∩ [lo, hi]`, so
-/// the left context has none. The record chunk itself
+/// One sealed time shard: a skyline segment tree over the records it owns,
+/// plus optional frozen skyband durations for them. The record chunk itself
 /// lives in the engine's [`ShardStorage`] backend, reached by handle —
 /// under [`PagedStorage`](crate::PagedStorage) it may be spilled to pages
 /// and is faulted back in transparently at query time.
@@ -70,9 +75,10 @@ use std::sync::Arc;
 struct Shard {
     oracle: SkylineSegTree,
     skyband: Option<DurableSkybandIndex>,
-    /// Handle to the shard's record chunk (`[ext_lo, hi]`) in storage.
+    /// Handle to the shard's record chunk in storage.
     chunk: ChunkId,
-    range: OwnedRange,
+    /// The global ids the shard owns; chunk row 0 is the first.
+    owned: Window,
     /// Process-global, never-reused generation id keying this shard's
     /// entries in the [`ShardResultCache`]: re-sealing, storage migration
     /// or any other shard replacement stamps a fresh generation, so stale
@@ -80,17 +86,15 @@ struct Shard {
     generation: u64,
 }
 
-/// The mutable ingestion shard: `max_tau` records of left context plus
-/// every record appended since the last seal, indexed by the appendable
-/// forest (which, with a skyband bound, maintains the durable k-skyband
-/// incrementally so S-Band serves natively from the first append).
+/// The mutable ingestion shard: every record appended since the last seal,
+/// indexed by the appendable forest (which, with a skyband bound, maintains
+/// the durable k-skyband incrementally so S-Band serves natively from the
+/// first append).
 #[derive(Debug)]
 struct Head {
     ds: Dataset,
     index: AppendableTopKIndex,
-    /// Global id of the head sub-dataset's first row.
-    ext_lo: Time,
-    /// First global id the head owns (earlier rows are context).
+    /// Global id of `ds`'s row 0.
     lo: Time,
 }
 
@@ -100,6 +104,7 @@ struct Shape {
     dim: usize,
     /// Owned records per sealed shard.
     shard_span: usize,
+    /// How far back skyband durations look.
     max_tau: Time,
     /// Leaf granularity of the head forest and the trees sealed from it.
     leaf_size: usize,
@@ -108,66 +113,56 @@ struct Shape {
 }
 
 impl Shape {
-    /// Builds a head whose context is the trailing `max_tau` of the first
-    /// `n` global records, read through `row`. Its skyband state for the
-    /// context is inherited from `outgoing`, the head being sealed, which
-    /// covers every context record and every later one; without it, the
-    /// context is bootstrapped.
-    fn fresh_head<'a>(
-        &self,
-        row: impl Fn(usize) -> &'a [f64],
-        n: usize,
-        outgoing: Option<&Head>,
-    ) -> Head {
-        let ctx_len = (self.max_tau as usize).min(n);
-        let ext_lo = (n - ctx_len) as Time;
-        let mut ds = Dataset::with_capacity(self.dim, ctx_len + self.shard_span);
-        for i in (n - ctx_len)..n {
-            ds.push(row(i));
-        }
-        let mut index = AppendableTopKIndex::build(&ds, self.leaf_size);
-        let inherited =
-            outgoing.and_then(|head| Some(head.index.skyband()?.inherit(ext_lo - head.ext_lo)));
-        index = match (inherited, self.k_max) {
-            (Some(skyband), _) => index.with_skyband(skyband),
-            (None, Some(k_max)) => index.with_skyband_bound(&ds, k_max),
-            (None, None) => index,
+    /// An empty head whose first record will be global record `lo`, with
+    /// the skyband state of what came before.
+    fn head(&self, lo: Time, skyband: Option<IncrementalSkybandIndex>) -> Head {
+        let index = AppendableTopKIndex::new(self.leaf_size);
+        let index = match skyband {
+            Some(skyband) => index.with_skyband(skyband),
+            None => index,
         };
-        Head { ds, index, ext_lo, lo: n as Time }
+        Head { ds: Dataset::with_capacity(self.dim, self.shard_span), index, lo }
+    }
+
+    /// The first record of the skyband look-back ending before record `n`.
+    fn reach(&self, n: usize) -> usize {
+        n - (self.max_tau as usize).min(n)
     }
 }
 
+/// A copy of records `lo..hi` of `ds`.
+fn rows(ds: &Dataset, lo: usize, hi: usize) -> Dataset {
+    let mut out = Dataset::with_capacity(ds.dim(), hi - lo);
+    for id in lo..hi {
+        out.push(ds.row(id as RecordId));
+    }
+    out
+}
+
 /// What one job of [`ShardedEngine::from_config`]'s parallel build makes.
-enum Part {
+enum Built {
     /// A tail's record chunk, tree and skyband.
     Tail(Arc<Dataset>, SkylineSegTree, Option<DurableSkybandIndex>),
-    /// The head over the trailing context.
+    /// The empty head, its skyband bootstrapped over the trailing records.
     Head(Head),
 }
 
-/// What serves one owned range of the timeline.
-#[derive(Clone, Copy)]
-enum Substrate<'a> {
-    /// A sealed tail: one tree, frozen skyband, records in storage.
-    Sealed(&'a Shard),
-    /// The mutable head: a forest over its resident sub-dataset.
-    Forest(&'a Dataset, &'a AppendableTopKIndex),
-}
-
 /// Resident heap bytes of a [`ShardedEngine`], by structure
-/// ([`ShardedEngine::memory_usage`]).
+/// ([`ShardedEngine::memory_usage`]). No record row and no tree node is
+/// held twice: every figure but `skyband_head` is independent of
+/// `max_tau`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryUsage {
     /// Record rows: the storage backend's decoded chunks plus the head's
-    /// sub-dataset.
+    /// rows.
     pub records: usize,
     /// Skyline segment trees: sealed shards' and the head forest's.
     pub trees: usize,
     /// Sealed shards' skyband durations — owned records only.
     pub skyband_sealed: usize,
-    /// The head's incremental skyband index: durations of its owned
-    /// records (with `Vec` growth slack) and the active list, which also
-    /// holds entries for its `max_tau` records of left context.
+    /// The head's incremental skyband index: durations of its records
+    /// (with `Vec` growth slack) and the active list with its rows, which
+    /// also holds entries for the `max_tau` records before the head.
     pub skyband_head: usize,
     /// Memoized answers in the result cache.
     pub result_cache: usize,
@@ -216,7 +211,7 @@ impl ShardedEngine {
             k_max: cfg.skyband_bound,
         };
         let (tails, head, len) = match data {
-            None => (Vec::new(), shape.fresh_head(|_| &[], 0, None), 0),
+            None => (Vec::new(), shape.head(0, shape.k_max.map(IncrementalSkybandIndex::new)), 0),
             Some((ds, shard_count)) => {
                 let n = ds.len();
                 // Ceil-division can need fewer shards than requested (e.g.
@@ -224,29 +219,37 @@ impl ShardedEngine {
                 // recompute so no degenerate (empty) shard is emitted. The
                 // partition supersedes the configured span.
                 shape.shard_span = n.div_ceil(shard_count.min(n));
-                let ranges: Vec<OwnedRange> = (0..n.div_ceil(shape.shard_span))
-                    .map(|s| {
-                        let lo = (s * shape.shard_span) as Time;
-                        let hi = (((s + 1) * shape.shard_span).min(n) - 1) as Time;
-                        OwnedRange { ext_lo: lo.saturating_sub(shape.max_tau), lo, hi }
-                    })
+                let ranges: Vec<(usize, usize)> = (0..n)
+                    .step_by(shape.shard_span)
+                    .map(|lo| (lo, (lo + shape.shard_span).min(n)))
                     .collect();
-                // Each job copies its extended sub-range and indexes it;
-                // one more job bootstraps the head beside them.
+                // Each job copies its records and indexes them; one more
+                // job bootstraps the head's skyband beside them.
                 let jobs = ranges.len() + 1;
-                let parts = WorkerPool::global().run_jobs(jobs, jobs, |s, _ctx| {
-                    let Some(&OwnedRange { ext_lo, lo, hi }) = ranges.get(s) else {
-                        return Part::Head(shape.fresh_head(|i| ds.row(i as Time), n, None));
+                let built = WorkerPool::global().run_jobs(jobs, jobs, |s, _ctx| {
+                    let Some(&(lo, hi)) = ranges.get(s) else {
+                        let skyband = shape.k_max.map(|k_max| {
+                            IncrementalSkybandIndex::with_context(
+                                &rows(ds, shape.reach(n), n),
+                                k_max,
+                            )
+                        });
+                        return Built::Head(shape.head(n as Time, skyband));
                     };
-                    let mut sub = Dataset::with_capacity(ds.dim(), (hi - ext_lo + 1) as usize);
-                    for id in ext_lo..=hi {
-                        sub.push(ds.row(id));
-                    }
-                    let oracle = SkylineSegTree::with_leaf_size(&sub, shape.leaf_size);
-                    let skyband = shape
-                        .k_max
-                        .map(|k_max| DurableSkybandIndex::build_owned(&sub, k_max, lo - ext_lo));
-                    Part::Tail(Arc::new(sub), oracle, skyband)
+                    let chunk = rows(ds, lo, hi);
+                    // A sealed forest's leaves hold at most half `leaf_size`
+                    // records (`SkylineSegTree::join` fuses up to that); a
+                    // built shard gets the same granularity.
+                    let leaf = shape.leaf_size.div_ceil(2);
+                    let oracle = SkylineSegTree::with_leaf_size(&chunk, leaf);
+                    // Durations look `max_tau` records back: the look-back
+                    // rows are copied for the build and dropped after it.
+                    let skyband = shape.k_max.map(|k_max| {
+                        let from = shape.reach(lo);
+                        let owned = (lo - from) as RecordId;
+                        DurableSkybandIndex::build_owned(&rows(ds, from, hi), k_max, owned)
+                    });
+                    Built::Tail(Arc::new(chunk), oracle, skyband)
                 });
                 // Store the chunks sequentially after the parallel index
                 // build so chunk ids land in time order — under a paged
@@ -254,16 +257,19 @@ impl ShardedEngine {
                 // spills the oldest first.
                 let mut tails = Vec::with_capacity(ranges.len());
                 let mut head = None;
-                for part in parts {
-                    match part {
-                        Part::Tail(sub, oracle, skyband) => tails.push(Shard {
-                            oracle,
-                            skyband,
-                            chunk: storage.store(sub),
-                            range: ranges[tails.len()],
-                            generation: next_shard_gen(),
-                        }),
-                        Part::Head(built) => head = Some(built),
+                for built in built {
+                    match built {
+                        Built::Tail(chunk, oracle, skyband) => {
+                            let (lo, hi) = ranges[tails.len()];
+                            tails.push(Shard {
+                                oracle,
+                                skyband,
+                                chunk: storage.store(chunk),
+                                owned: Window::new(lo as Time, (hi - 1) as Time),
+                                generation: next_shard_gen(),
+                            });
+                        }
+                        Built::Head(built) => head = Some(built),
                     }
                 }
                 // lint: allow(expect) — the job past the last range always builds the head.
@@ -335,8 +341,8 @@ impl ShardedEngine {
             usage.skyband_sealed +=
                 shard.skyband.as_ref().map_or(0, DurableSkybandIndex::heap_bytes);
         }
-        // The head holds context (and its skyband) even while it owns no
-        // record, so it is counted directly rather than through `pieces`.
+        // The head holds its skyband even while it owns no record, so it
+        // is counted directly rather than through `pieces`.
         let Head { ds, index, .. } = &self.head;
         usage.skyband_head = index.skyband().map_or(0, |skyband| skyband.heap_bytes());
         usage.records += ds.heap_bytes();
@@ -346,8 +352,8 @@ impl ShardedEngine {
 
     /// Ingests one record, returning its global id. The record lands in
     /// the head shard's forest in amortized polylogarithmic time; the
-    /// append that fills the head to `shard_span` owned records also seals
-    /// it, which joins the forest's trees and rebuilds nothing.
+    /// append that fills the head to `shard_span` records also seals it,
+    /// which joins the forest's trees and rebuilds nothing.
     ///
     /// # Panics
     /// Panics if the attribute arity mismatches.
@@ -357,44 +363,35 @@ impl ShardedEngine {
         self.head.ds.push(attrs);
         self.head.index.append(&self.head.ds);
         self.len += 1;
-        if self.head_owned() >= self.shape.shard_span {
+        if self.head.ds.len() >= self.shape.shard_span {
             self.seal_head();
         }
         id
     }
 
-    /// Records currently owned by the mutable head.
-    fn head_owned(&self) -> usize {
-        self.len - self.head.lo as usize
-    }
-
     /// Turns the full head into the next tail shard — its forest's trees
-    /// joined into one, the owned records' durations copied out of the
-    /// incremental skyband maintainer, its sub-dataset handed to the
-    /// storage backend as the shard's chunk (where
+    /// joined into one, its records' durations copied out of the
+    /// incremental skyband maintainer, its rows handed to the storage
+    /// backend as the shard's chunk (where
     /// [`PagedStorage`](crate::PagedStorage) serializes it to pages) — and
-    /// starts a fresh head whose context is the trailing `max_tau` records,
-    /// inheriting their skyband state from the outgoing head.
+    /// starts an empty head that inherits the skyband state of the
+    /// trailing `max_tau` records.
     fn seal_head(&mut self) {
         self.seal_epoch += 1;
-        // The outgoing head's sub-dataset always reaches back max_tau
-        // records (or to time zero), so its tail is exactly the new head's
-        // context.
-        let base = self.head.ext_lo as usize;
-        let outgoing = &self.head;
-        let fresh = self.shape.fresh_head(
-            |i| outgoing.ds.row((i - base) as RecordId),
-            self.len,
-            Some(outgoing),
-        );
-        let Head { ds, index, ext_lo, lo } = std::mem::replace(&mut self.head, fresh);
-        let skyband = index.skyband().map(|sb| sb.to_static(lo - ext_lo));
+        let skyband = self.head.index.skyband().map(|skyband| {
+            // The maintainer's last record is global record `len − 1`.
+            let covered = skyband.maintainer().len();
+            skyband.inherit((covered + self.shape.reach(self.len) - self.len) as RecordId)
+        });
+        let fresh = self.shape.head(self.len as Time, skyband);
+        let Head { ds, index, lo } = std::mem::replace(&mut self.head, fresh);
+        let skyband = index.skyband().map(|skyband| skyband.to_static(skyband.base()));
         let oracle = index.seal(&ds);
         self.tails.push(Shard {
             oracle,
             skyband,
             chunk: self.storage.store(Arc::new(ds)),
-            range: OwnedRange { ext_lo, lo, hi: (self.len - 1) as Time },
+            owned: Window::new(lo, (self.len - 1) as Time),
             generation: next_shard_gen(),
         });
     }
@@ -407,7 +404,7 @@ impl ShardedEngine {
 
     /// Number of shards (sealed tails, plus the head when it owns records).
     pub fn shard_count(&self) -> usize {
-        self.sealed_shards() + usize::from(self.head_owned() > 0)
+        self.sealed_shards() + usize::from(!self.head.ds.is_empty())
     }
 
     /// Number of sealed shards.
@@ -430,11 +427,6 @@ impl ShardedEngine {
         self.shape.dim
     }
 
-    /// The largest `τ` this engine answers exactly.
-    pub fn max_tau(&self) -> Time {
-        self.shape.max_tau
-    }
-
     /// Head rotations so far: increments every time a full head is
     /// sealed. The subscription layer compares this across appends to
     /// notice a freshly crossed shard boundary and re-anchor standing
@@ -444,26 +436,54 @@ impl ShardedEngine {
     }
 
     /// Every shard in time order — the sealed tails, then the mutable head
-    /// when it owns records — with the range it owns and what serves it.
-    /// The one place the shards are walked: routing, the top-k building
-    /// block, the history view, the routing table and the counters all
+    /// when it owns records — with the range it owns, and the tail itself
+    /// (`None` for the head). Routing, the routing table and the counters
     /// iterate this.
-    fn pieces(&self) -> impl Iterator<Item = (OwnedRange, Substrate<'_>)> {
-        let tails = self.tails.iter().map(|shard| (shard.range, Substrate::Sealed(shard)));
-        let head = (self.head_owned() > 0).then(|| {
-            let Head { ds, index, ext_lo, lo } = &self.head;
-            let range = OwnedRange { ext_lo: *ext_lo, lo: *lo, hi: (self.len - 1) as Time };
-            (range, Substrate::Forest(ds, index))
-        });
+    fn pieces(&self) -> impl Iterator<Item = (OwnedRange, Option<&Shard>)> {
+        let owned = |w: Window| OwnedRange { ext_lo: 0, lo: w.start(), hi: w.end() };
+        let tails = self.tails.iter().map(move |shard| (owned(shard.owned), Some(shard)));
+        let head = (!self.head.ds.is_empty())
+            .then(|| (owned(Window::new(self.head.lo, (self.len - 1) as Time)), None));
         tails.chain(head)
+    }
+
+    /// Hands `f` the view of records `[base, hi]`, numbered from `base`,
+    /// over every shard holding one of records `[reach, hi]`: their rows
+    /// and trees, and the skyband of the shard owning `hi`. Spilled chunks
+    /// are faulted in; the page reads they cost are added to `cold`.
+    fn with_view<R>(
+        &self,
+        base: Time,
+        reach: Time,
+        hi: Time,
+        cold: &mut u64,
+        f: impl FnOnce(&View<'_>) -> R,
+    ) -> R {
+        let first = self.tails.partition_point(|shard| shard.owned.end() < reach);
+        let sealed: Vec<(&Shard, Arc<Dataset>)> = self.tails[first..]
+            .iter()
+            .take_while(|shard| shard.owned.start() <= hi)
+            .map(|shard| {
+                let (chunk, pages) = self.storage.fetch(shard.chunk);
+                *cold += pages;
+                (shard, chunk)
+            })
+            .collect();
+        let mut view = View::new(base, hi);
+        for (shard, chunk) in &sealed {
+            view.add_sealed(shard.owned.start(), chunk, &shard.oracle, shard.skyband.as_ref());
+        }
+        let Head { ds, index, lo } = &self.head;
+        if *lo <= hi && !ds.is_empty() {
+            view.add_head(*lo, ds, index);
+        }
+        f(&view)
     }
 
     /// The owned `[lo, hi]` record range of every shard in time order:
     /// sealed tails, then the mutable head when it owns records. Ranges are
-    /// disjoint, contiguous, and cover `[0, len)`; each shard additionally holds up to `max_tau`
-    /// records of left context, which is an implementation detail of
-    /// exactness and not reported here. This is the routing table a
-    /// scatter-gather coordinator works from.
+    /// disjoint, contiguous, and cover `[0, len)`. This is the routing
+    /// table a scatter-gather coordinator works from.
     pub fn shard_ranges(&self) -> Vec<(Time, Time)> {
         self.pieces().map(|(range, _)| (range.lo, range.hi)).collect()
     }
@@ -472,7 +492,7 @@ impl ShardedEngine {
     /// serving `k`, read from the head forest's incremental maintainer —
     /// or, when that arrival filled the head and was sealed with it, from
     /// the newest tail's frozen copy (the fresh head keeps no duration for
-    /// its context).
+    /// the records before it).
     ///
     /// This is the per-arrival verdict the S-Band structures already
     /// computed on append, repurposed as a zero-change gate for standing
@@ -480,19 +500,15 @@ impl ShardedEngine {
     /// arrival is beaten by at least `k` records inside its own look-back
     /// window — the same superset argument [`Algorithm::SBand`] relies on
     /// — so no standing `DurTop(k', I, τ')` with `k' ≤ k`, `τ' ≥` the
-    /// duration can admit it. Both sources see at least `max_tau` records
-    /// of left context, and truncation only *overestimates* a duration, so
-    /// a reading below `τ ≤ max_tau` is always sound.
+    /// duration can admit it. Both sources look at least `max_tau` records
+    /// back, and truncation only *overestimates* a duration, so a reading
+    /// below any `τ` is always sound.
     ///
     /// Returns `None` when no skyband bound is configured, `k` exceeds
     /// it, or no record has arrived yet — callers must then run the full
     /// bounded probe instead.
     pub fn arrival_skyband_duration(&self, k: usize) -> Option<Time> {
         let maintainer = self.head.index.skyband()?.maintainer();
-        // Context included, the maintainer covers every head row.
-        if maintainer.len() != self.head.ds.len() {
-            return None;
-        }
         let level = maintainer.levels().iter().position(|&lk| lk >= k)?;
         match maintainer.durations(level).last() {
             Some(&duration) => Some(duration),
@@ -505,7 +521,7 @@ impl ShardedEngine {
     /// reused [`QueryContext`] per shard) and merging the per-shard
     /// answers. Identical to
     /// [`DurableTopKEngine::query`](crate::DurableTopKEngine::query) over the same
-    /// history for `τ ≤ max_tau`.
+    /// history for every `τ`.
     ///
     /// With a skyband bound configured ([`EngineConfig::skyband_bound`]),
     /// [`Algorithm::SBand`] runs natively everywhere — sealed tails and the
@@ -514,10 +530,9 @@ impl ShardedEngine {
     /// at every point of the ingestion timeline for `k` within the bound.
     ///
     /// # Panics
-    /// Panics on invalid parameters or if `query.tau > self.max_tau()` (the
-    /// shard overlap cannot guarantee exactness beyond it). Serving
-    /// callers use [`try_query`](ShardedEngine::try_query), which returns
-    /// these conditions as typed [`QueryError`]s instead.
+    /// Panics on invalid parameters. Serving callers use
+    /// [`try_query`](ShardedEngine::try_query), which returns them as
+    /// typed [`QueryError`]s instead.
     pub fn query<S: OracleScorer + Sync + ?Sized>(
         &self,
         alg: Algorithm,
@@ -529,22 +544,15 @@ impl ShardedEngine {
     }
 
     /// Fallible form of [`query`](ShardedEngine::query): every condition
-    /// reachable from request input (`τ` beyond the overlap, zero `k`/`τ`,
-    /// an empty engine, an interval past the history) comes back as a
-    /// [`QueryError`] instead of a panic, so a serving worker can fail one
-    /// request without dying.
+    /// reachable from request input (zero `k`/`τ`, an empty engine, an
+    /// interval past the history) comes back as a [`QueryError`] instead
+    /// of a panic, so a serving worker can fail one request without dying.
     pub fn try_query<S: OracleScorer + Sync + ?Sized>(
         &self,
         alg: Algorithm,
         scorer: &S,
         query: &DurableQuery,
     ) -> Result<QueryResult, QueryError> {
-        if query.tau > self.shape.max_tau {
-            return Err(QueryError::TauExceedsOverlap {
-                tau: query.tau,
-                max_tau: self.shape.max_tau,
-            });
-        }
         let interval = query.check(self.len)?;
         let jobs = route(interval, self.pieces());
 
@@ -554,16 +562,14 @@ impl ShardedEngine {
         let scorer_fp = self.result_cache.as_ref().and_then(|_| scorer.fingerprint());
 
         let partials = WorkerPool::global().run_jobs(jobs.len(), jobs.len(), |i, ctx| {
-            let local = DurableQuery { k: query.k, tau: query.tau, interval: jobs[i].local };
-            let shard = match jobs[i].owner {
-                Substrate::Sealed(shard) => shard,
-                // The forest's incrementally-maintained skyband serves
-                // S-Band natively at every point of the append timeline,
-                // and the shared dispatch degrades for the same
-                // request-level reasons on both substrates.
-                Substrate::Forest(ds, index) => {
-                    return run_algorithm(ds, index, index.skyband(), alg, scorer, &local, ctx)
-                }
+            // Shards route in global ids; the piece's view starts τ records
+            // before it (or at time zero) and numbers from there.
+            let piece = jobs[i].local;
+            let base = piece.start() - piece.start().min(query.tau);
+            let local = DurableQuery {
+                k: query.k,
+                tau: query.tau,
+                interval: Window::new(piece.start() - base, piece.end() - base),
             };
             // A sealed tail's answer over its FULL owned range is a pure
             // function of (shard, alg, scorer, k, τ) — consult the result
@@ -571,8 +577,8 @@ impl ShardedEngine {
             // pages back in. Boundary pieces (the query interval clips the
             // owned range) always probe: their answers depend on the
             // interval, which is deliberately not part of the key.
-            let cached = match (&self.result_cache, scorer_fp) {
-                (Some(cache), Some(fp)) if local.interval == shard.range.local_full() => {
+            let cached = match (jobs[i].owner, &self.result_cache, scorer_fp) {
+                (Some(shard), Some(cache), Some(fp)) if piece == shard.owned => {
                     let key = CacheKey {
                         shard_gen: shard.generation,
                         alg,
@@ -581,7 +587,7 @@ impl ShardedEngine {
                         tau: local.tau,
                     };
                     if let Some(hit) = cache.get(&key) {
-                        return hit;
+                        return (base, hit);
                     }
                     Some((cache, key))
                 }
@@ -590,16 +596,10 @@ impl ShardedEngine {
             // Resident chunks come back as a free Arc clone; a spilled one
             // faults its pages in, and the query's stats carry the physical
             // reads it paid.
-            let (chunk, cold) = self.storage.fetch(shard.chunk);
-            let mut result = run_algorithm(
-                &chunk,
-                &shard.oracle,
-                shard.skyband.as_ref(),
-                alg,
-                scorer,
-                &local,
-                ctx,
-            );
+            let mut cold = 0;
+            let mut result = self.with_view(base, base, piece.end(), &mut cold, |view| {
+                run_algorithm(view, view, view.skyband(), alg, scorer, &local, ctx)
+            });
             if let Some((cache, key)) = cached {
                 // Snapshot before the cold-read accounting below: a future
                 // hit skips storage, so it must replay with zero cold-page
@@ -608,24 +608,19 @@ impl ShardedEngine {
                 result.stats.cache_misses += 1;
             }
             result.stats.cold_page_hits += cold;
-            result
+            (base, result)
         });
 
-        let (records, stats) = merge(
-            jobs.iter()
-                .zip(&partials)
-                .map(|(job, part)| (job.ext_lo, &part.records[..], &part.stats)),
-        );
+        let (records, stats) =
+            merge(partials.iter().map(|(base, part)| (*base, &part.records[..], &part.stats)));
         Ok(QueryResult { records, stats })
     }
 
     /// Answers the preference top-k query `Q(u, k, W)` over the whole
     /// sharded history into `out`, drawing scratch from `ctx` — the
     /// building-block view of the engine, which standing-query refreshes
-    /// use for per-arrival durability probes.
-    ///
-    /// Exact for **any** window (the owned shard ranges partition the
-    /// history; no overlap is needed for a plain top-k).
+    /// use for per-arrival durability probes: one search over the trees of
+    /// every shard `W` touches.
     ///
     /// # Panics
     /// Panics if `k == 0` or the engine is empty.
@@ -644,31 +639,14 @@ impl ShardedEngine {
             return;
         }
         let w = w.clamp_to(self.len);
-        let mut merge = std::mem::take(&mut ctx.scored);
-        merge.clear();
-        for (range, substrate) in self.pieces() {
-            let Some(local) = range.localize(w) else { continue };
-            match substrate {
-                Substrate::Sealed(shard) => {
-                    // The building-block path has no per-query stats
-                    // channel, so cold reads accumulate in the context's
-                    // scratch; callers drain them via
-                    // `QueryContext::take_cold_page_hits`.
-                    let (chunk, cold) = self.storage.fetch(shard.chunk);
-                    ctx.cold_page_hits += cold;
-                    shard.oracle.top_k_with(&chunk, scorer, k, local, &mut ctx.oracle, out);
-                }
-                Substrate::Forest(ds, index) => {
-                    index.top_k_with(ds, scorer, k, local, &mut ctx.oracle, out);
-                }
-            }
-            merge.reserve(out.items.len());
-            merge.extend(out.items.iter().map(|&(id, s)| (id + range.ext_lo, s)));
-        }
-        out.clear();
-        std::mem::swap(&mut out.items, &mut merge);
-        out.finalize_in_place(k);
-        ctx.scored = merge;
+        // Numbered from time zero, the view reports global ids. The
+        // building-block path has no per-query stats channel, so cold
+        // reads accumulate in the context; callers drain them via
+        // `QueryContext::take_cold_page_hits`.
+        let QueryContext { oracle, cold_page_hits, .. } = ctx;
+        self.with_view(0, w.start(), w.end(), cold_page_hits, |view| {
+            view.top_k_into(view, scorer, k, w, oracle, out)
+        });
     }
 
     /// Allocating convenience wrapper over
@@ -683,68 +661,19 @@ impl ShardedEngine {
         out
     }
 
-    /// Appends the attribute rows of global records `[from, len)` to
-    /// `out`, reading sealed tails through the storage backend (spilled
-    /// chunks are faulted in), then the mutable head — in global time order.
-    ///
-    /// This is the route to an exact answer for `τ > max_tau` over
-    /// live-ingested data: copy the history out and hand it to the offline
-    /// engine, which takes any `τ`.
-    ///
-    /// ```
-    /// # use durable_topk::*;
-    /// # let mut engine = EngineConfig::new(1, 8, 4).build().unwrap();
-    /// # for i in 0..40 { engine.append(&[(i % 7) as f64]); }
-    /// # let (scorer, q) = (LinearScorer::uniform(1),
-    /// #     DurableQuery { k: 1, tau: 20, interval: Window::new(0, 39) });
-    /// let mut ds = Dataset::new(engine.dim());
-    /// engine.copy_history_into(&mut ds, 0);
-    /// let answer = DurableTopKEngine::new(ds).query(Algorithm::THop, &scorer, &q);
-    /// # assert_eq!(answer.records, [0, 1, 2, 3, 4, 5, 6, 13, 20, 27, 34]);
-    /// ```
-    ///
-    /// Wall-clock stamps are not carried over (the view is attribute rows
-    /// keyed by arrival id, which is all the algorithms read).
-    pub fn copy_history_into(&self, out: &mut Dataset, from: usize) {
-        for (range, substrate) in self.pieces() {
-            if (range.hi as usize) < from {
-                continue;
-            }
-            let fetched;
-            let rows = match substrate {
-                Substrate::Sealed(shard) => {
-                    fetched = self.storage.fetch(shard.chunk).0;
-                    &*fetched
-                }
-                Substrate::Forest(ds, _) => ds,
-            };
-            for id in from.max(range.lo as usize)..=range.hi as usize {
-                out.push(rows.row((id - range.ext_lo as usize) as RecordId));
-            }
-        }
-    }
-
     /// Cumulative top-k queries issued across all shard oracles (sealed
     /// tails plus the head forest; a sealed tree carries on from its
     /// forest's count). Monotone until
     /// [`reset_counters`](ShardedEngine::reset_counters).
     pub fn oracle_queries(&self) -> u64 {
-        self.pieces()
-            .map(|(_, substrate)| match substrate {
-                Substrate::Sealed(shard) => shard.oracle.queries_issued(),
-                Substrate::Forest(_, index) => index.counters().queries(),
-            })
-            .sum()
+        let tails: u64 = self.tails.iter().map(|shard| shard.oracle.counters().queries()).sum();
+        tails + self.head.index.counters().queries()
     }
 
     /// Resets instrumentation on every shard.
     pub fn reset_counters(&self) {
-        for (_, substrate) in self.pieces() {
-            match substrate {
-                Substrate::Sealed(shard) => shard.oracle.reset_counters(),
-                Substrate::Forest(_, index) => index.counters().reset(),
-            }
-        }
+        self.tails.iter().for_each(|shard| shard.oracle.counters().reset());
+        self.head.index.counters().reset();
     }
 }
 
@@ -791,13 +720,13 @@ mod tests {
         let sharded = built(&ds, 10, 50).expect("build");
         sharded.reset_counters();
         let scorer = LinearScorer::uniform(2);
-        // Interval inside shard 3's owned range [300, 399].
-        let q = DurableQuery { k: 2, tau: 30, interval: Window::new(310, 380) };
+        // Interval and its τ reach inside shard 3's owned range [300, 399].
+        let q = DurableQuery { k: 2, tau: 30, interval: Window::new(330, 380) };
         let got = sharded.query(Algorithm::THop, &scorer, &q);
         let flat = DurableTopKEngine::new(ds);
         assert_eq!(got.records, flat.query(Algorithm::THop, &scorer, &q).records);
         // Only shard 3's oracle saw traffic.
-        let active: usize = sharded.tails.iter().filter(|s| s.oracle.queries_issued() > 0).count();
+        let active = sharded.tails.iter().filter(|s| s.oracle.counters().queries() > 0).count();
         assert_eq!(active, 1);
     }
 
@@ -814,14 +743,24 @@ mod tests {
         assert!(got.stats.fallback.is_none(), "within the build bound no shard falls back");
     }
 
+    /// `max_tau` only bounds how far back skyband durations look: windows
+    /// reaching one, two or every shard back answer exactly, S-Band
+    /// natively.
     #[test]
-    #[should_panic(expected = "exceeds the shard overlap")]
-    fn tau_beyond_overlap_is_rejected() {
+    fn tau_beyond_max_tau_is_answered_exactly() {
         let ds = dataset(300);
-        let sharded = built(&ds, 3, 20).expect("build");
+        let sharded =
+            EngineConfig::new(2, 1, 20).skyband_bound(4).build_from(&ds, 3).expect("build");
+        let flat = DurableTopKEngine::new(ds).with_skyband_index(4);
         let scorer = LinearScorer::uniform(2);
-        let q = DurableQuery { k: 1, tau: 21, interval: Window::new(0, 299) };
-        sharded.query(Algorithm::THop, &scorer, &q);
+        for tau in [21, 150, 299, 5_000] {
+            let q = DurableQuery { k: 3, tau, interval: Window::new(90, 299) };
+            for alg in Algorithm::ALL {
+                let got = sharded.query(alg, &scorer, &q);
+                assert_eq!(got.records, flat.query(alg, &scorer, &q).records, "alg={alg} τ={tau}");
+                assert_eq!(got.stats.fallback, None, "alg={alg} τ={tau}");
+            }
+        }
     }
 
     #[test]
@@ -830,10 +769,11 @@ mod tests {
         let sharded = built(&ds, 3, 20).expect("build");
         let scorer = LinearScorer::uniform(2);
         let base = DurableQuery { k: 1, tau: 5, interval: Window::new(0, 299) };
+        // τ beyond `max_tau` is no error: the answer is the flat engine's.
         let over = DurableQuery { tau: 21, ..base };
         assert_eq!(
-            sharded.try_query(Algorithm::THop, &scorer, &over).unwrap_err(),
-            QueryError::TauExceedsOverlap { tau: 21, max_tau: 20 }
+            sharded.try_query(Algorithm::THop, &scorer, &over).expect("any τ").records,
+            DurableTopKEngine::new(ds).query(Algorithm::THop, &scorer, &over).records
         );
         let zero_k = DurableQuery { k: 0, ..base };
         assert_eq!(
@@ -927,15 +867,18 @@ mod tests {
     }
 
     /// How a shard came to be never shows: an engine grown one append at a
-    /// time and engines built from each prefix route alike and answer alike
-    /// at every prefix, for every algorithm, across a dozen seals — and the
-    /// queries a head served stay counted once it is a tail.
+    /// time on paged storage and engines built from each prefix route alike
+    /// and answer like the flat engine at every prefix, for every
+    /// algorithm, across a dozen seals and τ up to the whole history, S-Band
+    /// natively — and the queries a head served stay counted once it is a
+    /// tail.
     #[test]
     fn grown_and_built_engines_agree_at_every_prefix() {
         let ds = dataset(400);
         let scorer = LinearScorer::new(vec![0.3, 0.7]);
         let cfg = EngineConfig::new(2, 32, 24).skyband_bound(4).leaf_size(4);
-        let mut grown = cfg.clone().build().expect("config");
+        let paged = Arc::new(PagedStorage::with_temp_file(1).expect("paged backend"));
+        let mut grown = cfg.clone().storage(paged).build().expect("config");
         let mut prefix = Dataset::new(2);
         let mut queries_so_far = 0;
         for id in 0..400u32 {
@@ -946,20 +889,26 @@ mod tests {
                 // Whole spans only: `build_from` partitions evenly.
                 assert_eq!(grown.shard_ranges(), built.shard_ranges(), "after {}", id + 1);
             }
+            let flat = DurableTopKEngine::new(prefix.clone()).with_skyband_index(4);
             let q = DurableQuery {
                 k: 1 + id as usize % 3,
-                tau: 1 + id % 24,
+                tau: 1 + (id * 37) % (id + 1),
                 interval: Window::new(id / 3, id),
             };
-            let alg = Algorithm::ALL[id as usize % Algorithm::ALL.len()];
-            let (got, want) = (grown.query(alg, &scorer, &q), built.query(alg, &scorer, &q));
-            assert_eq!(got.records, want.records, "alg={alg} after {} appends", id + 1);
-            assert_eq!(got.stats.fallback, want.stats.fallback, "alg={alg}");
+            for alg in Algorithm::ALL {
+                let want = flat.query(alg, &scorer, &q);
+                for engine in [&grown, &built] {
+                    let got = engine.query(alg, &scorer, &q);
+                    assert_eq!(got.records, want.records, "alg={alg} q={q:?}");
+                    assert_eq!(got.stats.fallback, None, "alg={alg} q={q:?}");
+                }
+            }
             let queries = grown.oracle_queries();
             assert!(queries >= queries_so_far, "oracle_queries went backwards at seal {id}");
             queries_so_far = queries;
         }
         assert_eq!(grown.sealed_shards(), 12);
+        assert!(grown.storage().stats().spilled_chunks >= 2, "the run spilled");
         assert!(queries_so_far > 0);
     }
 
@@ -1077,10 +1026,11 @@ mod tests {
         assert_eq!(got.records, flat.query(Algorithm::SBand, &scorer, &q).records);
     }
 
-    /// A sealed shard's skyband never reports a context id, and inside the
-    /// owned range reports exactly what an index over the shard's whole
-    /// sub-dataset does — for shards built from a dataset and for shards
-    /// sealed from a grown head, with `max_tau` below and above the span.
+    /// A shard holds the rows it owns and nothing more, and its skyband
+    /// reports exactly what an index over those rows plus the `max_tau`
+    /// before them does, for those rows only — for shards built from a
+    /// dataset and for shards sealed from a grown head, with `max_tau`
+    /// below and above the span.
     #[test]
     fn sealed_skybands_cover_exactly_the_owned_records() {
         use durable_topk_index::SkybandCandidates;
@@ -1095,15 +1045,23 @@ mod tests {
             for engine in [&built, &grown] {
                 assert_eq!(engine.tails.len(), 10);
                 for shard in &engine.tails {
+                    let (lo, hi) = (shard.owned.start(), shard.owned.end());
                     let (chunk, _) = engine.storage.fetch(shard.chunk);
-                    let whole = DurableSkybandIndex::build(&chunk, 4);
+                    assert_eq!(
+                        chunk.raw_attrs(),
+                        rows(&ds, lo as usize, hi as usize + 1).raw_attrs()
+                    );
+                    let from = lo.saturating_sub(max_tau);
+                    let reach = rows(&ds, from as usize, hi as usize + 1);
+                    let whole = DurableSkybandIndex::build_owned(&reach, 4, lo - from);
                     let sealed = shard.skyband.as_ref().expect("bound configured");
-                    let OwnedRange { ext_lo, lo, hi } = shard.range;
-                    let owned = Window::new(lo - ext_lo, hi - ext_lo);
-                    for (k, tau) in [(1usize, 1u32), (2, 7), (3, 20), (4, 150)] {
-                        let (got, _) = sealed.candidates(Window::new(0, hi - ext_lo), tau, k);
+                    let owned = Window::new(sealed.base(), sealed.base() + (hi - lo));
+                    for (k, tau) in [(1usize, 1u32), (2, 7), (3, 20), (4, 150), (4, 900)] {
+                        let (got, _) = sealed.candidates(Window::new(0, owned.end()), tau, k);
                         assert!(got.iter().all(|&id| owned.contains(id)), "context id reported");
-                        assert_eq!(got, whole.candidates(owned, tau, k).0, "k={k} tau={tau}");
+                        let want = whole.candidates(Window::new(lo - from, hi - from), tau, k).0;
+                        let shift = |id: RecordId| id - (lo - from) + sealed.base();
+                        assert_eq!(got, want.into_iter().map(shift).collect::<Vec<_>>());
                     }
                 }
             }
@@ -1183,28 +1141,6 @@ mod tests {
             live.query(Algorithm::SHop, &scorer, &q).records,
             flat.query(Algorithm::SHop, &scorer, &q).records
         );
-    }
-
-    #[test]
-    fn copy_history_into_reconstructs_the_global_timeline() {
-        let ds = dataset(300);
-        let mut live = live(32, 16);
-        for id in 0..300u32 {
-            live.append(ds.row(id));
-        }
-        // From zero: the whole history, bit-identical, even with spilled
-        // chunks.
-        let live =
-            live.migrate_storage(Arc::new(PagedStorage::with_temp_file(1).expect("paged backend")));
-        let mut out = Dataset::new(2);
-        live.copy_history_into(&mut out, 0);
-        assert_eq!(out.raw_attrs(), ds.raw_attrs());
-        // From an offset: exactly the suffix.
-        let mut tail = Dataset::new(2);
-        live.copy_history_into(&mut tail, 123);
-        assert_eq!(tail.len(), 300 - 123);
-        assert_eq!(tail.row(0), ds.row(123));
-        assert_eq!(tail.row(176), ds.row(299));
     }
 
     #[test]

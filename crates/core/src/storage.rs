@@ -2,8 +2,9 @@
 //!
 //! A sealed tail shard of the [`ShardedEngine`](crate::ShardedEngine) is
 //! three things: a segment tree, an optional frozen skyband
-//! index, and the *record chunk* — the immutable sub-dataset covering the
-//! shard's extended time range. The first two are compact; the chunk is
+//! index, and the *record chunk* — the immutable rows of the records the
+//! shard owns. A query piece fetches its own shard's chunk and those of the
+//! predecessors its windows reach. The first two are compact; the chunk is
 //! where the resident set lives. This module puts the chunk behind a
 //! [`ShardStorage`] trait with two backends:
 //!

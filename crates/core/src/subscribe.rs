@@ -308,9 +308,9 @@ impl SubscriptionRegistry {
     /// Registers a standing request and materializes its initial answer
     /// set over the already-ingested prefix (one full recompute).
     ///
-    /// Validation mirrors the serving path: zero `k`/`τ`, `τ` beyond the
-    /// engine's overlap bound, weight-vector arity and weights the scorer
-    /// family cannot take all come back as typed [`QueryError`]s.
+    /// Validation mirrors the serving path: zero `k`/`τ`, weight-vector
+    /// arity and weights the scorer family cannot take all come back as
+    /// typed [`QueryError`]s. Any `τ` is exact.
     pub(crate) fn register(
         &mut self,
         engine: &ShardedEngine,
@@ -323,9 +323,6 @@ impl SubscriptionRegistry {
         }
         if q.tau == 0 {
             return Err(QueryError::ZeroTau);
-        }
-        if q.tau > engine.max_tau() {
-            return Err(QueryError::TauExceedsOverlap { tau: q.tau, max_tau: engine.max_tau() });
         }
         let monotone = req.scorer.resolve(engine.dim(), IsMonotone)?;
         let len = engine.len();
@@ -435,7 +432,7 @@ mod tests {
     use super::*;
     use crate::engine::Algorithm;
     use crate::serve::ScorerSpec;
-    use durable_topk_temporal::LinearScorer;
+    use durable_topk_temporal::{Dataset, LinearScorer};
 
     fn row(i: u32) -> [f64; 2] {
         [((i * 37) % 101) as f64, ((i * 73) % 97) as f64]
@@ -516,10 +513,18 @@ mod tests {
             registry.register(&engine, request(1, 0, w), false).unwrap_err(),
             QueryError::ZeroTau
         );
-        assert_eq!(
-            registry.register(&engine, request(1, 17, w), false).unwrap_err(),
-            QueryError::TauExceedsOverlap { tau: 17, max_tau: 16 }
-        );
+        // τ beyond `max_tau` registers, and materializes the flat answer.
+        let mut rows = Dataset::from_rows(2, [row(0)]);
+        for i in 1..100u32 {
+            engine.append(&row(i));
+            rows.push(&row(i));
+        }
+        let wide = registry.register(&engine, request(2, 40, w), false).expect("any τ");
+        let scorer = LinearScorer::new(vec![0.6, 0.4]);
+        let q = DurableQuery { k: 2, tau: 40, interval: Window::new(0, 99) };
+        let flat = crate::DurableTopKEngine::new(rows).query(Algorithm::THop, &scorer, &q);
+        assert_eq!(registry.get(wide).expect("registered").snapshot().records, flat.records);
+        assert!(registry.unsubscribe(wide));
         let skewed =
             ServeRequest { scorer: ScorerSpec::Linear(vec![1.0, 2.0, 3.0]), ..request(1, 8, w) };
         assert_eq!(

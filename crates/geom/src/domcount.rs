@@ -27,13 +27,18 @@ impl Fenwick {
         self.len() == 0
     }
 
-    /// Re-sizes a tree whose counts are **all zero** to address `0..len`,
-    /// reusing the allocation and writing only the cells it gains — for
-    /// callers that emptied the tree by undoing their own additions, so
-    /// re-use costs what they added, not the whole domain.
+    /// Makes a tree whose counts are **all zero** address at least
+    /// `0..len`, reusing the allocation and writing only the cells it
+    /// gains — for callers that emptied the tree by undoing their own
+    /// additions, so re-use costs what they added, not the whole domain.
+    /// It never shrinks: zero cells past `len` change no sum below it, and
+    /// domains that vary from call to call (per-request views) do not
+    /// re-zero the same cells over and over.
     pub fn resize_zeroed(&mut self, len: usize) {
         debug_assert!(self.tree.iter().all(|&c| c == 0), "tree still holds counts");
-        self.tree.resize(len + 1, 0);
+        if self.tree.len() <= len {
+            self.tree.resize(len + 1, 0);
+        }
     }
 
     /// Adds `delta` at position `i` (0-based).

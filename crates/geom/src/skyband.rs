@@ -290,7 +290,9 @@ struct ActiveRecord {
 /// for them — a head shard never reports them. Context arrives whole,
 /// either [bootstrapped](SkybandMaintainer::with_context) by one forward
 /// kernel pass or [inherited](SkybandMaintainer::inherit) from the
-/// maintainer whose trailing records it is.
+/// maintainer whose trailing records it is. The maintainer keeps the
+/// attribute row of every active entry, so nobody else has to keep the
+/// context's rows: an append reads nothing but the newcomer.
 ///
 /// Per-append cost is `O(|active|)` dominance tests; the active list is
 /// the "k_max-skyband with respect to later arrivals", which stays near
@@ -311,6 +313,10 @@ pub struct SkybandMaintainer {
     base: usize,
     n: usize,
     active: Vec<ActiveRecord>,
+    /// The attribute row of `active[i]` at `rows[i * dim..(i + 1) * dim]`.
+    rows: Vec<f64>,
+    /// Attribute arity; `0` until the first row arrives.
+    dim: usize,
     /// Tombstoned entries awaiting compaction.
     evicted: usize,
 }
@@ -321,15 +327,21 @@ impl SkybandMaintainer {
     /// # Panics
     /// Panics if `k_max == 0`.
     pub fn new(k_max: usize) -> Self {
-        Self::over_context(k_max, 0, Vec::new())
+        Self::over_context(k_max, 0, 0, Vec::new(), Vec::new())
     }
 
     /// A maintainer whose context is `base` records with the given live
-    /// active entries, owning nothing yet.
-    fn over_context(k_max: usize, base: usize, active: Vec<ActiveRecord>) -> Self {
+    /// active entries and their rows, owning nothing yet.
+    fn over_context(
+        k_max: usize,
+        dim: usize,
+        base: usize,
+        active: Vec<ActiveRecord>,
+        rows: Vec<f64>,
+    ) -> Self {
         let ks = level_ks(k_max);
         let durs = vec![Vec::new(); ks.len()];
-        Self { ks, durs, base, n: base, active, evicted: 0 }
+        Self { ks, durs, base, n: base, active, rows, dim, evicted: 0 }
     }
 
     /// The reference replay: every record of `ds` appended in turn, so all
@@ -337,10 +349,8 @@ impl SkybandMaintainer {
     /// tested against it.
     pub fn build(ds: &Dataset, k_max: usize) -> Self {
         let mut m = Self::new(k_max);
-        for _ in 0..ds.len() {
-            // Replay against growing prefixes: `append` only reads rows
-            // `<= self.n`, so handing the full dataset each time is sound.
-            m.append(ds);
+        for id in 0..ds.len() {
+            m.append(ds.row(id as RecordId));
         }
         m
     }
@@ -354,41 +364,44 @@ impl SkybandMaintainer {
     /// # Panics
     /// Panics if `k_max == 0`.
     pub fn with_context(ds: &Dataset, k_max: usize) -> Self {
-        let mut m = Self::over_context(k_max, ds.len(), Vec::new());
+        let mut m = Self::over_context(k_max, ds.dim(), ds.len(), Vec::new(), Vec::new());
         let cap = m.k_max() as u32;
         let kernel = DominanceKernel::new(ds);
-        m.active = (0..ds.len())
-            .filter_map(|i| {
-                let mut later_dominators = 0;
-                kernel.scan_forward(ds.row(i as RecordId), i + 1, |_| {
-                    later_dominators += 1;
-                    later_dominators == cap
-                });
-                let id = i as RecordId;
-                (later_dominators < cap).then_some(ActiveRecord { id, later_dominators })
-            })
-            .collect();
+        for i in 0..ds.len() {
+            let row = ds.row(i as RecordId);
+            let mut later_dominators = 0;
+            kernel.scan_forward(row, i + 1, |_| {
+                later_dominators += 1;
+                later_dominators == cap
+            });
+            if later_dominators < cap {
+                m.active.push(ActiveRecord { id: i as RecordId, later_dominators });
+                m.rows.extend_from_slice(row);
+            }
+        }
         m
     }
 
     /// A maintainer whose context is this one's records `from..len()`,
     /// renumbered from zero, owning none — the state a seal hands the next
     /// head. Every record after a context record is itself in the context,
-    /// so the live active entries from `from` on carry exactly the counts
-    /// a [bootstrap](SkybandMaintainer::with_context) would compute.
+    /// so the live active entries from `from` on, rows included, carry
+    /// exactly the counts a [bootstrap](SkybandMaintainer::with_context)
+    /// would compute.
     ///
     /// # Panics
     /// Panics if `from > self.len()`.
     pub fn inherit(&self, from: RecordId) -> Self {
         assert!(from as usize <= self.n, "context starts beyond the covered records");
         let cap = self.k_max() as u32;
-        let active = self
-            .active
-            .iter()
-            .filter(|e| e.id >= from && e.later_dominators < cap)
-            .map(|e| ActiveRecord { id: e.id - from, ..*e })
-            .collect();
-        Self::over_context(self.k_max(), self.n - from as usize, active)
+        let (mut active, mut rows) = (Vec::new(), Vec::new());
+        for (e, row) in self.active.iter().zip(self.rows.chunks_exact(self.dim.max(1))) {
+            if e.id >= from && e.later_dominators < cap {
+                active.push(ActiveRecord { id: e.id - from, ..*e });
+                rows.extend_from_slice(row);
+            }
+        }
+        Self::over_context(self.k_max(), self.dim, self.n - from as usize, active, rows)
     }
 
     /// Records covered so far, context included.
@@ -422,12 +435,13 @@ impl SkybandMaintainer {
         &self.durs[level]
     }
 
-    /// Heap bytes held: every level's durations plus the active list, by
-    /// capacity.
+    /// Heap bytes held: every level's durations plus the active list and
+    /// its rows, by capacity.
     pub fn heap_bytes(&self) -> usize {
         let durs: usize = self.durs.iter().map(Vec::capacity).sum();
         durs * std::mem::size_of::<u32>()
             + self.active.capacity() * std::mem::size_of::<ActiveRecord>()
+            + self.rows.capacity() * std::mem::size_of::<f64>()
     }
 
     /// Live (non-tombstoned) entries of the active list — instrumentation
@@ -436,19 +450,19 @@ impl SkybandMaintainer {
         self.active.len() - self.evicted
     }
 
-    /// Ingests record `self.len()` of `ds` — the next one in arrival
-    /// order — computing its duration at every level and updating the
-    /// active list. `ds` may already hold further records (that is how
-    /// [`build`](SkybandMaintainer::build) replays a whole history); only
-    /// rows up to `self.len()` are read, so durations are identical
-    /// either way.
+    /// Ingests the next record in arrival order, record `self.len()`,
+    /// given by its attribute row: computes its duration at every level
+    /// and updates the active list. Only the active entries' own rows are
+    /// read.
     ///
     /// # Panics
-    /// Panics if `ds` holds no record at index `self.len()`.
-    pub fn append(&mut self, ds: &Dataset) {
-        assert!(ds.len() > self.n, "append expects the new record to be present in the dataset");
+    /// Panics if the row's arity differs from earlier rows'.
+    pub fn append(&mut self, row: &[f64]) {
+        if self.dim == 0 {
+            self.dim = row.len();
+        }
+        assert_eq!(row.len(), self.dim, "attribute arity mismatch");
         let p = self.n as RecordId;
-        let row = ds.row(p);
         let k_max = self.k_max() as u32;
         for level in &mut self.durs {
             level.push(DURATION_UNBOUNDED);
@@ -460,11 +474,10 @@ impl SkybandMaintainer {
         // dominators (recording a duration whenever a level's k is hit)
         // and charge the newcomer against every active record it
         // dominates.
-        for entry in self.active.iter_mut().rev() {
+        for (entry, other) in self.active.iter_mut().zip(self.rows.chunks_exact(self.dim)).rev() {
             if entry.later_dominators >= k_max {
                 continue; // tombstoned
             }
-            let other = ds.row(entry.id);
             if found < k_max && dominates(other, row) {
                 found += 1;
                 while level < self.ks.len() && self.ks[level] as u32 == found {
@@ -479,10 +492,20 @@ impl SkybandMaintainer {
             }
         }
         self.active.push(ActiveRecord { id: p, later_dominators: 0 });
+        self.rows.extend_from_slice(row);
         self.n += 1;
         // Compact once tombstones dominate: O(live) work amortized O(1).
         if self.evicted * 2 > self.active.len() {
-            self.active.retain(|e| e.later_dominators < k_max);
+            let mut kept = 0;
+            for i in 0..self.active.len() {
+                if self.active[i].later_dominators < k_max {
+                    self.active[kept] = self.active[i];
+                    self.rows.copy_within(i * self.dim..(i + 1) * self.dim, kept * self.dim);
+                    kept += 1;
+                }
+            }
+            self.active.truncate(kept);
+            self.rows.truncate(kept * self.dim);
             self.evicted = 0;
         }
     }
@@ -513,10 +536,11 @@ mod tests {
             .collect()
     }
 
-    /// The live active entries, tombstones dropped.
-    fn live(m: &SkybandMaintainer) -> Vec<ActiveRecord> {
+    /// The live active entries with their rows, tombstones dropped.
+    fn live(m: &SkybandMaintainer) -> Vec<(ActiveRecord, Vec<f64>)> {
         let cap = m.k_max() as u32;
-        m.active.iter().copied().filter(|e| e.later_dominators < cap).collect()
+        let rows = m.rows.chunks_exact(m.dim.max(1)).map(<[f64]>::to_vec);
+        m.active.iter().copied().zip(rows).filter(|(e, _)| e.later_dominators < cap).collect()
     }
 
     /// The dimensionalities the exactness tests cover.
@@ -606,7 +630,7 @@ mod tests {
             ds.push(if i % 150 == 0 { &[f64::NAN, 9.0] } else { &[0.0, 0.0] });
         }
         let m = SkybandMaintainer::with_context(&ds, 2);
-        assert_eq!(live(&m)[0], ActiveRecord { id: 0, later_dominators: 1 });
+        assert_eq!(live(&m)[0], (ActiveRecord { id: 0, later_dominators: 1 }, vec![5.0, 1.0]));
     }
 
     #[test]
@@ -714,7 +738,7 @@ mod tests {
                 for step in 0..150usize {
                     let row: Vec<f64> = (0..d).map(|_| rng.random_range(0..7) as f64).collect();
                     ds.push(&row);
-                    m.append(&ds);
+                    m.append(&row);
                     if step % 29 == 11 {
                         let offline = skyband_durations_multi(&ds, m.levels(), 0);
                         for (level, durs) in offline.iter().enumerate() {
@@ -743,7 +767,7 @@ mod tests {
         let mut prefix = Dataset::new(2);
         for i in 0..ds.len() {
             prefix.push(ds.row(i as RecordId));
-            grown.append(&prefix);
+            grown.append(prefix.row(i as RecordId));
         }
         assert_eq!(built.len(), grown.len());
         for level in 0..built.levels().len() {
@@ -775,8 +799,8 @@ mod tests {
                     assert_eq!(booted.active_len(), replay.active_len(), "{at}");
                     for i in ctx..full.len() {
                         ds.push(full.row(i as RecordId));
-                        booted.append(&ds);
-                        replay.append(&ds);
+                        booted.append(full.row(i as RecordId));
+                        replay.append(full.row(i as RecordId));
                     }
                     assert_eq!(live(&booted), live(&replay), "{at}");
                     for level in 0..replay.levels().len() {
@@ -800,8 +824,8 @@ mod tests {
                         let row: Vec<f64> =
                             (0..d).map(|_| f64::from(rng.random_range(0..vals))).collect();
                         ds.push(&row);
-                        heir.append(&ds);
-                        replay.append(&ds);
+                        heir.append(&row);
+                        replay.append(&row);
                     }
                     let base = heir.base() as usize;
                     assert_eq!(live(&heir), live(&replay), "{at}");
@@ -822,7 +846,7 @@ mod tests {
         let mut m = SkybandMaintainer::new(2);
         for i in 0..500usize {
             ds.push(&[i as f64, i as f64]);
-            m.append(&ds);
+            m.append(&[i as f64, i as f64]);
         }
         assert!(
             m.active_len() <= 8,

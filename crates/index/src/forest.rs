@@ -7,14 +7,16 @@
 //! counter. Appending a record adds a singleton tree and
 //! [joins](SkylineSegTree::join) equal-sized neighbors — a new root over
 //! the two trees as they stand, no record is indexed twice — keeping at most
-//! `⌈log₂ n⌉ + 1` trees; queries fan out over the forest and merge the
-//! per-tree `π≤k` sets. [Sealing](AppendableTopKIndex::seal) joins what is
+//! `⌈log₂ n⌉ + 1` trees; a query is one best-first search over all of them
+//! ([`top_k_over`]). [Sealing](AppendableTopKIndex::seal) joins what is
 //! left into one tree the same way.
 //!
 //! This realizes the paper's claim that the index "supports updates in
 //! polylogarithmic time" for the append-heavy temporal setting.
 
-use crate::segtree::{OracleScorer, OracleScratch, QueryCounters, SkylineSegTree, TopKResult};
+use crate::segtree::{
+    top_k_over, OracleScorer, OracleScratch, Part, QueryCounters, SkylineSegTree, TopKResult,
+};
 use crate::skyband_index::IncrementalSkybandIndex;
 use durable_topk_temporal::{Dataset, Time, Window};
 
@@ -46,39 +48,21 @@ impl AppendableTopKIndex {
         }
     }
 
-    /// Attaches an incrementally-maintained durable k-skyband index
-    /// serving `k <= k_max` (rounded up to a power of two), so
-    /// `Algorithm::SBand` runs natively over the forest at every point of
-    /// the append timeline. `ds` must be the dataset this index already
-    /// covers; those records become the skyband's left *context* —
-    /// dominators of later arrivals, never candidates themselves, so they
-    /// get no duration (see [`IncrementalSkybandIndex::with_context`]).
-    /// Later [`append`](AppendableTopKIndex::append)s keep the skyband in
-    /// step automatically.
+    /// Attaches an incrementally-maintained durable k-skyband index that
+    /// owns no record yet, so `Algorithm::SBand` runs natively over the
+    /// forest at every point of the append timeline: every later
+    /// [`append`](AppendableTopKIndex::append) is pushed to it. Its left
+    /// *context* — dominators of later arrivals, never candidates — is
+    /// whatever it was given: records [bootstrapped](IncrementalSkybandIndex::with_context)
+    /// or [inherited](IncrementalSkybandIndex::inherit) at a seal.
     ///
     /// # Panics
-    /// Panics if `k_max == 0` or `ds.len() != self.len()`.
-    pub fn with_skyband_bound(self, ds: &Dataset, k_max: usize) -> Self {
-        assert_eq!(
-            ds.len(),
-            self.n,
-            "skyband bound must be attached over the dataset this index covers"
-        );
-        self.with_skyband(IncrementalSkybandIndex::with_context(ds, k_max))
-    }
-
-    /// Attaches a skyband index that already covers this index's records
-    /// as context — one [inherited](IncrementalSkybandIndex::inherit) at a
-    /// seal.
-    ///
-    /// # Panics
-    /// Panics if the skyband covers a different number of records or owns
-    /// any.
+    /// Panics if the skyband owns any record.
     pub fn with_skyband(mut self, skyband: IncrementalSkybandIndex) -> Self {
         let maintainer = skyband.maintainer();
         assert!(
-            maintainer.len() == self.n && maintainer.base() as usize == self.n,
-            "a skyband is attached over the records this index covers, as context"
+            maintainer.len() == maintainer.base() as usize,
+            "a skyband is attached before it owns any record"
         );
         self.skyband = Some(skyband);
         self
@@ -193,9 +177,10 @@ impl AppendableTopKIndex {
         out
     }
 
-    /// Answers `Q(u, k, W)` over the forest into `out`, merging the per-tree
-    /// `π≤k` sets through the scratch's merge buffer (allocation-free once
-    /// warm).
+    /// Answers `Q(u, k, W)` over the forest into `out`: one best-first
+    /// search whose frontier spans every tree ([`top_k_over`]), so a tree
+    /// is opened only while its nodes can still beat the running k-th score
+    /// of the whole forest.
     ///
     /// # Panics
     /// Panics if `k == 0` or the index is empty.
@@ -210,20 +195,14 @@ impl AppendableTopKIndex {
     ) {
         assert!(!self.trees.is_empty(), "cannot query an empty index");
         self.counters.bump_queries();
-        // Collect per-tree results through `out`, accumulating in the merge
-        // buffer, then finalize the union in place.
-        let mut merge = std::mem::take(&mut scratch.merge);
-        merge.clear();
-        for tree in &self.trees {
-            if tree.coverage().intersect(w).is_some() {
-                tree.top_k_with(ds, scorer, k, w, scratch, out);
-                merge.append(&mut out.items);
-            }
-        }
-        out.clear();
-        std::mem::swap(&mut out.items, &mut merge);
-        out.finalize_in_place(k);
-        scratch.merge = merge;
+        let part = |i: usize| Part { tree: &self.trees[i], rows: ds, offset: 0 };
+        top_k_over(self.trees.len(), part, scorer, k, w, scratch, out);
+    }
+
+    /// The forest's trees, oldest first — the parts a search spanning
+    /// this index and its neighbours walks ([`top_k_over`]).
+    pub fn trees(&self) -> impl Iterator<Item = &SkylineSegTree> {
+        self.trees.iter()
     }
 }
 
@@ -357,12 +336,13 @@ mod tests {
         // counts up from the first record, the other starts from one tree
         // over the first 37, which its skyband takes as context. Over the
         // records both own they hold the same durations and candidates.
-        let mut classic = AppendableTopKIndex::new(4).with_skyband_bound(&ds, 6);
+        let mut classic = AppendableTopKIndex::new(4).with_skyband(IncrementalSkybandIndex::new(6));
         for row in rows.by_ref().take(37) {
             ds.push(&row);
             classic.append(&ds);
         }
-        let mut prebuilt = AppendableTopKIndex::build(&ds, 4).with_skyband_bound(&ds, 6);
+        let context = IncrementalSkybandIndex::with_context(&ds, 6);
+        let mut prebuilt = AppendableTopKIndex::build(&ds, 4).with_skyband(context);
         for (step, row) in rows.take(143).enumerate() {
             ds.push(&row);
             prebuilt.append(&ds);
@@ -403,7 +383,8 @@ mod tests {
     fn skyband_attaches_over_existing_history() {
         let ds = Dataset::from_rows(2, (0..40).map(|i| [((i * 7) % 13) as f64, (i % 5) as f64]));
         let mut full = ds.clone();
-        let mut idx = AppendableTopKIndex::build(&ds, 4).with_skyband_bound(&ds, 3);
+        let context = IncrementalSkybandIndex::with_context(&ds, 3);
+        let mut idx = AppendableTopKIndex::build(&ds, 4).with_skyband(context);
         full.push(&[11.0, 4.0]);
         idx.append(&full);
         assert_eq!(idx.skyband().expect("attached").maintainer().len(), 41);

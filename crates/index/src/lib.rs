@@ -5,7 +5,9 @@
 //!
 //! * [`segtree`] — the preference top-k index of Appendix A: a segment tree
 //!   over arrival order whose nodes carry skyline summaries, queried
-//!   best-first with interval max scores ([`SkylineSegTree`]). Generalized
+//!   best-first with interval max scores ([`SkylineSegTree`]); one search
+//!   body ([`top_k_over`]) walks any number of adjacent trees under a
+//!   single frontier. Generalized
 //!   to any scorer that can bound a node summary ([`OracleScorer`]), so the
 //!   non-monotone cosine scorer works through admissible bounding-box
 //!   bounds. Also provides [`scan_top_k`], the naive reference oracle.
@@ -31,8 +33,8 @@ pub mod sliding;
 pub use blocking::BlockingSet;
 pub use forest::AppendableTopKIndex;
 pub use segtree::{
-    scan_top_k, scan_top_k_into, structural_fingerprint, NodeSummary, OracleScorer, OracleScratch,
-    OrdF64, QueryCounters, SkylineSegTree, TopKResult, DEFAULT_LEAF_SIZE,
+    scan_top_k, scan_top_k_into, structural_fingerprint, top_k_over, NodeSummary, OracleScorer,
+    OracleScratch, OrdF64, Part, QueryCounters, SkylineSegTree, TopKResult, DEFAULT_LEAF_SIZE,
 };
 pub use skyband_index::{DurableSkybandIndex, IncrementalSkybandIndex, SkybandCandidates};
 pub use sliding::SkybandBuffer;

@@ -355,7 +355,7 @@ impl QueryCounters {
     }
 
     /// Increments the logical query count (used by composite indexes).
-    pub(crate) fn bump_queries(&self) {
+    pub fn bump_queries(&self) {
         self.queries.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -396,9 +396,11 @@ impl Ord for OrdF64 {
 }
 
 /// Trees one scratch memoizes node bounds for at once. A binary-counter
-/// forest over `n` records holds at most `⌈log₂ n⌉ + 1` trees (one more for
-/// a head's context tree), so every tree of a forest of up to ~16k records
-/// keeps its slot while a probe walks the forest.
+/// forest over `n` records holds at most `⌈log₂ n⌉ + 1` trees, so a search
+/// over a head forest of up to ~8k records plus a sealed predecessor or two
+/// keeps every tree's slot. A search over more trees still answers exactly:
+/// a part whose slot is taken over inside the probe only computes its
+/// bounds again.
 const MEMO_SLOTS: usize = 16;
 
 /// One memoized bound; live iff `stamp` equals its slot's current stamp.
@@ -429,11 +431,13 @@ struct MemoSlot {
 ///
 /// A bound is a pure function of `(tree, node, scorer)`: trees are immutable
 /// once built and carry a process-unique id, and scorers with equal
-/// fingerprints bound bit-identically. Every probe re-derives its slot from
-/// exactly that pair ([`bind`](BoundMemo::bind)), so a bound computed for
-/// another tree or scorer is unreachable rather than merely avoided — up to
-/// a 64-bit fingerprint collision, which
-/// [`OracleScorer::fingerprint`] documents as accepted.
+/// fingerprints bound bit-identically. Every probe re-derives each part's
+/// slot from exactly that pair ([`bind`](BoundMemo::bind)), so a bound
+/// computed for another tree or scorer is unreachable rather than merely
+/// avoided — up to a 64-bit fingerprint collision, which
+/// [`OracleScorer::fingerprint`] documents as accepted. Entries are read
+/// under the binding's stamp, so two parts of one probe that end up sharing
+/// a slot (more parts than slots) never read each other's bounds.
 ///
 /// **Footprint.** A slot's entries are indexed by node slot, grow to the
 /// largest tree ever bound to the slot and never shrink, so one scratch
@@ -450,13 +454,22 @@ struct BoundMemo {
     clock: u64,
 }
 
+/// Where one part's bounds live for the rest of a probe: a slot and the
+/// stamp its entries carry. Stamp `0` is never live, so an unmemoized
+/// binding computes every bound.
+#[derive(Debug, Clone, Copy, Default)]
+struct Binding {
+    slot: usize,
+    stamp: u32,
+}
+
 impl BoundMemo {
-    /// The bounds memoized for `(tree, fingerprint)`, evicting the least
-    /// recently probed pair when no slot matches. A scorer without a
-    /// fingerprint gets an empty view: every lookup computes.
-    fn bind(&mut self, tree: u64, nodes: usize, fingerprint: Option<u64>) -> NodeBounds<'_> {
+    /// Binds `(tree, fingerprint)` to its slot, evicting the least recently
+    /// probed pair when no slot matches. A scorer without a fingerprint
+    /// gets the unmemoized binding: every lookup computes.
+    fn bind(&mut self, tree: u64, nodes: usize, fingerprint: Option<u64>) -> Binding {
         let Some(fingerprint) = fingerprint else {
-            return NodeBounds { stamp: 0, entries: &mut [] };
+            return Binding::default();
         };
         self.clock += 1;
         let found = self.slots.iter().position(|s| s.tree == tree && s.fingerprint == fingerprint);
@@ -473,7 +486,24 @@ impl BoundMemo {
         });
         let slot = &mut self.slots[at];
         slot.last_used = self.clock;
-        NodeBounds { stamp: slot.stamp, entries: &mut slot.entries }
+        Binding { slot: at, stamp: slot.stamp }
+    }
+
+    /// Node `idx`'s bound under `binding`, computing and recording it on
+    /// first use.
+    #[inline]
+    fn get_or_compute(&mut self, binding: Binding, idx: i32, compute: impl FnOnce() -> f64) -> f64 {
+        if binding.stamp == 0 {
+            return compute();
+        }
+        match self.slots[binding.slot].entries.get_mut(idx as usize) {
+            Some(entry) if entry.stamp == binding.stamp => entry.bound,
+            Some(entry) => {
+                *entry = MemoEntry { stamp: binding.stamp, bound: compute() };
+                entry.bound
+            }
+            None => compute(),
+        }
     }
 
     /// A stamp no live or dead entry carries. When the counter is
@@ -492,36 +522,26 @@ impl BoundMemo {
     }
 }
 
-/// One probe's view of the memo: the entries of the `(tree, scorer)` pair
-/// it was [bound](BoundMemo::bind) to.
-struct NodeBounds<'a> {
-    stamp: u32,
-    entries: &'a mut [MemoEntry],
+/// One part of the search in flight: its memo binding (`None` when the
+/// window misses the part) and the work it was charged.
+#[derive(Debug, Clone, Copy)]
+struct PartState {
+    binding: Option<Binding>,
+    opened: u64,
+    scanned: u64,
 }
 
-impl NodeBounds<'_> {
-    /// Node `idx`'s bound, computing and recording it on first use.
-    #[inline]
-    fn get_or_compute(&mut self, idx: i32, compute: impl FnOnce() -> f64) -> f64 {
-        match self.entries.get_mut(idx as usize) {
-            Some(entry) if entry.stamp == self.stamp => entry.bound,
-            Some(entry) => {
-                *entry = MemoEntry { stamp: self.stamp, bound: compute() };
-                entry.bound
-            }
-            None => compute(),
-        }
-    }
-}
+/// A best-first frontier entry: (bound, part, node, window slice in the
+/// part's ids).
+type Frontier = (OrdF64, u32, i32, Time, Time);
 
-/// Reusable scratch space for [`SkylineSegTree::top_k_with`] and
-/// [`scan_top_k_into`]: the best-first node priority queue, the running
-/// best-k threshold heap, the node-bound memo, and a merge buffer used by
-/// composite indexes.
+/// Reusable scratch space for [`top_k_over`] and [`scan_top_k_into`]: the
+/// best-first frontier, the running best-k threshold heap, the node-bound
+/// memo and the per-part state of the search in flight.
 ///
 /// One instance per query thread; reusing it across calls removes every
 /// per-probe heap allocation from the oracle path, and lets the probes of
-/// one request share each node's bound: `top_k_with` looks a bound up under
+/// one request share each node's bound: the search looks a bound up under
 /// `(tree id, scorer fingerprint)` before asking the scorer for it. The
 /// memo costs up to 16 slots × the largest probed tree's node count × 16 B
 /// per scratch and is never given back while the scratch lives. Any
@@ -531,14 +551,12 @@ impl NodeBounds<'_> {
 /// memo.
 #[derive(Debug, Clone, Default)]
 pub struct OracleScratch {
-    /// Best-first frontier: (bound, node, window slice).
-    pq: BinaryHeap<(OrdF64, i32, Time, Time)>,
+    pq: BinaryHeap<Frontier>,
     /// Min-heap over the best k scores seen; its top is the running s_k.
     best_k: BinaryHeap<Reverse<OrdF64>>,
     /// Node bounds already evaluated for recently probed trees.
     bounds: BoundMemo,
-    /// Candidate accumulation across forest trees (see `forest`).
-    pub(crate) merge: Vec<(RecordId, f64)>,
+    parts: Vec<PartState>,
     /// Best-first frontier for out-of-crate oracles that address nodes by
     /// byte offset instead of slot index (the disk-backed store relation):
     /// (bound, node offset, window slice).
@@ -783,7 +801,8 @@ impl SkylineSegTree {
     }
 
     /// Answers `Q(u, k, W)` into `out`, drawing every internal heap and
-    /// buffer from `scratch` — the allocation-free oracle path.
+    /// buffer from `scratch` — the allocation-free oracle path: the
+    /// one-part case of [`top_k_over`].
     ///
     /// The window is clamped to the tree's coverage; empty intersections
     /// yield an empty result with `kth_score = -inf`.
@@ -799,104 +818,171 @@ impl SkylineSegTree {
         scratch: &mut OracleScratch,
         out: &mut TopKResult,
     ) {
-        assert!(k > 0, "k must be positive");
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        out.clear();
-        let cover = self.coverage();
-        let Some(w) = cover.intersect(w) else { return };
+        let part = Part { tree: self, rows: ds, offset: 0 };
+        top_k_over(1, |_| part, scorer, k, w, scratch, out);
+    }
+}
 
-        // Best-first search over canonical nodes. Heap entries carry the
-        // node's admissible bound and the window slice it must scan (only
-        // partial leaves differ from the node range).
-        let OracleScratch { pq, best_k, bounds, .. } = scratch;
-        let mut bounds = bounds.bind(self.id, self.nodes.len(), scorer.fingerprint());
-        pq.clear();
-        self.seed_canonical(ds, scorer, ROOT, w, &mut bounds, pq);
+/// One tree of a [`top_k_over`] search: the tree, the rows it was built
+/// over, and where its records sit among the caller's ids.
+#[derive(Debug, Clone, Copy)]
+pub struct Part<'a> {
+    /// The tree searched.
+    pub tree: &'a SkylineSegTree,
+    /// The dataset the tree was built over.
+    pub rows: &'a Dataset,
+    /// The caller's id of the tree's record 0: the search reads windows
+    /// and reports records as tree ids plus `offset`. Negative when the
+    /// tree starts before the caller's first id.
+    pub offset: i64,
+}
 
-        // Candidates accumulate directly in the output buffer.
-        let candidates = &mut out.items;
-        best_k.clear();
-        let running_kth = |best_k: &BinaryHeap<Reverse<OrdF64>>| {
-            if best_k.len() >= k {
-                best_k.peek().expect("non-empty").0 .0
-            } else {
-                f64::NEG_INFINITY
-            }
-        };
-        let mut scanned = 0u64;
-        let mut opened = 0u64;
-
-        while let Some((bound, idx, lo, hi)) = pq.pop() {
-            let threshold = running_kth(best_k);
-            // Strictly below the threshold: no record inside can enter π≤k
-            // (equal bounds may still contain ties of s_k).
-            if bound.0 < threshold {
-                break;
-            }
-            opened += 1;
-            let node = &self.nodes[idx as usize];
-            if node.left < 0 {
-                // Leaf: score records in [lo, hi].
-                for id in lo..=hi {
-                    let s = scorer.score(ds.row(id));
-                    scanned += 1;
-                    if s >= running_kth(best_k) {
-                        candidates.push((id, s));
-                        best_k.push(Reverse(OrdF64(s)));
-                        if best_k.len() > k {
-                            best_k.pop();
-                        }
-                    }
-                }
-                // Keep the candidate buffer from growing without bound on
-                // tie-heavy data.
-                if candidates.len() > 8 * k + 64 {
-                    let thr = running_kth(best_k);
-                    candidates.retain(|&(_, s)| s >= thr);
-                }
-            } else {
-                for child in [node.left, node.right] {
-                    let c = &self.nodes[child as usize];
-                    let cw = Window::new(c.lo, c.hi);
-                    if let Some(iw) = cw.intersect(Window::new(lo, hi)) {
-                        let b = bounds.get_or_compute(child, || scorer.node_bound(ds, &c.summary));
-                        // The threshold only rises, so a child already
-                        // strictly below it would be popped only to end the
-                        // search; leave it off the frontier.
-                        if b < threshold {
-                            continue;
-                        }
-                        pq.push((OrdF64(b), child, iw.start(), iw.end()));
-                    }
-                }
-            }
-        }
-        self.counters.nodes_opened.fetch_add(opened, Ordering::Relaxed);
-        self.counters.records_scanned.fetch_add(scanned, Ordering::Relaxed);
-        out.finalize_in_place(k);
+impl Part<'_> {
+    /// The part of the caller's window `w` this tree covers, in its ids.
+    fn local(&self, w: Window) -> Option<Window> {
+        let cover = self.tree.coverage();
+        let lo = (i64::from(w.start()) - self.offset).max(i64::from(cover.start()));
+        let hi = (i64::from(w.end()) - self.offset).min(i64::from(cover.end()));
+        (lo <= hi).then(|| Window::new(lo as Time, hi as Time))
     }
 
-    /// Pushes the canonical decomposition of `w` under `node` into the heap.
-    fn seed_canonical<S: OracleScorer + ?Sized>(
+    /// Pushes the canonical decomposition of `w` (tree ids) under node
+    /// `idx` onto the frontier as entries of part `p`.
+    fn seed<S: OracleScorer + ?Sized>(
         &self,
-        ds: &Dataset,
+        (p, binding): (u32, Binding),
         scorer: &S,
         idx: i32,
         w: Window,
-        bounds: &mut NodeBounds<'_>,
-        pq: &mut BinaryHeap<(OrdF64, i32, Time, Time)>,
+        bounds: &mut BoundMemo,
+        pq: &mut BinaryHeap<Frontier>,
     ) {
-        let node = &self.nodes[idx as usize];
+        let node = &self.tree.nodes[idx as usize];
         let range = Window::new(node.lo, node.hi);
         let Some(iw) = range.intersect(w) else { return };
         if w.contains_window(range) || node.left < 0 {
-            let b = bounds.get_or_compute(idx, || scorer.node_bound(ds, &node.summary));
-            pq.push((OrdF64(b), idx, iw.start(), iw.end()));
+            let b =
+                bounds.get_or_compute(binding, idx, || scorer.node_bound(self.rows, &node.summary));
+            pq.push((OrdF64(b), p, idx, iw.start(), iw.end()));
             return;
         }
-        self.seed_canonical(ds, scorer, node.left, w, bounds, pq);
-        self.seed_canonical(ds, scorer, node.right, w, bounds, pq);
+        self.seed((p, binding), scorer, node.left, w, bounds, pq);
+        self.seed((p, binding), scorer, node.right, w, bounds, pq);
     }
+}
+
+/// Answers `Q(u, k, W)` over `parts` trees at once, into `out`, drawing
+/// every internal heap and buffer from `scratch`.
+///
+/// The one search body of the crate. `part(i)` for `i < parts` names the
+/// trees; their id ranges (after their offsets) must not overlap. One
+/// best-first frontier holds `(bound, part, node, slice)` entries from
+/// every tree the window reaches, so a node is opened only while its bound
+/// can still beat the running k-th score of the whole window — the
+/// canonical decomposition of §IV spanning several trees, with no per-tree
+/// answer merged afterwards. Each part's node-bound memo is bound once per
+/// probe; each tree the window reaches counts one query plus the nodes and
+/// records the search charged to it.
+///
+/// # Panics
+/// Panics if `k == 0`.
+pub fn top_k_over<'a, S: OracleScorer + ?Sized>(
+    parts: usize,
+    part: impl Fn(usize) -> Part<'a>,
+    scorer: &S,
+    k: usize,
+    w: Window,
+    scratch: &mut OracleScratch,
+    out: &mut TopKResult,
+) {
+    assert!(k > 0, "k must be positive");
+    out.clear();
+    let OracleScratch { pq, best_k, bounds, parts: states, .. } = scratch;
+    pq.clear();
+    states.clear();
+    // Seed the frontier with every part's canonical decomposition. Heap
+    // entries carry the node's admissible bound and the window slice it
+    // must scan (only partial leaves differ from the node range).
+    let fingerprint = scorer.fingerprint();
+    for p in 0..parts {
+        let at = part(p);
+        let local = at.local(w);
+        let binding = local.map(|_| bounds.bind(at.tree.id, at.tree.nodes.len(), fingerprint));
+        states.push(PartState { binding, opened: 0, scanned: 0 });
+        if let (Some(local), Some(binding)) = (local, binding) {
+            at.seed((p as u32, binding), scorer, ROOT, local, bounds, pq);
+        }
+    }
+
+    // Candidates accumulate directly in the output buffer.
+    let candidates = &mut out.items;
+    best_k.clear();
+    let running_kth = |best_k: &BinaryHeap<Reverse<OrdF64>>| {
+        if best_k.len() >= k {
+            best_k.peek().expect("non-empty").0 .0
+        } else {
+            f64::NEG_INFINITY
+        }
+    };
+
+    while let Some((bound, p, idx, lo, hi)) = pq.pop() {
+        let threshold = running_kth(best_k);
+        // Strictly below the threshold: no record inside can enter π≤k
+        // (equal bounds may still contain ties of s_k).
+        if bound.0 < threshold {
+            break;
+        }
+        let Part { tree, rows, offset } = part(p as usize);
+        let state = &mut states[p as usize];
+        state.opened += 1;
+        let node = &tree.nodes[idx as usize];
+        if node.left < 0 {
+            // Leaf: score records in [lo, hi].
+            state.scanned += u64::from(hi - lo) + 1;
+            for id in lo..=hi {
+                let s = scorer.score(rows.row(id));
+                if s >= running_kth(best_k) {
+                    candidates.push(((i64::from(id) + offset) as RecordId, s));
+                    best_k.push(Reverse(OrdF64(s)));
+                    if best_k.len() > k {
+                        best_k.pop();
+                    }
+                }
+            }
+            // Keep the candidate buffer from growing without bound on
+            // tie-heavy data.
+            if candidates.len() > 8 * k + 64 {
+                let thr = running_kth(best_k);
+                candidates.retain(|&(_, s)| s >= thr);
+            }
+        } else {
+            let binding = state.binding.unwrap_or_default();
+            for child in [node.left, node.right] {
+                let c = &tree.nodes[child as usize];
+                let cw = Window::new(c.lo, c.hi);
+                if let Some(iw) = cw.intersect(Window::new(lo, hi)) {
+                    let b = bounds
+                        .get_or_compute(binding, child, || scorer.node_bound(rows, &c.summary));
+                    // The threshold only rises, so a child already
+                    // strictly below it would be popped only to end the
+                    // search; leave it off the frontier.
+                    if b < threshold {
+                        continue;
+                    }
+                    pq.push((OrdF64(b), p, child, iw.start(), iw.end()));
+                }
+            }
+        }
+    }
+    for (p, state) in states.iter().enumerate() {
+        if state.binding.is_some() {
+            let counters = &part(p).tree.counters;
+            counters.queries.fetch_add(1, Ordering::Relaxed);
+            counters.nodes_opened.fetch_add(state.opened, Ordering::Relaxed);
+            counters.records_scanned.fetch_add(state.scanned, Ordering::Relaxed);
+        }
+    }
+    out.finalize_in_place(k);
 }
 
 /// Naive reference oracle: scores every record in the window.
@@ -1074,16 +1160,32 @@ mod tests {
         }
     }
 
+    /// `rows` as a 3-attribute dataset.
+    fn rows3(rows: &[Vec<u32>]) -> Dataset {
+        Dataset::from_rows(3, rows.iter().map(|r| r.iter().map(|&v| v as f64).collect::<Vec<_>>()))
+    }
+
+    /// A split of `0..n` into adjacent `(lo, hi)` pieces: a first piece of
+    /// any size, pieces starting at `cuts`, then the last `singles` records
+    /// one by one.
+    fn adjacent(n: Time, cuts: Vec<u32>, singles: u32) -> Vec<(Time, Time)> {
+        let mut starts: Vec<Time> = cuts.into_iter().filter(|&c| c < n).collect();
+        starts.extend(n.saturating_sub(singles).max(1)..n);
+        starts.push(0);
+        starts.sort_unstable();
+        starts.dedup();
+        let ends = starts.iter().skip(1).map(|&s| s - 1).chain([n - 1]).collect::<Vec<_>>();
+        starts.into_iter().zip(ends).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Separately built trees over a random adjacent split of the
-        /// dataset — a first tree of any size (a head's context), random
-        /// pieces, then a run of single records, so single-leaf operands of
-        /// every size around the fuse bound occur — joined in either
-        /// direction answer like a scan. The cosine scorer bounds nodes by
-        /// `dim_min`/`dim_max`/`norm_*`, so the merged summaries are read
-        /// whole, not just their skylines.
+        /// dataset — so single-leaf operands of every size around the fuse
+        /// bound occur — joined in either direction answer like a scan. The
+        /// cosine scorer bounds nodes by `dim_min`/`dim_max`/`norm_*`, so
+        /// the merged summaries are read whole, not just their skylines.
         #[test]
         fn joined_trees_answer_like_a_scan(
             rows in prop::collection::vec(prop::collection::vec(0u32..10, 3), 1..260),
@@ -1093,21 +1195,10 @@ mod tests {
             right_to_left in prop::bool::ANY,
             probes in prop::collection::vec((1usize..7, 0u32..260, 0u32..260), 6..16),
         ) {
-            let n = rows.len() as Time;
-            let ds = Dataset::from_rows(
-                3,
-                rows.iter().map(|r| r.iter().map(|&v| v as f64).collect::<Vec<_>>()),
-            );
-            let mut starts: Vec<Time> = cuts.into_iter().filter(|&c| c < n).collect();
-            starts.extend(n.saturating_sub(singles).max(1)..n);
-            starts.push(0);
-            starts.sort_unstable();
-            starts.dedup();
-            let ends = starts.iter().skip(1).map(|&s| s - 1).chain([n - 1]);
-            let mut pieces: Vec<SkylineSegTree> = starts
-                .iter()
-                .zip(ends)
-                .map(|(&lo, hi)| SkylineSegTree::build_over(&ds, lo, hi, leaf_size))
+            let (n, ds) = (rows.len() as Time, rows3(&rows));
+            let mut pieces: Vec<SkylineSegTree> = adjacent(n, cuts, singles)
+                .into_iter()
+                .map(|(lo, hi)| SkylineSegTree::build_over(&ds, lo, hi, leaf_size))
                 .collect();
             let tree = if right_to_left {
                 let last = pieces.pop().expect("at least one piece");
@@ -1124,6 +1215,48 @@ mod tests {
                 let w = Window::new(a.min(b), a.max(b));
                 prop_assert_eq!(tree.top_k(&ds, &linear, k, w), scan_top_k(&ds, &linear, k, w));
                 prop_assert_eq!(tree.top_k(&ds, &cosine, k, w), scan_top_k(&ds, &cosine, k, w));
+            }
+        }
+
+        /// One search over adjacent parts — each tree built over its own
+        /// chunk of rows, one-record chunks included, often more parts than
+        /// memo slots so a probe evicts its own earlier parts' slots — with
+        /// ids shifted so early parts get negative offsets, answers like a
+        /// scan over the concatenation, through one reused scratch.
+        #[test]
+        fn one_search_over_adjacent_parts_answers_like_a_scan(
+            rows in prop::collection::vec(prop::collection::vec(0u32..10, 3), 1..260),
+            cuts in prop::collection::vec(1u32..260, 12..40),
+            singles in 0u32..20,
+            leaf_size in 1usize..10,
+            base_frac in 0u32..100,
+            probes in prop::collection::vec((1usize..7, 0u32..260, 0u32..260), 6..16),
+        ) {
+            let (n, ds) = (rows.len() as Time, rows3(&rows));
+            let pieces = adjacent(n, cuts, singles);
+            let chunks: Vec<Dataset> =
+                pieces.iter().map(|&(lo, hi)| rows3(&rows[lo as usize..=hi as usize])).collect();
+            let trees: Vec<SkylineSegTree> =
+                chunks.iter().map(|c| SkylineSegTree::with_leaf_size(c, leaf_size)).collect();
+            // The caller's id 0 is global record `base`.
+            let base = n * base_frac / 100;
+            let offset = |i: usize| i64::from(pieces[i].0) - i64::from(base);
+            let part = |i: usize| Part { tree: &trees[i], rows: &chunks[i], offset: offset(i) };
+            let (linear, cosine) =
+                (LinearScorer::new(vec![0.5, 0.2, 0.3]), CosineScorer::new(vec![1.0, -0.6, 0.4]));
+            let (mut scratch, mut out) = (OracleScratch::new(), TopKResult::empty());
+            for (k, a, b) in probes {
+                let (a, b) = (a % (n - base), b % (n - base));
+                let w = Window::new(a.min(b), a.max(b));
+                let scan = |scorer: &dyn OracleScorer| {
+                    let mut r = scan_top_k(&ds, scorer, k, Window::new(a.min(b) + base, a.max(b) + base));
+                    r.items.iter_mut().for_each(|(id, _)| *id -= base);
+                    r
+                };
+                top_k_over(trees.len(), part, &linear, k, w, &mut scratch, &mut out);
+                prop_assert_eq!(&out, &scan(&linear));
+                top_k_over(trees.len(), part, &cosine, k, w, &mut scratch, &mut out);
+                prop_assert_eq!(&out, &scan(&cosine));
             }
         }
     }
@@ -1167,19 +1300,28 @@ mod tests {
         assert_eq!(tree.counters().queries(), 0);
     }
 
+    /// Node 0's bound of a two-node `tree` under `fingerprint`, through a
+    /// fresh binding.
+    fn lookup(
+        memo: &mut BoundMemo,
+        tree: u64,
+        fingerprint: Option<u64>,
+        compute: impl FnOnce() -> f64,
+    ) -> f64 {
+        let binding = memo.bind(tree, 2, fingerprint);
+        memo.get_or_compute(binding, 0, compute)
+    }
+
     #[test]
     fn memo_bypasses_scorers_without_a_fingerprint() {
         let mut memo = BoundMemo::default();
         let mut calls = 0;
         for _ in 0..2 {
-            let mut bounds = memo.bind(1, 4, None);
-            assert_eq!(
-                bounds.get_or_compute(0, || {
-                    calls += 1;
-                    5.0
-                }),
+            let computed = lookup(&mut memo, 1, None, || {
+                calls += 1;
                 5.0
-            );
+            });
+            assert_eq!(computed, 5.0);
         }
         assert_eq!(calls, 2, "nothing to key on: every lookup computes");
         assert!(memo.slots.iter().all(|s| s.tree == 0), "and no slot is bound");
@@ -1189,37 +1331,37 @@ mod tests {
     fn memo_evicts_the_least_recently_probed_pair() {
         let mut memo = BoundMemo::default();
         for tree in 1..=MEMO_SLOTS as u64 {
-            memo.bind(tree, 2, Some(9)).get_or_compute(0, || tree as f64);
+            lookup(&mut memo, tree, Some(9), || tree as f64);
         }
         // Touch tree 1 so tree 2 is the oldest, then bring in a newcomer.
-        assert_eq!(memo.bind(1, 2, Some(9)).get_or_compute(0, || f64::NAN), 1.0);
-        memo.bind(99, 2, Some(9)).get_or_compute(0, || 99.0);
-        assert_eq!(memo.bind(1, 2, Some(9)).get_or_compute(0, || f64::NAN), 1.0, "kept");
-        assert_eq!(memo.bind(3, 2, Some(9)).get_or_compute(0, || f64::NAN), 3.0, "kept");
+        assert_eq!(lookup(&mut memo, 1, Some(9), || f64::NAN), 1.0);
+        lookup(&mut memo, 99, Some(9), || 99.0);
+        assert_eq!(lookup(&mut memo, 1, Some(9), || f64::NAN), 1.0, "kept");
+        assert_eq!(lookup(&mut memo, 3, Some(9), || f64::NAN), 3.0, "kept");
         // Tree 2 lost its slot: its bound is computed again, never read
         // from whatever now occupies that slot.
-        assert_eq!(memo.bind(2, 2, Some(9)).get_or_compute(0, || -2.0), -2.0);
+        assert_eq!(lookup(&mut memo, 2, Some(9), || -2.0), -2.0);
         // The same tree under another scorer is another pair.
-        assert_eq!(memo.bind(1, 2, Some(10)).get_or_compute(0, || 7.0), 7.0);
-        assert_eq!(memo.bind(1, 2, Some(9)).get_or_compute(0, || f64::NAN), 1.0);
+        assert_eq!(lookup(&mut memo, 1, Some(10), || 7.0), 7.0);
+        assert_eq!(lookup(&mut memo, 1, Some(9), || f64::NAN), 1.0);
     }
 
     #[test]
     fn memo_survives_stamp_wrap_around() {
         let mut memo = BoundMemo::default();
         for tree in 1..=MEMO_SLOTS as u64 {
-            memo.bind(tree, 2, Some(9)).get_or_compute(0, || tree as f64);
+            lookup(&mut memo, tree, Some(9), || tree as f64);
         }
         assert_eq!((memo.slots[0].tree, memo.slots[0].stamp), (1, 1));
         // Exhaust the counter: the next rebind reuses slot 0 (the oldest)
         // and is handed stamp 1 again — the stamp slot 0's stale entry
         // still carries unless the wrap wiped it.
         memo.last_stamp = u32::MAX;
-        assert_eq!(memo.bind(77, 2, Some(9)).get_or_compute(0, || 77.0), 77.0);
+        assert_eq!(lookup(&mut memo, 77, Some(9), || 77.0), 77.0);
         assert_eq!((memo.slots[0].tree, memo.slots[0].stamp), (77, 1));
         // Everything bound before the wrap is forgotten, not misread.
-        assert_eq!(memo.bind(5, 2, Some(9)).get_or_compute(0, || -5.0), -5.0);
-        assert_eq!(memo.bind(77, 2, Some(9)).get_or_compute(0, || f64::NAN), 77.0);
+        assert_eq!(lookup(&mut memo, 5, Some(9), || -5.0), -5.0);
+        assert_eq!(lookup(&mut memo, 77, Some(9), || f64::NAN), 77.0);
     }
 
     #[test]

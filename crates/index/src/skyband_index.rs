@@ -45,6 +45,10 @@ pub trait SkybandCandidates {
         visit: &mut dyn FnMut(RecordId),
     ) -> usize;
 
+    /// Id of the first record the source holds a duration for: earlier
+    /// ids are left context and are never reported.
+    fn base(&self) -> RecordId;
+
     /// The largest `k` the candidate source can serve.
     fn max_k(&self) -> usize {
         self.levels().last().copied().unwrap_or(0)
@@ -170,6 +174,10 @@ impl SkybandCandidates for DurableSkybandIndex {
         &self.ks
     }
 
+    fn base(&self) -> RecordId {
+        self.base
+    }
+
     fn for_each_candidate(
         &self,
         interval: Window,
@@ -239,11 +247,15 @@ impl IncrementalSkybandIndex {
     }
 
     /// Ingests the most recently appended record of `ds`: one duration per
-    /// level, folded into the last block's maximum.
+    /// level, folded into the last block's maximum. Only that row is read;
+    /// `ds` need not hold the context.
+    ///
+    /// # Panics
+    /// Panics if `ds` is empty.
     pub fn push(&mut self, ds: &Dataset) {
         // Position of the newcomer among the owned records.
         let owned = self.maintainer.len() - self.maintainer.base() as usize;
-        self.maintainer.append(ds);
+        self.maintainer.append(ds.row(ds.len() as RecordId - 1));
         for (level, maxima) in self.maxima.iter_mut().enumerate() {
             let dur = self.maintainer.durations(level)[owned];
             match maxima.last_mut() {
@@ -283,6 +295,10 @@ impl IncrementalSkybandIndex {
 impl SkybandCandidates for IncrementalSkybandIndex {
     fn levels(&self) -> &[usize] {
         self.maintainer.levels()
+    }
+
+    fn base(&self) -> RecordId {
+        self.maintainer.base()
     }
 
     fn for_each_candidate(

@@ -106,11 +106,14 @@ pub struct CoordinatorStats {
 ///
 /// # Exactness
 ///
-/// Each node carries `max_tau` records of left context below its owned
-/// range, so every durability window `[t − τ, t]` with `t` owned by the
-/// node is evaluated against the full global history it needs — the
-/// decomposition [`durable_topk::plan`] states, one level above a
-/// [`ShardedEngine`](durable_topk::ShardedEngine)'s own shards. Its
+/// Each node carries left context below its owned range, so every
+/// durability window `[t − τ, t]` with `t` owned by the node and `τ` within
+/// [`cluster_max_tau`](Coordinator::cluster_max_tau) is evaluated against
+/// the full global history it needs — the decomposition
+/// [`durable_topk::plan`] states, one level above a
+/// [`ShardedEngine`](durable_topk::ShardedEngine)'s own shards. Nodes are
+/// separate processes: unlike those shards, a node cannot read its
+/// predecessor's records, so this is the one door that bounds `τ`. Its
 /// [`route`] sends node `i` the piece `I ∩ [lo_i, hi_i]` in the node's
 /// local coordinates; its [`merge`] translates the answers back and
 /// concatenates them into the single-engine answer, record for record.

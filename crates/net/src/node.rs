@@ -5,13 +5,15 @@
 //! # Coordinates
 //!
 //! A node hosts a contiguous *owned* slice `[lo, hi]` of the global
-//! timeline. Its engine's dataset additionally starts `max_tau` records
-//! early (at `ext_lo = lo − max_tau`, clamped at 0) so every τ-durability
-//! window that ends inside the owned slice is fully covered — the same
-//! left-context overlap [`ShardedEngine`] gives each sealed shard, lifted
-//! one level up. Record `g` of the global timeline is record `g − ext_lo`
-//! of the node's engine; [`Node::query`] takes and returns *node-local*
-//! ids, and the coordinator does the translation in both directions.
+//! timeline. Its engine's dataset additionally starts some records early
+//! (at `ext_lo ≤ lo`), so every τ-durability window with `τ ≤ lo − ext_lo`
+//! that ends inside the owned slice is fully covered: nodes are separate
+//! processes, so unlike the shards inside one [`ShardedEngine`] they cannot
+//! read each other's records, and this left context is what bounds the `τ`
+//! a cluster answers. Record `g` of the global timeline is record
+//! `g − ext_lo` of the node's engine; [`Node::query`] takes and returns
+//! *node-local* ids, and the coordinator does the translation in both
+//! directions.
 
 use std::time::{Duration, Instant};
 
@@ -45,8 +47,9 @@ pub struct NodeRanges {
     /// Last record currently hosted (inclusive); grows as a live node
     /// ingests.
     pub hi: Time,
-    /// The engine's exactness bound: queries with `τ` beyond it are
-    /// rejected, and `lo − ext_lo` context records back it up.
+    /// The node's exactness bound: the `lo − ext_lo` context records it
+    /// holds, unbounded for a node starting at time zero. Queries with `τ`
+    /// beyond it are rejected by the coordinator.
     pub max_tau: Time,
     /// Attribute count of the node's dataset (must agree across the
     /// cluster).
@@ -106,7 +109,9 @@ pub(crate) fn describe(engine: &ShardedEngine, identity: NodeIdentity) -> NodeRa
         ext_lo: base,
         lo: identity.owned_lo,
         hi,
-        max_tau: engine.max_tau(),
+        // A window reaches no further back than the context the node
+        // holds — or than time zero, which every window stops at.
+        max_tau: if base == 0 { Time::MAX } else { identity.owned_lo - base },
         dim: engine.dim(),
         shards: engine.shard_ranges().into_iter().map(|(lo, hi)| (lo + base, hi + base)).collect(),
     }

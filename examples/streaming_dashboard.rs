@@ -18,8 +18,10 @@ use rand::prelude::*;
 
 fn main() {
     let (k, tau) = (3usize, 5_000u32);
-    // Shards of 4096 records, exact for τ ≤ 5000; the skyband bound lets
-    // the subscription skip arrivals that provably cannot enter the top-k.
+    // Shards of 4096 records, exact for any τ — a window reaching past a
+    // shard reads its predecessors. Skyband durations look back τ records,
+    // and the bound lets the subscription skip arrivals that provably
+    // cannot enter the top-k.
     let cfg = EngineConfig::new(2, 4_096, tau).skyband_bound(k);
     let serve =
         ServeEngine::new(cfg.build().expect("valid configuration"), 64, Backpressure::Block);
@@ -79,10 +81,4 @@ fn main() {
     let champs: Vec<u32> = champs.items.into_iter().map(|(id, _)| id).collect();
     println!("current top-{k} of the trailing window: records {champs:?}");
     serve.shutdown();
-
-    // A live engine answers τ ≤ max_tau (5000 here) at every door. An exact
-    // answer for a larger τ is three lines away, through the offline engine:
-    //     let mut ds = Dataset::new(2);
-    //     serve.engine().copy_history_into(&mut ds, 0);
-    //     DurableTopKEngine::new(ds).query(Algorithm::SHop, &scorer, &q);
 }

@@ -2,10 +2,10 @@
 //!
 //! The incremental `ShardedEngine` must be *indistinguishable* from a
 //! from-scratch build: a head shard grown by appends, sealed mid-stream at
-//! arbitrary points, answers every `DurTop(k, I, τ)` with `τ ≤ max_tau`
-//! record-for-record like both a freshly sharded build over the final
-//! dataset and a flat unsharded engine — at every prefix of the ingestion
-//! timeline, not just at the end.
+//! arbitrary points, answers every `DurTop(k, I, τ)` — `τ` up to the
+//! whole history — record-for-record like both a freshly sharded build
+//! over the final dataset and a flat unsharded engine — at every prefix of
+//! the ingestion timeline, not just at the end.
 //!
 //! Separately, the query path must spawn no threads: batched queries and
 //! `ShardedEngine::query` run on the persistent [`WorkerPool`], so the
@@ -55,10 +55,10 @@ fn brute_durable(ds: &Dataset, scorer: &LinearScorer, q: &DurableQuery, upto: u3
         .collect()
 }
 
-/// Materializes a spec against `n` ingested records, capping `τ` at the
-/// engine's exactness bound.
+/// Materializes a spec against `n` ingested records, with `τ` anywhere up
+/// to the whole history or twice `max_tau`, whichever is longer.
 fn materialize(spec: &QuerySpec, n: u32, max_tau: u32) -> (Algorithm, DurableQuery) {
-    let tau = 1 + spec.tau_raw % max_tau;
+    let tau = 1 + spec.tau_raw % (2 * max_tau).max(n);
     let a = spec.seed % n;
     let b = (spec.seed / 7) % n;
     let q = DurableQuery { k: spec.k, tau, interval: Window::new(a.min(b), a.max(b)) };

@@ -1,6 +1,7 @@
-//! Memory budget of the durable k-skyband index: a sealed shard keeps one
-//! duration per level for the records it owns — about 4.06 bytes each — and
-//! nothing for its left context, however deep that context is.
+//! Memory budget: a sealed shard keeps its records' rows, tree and one
+//! skyband duration per level — about 4.06 bytes each — for the records it
+//! owns and nothing for the records before them, however far back `max_tau`
+//! reaches. No record row and no tree node is held twice.
 
 use durable_topk::{EngineConfig, MemoryUsage};
 use durable_topk_workloads::ind;
@@ -24,8 +25,10 @@ fn sealed_skyband_bytes_follow_owned_records_not_context() {
     assert!(narrow.skyband_sealed > 4 * LEVELS * RECORDS, "every owned record has a duration");
     assert!(narrow.skyband_sealed <= budget, "{} > {budget}", narrow.skyband_sealed);
     assert_eq!(narrow.skyband_sealed, wide.skyband_sealed, "context must not be indexed");
-    // The head is where context legitimately shows: it owns nothing yet
-    // but maintains durations for its `max_tau` records of left context.
+    // Rows and trees are the owned records', whatever `max_tau` is.
+    assert_eq!((narrow.records, narrow.trees), (wide.records, wide.trees));
+    // The head is where `max_tau` legitimately shows: it owns nothing yet
+    // but keeps the skyband's active entries, rows included, for the
+    // `max_tau` records before it.
     assert!(wide.skyband_head > narrow.skyband_head);
-    assert!(wide.records > narrow.records && wide.trees > narrow.trees);
 }

@@ -299,21 +299,23 @@ fn serving_spawns_no_threads() {
     );
 }
 
-/// τ beyond the overlap and an interval past the history are responses,
-/// not aborts — reachable straight through the public serving API.
+/// Zero parameters, an interval past the history and a mismatched scorer
+/// are responses, not aborts — reachable straight through the public
+/// serving API — and τ beyond `max_tau` is no error at all.
 #[test]
 fn bad_request_input_never_panics_the_server() {
     let engine = EngineConfig::new(2, 300, 20).build_from(&dataset(300), 3).expect("build");
     let serve = ServeEngine::new(engine, 16, Backpressure::Block);
+    let wide = DurableQuery { k: 1, tau: 2_000, interval: Window::new(0, 299) };
+    let req = ServeRequest { alg: Algorithm::THop, query: wide, scorer: ScorerSpec::Uniform };
+    let flat = DurableTopKEngine::new(dataset(300)).query(
+        Algorithm::THop,
+        &LinearScorer::uniform(2),
+        &wide,
+    );
+    let served = serve.submit(req).expect("accepted").wait().expect("any τ");
+    assert_eq!(served.records, flat.records);
     let cases: Vec<(ServeRequest, &str)> = vec![
-        (
-            ServeRequest {
-                alg: Algorithm::THop,
-                query: DurableQuery { k: 1, tau: 2_000, interval: Window::new(0, 299) },
-                scorer: ScorerSpec::Uniform,
-            },
-            "exceeds the shard overlap",
-        ),
         (
             ServeRequest {
                 alg: Algorithm::SHop,
