@@ -61,7 +61,7 @@ use crate::storage::{ChunkId, MemoryStorage, ShardStorage};
 use crate::view::View;
 use durable_topk_index::{
     AppendableTopKIndex, DurableSkybandIndex, IncrementalSkybandIndex, OracleScorer,
-    SkybandCandidates, SkylineSegTree, TopKResult,
+    SkybandCandidates, SkylineSegTree, TopKResult, TreeRows,
 };
 use durable_topk_temporal::{Dataset, RecordId, Time, Window};
 use std::sync::Arc;
@@ -448,9 +448,11 @@ impl ShardedEngine {
     }
 
     /// Hands `f` the view of records `[base, hi]`, numbered from `base`,
-    /// over every shard holding one of records `[reach, hi]`: their rows
-    /// and trees, and the skyband of the shard owning `hi`. Spilled chunks
-    /// are faulted in; the page reads they cost are added to `cold`.
+    /// over every shard holding one of records `[reach, hi]`: their trees,
+    /// the rows a search inside `[reach, hi]` reads, and the skyband of
+    /// the shard owning `hi`. Of a spilled chunk only the leaves of its
+    /// tree that `[reach, hi]` touches are faulted in; the page reads they
+    /// cost are added to `cold`.
     fn with_view<R>(
         &self,
         base: Time,
@@ -460,18 +462,22 @@ impl ShardedEngine {
         f: impl FnOnce(&View<'_>) -> R,
     ) -> R {
         let first = self.tails.partition_point(|shard| shard.owned.end() < reach);
-        let sealed: Vec<(&Shard, Arc<Dataset>)> = self.tails[first..]
+        let sealed: Vec<(&Shard, Arc<Dataset>, Time)> = self.tails[first..]
             .iter()
             .take_while(|shard| shard.owned.start() <= hi)
             .map(|shard| {
-                let (chunk, pages) = self.storage.fetch(shard.chunk);
+                let (lo, end) = (shard.owned.start(), shard.owned.end());
+                let touched = Window::new(reach.max(lo) - lo, hi.min(end) - lo);
+                let leaves = shard.oracle.leaf_span(touched).unwrap_or(touched);
+                let (rows, first, pages) = self.storage.fetch_rows(shard.chunk, leaves);
                 *cold += pages;
-                (shard, chunk)
+                (shard, rows, first)
             })
             .collect();
         let mut view = View::new(base, hi);
-        for (shard, chunk) in &sealed {
-            view.add_sealed(shard.owned.start(), chunk, &shard.oracle, shard.skyband.as_ref());
+        for (shard, rows, first) in &sealed {
+            let rows = TreeRows { rows, first: *first };
+            view.add_sealed(shard.owned.start(), rows, &shard.oracle, shard.skyband.as_ref());
         }
         let Head { ds, index, lo } = &self.head;
         if *lo <= hi && !ds.is_empty() {

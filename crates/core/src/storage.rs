@@ -13,13 +13,13 @@
 //! * [`PagedStorage`] — chunks are serialized page-aligned into a
 //!   [`BufferPool`] file at store time (once per seal, about 0.1 ms for a
 //!   4 096-record chunk). The newest `spill_after` chunks additionally stay
-//!   decoded; older ones are *spilled* — a query touching one transparently
-//!   faults its pages back in, decodes, and reports the physical page
-//!   reads as cold-page hits
+//!   decoded; older ones are *spilled* — a query touching one
+//!   transparently faults in the pages holding the rows it can read
+//!   ([`ShardStorage::fetch_rows`]), decodes those rows, and reports the
+//!   physical page reads as cold-page hits
 //!   ([`QueryStats::cold_page_hits`](crate::QueryStats::cold_page_hits)).
-//!   The pages of the most recently faulted chunk are pinned in the pool
-//!   (up to half its frames), so an immediately repeated cold query is
-//!   served warm.
+//!   Pages stay in the pool's LRU frames, so a repeated cold query is
+//!   served from them while they last.
 //!
 //! Because chunks are shared `Arc`s end to end — the sealed head's
 //! sub-dataset, storage, query fan-out — sealing does not copy the record
@@ -31,10 +31,11 @@
 
 use crate::check::{LockClass, TrackedMutex};
 use crate::sync::lock;
-use durable_topk_store::{chunk_page_len, read_chunk, write_chunk, BufferPool};
-use durable_topk_temporal::Dataset;
+use durable_topk_store::{read_chunk_rows, write_chunk, BufferPool, ChunkShape};
+use durable_topk_temporal::{Dataset, Time, Window};
 use std::collections::VecDeque;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,9 +52,10 @@ pub struct StorageStats {
     pub resident_chunks: usize,
     /// Chunks currently spilled (reachable only through page I/O).
     pub spilled_chunks: usize,
-    /// Total [`fetch`](ShardStorage::fetch) calls.
+    /// Total [`fetch`](ShardStorage::fetch) and
+    /// [`fetch_rows`](ShardStorage::fetch_rows) calls.
     pub fetches: u64,
-    /// Fetches that had to decode a spilled chunk from pages.
+    /// Fetches that had to decode rows of a spilled chunk from pages.
     pub cold_fetches: u64,
     /// Physical page reads performed by cold fetches.
     pub cold_page_reads: u64,
@@ -76,6 +78,17 @@ pub trait ShardStorage: Send + Sync + std::fmt::Debug {
     /// # Panics
     /// Panics if `id` was not issued by this backend.
     fn fetch(&self, id: ChunkId) -> (Arc<Dataset>, u64);
+
+    /// Retrieves at least records `rows` (chunk ids) of a chunk: the rows,
+    /// the chunk id of their row 0, and the physical page reads the
+    /// retrieval needed. A resident chunk comes back whole (first row
+    /// `0`, no copy); a spilled one reads and decodes only the pages
+    /// holding `rows`.
+    ///
+    /// # Panics
+    /// Panics if `id` was not issued by this backend or `rows` reaches
+    /// past the chunk.
+    fn fetch_rows(&self, id: ChunkId, rows: Window) -> (Arc<Dataset>, Time, u64);
 
     /// Counter snapshot.
     fn stats(&self) -> StorageStats;
@@ -121,6 +134,11 @@ impl ShardStorage for MemoryStorage {
         (Arc::clone(&lock(&self.chunks)[id]), 0)
     }
 
+    fn fetch_rows(&self, id: ChunkId, _rows: Window) -> (Arc<Dataset>, Time, u64) {
+        let (rows, cold) = self.fetch(id);
+        (rows, 0, cold)
+    }
+
     fn stats(&self) -> StorageStats {
         let chunks = lock(&self.chunks).len();
         StorageStats {
@@ -141,7 +159,8 @@ impl ShardStorage for MemoryStorage {
 /// Per-chunk directory entry of the paged backend.
 struct PagedChunk {
     first_page: u64,
-    pages: u64,
+    /// The header fields, so row reads never fault the header page.
+    shape: ChunkShape,
     /// Decoded copy, present while the chunk is in the resident tier (or
     /// permanently, if its spill write failed).
     resident: Option<Arc<Dataset>>,
@@ -156,46 +175,11 @@ struct Paged {
     dir: Vec<PagedChunk>,
     /// Chunks eligible for spilling, oldest first.
     resident_order: VecDeque<ChunkId>,
-    /// Chunk whose pages are currently pinned in the pool.
-    pinned: Option<ChunkId>,
     next_page: u64,
     fetches: u64,
     cold_fetches: u64,
     cold_page_reads: u64,
     write_failures: u64,
-}
-
-impl Paged {
-    fn unpin_current(&mut self) {
-        if let Some(id) = self.pinned.take() {
-            let c = &self.dir[id];
-            for p in c.first_page..c.first_page + c.pages {
-                self.pool.unpin(p);
-            }
-        }
-    }
-
-    /// Pins the chunk's leading pages, up to half the pool so unpinned
-    /// frames always remain for other traffic.
-    fn pin_chunk(&mut self, id: ChunkId, budget: usize) {
-        self.unpin_current();
-        let (first, pages) = (self.dir[id].first_page, self.dir[id].pages);
-        for p in first..first + pages.min(budget as u64) {
-            if self.pool.pin(p).is_err() {
-                break;
-            }
-        }
-        self.pinned = Some(id);
-    }
-}
-
-impl Drop for Paged {
-    fn drop(&mut self) {
-        // Release the persistent fetch pin before the pool goes away: the
-        // pool's debug-build pin-leak detector asserts that every pinned
-        // frame was unpinned by the time it is dropped.
-        self.unpin_current();
-    }
 }
 
 /// The pager-backed tiered backend: every chunk is serialized to pages at
@@ -205,7 +189,6 @@ impl Drop for Paged {
 pub struct PagedStorage {
     inner: TrackedMutex<Paged>,
     spill_after: usize,
-    pin_budget: usize,
 }
 
 impl std::fmt::Debug for PagedStorage {
@@ -238,7 +221,6 @@ impl PagedStorage {
                     pool: BufferPool::create(path, cache_pages)?,
                     dir: Vec::new(),
                     resident_order: VecDeque::new(),
-                    pinned: None,
                     next_page: 0,
                     fetches: 0,
                     cold_fetches: 0,
@@ -247,7 +229,6 @@ impl PagedStorage {
                 },
             ),
             spill_after,
-            pin_budget: (cache_pages / 2).max(1),
         })
     }
 
@@ -268,6 +249,43 @@ impl PagedStorage {
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(name)
+    }
+
+    /// [`fetch_rows`](ShardStorage::fetch_rows) of the records `rows`
+    /// picks from the chunk's shape.
+    fn read_rows(
+        &self,
+        id: ChunkId,
+        rows: impl FnOnce(ChunkShape) -> Range<usize>,
+    ) -> (Arc<Dataset>, Time, u64) {
+        let (bytes, first, cold) = {
+            let inner = &mut *lock(&self.inner);
+            inner.fetches += 1;
+            let chunk = &inner.dir[id];
+            if let Some(resident) = &chunk.resident {
+                return (Arc::clone(resident), 0, 0);
+            }
+            // Cold: copy the rows' bytes out of the pool. Pages still
+            // cached cost no physical I/O — only true faults count.
+            assert!(
+                chunk.on_disk,
+                "a non-resident chunk must have reached the pool (write failures stay resident)"
+            );
+            let rows = rows(chunk.shape);
+            let before = inner.pool.stats().reads;
+            let bytes =
+                read_chunk_rows(&mut inner.pool, chunk.first_page, chunk.shape, rows.clone())
+                    // lint: allow(expect) — `on_disk` was asserted above: the
+                    // chunk's serialized form reached this pool and pages are
+                    // never reused; rows past the chunk are a documented panic.
+                    .expect("a spilled chunk's rows are readable from its own pool");
+            let cold = inner.pool.stats().reads - before;
+            inner.cold_fetches += 1;
+            inner.cold_page_reads += cold;
+            (bytes, rows.start as Time, cold)
+        };
+        // Decoded with the pool released.
+        (Arc::new(bytes.decode()), first, cold)
     }
 
     /// Cumulative spill writes that failed (those chunks stay memory
@@ -296,7 +314,7 @@ impl ShardStorage for PagedStorage {
         };
         inner.dir.push(PagedChunk {
             first_page,
-            pages: chunk_page_len(&chunk),
+            shape: ChunkShape::of(&chunk),
             resident: Some(chunk),
             on_disk,
         });
@@ -312,29 +330,12 @@ impl ShardStorage for PagedStorage {
     }
 
     fn fetch(&self, id: ChunkId) -> (Arc<Dataset>, u64) {
-        let inner = &mut *lock(&self.inner);
-        inner.fetches += 1;
-        if let Some(chunk) = &inner.dir[id].resident {
-            return (Arc::clone(chunk), 0);
-        }
-        // Cold: fault the pages in and decode. The read goes through the
-        // pool, so pages still cached (or pinned from a previous fault)
-        // cost no physical I/O — only true faults count.
-        assert!(
-            inner.dir[id].on_disk,
-            "a non-resident chunk must have reached the pool (write failures stay resident)"
-        );
-        let before = inner.pool.stats().reads;
-        let first_page = inner.dir[id].first_page;
-        let ds = read_chunk(&mut inner.pool, first_page)
-            // lint: allow(expect) — `on_disk` was asserted above: the chunk's
-            // serialized form reached this pool and pages are never reused.
-            .expect("a spilled chunk is always readable from its own pool");
-        let cold = inner.pool.stats().reads - before;
-        inner.cold_fetches += 1;
-        inner.cold_page_reads += cold;
-        inner.pin_chunk(id, self.pin_budget);
-        (Arc::new(ds), cold)
+        let (rows, _, cold) = self.read_rows(id, |shape| 0..shape.records);
+        (rows, cold)
+    }
+
+    fn fetch_rows(&self, id: ChunkId, rows: Window) -> (Arc<Dataset>, Time, u64) {
+        self.read_rows(id, |_| rows.start() as usize..rows.end() as usize + 1)
     }
 
     fn stats(&self) -> StorageStats {
@@ -415,18 +416,42 @@ mod tests {
     }
 
     #[test]
-    fn cold_fetch_reports_page_reads_and_pinning_warms_repeats() {
-        let storage = PagedStorage::create(tmp("pin.db"), 16, 1).expect("create");
+    fn cold_fetch_reports_page_reads_and_the_lru_warms_repeats() {
+        let storage = PagedStorage::create(tmp("lru.db"), 16, 1).expect("create");
         let a = storage.store(chunk(7, 800));
         storage.store(chunk(8, 800)); // spills `a`
                                       // Drop the page cache so the fault is genuinely cold.
         lock(&storage.inner).pool.clear_cache().expect("clear");
         let (_, cold_first) = storage.fetch(a);
         assert!(cold_first > 0, "a spilled chunk must fault pages in");
-        // The faulted chunk's pages are pinned: an immediate repeat needs
-        // no (or strictly fewer) physical reads.
+        // The faulted pages stay in the pool's frames: an immediate repeat
+        // needs no physical reads.
         let (_, cold_again) = storage.fetch(a);
-        assert!(cold_again < cold_first, "pinned pages must serve the repeat warm");
+        assert_eq!(cold_again, 0, "cached pages must serve the repeat warm");
+    }
+
+    #[test]
+    fn row_fetches_read_only_the_pages_holding_the_rows() {
+        let storage = PagedStorage::create(tmp("rows.db"), 16, 1).expect("create");
+        // 2 000 two-attribute rows: 4 pages of attributes after the header.
+        let original = chunk(3, 2_000);
+        let a = storage.store(Arc::clone(&original));
+        let newest = chunk(4, 10);
+        let b = storage.store(Arc::clone(&newest)); // spills `a`
+        lock(&storage.inner).pool.clear_cache().expect("clear");
+        let (rows, first, cold) = storage.fetch_rows(a, Window::new(1_000, 1_009));
+        assert_eq!((first, rows.len()), (1_000, 10));
+        assert_eq!(rows.raw_attrs(), &original.raw_attrs()[2_000..2_020]);
+        assert_eq!(cold, 1, "ten rows inside one page fault that page alone");
+        let (_, whole) = storage.fetch(a);
+        assert!(whole > cold, "the whole chunk spans more pages: {whole}");
+        // Resident chunks come back whole, shared, from row 0.
+        let (rows, first, cold) = storage.fetch_rows(b, Window::new(2, 3));
+        assert!(Arc::ptr_eq(&rows, &newest) && first == 0 && cold == 0);
+        let memory = MemoryStorage::new();
+        let id = memory.store(Arc::clone(&original));
+        let (rows, first, _) = memory.fetch_rows(id, Window::new(5, 6));
+        assert!(Arc::ptr_eq(&rows, &original) && first == 0);
     }
 
     #[test]

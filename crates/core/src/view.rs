@@ -8,7 +8,7 @@
 use crate::oracle::{Rows, TopKOracle};
 use durable_topk_index::{
     top_k_over, AppendableTopKIndex, DurableSkybandIndex, OracleScorer, OracleScratch, Part,
-    SkybandCandidates, SkylineSegTree, TopKResult,
+    SkybandCandidates, SkylineSegTree, TopKResult, TreeRows,
 };
 use durable_topk_temporal::{Dataset, RecordId, Time, Window};
 
@@ -18,7 +18,8 @@ pub(crate) struct View<'a> {
     /// Global id of the view's record 0.
     base: Time,
     len: usize,
-    /// Row sources in time order: global id of row 0, and the rows.
+    /// Row sources in time order: global id of row 0, and the rows. They
+    /// cover every record a search of the view or an algorithm reads.
     chunks: Vec<(Time, &'a Dataset)>,
     /// Every tree over the chunks, in view ids.
     parts: Vec<Part<'a>>,
@@ -37,11 +38,12 @@ impl<'a> View<'a> {
         Self { base, len, chunks: Vec::new(), parts: Vec::new(), skyband: None, forest: None }
     }
 
-    /// Adds a sealed shard's rows, whose row 0 is global record `lo`.
+    /// Adds a sealed shard whose record 0 is global record `lo`, with
+    /// the rows of it the view reads.
     pub(crate) fn add_sealed(
         &mut self,
         lo: Time,
-        rows: &'a Dataset,
+        rows: TreeRows<'a>,
         tree: &'a SkylineSegTree,
         skyband: Option<&'a DurableSkybandIndex>,
     ) {
@@ -56,19 +58,19 @@ impl<'a> View<'a> {
         forest: &'a AppendableTopKIndex,
     ) {
         let skyband = forest.skyband().map(|s| s as &dyn SkybandCandidates);
-        self.add(lo, rows, forest.trees(), skyband);
+        self.add(lo, rows.into(), forest.trees(), skyband);
         self.forest = Some((i64::from(lo) - i64::from(self.base), forest));
     }
 
     fn add(
         &mut self,
         lo: Time,
-        rows: &'a Dataset,
+        rows: TreeRows<'a>,
         trees: impl IntoIterator<Item = &'a SkylineSegTree>,
         skyband: Option<&'a dyn SkybandCandidates>,
     ) {
         let offset = i64::from(lo) - i64::from(self.base);
-        self.chunks.push((lo, rows));
+        self.chunks.push((lo + rows.first, rows.rows));
         self.parts.extend(trees.into_iter().map(|tree| Part { tree, rows, offset }));
         self.skyband =
             skyband.map(|inner| ViewSkyband { inner, shift: i64::from(inner.base()) - offset });

@@ -195,7 +195,7 @@ impl AppendableTopKIndex {
     ) {
         assert!(!self.trees.is_empty(), "cannot query an empty index");
         self.counters.bump_queries();
-        let part = |i: usize| Part { tree: &self.trees[i], rows: ds, offset: 0 };
+        let part = |i: usize| Part { tree: &self.trees[i], rows: ds.into(), offset: 0 };
         top_k_over(self.trees.len(), part, scorer, k, w, scratch, out);
     }
 

@@ -34,7 +34,8 @@ pub use blocking::BlockingSet;
 pub use forest::AppendableTopKIndex;
 pub use segtree::{
     scan_top_k, scan_top_k_into, structural_fingerprint, top_k_over, NodeSummary, OracleScorer,
-    OracleScratch, OrdF64, Part, QueryCounters, SkylineSegTree, TopKResult, DEFAULT_LEAF_SIZE,
+    OracleScratch, OrdF64, Part, QueryCounters, SkylineSegTree, TopKResult, TreeRows,
+    DEFAULT_LEAF_SIZE,
 };
 pub use skyband_index::{DurableSkybandIndex, IncrementalSkybandIndex, SkybandCandidates};
 pub use sliding::SkybandBuffer;

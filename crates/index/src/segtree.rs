@@ -106,8 +106,9 @@ impl NodeSummary {
 /// The bound must be *admissible*: `node_bound(..) >= max_{p in node} f(p)`.
 /// Tighter bounds only improve pruning; correctness never depends on them.
 pub trait OracleScorer: Scorer {
-    /// An upper bound on the score of any record summarized by `node`.
-    fn node_bound(&self, ds: &Dataset, node: &NodeSummary) -> f64;
+    /// An upper bound on the score of any record summarized by `node`;
+    /// `rows` holds at least the node's skyline records.
+    fn node_bound(&self, rows: TreeRows<'_>, node: &NodeSummary) -> f64;
 
     /// A structural fingerprint of the scoring function, or `None` when it
     /// has no canonical structure (opaque custom scorers).
@@ -162,17 +163,17 @@ mod fingerprint_tag {
 
 /// Exact bound for monotone scorers: the max score over the node is attained
 /// on the skyline.
-fn skyline_bound<S: Scorer>(scorer: &S, ds: &Dataset, node: &NodeSummary) -> f64 {
+fn skyline_bound<S: Scorer>(scorer: &S, rows: TreeRows<'_>, node: &NodeSummary) -> f64 {
     let mut best = f64::NEG_INFINITY;
     for &id in &node.skyline {
-        best = best.max(scorer.score(ds.row(id)));
+        best = best.max(scorer.score(rows.row(id)));
     }
     best
 }
 
 impl OracleScorer for LinearScorer {
-    fn node_bound(&self, ds: &Dataset, node: &NodeSummary) -> f64 {
-        skyline_bound(self, ds, node)
+    fn node_bound(&self, rows: TreeRows<'_>, node: &NodeSummary) -> f64 {
+        skyline_bound(self, rows, node)
     }
 
     fn fingerprint(&self) -> Option<u64> {
@@ -184,8 +185,8 @@ impl OracleScorer for LinearScorer {
 }
 
 impl OracleScorer for MonotoneCombinationScorer {
-    fn node_bound(&self, ds: &Dataset, node: &NodeSummary) -> f64 {
-        skyline_bound(self, ds, node)
+    fn node_bound(&self, rows: TreeRows<'_>, node: &NodeSummary) -> f64 {
+        skyline_bound(self, rows, node)
     }
 
     fn fingerprint(&self) -> Option<u64> {
@@ -201,8 +202,8 @@ impl OracleScorer for MonotoneCombinationScorer {
 }
 
 impl OracleScorer for SingleAttributeScorer {
-    fn node_bound(&self, ds: &Dataset, node: &NodeSummary) -> f64 {
-        skyline_bound(self, ds, node)
+    fn node_bound(&self, rows: TreeRows<'_>, node: &NodeSummary) -> f64 {
+        skyline_bound(self, rows, node)
     }
 
     fn fingerprint(&self) -> Option<u64> {
@@ -213,7 +214,7 @@ impl OracleScorer for SingleAttributeScorer {
 impl OracleScorer for CosineScorer {
     /// Admissible bounding-box bound: `u·p` is bounded coordinate-wise by
     /// the node box, `|p|` by the node's norm range. Cosine is capped at 1.
-    fn node_bound(&self, _ds: &Dataset, node: &NodeSummary) -> f64 {
+    fn node_bound(&self, _rows: TreeRows<'_>, node: &NodeSummary) -> f64 {
         let mut num = 0.0;
         for (j, &w) in self.weights().iter().enumerate() {
             num += if w >= 0.0 { w * node.dim_max[j] } else { w * node.dim_min[j] };
@@ -758,6 +759,24 @@ impl SkylineSegTree {
         Window::new(root.lo, root.hi)
     }
 
+    /// The union of the leaves `w` touches, within the coverage (`None`
+    /// when `w` misses the tree): every row a search over a window inside
+    /// `w` reads. Such a search scans leaves only inside the window and
+    /// bounds only nodes inside it, save a leaf straddling an edge, which
+    /// it bounds by the whole leaf's skyline.
+    pub fn leaf_span(&self, w: Window) -> Option<Window> {
+        let w = self.coverage().intersect(w)?;
+        let leaf = |t: Time| {
+            let mut node = &self.nodes[ROOT as usize];
+            while node.left >= 0 {
+                let left = &self.nodes[node.left as usize];
+                node = if t <= left.hi { left } else { &self.nodes[node.right as usize] };
+            }
+            node
+        };
+        Some(Window::new(leaf(w.start()).lo, leaf(w.end()).hi))
+    }
+
     /// Instrumentation counters.
     pub fn counters(&self) -> &QueryCounters {
         &self.counters
@@ -818,19 +837,53 @@ impl SkylineSegTree {
         scratch: &mut OracleScratch,
         out: &mut TopKResult,
     ) {
-        let part = Part { tree: self, rows: ds, offset: 0 };
+        let part = Part { tree: self, rows: ds.into(), offset: 0 };
         top_k_over(1, |_| part, scorer, k, w, scratch, out);
     }
 }
 
-/// One tree of a [`top_k_over`] search: the tree, the rows it was built
-/// over, and where its records sit among the caller's ids.
+/// The rows a tree's ids read from: `rows` holds tree ids `first..`, a run
+/// of the dataset the tree was built over — all of it (`first` 0), or the
+/// rows a range fetch brought in.
+#[derive(Debug, Clone, Copy)]
+pub struct TreeRows<'a> {
+    /// The rows, tree id `first` at row 0.
+    pub rows: &'a Dataset,
+    /// Tree id of `rows`' row 0.
+    pub first: Time,
+}
+
+impl<'a> TreeRows<'a> {
+    /// Tree record `id`'s attribute row.
+    #[inline]
+    pub fn row(&self, id: RecordId) -> &'a [f64] {
+        self.rows.row(id - self.first)
+    }
+
+    /// Tree records `lo..=hi`'s rows, back to back.
+    #[inline]
+    fn run(&self, lo: Time, hi: Time) -> &'a [f64] {
+        let dim = self.rows.dim();
+        &self.rows.raw_attrs()
+            [(lo - self.first) as usize * dim..(hi - self.first + 1) as usize * dim]
+    }
+}
+
+impl<'a> From<&'a Dataset> for TreeRows<'a> {
+    fn from(rows: &'a Dataset) -> Self {
+        Self { rows, first: 0 }
+    }
+}
+
+/// One tree of a [`top_k_over`] search: the tree, the rows it reads, and
+/// where its records sit among the caller's ids.
 #[derive(Debug, Clone, Copy)]
 pub struct Part<'a> {
     /// The tree searched.
     pub tree: &'a SkylineSegTree,
-    /// The dataset the tree was built over.
-    pub rows: &'a Dataset,
+    /// Rows of the dataset the tree was built over: at least those of
+    /// [`leaf_span`](SkylineSegTree::leaf_span) over the searched window.
+    pub rows: TreeRows<'a>,
     /// The caller's id of the tree's record 0: the search reads windows
     /// and reports records as tree ids plus `offset`. Negative when the
     /// tree starts before the caller's first id.
@@ -939,8 +992,8 @@ pub fn top_k_over<'a, S: OracleScorer + ?Sized>(
         if node.left < 0 {
             // Leaf: score records in [lo, hi].
             state.scanned += u64::from(hi - lo) + 1;
-            for id in lo..=hi {
-                let s = scorer.score(rows.row(id));
+            for (id, row) in (lo..=hi).zip(rows.run(lo, hi).chunks_exact(rows.rows.dim())) {
+                let s = scorer.score(row);
                 if s >= running_kth(best_k) {
                     candidates.push(((i64::from(id) + offset) as RecordId, s));
                     best_k.push(Reverse(OrdF64(s)));
@@ -1241,7 +1294,7 @@ mod tests {
             // The caller's id 0 is global record `base`.
             let base = n * base_frac / 100;
             let offset = |i: usize| i64::from(pieces[i].0) - i64::from(base);
-            let part = |i: usize| Part { tree: &trees[i], rows: &chunks[i], offset: offset(i) };
+            let part = |i: usize| Part { tree: &trees[i], rows: (&chunks[i]).into(), offset: offset(i) };
             let (linear, cosine) =
                 (LinearScorer::new(vec![0.5, 0.2, 0.3]), CosineScorer::new(vec![1.0, -0.6, 0.4]));
             let (mut scratch, mut out) = (OracleScratch::new(), TopKResult::empty());
@@ -1257,6 +1310,35 @@ mod tests {
                 prop_assert_eq!(&out, &scan(&linear));
                 top_k_over(trees.len(), part, &cosine, k, w, &mut scratch, &mut out);
                 prop_assert_eq!(&out, &scan(&cosine));
+            }
+        }
+
+        /// A search given only the rows of the leaves a window touches
+        /// answers exactly like one given every row: straddled leaves are
+        /// bounded by their own skylines, and nothing outside them is read.
+        #[test]
+        fn a_search_reads_only_the_leaves_its_window_touches(
+            rows in prop::collection::vec(prop::collection::vec(0u32..10, 3), 1..260),
+            leaf_size in 1usize..10,
+            probes in prop::collection::vec((1usize..7, 0u32..260, 0u32..260), 6..16),
+        ) {
+            let (n, ds) = (rows.len() as Time, rows3(&rows));
+            let tree = SkylineSegTree::with_leaf_size(&ds, leaf_size);
+            let (linear, cosine) =
+                (LinearScorer::new(vec![0.5, 0.2, 0.3]), CosineScorer::new(vec![1.0, -0.6, 0.4]));
+            for (k, a, b) in probes {
+                let w = Window::new((a % n).min(b % n), (a % n).max(b % n));
+                let span = tree.leaf_span(w).expect("w lies in the tree");
+                prop_assert!(span.contains_window(w));
+                let slack = 2 * (leaf_size as Time - 1);
+                prop_assert!(span.end() - span.start() <= w.end() - w.start() + slack, "{:?} ⊄ leaves of {:?}", span, w);
+                let leaves = rows3(&rows[span.start() as usize..=span.end() as usize]);
+                let part = Part { tree: &tree, rows: TreeRows { rows: &leaves, first: span.start() }, offset: 0 };
+                let (mut scratch, mut out) = (OracleScratch::new(), TopKResult::empty());
+                top_k_over(1, |_| part, &linear, k, w, &mut scratch, &mut out);
+                prop_assert_eq!(&out, &tree.top_k(&ds, &linear, k, w));
+                top_k_over(1, |_| part, &cosine, k, w, &mut scratch, &mut out);
+                prop_assert_eq!(&out, &tree.top_k(&ds, &cosine, k, w));
             }
         }
     }

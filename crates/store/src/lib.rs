@@ -24,8 +24,8 @@
 //!
 //! Since PR 6 the same pager also backs the core crate's tiered shard
 //! storage: [`chunk`] serializes sealed record chunks page-aligned (bit
-//! identical on reload), and the pool's pinning API keeps a faulted
-//! chunk's pages warm against eviction.
+//! identical on reload), and reads any run of a chunk's rows back through
+//! the pages holding them alone ([`read_chunk_rows`]).
 
 #![warn(missing_docs)]
 
@@ -36,7 +36,9 @@ pub mod procedures;
 pub mod relation;
 pub mod table;
 
-pub use chunk::{chunk_page_len, read_chunk, write_chunk};
+pub use chunk::{
+    chunk_page_len, read_chunk, read_chunk_rows, write_chunk, ChunkRowBytes, ChunkShape,
+};
 pub use pager::{BufferPool, IoStats, PAGE_SIZE};
 pub use procedures::{t_base_proc, t_hop_proc, ProcStats};
 pub use relation::RelStore;

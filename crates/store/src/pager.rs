@@ -115,9 +115,9 @@ impl BufferPool {
     /// frame is exempt from LRU eviction until [`unpin`](BufferPool::unpin)
     /// (or [`clear_cache`](BufferPool::clear_cache)) releases it.
     ///
-    /// Callers keeping a working set warm (e.g. a spilled chunk that a
-    /// query just faulted back in) pin well below the pool capacity;
-    /// requesting a new page while every frame is pinned is an error.
+    /// Callers keeping a working set warm pin well below the pool
+    /// capacity; requesting a new page while every frame is pinned is an
+    /// error.
     pub fn pin(&mut self, page: PageId) -> io::Result<()> {
         let idx = self.frame_for(page)?;
         self.frames[idx].pinned = true;
@@ -146,25 +146,18 @@ impl BufferPool {
             return Ok(idx);
         }
         self.stats.misses += 1;
-        // Load (zero-filled past EOF so fresh pages need no prior write).
-        let mut data = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        let offset = page * PAGE_SIZE as u64;
-        let file_len = self.len_pages * PAGE_SIZE as u64;
-        if offset < file_len {
-            self.stats.reads += 1;
-            read_full_at(&self.file, &mut data, offset)?;
-        }
         let idx = if self.frames.len() < self.capacity {
             self.frames.push(Frame {
                 page,
-                data,
+                data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
                 last_used: self.tick,
                 dirty: false,
                 pinned: false,
             });
             self.frames.len() - 1
         } else {
-            // Evict the least-recently-used unpinned frame.
+            // Evict the least-recently-used unpinned frame; the new page
+            // is loaded into its buffer.
             let idx = self
                 .frames
                 .iter()
@@ -182,11 +175,26 @@ impl BufferPool {
             }
             self.map.remove(&old.page);
             old.page = page;
-            old.data = data;
             old.last_used = self.tick;
             old.dirty = false;
             idx
         };
+        // Load (zero-filled past EOF so fresh pages need no prior write).
+        let data = &mut self.frames[idx].data;
+        let offset = page * PAGE_SIZE as u64;
+        if page < self.len_pages {
+            self.stats.reads += 1;
+            if let Err(e) = read_full_at(&self.file, data, offset) {
+                // The frame holds no page now; leave it to the next miss.
+                self.frames.swap_remove(idx);
+                if let Some(moved) = self.frames.get(idx) {
+                    self.map.insert(moved.page, idx);
+                }
+                return Err(e);
+            }
+        } else {
+            data.fill(0);
+        }
         self.map.insert(page, idx);
         self.len_pages = self.len_pages.max(page + 1);
         Ok(idx)
@@ -259,16 +267,19 @@ impl Drop for BufferPool {
     }
 }
 
+/// Fills `buf` from `offset`, reading until EOF; whatever lies past EOF
+/// reads as zeros (fresh page semantics).
 fn read_full_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    // Past-EOF tails read as zeros (fresh page semantics).
-    let len = file.metadata()?.len();
-    if offset >= len {
-        buf.fill(0);
-        return Ok(());
+    let mut done = 0;
+    while done < buf.len() {
+        match file.read_at(&mut buf[done..], offset + done as u64) {
+            Ok(0) => break,
+            Ok(n) => done += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let avail = ((len - offset) as usize).min(buf.len());
-    file.read_exact_at(&mut buf[..avail], offset)?;
-    buf[avail..].fill(0);
+    buf[done..].fill(0);
     Ok(())
 }
 

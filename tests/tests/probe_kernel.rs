@@ -14,6 +14,7 @@
 use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine, QueryStats};
 use durable_topk_index::{
     AppendableTopKIndex, NodeSummary, OracleScorer, OracleScratch, SkylineSegTree, TopKResult,
+    TreeRows,
 };
 use durable_topk_temporal::{CosineScorer, Dataset, LinearScorer, Scorer, Time, Window};
 use proptest::prelude::*;
@@ -32,8 +33,8 @@ impl Scorer for Opaque {
 }
 
 impl OracleScorer for Opaque {
-    fn node_bound(&self, ds: &Dataset, node: &NodeSummary) -> f64 {
-        self.0.node_bound(ds, node)
+    fn node_bound(&self, rows: TreeRows<'_>, node: &NodeSummary) -> f64 {
+        self.0.node_bound(rows, node)
     }
 }
 

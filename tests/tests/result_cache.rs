@@ -11,7 +11,7 @@ use durable_topk::{
     Algorithm, Backpressure, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer,
     PagedStorage, Scorer, ScorerSpec, ServeEngine, ServeRequest, Window,
 };
-use durable_topk_index::{NodeSummary, OracleScorer};
+use durable_topk_index::{NodeSummary, OracleScorer, TreeRows};
 use durable_topk_temporal::Dataset;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -49,8 +49,8 @@ impl Scorer for OpaqueScorer {
 }
 
 impl OracleScorer for OpaqueScorer {
-    fn node_bound(&self, ds: &Dataset, node: &NodeSummary) -> f64 {
-        self.0.node_bound(ds, node)
+    fn node_bound(&self, rows: TreeRows<'_>, node: &NodeSummary) -> f64 {
+        self.0.node_bound(rows, node)
     }
     // fingerprint() deliberately left at the default `None`.
 }

@@ -20,7 +20,7 @@ use durable_topk::{
     Algorithm, Backpressure, Dataset, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer,
     OracleScorer, Scorer, ScorerSpec, ServeEngine, ServeError, ServeRequest, Window, WorkerPool,
 };
-use durable_topk_index::NodeSummary;
+use durable_topk_index::{NodeSummary, TreeRows};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -217,7 +217,7 @@ impl Scorer for ExplodingScorer {
 }
 
 impl OracleScorer for ExplodingScorer {
-    fn node_bound(&self, _ds: &Dataset, _node: &NodeSummary) -> f64 {
+    fn node_bound(&self, _rows: TreeRows<'_>, _node: &NodeSummary) -> f64 {
         f64::INFINITY
     }
 }

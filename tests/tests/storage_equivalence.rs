@@ -8,11 +8,16 @@
 //! with `τ` anywhere from 1 to the whole history — windows reaching back
 //! into spilled predecessors fault them in — across at least two spills
 //! (`spill_after = 1` keeps only the newest sealed chunk resident).
+//!
+//! A spilled chunk is read by the rows a piece can touch, aligned to the
+//! leaves of its tree; with four-record leaves the window and `τ` edges
+//! land mid-leaf, and the answers must not notice.
 
 use durable_topk::{
     Algorithm, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer, PagedStorage,
-    ShardedEngine, Window,
+    QueryContext, ShardedEngine, TopKResult, Window,
 };
+use durable_topk_store::PAGE_SIZE;
 use durable_topk_temporal::Dataset;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -160,4 +165,87 @@ proptest! {
             );
         }
     }
+
+    /// With leaf size 4, windows and `τ` reaching into spilled chunks cut
+    /// leaves in two: every algorithm and the building-block `top_k_into`
+    /// still answer exactly as over memory.
+    #[test]
+    fn mid_leaf_edges_over_spilled_chunks_match_memory(
+        rows in prop::collection::vec(prop::collection::vec(0u32..8, 2), 60..160),
+        max_tau in 1u32..24,
+        probes in prop::collection::vec((1usize..5, 1u32..200, 0u32..200, 0u32..200), 8..16),
+    ) {
+        let ds = Dataset::from_rows(
+            2,
+            rows.into_iter().map(|r| r.into_iter().map(f64::from).collect::<Vec<_>>()),
+        );
+        let n = ds.len() as u32;
+        let cfg = EngineConfig::new(2, (n as usize / 6).max(1), max_tau).skyband_bound(4).leaf_size(4);
+        let mut memory = cfg.clone().build().expect("memory config");
+        let paged = Arc::new(PagedStorage::with_temp_file(1).expect("temp-file backend"));
+        let mut spilled = cfg.storage(paged).build().expect("paged config");
+        for id in 0..n {
+            memory.append(ds.row(id));
+            spilled.append(ds.row(id));
+        }
+        let scorer = LinearScorer::new(vec![0.3, 0.7]);
+        let (mut ctx, mut got, mut want) = (QueryContext::new(), TopKResult::empty(), TopKResult::empty());
+        for (k, tau, a, b) in probes {
+            let (a, b) = (a % n, b % n);
+            let interval = Window::new(a.min(b), a.max(b));
+            let q = DurableQuery { k, tau, interval };
+            for alg in Algorithm::ALL {
+                prop_assert_eq!(
+                    &spilled.query(alg, &scorer, &q).records,
+                    &memory.query(alg, &scorer, &q).records,
+                    "alg={} q={:?}", alg, q
+                );
+            }
+            spilled.top_k_into(&scorer, k, interval, &mut ctx, &mut got);
+            memory.top_k_into(&scorer, k, interval, &mut ctx, &mut want);
+            prop_assert_eq!(&got, &want, "top_k_into k={} w={:?}", k, interval);
+        }
+        prop_assert!(spilled.storage().stats().cold_fetches > 0, "spilled chunks must be read");
+    }
+}
+
+/// A narrow query over one spilled shard faults in only the pages its
+/// leaf-aligned rows span, not the chunk.
+#[test]
+fn narrow_query_over_a_spilled_shard_reads_only_its_leaves_pages() {
+    const SPAN: u32 = 4_096;
+    // Four frames: writing later chunks evicts the first one's pages, so
+    // the query below finds them cold.
+    let paged = Arc::new(
+        PagedStorage::create(
+            std::env::temp_dir().join(format!("durable-topk-narrow-{}.db", std::process::id())),
+            4,
+            1,
+        )
+        .expect("paged backend"),
+    );
+    let mut engine = EngineConfig::new(2, SPAN as usize, 64)
+        .leaf_size(4)
+        .storage(paged)
+        .build()
+        .expect("config");
+    for id in 0..3 * SPAN {
+        let x = f64::from((id * 37) % 101);
+        engine.append(&[x, 100.0 - x]);
+    }
+    assert!(engine.storage().stats().spilled_chunks >= 2);
+    let (tau, interval) = (5, Window::new(1_000, 1_010));
+    let q = DurableQuery { k: 3, tau, interval };
+    let got = engine.query(Algorithm::THop, &LinearScorer::new(vec![0.5, 0.5]), &q);
+    // Sealed leaves hold at most two records, so the leaf-aligned rows lie
+    // within one record of [start − τ, end]; rows are 16 bytes after a
+    // 32-byte header.
+    let byte = |row: u32| 32 + 16 * row as usize;
+    let (lo, hi) = (interval.start() - tau - 1, interval.end() + 1);
+    let spanned = ((byte(hi + 1) - 1) / PAGE_SIZE - byte(lo) / PAGE_SIZE + 1) as u64;
+    let hits = got.stats.cold_page_hits;
+    assert!(hits > 0, "the shard is spilled, its pages must be faulted in");
+    assert!(hits <= spanned, "{hits} cold pages for rows spanning {spanned}");
+    let whole = byte(SPAN).div_ceil(PAGE_SIZE) as u64;
+    assert!(hits < whole, "a whole-chunk read costs {whole} pages");
 }
