@@ -8,9 +8,11 @@
 //! through the persistent worker pool on a sealed engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use durable_topk::algorithms::t_hop;
 use durable_topk::{
     Algorithm, Dataset, DurableQuery, EngineConfig, LinearScorer, Window, WorkerPool,
 };
+use durable_topk_index::SkylineSegTree;
 use durable_topk_workloads::ind;
 
 const N: usize = 20_000;
@@ -82,13 +84,12 @@ fn bench(c: &mut Criterion) {
     });
 
     // Batch fan-out through the pool (was: scoped spawns per batch).
-    let engine = durable_topk::DurableTopKEngine::new(ds.clone());
+    let tree = SkylineSegTree::build(&ds);
     let scorers: Vec<LinearScorer> =
         (1..=8).map(|i| LinearScorer::new(vec![i as f64, (9 - i) as f64])).collect();
     g.bench_function("batch_run_8_scorers", |b| {
         b.iter(|| {
-            let job =
-                |i: usize, ctx: &mut _| engine.query_with(Algorithm::THop, &scorers[i], &q, ctx);
+            let job = |i: usize, ctx: &mut _| t_hop(&ds, &tree, &scorers[i], &q, ctx);
             WorkerPool::global().run_jobs(scorers.len(), 4, job).len()
         })
     });

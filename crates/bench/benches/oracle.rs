@@ -16,15 +16,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use durable_topk::{
-    DurableTopKEngine, LinearScorer, OracleScorer, OracleScratch, ScanOracle, TopKOracle,
-    TopKResult, Window,
+    LinearScorer, OracleScorer, OracleScratch, ScanOracle, TopKOracle, TopKResult, Window,
 };
+use durable_topk_index::SkylineSegTree;
 use durable_topk_workloads::ind;
 
 fn bench(c: &mut Criterion) {
     let n = 100_000u32;
-    let engine = DurableTopKEngine::new(ind(n as usize, 2, 42));
-    let (ds, seg) = (engine.dataset(), engine.oracle());
+    let ds = &ind(n as usize, 2, 42);
+    let seg = SkylineSegTree::build(ds);
     let scan = ScanOracle::new();
     let scorer = LinearScorer::uniform(2);
     let mut scratch = OracleScratch::new();

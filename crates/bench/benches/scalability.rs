@@ -1,8 +1,8 @@
 //! Criterion micro-bench for the Fig. 12 family: input-size scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use durable_topk::{Algorithm, DurableTopKEngine, LinearScorer};
-use durable_topk_bench::default_query;
+use durable_topk::{Algorithm, LinearScorer};
+use durable_topk_bench::{default_query, one_shard};
 use durable_topk_workloads::{anti, ind};
 
 fn bench(c: &mut Criterion) {
@@ -11,7 +11,7 @@ fn bench(c: &mut Criterion) {
     for n in [10_000usize, 40_000, 160_000] {
         for dist in ["IND", "ANTI"] {
             let ds = if dist == "IND" { ind(n, 2, 42) } else { anti(n, 42) };
-            let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+            let engine = one_shard(&ds, Some(16));
             let scorer = LinearScorer::uniform(2);
             let q = default_query(n);
             for alg in [Algorithm::THop, Algorithm::SHop] {

@@ -1,8 +1,8 @@
 //! Criterion micro-bench for the Fig. 11 family: dimensionality impact.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use durable_topk::{Algorithm, DurableTopKEngine, LinearScorer};
-use durable_topk_bench::default_query;
+use durable_topk::{Algorithm, LinearScorer};
+use durable_topk_bench::{default_query, one_shard};
 use durable_topk_workloads::network_like;
 
 fn bench(c: &mut Criterion) {
@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
     for d in [2usize, 10, 30] {
         let cols: Vec<usize> = (0..d).collect();
         let ds = base.project(&cols);
-        let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+        let engine = one_shard(&ds, Some(16));
         let scorer = LinearScorer::uniform(d);
         let q = default_query(n);
         for alg in [Algorithm::THop, Algorithm::SBand, Algorithm::SHop] {

@@ -1,14 +1,14 @@
 //! Criterion micro-bench for the Fig. 10 family: query time as |I| varies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use durable_topk::{Algorithm, DurableTopKEngine, LinearScorer};
-use durable_topk_bench::query_pct;
+use durable_topk::{Algorithm, LinearScorer};
+use durable_topk_bench::{one_shard, query_pct};
 use durable_topk_workloads::network_like;
 
 fn bench(c: &mut Criterion) {
     let n = 40_000;
     let ds = network_like(n, 42).project(&[0, 1]);
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+    let engine = one_shard(&ds, Some(16));
     let scorer = LinearScorer::new(vec![0.5, 0.5]);
     let mut g = c.benchmark_group("vary_interval_network2");
     g.sample_size(10);

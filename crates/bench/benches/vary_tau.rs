@@ -1,14 +1,14 @@
 //! Criterion micro-bench for the Fig. 8 family: query time as τ varies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use durable_topk::{Algorithm, DurableTopKEngine, LinearScorer};
-use durable_topk_bench::query_pct;
+use durable_topk::{Algorithm, LinearScorer};
+use durable_topk_bench::{one_shard, query_pct};
 use durable_topk_workloads::{nba_attribute, nba_like};
 
 fn bench(c: &mut Criterion) {
     let n = 30_000;
     let ds = nba_like(n, 42).project(&[nba_attribute("points"), nba_attribute("assists")]);
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+    let engine = one_shard(&ds, Some(16));
     let scorer = LinearScorer::new(vec![0.6, 0.4]);
     let mut g = c.benchmark_group("vary_tau_nba2");
     g.sample_size(10);

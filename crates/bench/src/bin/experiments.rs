@@ -8,11 +8,15 @@
 //! `--scale` multiplies them. Numbers are means over `--reps` random
 //! preference vectors, as the paper averages over 100 vectors.
 
+use durable_topk::algorithms::{s_hop, t_hop, RefillMode};
 use durable_topk::{
-    alternatives, Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, ScanOracle,
+    alternatives, Algorithm, DurableQuery, LinearScorer, QueryContext, ScanOracle, ShardedEngine,
     SingleAttributeScorer, SkybandCandidates, Window,
 };
-use durable_topk_bench::{default_query, mean_std, measure, pm, query_pct, Config, TablePrinter};
+use durable_topk_bench::{
+    default_query, mean_std, measure, measure_by, one_shard, pm, query_pct, Config, TablePrinter,
+};
+use durable_topk_index::{DurableSkybandIndex, SkylineSegTree};
 use durable_topk_store::{t_base_proc, t_hop_proc, RelStore};
 use durable_topk_temporal::{Dataset, DatasetStats, Time};
 use durable_topk_workloads::{
@@ -115,7 +119,9 @@ fn fig1(cfg: &Config) {
     banner("Fig 1: durable vs tumbling vs sliding (NBA-like rebounds, k=1)");
     let ds = nba_x(cfg, 40_000, &["rebounds"]);
     let n = ds.len();
-    let engine = DurableTopKEngine::new(ds);
+    let engine = one_shard(&ds, None);
+    // The alternatives probe one tree over the whole dataset.
+    let tree = SkylineSegTree::build(&ds);
     let scorer = SingleAttributeScorer::new(0);
     // "5-year window over 36 years of history"; the query interval starts
     // one window-length in so every claim spans a full 5 years of history.
@@ -124,32 +130,9 @@ fn fig1(cfg: &Config) {
     let query = DurableQuery { k: 1, tau, interval };
 
     let durable = engine.query(Algorithm::THop, &scorer, &query);
-    let tumbling = alternatives::tumbling_topk(
-        engine.dataset(),
-        engine.oracle(),
-        &scorer,
-        1,
-        interval,
-        tau,
-        0,
-    );
-    let shifted = alternatives::tumbling_topk(
-        engine.dataset(),
-        engine.oracle(),
-        &scorer,
-        1,
-        interval,
-        tau,
-        tau / 2,
-    );
-    let sliding = alternatives::sliding_topk_union(
-        engine.dataset(),
-        engine.oracle(),
-        &scorer,
-        1,
-        interval,
-        tau,
-    );
+    let tumbling = alternatives::tumbling_topk(&ds, &tree, &scorer, 1, interval, tau, 0);
+    let shifted = alternatives::tumbling_topk(&ds, &tree, &scorer, 1, interval, tau, tau / 2);
+    let sliding = alternatives::sliding_topk_union(&ds, &tree, &scorer, 1, interval, tau);
     let tumbling_ids: Vec<u32> = tumbling.iter().flat_map(|(_, v)| v.clone()).collect();
     let shifted_ids: Vec<u32> = shifted.iter().flat_map(|(_, v)| v.clone()).collect();
     println!(
@@ -172,7 +155,7 @@ fn fig1(cfg: &Config) {
         let (dur, _) = engine.max_duration(&scorer, id, 1);
         println!(
             "  record t={id}: {} rebounds, durable over the tau={} window (max duration {})",
-            engine.dataset().value(id, 0),
+            ds.value(id, 0),
             tau,
             dur
         );
@@ -194,7 +177,7 @@ fn alg_suite() -> [Algorithm; 5] {
 
 fn sweep_table(
     title: &str,
-    engine: &DurableTopKEngine,
+    engine: &ShardedEngine,
     sweeps: &[(String, DurableQuery)],
     cfg: &Config,
 ) {
@@ -247,7 +230,7 @@ fn fig8(cfg: &Config) {
         ("Network-2", network_x(cfg, 200_000, 2)),
     ] {
         let n = ds.len();
-        let engine = DurableTopKEngine::new(ds).with_skyband_index(64);
+        let engine = one_shard(&ds, Some(64));
         let sweeps: Vec<(String, DurableQuery)> =
             [0.01, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.50]
                 .iter()
@@ -264,7 +247,7 @@ fn fig9(cfg: &Config) {
         ("Network-2", network_x(cfg, 200_000, 2)),
     ] {
         let n = ds.len();
-        let engine = DurableTopKEngine::new(ds).with_skyband_index(64);
+        let engine = one_shard(&ds, Some(64));
         let sweeps: Vec<(String, DurableQuery)> = (1..=10)
             .map(|m| {
                 let k = 5 * m;
@@ -282,7 +265,7 @@ fn fig10(cfg: &Config) {
         ("Network-2", network_x(cfg, 200_000, 2)),
     ] {
         let n = ds.len();
-        let engine = DurableTopKEngine::new(ds).with_skyband_index(64);
+        let engine = one_shard(&ds, Some(64));
         let sweeps: Vec<(String, DurableQuery)> = [0.10, 0.20, 0.30, 0.40, 0.50, 0.60, 0.70, 0.80]
             .iter()
             .map(|&p| (format!("|I|={:.0}%", p * 100.0), query_pct(n, 10, 0.10, p)))
@@ -303,7 +286,7 @@ fn fig11(cfg: &Config) {
         let ds = base.project(&cols);
         let n = ds.len();
         let build = Instant::now();
-        let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+        let engine = one_shard(&ds, Some(16));
         let build_s = build.elapsed().as_secs_f64();
         let q = default_query(n);
         let algs = [Algorithm::TBase, Algorithm::THop, Algorithm::SBand, Algorithm::SHop];
@@ -341,7 +324,7 @@ fn fig12(cfg: &Config) {
             let n = cfg.n(base);
             let ds = if dist == "IND" { ind(n, 2, cfg.seed) } else { anti(n, cfg.seed) };
             let build = Instant::now();
-            let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+            let engine = one_shard(&ds, Some(16));
             let build_s = build.elapsed().as_secs_f64();
             // The paper grows |I| proportionally with n (fixed percentage).
             let q = default_query(n);
@@ -386,7 +369,7 @@ fn fig13(cfg: &Config) {
         cols.truncate(5);
         let ds = full.project(&cols);
         let n = ds.len();
-        let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+        let engine = one_shard(&ds, Some(16));
         let q = default_query(n);
         for (alg, times) in &mut samples {
             let m = measure(&engine, *alg, &q, cfg);
@@ -539,7 +522,7 @@ fn lemma4(cfg: &Config) {
             let mut sizes = Vec::with_capacity(trials);
             for trial in 0..trials {
                 let ds = random_permutation_dataset(&values, cfg.seed + trial as u64);
-                let engine = DurableTopKEngine::new(ds);
+                let engine = one_shard(&ds, None);
                 let scorer = SingleAttributeScorer::new(0);
                 let r = engine.query(Algorithm::THop, &scorer, &q);
                 sizes.push(r.records.len() as f64);
@@ -573,10 +556,9 @@ fn lemma5(cfg: &Config) {
     for &d in &[2usize, 3, 4] {
         let n = cfg.n(30_000);
         let ds = ind(n, d, cfg.seed);
-        let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+        let idx = DurableSkybandIndex::build(&ds, 16);
         for &tau_pct in &[0.05f64, 0.10, 0.25] {
             let q = query_pct(n, 10, tau_pct, 0.50);
-            let idx = engine.skyband_index().expect("built");
             let c = idx.candidates(q.interval, q.tau, q.k).0.len() as f64;
             let base = q.k as f64 * q.interval.len() as f64 / q.tau as f64;
             let logs = (q.tau as f64).ln().powi(d as i32 - 1);
@@ -601,15 +583,18 @@ fn ablation(cfg: &Config) {
     let q = default_query(n);
     let mut t = TablePrinter::new(vec!["leaf", "T-Hop ms", "S-Hop ms"]);
     for leaf in [16usize, 64, 128, 512, 2048] {
-        let engine = DurableTopKEngine::with_leaf_size(ds.clone(), leaf);
-        let a = measure(&engine, Algorithm::THop, &q, cfg);
-        let b = measure(&engine, Algorithm::SHop, &q, cfg);
+        let tree = SkylineSegTree::with_leaf_size(&ds, leaf);
+        let mut ctx = QueryContext::new();
+        let a = measure_by(2, Algorithm::THop, cfg, |u| t_hop(&ds, &tree, u, &q, &mut ctx));
+        let b = measure_by(2, Algorithm::SHop, cfg, |u| {
+            s_hop(&ds, &tree, u, &q, RefillMode::TopK, &mut ctx)
+        });
         t.row(vec![format!("{leaf}"), pm(a.time_ms, a.time_std), pm(b.time_ms, b.time_std)]);
     }
     println!("{}", t.render());
 
     banner("Ablation B: S-Hop refill mode (Algorithm 3 vs footnote-5 top-1 variant)");
-    let engine = DurableTopKEngine::new(ds.clone());
+    let engine = one_shard(&ds, None);
     let mut t = TablePrinter::new(vec!["mode", "ms", "#topk", "#checks"]);
     for alg in [Algorithm::SHop, Algorithm::SHopTop1] {
         let m = measure(&engine, alg, &q, cfg);
@@ -626,7 +611,7 @@ fn ablation(cfg: &Config) {
     let small = nba_x(cfg, 20_000, &["points", "assists"]);
     let ns = small.len();
     let qs = default_query(ns);
-    let engine = DurableTopKEngine::new(small.clone());
+    let engine = one_shard(&small, None);
     let scan = ScanOracle::new();
     let vectors = preference_suite(2, cfg.reps, cfg.seed);
     let mut tree_ms = Vec::new();
@@ -637,13 +622,7 @@ fn ablation(cfg: &Config) {
         let a = engine.query(Algorithm::THop, &scorer, &qs);
         tree_ms.push(s.elapsed().as_secs_f64() * 1e3);
         let s = Instant::now();
-        let b = durable_topk::algorithms::t_hop(
-            &small,
-            &scan,
-            &scorer,
-            &qs,
-            &mut durable_topk::QueryContext::new(),
-        );
+        let b = t_hop(&small, &scan, &scorer, &qs, &mut QueryContext::new());
         scan_ms.push(s.elapsed().as_secs_f64() * 1e3);
         assert_eq!(a.records, b.records);
     }

@@ -7,9 +7,9 @@
 //! aligned text tables.
 
 use durable_topk::{
-    Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, QueryContext, Window,
+    Algorithm, DurableQuery, EngineConfig, LinearScorer, QueryResult, ShardedEngine, Window,
 };
-use durable_topk_temporal::Time;
+use durable_topk_temporal::{Dataset, Time};
 use durable_topk_workloads::preference_suite;
 use std::time::Instant;
 
@@ -65,27 +65,42 @@ pub struct Measurement {
     pub answer_size: f64,
 }
 
+/// The paper's single-index engine over `ds`: one shard owning every
+/// record, with the durable k-skyband for `k <= k_max` when given.
+pub fn one_shard(ds: &Dataset, k_max: Option<usize>) -> ShardedEngine {
+    let cfg = EngineConfig::new(ds.dim(), ds.len(), ds.len() as Time);
+    let cfg = if let Some(k_max) = k_max { cfg.skyband_bound(k_max) } else { cfg };
+    cfg.build_from(ds, 1).expect("a one-shard build")
+}
+
 /// Times `alg` on `engine` across the configured preference vectors.
 pub fn measure(
-    engine: &DurableTopKEngine,
+    engine: &ShardedEngine,
     alg: Algorithm,
     query: &DurableQuery,
     cfg: &Config,
 ) -> Measurement {
-    let d = engine.dataset().dim();
-    let vectors = preference_suite(d, cfg.reps, cfg.seed);
+    measure_by(engine.dim(), alg, cfg, |scorer| engine.query(alg, scorer, query))
+}
+
+/// Times `run`, which answers one query as `alg`, across the configured
+/// preference vectors over `dim` attributes.
+pub fn measure_by(
+    dim: usize,
+    alg: Algorithm,
+    cfg: &Config,
+    mut run: impl FnMut(&LinearScorer) -> QueryResult,
+) -> Measurement {
+    let vectors = preference_suite(dim, cfg.reps, cfg.seed);
     let mut times = Vec::with_capacity(vectors.len());
     let mut queries = Vec::with_capacity(vectors.len());
     let mut checks = Vec::with_capacity(vectors.len());
     let mut cands = Vec::with_capacity(vectors.len());
     let mut answers = Vec::with_capacity(vectors.len());
-    // One context for the whole measurement: the steady-state (allocation
-    // free) regime production callers see.
-    let mut ctx = QueryContext::new();
     for u in vectors {
         let scorer = LinearScorer::new(u);
         let start = Instant::now();
-        let result = engine.query_with(alg, &scorer, query, &mut ctx);
+        let result = run(&scorer);
         times.push(start.elapsed().as_secs_f64() * 1e3);
         queries.push(result.stats.topk_queries() as f64);
         checks.push(result.stats.durability_checks as f64);
@@ -177,7 +192,6 @@ pub fn pm(mean: f64, std: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use durable_topk_temporal::Dataset;
 
     #[test]
     fn mean_std_of_known_values() {
@@ -200,7 +214,7 @@ mod tests {
             2,
             (0..500).map(|i| [((i * 13) % 97) as f64, ((i * 29) % 89) as f64]),
         );
-        let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+        let engine = one_shard(&ds, Some(16));
         let cfg = Config { reps: 3, ..Default::default() };
         let q = default_query(500);
         let a = measure(&engine, Algorithm::THop, &q, &cfg);

@@ -16,9 +16,9 @@ use args::{
     StorageChoice,
 };
 use durable_topk::{
-    percentile, Algorithm, Anchor, Backpressure, DurableQuery, DurableTopKEngine, EngineConfig,
-    FallbackReason, LinearScorer, PagedStorage, QueryStats, ScorerSpec, ServeEngine, ServeError,
-    ServeRequest, ServeResponse, SubscriptionId, Window, WorkerPool,
+    percentile, Algorithm, Backpressure, DurableQuery, EngineConfig, FallbackReason, LinearScorer,
+    PagedStorage, QueryStats, ScorerSpec, ServeEngine, ServeError, ServeRequest, ServeResponse,
+    ShardedEngine, SubscriptionId, Window, WorkerPool,
 };
 use durable_topk_net::{
     Coordinator, NetError, Node, NodeIdentity, NodeServer, NodeServerOptions, RemoteNode,
@@ -177,6 +177,15 @@ fn engine_config(
     Ok(cfg)
 }
 
+/// The offline engine (`query`, `topk`, the `serve --nodes` reference):
+/// one shard over all of `ds`, whose skyband durations are exact over the
+/// whole history; `max_tau` bounds only the look-back of appended records.
+fn one_shard(ds: &Dataset, max_tau: u32, skyband: Option<usize>) -> Result<ShardedEngine, String> {
+    engine_config(ds.dim(), ds.len(), max_tau, skyband, StorageChoice::Memory, None)?
+        .build_from(ds, 1)
+        .map_err(|e| e.to_string())
+}
+
 /// `--weights`, arity-checked against the data; `None` means uniform.
 fn weights_for(args: &Args, dim: usize) -> Result<Option<Vec<f64>>, String> {
     let Some(w) = args.options.get("weights") else { return Ok(None) };
@@ -242,11 +251,10 @@ fn topk(args: &Args) -> Result<(), String> {
     let k: usize = parse_positive(args, "k", 10)?;
     let (a, b) = parse_range_in("window", args.require("window")?, ds.len())?;
     let scorer = scorer_for(args, ds.dim())?;
-    let engine = DurableTopKEngine::new(ds);
-    let result = engine.oracle().top_k(engine.dataset(), &scorer, k, Window::new(a, b));
+    let result = one_shard(&ds, 1, None)?.top_k(&scorer, k, Window::new(a, b));
     println!("top-{k} of [{a}, {b}] (ties of the k-th score included):");
     for (id, score) in result.items {
-        println!("  t={id}  score={score:.6}  attrs={:?}", engine.dataset().row(id));
+        println!("  t={id}  score={score:.6}  attrs={:?}", ds.row(id));
     }
     Ok(())
 }
@@ -290,22 +298,21 @@ fn query(args: &Args) -> Result<(), String> {
         return stream_replay(&ds, algs[0], &scorer, &q, mode, storage, result_cache, limit);
     }
 
-    let mut engine = DurableTopKEngine::new(ds);
-    if algs.contains(&Algorithm::SBand) {
-        engine = engine.with_skyband_index(k);
-    }
-    if lookahead {
-        engine = engine.with_lookahead();
-    }
+    // Look-ahead queries run on an engine over the reversed history.
+    let skyband = algs.contains(&Algorithm::SBand).then_some(k);
+    let engine = if lookahead {
+        one_shard(&ds.reversed(), tau, skyband)
+    } else {
+        one_shard(&ds, tau, skyband)
+    }?;
 
     if algs.len() > 1 {
         return sweep(&engine, &algs, &scorer, &q, threads);
     }
     let alg = algs[0];
-    let anchor = if lookahead { Anchor::LookAhead } else { Anchor::LookBack };
     let started = std::time::Instant::now();
     let result = if lookahead {
-        engine.query_anchored(alg, &scorer, &q, anchor)
+        engine.query_lookahead(alg, &scorer, &q)
     } else {
         engine.query(alg, &scorer, &q)
     };
@@ -320,19 +327,12 @@ fn query(args: &Args) -> Result<(), String> {
         fallback_note(&result.stats),
     );
     for &id in result.records.iter().take(limit) {
+        let score = durable_topk::Scorer::score(&scorer, ds.row(id));
         if args.has("durations") {
-            let (dur, _) = engine.max_duration(&scorer, id, k);
-            println!(
-                "  t={id}  score={:.6}  max-duration={dur}  attrs={:?}",
-                durable_topk::Scorer::score(&scorer, engine.dataset().row(id)),
-                engine.dataset().row(id)
-            );
+            let (dur, _) = engine.max_duration(&scorer, if lookahead { n - 1 - id } else { id }, k);
+            println!("  t={id}  score={score:.6}  max-duration={dur}  attrs={:?}", ds.row(id));
         } else {
-            println!(
-                "  t={id}  score={:.6}  attrs={:?}",
-                durable_topk::Scorer::score(&scorer, engine.dataset().row(id)),
-                engine.dataset().row(id)
-            );
+            println!("  t={id}  score={score:.6}  attrs={:?}", ds.row(id));
         }
     }
     if result.records.len() > limit {
@@ -514,7 +514,7 @@ fn serve(args: &Args) -> Result<(), String> {
     let spec = weights_for(args, ds.dim())?.map_or(ScorerSpec::Uniform, ScorerSpec::Linear);
     let sweep = Sweep { k, tau, algs, spec, clients: mode.clients, requests: mode.requests };
     match nodes {
-        Some(nodes) => replay(&sweep, &ClusterTarget::connect(&nodes, ds, scorer, &sweep)?),
+        Some(nodes) => replay(&sweep, &ClusterTarget::connect(&nodes, &ds, scorer, &sweep)?),
         None => replay(&sweep, &QueueTarget::start(args, &ds, scorer, &sweep, mode)?),
     }
 }
@@ -822,17 +822,17 @@ impl ReplayTarget for QueueTarget<'_> {
 
 /// `serve --nodes`: a query-only storm through the scatter-gather
 /// coordinator, answered by remote nodes instead of an in-process queue,
-/// re-checked against a local flat engine over the same file.
+/// re-checked against a local one-shard engine over the same file.
 struct ClusterTarget {
     coordinator: Coordinator,
-    reference: DurableTopKEngine,
+    reference: ShardedEngine,
     scorer: LinearScorer,
 }
 
 impl ClusterTarget {
     fn connect(
         nodes: &[String],
-        ds: Dataset,
+        ds: &Dataset,
         scorer: LinearScorer,
         sweep: &Sweep,
     ) -> Result<Self, String> {
@@ -858,19 +858,17 @@ impl ClusterTarget {
             sweep.clients,
             sweep.requests,
         );
-        // The reference answers come from a local flat engine over the same
-        // file — the cluster must agree with it bit for bit.
-        let mut reference = DurableTopKEngine::new(ds);
-        if sweep.algs.contains(&Algorithm::SBand) {
-            reference = reference.with_skyband_index(sweep.k);
-        }
+        // The reference answers come from a local one-shard engine over
+        // the same file — the cluster must agree with it bit for bit.
+        let skyband = sweep.algs.contains(&Algorithm::SBand).then_some(sweep.k);
+        let reference = one_shard(ds, tau, skyband)?;
         Ok(Self { coordinator, reference, scorer })
     }
 }
 
 impl ReplayTarget for ClusterTarget {
     fn watermark(&self) -> u32 {
-        self.reference.dataset().len() as u32
+        self.reference.len() as u32
     }
 
     fn request(&self, req: &ServeRequest) -> Result<Option<ServeResponse>, String> {
@@ -973,7 +971,7 @@ fn connect_cluster(nodes: &[String]) -> Result<Coordinator, String> {
 /// Runs the same query under every algorithm in parallel on the worker pool
 /// and prints a comparison table (`--alg all`).
 fn sweep(
-    engine: &DurableTopKEngine,
+    engine: &ShardedEngine,
     algs: &[Algorithm],
     scorer: &LinearScorer,
     q: &DurableQuery,
@@ -982,8 +980,7 @@ fn sweep(
     let pool = WorkerPool::global();
     let threads = if threads == 0 { pool.threads() } else { threads }.min(algs.len());
     let started = std::time::Instant::now();
-    let results =
-        pool.run_jobs(algs.len(), threads, |i, ctx| engine.query_with(algs[i], scorer, q, ctx));
+    let results = pool.run_jobs(algs.len(), threads, |i, _ctx| engine.query(algs[i], scorer, q));
     let elapsed = started.elapsed();
     println!(
         "{} durable records (k={}, tau={}, I={}) — {} algorithms on {} threads in {:.2?}",

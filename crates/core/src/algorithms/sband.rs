@@ -48,9 +48,9 @@ where
 /// # Panics
 /// Panics on invalid query parameters, if the scorer is not monotone (the
 /// k-skyband pruning argument requires monotonicity), or if `query.k`
-/// exceeds the index's largest level. The engine front-end
-/// ([`DurableTopKEngine::query`](crate::DurableTopKEngine::query)) degrades
-/// to S-Hop instead of panicking on the latter two.
+/// exceeds the index's largest level. The engine
+/// ([`ShardedEngine::query`](crate::ShardedEngine::query)) degrades to
+/// S-Hop instead of panicking on the latter two.
 pub fn s_band<O: TopKOracle + ?Sized, C: SkybandCandidates + ?Sized, S: OracleScorer + ?Sized>(
     ds: &O::Rows,
     oracle: &O,

@@ -167,7 +167,7 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Algorithm, DurableTopKEngine};
+    use crate::engine::{tests::flat, Algorithm};
     use crate::query::DurableQuery;
     use crate::storage::PagedStorage;
     use durable_topk_temporal::{LinearScorer, Window};
@@ -232,7 +232,7 @@ mod tests {
         }
         assert!(live.result_cache().is_some(), "result cache configured");
         assert!(live.storage().stats().spilled_chunks > 0, "paged backend spills");
-        let flat = DurableTopKEngine::new(ds).with_skyband_index(4);
+        let flat = flat(&ds, Some(4));
         let scorer = LinearScorer::new(vec![0.6, 0.4]);
         let q = DurableQuery { k: 3, tau: 20, interval: Window::new(0, 299) };
         for alg in Algorithm::ALL {
@@ -250,7 +250,7 @@ mod tests {
             .build_from(&ds, 5)
             .expect("valid configuration");
         assert_eq!(engine.sealed_shards(), 5);
-        let flat = DurableTopKEngine::new(ds).with_skyband_index(6);
+        let flat = flat(&ds, Some(6));
         let scorer = LinearScorer::new(vec![0.3, 0.7]);
         let q = DurableQuery { k: 4, tau: 30, interval: Window::new(0, 399) };
         let got = engine.query(Algorithm::SBand, &scorer, &q);

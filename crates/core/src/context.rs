@@ -58,16 +58,17 @@ impl StampSet {
 
 /// Reusable scratch for the durable top-k query pipeline.
 ///
-/// Thread one context through repeated
-/// [`DurableTopKEngine::query_with`](crate::DurableTopKEngine::query_with)
-/// calls (or hand one to each worker of a batch) and the hot path performs
-/// no per-probe allocations: segment-tree search heaps, durability-check
-/// result buffers, S-Hop's candidate arena and max-heap, and the blocking
-/// Fenwick are all drawn from here.
+/// Thread one context through repeated calls of the
+/// [`algorithms`](crate::algorithms) (every
+/// [`WorkerPool`](crate::WorkerPool) participant holds one, which a
+/// [`ShardedEngine`](crate::ShardedEngine) query's pieces use) and the hot
+/// path performs no per-probe allocations: segment-tree search heaps,
+/// durability-check result buffers, S-Hop's candidate arena and max-heap,
+/// and the blocking Fenwick are all drawn from here.
 ///
 /// A context carries no query state between calls — every algorithm resets
 /// the pieces it uses — so any sequence of queries against any mix of
-/// engines and datasets may share one context.
+/// datasets may share one context.
 #[derive(Debug, Default)]
 pub struct QueryContext {
     /// Segment-tree / scan oracle scratch (frontier, best-k heap, memo).

@@ -1,14 +1,12 @@
-//! The paper's offline engine: one dataset, one skyline segment tree, the
-//! five algorithms — and the dispatch (`run_algorithm`) every shard of
-//! the live engine shares with it.
+//! The five algorithms as one dispatch: [`Algorithm`] names them and
+//! `run_algorithm` runs one over a substrate — every piece of a
+//! [`ShardedEngine`](crate::ShardedEngine) query goes through it.
 
 use crate::algorithms::{s_band, s_base, s_hop, sband_fallback_reason, t_base, t_hop, RefillMode};
 use crate::context::QueryContext;
-use crate::duration::max_duration;
 use crate::oracle::TopKOracle;
 use crate::query::{DurableQuery, QueryResult};
-use durable_topk_index::{DurableSkybandIndex, OracleScorer, SkybandCandidates, SkylineSegTree};
-use durable_topk_temporal::{Anchor, Dataset, RecordId, Time, Window};
+use durable_topk_index::{OracleScorer, SkybandCandidates};
 
 /// Which durable top-k algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,10 +18,10 @@ pub enum Algorithm {
     /// Score-prioritized sorting baseline (Section IV-A).
     SBase,
     /// Durable k-skyband candidates (Section IV-B); monotone scorers only.
-    /// Served by the index built with
-    /// [`DurableTopKEngine::with_skyband_index`]; without one (or when `k`
-    /// exceeds its build bound, or the scorer is not monotone) the engine
-    /// falls back to S-Hop and flags
+    /// Served by the index an engine maintains with
+    /// [`EngineConfig::skyband_bound`](crate::EngineConfig::skyband_bound);
+    /// without one (or when `k` exceeds its bound, or the scorer is not
+    /// monotone) the engine falls back to S-Hop and flags
     /// [`QueryStats::fallback`](crate::QueryStats).
     SBand,
     /// Score-prioritized hop algorithm (Section IV-C).
@@ -62,11 +60,11 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Shared per-substrate dispatch: runs `alg` over one dataset + oracle +
-/// optional skyband candidate source, with S-Band's graceful degradation
-/// to S-Hop (reason recorded in the stats). Both the offline engine and
-/// every arm of the sharded fan-out delegate here, so the same request can
-/// never be dispatched differently depending on which substrate serves it.
+/// Shared per-substrate dispatch: runs `alg` over one set of rows, an
+/// oracle and an optional skyband candidate source, with S-Band's graceful
+/// degradation to S-Hop (reason recorded in the stats). Every piece of a
+/// sharded fan-out delegates here, so the same request can never be
+/// dispatched differently depending on which substrate serves it.
 pub(crate) fn run_algorithm<O, C, S>(
     ds: &O::Rows,
     oracle: &O,
@@ -105,196 +103,29 @@ where
     }
 }
 
-/// The paper's offline durable top-k engine over one immutable dataset,
-/// and the reference the live engines are tested against.
-///
-/// Owns the dataset and its skyline segment tree (the top-k oracle), and
-/// optionally the durable k-skyband index (for S-Band) and a reversed twin
-/// (for look-ahead durability). It answers any `τ`, offers the leaf-size
-/// ablation and [`max_duration`](DurableTopKEngine::max_duration), and is
-/// not a shard: [`ShardedEngine`](crate::ShardedEngine) keeps its own
-/// trees and shares only [`Algorithm`] dispatch with this type.
-#[derive(Debug)]
-pub struct DurableTopKEngine {
-    ds: Dataset,
-    oracle: SkylineSegTree,
-    skyband: Option<DurableSkybandIndex>,
-    /// Reversed dataset + oracle, built on demand for look-ahead queries.
-    reversed: Option<Box<DurableTopKEngine>>,
-}
-
-impl DurableTopKEngine {
-    /// Builds the engine (segment-tree oracle included) over a dataset.
-    ///
-    /// # Panics
-    /// Panics if the dataset is empty.
-    pub fn new(ds: Dataset) -> Self {
-        let oracle = SkylineSegTree::build(&ds);
-        Self { ds, oracle, skyband: None, reversed: None }
-    }
-
-    /// Builds the engine with a custom oracle leaf size (ablations).
-    pub fn with_leaf_size(ds: Dataset, leaf_size: usize) -> Self {
-        let oracle = SkylineSegTree::with_leaf_size(&ds, leaf_size);
-        Self { ds, oracle, skyband: None, reversed: None }
-    }
-
-    /// Adds the durable k-skyband index serving queries with `k <= k_max`
-    /// (rounded up to a power of two), enabling [`Algorithm::SBand`].
-    pub fn with_skyband_index(mut self, k_max: usize) -> Self {
-        self.skyband = Some(DurableSkybandIndex::build(&self.ds, k_max));
-        self
-    }
-
-    /// Pre-builds the reversed twin enabling
-    /// [`Anchor::LookAhead`] queries via
-    /// [`query_anchored`](DurableTopKEngine::query_anchored).
-    pub fn with_lookahead(mut self) -> Self {
-        let mut rev = DurableTopKEngine::new(self.ds.reversed());
-        if let Some(sb) = &self.skyband {
-            rev = rev.with_skyband_index(sb.max_k());
-        }
-        self.reversed = Some(Box::new(rev));
-        self
-    }
-
-    /// The underlying dataset.
-    pub fn dataset(&self) -> &Dataset {
-        &self.ds
-    }
-
-    /// The top-k oracle (for direct `Q(u, k, W)` queries).
-    pub fn oracle(&self) -> &SkylineSegTree {
-        &self.oracle
-    }
-
-    /// The skyband index, if built.
-    pub fn skyband_index(&self) -> Option<&DurableSkybandIndex> {
-        self.skyband.as_ref()
-    }
-
-    /// Answers `DurTop(k, I, τ)` with look-back durability windows,
-    /// allocating a fresh [`QueryContext`].
-    ///
-    /// Repeated callers should hold a context and use
-    /// [`query_with`](DurableTopKEngine::query_with) to reuse scratch
-    /// buffers across queries.
-    ///
-    /// # Panics
-    /// Panics on invalid parameters.
-    pub fn query<S: OracleScorer + ?Sized>(
-        &self,
-        alg: Algorithm,
-        scorer: &S,
-        query: &DurableQuery,
-    ) -> QueryResult {
-        self.query_with(alg, scorer, query, &mut QueryContext::new())
-    }
-
-    /// Answers `DurTop(k, I, τ)` with look-back durability windows, drawing
-    /// all working memory from `ctx` — the allocation-free path.
-    ///
-    /// [`Algorithm::SBand`] degrades gracefully: when no skyband index was
-    /// built, `query.k` exceeds its largest level, or the scorer is not
-    /// monotone, the engine answers with S-Hop instead and sets
-    /// [`QueryStats::fallback`](crate::QueryStats).
-    ///
-    /// # Panics
-    /// Panics on invalid parameters.
-    pub fn query_with<S: OracleScorer + ?Sized>(
-        &self,
-        alg: Algorithm,
-        scorer: &S,
-        query: &DurableQuery,
-        ctx: &mut QueryContext,
-    ) -> QueryResult {
-        run_algorithm(&self.ds, &self.oracle, self.skyband.as_ref(), alg, scorer, query, ctx)
-    }
-
-    /// Answers `DurTop(k, I, τ)` under either window anchoring.
-    ///
-    /// Look-ahead durability runs the unmodified look-back algorithms on the
-    /// reversed dataset (`p` is τ-durable looking ahead iff its mirror image
-    /// is τ-durable looking back) and maps the ids home.
-    ///
-    /// # Panics
-    /// As [`query`](DurableTopKEngine::query); for look-ahead additionally
-    /// if [`with_lookahead`](DurableTopKEngine::with_lookahead) was not
-    /// called.
-    pub fn query_anchored<S: OracleScorer + ?Sized>(
-        &self,
-        alg: Algorithm,
-        scorer: &S,
-        query: &DurableQuery,
-        anchor: Anchor,
-    ) -> QueryResult {
-        match anchor {
-            Anchor::LookBack => self.query(alg, scorer, query),
-            Anchor::LookAhead => {
-                let rev = self
-                    .reversed
-                    .as_ref()
-                    // lint: allow(expect) — documented-panic API: the method
-                    // docs require with_lookahead() for look-ahead anchors.
-                    .expect("look-ahead queries require with_lookahead() at engine build time");
-                let n = self.ds.len() as Time;
-                let interval = query.interval.clamp_to(self.ds.len());
-                let mirrored = DurableQuery {
-                    k: query.k,
-                    tau: query.tau,
-                    interval: Window::new(n - 1 - interval.end(), n - 1 - interval.start()),
-                };
-                let mut result = rev.query(alg, scorer, &mirrored);
-                for id in &mut result.records {
-                    *id = n - 1 - *id;
-                }
-                result.records.sort_unstable();
-                result
-            }
-        }
-    }
-
-    /// The longest duration for which record `p` stays in the top-k
-    /// (look-back), plus the number of top-k probes used.
-    pub fn max_duration<S: OracleScorer + ?Sized>(
-        &self,
-        scorer: &S,
-        p: RecordId,
-        k: usize,
-    ) -> (Time, u64) {
-        max_duration(&self.ds, &self.oracle, scorer, p, k, &mut QueryContext::new())
-    }
-
-    /// Cumulative top-k queries issued by the engine's oracle.
-    pub fn oracle_queries(&self) -> u64 {
-        self.oracle.counters().queries()
-    }
-
-    /// Resets oracle instrumentation.
-    pub fn reset_counters(&self) {
-        self.oracle.counters().reset();
-        if let Some(rev) = &self.reversed {
-            rev.reset_counters();
-        }
-    }
-}
-
+/// The references every engine test compares against: the definition of
+/// durability, and the paper's single-index engine — one shard owning
+/// every record.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::query::FallbackReason;
-    use durable_topk_temporal::{LinearScorer, SingleAttributeScorer};
+    use crate::{EngineConfig, ShardedEngine};
+    use durable_topk_temporal::{
+        Anchor, Dataset, LinearScorer, RecordId, SingleAttributeScorer, Time, Window,
+    };
     use rand::prelude::*;
 
-    fn random_engine(rng: &mut StdRng, n: usize, vals: u32) -> DurableTopKEngine {
-        let rows: Vec<[f64; 2]> = (0..n)
-            .map(|_| [rng.random_range(0..vals) as f64, rng.random_range(0..vals) as f64])
-            .collect();
-        DurableTopKEngine::new(Dataset::from_rows(2, rows)).with_skyband_index(8).with_lookahead()
+    /// One shard owning all of `ds`; with a skyband bound its durations
+    /// are exact for every `τ`.
+    pub(crate) fn flat(ds: &Dataset, k_max: Option<usize>) -> ShardedEngine {
+        let cfg = EngineConfig::new(ds.dim(), ds.len(), ds.len() as Time);
+        let cfg = if let Some(k_max) = k_max { cfg.skyband_bound(k_max) } else { cfg };
+        cfg.build_from(ds, 1).expect("a one-shard build")
     }
 
     /// Reference implementation: definition-level durability test.
-    fn brute_durable(
+    pub(crate) fn brute_durable(
         ds: &Dataset,
         scorer: &dyn crate::Scorer,
         q: &DurableQuery,
@@ -312,13 +143,21 @@ mod tests {
             .collect()
     }
 
+    fn random_dataset(rng: &mut StdRng, n: usize, vals: u32) -> Dataset {
+        let rows: Vec<[f64; 2]> = (0..n)
+            .map(|_| [rng.random_range(0..vals) as f64, rng.random_range(0..vals) as f64])
+            .collect();
+        Dataset::from_rows(2, rows)
+    }
+
     #[test]
     fn all_algorithms_agree_with_definition() {
         let mut rng = StdRng::seed_from_u64(101);
         for trial in 0..12 {
             let n = rng.random_range(5..120);
             // Small value range: plenty of score ties to stress tie paths.
-            let engine = random_engine(&mut rng, n, 6);
+            let ds = random_dataset(&mut rng, n, 6);
+            let engine = flat(&ds, Some(8));
             let scorer = LinearScorer::new(vec![rng.random::<f64>() + 0.1, 1.0]);
             for _ in 0..4 {
                 let a = rng.random_range(0..n as Time);
@@ -328,7 +167,7 @@ mod tests {
                     tau: rng.random_range(1..(n as Time + 4)),
                     interval: Window::new(a.min(b), a.max(b)),
                 };
-                let expected = brute_durable(engine.dataset(), &scorer, &q, Anchor::LookBack);
+                let expected = brute_durable(&ds, &scorer, &q, Anchor::LookBack);
                 for alg in Algorithm::ALL {
                     let got = engine.query(alg, &scorer, &q);
                     assert_eq!(got.records, expected, "trial={trial} alg={alg} q={q:?} n={n}");
@@ -342,7 +181,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(202);
         for _ in 0..8 {
             let n = rng.random_range(5..80);
-            let engine = random_engine(&mut rng, n, 8);
+            let ds = random_dataset(&mut rng, n, 8);
+            let reversed = flat(&ds.reversed(), Some(8));
             let scorer = SingleAttributeScorer::new(0);
             let a = rng.random_range(0..n as Time);
             let b = rng.random_range(0..n as Time);
@@ -351,9 +191,9 @@ mod tests {
                 tau: rng.random_range(1..(n as Time)),
                 interval: Window::new(a.min(b), a.max(b)),
             };
-            let expected = brute_durable(engine.dataset(), &scorer, &q, Anchor::LookAhead);
+            let expected = brute_durable(&ds, &scorer, &q, Anchor::LookAhead);
             for alg in [Algorithm::THop, Algorithm::SHop, Algorithm::TBase] {
-                let got = engine.query_anchored(alg, &scorer, &q, Anchor::LookAhead);
+                let got = reversed.query_lookahead(alg, &scorer, &q);
                 assert_eq!(got.records, expected, "alg={alg}");
             }
         }
@@ -362,7 +202,7 @@ mod tests {
     #[test]
     fn hop_algorithms_issue_fewer_checks_than_tbase_visits() {
         let mut rng = StdRng::seed_from_u64(303);
-        let engine = random_engine(&mut rng, 2000, 1000);
+        let engine = flat(&random_dataset(&mut rng, 2000, 1000), None);
         let scorer = LinearScorer::new(vec![0.5, 0.5]);
         let q = DurableQuery { k: 5, tau: 400, interval: Window::new(0, 1999) };
         let tb = engine.query(Algorithm::TBase, &scorer, &q);
@@ -378,7 +218,7 @@ mod tests {
     #[test]
     fn sband_without_index_falls_back_to_shop() {
         let ds = Dataset::from_rows(2, (0..40).map(|i| [((i * 7) % 11) as f64, (i % 5) as f64]));
-        let engine = DurableTopKEngine::new(ds);
+        let engine = flat(&ds, None);
         let scorer = LinearScorer::uniform(2);
         let q = DurableQuery { k: 2, tau: 8, interval: Window::new(0, 39) };
         let got = engine.query(Algorithm::SBand, &scorer, &q);
@@ -396,7 +236,7 @@ mod tests {
     #[test]
     fn sband_with_k_above_build_bound_falls_back() {
         let mut rng = StdRng::seed_from_u64(77);
-        let engine = random_engine(&mut rng, 120, 9); // skyband built for k <= 8
+        let engine = flat(&random_dataset(&mut rng, 120, 9), Some(8));
         let scorer = LinearScorer::new(vec![0.7, 0.3]);
         let q = DurableQuery { k: 11, tau: 20, interval: Window::new(0, 119) };
         let got = engine.query(Algorithm::SBand, &scorer, &q);
@@ -414,7 +254,7 @@ mod tests {
     #[test]
     fn sband_with_non_monotone_scorer_falls_back() {
         let mut rng = StdRng::seed_from_u64(78);
-        let engine = random_engine(&mut rng, 80, 12);
+        let engine = flat(&random_dataset(&mut rng, 80, 12), Some(8));
         let scorer = crate::CosineScorer::new(vec![0.6, 0.8]);
         let q = DurableQuery { k: 2, tau: 10, interval: Window::new(0, 79) };
         let got = engine.query(Algorithm::SBand, &scorer, &q);
@@ -426,7 +266,7 @@ mod tests {
     #[test]
     fn max_duration_via_engine() {
         let ds = Dataset::from_rows(1, (0..50).map(|i| [(i % 7) as f64]));
-        let engine = DurableTopKEngine::new(ds);
+        let engine = flat(&ds, None);
         let scorer = SingleAttributeScorer::new(0);
         // Record 6 has value 6, the maximum; nothing beats it until the next
         // 6 (record 13)... looking back, it is durable for all of history.

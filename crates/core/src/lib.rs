@@ -18,25 +18,11 @@
 //! | [`s_band`](algorithms::s_band) | IV-B | durable k-skyband candidates + blocking (monotone `f` only) |
 //! | [`s_hop`](algorithms::s_hop) | IV-C | score-prioritized heap over τ-subinterval top-k sets |
 //!
-//! # Quickstart
-//!
-//! ```
-//! use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine};
-//! use durable_topk_temporal::{Dataset, LinearScorer, Window};
-//!
-//! // Ten records, two attributes, arriving in order.
-//! let ds = Dataset::from_rows(2, (0..10).map(|i| {
-//!     let x = ((i * 37) % 11) as f64;
-//!     [x, 10.0 - x]
-//! }));
-//! let engine = DurableTopKEngine::new(ds);
-//! let query = DurableQuery { k: 2, tau: 4, interval: Window::new(0, 9) };
-//! let scorer = LinearScorer::new(vec![0.8, 0.2]);
-//! let result = engine.query(Algorithm::SHop, &scorer, &query);
-//! // Every algorithm returns the same answer set.
-//! let check = engine.query(Algorithm::TBase, &scorer, &query);
-//! assert_eq!(result.records, check.records);
-//! ```
+//! One engine type answers them: [`ShardedEngine`], built by
+//! [`EngineConfig`]. Built with one shard over an existing dataset it is
+//! the paper's single-index engine (see its example); with more it fans
+//! queries out over time shards, and it keeps ingesting either way.
+//! [`ServeEngine`] puts a request queue in front of it.
 
 pub mod algorithms;
 pub mod alternatives;
@@ -65,7 +51,7 @@ pub use durable_topk_check as check;
 
 pub use config::EngineConfig;
 pub use context::QueryContext;
-pub use engine::{Algorithm, DurableTopKEngine};
+pub use engine::Algorithm;
 pub use error::{BuildError, QueryError};
 pub use oracle::{Rows, ScanOracle, TopKOracle};
 pub use pool::WorkerPool;

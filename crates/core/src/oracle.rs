@@ -17,12 +17,11 @@
 //! `Custom` variant probes through a trait object.
 //!
 //! Every oracle answers over a [`Rows`] source — the records the
-//! algorithms score directly. Four implementations ship with the crate;
-//! the index types are their own oracles, no wrapper in between:
+//! algorithms score directly. Three implementations ship with the crate;
+//! the index type is its own oracle, no wrapper in between:
 //!
 //! * [`SkylineSegTree`] — the skyline segment tree of Appendix A, over a
-//!   [`Dataset`] (the offline engine).
-//! * [`AppendableTopKIndex`] — the appendable forest of such trees.
+//!   [`Dataset`].
 //! * the per-request timeline view of a
 //!   [`ShardedEngine`](crate::ShardedEngine) — its own rows, read from
 //!   every shard a window touches and searched as one forest.
@@ -30,7 +29,7 @@
 //!   reference).
 
 use durable_topk_index::{
-    scan_top_k_into, AppendableTopKIndex, OracleScorer, OracleScratch, SkylineSegTree, TopKResult,
+    scan_top_k_into, OracleScorer, OracleScratch, SkylineSegTree, TopKResult,
 };
 use durable_topk_temporal::{Dataset, RecordId, Window};
 use std::cell::Cell;
@@ -95,29 +94,10 @@ pub trait TopKOracle {
     }
 }
 
-/// The skyline segment tree of Appendix A is its own oracle: the static
-/// index behind [`DurableTopKEngine`](crate::DurableTopKEngine) and every
-/// sealed shard.
+/// The skyline segment tree of Appendix A is its own oracle over one
+/// [`Dataset`]; a [`ShardedEngine`](crate::ShardedEngine) searches its
+/// shards' trees through its per-request view instead.
 impl TopKOracle for SkylineSegTree {
-    type Rows = Dataset;
-
-    fn top_k_into<S: OracleScorer + ?Sized>(
-        &self,
-        ds: &Dataset,
-        scorer: &S,
-        k: usize,
-        w: Window,
-        scratch: &mut OracleScratch,
-        out: &mut TopKResult,
-    ) {
-        self.top_k_with(ds, scorer, k, w, scratch, out);
-    }
-}
-
-/// The appendable segment-tree forest is the building block of the mutable
-/// *head shard* during live ingestion (see
-/// [`ShardedEngine`](crate::ShardedEngine)).
-impl TopKOracle for AppendableTopKIndex {
     type Rows = Dataset;
 
     fn top_k_into<S: OracleScorer + ?Sized>(
@@ -179,6 +159,7 @@ impl TopKOracle for ScanOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use durable_topk_index::AppendableTopKIndex;
     use durable_topk_temporal::LinearScorer;
 
     #[test]
@@ -191,7 +172,7 @@ mod tests {
         let w = Window::new(0, 3);
         let expected = scan.top_k(&ds, &scorer, 2, w);
         assert_eq!(TopKOracle::top_k(&seg, &ds, &scorer, 2, w), expected);
-        assert_eq!(TopKOracle::top_k(&forest, &ds, &scorer, 2, w), expected);
+        assert_eq!(forest.top_k(&ds, &scorer, 2, w), expected);
         let counts =
             || (seg.counters().queries(), forest.counters().queries(), scan.queries_issued());
         assert_eq!(counts(), (1, 1, 1));

@@ -444,23 +444,27 @@ mod tests {
     }
 
     /// How callers batch queries now that no executor type wraps the pool:
-    /// `run_jobs` over `query_with`, each job on its participant's reused
+    /// `run_jobs` over an algorithm, each job on its participant's reused
     /// context. Results answer their inputs in order, and asking for more
     /// participants than jobs is harmless.
     #[test]
     fn more_threads_than_jobs_is_fine() {
-        use crate::{Algorithm, DurableQuery, DurableTopKEngine};
+        use crate::algorithms::{s_hop, RefillMode};
+        use crate::DurableQuery;
+        use durable_topk_index::SkylineSegTree;
         use durable_topk_temporal::{Dataset, LinearScorer, Window};
         let rows = (0..400).map(|i| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64]);
-        let engine = DurableTopKEngine::new(Dataset::from_rows(2, rows));
+        let ds = Dataset::from_rows(2, rows);
+        let tree = SkylineSegTree::build(&ds);
         let scorers = [LinearScorer::uniform(2), LinearScorer::new(vec![3.0, 1.0])];
         let q = DurableQuery { k: 2, tau: 40, interval: Window::new(0, 399) };
-        let out = WorkerPool::global().run_jobs(scorers.len(), 64, |i, ctx| {
-            engine.query_with(Algorithm::SHop, &scorers[i], &q, ctx)
-        });
+        let run = |scorer: &LinearScorer, ctx: &mut QueryContext| {
+            s_hop(&ds, &tree, scorer, &q, RefillMode::TopK, ctx)
+        };
+        let out = WorkerPool::global().run_jobs(scorers.len(), 64, |i, ctx| run(&scorers[i], ctx));
         assert_eq!(out.len(), 2);
         for (scorer, got) in scorers.iter().zip(&out) {
-            assert_eq!(got.records, engine.query(Algorithm::SHop, scorer, &q).records);
+            assert_eq!(got.records, run(scorer, &mut QueryContext::new()).records);
         }
     }
 

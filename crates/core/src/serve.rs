@@ -19,9 +19,9 @@
 //! * **Completion handles** — `submit` returns a [`ResponseHandle`]
 //!   immediately; the response (records, per-request [`QueryStats`], queue
 //!   and service latency) arrives on it oneshot-style.
-//! * **Graceful errors** — bad request input (`τ` beyond the engine's
-//!   overlap, zero `k`, an interval past the history, wrong scorer arity)
-//!   comes back as [`ServeError::Query`] on that request's handle; a panic
+//! * **Graceful errors** — bad request input (zero `k` or `τ`, an
+//!   interval past the history, wrong scorer arity; any `τ` itself is
+//!   answered) comes back as [`ServeError::Query`] on that request's handle; a panic
 //!   during execution comes back as [`ServeError::Panicked`]. Either way
 //!   the worker, the queue, and every other request keep going.
 //! * **Live ingestion** — [`append`](ServeEngine::append) feeds the
@@ -823,7 +823,7 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DurableTopKEngine;
+    use crate::engine::tests::flat;
     use crate::EngineConfig;
     use durable_topk_temporal::{Dataset, Window};
 
@@ -848,7 +848,7 @@ mod tests {
     fn served_answers_match_direct_queries() {
         let ds = dataset(600);
         let serve = serve_over(600);
-        let flat = DurableTopKEngine::new(ds);
+        let flat = flat(&ds, None);
         let scorer = durable_topk_temporal::LinearScorer::new(vec![0.6, 0.4]);
         let reqs: Vec<ServeRequest> =
             [(3usize, 40u32, 0u32, 599u32), (1, 17, 250, 599), (5, 50, 460, 599)]
@@ -878,7 +878,7 @@ mod tests {
         // answer is the flat engine's.
         let over = request(Algorithm::THop, 2, 500, 0, 299);
         let scorer = durable_topk_temporal::LinearScorer::new(vec![0.6, 0.4]);
-        let flat = DurableTopKEngine::new(dataset(300)).query(over.alg, &scorer, &over.query);
+        let flat = flat(&dataset(300), None).query(over.alg, &scorer, &over.query);
         let served = serve.submit(over).expect("accepted").wait().expect("any τ");
         assert_eq!(served.records, flat.records);
         // Zero k.
@@ -1069,7 +1069,7 @@ mod tests {
         let snap = serve.poll_subscription(wide).expect("registered");
         let scorer = durable_topk_temporal::LinearScorer::new(vec![0.6, 0.4]);
         let q = DurableQuery { k: 2, tau: 70, interval: Window::new(0, 149) };
-        let flat = DurableTopKEngine::new(rows).query(Algorithm::SHop, &scorer, &q);
+        let flat = flat(&rows, None).query(Algorithm::SHop, &scorer, &q);
         assert_eq!(snap.records, flat.records);
         assert!(!snap.diverged && snap.full_recomputes > 1, "seals were verified");
         assert!(serve.unsubscribe(wide));

@@ -50,6 +50,7 @@
 
 use crate::config::EngineConfig;
 use crate::context::QueryContext;
+use crate::duration::max_duration;
 use crate::engine::{run_algorithm, Algorithm};
 use crate::error::QueryError;
 use crate::oracle::TopKOracle;
@@ -172,6 +173,25 @@ pub struct MemoryUsage {
 /// head, serving parallel fan-out queries through the persistent worker
 /// pool. Built by [`EngineConfig::build`] (empty, live) or
 /// [`EngineConfig::build_from`] (over an existing dataset).
+///
+/// One shard over a dataset is the paper's single-index engine:
+///
+/// ```
+/// use durable_topk::{Algorithm, Dataset, DurableQuery, EngineConfig, LinearScorer, Window};
+///
+/// // Ten records, two attributes, arriving in order.
+/// let ds = Dataset::from_rows(2, (0..10).map(|i| {
+///     let x = ((i * 37) % 11) as f64;
+///     [x, 10.0 - x]
+/// }));
+/// let engine = EngineConfig::new(2, ds.len(), 4).build_from(&ds, 1).expect("valid");
+/// let query = DurableQuery { k: 2, tau: 4, interval: Window::new(0, 9) };
+/// let scorer = LinearScorer::new(vec![0.8, 0.2]);
+/// let result = engine.query(Algorithm::SHop, &scorer, &query);
+/// // Every algorithm returns the same answer set.
+/// let check = engine.query(Algorithm::TBase, &scorer, &query);
+/// assert_eq!(result.records, check.records);
+/// ```
 #[derive(Debug)]
 pub struct ShardedEngine {
     tails: Vec<Shard>,
@@ -525,9 +545,9 @@ impl ShardedEngine {
     /// Answers `DurTop(k, I, τ)` by fanning out over the shards owning a
     /// piece of `I` through the persistent worker pool (one job and one
     /// reused [`QueryContext`] per shard) and merging the per-shard
-    /// answers. Identical to
-    /// [`DurableTopKEngine::query`](crate::DurableTopKEngine::query) over the same
-    /// history for every `τ`.
+    /// answers. Identical, for every `τ`, to the paper's single-index
+    /// engine over the same history — which is this engine built with one
+    /// shard.
     ///
     /// With a skyband bound configured ([`EngineConfig::skyband_bound`]),
     /// [`Algorithm::SBand`] runs natively everywhere — sealed tails and the
@@ -622,6 +642,59 @@ impl ShardedEngine {
         Ok(QueryResult { records, stats })
     }
 
+    /// Answers `DurTop(k, I, τ)` with look-ahead durability windows
+    /// `[p.t, p.t + τ]`, on an engine built over the reversed history
+    /// ([`Dataset::reversed`]); `I` and the answer are in the original
+    /// history's ids. A record is τ-durable looking ahead iff its mirror
+    /// image is τ-durable looking back, so the interval is mirrored, the
+    /// look-back algorithms run unchanged, and the ids are mapped home.
+    ///
+    /// # Panics
+    /// As [`query`](ShardedEngine::query).
+    pub fn query_lookahead<S: OracleScorer + Sync + ?Sized>(
+        &self,
+        alg: Algorithm,
+        scorer: &S,
+        query: &DurableQuery,
+    ) -> QueryResult {
+        let interval = query.validate(self.len);
+        let last = (self.len - 1) as Time;
+        let mirrored = DurableQuery {
+            interval: Window::new(last - interval.end(), last - interval.start()),
+            ..*query
+        };
+        let mut result = self.query(alg, scorer, &mirrored);
+        for id in &mut result.records {
+            *id = last - *id;
+        }
+        result.records.reverse();
+        result
+    }
+
+    /// The longest duration for which record `p` stays in the top-k
+    /// (look-back), plus the number of top-k probes used: [`max_duration`]
+    /// over the view of records `[0, p]`. A record durable over all of
+    /// history reports [`len`](ShardedEngine::len). On an engine over the
+    /// reversed history this is the look-ahead duration of record
+    /// `len − 1 − p`.
+    ///
+    /// # Panics
+    /// Panics if `k == 0` or `p` is not a record of the engine.
+    pub fn max_duration<S: OracleScorer + ?Sized>(
+        &self,
+        scorer: &S,
+        p: RecordId,
+        k: usize,
+    ) -> (Time, u64) {
+        assert!((p as usize) < self.len, "record {p} out of bounds");
+        let mut cold = 0;
+        let (duration, probes) = self.with_view(0, 0, p, &mut cold, |view| {
+            max_duration(view, view, scorer, p, k, &mut QueryContext::new())
+        });
+        // Durable over all of `[0, p]` is durable over all of history.
+        (if duration > p { self.len as Time } else { duration }, probes)
+    }
+
     /// Answers the preference top-k query `Q(u, k, W)` over the whole
     /// sharded history into `out`, drawing scratch from `ctx` — the
     /// building-block view of the engine, which standing-query refreshes
@@ -686,10 +759,10 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DurableTopKEngine;
+    use crate::engine::tests::{brute_durable, flat};
     use crate::error::BuildError;
     use crate::storage::PagedStorage;
-    use durable_topk_temporal::LinearScorer;
+    use durable_topk_temporal::{Anchor, LinearScorer};
 
     fn dataset(n: usize) -> Dataset {
         Dataset::from_rows(2, (0..n).map(|i| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64]))
@@ -707,7 +780,7 @@ mod tests {
     #[test]
     fn sharded_matches_unsharded_across_shard_counts() {
         let ds = dataset(2_000);
-        let flat = DurableTopKEngine::new(ds.clone());
+        let flat = flat(&ds, None);
         let scorer = LinearScorer::new(vec![0.7, 0.3]);
         let q = DurableQuery { k: 4, tau: 150, interval: Window::new(100, 1_899) };
         let expected = flat.query(Algorithm::THop, &scorer, &q);
@@ -729,7 +802,7 @@ mod tests {
         // Interval and its τ reach inside shard 3's owned range [300, 399].
         let q = DurableQuery { k: 2, tau: 30, interval: Window::new(330, 380) };
         let got = sharded.query(Algorithm::THop, &scorer, &q);
-        let flat = DurableTopKEngine::new(ds);
+        let flat = flat(&ds, None);
         assert_eq!(got.records, flat.query(Algorithm::THop, &scorer, &q).records);
         // Only shard 3's oracle saw traffic.
         let active = sharded.tails.iter().filter(|s| s.oracle.counters().queries() > 0).count();
@@ -741,7 +814,7 @@ mod tests {
         let ds = dataset(1_200);
         let sharded =
             EngineConfig::new(2, 1, 100).skyband_bound(8).build_from(&ds, 4).expect("build");
-        let flat = DurableTopKEngine::new(ds).with_skyband_index(8);
+        let flat = flat(&ds, Some(8));
         let scorer = LinearScorer::new(vec![0.4, 0.6]);
         let q = DurableQuery { k: 5, tau: 90, interval: Window::new(0, 1_199) };
         let got = sharded.query(Algorithm::SBand, &scorer, &q);
@@ -757,7 +830,7 @@ mod tests {
         let ds = dataset(300);
         let sharded =
             EngineConfig::new(2, 1, 20).skyband_bound(4).build_from(&ds, 3).expect("build");
-        let flat = DurableTopKEngine::new(ds).with_skyband_index(4);
+        let flat = flat(&ds, Some(4));
         let scorer = LinearScorer::uniform(2);
         for tau in [21, 150, 299, 5_000] {
             let q = DurableQuery { k: 3, tau, interval: Window::new(90, 299) };
@@ -779,7 +852,7 @@ mod tests {
         let over = DurableQuery { tau: 21, ..base };
         assert_eq!(
             sharded.try_query(Algorithm::THop, &scorer, &over).expect("any τ").records,
-            DurableTopKEngine::new(ds).query(Algorithm::THop, &scorer, &over).records
+            flat(&ds, None).query(Algorithm::THop, &scorer, &over).records
         );
         let zero_k = DurableQuery { k: 0, ..base };
         assert_eq!(
@@ -815,22 +888,20 @@ mod tests {
         let ds = dataset(10);
         let sharded = built(&ds, 7, 2).expect("build");
         assert_eq!(sharded.shard_count(), 5);
-        let flat = DurableTopKEngine::new(ds.clone());
         let scorer = LinearScorer::uniform(2);
         let q = DurableQuery { k: 2, tau: 2, interval: Window::new(0, 9) };
         assert_eq!(
             sharded.query(Algorithm::THop, &scorer, &q).records,
-            flat.query(Algorithm::THop, &scorer, &q).records
+            flat(&ds, None).query(Algorithm::THop, &scorer, &q).records
         );
         // A second awkward split: 5 records over 4 shards.
         let ds = dataset(5);
         let sharded = built(&ds, 4, 1).expect("build");
         assert_eq!(sharded.shard_count(), 3);
-        let flat = DurableTopKEngine::new(ds);
         let q = DurableQuery { k: 1, tau: 1, interval: Window::new(0, 4) };
         assert_eq!(
             sharded.query(Algorithm::SHop, &scorer, &q).records,
-            flat.query(Algorithm::SHop, &scorer, &q).records
+            flat(&ds, None).query(Algorithm::SHop, &scorer, &q).records
         );
     }
 
@@ -841,7 +912,7 @@ mod tests {
         assert_eq!(sharded.shard_count(), 5);
         let scorer = LinearScorer::uniform(2);
         let q = DurableQuery { k: 1, tau: 2, interval: Window::new(0, 4) };
-        let flat = DurableTopKEngine::new(ds);
+        let flat = flat(&ds, None);
         assert_eq!(
             sharded.query(Algorithm::SHop, &scorer, &q).records,
             flat.query(Algorithm::SHop, &scorer, &q).records
@@ -860,7 +931,7 @@ mod tests {
         // 500 / 64 -> 7 sealed shards + a head owning 52 records.
         assert_eq!(live.sealed_shards(), 7);
         assert_eq!(live.shard_count(), 8);
-        let flat = DurableTopKEngine::new(ds);
+        let flat = flat(&ds, None);
         for (k, tau, a, b) in [(3usize, 40u32, 0u32, 499u32), (1, 17, 250, 499), (5, 40, 460, 499)]
         {
             let q = DurableQuery { k, tau, interval: Window::new(a, b) };
@@ -895,7 +966,7 @@ mod tests {
                 // Whole spans only: `build_from` partitions evenly.
                 assert_eq!(grown.shard_ranges(), built.shard_ranges(), "after {}", id + 1);
             }
-            let flat = DurableTopKEngine::new(prefix.clone()).with_skyband_index(4);
+            let flat = flat(&prefix, Some(4));
             let q = DurableQuery {
                 k: 1 + id as usize % 3,
                 tau: 1 + (id * 37) % (id + 1),
@@ -962,7 +1033,7 @@ mod tests {
             full.push(&row);
         }
         assert_eq!(sharded.len(), 420);
-        let flat = DurableTopKEngine::new(full);
+        let flat = flat(&full, None);
         let scorer = LinearScorer::new(vec![0.5, 0.5]);
         let q = DurableQuery { k: 2, tau: 25, interval: Window::new(150, 419) };
         for alg in [Algorithm::THop, Algorithm::SHop, Algorithm::TBase] {
@@ -975,9 +1046,9 @@ mod tests {
     }
 
     #[test]
-    fn sealing_preserves_the_overlap_invariant() {
-        // Span smaller than max_tau: the sealed sub-dataset is shorter than
-        // the overlap early on; context must clamp to the full history.
+    fn windows_reaching_across_many_short_shards_answer_exactly() {
+        // Span far below τ: every window reads back across three shards,
+        // and while the history is short, clamps at its start.
         let scorer = LinearScorer::uniform(2);
         let mut live = live(4, 10);
         let mut full = Dataset::new(2);
@@ -986,11 +1057,10 @@ mod tests {
             live.append(&row);
             full.push(&row);
             let n = full.len() as Time;
-            let flat = DurableTopKEngine::new(full.clone());
             let q = DurableQuery { k: 2, tau: 10, interval: Window::new(0, n - 1) };
             assert_eq!(
                 live.query(Algorithm::THop, &scorer, &q).records,
-                flat.query(Algorithm::THop, &scorer, &q).records,
+                flat(&full, None).query(Algorithm::THop, &scorer, &q).records,
                 "after {} appends",
                 i + 1
             );
@@ -1005,12 +1075,12 @@ mod tests {
         for id in 0..700u32 {
             live.append(ds.row(id));
         }
-        let flat = DurableTopKEngine::new(ds.clone());
+        let flat = SkylineSegTree::build(&ds);
         let mut ctx = QueryContext::new();
         let mut out = TopKResult::empty();
         for (k, a, b) in [(1usize, 0u32, 699u32), (4, 350, 360), (3, 95, 105), (2, 680, 699)] {
             live.top_k_into(&scorer, k, Window::new(a, b), &mut ctx, &mut out);
-            let expected = flat.oracle().top_k(&ds, &scorer, k, Window::new(a, b));
+            let expected = flat.top_k(&ds, &scorer, k, Window::new(a, b));
             assert_eq!(out, expected, "k={k} w=[{a},{b}]");
         }
     }
@@ -1026,7 +1096,7 @@ mod tests {
         }
         assert_eq!(live.sealed_shards(), 4);
         assert_eq!(live.shard_count(), 4, "no owned head records after an exact multiple");
-        let flat = DurableTopKEngine::new(ds.clone()).with_skyband_index(4);
+        let flat = flat(&ds, Some(4));
         let got = live.query(Algorithm::SBand, &scorer, &q);
         assert!(got.stats.fallback.is_none(), "sealed shards carry the skyband index");
         assert_eq!(got.records, flat.query(Algorithm::SBand, &scorer, &q).records);
@@ -1081,7 +1151,7 @@ mod tests {
         let ds = dataset(120);
         let scorer = LinearScorer::new(vec![0.35, 0.65]);
         let mut live = EngineConfig::new(2, 1_000, 25).skyband_bound(4).build().expect("config");
-        let flat_ref = |n: usize| DurableTopKEngine::new(dataset(n)).with_skyband_index(4);
+        let flat_ref = |n: usize| flat(&dataset(n), Some(4));
         for id in 0..120u32 {
             live.append(ds.row(id));
             if id % 17 == 3 {
@@ -1118,11 +1188,11 @@ mod tests {
             live.storage().stats().spilled_chunks >= 2,
             "spill_after=1 must leave most tails spilled"
         );
-        let flat = DurableTopKEngine::new(ds.clone());
+        let one_shard = flat(&ds, None);
         let q = DurableQuery { k: 3, tau: 30, interval: Window::new(0, 599) };
         for alg in [Algorithm::THop, Algorithm::SHop, Algorithm::TBase] {
             let got = live.query(alg, &scorer, &q);
-            assert_eq!(got.records, flat.query(alg, &scorer, &q).records, "alg={alg}");
+            assert_eq!(got.records, one_shard.query(alg, &scorer, &q).records, "alg={alg}");
         }
         // The full-interval queries touched spilled shards and decoded
         // them from pages. (Physical reads may be zero here — the pool's
@@ -1142,11 +1212,70 @@ mod tests {
         for id in 0..200u32 {
             full.push(ds.row(id));
         }
-        let flat = DurableTopKEngine::new(full);
         assert_eq!(
             live.query(Algorithm::SHop, &scorer, &q).records,
-            flat.query(Algorithm::SHop, &scorer, &q).records
+            flat(&full, None).query(Algorithm::SHop, &scorer, &q).records
         );
+    }
+
+    /// `ds` grown on paged storage that keeps one chunk resident, with
+    /// 4-record leaves: three sealed 32-record tails and a head.
+    fn paged_engine(ds: &Dataset) -> ShardedEngine {
+        let paged = Arc::new(PagedStorage::with_temp_file(1).expect("paged backend"));
+        let cfg = EngineConfig::new(2, 32, 24).skyband_bound(4).leaf_size(4).storage(paged);
+        let mut engine = cfg.build().expect("config");
+        for id in 0..ds.len() as RecordId {
+            engine.append(ds.row(id));
+        }
+        assert_eq!((engine.sealed_shards(), engine.shard_count()), (3, 4));
+        assert!(engine.storage().stats().spilled_chunks >= 2);
+        engine
+    }
+
+    /// The largest `τ`, up to the whole history, for which fewer than `k`
+    /// records of `p`'s `anchor` window beat it.
+    fn brute_max_duration(
+        ds: &Dataset,
+        scorer: &LinearScorer,
+        p: RecordId,
+        k: usize,
+        anchor: Anchor,
+    ) -> Time {
+        let durable = |tau| {
+            let q = DurableQuery { k, tau, interval: Window::new(p, p) };
+            !brute_durable(ds, scorer, &q, anchor).is_empty()
+        };
+        (1..=ds.len() as Time).take_while(|&tau| durable(tau)).last().unwrap_or(0)
+    }
+
+    /// Both entry points beyond `query`, across spilled tails, seal
+    /// boundaries and the head: `max_duration` looking back, and on an
+    /// engine over the reversed history look-ahead answers and durations.
+    #[test]
+    fn max_duration_and_lookahead_match_brute_force_across_spilled_shards() {
+        let row = |i: usize| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64];
+        // Record 70 beats every other record.
+        let ds = Dataset::from_rows(2, (0..120).map(|i| if i == 70 { [200.0; 2] } else { row(i) }));
+        let (forward, reversed) = (paged_engine(&ds), paged_engine(&ds.reversed()));
+        let scorer = LinearScorer::new(vec![0.4, 0.6]);
+        for p in [5, 31, 32, 63, 64, 95, 96, 110, 119] {
+            for k in [1, 3] {
+                let back = brute_max_duration(&ds, &scorer, p, k, Anchor::LookBack);
+                assert_eq!(forward.max_duration(&scorer, p, k).0, back, "p={p} k={k}");
+                let ahead = brute_max_duration(&ds, &scorer, p, k, Anchor::LookAhead);
+                assert_eq!(reversed.max_duration(&scorer, 119 - p, k).0, ahead, "p={p} k={k}");
+            }
+        }
+        assert_eq!(forward.max_duration(&scorer, 70, 1).0, 120, "durable over all history");
+        assert_eq!(reversed.max_duration(&scorer, 119 - 70, 1).0, 120);
+        for (k, tau, a, b) in [(1, 10, 0, 119), (3, 40, 20, 100), (2, 200, 50, 119)] {
+            let q = DurableQuery { k, tau, interval: Window::new(a, b) };
+            let want = brute_durable(&ds, &scorer, &q, Anchor::LookAhead);
+            for alg in Algorithm::ALL {
+                let got = reversed.query_lookahead(alg, &scorer, &q);
+                assert_eq!((got.records, got.stats.fallback), (want.clone(), None), "{alg} {q:?}");
+            }
+        }
     }
 
     #[test]

@@ -522,7 +522,7 @@ mod tests {
         let wide = registry.register(&engine, request(2, 40, w), false).expect("any τ");
         let scorer = LinearScorer::new(vec![0.6, 0.4]);
         let q = DurableQuery { k: 2, tau: 40, interval: Window::new(0, 99) };
-        let flat = crate::DurableTopKEngine::new(rows).query(Algorithm::THop, &scorer, &q);
+        let flat = crate::engine::tests::flat(&rows, None).query(Algorithm::THop, &scorer, &q);
         assert_eq!(registry.get(wide).expect("registered").snapshot().records, flat.records);
         assert!(registry.unsubscribe(wide));
         let skewed =

@@ -7,7 +7,8 @@
 //!
 //! Run with `cargo run --release -p durable_topk_examples --example nba_highlights`.
 
-use durable_topk::{alternatives, Algorithm, DurableQuery, DurableTopKEngine, Window};
+use durable_topk::{alternatives, Algorithm, DurableQuery, EngineConfig, Window};
+use durable_topk_index::SkylineSegTree;
 use durable_topk_temporal::SingleAttributeScorer;
 use durable_topk_workloads::{nba_attribute, nba_like};
 
@@ -17,7 +18,9 @@ fn main() {
     let ds = nba_like(120_000, 2024).project(&[nba_attribute("rebounds")]);
     let n = ds.len() as u32;
     let per_season = n / seasons;
-    let engine = DurableTopKEngine::new(ds);
+    let engine = EngineConfig::new(1, ds.len(), n).build_from(&ds, 1).expect("records");
+    // The tumbling and sliding alternatives probe one tree over the data.
+    let tree = SkylineSegTree::build(&ds);
     let scorer = SingleAttributeScorer::new(0);
     // A 5-season durability window. Start the query interval one window in,
     // so every claim has a full 5 seasons of history behind it.
@@ -35,30 +38,14 @@ fn main() {
             "  {}: {} rebounds — best single-game mark of the preceding 5 seasons \
              (actually unbeaten for the prior {:.1} seasons)",
             season_of(id),
-            engine.dataset().value(id, 0),
+            ds.value(id, 0),
             years.min(seasons as f64),
         );
     }
 
     println!("\n== tumbling-window top-1 (5-season grid) ==");
-    let grid0 = alternatives::tumbling_topk(
-        engine.dataset(),
-        engine.oracle(),
-        &scorer,
-        1,
-        interval,
-        tau,
-        0,
-    );
-    let grid1 = alternatives::tumbling_topk(
-        engine.dataset(),
-        engine.oracle(),
-        &scorer,
-        1,
-        interval,
-        tau,
-        tau / 2,
-    );
+    let grid0 = alternatives::tumbling_topk(&ds, &tree, &scorer, 1, interval, tau, 0);
+    let grid1 = alternatives::tumbling_topk(&ds, &tree, &scorer, 1, interval, tau, tau / 2);
     let ids0: Vec<u32> = grid0.iter().flat_map(|(_, v)| v.clone()).collect();
     let ids1: Vec<u32> = grid1.iter().flat_map(|(_, v)| v.clone()).collect();
     let stable = ids0.iter().filter(|i| ids1.contains(i)).count();
@@ -71,14 +58,7 @@ fn main() {
     println!("  (answers depend on an arbitrary grid placement — cherry-picking risk)");
 
     println!("\n== sliding-window top-1 union ==");
-    let sliding = alternatives::sliding_topk_union(
-        engine.dataset(),
-        engine.oracle(),
-        &scorer,
-        1,
-        interval,
-        tau,
-    );
+    let sliding = alternatives::sliding_topk_union(&ds, &tree, &scorer, 1, interval, tau);
     println!(
         "  {} records appear in some 5-season window's top-1 — {}x the durable answer, \
          with records drifting in and out as the window slides",

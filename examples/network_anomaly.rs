@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo run --release -p durable_topk_examples --example network_anomaly`.
 
-use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, Scorer, Window};
+use durable_topk::{Algorithm, DurableQuery, EngineConfig, LinearScorer, Scorer, Window};
 use durable_topk_workloads::network_like;
 
 fn main() {
@@ -17,7 +17,8 @@ fn main() {
     // 0 duration, 1 src_bytes, 2 dst_bytes, 3 login attempts, 4 hosts.
     let ds = network_like(300_000, 99).project(&[0, 1, 2, 3, 4]);
     let n = ds.len() as u32;
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+    let engine =
+        EngineConfig::new(5, ds.len(), n).skyband_bound(16).build_from(&ds, 1).expect("records");
 
     // A session must dominate ~5% of history around it. Skip the first
     // window so early sessions are not trivially durable.
@@ -41,12 +42,11 @@ fn main() {
         // Show the strongest alerts (highest-scoring durable sessions).
         let mut ranked: Vec<u32> = result.records.clone();
         ranked.sort_by(|&a, &b| {
-            let (sa, sb) =
-                (scorer.score(engine.dataset().row(a)), scorer.score(engine.dataset().row(b)));
+            let (sa, sb) = (scorer.score(ds.row(a)), scorer.score(ds.row(b)));
             sb.partial_cmp(&sa).expect("no NaN")
         });
         for &id in ranked.iter().take(4) {
-            let row = engine.dataset().row(id);
+            let row = ds.row(id);
             println!(
                 "    t={id}: dur={:.2} src={:.2} dst={:.2} logins={:.2} hosts={:.2}",
                 row[0], row[1], row[2], row[3], row[4]

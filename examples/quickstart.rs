@@ -2,7 +2,7 @@
 //!
 //! Run with `cargo run --release -p durable_topk_examples --example quickstart`.
 
-use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, Window};
+use durable_topk::{Algorithm, DurableQuery, EngineConfig, LinearScorer, Window};
 use durable_topk_temporal::Dataset;
 use durable_topk_workloads::ind;
 
@@ -13,10 +13,14 @@ fn main() {
     let n = ds.len();
     println!("dataset: {} records x {} attributes", n, ds.dim());
 
-    // 2. Build the engine: this constructs the skyline segment tree (the
-    //    top-k building block) and, optionally, the durable k-skyband index
-    //    that powers the S-Band algorithm.
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+    // 2. Build the engine as one shard over the whole dataset: this
+    //    constructs the skyline segment tree (the top-k building block)
+    //    and, optionally, the durable k-skyband index that powers the
+    //    S-Band algorithm, its durations looking back over all n records.
+    let engine = EngineConfig::new(ds.dim(), n, n as u32)
+        .skyband_bound(16)
+        .build_from(&ds, 1)
+        .expect("a non-empty dataset");
 
     // 3. All query parameters arrive at query time: the rank threshold k,
     //    the durability window τ, the query interval I, and the scoring

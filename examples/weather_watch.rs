@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release -p durable_topk_examples --example weather_watch`.
 
-use durable_topk::{Algorithm, Anchor, DurableQuery, DurableTopKEngine, Window};
+use durable_topk::{Algorithm, DurableQuery, EngineConfig, Window};
 use durable_topk_temporal::{Dataset, SingleAttributeScorer};
 use rand::prelude::*;
 
@@ -38,7 +38,10 @@ fn main() {
     let years = 60;
     let ds = simulate(years, 1234);
     let n = ds.len() as u32;
-    let engine = DurableTopKEngine::new(ds).with_lookahead();
+    // One shard over all of history; the look-ahead question runs on a
+    // second engine over the history reversed.
+    let build = |ds: &Dataset| EngineConfig::new(1, ds.len(), n).build_from(ds, 1).expect("days");
+    let (engine, reversed) = (build(&ds), build(&ds.reversed()));
     let coldness = SingleAttributeScorer::new(0);
 
     // "Coldest day of the past decade", asked over the last 25 years; the
@@ -57,7 +60,7 @@ fn main() {
             "  year {:2}, day {:3}: {:5.1}°C — coldest in the preceding {:.1} years",
             id / 365,
             id % 365,
-            -engine.dataset().value(id, 0),
+            -ds.value(id, 0),
             (dur as f64 / 365.0).min(years as f64),
         );
     }
@@ -65,7 +68,7 @@ fn main() {
     // The dual claim: records that stayed unbeaten for the following decade
     // (look-ahead anchoring over the first half of history).
     let q = DurableQuery { k: 1, tau, interval: Window::new(0, n / 2) };
-    let unbeaten = engine.query_anchored(Algorithm::THop, &coldness, &q, Anchor::LookAhead);
+    let unbeaten = reversed.query_lookahead(Algorithm::THop, &coldness, &q);
     println!(
         "look-ahead: {} early cold records stood unbeaten for the following decade",
         unbeaten.records.len()

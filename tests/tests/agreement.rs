@@ -1,8 +1,9 @@
 //! Cross-algorithm agreement: the paper's five algorithms (plus variants)
 //! must return identical answer sets on every workload family.
 
-use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, Window};
+use durable_topk::{Algorithm, DurableQuery, LinearScorer, Window};
 use durable_topk_temporal::{Dataset, Scorer};
+use durable_topk_tests::flat;
 use durable_topk_workloads::{anti, ind, nba_attribute, nba_like, network_like, preference_suite};
 use rand::prelude::*;
 
@@ -21,7 +22,7 @@ fn brute_durable(ds: &Dataset, scorer: &dyn Scorer, q: &DurableQuery) -> Vec<u32
 fn check_all(ds: Dataset, seed: u64, queries: usize) {
     let n = ds.len();
     let d = ds.dim();
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
+    let engine = flat(&ds, Some(16));
     let mut rng = StdRng::seed_from_u64(seed);
     for (qi, u) in preference_suite(d, queries, seed).into_iter().enumerate() {
         let scorer = LinearScorer::new(u);
@@ -32,7 +33,7 @@ fn check_all(ds: Dataset, seed: u64, queries: usize) {
             tau: rng.random_range(1..(n as u32 / 2).max(2)),
             interval: Window::new(a.min(b), a.max(b)),
         };
-        let expected = brute_durable(engine.dataset(), &scorer, &q);
+        let expected = brute_durable(&ds, &scorer, &q);
         for alg in Algorithm::ALL {
             let got = engine.query(alg, &scorer, &q);
             assert_eq!(got.records, expected, "q{qi} alg={alg} params={q:?}");
@@ -76,7 +77,7 @@ fn agreement_on_constant_data() {
     // All records identical: everyone ties; every record is durable for
     // every tau and k.
     let ds = Dataset::from_rows(2, std::iter::repeat_n([1.0, 1.0], 200));
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(4);
+    let engine = flat(&ds, Some(4));
     let scorer = LinearScorer::uniform(2);
     let q = DurableQuery { k: 1, tau: 50, interval: Window::new(0, 199) };
     for alg in Algorithm::ALL {
@@ -98,7 +99,7 @@ fn agreement_on_monotone_decreasing_data() {
 fn agreement_on_strictly_increasing_data() {
     // Every record beats all predecessors: everything is durable.
     let ds = Dataset::from_rows(1, (0..300).map(|i| [i as f64]));
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(4);
+    let engine = flat(&ds, Some(4));
     let scorer = LinearScorer::uniform(1);
     let q = DurableQuery { k: 3, tau: 100, interval: Window::new(50, 299) };
     for alg in Algorithm::ALL {

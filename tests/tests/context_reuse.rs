@@ -9,11 +9,40 @@
 //! record-for-record with a fresh-context run and with the brute-force
 //! durability definition.
 
-use durable_topk::{
-    Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, QueryContext, Window,
-};
+use durable_topk::algorithms::{s_band, s_base, s_hop, t_base, t_hop, RefillMode};
+use durable_topk::{Algorithm, DurableQuery, LinearScorer, QueryContext, QueryResult, Window};
+use durable_topk_index::{DurableSkybandIndex, SkylineSegTree};
 use durable_topk_temporal::{Dataset, Scorer};
 use proptest::prelude::*;
+
+/// A dataset with its top-k tree and its durable 8-skyband.
+struct Indexed(Dataset, SkylineSegTree, DurableSkybandIndex);
+
+impl Indexed {
+    fn new(ds: Dataset) -> Self {
+        let (tree, skyband) = (SkylineSegTree::build(&ds), DurableSkybandIndex::build(&ds, 8));
+        Self(ds, tree, skyband)
+    }
+
+    /// Runs `alg` on `ctx`.
+    fn run(
+        &self,
+        alg: Algorithm,
+        scorer: &LinearScorer,
+        q: &DurableQuery,
+        ctx: &mut QueryContext,
+    ) -> QueryResult {
+        let Self(ds, tree, skyband) = self;
+        match alg {
+            Algorithm::TBase => t_base(ds, tree, scorer, q, ctx),
+            Algorithm::THop => t_hop(ds, tree, scorer, q, ctx),
+            Algorithm::SBase => s_base(ds, scorer, q, ctx),
+            Algorithm::SBand => s_band(ds, tree, skyband, scorer, q, ctx),
+            Algorithm::SHop => s_hop(ds, tree, scorer, q, RefillMode::TopK, ctx),
+            Algorithm::SHopTop1 => s_hop(ds, tree, scorer, q, RefillMode::Top1, ctx),
+        }
+    }
+}
 
 fn dataset_strategy(max_n: usize, vals: u32) -> impl Strategy<Value = Dataset> {
     prop::collection::vec(prop::collection::vec(0..vals, 2), 2..max_n).prop_map(|rows| {
@@ -69,16 +98,16 @@ proptest! {
         specs in prop::collection::vec(query_strategy(), 1..12),
     ) {
         let n = ds.len() as u32;
-        let engine = DurableTopKEngine::new(ds).with_skyband_index(8);
+        let engine = Indexed::new(ds);
         let scorer = LinearScorer::new(vec![0.6, 0.4]);
         let mut shared = QueryContext::new();
         for spec in &specs {
             let (alg, q) = materialize(spec, n);
-            let reused = engine.query_with(alg, &scorer, &q, &mut shared);
-            let fresh = engine.query_with(alg, &scorer, &q, &mut QueryContext::new());
+            let reused = engine.run(alg, &scorer, &q, &mut shared);
+            let fresh = engine.run(alg, &scorer, &q, &mut QueryContext::new());
             prop_assert_eq!(&reused.records, &fresh.records, "alg={} q={:?}", alg, q);
             prop_assert_eq!(reused.stats, fresh.stats, "alg={} q={:?}", alg, q);
-            let expected = brute_force(engine.dataset(), &scorer, &q);
+            let expected = brute_force(&engine.0, &scorer, &q);
             prop_assert_eq!(&reused.records, &expected, "alg={} q={:?}", alg, q);
         }
     }
@@ -91,16 +120,14 @@ proptest! {
         ds_b in dataset_strategy(25, 7),
         specs in prop::collection::vec(query_strategy(), 2..8),
     ) {
-        let engines =
-            [DurableTopKEngine::new(ds_a).with_skyband_index(8),
-             DurableTopKEngine::new(ds_b).with_skyband_index(8)];
+        let engines = [Indexed::new(ds_a), Indexed::new(ds_b)];
         let scorer = LinearScorer::new(vec![0.3, 0.7]);
         let mut shared = QueryContext::new();
         for (i, spec) in specs.iter().enumerate() {
             let engine = &engines[i % 2];
-            let (alg, q) = materialize(spec, engine.dataset().len() as u32);
-            let reused = engine.query_with(alg, &scorer, &q, &mut shared);
-            let expected = brute_force(engine.dataset(), &scorer, &q);
+            let (alg, q) = materialize(spec, engine.0.len() as u32);
+            let reused = engine.run(alg, &scorer, &q, &mut shared);
+            let expected = brute_force(&engine.0, &scorer, &q);
             prop_assert_eq!(&reused.records, &expected, "alg={} q={:?} engine={}", alg, q, i % 2);
         }
     }

@@ -1,7 +1,8 @@
 //! CSV round-trip pipeline: generate → export → import → query.
 
-use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, Window};
+use durable_topk::{Algorithm, DurableQuery, LinearScorer, Window};
 use durable_topk_temporal::{read_csv_file, write_csv_file};
+use durable_topk_tests::flat;
 use durable_topk_workloads::{nba_attribute, nba_like, NBA_ATTRIBUTES};
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -27,8 +28,8 @@ fn csv_roundtrip_preserves_query_answers() {
         w
     };
     let scorer = LinearScorer::new(weights);
-    let original = DurableTopKEngine::new(ds).query(Algorithm::SHop, &scorer, &q);
-    let roundtrip = DurableTopKEngine::new(imported.dataset).query(Algorithm::SHop, &scorer, &q);
+    let original = flat(&ds, None).query(Algorithm::SHop, &scorer, &q);
+    let roundtrip = flat(&imported.dataset, None).query(Algorithm::SHop, &scorer, &q);
     assert_eq!(original.records, roundtrip.records);
 }
 

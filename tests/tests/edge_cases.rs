@@ -1,15 +1,15 @@
 //! Edge cases, failure paths, and non-monotone scorer coverage.
 
 use durable_topk::{
-    Algorithm, CosineScorer, DurableQuery, DurableTopKEngine, LinearScorer, ScanOracle, Scorer,
-    TopKOracle, Window,
+    Algorithm, CosineScorer, DurableQuery, LinearScorer, ScanOracle, Scorer, TopKOracle, Window,
 };
 use durable_topk_temporal::Dataset;
+use durable_topk_tests::flat;
 
 #[test]
 fn single_record_dataset() {
     let ds = Dataset::from_rows(3, [[1.0, 2.0, 3.0]]);
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(4);
+    let engine = flat(&ds, Some(4));
     let scorer = LinearScorer::uniform(3);
     let q = DurableQuery { k: 1, tau: 1, interval: Window::new(0, 0) };
     for alg in Algorithm::ALL {
@@ -20,7 +20,7 @@ fn single_record_dataset() {
 #[test]
 fn interval_of_one_instant() {
     let ds = Dataset::from_rows(1, (0..100).map(|i| [((i * 7) % 13) as f64]));
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(4);
+    let engine = flat(&ds, Some(4));
     let scorer = LinearScorer::uniform(1);
     for t in [0u32, 50, 99] {
         let q = DurableQuery { k: 2, tau: 10, interval: Window::new(t, t) };
@@ -38,15 +38,15 @@ fn interval_of_one_instant() {
 #[test]
 fn tau_larger_than_history() {
     let ds = Dataset::from_rows(1, (0..50).map(|i| [((i * 11) % 17) as f64]));
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(4);
+    let engine = flat(&ds, Some(4));
     let scorer = LinearScorer::uniform(1);
     // τ covering far more than all of history: windows clamp at 0, so a
     // record is durable iff it is top-k among ALL its predecessors.
     let q = DurableQuery { k: 3, tau: 10_000, interval: Window::new(0, 49) };
     let expected: Vec<u32> = (0..50u32)
         .filter(|&t| {
-            let my = engine.dataset().value(t, 0);
-            (0..t).filter(|&u| engine.dataset().value(u, 0) > my).count() < 3
+            let my = ds.value(t, 0);
+            (0..t).filter(|&u| ds.value(u, 0) > my).count() < 3
         })
         .collect();
     for alg in Algorithm::ALL {
@@ -57,7 +57,7 @@ fn tau_larger_than_history() {
 #[test]
 fn k_larger_than_window_population() {
     let ds = Dataset::from_rows(1, (0..30).map(|i| [i as f64]));
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(64);
+    let engine = flat(&ds, Some(64));
     let scorer = LinearScorer::uniform(1);
     // k = 50 > any window population: everything is durable.
     let q = DurableQuery { k: 50, tau: 5, interval: Window::new(0, 29) };
@@ -77,7 +77,7 @@ fn cosine_scorer_works_with_general_algorithms() {
         })
         .collect();
     let ds = Dataset::from_rows(3, rows);
-    let engine = DurableTopKEngine::new(ds);
+    let engine = flat(&ds, None);
     let scorer = CosineScorer::new(vec![1.0, 2.0, 0.5]);
     let q = DurableQuery { k: 4, tau: 50, interval: Window::new(100, 399) };
     // Brute-force reference with the non-monotone scorer.
@@ -85,11 +85,8 @@ fn cosine_scorer_works_with_general_algorithms() {
         .interval
         .iter()
         .filter(|&t| {
-            let my = scorer.score(engine.dataset().row(t));
-            Window::lookback(t, q.tau)
-                .iter()
-                .filter(|&u| scorer.score(engine.dataset().row(u)) > my)
-                .count()
+            let my = scorer.score(ds.row(t));
+            Window::lookback(t, q.tau).iter().filter(|&u| scorer.score(ds.row(u)) > my).count()
                 < q.k
         })
         .collect();
@@ -103,7 +100,7 @@ fn sband_with_cosine_falls_back_to_shop() {
     // S-Band's pruning argument needs monotonicity; instead of panicking the
     // engine degrades to S-Hop and flags the substitution.
     let ds = Dataset::from_rows(2, [[1.0, 2.0], [2.0, 1.0], [0.5, 0.5], [3.0, 0.1]]);
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(2);
+    let engine = flat(&ds, Some(2));
     let scorer = CosineScorer::new(vec![1.0, 1.0]);
     let q = DurableQuery { k: 1, tau: 2, interval: Window::new(0, 3) };
     let got = engine.query(Algorithm::SBand, &scorer, &q);
@@ -120,12 +117,12 @@ fn zero_vectors_with_cosine() {
     // Records containing the zero vector must not break the oracle's
     // bounding logic (cosine of zero is defined as 0).
     let ds = Dataset::from_rows(2, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 0.1], [0.5, 0.5]]);
-    let engine = DurableTopKEngine::new(ds);
+    let engine = flat(&ds, None);
     let scorer = CosineScorer::new(vec![1.0, 1.0]);
     let scan = ScanOracle::new();
     for k in 1..=3 {
-        let fast = engine.oracle().top_k(engine.dataset(), &scorer, k, Window::new(0, 4));
-        let slow = scan.top_k(engine.dataset(), &scorer, k, Window::new(0, 4));
+        let fast = engine.top_k(&scorer, k, Window::new(0, 4));
+        let slow = scan.top_k(&ds, &scorer, k, Window::new(0, 4));
         assert_eq!(fast, slow, "k={k}");
     }
 }
@@ -137,13 +134,13 @@ fn negative_cosine_weights_supported() {
         2,
         (0..200).map(|i| [((i * 3) % 11) as f64 + 1.0, ((i * 5) % 7) as f64 + 1.0]),
     );
-    let engine = DurableTopKEngine::new(ds);
+    let engine = flat(&ds, None);
     let scorer = CosineScorer::new(vec![1.0, -1.0]);
     let scan = ScanOracle::new();
     for t in [30u32, 120, 199] {
         let w = Window::lookback(t, 40);
-        let fast = engine.oracle().top_k(engine.dataset(), &scorer, 3, w);
-        let slow = scan.top_k(engine.dataset(), &scorer, 3, w);
+        let fast = engine.top_k(&scorer, 3, w);
+        let slow = scan.top_k(&ds, &scorer, 3, w);
         assert_eq!(fast, slow, "t={t}");
     }
 }
@@ -151,7 +148,7 @@ fn negative_cosine_weights_supported() {
 #[test]
 fn stats_reflect_algorithm_behaviour() {
     let ds = Dataset::from_rows(1, (0..2_000).map(|i| [((i * 97) % 389) as f64]));
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(8);
+    let engine = flat(&ds, Some(8));
     let scorer = LinearScorer::uniform(1);
     let q = DurableQuery { k: 5, tau: 400, interval: Window::new(500, 1_999) };
     let tb = engine.query(Algorithm::TBase, &scorer, &q);
@@ -173,7 +170,7 @@ fn stats_reflect_algorithm_behaviour() {
 #[test]
 fn oracle_counters_are_cumulative_across_queries() {
     let ds = Dataset::from_rows(1, (0..500).map(|i| [(i % 97) as f64]));
-    let engine = DurableTopKEngine::new(ds);
+    let engine = flat(&ds, None);
     let scorer = LinearScorer::uniform(1);
     engine.reset_counters();
     let q = DurableQuery { k: 3, tau: 100, interval: Window::new(100, 499) };

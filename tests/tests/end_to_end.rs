@@ -2,10 +2,11 @@
 //! expected-size law, and duration reporting across crates.
 
 use durable_topk::{
-    duration::max_duration, Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, QueryContext,
-    SingleAttributeScorer, SkybandCandidates, Window,
+    Algorithm, DurableQuery, LinearScorer, SingleAttributeScorer, SkybandCandidates, Window,
 };
+use durable_topk_index::DurableSkybandIndex;
 use durable_topk_store::{t_base_proc, t_hop_proc, RelStore};
+use durable_topk_tests::flat;
 use durable_topk_workloads::{ind, nba_attribute, nba_like, random_permutation_dataset};
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -17,7 +18,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 #[test]
 fn stored_procedures_match_in_memory_engine() {
     let ds = nba_like(4_000, 77).project(&[nba_attribute("points"), nba_attribute("rebounds")]);
-    let engine = DurableTopKEngine::new(ds.clone());
+    let engine = flat(&ds, None);
     let mut store = RelStore::create(tmp("e2e.db"), &ds, 64, 128).expect("create");
     let scorer = LinearScorer::new(vec![0.3, 0.7]);
     for (k, tau, lo, hi) in
@@ -39,7 +40,7 @@ fn lemma1_and_lemma3_bounds_hold() {
     // data (where the bound is provably tight up to constants).
     let n = 20_000usize;
     let ds = ind(n, 2, 99);
-    let engine = DurableTopKEngine::new(ds);
+    let engine = flat(&ds, None);
     let scorer = LinearScorer::uniform(2);
     for (k, tau_pct) in [(1usize, 0.05f64), (5, 0.10), (10, 0.25)] {
         let tau = ((n as f64 * tau_pct) as u32).max(1);
@@ -74,7 +75,7 @@ fn lemma4_expected_answer_size() {
     let trials = 12;
     for t in 0..trials {
         let ds = random_permutation_dataset(&values, 1000 + t);
-        let engine = DurableTopKEngine::new(ds);
+        let engine = flat(&ds, None);
         let scorer = SingleAttributeScorer::new(0);
         let r = engine.query(Algorithm::THop, &scorer, &DurableQuery { k, tau, interval });
         total += r.records.len();
@@ -89,8 +90,8 @@ fn lemma4_expected_answer_size() {
 #[test]
 fn skyband_candidates_cover_answers_across_parameters() {
     let ds = ind(3_000, 3, 5);
-    let engine = DurableTopKEngine::new(ds).with_skyband_index(16);
-    let idx = engine.skyband_index().expect("built");
+    let engine = flat(&ds, None);
+    let idx = DurableSkybandIndex::build(&ds, 16);
     let scorer = LinearScorer::new(vec![0.2, 0.5, 0.3]);
     for k in [1usize, 3, 8, 16] {
         for tau in [10u32, 100, 1_000] {
@@ -108,16 +109,15 @@ fn skyband_candidates_cover_answers_across_parameters() {
 #[test]
 fn max_duration_consistent_with_query_answers() {
     let ds = nba_like(2_000, 3).project(&[nba_attribute("points")]);
-    let engine = DurableTopKEngine::new(ds);
+    let engine = flat(&ds, None);
     let scorer = SingleAttributeScorer::new(0);
     let k = 3usize;
     let tau = 300u32;
     let q = DurableQuery { k, tau, interval: Window::new(500, 1_999) };
     let answers = engine.query(Algorithm::SHop, &scorer, &q);
     assert!(!answers.records.is_empty());
-    let mut ctx = QueryContext::new();
     for &id in answers.records.iter().take(20) {
-        let (dur, _) = max_duration(engine.dataset(), engine.oracle(), &scorer, id, k, &mut ctx);
+        let (dur, _) = engine.max_duration(&scorer, id, k);
         assert!(dur >= tau, "answer {id} reports duration {dur} < queried tau {tau}");
     }
     // And a record *not* in the answer set must have duration < tau.
@@ -126,8 +126,7 @@ fn max_duration_consistent_with_query_answers() {
         .iter()
         .find(|t| !answers.records.contains(t))
         .expect("some record is non-durable");
-    let (dur, _) =
-        max_duration(engine.dataset(), engine.oracle(), &scorer, non_answer, k, &mut ctx);
+    let (dur, _) = engine.max_duration(&scorer, non_answer, k);
     assert!(dur < tau, "non-answer {non_answer} reports duration {dur} >= {tau}");
 }
 
@@ -135,7 +134,7 @@ fn max_duration_consistent_with_query_answers() {
 fn selectivity_monotonicity() {
     // Larger tau or smaller k can only shrink the answer set.
     let ds = ind(5_000, 2, 21);
-    let engine = DurableTopKEngine::new(ds);
+    let engine = flat(&ds, None);
     let scorer = LinearScorer::uniform(2);
     let interval = Window::new(2_000, 4_999);
     let base =

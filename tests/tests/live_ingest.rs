@@ -12,10 +12,12 @@
 //! process-wide spawn counter stays flat across arbitrarily many queries.
 
 use durable_topk::{
-    Algorithm, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer, QueryContext,
-    TopKResult, Window, WorkerPool,
+    Algorithm, DurableQuery, EngineConfig, LinearScorer, QueryContext, TopKResult, Window,
+    WorkerPool,
 };
+use durable_topk_index::SkylineSegTree;
 use durable_topk_temporal::Dataset;
+use durable_topk_tests::flat;
 use proptest::prelude::*;
 
 /// One randomized query shape, instantiated against a prefix at run time.
@@ -90,7 +92,7 @@ proptest! {
             live.append(ds.row(id as u32));
             if id % 11 == 7 {
                 let prefix = Dataset::from_rows(2, (0..=id).map(|i| ds.row(i as u32).to_vec()));
-                let flat = DurableTopKEngine::new(prefix);
+                let flat = flat(&prefix, None);
                 let spec = spec_cursor.next().expect("cycle never ends");
                 let (alg, q) = materialize(spec, (id + 1) as u32, max_tau);
                 prop_assert_eq!(
@@ -105,7 +107,7 @@ proptest! {
         let rebuilt = EngineConfig::new(2, span, max_tau)
             .build_from(&ds, n.div_ceil(span))
             .expect("build");
-        let flat = DurableTopKEngine::new(ds.clone());
+        let flat = flat(&ds, None);
         for spec in &specs {
             let (alg, q) = materialize(spec, n as u32, max_tau);
             let grown = live.query(alg, &scorer, &q);
@@ -192,14 +194,14 @@ proptest! {
         for id in 0..n {
             live.append(ds.row(id));
         }
-        let flat = DurableTopKEngine::new(ds.clone());
+        let flat = SkylineSegTree::build(&ds);
         let mut ctx = QueryContext::new();
         let mut out = TopKResult::empty();
         for &(a, b, k) in &windows {
             let (a, b) = (a % n, b % n);
             let w = Window::new(a.min(b), a.max(b));
             live.top_k_into(&scorer, k, w, &mut ctx, &mut out);
-            prop_assert_eq!(&out, &flat.oracle().top_k(&ds, &scorer, k, w), "k={} w={}", k, w);
+            prop_assert_eq!(&out, &flat.top_k(&ds, &scorer, k, w), "k={} w={}", k, w);
         }
     }
 }
@@ -211,14 +213,12 @@ proptest! {
 fn query_path_spawns_no_threads() {
     let ds = Dataset::from_rows(2, (0..600).map(|i| [((i * 37) % 101) as f64, (i % 13) as f64]));
     let sharded = EngineConfig::new(2, 120, 60).build_from(&ds, 5).expect("build");
-    let engine = DurableTopKEngine::new(ds.clone());
     let scorer = LinearScorer::new(vec![0.5, 0.5]);
     let scorers: Vec<LinearScorer> =
         (1..=6).map(|i| LinearScorer::new(vec![i as f64, (7 - i) as f64])).collect();
     let q = DurableQuery { k: 3, tau: 50, interval: Window::new(100, 599) };
-    let batch = |alg| {
-        WorkerPool::global().run_jobs(6, 4, |i, ctx| engine.query_with(alg, &scorers[i], &q, ctx))
-    };
+    let batch =
+        |alg| WorkerPool::global().run_jobs(6, 4, |i, _ctx| sharded.query(alg, &scorers[i], &q));
 
     // Warm-up: force the global pool (and its one-time worker spawns).
     let warm = sharded.query(Algorithm::THop, &scorer, &q);

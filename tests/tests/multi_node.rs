@@ -10,15 +10,16 @@
 //! *observationally absent*.
 
 use durable_topk::{
-    Algorithm, Backpressure, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer,
-    QueryError, ScorerError, ScorerSpec, ServeEngine, ServeError, ServeRequest, ShardedEngine,
-    SingleAttributeScorer, Window,
+    Algorithm, Backpressure, DurableQuery, EngineConfig, LinearScorer, QueryError, ScorerError,
+    ScorerSpec, ServeEngine, ServeError, ServeRequest, ShardedEngine, SingleAttributeScorer,
+    Window,
 };
 use durable_topk_net::{
     Coordinator, LocalNode, NetError, Node, NodeIdentity, NodeServer, NodeServerOptions,
     RemoteNode, RemoteOptions,
 };
 use durable_topk_temporal::Dataset;
+use durable_topk_tests::flat;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::net::TcpListener;
@@ -174,7 +175,7 @@ fn a_panicking_request_fails_alone_across_local_nodes() {
     let ok = cluster
         .query(&ServeRequest { scorer: ScorerSpec::Uniform, ..boom })
         .expect("the cluster must keep serving");
-    let flat = DurableTopKEngine::new(ds);
+    let flat = flat(&ds, None);
     assert_eq!(ok.records, flat.query(Algorithm::THop, &LinearScorer::uniform(2), &query).records);
 
     serve0.shutdown();

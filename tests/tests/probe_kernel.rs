@@ -11,12 +11,13 @@
 //!   existed — the counts below were recorded at the commit preceding the
 //!   memo and the pruning, over inputs that depend on nothing but this file.
 
-use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine, QueryStats};
+use durable_topk::{Algorithm, DurableQuery, QueryStats};
 use durable_topk_index::{
     AppendableTopKIndex, NodeSummary, OracleScorer, OracleScratch, SkylineSegTree, TopKResult,
     TreeRows,
 };
 use durable_topk_temporal::{CosineScorer, Dataset, LinearScorer, Scorer, Time, Window};
+use durable_topk_tests::flat;
 use proptest::prelude::*;
 
 /// A scorer with no structural fingerprint: the memo must step aside.
@@ -191,7 +192,7 @@ fn search_work_is_what_it_was_before_memo_and_pruning() {
 
 #[test]
 fn algorithm_counts_are_what_they_were_before_memo_and_pruning() {
-    let engine = DurableTopKEngine::new(pinned_dataset(4_000)).with_skyband_index(8);
+    let engine = flat(&pinned_dataset(4_000), Some(8));
     let scorer = LinearScorer::new(vec![0.5, 0.3, 0.2]);
     let q = DurableQuery { k: 4, tau: 300, interval: Window::new(500, 3_999) };
     let counts = |s: &QueryStats| {

@@ -1,9 +1,10 @@
 //! Property-based tests (proptest) over the core invariants.
 
-use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, Window};
+use durable_topk::{Algorithm, DurableQuery, LinearScorer, Window};
 use durable_topk_geom::{dominates, k_skyband, skyband_durations, skyline_indices};
 use durable_topk_index::{scan_top_k, SkylineSegTree};
 use durable_topk_temporal::{Dataset, Scorer};
+use durable_topk_tests::flat;
 use proptest::prelude::*;
 
 fn dataset_strategy(max_n: usize, d: usize, vals: u32) -> impl Strategy<Value = Dataset> {
@@ -49,16 +50,16 @@ proptest! {
         let b = (seed / 3) % n;
         let interval = Window::new(a.min(b), a.max(b));
         let q = DurableQuery { k, tau, interval };
-        let engine = DurableTopKEngine::new(ds).with_skyband_index(8);
+        let engine = flat(&ds, Some(8));
         let scorer = LinearScorer::new(vec![0.6, 0.4]);
         let expected: Vec<u32> = interval
             .iter()
             .filter(|&t| {
                 let w = Window::lookback(t, tau);
-                let my = scorer.score(engine.dataset().row(t));
-                w.clamp_to(engine.dataset().len())
+                let my = scorer.score(ds.row(t));
+                w.clamp_to(ds.len())
                     .iter()
-                    .filter(|&u| scorer.score(engine.dataset().row(u)) > my)
+                    .filter(|&u| scorer.score(ds.row(u)) > my)
                     .count()
                     < k
             })
@@ -110,7 +111,7 @@ proptest! {
         let n = ds.len() as u32;
         let interval = Window::new(n / 4, (n * 3 / 4).max(n / 4));
         let q = DurableQuery { k, tau, interval };
-        let engine = DurableTopKEngine::new(ds);
+        let engine = flat(&ds, None);
         let scorer = LinearScorer::uniform(2);
         let r = engine.query(Algorithm::SHop, &scorer, &q);
         prop_assert!(r.records.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");

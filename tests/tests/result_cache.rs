@@ -8,11 +8,12 @@
 //! identity (merge, storage migration) must never serve a stale entry.
 
 use durable_topk::{
-    Algorithm, Backpressure, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer,
-    PagedStorage, Scorer, ScorerSpec, ServeEngine, ServeRequest, Window,
+    Algorithm, Backpressure, DurableQuery, EngineConfig, LinearScorer, PagedStorage, Scorer,
+    ScorerSpec, ServeEngine, ServeRequest, Window,
 };
 use durable_topk_index::{NodeSummary, OracleScorer, TreeRows};
 use durable_topk_temporal::Dataset;
+use durable_topk_tests::flat;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -119,7 +120,7 @@ proptest! {
         prop_assert!(stats.hits > 0, "sealed-tail re-probes must hit ({stats:?})");
 
         // Final state agrees with the flat unsharded reference engine.
-        let flat = DurableTopKEngine::new(ds.clone()).with_skyband_index(k_max);
+        let flat = flat(&ds, Some(k_max));
         let q = DurableQuery { k, tau, interval: Window::new(0, (n - 1) as u32) };
         for alg in Algorithm::ALL {
             prop_assert_eq!(

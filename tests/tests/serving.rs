@@ -17,10 +17,11 @@
 //!    beyond the persistent pool's.
 
 use durable_topk::{
-    Algorithm, Backpressure, Dataset, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer,
-    OracleScorer, Scorer, ScorerSpec, ServeEngine, ServeError, ServeRequest, Window, WorkerPool,
+    Algorithm, Backpressure, Dataset, DurableQuery, EngineConfig, LinearScorer, OracleScorer,
+    Scorer, ScorerSpec, ServeEngine, ServeError, ServeRequest, Window, WorkerPool,
 };
 use durable_topk_index::{NodeSummary, TreeRows};
+use durable_topk_tests::flat;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -93,7 +94,7 @@ fn ingest_while_serving_stays_exact() {
 
     // Reference: a flat engine over the final dataset. Look-back windows
     // make every collected answer timing-independent.
-    let flat = DurableTopKEngine::new(dataset(TOTAL)).with_skyband_index(4);
+    let flat = flat(&dataset(TOTAL), Some(4));
     let scorer = LinearScorer::new(vec![0.6, 0.4]);
     assert_eq!(collected.len(), 360);
     for (req, records) in collected {
@@ -308,11 +309,7 @@ fn bad_request_input_never_panics_the_server() {
     let serve = ServeEngine::new(engine, 16, Backpressure::Block);
     let wide = DurableQuery { k: 1, tau: 2_000, interval: Window::new(0, 299) };
     let req = ServeRequest { alg: Algorithm::THop, query: wide, scorer: ScorerSpec::Uniform };
-    let flat = DurableTopKEngine::new(dataset(300)).query(
-        Algorithm::THop,
-        &LinearScorer::uniform(2),
-        &wide,
-    );
+    let flat = flat(&dataset(300), None).query(Algorithm::THop, &LinearScorer::uniform(2), &wide);
     let served = serve.submit(req).expect("accepted").wait().expect("any τ");
     assert_eq!(served.records, flat.records);
     let cases: Vec<(ServeRequest, &str)> = vec![

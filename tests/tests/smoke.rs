@@ -7,12 +7,12 @@
 //! answers against the brute-force durability definition, not just against
 //! each other, so a bug shared by all five algorithms still fails.
 
-use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine, LinearScorer, Window};
-use durable_topk_temporal::Scorer;
+use durable_topk::{Algorithm, DurableQuery, LinearScorer, Window};
+use durable_topk_temporal::{Dataset, Scorer};
+use durable_topk_tests::flat;
 use durable_topk_workloads::{anti, ind};
 
-fn brute_force(engine: &DurableTopKEngine, scorer: &LinearScorer, q: &DurableQuery) -> Vec<u32> {
-    let ds = engine.dataset();
+fn brute_force(ds: &Dataset, scorer: &LinearScorer, q: &DurableQuery) -> Vec<u32> {
     q.interval
         .clamp_to(ds.len())
         .iter()
@@ -26,12 +26,13 @@ fn brute_force(engine: &DurableTopKEngine, scorer: &LinearScorer, q: &DurableQue
 
 #[test]
 fn all_algorithms_agree_on_smoke_dataset() {
-    let engine = DurableTopKEngine::new(ind(256, 2, 7)).with_skyband_index(16);
+    let ds = ind(256, 2, 7);
+    let engine = flat(&ds, Some(16));
     let scorer = LinearScorer::new(vec![0.6, 0.4]);
     for (k, tau, lo, hi) in [(1, 8, 0, 255), (3, 16, 40, 200), (5, 64, 100, 255), (10, 256, 0, 100)]
     {
         let q = DurableQuery { k, tau, interval: Window::new(lo, hi) };
-        let expected = brute_force(&engine, &scorer, &q);
+        let expected = brute_force(&ds, &scorer, &q);
         for alg in Algorithm::ALL {
             let got = engine.query(alg, &scorer, &q);
             assert_eq!(got.records, expected, "alg={alg} disagrees for {q:?}");
@@ -41,10 +42,11 @@ fn all_algorithms_agree_on_smoke_dataset() {
 
 #[test]
 fn all_algorithms_agree_on_anticorrelated_data() {
-    let engine = DurableTopKEngine::new(anti(256, 9)).with_skyband_index(8);
+    let ds = anti(256, 9);
+    let engine = flat(&ds, Some(8));
     let scorer = LinearScorer::uniform(2);
     let q = DurableQuery { k: 4, tau: 32, interval: Window::new(32, 224) };
-    let expected = brute_force(&engine, &scorer, &q);
+    let expected = brute_force(&ds, &scorer, &q);
     assert!(!expected.is_empty(), "smoke query should return some records");
     for alg in Algorithm::ALL {
         assert_eq!(engine.query(alg, &scorer, &q).records, expected, "alg={alg}");
@@ -54,7 +56,7 @@ fn all_algorithms_agree_on_anticorrelated_data() {
 #[test]
 fn sharded_engine_matches_unsharded_on_smoke_datasets() {
     for (ds, name) in [(ind(256, 2, 7), "ind"), (anti(256, 9), "anti")] {
-        let flat = DurableTopKEngine::new(ds.clone()).with_skyband_index(16);
+        let flat = flat(&ds, Some(16));
         let sharded = durable_topk::EngineConfig::new(ds.dim(), ds.len(), 64)
             .skyband_bound(16)
             .build_from(&ds, 4)

@@ -14,11 +14,12 @@
 //! land mid-leaf, and the answers must not notice.
 
 use durable_topk::{
-    Algorithm, DurableQuery, DurableTopKEngine, EngineConfig, LinearScorer, PagedStorage,
-    QueryContext, ShardedEngine, TopKResult, Window,
+    Algorithm, DurableQuery, EngineConfig, LinearScorer, PagedStorage, QueryContext, ShardedEngine,
+    TopKResult, Window,
 };
 use durable_topk_store::PAGE_SIZE;
 use durable_topk_temporal::Dataset;
+use durable_topk_tests::flat;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -99,7 +100,7 @@ proptest! {
 
         // Final state: both backends also agree with the flat unsharded
         // engine on the full history.
-        let flat = DurableTopKEngine::new(ds.clone()).with_skyband_index(k_max);
+        let flat = flat(&ds, Some(k_max));
         for alg in Algorithm::ALL {
             let q = DurableQuery {
                 k: 1 + seed as usize % k_max,
@@ -155,7 +156,7 @@ proptest! {
             2,
             (0..2 * n).map(|i| ds.row(i % n).to_vec()),
         );
-        let flat = DurableTopKEngine::new(doubled);
+        let flat = flat(&doubled, None);
         let q2 = DurableQuery { interval: Window::new(q.interval.start(), 2 * n - 1), ..q };
         for alg in Algorithm::ALL {
             prop_assert_eq!(

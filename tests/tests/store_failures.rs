@@ -92,9 +92,8 @@ fn stored_and_memory_answers_agree_under_every_pool_size() {
     let ds = dataset(800);
     let scorer = LinearScorer::uniform(2);
     let reference = {
-        use durable_topk::{Algorithm, DurableQuery, DurableTopKEngine};
-        let engine = DurableTopKEngine::new(ds.clone());
-        engine
+        use durable_topk::{Algorithm, DurableQuery};
+        durable_topk_tests::flat(&ds, None)
             .query(
                 Algorithm::THop,
                 &scorer,
