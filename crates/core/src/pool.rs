@@ -24,7 +24,6 @@ use crate::check::{LockClass, TrackedCondvar, TrackedMutex};
 use crate::context::QueryContext;
 use crate::sync::lock;
 use std::any::Any;
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -36,18 +35,6 @@ use std::thread::JoinHandle;
 /// The regression guard for "the query path spawns nothing" reads this
 /// before and after a query storm and asserts it stayed flat.
 static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
-
-/// Detached jobs accepted by every pool in this process, cumulatively.
-///
-/// The companion guard to [`THREADS_SPAWNED`]: background work
-/// (shard seals, serving requests, subscription refreshes) must show up
-/// here — as pool jobs — rather than as spawned threads.
-static DETACHED_JOBS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Set on every pool's worker threads ([`WorkerPool::on_worker`]).
-    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
-}
 
 /// One batch's work, type-erased. The object lives on the submitting
 /// thread's stack; the pool only dereferences it under the visitor
@@ -110,9 +97,9 @@ struct BatchState {
 }
 
 /// A standalone fire-and-forget job: runs once on whichever worker pops
-/// it, with that worker's persistent context. Used for background shard
-/// seals and queued serving requests — work that outlives the submitting
-/// call instead of being awaited by it.
+/// it, with that worker's persistent context. Used for queued serving
+/// requests — work that outlives the submitting call instead of being
+/// awaited by it.
 type DetachedJob = Box<dyn FnOnce(&mut QueryContext) + Send + 'static>;
 
 /// What travels down the wake-up channel.
@@ -351,8 +338,8 @@ impl WorkerPool {
 
     /// Hands a standalone job to the pool: it runs once, on whichever
     /// worker pops it, with that worker's persistent [`QueryContext`] —
-    /// the substrate for background shard seals and queued serving
-    /// requests. Submission never blocks and never spawns.
+    /// the substrate for queued serving requests. Submission never blocks
+    /// and never spawns.
     ///
     /// A panic inside the job is caught at the worker (the worker
     /// survives and keeps serving); the job itself is responsible for
@@ -361,31 +348,7 @@ impl WorkerPool {
     /// Returns `false` when the pool is shutting down and cannot take the
     /// job — the caller should then run it inline.
     pub fn submit(&self, job: impl FnOnce(&mut QueryContext) + Send + 'static) -> bool {
-        match &self.injector {
-            Some(tx) => {
-                let accepted = tx.send(Token::Detached(Box::new(job))).is_ok();
-                if accepted {
-                    DETACHED_JOBS.fetch_add(1, Ordering::Relaxed);
-                }
-                accepted
-            }
-            None => false,
-        }
-    }
-
-    /// Cumulative detached jobs accepted by every pool in this process.
-    ///
-    /// Tests assert this *grows* where [`WorkerPool::threads_spawned`]
-    /// stays flat: background work rides the pool instead of new threads.
-    pub fn detached_jobs() -> u64 {
-        DETACHED_JOBS.load(Ordering::Relaxed)
-    }
-
-    /// Whether the calling thread is a worker of some pool. A worker must
-    /// not wait for detached jobs to finish: one queued behind it may need
-    /// its thread to run at all.
-    pub(crate) fn on_worker() -> bool {
-        ON_WORKER.with(Cell::get)
+        self.injector.as_ref().is_some_and(|tx| tx.send(Token::Detached(Box::new(job))).is_ok())
     }
 
     /// Borrows a spare context (or creates one on cold start).
@@ -412,7 +375,6 @@ impl Drop for WorkerPool {
 /// A worker: one persistent context, fed wake-up tokens until the pool
 /// closes its channel.
 fn worker_loop(rx: &TrackedMutex<Receiver<Token>>) {
-    ON_WORKER.with(|w| w.set(true));
     let mut ctx = QueryContext::new();
     loop {
         // Holding the lock while blocked is the classic shared-receiver

@@ -32,7 +32,8 @@
 //!   registers a request once; the append path keeps its materialized
 //!   answer set current incrementally (see [`crate::subscribe`]), with a
 //!   zero-change fast path for arrivals the head skyband proves
-//!   irrelevant. Refresh jobs ride the same pool as requests.
+//!   irrelevant. The appending thread runs the refresh itself, so an
+//!   `append` returns with every subscription reflecting its arrival.
 //! * **Graceful shutdown** — [`shutdown`](ServeEngine::shutdown) stops
 //!   accepting, then drains: every already-queued request is still served
 //!   and its handle fulfilled.
@@ -269,13 +270,16 @@ struct Counters {
     queue_ns: AtomicU64,
     service_ns: AtomicU64,
     cold_page_hits: AtomicU64,
+    /// Appends running a refresh plan right now.
+    refreshing: AtomicU64,
     max_refresh_inflight: AtomicU64,
 }
 
 /// A point-in-time snapshot of the serving counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Requests accepted into the queue since construction.
+    /// Requests accepted since construction, into the queue or through
+    /// [`execute`](ServeEngine::execute).
     pub enqueued: u64,
     /// Requests answered successfully.
     pub completed: u64,
@@ -306,7 +310,7 @@ pub struct ServeStats {
     /// Full `try_query` recomputes run for subscriptions (registrations
     /// plus seal-boundary verifications).
     pub full_recomputes: u64,
-    /// High-water mark of concurrently in-flight refresh jobs — the
+    /// High-water mark of appends refreshing subscriptions at once — the
     /// saturation signal of the subscription workload, mirroring
     /// [`max_depth`](ServeStats::max_depth) for the request queue.
     pub max_refresh_inflight: u64,
@@ -338,21 +342,6 @@ struct Shared {
     /// write) is always acquired *before* this mutex, never after —
     /// enforced by [`LockClass::Engine`] < [`LockClass::SubscriptionRegistry`].
     subs: TrackedMutex<SubscriptionRegistry>,
-    /// Refresh jobs currently in flight (spawned but not finished).
-    refreshing: TrackedMutex<InFlight>,
-    /// Signalled when either count of `refreshing` reaches zero
-    /// ([`subscription_sync`](ServeEngine::subscription_sync) and
-    /// [`append`](ServeEngine::append) wait here).
-    refresh_idle: TrackedCondvar,
-}
-
-/// Refresh jobs in flight.
-#[derive(Debug, Default)]
-struct InFlight {
-    jobs: usize,
-    /// Those carrying seal-boundary verifications: whole recomputes under
-    /// the engine read lock.
-    verifying: usize,
 }
 
 impl Shared {
@@ -374,23 +363,7 @@ impl Shared {
             item
         };
         let Some(item) = item else { return };
-        let queued = item.enqueued.elapsed();
-        let started = Instant::now();
-        let outcome = self.execute_isolated(&item.req);
-        let service = started.elapsed();
-        let result = match outcome {
-            Ok((records, stats)) => {
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                self.counters.queue_ns.fetch_add(queued.as_nanos() as u64, Ordering::Relaxed);
-                self.counters.service_ns.fetch_add(service.as_nanos() as u64, Ordering::Relaxed);
-                self.counters.cold_page_hits.fetch_add(stats.cold_page_hits, Ordering::Relaxed);
-                Ok(ServeResponse { records, stats, queued, service })
-            }
-            Err(e) => {
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        };
+        let result = self.execute_isolated(&item.req, item.enqueued.elapsed());
         item.slot.publish(result);
         let mut state = lock(&self.state);
         state.outstanding -= 1;
@@ -400,34 +373,53 @@ impl Shared {
     }
 
     /// What the queue's workers and [`ServeEngine::execute`] both run:
-    /// [`execute_request`] with panics caught at request granularity. The
-    /// read lock is scoped inside the catch; RwLocks only poison on
-    /// exclusive-access panics, so readers stay healthy.
+    /// [`execute_request`] with panics caught at request granularity,
+    /// booked into the serving counters. The read lock is scoped inside
+    /// the catch; RwLocks only poison on exclusive-access panics, so
+    /// readers stay healthy.
     fn execute_isolated(
         &self,
         req: &ServeRequest,
-    ) -> Result<(Vec<RecordId>, QueryStats), ServeError> {
-        catch_unwind(AssertUnwindSafe(|| {
+        queued: Duration,
+    ) -> Result<ServeResponse, ServeError> {
+        let started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
             let engine = self.read_engine();
             execute_request(&engine, req)
-        }))
+        }));
+        let service = started.elapsed();
         // `as_ref` matters: coercing `&Box<dyn Any>` would downcast
         // against the box, not the payload inside it.
-        .map_err(|payload| ServeError::Panicked(panic_message(payload.as_ref())))?
-        .map_err(ServeError::Query)
+        let outcome = outcome
+            .map_err(|payload| ServeError::Panicked(panic_message(payload.as_ref())))
+            .and_then(|answer| answer.map_err(ServeError::Query));
+        let c = &self.counters;
+        match outcome {
+            Ok((records, stats)) => {
+                c.completed.fetch_add(1, Ordering::Relaxed);
+                c.queue_ns.fetch_add(queued.as_nanos() as u64, Ordering::Relaxed);
+                c.service_ns.fetch_add(service.as_nanos() as u64, Ordering::Relaxed);
+                c.cold_page_hits.fetch_add(stats.cold_page_hits, Ordering::Relaxed);
+                Ok(ServeResponse { records, stats, queued, service })
+            }
+            Err(e) => {
+                c.failed.fetch_add(1, Ordering::Relaxed);
+                Err(e)
+            }
+        }
     }
 
-    /// Executes one append's refresh plan: the bounded probe for every
-    /// affected subscription, then any seal-boundary verifications. Runs
-    /// on a pool worker (or inline when the pool is tearing down) with
-    /// the engine *read* lock — appends and queries proceed concurrently.
+    /// Executes one append's refresh plan on the appending thread: the
+    /// bounded probe for every affected subscription, then any
+    /// seal-boundary verifications, under the engine *read* lock — queries
+    /// proceed concurrently.
     ///
     /// Panic-safe at plan granularity: a scorer panic marks every planned
-    /// subscription diverged instead of killing the worker. Refresh jobs
-    /// may execute out of arrival order; that is sound because durability
-    /// is look-back only — each probe sees a history at least as long as
-    /// the one its arrival saw, and the admitted set is inserted
-    /// idempotently in id order.
+    /// subscription diverged instead of failing the append. With several
+    /// appending threads, plans may finish out of arrival order; that is
+    /// sound because durability is look-back only — each probe sees a
+    /// history at least as long as the one its arrival saw, and the
+    /// admitted set is inserted idempotently in id order.
     fn run_refresh(&self, id: RecordId, attrs: &[f64], plan: &RefreshPlan, ctx: &mut QueryContext) {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let engine = self.read_engine();
@@ -447,12 +439,6 @@ impl Shared {
             for sub in plan.probes.iter().chain(&plan.verifies) {
                 sub.mark_diverged();
             }
-        }
-        let mut refreshing = lock(&self.refreshing);
-        refreshing.jobs -= 1;
-        refreshing.verifying -= usize::from(!plan.verifies.is_empty());
-        if refreshing.jobs == 0 || refreshing.verifying == 0 {
-            self.refresh_idle.notify_all();
         }
     }
 }
@@ -571,8 +557,6 @@ impl ServeEngine {
                 backpressure,
                 counters: Counters::default(),
                 subs,
-                refreshing: TrackedMutex::new(LockClass::ServeQueue, InFlight::default()),
-                refresh_idle: TrackedCondvar::new(),
             }),
         }
     }
@@ -632,39 +616,34 @@ impl ServeEngine {
     /// queue or the caller. Cluster members answer through this — a
     /// coordinator's fan-out jobs run *on* the pool that drains the queue,
     /// so parking them behind it could deadlock a single-worker host.
+    /// Counted in [`stats`](ServeEngine::stats) like queued traffic, with
+    /// zero queue time.
     pub fn execute(&self, req: &ServeRequest) -> Result<(Vec<RecordId>, QueryStats), ServeError> {
-        self.shared.execute_isolated(req)
+        self.shared.counters.enqueued.fetch_add(1, Ordering::Relaxed);
+        self.shared.execute_isolated(req, Duration::ZERO).map(|r| (r.records, r.stats))
     }
 
     /// Ingests one record into the underlying live engine under the write
     /// lock, sealing the head there when the record fills it (see
-    /// [`ShardedEngine::append`]).
+    /// [`ShardedEngine::append`]). Returns once every subscription
+    /// reflects the arrival.
     ///
     /// With subscriptions registered, the arrival is classified under the
     /// same write lock (one head-skyband lookup — the maintainer already
     /// did the dominance work as part of the append). The common outcome
     /// is the zero-change fast path: no subscription is touched and the
-    /// append returns. Otherwise the bounded refresh plan rides the
-    /// persistent [`WorkerPool`] as a detached job, *after* the lock is
-    /// released — queries keep serving while subscriptions catch up.
+    /// append returns. Otherwise the calling thread runs the bounded
+    /// refresh plan itself, *after* the write lock is released, under the
+    /// read lock — queries keep serving while it runs.
     ///
-    /// While a seal-boundary verification of a
-    /// [verified](ServeEngine::subscribe_verified) subscription is queued
-    /// or running — a whole recompute under the read lock — the append
-    /// first waits for it, *before* taking the write lock: queued on the
-    /// lock it would hold back every query submitted behind it. Called
-    /// from a pool worker, where waiting could stall the very worker the
-    /// verification needs, it skips that wait and queues on the lock.
+    /// With several appending threads, one thread's seal-boundary
+    /// verification (a whole recompute under the read lock) can hold a
+    /// second appender at the write lock, and queries queue behind that
+    /// appender. Append from one thread to keep queries clear of it.
     ///
     /// Returns the record's global id, or [`ServeError::Query`] with
     /// [`QueryError::Arity`] on an arity mismatch.
     pub fn append(&self, attrs: &[f64]) -> Result<RecordId, ServeError> {
-        if !WorkerPool::on_worker() {
-            let mut refreshing = lock(&self.shared.refreshing);
-            while refreshing.verifying > 0 {
-                refreshing = self.shared.refresh_idle.wait(refreshing);
-            }
-        }
         let (id, plan) = {
             let mut engine = self.shared.engine.write();
             if attrs.len() != engine.dim() {
@@ -678,34 +657,16 @@ impl ServeEngine {
             (id, plan)
         };
         if !plan.is_empty() {
-            self.spawn_refresh(id, attrs.to_vec(), plan);
+            let c = &self.shared.counters;
+            let refreshing = c.refreshing.fetch_add(1, Ordering::Relaxed) + 1;
+            c.max_refresh_inflight.fetch_max(refreshing, Ordering::Relaxed);
+            // Parallelism 1 runs inline, on a context borrowed from the pool.
+            WorkerPool::global().run_jobs(1, 1, |_, ctx| {
+                self.shared.run_refresh(id, attrs, &plan, ctx);
+            });
+            c.refreshing.fetch_sub(1, Ordering::Relaxed);
         }
         Ok(id)
-    }
-
-    /// Dispatches one refresh plan to the pool, falling back to inline
-    /// execution when the pool is tearing down. Called with no locks held
-    /// — the inline path re-acquires the engine read lock.
-    fn spawn_refresh(&self, id: RecordId, attrs: Vec<f64>, plan: RefreshPlan) {
-        {
-            let mut refreshing = lock(&self.shared.refreshing);
-            refreshing.jobs += 1;
-            refreshing.verifying += usize::from(!plan.verifies.is_empty());
-            self.shared
-                .counters
-                .max_refresh_inflight
-                .fetch_max(refreshing.jobs as u64, Ordering::Relaxed);
-        }
-        // `WorkerPool::submit` consumes its closure even when it refuses
-        // the job, so the payload travels in an `Arc` the fallback can
-        // still reach.
-        let payload = Arc::new((id, attrs, plan));
-        let shared = Arc::clone(&self.shared);
-        let job = Arc::clone(&payload);
-        if !WorkerPool::global().submit(move |ctx| shared.run_refresh(job.0, &job.1, &job.2, ctx)) {
-            let mut ctx = QueryContext::new();
-            self.shared.run_refresh(payload.0, &payload.1, &payload.2, &mut ctx);
-        }
     }
 
     /// Does nothing; kept only because the frozen benchmark harness calls it.
@@ -740,8 +701,8 @@ impl ServeEngine {
         subs.register(&engine, req, verify).map_err(ServeError::Query)
     }
 
-    /// Removes a standing query; returns whether it existed. In-flight
-    /// refresh jobs for it finish harmlessly.
+    /// Removes a standing query; returns whether it existed. An append
+    /// refreshing it right now finishes harmlessly.
     pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
         lock(&self.shared.subs).unsubscribe(id)
     }
@@ -760,15 +721,9 @@ impl ServeEngine {
         Some(sub.take_delta())
     }
 
-    /// Blocks until no refresh job is in flight — every append already
-    /// made is reflected in every subscription. Call before comparing a
-    /// snapshot against a full recompute.
-    pub fn subscription_sync(&self) {
-        let mut refreshing = lock(&self.shared.refreshing);
-        while refreshing.jobs > 0 {
-            refreshing = self.shared.refresh_idle.wait(refreshing);
-        }
-    }
+    /// Does nothing; kept only because the frozen benchmark harness calls it.
+    #[doc(hidden)]
+    pub fn subscription_sync(&self) {}
 
     /// Read access to the underlying engine (shard counts, direct
     /// queries, verification against the served answers).
@@ -975,14 +930,12 @@ mod tests {
         for i in 0..80 {
             serve.append(&row(i)).expect("arity matches");
         }
-        let jobs_before = WorkerPool::detached_jobs();
         let id = serve
             .subscribe_verified(request(Algorithm::THop, 2, 10, 0, u32::MAX))
             .expect("valid request");
         for i in 80..300 {
             serve.append(&row(i)).expect("arity matches");
         }
-        serve.subscription_sync();
         let snap = serve.poll_subscription(id).expect("registered");
         assert!(!snap.diverged, "seal verifications must agree with the fast path");
         let scorer = durable_topk_temporal::LinearScorer::new(vec![0.6, 0.4]);
@@ -993,55 +946,58 @@ mod tests {
         let delta = serve.take_delta(id).expect("registered");
         assert_eq!(delta, snap.records);
         assert!(serve.take_delta(id).expect("registered").is_empty());
-        // The gate fired, probes ran, and every refresh rode the pool as a
-        // detached job — the saturation high-water mark saw them.
+        // The gate fired, probes ran, and the high-water mark saw a
+        // refreshing append.
         let stats = serve.stats();
         assert_eq!(stats.subscriptions, 1);
         assert!(stats.refreshes > 0, "durable arrivals must probe");
         assert!(stats.fast_path_skips > 0, "the skyband gate must skip arrivals");
         assert!(stats.full_recomputes >= 1, "registration materializes once");
-        assert!(stats.max_refresh_inflight >= 1);
-        assert!(WorkerPool::detached_jobs() > jobs_before, "refreshes ride the pool");
+        assert_eq!(stats.max_refresh_inflight, 1, "one appending thread");
         assert!(serve.unsubscribe(id));
         assert!(serve.poll_subscription(id).is_none());
         assert!(!serve.unsubscribe(id));
         serve.shutdown();
     }
 
-    /// Appends across seal boundaries wait out each seal's verification
-    /// and never leave one counted after `subscription_sync`; an append
-    /// made from a pool worker skips that wait and cannot stall the pool.
+    /// Appends rows `ids` and, after each one, compares the subscription
+    /// with a recompute at that exact prefix; returns the first id where
+    /// it lags or diverged.
+    fn first_stale_append(
+        serve: &ServeEngine,
+        sub: SubscriptionId,
+        ids: std::ops::Range<usize>,
+    ) -> Option<RecordId> {
+        let scorer = durable_topk_temporal::LinearScorer::new(vec![0.6, 0.4]);
+        let row = |i: usize| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64];
+        ids.map(|i| serve.append(&row(i)).expect("arity matches")).find(|&id| {
+            let snap = serve.poll_subscription(sub).expect("registered");
+            let q = DurableQuery { k: 2, tau: 10, interval: Window::new(0, id) };
+            let want = serve.engine().try_query(Algorithm::THop, &scorer, &q).expect("query");
+            snap.diverged || snap.records != want.records
+        })
+    }
+
+    /// `append` returns once every subscription reflects its arrival —
+    /// from a plain thread and from inside a pool job alike, across seal
+    /// boundaries, with no call in between.
     #[test]
-    fn appends_across_seals_settle_their_verifications() {
+    fn every_append_returns_with_its_subscriptions_current() {
         let engine = EngineConfig::new(2, 32, 16).skyband_bound(4).build().expect("config");
         let serve = ServeEngine::new(engine, 8, Backpressure::Block);
-        let row = |i: usize| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64];
-        for i in 0..20 {
-            serve.append(&row(i)).expect("arity matches");
-        }
         let id = serve
             .subscribe_verified(request(Algorithm::THop, 2, 10, 0, u32::MAX))
             .expect("valid request");
-        for i in 20..200 {
-            serve.append(&row(i)).expect("arity matches");
-        }
+        assert_eq!(first_stale_append(&serve, id, 0..150), None, "from a plain thread");
         let (tx, rx) = std::sync::mpsc::channel();
         let worker_side = serve.clone();
         assert!(WorkerPool::global().submit(move |_ctx| {
-            let ids: Vec<_> = (200..300).map(|i| worker_side.append(&row(i))).collect();
-            let _ = tx.send((WorkerPool::on_worker(), ids));
+            let _ = tx.send(first_stale_append(&worker_side, id, 150..300));
         }));
-        let (on_worker, ids) =
-            rx.recv_timeout(std::time::Duration::from_secs(60)).expect("pool appends finish");
-        assert!(on_worker && !WorkerPool::on_worker());
-        assert_eq!(ids.last(), Some(&Ok(299)));
-        serve.subscription_sync();
-        let refreshing = lock(&serve.shared.refreshing);
-        assert_eq!((refreshing.jobs, refreshing.verifying), (0, 0));
-        drop(refreshing);
+        let stale = rx.recv_timeout(Duration::from_secs(60)).expect("pool appends finish");
+        assert_eq!(stale, None, "from inside a pool job");
         assert!(serve.engine().sealed_shards() >= 8, "the run crosses seal boundaries");
         let snap = serve.poll_subscription(id).expect("registered");
-        assert!(!snap.diverged, "seal verifications must agree with the fast path");
         assert!(snap.full_recomputes > 1, "every seal verifies: {}", snap.full_recomputes);
         serve.shutdown();
     }
@@ -1065,7 +1021,6 @@ mod tests {
             serve.append(&row).expect("arity matches");
             rows.push(&row);
         }
-        serve.subscription_sync();
         let snap = serve.poll_subscription(wide).expect("registered");
         let scorer = durable_topk_temporal::LinearScorer::new(vec![0.6, 0.4]);
         let q = DurableQuery { k: 2, tau: 70, interval: Window::new(0, 149) };
@@ -1097,7 +1052,6 @@ mod tests {
         for i in 10..50 {
             serve.append(&row(i)).expect("arity matches");
         }
-        serve.subscription_sync();
         let snap = serve.poll_subscription(id).expect("registered");
         assert!(snap.complete, "the stream passed the interval end");
         assert!(snap.records.iter().all(|&r| r <= 19));
@@ -1128,7 +1082,6 @@ mod tests {
         for i in 40..160 {
             serve.append(&row(i)).expect("arity matches");
         }
-        serve.subscription_sync();
         let stats = serve.stats();
         // 120 post-registration arrivals, all in-interval: all must probe.
         assert_eq!(stats.refreshes, 120);

@@ -36,9 +36,9 @@
 //!    but stay exact through tier 2: the probe itself is scorer-agnostic.
 //!
 //! The registry is engine-agnostic glue with one driver:
-//! [`ServeEngine`](crate::ServeEngine) plans from its append path and runs
-//! the refresh jobs on the persistent [`WorkerPool`](crate::WorkerPool) as
-//! detached jobs.
+//! [`ServeEngine::append`](crate::ServeEngine::append) plans under its
+//! write lock and runs the plan on the appending thread once the lock is
+//! released, so the append returns with every subscription current.
 //!
 //! [`SkybandMaintainer`]: durable_topk_geom::SkybandMaintainer
 
@@ -129,8 +129,26 @@ impl ScorerVisitor for IsMonotone {
     }
 }
 
-/// Mutable half of one subscription, behind its own lock so refresh jobs
-/// running on pool workers never contend on the registry itself.
+/// Tier 3's full recompute: `req` with its interval clipped to the
+/// ingested prefix, through [`ShardedEngine::try_query`]. `None` while the
+/// prefix holds no record of the interval.
+fn recompute(
+    engine: &ShardedEngine,
+    req: &ServeRequest,
+) -> Result<Option<Vec<RecordId>>, QueryError> {
+    let q = req.query;
+    let len = engine.len();
+    if len == 0 || (q.interval.start() as usize) >= len {
+        return Ok(None);
+    }
+    let upto = q.interval.end().min((len - 1) as Time);
+    let clipped = DurableQuery { interval: Window::new(q.interval.start(), upto), ..q };
+    let run = RunQuery { engine, alg: req.alg, query: &clipped };
+    Ok(Some(req.scorer.resolve(engine.dim(), run)??.records))
+}
+
+/// Mutable half of one subscription, behind its own lock so appends
+/// running its refresh never contend on the registry itself.
 #[derive(Debug, Default)]
 struct SubState {
     /// Materialized answer set, sorted by arrival id.
@@ -145,10 +163,10 @@ struct SubState {
 }
 
 impl SubState {
-    /// Sorted, idempotent insert — refresh jobs may land out of arrival
-    /// order, and a seal-boundary verification may race an in-flight
-    /// probe; both paths compute the same truth, so inserting a record
-    /// twice must be a no-op.
+    /// Sorted, idempotent insert — with several appending threads,
+    /// refreshes may land out of arrival order and a seal-boundary
+    /// verification may race another append's probe; both paths compute
+    /// the same truth, so inserting a record twice must be a no-op.
     fn admit(&mut self, id: RecordId) {
         if let Err(pos) = self.records.binary_search(&id) {
             self.records.insert(pos, id);
@@ -158,7 +176,7 @@ impl SubState {
 }
 
 /// One standing request plus its materialized state. Shared (`Arc`)
-/// between the registry and any in-flight refresh jobs.
+/// between the registry and the refresh plans of running appends.
 #[derive(Debug)]
 pub(crate) struct Subscription {
     id: u64,
@@ -168,7 +186,7 @@ pub(crate) struct Subscription {
     /// Re-run the full recompute oracle at every seal boundary.
     verify_on_seal: bool,
     /// Ranked below the registry lock: `plan_refresh` locks it under the
-    /// registry (and the engine write lock), refresh jobs under the engine
+    /// registry (and the engine write lock), refreshes under the engine
     /// read lock alone.
     state: TrackedMutex<SubState>,
 }
@@ -202,43 +220,33 @@ impl Subscription {
 
     /// Tier 3: the correctness oracle. Recomputes the covered prefix via
     /// [`ShardedEngine::try_query`] and reconciles: the incremental state
-    /// must be a *subset* of the oracle answer (in-flight probes may not
-    /// have landed yet — they can only add records the oracle already
-    /// agrees on); anything the oracle disowns marks the subscription
-    /// diverged. Missing records are filled in, so a verified
+    /// must be a *subset* of the oracle answer (another appender's probe
+    /// may not have landed yet — it can only add records the oracle
+    /// already agrees on); anything the oracle disowns marks the
+    /// subscription diverged. Missing records are filled in, so a verified
     /// subscription is also fully caught up to the recompute point.
     pub(crate) fn verify(&self, engine: &ShardedEngine) {
-        let q = &self.req.query;
-        let len = engine.len();
-        if len == 0 || (q.interval.start() as usize) >= len {
-            return;
-        }
-        let upto = q.interval.end().min((len - 1) as Time);
-        let full =
-            DurableQuery { k: q.k, tau: q.tau, interval: Window::new(q.interval.start(), upto) };
-        let run = RunQuery { engine, alg: self.req.alg, query: &full };
-        let fresh = self.req.scorer.resolve(engine.dim(), run);
+        let fresh = match recompute(engine, &self.req) {
+            Ok(None) => return,
+            fresh => fresh,
+        };
         let mut state = lock(&self.state);
         state.full_recomputes += 1;
-        match fresh {
-            Ok(Ok(fresh)) => {
-                let false_positive = state
-                    .records
-                    .iter()
-                    .take_while(|&&r| r <= upto)
-                    .any(|r| fresh.records.binary_search(r).is_err());
-                if false_positive {
-                    state.diverged = true;
-                }
-                for &r in &fresh.records {
-                    state.admit(r);
-                }
-            }
-            _ => state.diverged = true,
+        let Ok(Some(fresh)) = fresh else {
+            state.diverged = true;
+            return;
+        };
+        // Every admitted record arrived before this recompute and lies in
+        // the interval, so the oracle covers all of them.
+        if state.records.iter().any(|r| fresh.binary_search(r).is_err()) {
+            state.diverged = true;
+        }
+        for r in fresh {
+            state.admit(r);
         }
     }
 
-    /// Marks the subscription diverged (a refresh job died mid-flight).
+    /// Marks the subscription diverged (its refresh panicked mid-plan).
     pub(crate) fn mark_diverged(&self) {
         lock(&self.state).diverged = true;
     }
@@ -267,8 +275,8 @@ impl Subscription {
 /// The per-arrival work one append produced: subscriptions needing the
 /// bounded probe, and subscriptions due a seal-boundary verification.
 /// Built under the engine lock (classification reads the head skyband),
-/// executed after it is released, on a pool worker of
-/// [`ServeEngine`](crate::ServeEngine).
+/// executed after it is released, by the appending thread of
+/// [`ServeEngine::append`](crate::ServeEngine::append).
 #[derive(Debug, Default)]
 pub(crate) struct RefreshPlan {
     pub(crate) probes: Vec<Arc<Subscription>>,
@@ -325,23 +333,14 @@ impl SubscriptionRegistry {
             return Err(QueryError::ZeroTau);
         }
         let monotone = req.scorer.resolve(engine.dim(), IsMonotone)?;
-        let len = engine.len();
         let mut state = SubState::default();
-        if len > 0 && (q.interval.start() as usize) < len {
-            let upto = q.interval.end().min((len - 1) as Time);
-            let init = DurableQuery {
-                k: q.k,
-                tau: q.tau,
-                interval: Window::new(q.interval.start(), upto),
-            };
-            let run = RunQuery { engine, alg: req.alg, query: &init };
-            let fresh = req.scorer.resolve(engine.dim(), run)??;
-            state.delta = fresh.records.clone();
-            state.records = fresh.records;
+        if let Some(records) = recompute(engine, &req)? {
+            state.delta = records.clone();
+            state.records = records;
             state.full_recomputes = 1;
             self.full_recomputes += 1;
         }
-        state.complete = (q.interval.end() as usize) < len;
+        state.complete = (q.interval.end() as usize) < engine.len();
         let id = self.next_id;
         self.next_id += 1;
         self.subs.push(Arc::new(Subscription {

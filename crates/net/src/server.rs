@@ -42,9 +42,9 @@ struct ServerShared {
     stop: AtomicBool,
     /// Live connection-handler count (admission control).
     live: AtomicUsize,
-    /// Query frames answered successfully / with an error, folded into the
-    /// Stats RPC so remote observers see network traffic that bypasses the
-    /// serve queue.
+    /// Query frames answered successfully / with an error on this
+    /// server's connections (the Stats RPC reports the engine's counters,
+    /// which include them).
     served: AtomicU64,
     failed: AtomicU64,
     /// Join handles of spawned connection handlers.
@@ -204,17 +204,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>) {
         };
         let reply = match msg {
             Message::Query(req) => answer_query(&shared, &req),
-            Message::StatsRequest => {
-                let mut stats = shared.serve.stats();
-                // Fold in traffic served on connection threads (which
-                // bypasses the queue) so remote observers see it.
-                let served = shared.served.load(Ordering::Relaxed);
-                let failed = shared.failed.load(Ordering::Relaxed);
-                stats.enqueued += served + failed;
-                stats.completed += served;
-                stats.failed += failed;
-                Message::Stats(stats)
-            }
+            Message::StatsRequest => Message::Stats(shared.serve.stats()),
             Message::RangesRequest => {
                 Message::Ranges(describe(&shared.serve.engine(), shared.identity))
             }

@@ -43,11 +43,10 @@ fn main() {
         let spike = if rng.random::<f64>() < 5e-4 { 20.0 * rng.random::<f64>() } else { 0.0 };
         let attrs =
             [drift + rng.random::<f64>() * 4.0 + spike, rng.random::<f64>() * 6.0 + spike * 0.5];
-        // `append` indexes the record and refreshes the subscription; once
-        // that settles, the delta answers "is this a τ-durable top-k record
-        // as of right now?".
+        // `append` indexes the record and refreshes the subscription before
+        // it returns, so the delta answers "is this a τ-durable top-k
+        // record as of right now?".
         serve.append(&attrs).expect("arity matches");
-        serve.subscription_sync();
         for t in serve.take_delta(alert).expect("registered") {
             alerts.push((t, scorer.score(&attrs)));
         }

@@ -105,12 +105,13 @@ fn seeded_yield_stress_completes_deadlock_free_without_fallbacks() {
             engine.append(&row(i));
         }
         let serve = ServeEngine::new(engine, 16, Backpressure::Block);
-        let _sub = serve
-            .subscribe_verified(ServeRequest {
-                alg: Algorithm::THop,
-                query: DurableQuery { k: 2, tau: 16, interval: Window::new(0, u32::MAX) },
-                scorer: ScorerSpec::Linear(vec![0.3, 0.7]),
-            })
+        let standing = |interval| ServeRequest {
+            alg: Algorithm::THop,
+            query: DurableQuery { k: 2, tau: 16, interval },
+            scorer: ScorerSpec::Linear(vec![0.3, 0.7]),
+        };
+        let sub = serve
+            .subscribe_verified(standing(Window::new(0, u32::MAX)))
             .expect("valid standing query");
         let appended = AtomicU32::new(BASE as u32);
         let fallbacks = AtomicU32::new(0);
@@ -143,12 +144,24 @@ fn seeded_yield_stress_completes_deadlock_free_without_fallbacks() {
                     }
                 });
             }
-            // Ingestion racing the clients across several seal boundaries.
-            for i in BASE..TOTAL {
-                serve.append(&row(i)).expect("arity matches");
-                appended.store(i as u32 + 1, Ordering::Release);
+            // Two appenders racing the clients and each other across
+            // several seal boundaries, so refreshes land out of order.
+            for a in 0..2usize {
+                let serve = serve.clone();
+                let appended = &appended;
+                scope.spawn(move || {
+                    for i in (BASE + a..TOTAL).step_by(2) {
+                        let id = serve.append(&row(i)).expect("arity matches");
+                        appended.fetch_max(id + 1, Ordering::Release);
+                    }
+                });
             }
         });
+        // Both appenders joined: the standing answer is a recompute's.
+        let snap = serve.poll_subscription(sub).expect("registered");
+        let recompute = serve.execute(&standing(Window::new(0, TOTAL as u32 - 1)));
+        assert!(!snap.diverged, "seed {seed}");
+        assert_eq!(Ok(snap.records), recompute.map(|(records, _)| records), "seed {seed}");
 
         // Repeat one sealed-range query: with the stream stopped, shard
         // generations are stable, so the second run must replay memoized

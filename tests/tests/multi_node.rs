@@ -182,15 +182,44 @@ fn a_panicking_request_fails_alone_across_local_nodes() {
     serve1.shutdown();
 }
 
+/// Two serving engines tiling the global records `0..=95`.
+fn two_slices() -> [(ServeEngine, NodeIdentity); 2] {
+    let ds = Dataset::from_rows(2, (0..96).map(|i| [(i % 7) as f64, (i % 5) as f64]));
+    [(0, 47), (48, 95)].map(|(lo, hi)| slice_node(&ds, lo, hi, 4))
+}
+
+/// Sends five good queries straddling both halves of `two_slices`' cluster
+/// and one bad query to each half; `cluster_stats` must then read
+/// `(completed, failed) = (5, 1)` for each node.
+fn assert_each_node_counts_five_good_one_bad(cluster: &Coordinator) {
+    let request = |scorer, lo, hi| ServeRequest {
+        alg: Algorithm::THop,
+        query: DurableQuery { k: 2, tau: 3, interval: Window::new(lo, hi) },
+        scorer,
+    };
+    for _ in 0..5 {
+        cluster.query(&request(ScorerSpec::Uniform, 0, 95)).expect("good query");
+    }
+    for (lo, hi) in [(0, 47), (48, 95)] {
+        let bad = cluster.query(&request(ScorerSpec::Linear(vec![-1.0, 1.0]), lo, hi));
+        assert!(matches!(bad, Err(NetError::Serve(ServeError::Query(_)))), "got {bad:?}");
+    }
+    let stats = cluster.cluster_stats();
+    assert_eq!(stats.len(), 2);
+    for stats in stats {
+        let stats = stats.expect("stats");
+        assert_eq!((stats.completed, stats.failed), (5, 1));
+        assert_eq!(stats.enqueued, stats.completed + stats.failed);
+    }
+}
+
 /// The stats RPC end to end: `Coordinator::cluster_stats` →
-/// `RemoteNode::stats` → the `NodeServer`'s `StatsRequest` arm, which folds
-/// the traffic its connection threads served (bypassing the queue) into
-/// the queue's ledger so a remote observer sees it.
+/// `RemoteNode::stats` → the `NodeServer`'s `StatsRequest` arm, which
+/// reports the engine's counters — including the traffic its connection
+/// threads served through `ServeEngine::execute`, bypassing the queue.
 #[test]
 fn cluster_stats_reports_each_nodes_connection_traffic() {
-    let ds = Dataset::from_rows(2, (0..96).map(|i| [(i % 7) as f64, (i % 5) as f64]));
-    let nodes = [(0, 47), (48, 95)].map(|(lo, hi)| {
-        let (serve, id) = slice_node(&ds, lo, hi, 4);
+    let nodes = two_slices().map(|(serve, id)| {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let server = NodeServer::spawn(listener, serve.clone(), id, NodeServerOptions::default())
             .expect("spawn server");
@@ -203,33 +232,29 @@ fn cluster_stats_reports_each_nodes_connection_traffic() {
             Arc::new(RemoteNode::connect(addr, RemoteOptions::default())) as Arc<dyn Node>
         })
         .collect();
-    let cluster = Coordinator::new(members).expect("two-node cluster");
-
-    let request = |scorer, lo, hi| ServeRequest {
-        alg: Algorithm::THop,
-        query: DurableQuery { k: 2, tau: 3, interval: Window::new(lo, hi) },
-        scorer,
-    };
-    // Five good queries straddle both nodes; one bad one lands on each.
-    for _ in 0..5 {
-        cluster.query(&request(ScorerSpec::Uniform, 0, 95)).expect("good query");
-    }
-    for (lo, hi) in [(0, 47), (48, 95)] {
-        let bad = cluster.query(&request(ScorerSpec::Linear(vec![-1.0, 1.0]), lo, hi));
-        assert!(matches!(bad, Err(NetError::Serve(ServeError::Query(_)))), "got {bad:?}");
-    }
-
-    let stats = cluster.cluster_stats();
-    assert_eq!(stats.len(), nodes.len());
-    for (stats, (_, server)) in stats.iter().zip(&nodes) {
-        let stats = stats.as_ref().expect("stats RPC");
-        assert_eq!((server.served(), server.failed()), (5, 1));
-        assert_eq!((stats.completed, stats.failed), (server.served(), server.failed()));
-        assert_eq!(stats.enqueued, stats.completed + stats.failed);
-    }
-
+    assert_each_node_counts_five_good_one_bad(
+        &Coordinator::new(members).expect("two-node cluster"),
+    );
     for (serve, server) in nodes {
+        assert_eq!((server.served(), server.failed()), (5, 1));
         drop(server);
+        serve.shutdown();
+    }
+}
+
+/// In-process members count their traffic too: `ServeEngine::execute`
+/// books what it serves into the engine's counters.
+#[test]
+fn cluster_stats_reports_each_local_nodes_traffic() {
+    let nodes = two_slices();
+    let members = nodes
+        .iter()
+        .map(|(serve, id)| Arc::new(LocalNode::new(serve.clone(), *id)) as Arc<dyn Node>)
+        .collect();
+    assert_each_node_counts_five_good_one_bad(
+        &Coordinator::new(members).expect("two-node cluster"),
+    );
+    for (serve, _) in nodes {
         serve.shutdown();
     }
 }

@@ -139,9 +139,8 @@ proptest! {
                 registered.push((sid, req));
             }
             serving.append(row).map_err(|e| TestCaseError::fail(format!("append: {e}")))?;
-            // Drain in-flight refresh jobs, then compare against the
-            // oracle at this exact prefix.
-            serving.subscription_sync();
+            // `append` returned with every subscription current: compare
+            // against the oracle at this exact prefix.
             for (sid, req) in &registered {
                 let snap = serving.poll_subscription(*sid).expect("registered");
                 prop_assert!(!snap.diverged, "prefix {}: diverged req={:?}", id + 1, req);
