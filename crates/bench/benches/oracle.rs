@@ -13,10 +13,17 @@
 //! and steps the window back by one (T-Hop's pattern: most bounds were
 //! seen by the previous probe), and `segtree_slide_dyn` is the same probe
 //! reached through `&dyn OracleScorer`, as `ScorerSpec::Custom` is.
+//!
+//! The `durable_check` group times one durability check two ways: `floored`
+//! is [`TopKOracle::durable_into`], whose search stops below the record's
+//! score, and `full` is `top_k_into` plus `admits_score`, the search down to
+//! the window's k-th score. `durable` checks the best record of the last
+//! τ = 1 000 (a floored search stops almost at once), `non_durable` the
+//! worst (both searches must produce `π≤k`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use durable_topk::{
-    LinearScorer, OracleScorer, OracleScratch, ScanOracle, TopKOracle, TopKResult, Window,
+    LinearScorer, OracleScorer, OracleScratch, ScanOracle, Scorer, TopKOracle, TopKResult, Window,
 };
 use durable_topk_index::SkylineSegTree;
 use durable_topk_workloads::ind;
@@ -71,6 +78,30 @@ fn bench(c: &mut Criterion) {
         let mut i = 0u32;
         g.bench_function(BenchmarkId::new("segtree_slide_dyn", wlen), |b| {
             b.iter(|| seg.top_k_into(ds, dynamic, 10, slide(&mut i), &mut scratch, &mut out))
+        });
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("durable_check");
+    g.sample_size(20);
+    let tau = 1_000u32;
+    let score = |p: u32| scorer.score(ds.row(p));
+    let by_score = |a: &u32, b: &u32| score(*a).total_cmp(&score(*b));
+    let recent = n - tau..n;
+    let best = recent.clone().max_by(by_score).expect("a non-empty range");
+    let worst = recent.min_by(by_score).expect("a non-empty range");
+    let durable = |p| seg.top_k(ds, &scorer, 10, Window::lookback(p, tau)).admits_score(score(p));
+    assert!(durable(best) && !durable(worst), "one durable and one non-durable record");
+    for (name, p) in [("durable", best), ("non_durable", worst)] {
+        let (w, s) = (Window::lookback(p, tau), score(p));
+        g.bench_function(BenchmarkId::new("floored", name), |b| {
+            b.iter(|| seg.durable_into(ds, &scorer, 10, w, s, &mut scratch, &mut out))
+        });
+        g.bench_function(BenchmarkId::new("full", name), |b| {
+            b.iter(|| {
+                seg.top_k_into(ds, &scorer, 10, w, &mut scratch, &mut out);
+                out.admits_score(s)
+            })
         });
     }
     g.finish();

@@ -87,15 +87,8 @@ pub fn s_band<O: TopKOracle + ?Sized, C: SkybandCandidates + ?Sized, S: OracleSc
         let (id, score) = ctx.scored[i];
         if ctx.blocking.coverage_above(id, score) < k {
             stats.durability_checks += 1;
-            oracle.top_k_into(
-                ds,
-                scorer,
-                k,
-                Window::lookback(id, tau),
-                &mut ctx.oracle,
-                &mut ctx.pi,
-            );
-            if ctx.pi.admits_score(score) {
+            let w = Window::lookback(id, tau);
+            if oracle.durable_into(ds, scorer, k, w, score, &mut ctx.oracle, &mut ctx.pi) {
                 ctx.answers.push(id);
             } else {
                 // Recruit the strictly better records as blockers; they were

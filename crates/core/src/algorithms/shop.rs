@@ -168,15 +168,8 @@ pub fn s_hop<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
 
         if !blocked {
             stats.durability_checks += 1;
-            oracle.top_k_into(
-                ds,
-                scorer,
-                k,
-                Window::lookback(id, tau),
-                &mut ctx.oracle,
-                &mut ctx.pi,
-            );
-            if ctx.pi.admits_score(score) {
+            let w = Window::lookback(id, tau);
+            if oracle.durable_into(ds, scorer, k, w, score, &mut ctx.oracle, &mut ctx.pi) {
                 ctx.answers.push(id);
             } else {
                 for &(q, qs) in &ctx.pi.items {

@@ -39,8 +39,8 @@ pub fn t_hop<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
     loop {
         stats.candidates += 1;
         stats.durability_checks += 1;
-        oracle.top_k_into(ds, scorer, k, Window::lookback(t, tau), &mut ctx.oracle, &mut ctx.pi);
-        if ctx.pi.admits_score(scorer.score(ds.row(t))) {
+        let (w, score) = (Window::lookback(t, tau), scorer.score(ds.row(t)));
+        if oracle.durable_into(ds, scorer, k, w, score, &mut ctx.oracle, &mut ctx.pi) {
             ctx.answers.push(t);
             if t == interval.start() {
                 break;

@@ -37,8 +37,8 @@ pub fn max_duration<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
     let mut probes = 0u64;
     let mut durable_at = |tau: Time, ctx: &mut QueryContext| -> bool {
         probes += 1;
-        oracle.top_k_into(ds, scorer, k, Window::lookback(p, tau), &mut ctx.oracle, &mut ctx.pi);
-        ctx.pi.admits_score(score)
+        let w = Window::lookback(p, tau);
+        oracle.durable_into(ds, scorer, k, w, score, &mut ctx.oracle, &mut ctx.pi)
     };
 
     // Windows clamp at time 0: τ = p.t already covers all of history.
@@ -64,14 +64,15 @@ mod tests {
     use crate::oracle::ScanOracle;
     use durable_topk_temporal::{Dataset, Scorer, SingleAttributeScorer};
 
+    /// The largest `τ ≤ n` whose window holds fewer than `k` records
+    /// strictly outscoring `p` — the definition, one window at a time.
     fn brute_max_duration(ds: &Dataset, p: RecordId, k: usize) -> Time {
         let scorer = SingleAttributeScorer::new(0);
         let score = scorer.score(ds.row(p));
-        let oracle = ScanOracle::new();
         let mut best = 0;
         for tau in 1..=ds.len() as Time {
-            let pi = oracle.top_k(ds, &scorer, k, Window::lookback(p, tau));
-            if pi.admits_score(score) {
+            let w = Window::lookback(p, tau);
+            if w.iter().filter(|&q| scorer.score(ds.row(q)) > score).count() < k {
                 best = tau;
             }
         }

@@ -7,6 +7,14 @@
 //! [`TopKOracle`] is that black box; the durable top-k algorithms are
 //! generic over it.
 //!
+//! The black box answers two questions. [`TopKOracle::top_k_into`] is
+//! `Q(u, k, W)` itself: T-Base's window refills and S-Hop's subinterval
+//! sets read the whole answer. [`TopKOracle::durable_into`] asks "is `p`
+//! in `π≤k` of `W`?" — the durability check of T-Hop, S-Band and S-Hop,
+//! which read `π≤k` only when the answer is no. An index can answer the
+//! second by searching only at or above `score(p)`: for a durable `p` it
+//! stops once fewer than `k` records can still beat that floor.
+//!
 //! The trait is *monomorphized* over the scoring function: every probe
 //! resolves the scorer statically, so the per-probe path carries no virtual
 //! dispatch, and results land in caller-provided buffers drawn from a
@@ -29,7 +37,7 @@
 //!   reference).
 
 use durable_topk_index::{
-    scan_top_k_into, OracleScorer, OracleScratch, SkylineSegTree, TopKResult,
+    scan_top_k_into, top_k_over, OracleScorer, OracleScratch, Part, SkylineSegTree, TopKResult,
 };
 use durable_topk_temporal::{Dataset, RecordId, Window};
 use std::cell::Cell;
@@ -78,6 +86,30 @@ pub trait TopKOracle {
         out: &mut TopKResult,
     );
 
+    /// Whether a record of `w` scoring `score` belongs to `π≤k` of `w` —
+    /// the durability check, with `w` the record's durability window.
+    ///
+    /// On `false`, `out` is exactly what
+    /// [`top_k_into`](TopKOracle::top_k_into) would leave there: `π≤k`,
+    /// whose members outscore the record. On `true`, `out` may hold only
+    /// the records scoring at least `score`, and callers must not read it.
+    /// The default answers with a full search; an index may search only at
+    /// or above `score` instead.
+    #[allow(clippy::too_many_arguments)]
+    fn durable_into<S: OracleScorer + ?Sized>(
+        &self,
+        ds: &Self::Rows,
+        scorer: &S,
+        k: usize,
+        w: Window,
+        score: f64,
+        scratch: &mut OracleScratch,
+        out: &mut TopKResult,
+    ) -> bool {
+        self.top_k_into(ds, scorer, k, w, scratch, out);
+        out.admits_score(score)
+    }
+
     /// Allocating convenience wrapper around
     /// [`top_k_into`](TopKOracle::top_k_into) for one-off probes.
     fn top_k<S: OracleScorer + ?Sized>(
@@ -110,6 +142,21 @@ impl TopKOracle for SkylineSegTree {
         out: &mut TopKResult,
     ) {
         self.top_k_with(ds, scorer, k, w, scratch, out);
+    }
+
+    fn durable_into<S: OracleScorer + ?Sized>(
+        &self,
+        ds: &Dataset,
+        scorer: &S,
+        k: usize,
+        w: Window,
+        score: f64,
+        scratch: &mut OracleScratch,
+        out: &mut TopKResult,
+    ) -> bool {
+        let part = Part { tree: self, rows: ds.into(), offset: 0 };
+        top_k_over(1, |_| part, scorer, k, w, score, scratch, out);
+        out.admits_score(score)
     }
 }
 

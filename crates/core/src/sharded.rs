@@ -53,7 +53,6 @@ use crate::context::QueryContext;
 use crate::duration::max_duration;
 use crate::engine::{run_algorithm, Algorithm};
 use crate::error::QueryError;
-use crate::oracle::TopKOracle;
 use crate::plan::{merge, route, OwnedRange};
 use crate::pool::WorkerPool;
 use crate::query::{DurableQuery, QueryResult};
@@ -711,6 +710,37 @@ impl ShardedEngine {
         ctx: &mut QueryContext,
         out: &mut TopKResult,
     ) {
+        self.probe(scorer, k, w, f64::NEG_INFINITY, ctx, out);
+    }
+
+    /// The durability-check twin of [`top_k_into`](ShardedEngine::top_k_into):
+    /// whether a record of `w` scoring `score` belongs to `π≤k` of `w`,
+    /// searching only at or above `score` — with
+    /// [`TopKOracle::durable_into`](crate::TopKOracle::durable_into)'s
+    /// contract on `out`.
+    pub(crate) fn durable_into<S: OracleScorer + ?Sized>(
+        &self,
+        scorer: &S,
+        k: usize,
+        w: Window,
+        score: f64,
+        ctx: &mut QueryContext,
+        out: &mut TopKResult,
+    ) -> bool {
+        self.probe(scorer, k, w, score, ctx, out);
+        out.admits_score(score)
+    }
+
+    /// One search of the trees holding `w`, at or above `floor`.
+    fn probe<S: OracleScorer + ?Sized>(
+        &self,
+        scorer: &S,
+        k: usize,
+        w: Window,
+        floor: f64,
+        ctx: &mut QueryContext,
+        out: &mut TopKResult,
+    ) {
         assert!(k > 0, "k must be positive");
         assert!(self.len > 0, "cannot query an empty engine");
         out.clear();
@@ -724,7 +754,7 @@ impl ShardedEngine {
         // `QueryContext::take_cold_page_hits`.
         let QueryContext { oracle, cold_page_hits, .. } = ctx;
         self.with_view(0, w.start(), w.end(), cold_page_hits, |view| {
-            view.top_k_into(view, scorer, k, w, oracle, out)
+            view.search(scorer, k, w, floor, oracle, out)
         });
     }
 
@@ -1276,6 +1306,36 @@ mod tests {
                 assert_eq!((got.records, got.stats.fallback), (want.clone(), None), "{alg} {q:?}");
             }
         }
+    }
+
+    /// The work the sealed trees do for a fixed T-Hop / S-Band / S-Hop
+    /// request set, pinned: durability checks search only at or above the
+    /// checked record's score, so the same checks open fewer nodes and
+    /// score fewer records, while every check count stays the same.
+    #[test]
+    fn durability_checks_search_only_above_the_checked_score() {
+        let engine = EngineConfig::new(2, 1, 400).skyband_bound(8).build_from(&dataset(8_000), 4);
+        let engine = engine.expect("build");
+        let mut checks = 0;
+        for (i, alg) in [Algorithm::THop, Algorithm::SBand, Algorithm::SHop].into_iter().enumerate()
+        {
+            for (j, (k, tau, lo, hi)) in
+                [(1, 50, 0, 7_999), (4, 300, 1_500, 6_500), (10, 900, 3_900, 4_100)]
+                    .into_iter()
+                    .enumerate()
+            {
+                let scorer = LinearScorer::new(vec![1.0 + (i + j) as f64, 2.0 + j as f64]);
+                let q = DurableQuery { k, tau, interval: Window::new(lo, hi) };
+                checks += engine.query(alg, &scorer, &q).stats.durability_checks;
+            }
+        }
+        let work = engine.tails.iter().fold((0, 0), |(nodes, records), shard| {
+            let c = shard.oracle.counters();
+            (nodes + c.nodes_opened(), records + c.records_scanned())
+        });
+        // With every check searching down to the window's k-th score,
+        // the same request set read (897, 3_908, 125_263).
+        assert_eq!((checks, work.0, work.1), (897, 3_176, 100_231), "(checks, nodes, records)");
     }
 
     #[test]

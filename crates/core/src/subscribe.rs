@@ -112,8 +112,8 @@ impl ScorerVisitor for ProbeArrival<'_> {
 
     fn visit<S: OracleScorer + Sync + ?Sized>(self, scorer: &S) -> bool {
         let window = Window::lookback(self.id, self.query.tau);
-        self.engine.top_k_into(scorer, self.query.k, window, self.ctx, self.out);
-        self.out.admits_score(scorer.score(self.attrs))
+        let score = scorer.score(self.attrs);
+        self.engine.durable_into(scorer, self.query.k, window, score, self.ctx, self.out)
     }
 }
 

@@ -80,6 +80,26 @@ impl<'a> View<'a> {
     pub(crate) fn skyband(&self) -> Option<&ViewSkyband<'a>> {
         self.skyband.as_ref()
     }
+
+    /// One search of every tree for `Q(u, k, w)` at or above `floor`
+    /// ([`top_k_over`]); a search reaching the head counts one forest
+    /// query.
+    pub(crate) fn search<S: OracleScorer + ?Sized>(
+        &self,
+        scorer: &S,
+        k: usize,
+        w: Window,
+        floor: f64,
+        scratch: &mut OracleScratch,
+        out: &mut TopKResult,
+    ) {
+        if let Some((at, forest)) = self.forest {
+            if i64::from(w.end()) >= at {
+                forest.counters().bump_queries();
+            }
+        }
+        top_k_over(self.parts.len(), |i| self.parts[i], scorer, k, w, floor, scratch, out);
+    }
 }
 
 impl Rows for View<'_> {
@@ -109,12 +129,21 @@ impl<'a> TopKOracle for View<'a> {
         scratch: &mut OracleScratch,
         out: &mut TopKResult,
     ) {
-        if let Some((at, forest)) = self.forest {
-            if i64::from(w.end()) >= at {
-                forest.counters().bump_queries();
-            }
-        }
-        top_k_over(self.parts.len(), |i| self.parts[i], scorer, k, w, scratch, out);
+        self.search(scorer, k, w, f64::NEG_INFINITY, scratch, out);
+    }
+
+    fn durable_into<S: OracleScorer + ?Sized>(
+        &self,
+        _rows: &View<'a>,
+        scorer: &S,
+        k: usize,
+        w: Window,
+        score: f64,
+        scratch: &mut OracleScratch,
+        out: &mut TopKResult,
+    ) -> bool {
+        self.search(scorer, k, w, score, scratch, out);
+        out.admits_score(score)
     }
 }
 

@@ -25,6 +25,19 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     strict
 }
 
+/// Whether `a` strictly dominates `b`: strictly better in every dimension.
+///
+/// The dominance that durable skyband durations count: under a scorer with
+/// non-negative weights, not all zero, a strict dominator scores strictly
+/// higher even where a weight is zero, while a [`dominates`] dominator may
+/// tie. A NaN coordinate is never strictly better or worse, so a row with
+/// one neither strictly dominates nor is strictly dominated.
+#[inline]
+pub fn strictly_dominates(a: &[f64], b: &[f64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).all(|(x, y)| x > y)
+}
+
 /// Whether `a` weakly dominates `b`: no worse in every dimension (equal
 /// points weakly dominate each other).
 #[inline]
@@ -43,6 +56,15 @@ mod tests {
         assert!(dominates(&[3.0, 3.0], &[2.0, 2.0]));
         assert!(!dominates(&[2.0, 2.0], &[2.0, 2.0]));
         assert!(!dominates(&[3.0, 1.0], &[2.0, 2.0]));
+    }
+
+    #[test]
+    fn strict_dominance_requires_every_dim_strict() {
+        assert!(strictly_dominates(&[3.0, 3.0], &[2.0, 2.0]));
+        assert!(!strictly_dominates(&[2.0, 3.0], &[2.0, 2.0]), "a tie in one dim");
+        assert!(!strictly_dominates(&[2.0, 2.0], &[2.0, 2.0]));
+        assert!(!strictly_dominates(&[f64::NAN, 3.0], &[2.0, 2.0]));
+        assert!(!strictly_dominates(&[3.0, 3.0], &[f64::NAN, 2.0]));
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! The k-skyband of a set contains every point dominated by at most `k − 1`
 //! other points in the set (footnote 4 of the paper); the skyline is the
 //! 1-skyband. The *durable k-skyband duration* `τ_p` of a record is the
-//! longest look-back window length for which `p` remains in the k-skyband of
-//! `P([p.t − τ, p.t])`. Because the `k` highest scores under any monotone
-//! scoring function lie in the k-skyband, `τ_p >= τ` is a necessary
+//! longest look-back window length for which fewer than `k` records of
+//! `P([p.t − τ, p.t])` *strictly* dominate `p` — are better in every
+//! attribute. A strict dominator outscores `p` under every monotone scorer
+//! the engine accepts, a zero weight included, so `τ_p >= τ` is a necessary
 //! condition for `p` to be τ-durable — this is the pruning the S-Band index
-//! exploits.
+//! exploits. (A footnote-4 dominator, no worse everywhere and better
+//! somewhere, may tie `p` under a scorer that ignores the attribute it is
+//! better in, and a tie does not beat `p`.)
 //!
 //! Every duration is computed by one private dominance-scan kernel:
 //! per-block maximum corners at two granularities let a scan skip whole
@@ -15,7 +18,7 @@
 //! bitmask of dominators is visited in arrival order, stopping as soon as
 //! enough were found.
 
-use crate::dominance::dominates;
+use crate::dominance::{dominates, strictly_dominates};
 use durable_topk_temporal::{Dataset, RecordId};
 
 /// Sentinel duration for records that stay in the k-skyband for every window
@@ -30,12 +33,11 @@ const COARSE: usize = 256;
 /// Block-pruned dominance scans over the rows of one dataset.
 ///
 /// Keeps, for every [`FINE`]- and [`COARSE`]-row block, the corner of
-/// per-dimension maxima. A row dominating `p` is nowhere below `p`, so a
-/// block whose corner is below `p` in some dimension holds no dominator and
-/// is skipped. A NaN coordinate compares neither below nor above anything
-/// in [`dominates`], so it sets its corner coordinate to `+∞`: a block with
-/// a NaN is never skipped on that dimension, and the kernel's verdict is
-/// exactly `dominates`, row for row.
+/// per-dimension maxima. A row strictly dominating `p` is above `p`
+/// everywhere, so a block whose corner is not above `p` in some dimension
+/// holds no dominator and is skipped. A NaN coordinate is never strictly better
+/// ([`strictly_dominates`]), so the corners ignore it, and the kernel's
+/// verdict is exactly `strictly_dominates`, row for row.
 struct DominanceKernel<'a> {
     attrs: &'a [f64],
     dim: usize,
@@ -49,20 +51,22 @@ struct DominanceKernel<'a> {
 impl<'a> DominanceKernel<'a> {
     fn new(ds: &'a Dataset) -> Self {
         let (attrs, dim) = (ds.raw_attrs(), ds.dim());
-        let fine = corners(attrs, dim, FINE, |v| if v.is_nan() { f64::INFINITY } else { v });
-        let coarse = corners(&fine, dim, COARSE / FINE, |v| v);
+        let fine = corners(attrs, dim, FINE);
+        let coarse = corners(&fine, dim, COARSE / FINE);
         Self { attrs, dim, rows: ds.len(), fine, coarse }
     }
 
-    /// Whether block `b` of `corners` may hold a dominator of `row`.
+    /// Whether block `b` of `corners` may hold a dominator of `row`: its
+    /// corner is above `row` everywhere.
     #[inline]
     fn may_dominate(&self, corners: &[f64], b: usize, row: &[f64]) -> bool {
         let corner = &corners[b * self.dim..(b + 1) * self.dim];
-        !corner.iter().zip(row).any(|(c, y)| c < y)
+        corner.iter().zip(row).all(|(c, y)| c > y)
     }
 
-    /// Bit `j` set iff row `lo + j` dominates `row`, for rows `lo..hi`
-    /// (at most [`FINE`] of them) — [`dominates`] without branches.
+    /// Bit `j` set iff row `lo + j` strictly dominates `row`, for rows
+    /// `lo..hi` (at most [`FINE`] of them) — [`strictly_dominates`] without
+    /// branches.
     #[inline]
     fn mask(&self, lo: usize, hi: usize, row: &[f64]) -> u32 {
         let rows = &self.attrs[lo * self.dim..hi * self.dim];
@@ -75,8 +79,8 @@ impl<'a> DominanceKernel<'a> {
         }
     }
 
-    /// Calls `visit` with the rows among `0..end` dominating `row`, newest
-    /// first, until it returns `true`.
+    /// Calls `visit` with the rows among `0..end` strictly dominating
+    /// `row`, newest first, until it returns `true`.
     fn scan_back(&self, row: &[f64], end: usize, mut visit: impl FnMut(usize) -> bool) {
         let mut hi = end;
         while hi > 0 {
@@ -101,8 +105,8 @@ impl<'a> DominanceKernel<'a> {
         }
     }
 
-    /// Calls `visit` with the rows among `start..` dominating `row`, oldest
-    /// first, until it returns `true`.
+    /// Calls `visit` with the rows among `start..` strictly dominating
+    /// `row`, oldest first, until it returns `true`.
     fn scan_forward(&self, row: &[f64], start: usize, mut visit: impl FnMut(usize) -> bool) {
         let mut lo = start;
         while lo < self.rows {
@@ -127,31 +131,31 @@ impl<'a> DominanceKernel<'a> {
     }
 }
 
-/// Bit `j` set iff the `j`-th `dim`-wide row of `rows` dominates `row`.
+/// Bit `j` set iff the `j`-th `dim`-wide row of `rows` strictly dominates
+/// `row`.
 #[inline(always)]
 fn dominance_mask(rows: &[f64], row: &[f64], dim: usize) -> u32 {
     let mut mask = 0;
     for (j, other) in rows.chunks_exact(dim).enumerate() {
-        let (mut worse, mut better) = (false, false);
+        let mut better = true;
         for (x, y) in other.iter().zip(&row[..dim]) {
-            worse |= x < y;
-            better |= x > y;
+            better &= x > y;
         }
-        mask |= u32::from(!worse & better) << j;
+        mask |= u32::from(better) << j;
     }
     mask
 }
 
 /// Per-dimension maxima of every `per_block` consecutive `dim`-wide rows of
-/// `attrs`, each value passed through `key` first.
-fn corners(attrs: &[f64], dim: usize, per_block: usize, key: impl Fn(f64) -> f64) -> Vec<f64> {
+/// `attrs`, NaNs ignored (`−∞` where a block has no other value).
+fn corners(attrs: &[f64], dim: usize, per_block: usize) -> Vec<f64> {
     let mut out = Vec::with_capacity(attrs.len().div_ceil(per_block));
     for block in attrs.chunks(per_block * dim) {
         let corner = out.len();
         out.resize(corner + dim, f64::NEG_INFINITY);
         for row in block.chunks_exact(dim) {
             for (c, &v) in out[corner..].iter_mut().zip(row) {
-                *c = c.max(key(v));
+                *c = c.max(v);
             }
         }
     }
@@ -190,8 +194,9 @@ pub fn k_skyband(ds: &Dataset, ids: &[RecordId], k: usize) -> Vec<RecordId> {
 /// Computes, for every record, its durable k-skyband duration `τ_p`.
 ///
 /// `τ_p` is the largest `τ` such that fewer than `k` records in
-/// `[p.t − τ, p.t]` dominate `p`; equivalently `p.t − t_k − 1` where `t_k`
-/// is the arrival time of the k-th most recent past dominator, or
+/// `[p.t − τ, p.t]` strictly dominate `p`; equivalently `p.t − t_k − 1`
+/// where `t_k` is the arrival time of the k-th most recent past strict
+/// dominator, or
 /// [`DURATION_UNBOUNDED`] when fewer than `k` past dominators exist. The
 /// single-level case of [`skyband_durations_multi`].
 ///
@@ -279,9 +284,9 @@ struct ActiveRecord {
 ///   every active record it dominates.
 /// * **Lazy eviction past `k_max`.** Once a record has `k_max` later
 ///   dominators it can never again be among the `k_max` most recent
-///   dominators of any future arrival: dominance is transitive, so all
-///   `k_max` of its later dominators also dominate that arrival and are
-///   more recent. Such records are tombstoned (their counter stops the
+///   dominators of any future arrival: strict dominance is transitive, so
+///   all `k_max` of its later dominators also dominate that arrival and
+///   are more recent. Such records are tombstoned (their counter stops the
 ///   scan from testing them) and compacted away once they outnumber the
 ///   live half of the list.
 ///
@@ -478,13 +483,13 @@ impl SkybandMaintainer {
             if entry.later_dominators >= k_max {
                 continue; // tombstoned
             }
-            if found < k_max && dominates(other, row) {
+            if found < k_max && strictly_dominates(other, row) {
                 found += 1;
                 while level < self.ks.len() && self.ks[level] as u32 == found {
                     self.durs[level][owned] = p - entry.id - 1;
                     level += 1;
                 }
-            } else if dominates(row, other) {
+            } else if strictly_dominates(row, other) {
                 entry.later_dominators += 1;
                 if entry.later_dominators == k_max {
                     self.evicted += 1;
@@ -514,17 +519,18 @@ impl SkybandMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use durable_topk_temporal::{LinearScorer, Scorer};
     use proptest::prelude::*;
 
-    /// Reference: for each p, the largest τ with fewer than k dominators in
-    /// `[p.t − τ, p.t]`, found by widening the window one record at a time
-    /// and testing each pair with [`dominates`].
+    /// Reference: for each p, the largest τ with fewer than k strict
+    /// dominators in `[p.t − τ, p.t]`, found by widening the window one
+    /// record at a time and testing each pair with [`strictly_dominates`].
     fn brute_durations(ds: &Dataset, k: usize) -> Vec<u32> {
         (0..ds.len() as RecordId)
             .map(|p| {
                 let mut doms = 0;
                 for tau in 1..=p {
-                    if dominates(ds.row(p - tau), ds.row(p)) {
+                    if strictly_dominates(ds.row(p - tau), ds.row(p)) {
                         doms += 1;
                         if doms == k {
                             return tau - 1;
@@ -596,6 +602,43 @@ mod tests {
             }
         }
 
+        /// On tie-heavy rows (three values per attribute) the kernel and
+        /// the streaming maintainer give the brute-force strict-dominance
+        /// durations, and no duration drops a durable record under a
+        /// scorer that ignores an attribute: a record whose look-back
+        /// window of length `τ` holds fewer than `k` records scoring
+        /// strictly higher has `τ_p >= τ`.
+        #[test]
+        fn durations_on_tied_rows_keep_every_durable_record(
+            d in 1usize..4,
+            len in 1usize..160,
+            codes in prop::collection::vec(0u32..3, 160 * 3),
+            ignored in 0usize..3,
+        ) {
+            let rows = codes[..len * d].chunks_exact(d);
+            let ds = Dataset::from_rows(d, rows.map(|r| r.iter().map(|&v| f64::from(v)).collect::<Vec<_>>()));
+            let weights: Vec<f64> =
+                (0..d).map(|i| if i == ignored && d > 1 { 0.0 } else { 1.0 + i as f64 }).collect();
+            let scorer = LinearScorer::new(weights);
+            let scores: Vec<f64> = (0..len).map(|i| scorer.score(ds.row(i as RecordId))).collect();
+            let m = SkybandMaintainer::build(&ds, 4);
+            for (level, &k) in m.levels().iter().enumerate() {
+                let durs = skyband_durations(&ds, k);
+                prop_assert_eq!(&durs, &brute_durations(&ds, k), "d={} k={}", d, k);
+                prop_assert_eq!(m.durations(level), &durs[..], "d={} k={}", d, k);
+                for (p, &duration) in durs.iter().enumerate() {
+                    // The longest look-back over which p stays durable.
+                    let mut better = 0;
+                    let durable = (1..=p).take_while(|&tau| {
+                        better += usize::from(scores[p - tau] > scores[p]);
+                        better < k
+                    });
+                    let longest = durable.last().unwrap_or(0) as u32;
+                    prop_assert!(duration >= longest, "p={} k={}: τ_p {} < {}", p, k, duration, longest);
+                }
+            }
+        }
+
         /// Streams where every record dominates all earlier ones (never
         /// dominated) or is dominated by all of them.
         #[test]
@@ -612,22 +655,31 @@ mod tests {
         }
     }
 
-    /// A row whose NaN coordinate is neutral still dominates, so the block
-    /// around it must be scanned although its other rows sit below the
-    /// newcomer in that dimension — at both block granularities, forwards
+    /// A NaN coordinate is never strictly better, so a row holding one
+    /// dominates nothing and a newcomer holding one has no dominator,
+    /// whichever blocks they share — at both block granularities, forwards
     /// and backwards.
     #[test]
-    fn nan_rows_never_let_a_block_be_skipped() {
+    fn nan_coordinates_never_strictly_dominate() {
         let mut rows = vec![[0.0, 0.0]; 300];
-        rows[5] = [f64::NAN, 9.0];
+        rows[5] = [9.0, 9.0];
         rows[200] = [f64::NAN, 9.0];
+        rows[250] = [9.0, 9.0];
         rows[299] = [5.0, 1.0];
         let ds = Dataset::from_rows(2, rows);
         let durs = skyband_durations_multi(&ds, &[1, 2], 299);
-        assert_eq!(durs, [[299 - 200 - 1], [299 - 5 - 1]]);
+        assert_eq!(durs, [[299 - 250 - 1], [299 - 5 - 1]]);
+        let mut rows = vec![[9.0, 9.0]; 40];
+        rows.push([f64::NAN, 0.0]);
+        let durs = skyband_durations(&Dataset::from_rows(2, rows), 1);
+        assert_eq!(durs.last(), Some(&DURATION_UNBOUNDED));
         let mut ds = Dataset::from_rows(2, [[5.0, 1.0]]);
         for i in 1..300 {
-            ds.push(if i % 150 == 0 { &[f64::NAN, 9.0] } else { &[0.0, 0.0] });
+            ds.push(match i {
+                150 => &[f64::NAN, 9.0],
+                299 => &[6.0, 2.0],
+                _ => &[0.0, 0.0],
+            });
         }
         let m = SkybandMaintainer::with_context(&ds, 2);
         assert_eq!(live(&m)[0], (ActiveRecord { id: 0, later_dominators: 1 }, vec![5.0, 1.0]));

@@ -196,7 +196,7 @@ impl AppendableTopKIndex {
         assert!(!self.trees.is_empty(), "cannot query an empty index");
         self.counters.bump_queries();
         let part = |i: usize| Part { tree: &self.trees[i], rows: ds.into(), offset: 0 };
-        top_k_over(self.trees.len(), part, scorer, k, w, scratch, out);
+        top_k_over(self.trees.len(), part, scorer, k, w, f64::NEG_INFINITY, scratch, out);
     }
 
     /// The forest's trees, oldest first — the parts a search spanning

@@ -838,7 +838,7 @@ impl SkylineSegTree {
         out: &mut TopKResult,
     ) {
         let part = Part { tree: self, rows: ds.into(), offset: 0 };
-        top_k_over(1, |_| part, scorer, k, w, scratch, out);
+        top_k_over(1, |_| part, scorer, k, w, f64::NEG_INFINITY, scratch, out);
     }
 }
 
@@ -900,13 +900,16 @@ impl Part<'_> {
     }
 
     /// Pushes the canonical decomposition of `w` (tree ids) under node
-    /// `idx` onto the frontier as entries of part `p`.
+    /// `idx` onto the frontier as entries of part `p`, leaving off nodes
+    /// bounded below `floor`.
+    #[allow(clippy::too_many_arguments)]
     fn seed<S: OracleScorer + ?Sized>(
         &self,
         (p, binding): (u32, Binding),
         scorer: &S,
         idx: i32,
         w: Window,
+        floor: f64,
         bounds: &mut BoundMemo,
         pq: &mut BinaryHeap<Frontier>,
     ) {
@@ -916,40 +919,59 @@ impl Part<'_> {
         if w.contains_window(range) || node.left < 0 {
             let b =
                 bounds.get_or_compute(binding, idx, || scorer.node_bound(self.rows, &node.summary));
-            pq.push((OrdF64(b), p, idx, iw.start(), iw.end()));
+            if b >= floor {
+                pq.push((OrdF64(b), p, idx, iw.start(), iw.end()));
+            }
             return;
         }
-        self.seed((p, binding), scorer, node.left, w, bounds, pq);
-        self.seed((p, binding), scorer, node.right, w, bounds, pq);
+        self.seed((p, binding), scorer, node.left, w, floor, bounds, pq);
+        self.seed((p, binding), scorer, node.right, w, floor, bounds, pq);
     }
 }
 
 /// Answers `Q(u, k, W)` over `parts` trees at once, into `out`, drawing
-/// every internal heap and buffer from `scratch`.
+/// every internal heap and buffer from `scratch` — searching only at or
+/// above `floor`.
 ///
 /// The one search body of the crate. `part(i)` for `i < parts` names the
 /// trees; their id ranges (after their offsets) must not overlap. One
 /// best-first frontier holds `(bound, part, node, slice)` entries from
 /// every tree the window reaches, so a node is opened only while its bound
-/// can still beat the running k-th score of the whole window — the
+/// can still reach the running threshold of the whole window — the
 /// canonical decomposition of §IV spanning several trees, with no per-tree
 /// answer merged afterwards. Each part's node-bound memo is bound once per
 /// probe; each tree the window reaches counts one query plus the nodes and
 /// records the search charged to it.
 ///
+/// The threshold is `max(floor, running k-th score)`: seeds, children and
+/// leaf records scoring below `floor` are never pushed. With `floor = −∞`
+/// (a NaN floor counts as −∞) `out` is `π≤k` of `w`. Otherwise:
+///
+/// * if fewer than `k` records of `w` score at least `floor`, `out` holds
+///   exactly those records, with `kth_score = −∞`;
+/// * if at least `k` do, the window's k-th score is at least `floor`, the
+///   threshold never passes it, and `out` is `π≤k` bit for bit.
+///
+/// Either way `out.admits_score(floor)` is the full search's verdict on a
+/// record scoring `floor` — the durability check of §III–§IV with
+/// `floor = score(p)` — and no part opens more nodes than under `−∞`.
+///
 /// # Panics
 /// Panics if `k == 0`.
+#[allow(clippy::too_many_arguments)]
 pub fn top_k_over<'a, S: OracleScorer + ?Sized>(
     parts: usize,
     part: impl Fn(usize) -> Part<'a>,
     scorer: &S,
     k: usize,
     w: Window,
+    floor: f64,
     scratch: &mut OracleScratch,
     out: &mut TopKResult,
 ) {
     assert!(k > 0, "k must be positive");
     out.clear();
+    let floor = if floor.is_nan() { f64::NEG_INFINITY } else { floor };
     let OracleScratch { pq, best_k, bounds, parts: states, .. } = scratch;
     pq.clear();
     states.clear();
@@ -963,18 +985,20 @@ pub fn top_k_over<'a, S: OracleScorer + ?Sized>(
         let binding = local.map(|_| bounds.bind(at.tree.id, at.tree.nodes.len(), fingerprint));
         states.push(PartState { binding, opened: 0, scanned: 0 });
         if let (Some(local), Some(binding)) = (local, binding) {
-            at.seed((p as u32, binding), scorer, ROOT, local, bounds, pq);
+            at.seed((p as u32, binding), scorer, ROOT, local, floor, bounds, pq);
         }
     }
 
     // Candidates accumulate directly in the output buffer.
     let candidates = &mut out.items;
     best_k.clear();
+    // The running threshold: the k-th best score seen so far, never below
+    // the floor.
     let running_kth = |best_k: &BinaryHeap<Reverse<OrdF64>>| {
         if best_k.len() >= k {
-            best_k.peek().expect("non-empty").0 .0
+            best_k.peek().expect("non-empty").0 .0.max(floor)
         } else {
-            f64::NEG_INFINITY
+            floor
         }
     };
 
@@ -1213,6 +1237,30 @@ mod tests {
         }
     }
 
+    /// A scorer with no fingerprint, so the node-bound memo steps aside.
+    struct Opaque(LinearScorer);
+
+    impl Scorer for Opaque {
+        fn score(&self, attrs: &[f64]) -> f64 {
+            self.0.score(attrs)
+        }
+
+        fn is_monotone(&self) -> bool {
+            true
+        }
+    }
+
+    impl OracleScorer for Opaque {
+        fn node_bound(&self, rows: TreeRows<'_>, node: &NodeSummary) -> f64 {
+            self.0.node_bound(rows, node)
+        }
+    }
+
+    /// `(id, score bits)` and the k-th score's bits: bit-identity.
+    fn bits(r: &TopKResult) -> (Vec<(RecordId, u64)>, u64) {
+        (r.items.iter().map(|&(id, s)| (id, s.to_bits())).collect(), r.kth_score.to_bits())
+    }
+
     /// `rows` as a 3-attribute dataset.
     fn rows3(rows: &[Vec<u32>]) -> Dataset {
         Dataset::from_rows(3, rows.iter().map(|r| r.iter().map(|&v| v as f64).collect::<Vec<_>>()))
@@ -1306,10 +1354,76 @@ mod tests {
                     r.items.iter_mut().for_each(|(id, _)| *id -= base);
                     r
                 };
-                top_k_over(trees.len(), part, &linear, k, w, &mut scratch, &mut out);
+                top_k_over(trees.len(), part, &linear, k, w, f64::NEG_INFINITY, &mut scratch, &mut out);
                 prop_assert_eq!(&out, &scan(&linear));
-                top_k_over(trees.len(), part, &cosine, k, w, &mut scratch, &mut out);
+                top_k_over(trees.len(), part, &cosine, k, w, f64::NEG_INFINITY, &mut scratch, &mut out);
                 prop_assert_eq!(&out, &scan(&cosine));
+            }
+        }
+
+        /// A search floored at a record's score checks its durability like
+        /// the full search: over adjacent parts of tie-heavy rows, under a
+        /// linear scorer with a zero weight, a cosine scorer and a scorer
+        /// with no fingerprint, with floors drawn from the window's records
+        /// plus −∞, +∞ and NaN —
+        ///
+        /// * `out` is what the floor contract says: the records scoring at
+        ///   least the floor when fewer than `k` do, else the full answer
+        ///   bit for bit — so the verdict is the full search's;
+        /// * no part opens more nodes than under the full search.
+        #[test]
+        fn a_floored_search_checks_durability_like_the_full_search(
+            rows in prop::collection::vec(prop::collection::vec(0u32..4, 3), 1..260),
+            cuts in prop::collection::vec(1u32..260, 0..12),
+            singles in 0u32..10,
+            leaf_size in 1usize..10,
+            probes in prop::collection::vec((1usize..7, 0u32..260, 0u32..260, 0u32..400), 6..16),
+        ) {
+            let (n, ds) = (rows.len() as Time, rows3(&rows));
+            let pieces = adjacent(n, cuts, singles);
+            let chunks: Vec<Dataset> =
+                pieces.iter().map(|&(lo, hi)| rows3(&rows[lo as usize..=hi as usize])).collect();
+            let trees: Vec<SkylineSegTree> =
+                chunks.iter().map(|c| SkylineSegTree::with_leaf_size(c, leaf_size)).collect();
+            let part = |i: usize| Part { tree: &trees[i], rows: (&chunks[i]).into(), offset: i64::from(pieces[i].0) };
+            let opened = || trees.iter().map(|t| t.counters().nodes_opened()).collect::<Vec<_>>();
+            let (linear, cosine) =
+                (LinearScorer::new(vec![1.0, 0.0, 0.5]), CosineScorer::new(vec![1.0, -0.6, 0.4]));
+            let opaque = Opaque(LinearScorer::new(vec![0.0, 2.0, 1.0]));
+            prop_assert_eq!(opaque.fingerprint(), None);
+            let scorers: [&dyn OracleScorer; 3] = [&linear, &cosine, &opaque];
+            let (mut scratch, mut full, mut floored) =
+                (OracleScratch::new(), TopKResult::empty(), TopKResult::empty());
+            for (k, a, b, pick) in probes {
+                let w = Window::new((a % n).min(b % n), (a % n).max(b % n));
+                let len = w.end() - w.start() + 1;
+                for scorer in scorers {
+                    let floor = match pick.checked_sub(len) {
+                        None => scorer.score(ds.row(w.start() + pick)),
+                        Some(0) => f64::NEG_INFINITY,
+                        Some(1) => f64::INFINITY,
+                        Some(_) => f64::NAN,
+                    };
+                    let before = opened();
+                    top_k_over(trees.len(), part, scorer, k, w, f64::NEG_INFINITY, &mut scratch, &mut full);
+                    let between = opened();
+                    top_k_over(trees.len(), part, scorer, k, w, floor, &mut scratch, &mut floored);
+                    let after = opened();
+                    let at_floor = w.iter().filter(|&t| scorer.score(ds.row(t)) >= floor).count();
+                    if at_floor < k && !floor.is_nan() {
+                        let mut above = scan_top_k(&ds, scorer, at_floor.max(1), w);
+                        above.items.retain(|&(_, s)| s >= floor);
+                        above.kth_score = f64::NEG_INFINITY;
+                        prop_assert_eq!(bits(&floored), bits(&above), "w={} k={} floor={}", w, k, floor);
+                    } else {
+                        prop_assert_eq!(bits(&floored), bits(&full), "w={} k={} floor={}", w, k, floor);
+                    }
+                    prop_assert_eq!(floored.admits_score(floor), full.admits_score(floor));
+                    for p in 0..trees.len() {
+                        let (with_floor, without) = (after[p] - between[p], between[p] - before[p]);
+                        prop_assert!(with_floor <= without, "part {}: {} > {} nodes", p, with_floor, without);
+                    }
+                }
             }
         }
 
@@ -1335,9 +1449,9 @@ mod tests {
                 let leaves = rows3(&rows[span.start() as usize..=span.end() as usize]);
                 let part = Part { tree: &tree, rows: TreeRows { rows: &leaves, first: span.start() }, offset: 0 };
                 let (mut scratch, mut out) = (OracleScratch::new(), TopKResult::empty());
-                top_k_over(1, |_| part, &linear, k, w, &mut scratch, &mut out);
+                top_k_over(1, |_| part, &linear, k, w, f64::NEG_INFINITY, &mut scratch, &mut out);
                 prop_assert_eq!(&out, &tree.top_k(&ds, &linear, k, w));
-                top_k_over(1, |_| part, &cosine, k, w, &mut scratch, &mut out);
+                top_k_over(1, |_| part, &cosine, k, w, f64::NEG_INFINITY, &mut scratch, &mut out);
                 prop_assert_eq!(&out, &tree.top_k(&ds, &cosine, k, w));
             }
         }

@@ -24,11 +24,16 @@ pub trait Scorer {
     /// Scores one attribute vector.
     fn score(&self, attrs: &[f64]) -> f64;
 
-    /// Whether the scorer is monotone non-decreasing in every attribute.
+    /// Whether the scorer is monotone non-decreasing in every attribute,
+    /// and a record better in *every* attribute scores strictly higher.
     ///
     /// Monotone scorers admit exact node bounds from skylines in the top-k
     /// index and are eligible for the S-Band algorithm (Section IV-B, which
-    /// applies "to monotone scoring functions only").
+    /// applies "to monotone scoring functions only"). The strict half is
+    /// what S-Band's skyband relies on: it counts only dominators better
+    /// in every attribute, so each must outscore the record it dominates.
+    /// A weighted sum needs one positive weight for that; zero weights on
+    /// the others are fine.
     fn is_monotone(&self) -> bool;
 }
 
@@ -119,7 +124,7 @@ impl Scorer for LinearScorer {
     }
 
     fn is_monotone(&self) -> bool {
-        true
+        self.weights.iter().any(|&w| w > 0.0)
     }
 }
 
@@ -203,7 +208,7 @@ impl Scorer for MonotoneCombinationScorer {
     }
 
     fn is_monotone(&self) -> bool {
-        true
+        self.weights.iter().any(|&w| w > 0.0)
     }
 }
 
@@ -314,6 +319,15 @@ mod tests {
         let s = LinearScorer::new(vec![2.0, 0.5]);
         assert_eq!(s.score(&[3.0, 4.0]), 8.0);
         assert!(s.is_monotone());
+    }
+
+    #[test]
+    fn all_zero_weights_are_not_monotone_enough_for_s_band() {
+        // Every record ties, so better-in-every-attribute cannot mean
+        // outscoring; one positive weight is enough.
+        assert!(!LinearScorer::new(vec![0.0, 0.0]).is_monotone());
+        assert!(LinearScorer::new(vec![1.0, 0.0]).is_monotone());
+        assert!(!MonotoneCombinationScorer::log1p(vec![0.0]).is_monotone());
     }
 
     #[test]

@@ -210,7 +210,10 @@ fn algorithm_counts_are_what_they_were_before_memo_and_pruning() {
         (Algorithm::TBase, (0, 50, 3_500, 0)),
         (Algorithm::THop, (111, 0, 111, 0)),
         (Algorithm::SBase, (0, 0, 3_800, 3_451)),
-        (Algorithm::SBand, (51, 0, 542, 491)),
+        // Strict dominance (better in every attribute) keeps 240 more
+        // candidates on these tie-heavy rows than footnote-4 dominance
+        // did: (51, 0, 542, 491) before.
+        (Algorithm::SBand, (51, 0, 782, 731)),
         (Algorithm::SHop, (51, 114, 300, 249)),
         (Algorithm::SHopTop1, (51, 177, 300, 249)),
     ];

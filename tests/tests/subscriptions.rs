@@ -25,21 +25,23 @@ struct SubSpec {
     start_raw: u32,
     /// Which prefix length triggers registration.
     register_at: usize,
-    /// Use the non-monotone cosine scorer (gate must stand down, results
-    /// must still match).
-    cosine: bool,
+    /// 0: a linear scorer; 1: the non-monotone cosine scorer (gate must
+    /// stand down, results must still match); 2: a linear scorer ignoring
+    /// attribute 1, under which a skyband dominator may tie (the gate must
+    /// still never skip a durable arrival).
+    scorer: usize,
     /// Tail-follow (`end = u32::MAX`) instead of a fixed interval.
     tail: bool,
 }
 
 fn sub_strategy() -> impl Strategy<Value = SubSpec> {
-    (1usize..=4, 0u32..10_000, 0u32..10_000, 0usize..96, prop::bool::ANY, prop::bool::ANY).prop_map(
-        |(k, tau_raw, start_raw, register_at, cosine, tail)| SubSpec {
+    (1usize..=4, 0u32..10_000, 0u32..10_000, 0usize..96, 0usize..3, prop::bool::ANY).prop_map(
+        |(k, tau_raw, start_raw, register_at, scorer, tail)| SubSpec {
             k,
             tau_raw,
             start_raw,
             register_at,
-            cosine,
+            scorer,
             tail,
         },
     )
@@ -65,10 +67,10 @@ fn materialize(spec: &SubSpec, n_total: usize) -> ServeRequest {
             tau: 1 + spec.tau_raw % MAX_TAU,
             interval: Window::new(start, end),
         },
-        scorer: if spec.cosine {
-            ScorerSpec::Cosine(vec![0.7, 0.3])
-        } else {
-            ScorerSpec::Linear(vec![0.6, 0.4])
+        scorer: match spec.scorer {
+            0 => ScorerSpec::Linear(vec![0.6, 0.4]),
+            1 => ScorerSpec::Cosine(vec![0.7, 0.3]),
+            _ => ScorerSpec::Linear(vec![1.0, 0.0]),
         },
     }
 }
@@ -89,12 +91,11 @@ fn recompute(
         interval: Window::new(q.interval.start(), q.interval.end().min((len - 1) as u32)),
     };
     let engine = serving.engine();
-    let scorer: Box<dyn durable_topk::OracleScorer + Sync> =
-        if matches!(req.scorer, ScorerSpec::Cosine(_)) {
-            Box::new(durable_topk::CosineScorer::new(vec![0.7, 0.3]))
-        } else {
-            Box::new(durable_topk::LinearScorer::new(vec![0.6, 0.4]))
-        };
+    let scorer: Box<dyn durable_topk::OracleScorer + Sync> = match &req.scorer {
+        ScorerSpec::Cosine(u) => Box::new(durable_topk::CosineScorer::new(u.clone())),
+        ScorerSpec::Linear(u) => Box::new(durable_topk::LinearScorer::new(u.clone())),
+        other => return Err(TestCaseError::fail(format!("unexpected scorer {other:?}"))),
+    };
     let result = engine.try_query(req.alg, scorer.as_ref(), &full);
     let result = match result {
         Ok(r) => r,
@@ -163,4 +164,38 @@ proptest! {
         drop(engine);
         serving.shutdown();
     }
+}
+
+/// A standing query whose scorer ignores attribute 1, over integer rows
+/// where ties are everywhere: the skyband gate counts only dominators
+/// better in every attribute, so it never skips an arrival that a
+/// dominator merely ties, and the standing answer stays the recompute's.
+#[test]
+fn a_zero_weight_subscription_on_tied_integers_misses_nothing() {
+    let rows: Vec<[f64; 2]> = (0u64..400)
+        .map(|i| {
+            let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            [(h % 8) as f64, ((h / 8) % 8) as f64]
+        })
+        .collect();
+    let engine = EngineConfig::new(2, 64, MAX_TAU).skyband_bound(4).build().expect("live config");
+    let serving = ServeEngine::new(engine, 16, Backpressure::Block);
+    let req = ServeRequest {
+        alg: Algorithm::THop,
+        query: DurableQuery { k: 2, tau: 20, interval: Window::new(0, u32::MAX) },
+        scorer: ScorerSpec::Linear(vec![1.0, 0.0]),
+    };
+    serving.append(&rows[0]).expect("append");
+    let sid = serving.subscribe_verified(req.clone()).expect("register");
+    for row in &rows[1..] {
+        serving.append(row).expect("append");
+    }
+    let snap = serving.poll_subscription(sid).expect("registered");
+    assert!(!snap.diverged);
+    let scorer = durable_topk::LinearScorer::new(vec![1.0, 0.0]);
+    let full = DurableQuery { interval: Window::new(0, 399), ..req.query };
+    let expected = serving.engine().try_query(Algorithm::THop, &scorer, &full).expect("query");
+    assert_eq!(snap.records, expected.records);
+    assert!(snap.fast_path_skips > 0, "the gate still skips arrivals a strict dominator beats");
+    serving.shutdown();
 }
