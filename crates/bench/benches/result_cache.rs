@@ -28,7 +28,7 @@ use std::time::Instant;
 const N: usize = 20_000;
 const SPAN: usize = 2_048;
 const MAX_TAU: u32 = 256;
-/// Sealed chunks the paged backend keeps resident.
+/// Sealed chunks the paged engine keeps resident.
 const SPILL_AFTER: usize = 2;
 /// Default cache budget for the cached engines (32 MiB).
 const BUDGET: usize = 32 << 20;
@@ -43,7 +43,7 @@ const STORM_SUBS: usize = 8;
 /// by a result cache with the given byte budget.
 fn grow(ds: &Dataset, cache_budget: Option<usize>) -> ShardedEngine {
     let mut config = EngineConfig::new(2, SPAN, MAX_TAU)
-        .storage(Arc::new(PagedStorage::with_temp_file(SPILL_AFTER).expect("temp-file backend")));
+        .storage(Arc::new(PagedStorage::with_temp_file(SPILL_AFTER).expect("temp-file pager")));
     if let Some(budget) = cache_budget {
         config = config.result_cache(budget);
     }
@@ -143,7 +143,7 @@ fn bench(c: &mut Criterion) {
     let cached = grow(&ds, Some(BUDGET));
     let starved = grow(&ds, Some(1));
     let scorer = LinearScorer::uniform(2);
-    // The oldest interval: spilled on this backend, so the direct path
+    // The oldest interval: spilled on this engine, so the direct path
     // pays a cold fault per probe — the traffic the cache absorbs.
     let q = DurableQuery { k: 5, tau: MAX_TAU, interval: Window::new(0, (2 * SPAN - 1) as u32) };
 

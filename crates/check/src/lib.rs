@@ -94,8 +94,7 @@ pub enum LockClass {
     ServeQueue,
     /// One lock shard of the `ShardResultCache` LRU.
     CacheShard,
-    /// Shard storage internals: `MemoryStorage` chunk list, `PagedStorage`
-    /// buffer-pool state.
+    /// The `PagedStorage` chunk directory and its optional buffer pool.
     PagePool,
     /// Worker-pool internals: work queues, batch state, panic slot, spare
     /// contexts, the shared job receiver.

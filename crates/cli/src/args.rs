@@ -246,6 +246,7 @@ pub struct ServeNodeMode {
 
 /// Parses and validates the `serve-node` subcommand flags.
 pub fn parse_serve_node(args: &Args) -> Result<ServeNodeMode, String> {
+    parse_spill_after(args)?;
     for conflicting in [
         "stream",
         "every",
@@ -257,6 +258,7 @@ pub fn parse_serve_node(args: &Args) -> Result<ServeNodeMode, String> {
         "ingest",
         "subscribe",
         "nodes",
+        "spill-after",
     ] {
         if args.options.contains_key(conflicting) || args.has(conflicting) {
             return Err(format!("serve-node cannot be combined with --{conflicting}"));
@@ -267,50 +269,22 @@ pub fn parse_serve_node(args: &Args) -> Result<ServeNodeMode, String> {
     Ok(ServeNodeMode { listen, range })
 }
 
-/// Storage backend of a live sharded engine (`--storage`, `--spill-after`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageChoice {
-    /// Keep every sealed chunk resident in memory (the default).
-    Memory,
-    /// Spill sealed chunks beyond the newest `spill_after` to pager-backed
-    /// pages in a temporary file, reloading them on demand at query time.
-    Paged {
-        /// Sealed chunks kept resident before older ones spill.
-        spill_after: usize,
-    },
-}
-
-/// Sealed chunks a paged backend keeps resident when `--spill-after` is
-/// not given.
-pub const DEFAULT_SPILL_AFTER: usize = 4;
-
-/// Parses the `--storage memory|paged` / `--spill-after N` backend flags.
-pub fn parse_storage(args: &Args) -> Result<StorageChoice, String> {
-    if args.switches.iter().any(|s| s == "storage") {
-        return Err("--storage needs a value: memory|paged".to_string());
+/// Parses `--spill-after N`: spill the live engine's sealed chunks to a
+/// temp-file pager, keeping the newest `N` resident. `None` (no flag)
+/// keeps every chunk in memory. The removed `--storage` flag is rejected
+/// rather than ignored.
+pub fn parse_spill_after(args: &Args) -> Result<Option<usize>, String> {
+    if args.options.contains_key("storage") || args.has("storage") {
+        return Err("--storage is gone: sealed chunks stay in memory unless \
+                    --spill-after N spills them to a temp-file pager"
+            .to_string());
     }
-    let spill_after = match args.options.get("spill-after") {
-        None => None,
-        Some(v) => {
-            let n: usize = v.parse().map_err(|_| format!("--spill-after: cannot parse {v:?}"))?;
-            if n == 0 {
-                return Err("--spill-after must be at least 1".to_string());
-            }
-            Some(n)
-        }
-    };
-    match (args.options.get("storage").map(String::as_str), spill_after) {
-        (None | Some("memory"), None) => Ok(StorageChoice::Memory),
-        (None | Some("memory"), Some(_)) => {
-            Err("--spill-after requires --storage paged".to_string())
-        }
-        (Some("paged"), n) => {
-            Ok(StorageChoice::Paged { spill_after: n.unwrap_or(DEFAULT_SPILL_AFTER) })
-        }
-        (Some(other), _) => {
-            Err(format!("unknown storage backend {other:?} (expected memory|paged)"))
-        }
+    let Some(v) = args.options.get("spill-after") else { return Ok(None) };
+    let n: usize = v.parse().map_err(|_| format!("--spill-after: cannot parse {v:?}"))?;
+    if n == 0 {
+        return Err("--spill-after must be at least 1".to_string());
     }
+    Ok(Some(n))
 }
 
 /// Byte budget of the sealed-shard result cache when `--result-cache` is
@@ -488,31 +462,17 @@ mod tests {
 
     #[test]
     fn storage_validation() {
-        assert_eq!(parse_storage(&parse("serve f.csv")).expect("default"), StorageChoice::Memory);
-        assert_eq!(
-            parse_storage(&parse("serve f.csv --storage memory")).expect("memory"),
-            StorageChoice::Memory
-        );
-        assert_eq!(
-            parse_storage(&parse("serve f.csv --storage paged")).expect("paged"),
-            StorageChoice::Paged { spill_after: DEFAULT_SPILL_AFTER }
-        );
-        assert_eq!(
-            parse_storage(&parse("serve f.csv --storage paged --spill-after 2")).expect("paged 2"),
-            StorageChoice::Paged { spill_after: 2 }
-        );
-        let err = parse_storage(&parse("serve f.csv --storage disk")).expect_err("unknown backend");
-        assert!(err.contains("disk") && err.contains("paged"), "err={err}");
-        let err = parse_storage(&parse("serve f.csv --storage")).expect_err("missing value");
-        assert!(err.contains("memory|paged"), "err={err}");
-        let err =
-            parse_storage(&parse("serve f.csv --spill-after 2")).expect_err("orphan spill-after");
-        assert!(err.contains("--storage paged"), "err={err}");
-        let err = parse_storage(&parse("serve f.csv --storage memory --spill-after 2"))
-            .expect_err("memory cannot spill");
-        assert!(err.contains("--storage paged"), "err={err}");
-        assert!(parse_storage(&parse("serve f.csv --storage paged --spill-after 0")).is_err());
-        assert!(parse_storage(&parse("serve f.csv --storage paged --spill-after lots")).is_err());
+        assert_eq!(parse_spill_after(&parse("serve f.csv")).expect("default"), None);
+        assert_eq!(parse_spill_after(&parse("serve f.csv --spill-after 2")).expect("2"), Some(2));
+        assert!(parse_spill_after(&parse("serve f.csv --spill-after 0")).is_err());
+        assert!(parse_spill_after(&parse("serve f.csv --spill-after lots")).is_err());
+        for removed in
+            ["--storage paged", "--storage memory", "--storage", "--storage paged --spill-after 2"]
+        {
+            let err = parse_spill_after(&parse(&format!("serve f.csv {removed}")))
+                .expect_err("--storage is rejected");
+            assert!(err.contains("--storage") && err.contains("--spill-after"), "err={err}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@ mod args;
 
 use args::{
     parse_algorithms, parse_nodes, parse_range_in, parse_result_cache, parse_serve,
-    parse_serve_node, parse_storage, parse_stream, parse_threads, parse_weights, Args, ServeMode,
-    StorageChoice,
+    parse_serve_node, parse_spill_after, parse_stream, parse_threads, parse_weights, Args,
+    ServeMode,
 };
 use durable_topk::{
     percentile, Algorithm, Backpressure, DurableQuery, EngineConfig, FallbackReason, LinearScorer,
@@ -40,14 +40,12 @@ USAGE:
   durable-topk query    FILE --k K --tau T [--interval A:B] [--weights ..]
                              [--alg tbase|thop|sbase|sband|shop|shop1|all]
                              [--threads N] [--lookahead] [--durations] [--limit N]
-                             [--stream [--every M]]
-                             [--storage memory|paged] [--spill-after N]
+                             [--stream [--every M]] [--spill-after N]
                              [--result-cache BYTES|off]
   durable-topk serve    FILE --k K --tau T [--weights ..] [--alg ..]
                              [--clients C] [--requests R] [--queue-cap Q]
                              [--reject] [--ingest M] [--subscribe S]
-                             [--storage memory|paged] [--spill-after N]
-                             [--result-cache BYTES|off]
+                             [--spill-after N] [--result-cache BYTES|off]
                              [--nodes HOST:PORT,HOST:PORT,..]
   durable-topk serve-node FILE --listen HOST:PORT --range A:B
                              [--k K] [--tau T]
@@ -68,22 +66,21 @@ a sample of the served answers is re-checked against the engine before
 the summary prints throughput and p50/p99 latency. --subscribe registers
 S standing queries before the client storm; the live appends keep their
 materialized answer sets current incrementally and each is verified
-against a full recompute at the end. --storage selects the
-sealed-shard backend for the live modes (--stream and serve): `memory`
-(default) keeps every sealed chunk resident; `paged` spills chunks beyond
-the newest --spill-after (default 4) to pager-backed pages in a temporary
-file, reloading them transparently — and bit-identically — at query
-time. --result-cache puts a byte-budgeted memoization cache in front of
-the sealed shards of the live modes: repeated full-range probes of an
-immutable tail replay their answer without touching storage (default
-33554432 bytes = 32 MiB; `off` disables it). `serve-node` hosts one
-contiguous slice [A, B] of the file behind the binary wire protocol on
---listen (loading tau extra records of left context so every durability
-window it owns is exact); `serve --nodes` drives a query-only client
-storm through the scatter-gather coordinator over those nodes instead of
-an in-process queue, spot-checks sampled answers against a local
-reference engine, and prints per-node request counts and latency
-percentiles. Every node and the coordinator must agree on --k/--tau.";
+against a full recompute at the end. The live modes (--stream and serve)
+keep every sealed chunk in memory; --spill-after N spills chunks beyond
+the newest N to pager-backed pages in a temporary file, reloading them
+transparently — and bit-identically — at query time. --result-cache
+puts a byte-budgeted memoization cache in front of the sealed shards of
+the live modes: repeated full-range probes of an immutable tail replay
+their answer without touching storage (default 33554432 bytes = 32 MiB;
+`off` disables it). `serve-node` hosts one contiguous slice [A, B] of
+the file behind the binary wire protocol on --listen (loading tau extra
+records of left context so every durability window it owns is exact);
+`serve --nodes` drives a query-only client storm through the
+scatter-gather coordinator over those nodes instead of an in-process
+queue, spot-checks sampled answers against a local reference engine, and
+prints per-node request counts and latency percentiles. Every node and
+the coordinator must agree on --k/--tau.";
 
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
@@ -159,17 +156,17 @@ fn engine_config(
     span: usize,
     tau: u32,
     skyband: Option<usize>,
-    storage: StorageChoice,
+    spill_after: Option<usize>,
     result_cache: Option<usize>,
 ) -> Result<EngineConfig, String> {
     let mut cfg = EngineConfig::new(dim, span, tau);
     if let Some(k_max) = skyband {
         cfg = cfg.skyband_bound(k_max);
     }
-    if let StorageChoice::Paged { spill_after } = storage {
-        let backend = PagedStorage::with_temp_file(spill_after)
-            .map_err(|e| format!("--storage paged: {e}"))?;
-        cfg = cfg.storage(std::sync::Arc::new(backend));
+    if let Some(n) = spill_after {
+        let paged =
+            PagedStorage::with_temp_file(n).map_err(|e| format!("--spill-after {n}: {e}"))?;
+        cfg = cfg.storage(std::sync::Arc::new(paged));
     }
     if let Some(bytes) = result_cache {
         cfg = cfg.result_cache(bytes);
@@ -181,7 +178,7 @@ fn engine_config(
 /// one shard over all of `ds`, whose skyband durations are exact over the
 /// whole history; `max_tau` bounds only the look-back of appended records.
 fn one_shard(ds: &Dataset, max_tau: u32, skyband: Option<usize>) -> Result<ShardedEngine, String> {
-    engine_config(ds.dim(), ds.len(), max_tau, skyband, StorageChoice::Memory, None)?
+    engine_config(ds.dim(), ds.len(), max_tau, skyband, None, None)?
         .build_from(ds, 1)
         .map_err(|e| e.to_string())
 }
@@ -275,13 +272,11 @@ fn query(args: &Args) -> Result<(), String> {
     let algs = parse_algorithms(args.get_or("alg", "shop"))?;
     let threads = parse_threads(args)?;
     let stream = parse_stream(args, &algs)?;
-    let storage = parse_storage(args)?;
+    let spill_after = parse_spill_after(args)?;
     let result_cache = parse_result_cache(args)?;
-    if stream.is_none()
-        && (args.options.contains_key("storage") || args.options.contains_key("spill-after"))
-    {
+    if stream.is_none() && spill_after.is_some() {
         return Err(
-            "--storage/--spill-after select the live engine's backend; add --stream".to_string()
+            "--spill-after spills the live engine's sealed chunks; add --stream".to_string()
         );
     }
     if stream.is_none() && args.options.contains_key("result-cache") {
@@ -295,7 +290,7 @@ fn query(args: &Args) -> Result<(), String> {
     }
     let q = DurableQuery { k, tau, interval };
     if let Some(mode) = stream {
-        return stream_replay(&ds, algs[0], &scorer, &q, mode, storage, result_cache, limit);
+        return stream_replay(&ds, algs[0], &scorer, &q, mode, spill_after, result_cache, limit);
     }
 
     // Look-ahead queries run on an engine over the reversed history.
@@ -352,7 +347,7 @@ fn stream_replay(
     scorer: &LinearScorer,
     q: &DurableQuery,
     mode: args::StreamMode,
-    storage: StorageChoice,
+    spill_after: Option<usize>,
     result_cache: Option<usize>,
     limit: usize,
 ) -> Result<(), String> {
@@ -362,7 +357,7 @@ fn stream_replay(
     // bounding per-shard index size.
     let span = (q.tau as usize * 4).clamp(1_024, 262_144);
     let skyband = (alg == Algorithm::SBand).then_some(q.k);
-    let mut engine = engine_config(ds.dim(), span, q.tau, skyband, storage, result_cache)?
+    let mut engine = engine_config(ds.dim(), span, q.tau, skyband, spill_after, result_cache)?
         .build()
         .map_err(|e| e.to_string())?;
 
@@ -395,7 +390,7 @@ fn stream_replay(
     let started = std::time::Instant::now();
     let result = engine.query(alg, scorer, q);
     let elapsed = started.elapsed();
-    if let StorageChoice::Paged { .. } = storage {
+    if spill_after.is_some() {
         let st = engine.storage().stats();
         println!(
             "storage: {} sealed chunks ({} resident, {} spilled), {} cold fetches, \
@@ -491,8 +486,9 @@ struct Sweep {
 /// or, with `--nodes`, at a scatter-gather coordinator.
 fn serve(args: &Args) -> Result<(), String> {
     let nodes = parse_nodes(args)?;
+    parse_spill_after(args)?;
     if nodes.is_some() {
-        for flag in ["ingest", "subscribe", "queue-cap", "storage", "spill-after", "result-cache"] {
+        for flag in ["ingest", "subscribe", "queue-cap", "spill-after", "result-cache"] {
             if args.options.contains_key(flag) || args.has(flag) {
                 return Err(format!(
                     "--nodes serving is query-only over remote engines; \
@@ -658,7 +654,7 @@ impl<'a> QueueTarget<'a> {
             span,
             tau,
             skyband,
-            parse_storage(args)?,
+            parse_spill_after(args)?,
             parse_result_cache(args)?,
         )?
         .build()

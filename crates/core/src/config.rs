@@ -4,8 +4,8 @@
 //! describe the engine declaratively, then [`build`](EngineConfig::build)
 //! an empty live engine or [`build_from`](EngineConfig::build_from) one
 //! over an existing dataset. Every parameter is checked up front and
-//! reported as a typed [`BuildError`], and every subsystem — storage
-//! backend, skyband bound, result cache — is in place before the first
+//! reported as a typed [`BuildError`], and every subsystem — chunk
+//! store, skyband bound, result cache — is in place before the first
 //! record lands; nothing is applied to a constructed engine afterwards.
 //!
 //! ```
@@ -18,14 +18,10 @@
 //!     .expect("valid configuration");
 //! engine.append(&[1.0, 2.0]);
 //! ```
-//!
-//! The one post-construction mutation with standalone semantics —
-//! [`migrate_storage`](ShardedEngine::migrate_storage), which re-homes the
-//! sealed tails of a *running* engine — remains a method of the engine.
 
 use crate::error::BuildError;
 use crate::sharded::ShardedEngine;
-use crate::storage::ShardStorage;
+use crate::storage::PagedStorage;
 use durable_topk_index::DEFAULT_LEAF_SIZE;
 use durable_topk_temporal::{Dataset, Time};
 use std::sync::Arc;
@@ -40,7 +36,7 @@ pub struct EngineConfig {
     pub(crate) max_tau: Time,
     pub(crate) leaf_size: usize,
     pub(crate) skyband_bound: Option<usize>,
-    pub(crate) storage: Option<Arc<dyn ShardStorage>>,
+    pub(crate) storage: Option<Arc<PagedStorage>>,
     pub(crate) result_cache_bytes: Option<usize>,
 }
 
@@ -85,12 +81,12 @@ impl EngineConfig {
         self
     }
 
-    /// Storage backend for sealed tails' record chunks (default:
-    /// [`MemoryStorage`](crate::MemoryStorage)). In
+    /// The store for sealed tails' record chunks (default:
+    /// [`PagedStorage::in_memory`], which never spills). In
     /// [`build_from`](EngineConfig::build_from) the freshly built tails
-    /// are stored straight into this backend, so a
-    /// [`PagedStorage`](crate::PagedStorage) starts spilling immediately.
-    pub fn storage(mut self, storage: Arc<dyn ShardStorage>) -> Self {
+    /// are stored straight into it, so a store with a pager starts
+    /// spilling immediately.
+    pub fn storage(mut self, storage: Arc<PagedStorage>) -> Self {
         self.storage = Some(storage);
         self
     }
@@ -169,7 +165,6 @@ mod tests {
     use super::*;
     use crate::engine::{tests::flat, Algorithm};
     use crate::query::DurableQuery;
-    use crate::storage::PagedStorage;
     use durable_topk_temporal::{LinearScorer, Window};
 
     fn dataset(n: usize) -> Dataset {

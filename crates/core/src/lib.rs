@@ -62,7 +62,7 @@ pub use serve::{
     ServeRequest, ServeResponse, ServeStats,
 };
 pub use sharded::{MemoryUsage, ShardedEngine};
-pub use storage::{ChunkId, MemoryStorage, PagedStorage, ShardStorage, StorageStats};
+pub use storage::{ChunkId, PagedStorage, StorageStats};
 pub use subscribe::{SubscriptionId, SubscriptionSnapshot, SubscriptionTotals};
 
 // Re-export the vocabulary types callers need.

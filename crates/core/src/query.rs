@@ -113,8 +113,8 @@ pub struct QueryStats {
     /// Candidates skipped purely by the blocking mechanism.
     pub blocked_skips: u64,
     /// Physical page reads performed to fault spilled record chunks back
-    /// in (always `0` under [`MemoryStorage`](crate::MemoryStorage); under
-    /// [`PagedStorage`](crate::PagedStorage) it counts the cold-tier cost
+    /// in (always `0` without a pager; with one, see
+    /// [`PagedStorage`](crate::PagedStorage), it counts the cold-tier cost
     /// the query actually paid).
     pub cold_page_hits: u64,
     /// Per-shard probes answered from the sealed-shard result cache

@@ -4,8 +4,8 @@
 //! for a given `(algorithm, scorer, k, τ)` over its **full owned range** is
 //! a pure function of the key — yet every serve request, `--alg all`
 //! sweep, and subscription seal-boundary reconciliation re-runs the probe
-//! (and, under [`PagedStorage`](crate::PagedStorage), may re-fault spilled
-//! pages just to recompute an answer already produced). [`ShardResultCache`]
+//! (and, over a [`PagedStorage`](crate::PagedStorage) with a pager, may
+//! re-fault spilled pages just to recompute an answer already produced). [`ShardResultCache`]
 //! closes that gap: a bounded, byte-budgeted, sharded-lock LRU that
 //! [`ShardedEngine::try_query`](crate::ShardedEngine::try_query) consults
 //! *before* touching storage, so a hit never faults pages back in.
@@ -17,12 +17,9 @@
 //!
 //! * **Shard generation** — a process-global, never-reused id
 //!   (`next_shard_gen`, crate-private) stamped onto each shard when it is
-//!   sealed (and
-//!   re-stamped when [`migrate_storage`](crate::ShardedEngine::migrate_storage)
-//!   migrates it to a new backend). Seal cascades, migrations and head
-//!   splices therefore invalidate *for free*: the superseded generation can
-//!   never be probed again, and its entries age out of the LRU. Nothing is
-//!   ever flushed wholesale.
+//!   sealed. Seal cascades and head splices therefore invalidate *for
+//!   free*: the superseded generation can never be probed again, and its
+//!   entries age out of the LRU. Nothing is ever flushed wholesale.
 //! * **Scorer fingerprint** — the bit-exact structural hash of
 //!   [`OracleScorer::fingerprint`](durable_topk_index::OracleScorer::fingerprint).
 //!   Scorers without one (opaque [`ScorerSpec::Custom`](crate::ScorerSpec)

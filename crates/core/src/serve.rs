@@ -296,9 +296,8 @@ pub struct ServeStats {
     /// Cumulative execution time of completed requests.
     pub total_service: Duration,
     /// Cumulative physical page reads completed requests paid to fault
-    /// spilled record chunks back in (`0` under
-    /// [`MemoryStorage`](crate::MemoryStorage) — the cold-tier cost of a
-    /// [`PagedStorage`](crate::PagedStorage) deployment).
+    /// spilled record chunks back in (`0` without a pager — the cold-tier
+    /// cost of a [`PagedStorage`](crate::PagedStorage) with one).
     pub cold_page_hits: u64,
     /// Standing subscriptions currently registered.
     pub subscriptions: usize,

@@ -16,8 +16,8 @@
 //! one system:
 //!
 //! * **Sealed tail shards** are immutable: a frozen segment-tree oracle,
-//!   an optional skyband index, and a record chunk held by the
-//!   [`ShardStorage`] backend, over contiguous time ranges.
+//!   an optional skyband index, and a record chunk held by the engine's
+//!   [`PagedStorage`], over contiguous time ranges.
 //! * **One mutable head shard** receives [`append`](ShardedEngine::append)s,
 //!   indexed incrementally by the appendable segment-tree forest
 //!   ([`AppendableTopKIndex`]). When the head has accumulated `shard_span`
@@ -37,7 +37,7 @@
 //! concurrent. Joining trees moves their nodes and adds one root per join
 //! ([`AppendableTopKIndex::seal`]) — no record is indexed again — so the
 //! seal runs on the appending thread, inside the `append` that fills the
-//! head; so does the storage backend's chunk write.
+//! head; so does the chunk store's write.
 //!
 //! Queries fan `DurTop(k, I, τ)` out across the shards owning a piece of
 //! `I` through the persistent [`WorkerPool`] (no `thread::spawn` on the
@@ -57,7 +57,7 @@ use crate::plan::{merge, route, OwnedRange};
 use crate::pool::WorkerPool;
 use crate::query::{DurableQuery, QueryResult};
 use crate::result_cache::{next_shard_gen, CacheKey, ShardResultCache};
-use crate::storage::{ChunkId, MemoryStorage, ShardStorage};
+use crate::storage::{ChunkId, PagedStorage};
 use crate::view::View;
 use durable_topk_index::{
     AppendableTopKIndex, DurableSkybandIndex, IncrementalSkybandIndex, OracleScorer,
@@ -68,9 +68,9 @@ use std::sync::Arc;
 
 /// One sealed time shard: a skyline segment tree over the records it owns,
 /// plus optional frozen skyband durations for them. The record chunk itself
-/// lives in the engine's [`ShardStorage`] backend, reached by handle —
-/// under [`PagedStorage`](crate::PagedStorage) it may be spilled to pages
-/// and is faulted back in transparently at query time.
+/// lives in the engine's [`PagedStorage`], reached by handle — with a
+/// pager it may be spilled to pages and is faulted back in transparently
+/// at query time.
 #[derive(Debug)]
 struct Shard {
     oracle: SkylineSegTree,
@@ -80,9 +80,9 @@ struct Shard {
     /// The global ids the shard owns; chunk row 0 is the first.
     owned: Window,
     /// Process-global, never-reused generation id keying this shard's
-    /// entries in the [`ShardResultCache`]: re-sealing, storage migration
-    /// or any other shard replacement stamps a fresh generation, so stale
-    /// memoized answers can never be probed again.
+    /// entries in the [`ShardResultCache`]: any shard replacement stamps a
+    /// fresh generation, so stale memoized answers can never be probed
+    /// again.
     generation: u64,
 }
 
@@ -153,7 +153,7 @@ enum Built {
 /// `max_tau`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryUsage {
-    /// Record rows: the storage backend's decoded chunks plus the head's
+    /// Record rows: the chunk store's decoded chunks plus the head's
     /// rows.
     pub records: usize,
     /// Skyline segment trees: sealed shards' and the head forest's.
@@ -194,11 +194,10 @@ pub struct MemoryUsage {
 #[derive(Debug)]
 pub struct ShardedEngine {
     tails: Vec<Shard>,
-    /// Where sealed tails' record chunks live — [`MemoryStorage`] by
-    /// default, [`PagedStorage`](crate::PagedStorage) to spill old chunks
-    /// to pager-backed pages (see [`EngineConfig::storage`] and
-    /// [`migrate_storage`](ShardedEngine::migrate_storage)).
-    storage: Arc<dyn ShardStorage>,
+    /// Where sealed tails' record chunks live — in memory by default, old
+    /// ones spilled to pager-backed pages with a pager (see
+    /// [`EngineConfig::storage`]).
+    storage: Arc<PagedStorage>,
     head: Head,
     shape: Shape,
     len: usize,
@@ -217,11 +216,11 @@ impl ShardedEngine {
     /// validated: empty and appendable for `data = None`, otherwise over
     /// `ds` partitioned into `shard_count` contiguous time shards (capped
     /// at the dataset size), each built in parallel on the worker pool.
-    /// Either way the storage backend is chosen first, so built tails are
+    /// Either way the chunk store is chosen first, so built tails are
     /// stored straight into it, and the head is created with its skyband
     /// bound — nothing is applied after construction.
     pub(crate) fn from_config(cfg: EngineConfig, data: Option<(&Dataset, usize)>) -> Self {
-        let storage = cfg.storage.unwrap_or_else(|| Arc::new(MemoryStorage::new()));
+        let storage = cfg.storage.unwrap_or_else(|| Arc::new(PagedStorage::in_memory()));
         let mut shape = Shape {
             dim: cfg.dim,
             shard_span: cfg.shard_span,
@@ -272,7 +271,7 @@ impl ShardedEngine {
                 });
                 // Store the chunks sequentially after the parallel index
                 // build so chunk ids land in time order — under a paged
-                // backend that keeps the *newest* shards resident and
+                // store that keeps the *newest* shards resident and
                 // spills the oldest first.
                 let mut tails = Vec::with_capacity(ranges.len());
                 let mut head = None;
@@ -306,34 +305,11 @@ impl ShardedEngine {
         }
     }
 
-    /// Switches the storage backend for sealed tails' record chunks
-    /// (default: [`MemoryStorage`]). Existing chunks are migrated — every
-    /// tail's chunk is re-stored into the new backend in time order, so a
-    /// [`PagedStorage`](crate::PagedStorage) backend immediately starts
-    /// spilling everything older than its residency window. Answers are
-    /// bit-identical under every backend; only residency and query-time
-    /// page faults ([`QueryStats::cold_page_hits`](crate::QueryStats::cold_page_hits))
-    /// change.
-    ///
-    /// This is the mid-life migration API; to start an engine on a
-    /// non-default backend, use [`EngineConfig::storage`] instead.
-    pub fn migrate_storage(mut self, storage: Arc<dyn ShardStorage>) -> Self {
-        for shard in &mut self.tails {
-            let (chunk, _) = self.storage.fetch(shard.chunk);
-            shard.chunk = storage.store(chunk);
-            // A migrated shard is a new cache identity: its old entries
-            // age out of the result cache instead of being flushed.
-            shard.generation = next_shard_gen();
-        }
-        self.storage = storage;
-        self
-    }
-
-    /// The storage backend holding the sealed tails' record chunks (its
-    /// [`stats`](ShardStorage::stats) expose residency and cold-read
-    /// counters; [`resident_bytes`](ShardStorage::resident_bytes) the
+    /// The store holding the sealed tails' record chunks (its
+    /// [`stats`](PagedStorage::stats) expose residency and cold-read
+    /// counters; [`resident_bytes`](PagedStorage::resident_bytes) the
     /// decoded footprint).
-    pub fn storage(&self) -> &Arc<dyn ShardStorage> {
+    pub fn storage(&self) -> &Arc<PagedStorage> {
         &self.storage
     }
 
@@ -390,9 +366,8 @@ impl ShardedEngine {
 
     /// Turns the full head into the next tail shard — its forest's trees
     /// joined into one, its records' durations copied out of the
-    /// incremental skyband maintainer, its rows handed to the storage
-    /// backend as the shard's chunk (where
-    /// [`PagedStorage`](crate::PagedStorage) serializes it to pages) — and
+    /// incremental skyband maintainer, its rows handed to the store as the
+    /// shard's chunk (which, with a pager, writes it to pages) — and
     /// starts an empty head that inherits the skyband state of the
     /// trailing `max_tau` records.
     fn seal_head(&mut self) {
@@ -791,7 +766,6 @@ mod tests {
     use super::*;
     use crate::engine::tests::{brute_durable, flat};
     use crate::error::BuildError;
-    use crate::storage::PagedStorage;
     use durable_topk_temporal::{Anchor, LinearScorer};
 
     fn dataset(n: usize) -> Dataset {
@@ -1206,14 +1180,13 @@ mod tests {
     fn paged_storage_serves_identical_answers_from_spilled_tails() {
         let ds = dataset(600);
         let scorer = LinearScorer::new(vec![0.7, 0.3]);
-        let mut live = live(64, 32);
+        // Keep only the newest chunk decoded: everything older must be
+        // served by faulting pages back in.
+        let paged = Arc::new(PagedStorage::with_temp_file(1).expect("paged backend"));
+        let mut live = EngineConfig::new(2, 64, 32).storage(paged).build().expect("config");
         for id in 0..600u32 {
             live.append(ds.row(id));
         }
-        // Keep only the newest chunk decoded: everything older must be
-        // served by faulting pages back in.
-        let live =
-            live.migrate_storage(Arc::new(PagedStorage::with_temp_file(1).expect("paged backend")));
         assert!(
             live.storage().stats().spilled_chunks >= 2,
             "spill_after=1 must leave most tails spilled"
@@ -1226,22 +1199,18 @@ mod tests {
         }
         // The full-interval queries touched spilled shards and decoded
         // them from pages. (Physical reads may be zero here — the pool's
-        // frame cache is still warm right after migration — which is
-        // exactly what cold_page_hits should then report.)
+        // frames may still hold the pages — which is exactly what
+        // cold_page_hits should then report.)
         assert!(
             live.storage().stats().cold_fetches > 0,
             "queries over spilled tails must decode from the paged tier"
         );
-        // A paged engine keeps ingesting and sealing into the same backend.
-        let mut live = live;
+        // A paged engine keeps ingesting and sealing into the same store.
         for id in 0..200u32 {
             live.append(ds.row(id));
         }
         let q = DurableQuery { k: 2, tau: 30, interval: Window::new(550, 799) };
-        let mut full = ds.clone();
-        for id in 0..200u32 {
-            full.push(ds.row(id));
-        }
+        let full = Dataset::from_rows(2, (0..800).map(|i| ds.row(i % 600).to_vec()));
         assert_eq!(
             live.query(Algorithm::SHop, &scorer, &q).records,
             flat(&full, None).query(Algorithm::SHop, &scorer, &q).records

@@ -1,33 +1,37 @@
-//! Tiered storage for sealed shard record chunks.
+//! The record chunks of sealed shards, with an optional pager.
 //!
 //! A sealed tail shard of the [`ShardedEngine`](crate::ShardedEngine) is
 //! three things: a segment tree, an optional frozen skyband
 //! index, and the *record chunk* — the immutable rows of the records the
 //! shard owns. A query piece fetches its own shard's chunk and those of the
 //! predecessors its windows reach. The first two are compact; the chunk is
-//! where the resident set lives. This module puts the chunk behind a
-//! [`ShardStorage`] trait with two backends:
+//! where the resident set lives. One [`PagedStorage`] holds every chunk of
+//! an engine:
 //!
-//! * [`MemoryStorage`] — every chunk stays decoded in memory as a shared
-//!   [`Arc<Dataset>`]. Today's behavior, zero-cost fetches, the default.
-//! * [`PagedStorage`] — chunks are serialized page-aligned into a
-//!   [`BufferPool`] file at store time (once per seal, about 0.1 ms for a
-//!   4 096-record chunk). The newest `spill_after` chunks additionally stay
-//!   decoded; older ones are *spilled* — a query touching one
-//!   transparently faults in the pages holding the rows it can read
-//!   ([`ShardStorage::fetch_rows`]), decodes those rows, and reports the
+//! * Without a pager ([`PagedStorage::in_memory`], the engine's default)
+//!   every chunk stays decoded in memory as a shared [`Arc<Dataset>`]: a
+//!   fetch is one mutex and one `Arc` clone, no file is ever opened and
+//!   nothing is ever cold — the paper's setting.
+//! * With a pager ([`PagedStorage::create`], [`PagedStorage::with_temp_file`])
+//!   each chunk is also serialized page-aligned into a [`BufferPool`] file
+//!   at store time and written back to the file at once (about 0.1 ms for
+//!   a 4 096-record chunk). The newest `spill_after` chunks stay decoded;
+//!   older ones are *spilled* — a query touching one transparently faults
+//!   in the pages holding the rows it can read
+//!   ([`PagedStorage::fetch_rows`]), decodes those rows, and reports the
 //!   physical page reads as cold-page hits
 //!   ([`QueryStats::cold_page_hits`](crate::QueryStats::cold_page_hits)).
 //!   Pages stay in the pool's LRU frames, so a repeated cold query is
-//!   served from them while they last.
+//!   served from them while they last. A chunk whose write fails stays
+//!   decoded for good: an I/O error never loses data, and a query never
+//!   writes.
 //!
 //! Because chunks are shared `Arc`s end to end — the sealed head's
 //! sub-dataset, storage, query fan-out — sealing does not copy the record
-//! data and
-//! the engine holds exactly one decoded copy of each chunk, whichever
-//! backend is active. Exactness is non-negotiable: the paged roundtrip is
+//! data and the engine holds exactly one decoded copy of each chunk, pager
+//! or not. Exactness is non-negotiable: the paged roundtrip is
 //! bit-identical (see the store crate's chunk format), proptested against
-//! [`MemoryStorage`] across seal boundaries.
+//! the pager-less store across seal boundaries.
 
 use crate::check::{LockClass, TrackedMutex};
 use crate::sync::lock;
@@ -36,14 +40,14 @@ use durable_topk_temporal::{Dataset, Time, Window};
 use std::collections::VecDeque;
 use std::io;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Handle to a stored record chunk, issued by [`ShardStorage::store`].
+/// Handle to a stored record chunk, issued by [`PagedStorage::store`].
 pub type ChunkId = usize;
 
-/// A point-in-time snapshot of a storage backend's counters.
+/// A point-in-time snapshot of a store's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
     /// Chunks stored.
@@ -52,8 +56,8 @@ pub struct StorageStats {
     pub resident_chunks: usize,
     /// Chunks currently spilled (reachable only through page I/O).
     pub spilled_chunks: usize,
-    /// Total [`fetch`](ShardStorage::fetch) and
-    /// [`fetch_rows`](ShardStorage::fetch_rows) calls.
+    /// Total [`fetch`](PagedStorage::fetch) and
+    /// [`fetch_rows`](PagedStorage::fetch_rows) calls.
     pub fetches: u64,
     /// Fetches that had to decode rows of a spilled chunk from pages.
     pub cold_fetches: u64,
@@ -61,149 +65,87 @@ pub struct StorageStats {
     pub cold_page_reads: u64,
 }
 
-/// Where sealed shards keep their record chunks.
-///
-/// Implementations are shared across the appending thread and the query
-/// fan-out (`Send + Sync`); all methods take `&self`.
-pub trait ShardStorage: Send + Sync + std::fmt::Debug {
-    /// Stores an immutable chunk, returning its handle. Runs once per
-    /// seal, on the appending thread.
-    fn store(&self, chunk: Arc<Dataset>) -> ChunkId;
-
-    /// Retrieves a chunk by handle, together with the number of physical
-    /// page reads the retrieval needed (`0` when the chunk was resident —
-    /// the figure queries surface as
-    /// [`QueryStats::cold_page_hits`](crate::QueryStats::cold_page_hits)).
-    ///
-    /// # Panics
-    /// Panics if `id` was not issued by this backend.
-    fn fetch(&self, id: ChunkId) -> (Arc<Dataset>, u64);
-
-    /// Retrieves at least records `rows` (chunk ids) of a chunk: the rows,
-    /// the chunk id of their row 0, and the physical page reads the
-    /// retrieval needed. A resident chunk comes back whole (first row
-    /// `0`, no copy); a spilled one reads and decodes only the pages
-    /// holding `rows`.
-    ///
-    /// # Panics
-    /// Panics if `id` was not issued by this backend or `rows` reaches
-    /// past the chunk.
-    fn fetch_rows(&self, id: ChunkId, rows: Window) -> (Arc<Dataset>, Time, u64);
-
-    /// Counter snapshot.
-    fn stats(&self) -> StorageStats;
-
-    /// Heap bytes of the chunks currently held decoded (the resident-set
-    /// figure the storage bench reports).
-    fn resident_bytes(&self) -> usize;
-}
-
-/// The all-in-memory backend: chunks are shared `Arc`s, fetches are clone
-/// cheap, nothing is ever cold.
-#[derive(Debug)]
-pub struct MemoryStorage {
-    chunks: TrackedMutex<Vec<Arc<Dataset>>>,
-    fetches: AtomicU64,
-}
-
-impl MemoryStorage {
-    /// An empty in-memory backend.
-    pub fn new() -> Self {
-        Self {
-            chunks: TrackedMutex::new(LockClass::PagePool, Vec::new()),
-            fetches: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Default for MemoryStorage {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShardStorage for MemoryStorage {
-    fn store(&self, chunk: Arc<Dataset>) -> ChunkId {
-        let mut chunks = lock(&self.chunks);
-        chunks.push(chunk);
-        chunks.len() - 1
-    }
-
-    fn fetch(&self, id: ChunkId) -> (Arc<Dataset>, u64) {
-        self.fetches.fetch_add(1, Ordering::Relaxed);
-        (Arc::clone(&lock(&self.chunks)[id]), 0)
-    }
-
-    fn fetch_rows(&self, id: ChunkId, _rows: Window) -> (Arc<Dataset>, Time, u64) {
-        let (rows, cold) = self.fetch(id);
-        (rows, 0, cold)
-    }
-
-    fn stats(&self) -> StorageStats {
-        let chunks = lock(&self.chunks).len();
-        StorageStats {
-            chunks,
-            resident_chunks: chunks,
-            spilled_chunks: 0,
-            fetches: self.fetches.load(Ordering::Relaxed),
-            cold_fetches: 0,
-            cold_page_reads: 0,
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        lock(&self.chunks).iter().map(|c| c.heap_bytes()).sum()
-    }
-}
-
-/// Per-chunk directory entry of the paged backend.
-struct PagedChunk {
-    first_page: u64,
-    /// The header fields, so row reads never fault the header page.
-    shape: ChunkShape,
-    /// Decoded copy, present while the chunk is in the resident tier (or
-    /// permanently, if its spill write failed).
+/// Per-chunk directory entry.
+struct StoredChunk {
+    /// Decoded rows; `None` once the chunk is spilled.
     resident: Option<Arc<Dataset>>,
-    /// Whether the serialized form reached the pool (spilling is only
-    /// legal then; a failed write degrades the chunk to memory residency
-    /// rather than losing data).
-    on_disk: bool,
+    /// First page and shape of the serialized form, once it reached the
+    /// pager's file (only such a chunk may spill; the shape lets row reads
+    /// skip the header page).
+    on_file: Option<(u64, ChunkShape)>,
 }
 
-struct Paged {
+/// The file old chunks spill to.
+struct Pager {
     pool: BufferPool,
-    dir: Vec<PagedChunk>,
-    /// Chunks eligible for spilling, oldest first.
+    /// Chunks kept decoded after they reached the file.
+    spill_after: usize,
+    /// Chunks on file and still decoded, oldest first.
     resident_order: VecDeque<ChunkId>,
     next_page: u64,
+}
+
+impl Pager {
+    /// Writes `chunk` to the next free pages of the file (no sync: it is
+    /// scratch space): its first page and shape, or `None` if a page did
+    /// not reach the file — its dirty frames are then dropped unwritten,
+    /// so no eviction inside a query's cold read retries them.
+    fn write(&mut self, chunk: &Dataset) -> Option<(u64, ChunkShape)> {
+        let first_page = self.next_page;
+        let written = write_chunk(&mut self.pool, first_page, chunk)
+            .and_then(|pages| self.pool.write_back().map(|()| pages));
+        match written {
+            Ok(pages) => {
+                self.next_page += pages;
+                Some((first_page, ChunkShape::of(chunk)))
+            }
+            Err(_) => {
+                self.pool.discard_dirty();
+                None
+            }
+        }
+    }
+}
+
+#[derive(Default)]
+struct Chunks {
+    dir: Vec<StoredChunk>,
+    pager: Option<Pager>,
     fetches: u64,
     cold_fetches: u64,
     cold_page_reads: u64,
     write_failures: u64,
 }
 
-/// The pager-backed tiered backend: every chunk is serialized to pages at
-/// store time; the newest `spill_after` chunks also stay decoded, older
-/// ones are served by faulting their pages back in. See the module docs
+/// Where sealed shards keep their record chunks: decoded in memory, and
+/// with a pager, old ones spilled to pages of a file. See the module docs
 /// for the full story.
+///
+/// Shared by the appending thread and the query fan-out; every method
+/// takes `&self`.
 pub struct PagedStorage {
-    inner: TrackedMutex<Paged>,
-    spill_after: usize,
+    inner: TrackedMutex<Chunks>,
 }
 
 impl std::fmt::Debug for PagedStorage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("PagedStorage")
-            .field("spill_after", &self.spill_after)
-            .field("chunks", &s.chunks)
-            .field("spilled_chunks", &s.spilled_chunks)
-            .finish()
+        f.debug_tuple("PagedStorage").field(&self.stats()).finish()
     }
 }
 
 impl PagedStorage {
-    /// Creates a paged backend over a (truncated) file at `path` with
+    fn with_pager(pager: Option<Pager>) -> Self {
+        let chunks = Chunks { pager, ..Chunks::default() };
+        Self { inner: TrackedMutex::new(LockClass::PagePool, chunks) }
+    }
+
+    /// A store without a pager, the engine's default: every chunk stays
+    /// decoded in memory, nothing is written to a file or spilled.
+    pub fn in_memory() -> Self {
+        Self::with_pager(None)
+    }
+
+    /// A store paging to a (truncated) file at `path` through
     /// `cache_pages` buffer-pool frames; the newest `spill_after` chunks
     /// stay decoded in memory.
     ///
@@ -214,29 +156,19 @@ impl PagedStorage {
         cache_pages: usize,
         spill_after: usize,
     ) -> io::Result<Self> {
-        Ok(Self {
-            inner: TrackedMutex::new(
-                LockClass::PagePool,
-                Paged {
-                    pool: BufferPool::create(path, cache_pages)?,
-                    dir: Vec::new(),
-                    resident_order: VecDeque::new(),
-                    next_page: 0,
-                    fetches: 0,
-                    cold_fetches: 0,
-                    cold_page_reads: 0,
-                    write_failures: 0,
-                },
-            ),
+        let pool = BufferPool::create(path, cache_pages)?;
+        Ok(Self::with_pager(Some(Pager {
+            pool,
             spill_after,
-        })
+            resident_order: VecDeque::new(),
+            next_page: 0,
+        })))
     }
 
-    /// Creates a paged backend over a fresh file in the system temp
-    /// directory (unique per process and instance) with a default cache of
-    /// 64 pages — the convenience constructor the CLI's `--storage paged`
-    /// uses. The file is not cleaned up on drop; chunk files are scratch
-    /// space sized by the spilled history.
+    /// A store paging to a fresh file in the system temp directory (unique
+    /// per process and instance) through 64 frames — what the CLI's
+    /// `--spill-after` uses. The file is not cleaned up on drop; chunk
+    /// files are scratch space sized by the spilled history.
     pub fn with_temp_file(spill_after: usize) -> io::Result<Self> {
         static INSTANCE: AtomicU64 = AtomicU64::new(0);
         let name = format!(
@@ -244,14 +176,57 @@ impl PagedStorage {
             std::process::id(),
             INSTANCE.fetch_add(1, Ordering::Relaxed)
         );
-        Self::create(Self::temp_path(&name), 64, spill_after)
+        Self::create(std::env::temp_dir().join(name), 64, spill_after)
     }
 
-    fn temp_path(name: &str) -> PathBuf {
-        std::env::temp_dir().join(name)
+    /// Stores an immutable chunk, returning its handle. Runs once per
+    /// seal, on the appending thread; with a pager it writes the chunk to
+    /// the file and spills the oldest decoded chunk past `spill_after`.
+    pub fn store(&self, chunk: Arc<Dataset>) -> ChunkId {
+        let Chunks { dir, pager, write_failures, .. } = &mut *lock(&self.inner);
+        let id = dir.len();
+        let on_file = pager.as_mut().and_then(|pager| pager.write(&chunk));
+        dir.push(StoredChunk { resident: Some(chunk), on_file });
+        let Some(pager) = pager else { return id };
+        if on_file.is_none() {
+            // Kept decoded forever; the page range is reused.
+            *write_failures += 1;
+            return id;
+        }
+        pager.resident_order.push_back(id);
+        let excess = pager.resident_order.len().saturating_sub(pager.spill_after);
+        for victim in pager.resident_order.drain(..excess) {
+            dir[victim].resident = None;
+        }
+        id
     }
 
-    /// [`fetch_rows`](ShardStorage::fetch_rows) of the records `rows`
+    /// Retrieves a chunk by handle, together with the number of physical
+    /// page reads the retrieval needed (`0` when the chunk was resident —
+    /// the figure queries surface as
+    /// [`QueryStats::cold_page_hits`](crate::QueryStats::cold_page_hits)).
+    ///
+    /// # Panics
+    /// Panics if `id` was not issued by this store.
+    pub fn fetch(&self, id: ChunkId) -> (Arc<Dataset>, u64) {
+        let (rows, _, cold) = self.read_rows(id, |shape| 0..shape.records);
+        (rows, cold)
+    }
+
+    /// Retrieves at least records `rows` (chunk ids) of a chunk: the rows,
+    /// the chunk id of their row 0, and the physical page reads the
+    /// retrieval needed. A resident chunk comes back whole (first row
+    /// `0`, no copy); a spilled one reads and decodes only the pages
+    /// holding `rows`.
+    ///
+    /// # Panics
+    /// Panics if `id` was not issued by this store or `rows` reaches past
+    /// the chunk.
+    pub fn fetch_rows(&self, id: ChunkId, rows: Window) -> (Arc<Dataset>, Time, u64) {
+        self.read_rows(id, |_| rows.start() as usize..rows.end() as usize + 1)
+    }
+
+    /// [`fetch_rows`](PagedStorage::fetch_rows) of the records `rows`
     /// picks from the chunk's shape.
     fn read_rows(
         &self,
@@ -265,21 +240,22 @@ impl PagedStorage {
             if let Some(resident) = &chunk.resident {
                 return (Arc::clone(resident), 0, 0);
             }
+            let (Some(pager), Some((first_page, shape))) = (inner.pager.as_mut(), chunk.on_file)
+            else {
+                // lint: allow(panic) — only a chunk whose pages reached its
+                // store's pager file ever stops being resident.
+                unreachable!("a spilled chunk lives on its store's pager file")
+            };
             // Cold: copy the rows' bytes out of the pool. Pages still
             // cached cost no physical I/O — only true faults count.
-            assert!(
-                chunk.on_disk,
-                "a non-resident chunk must have reached the pool (write failures stay resident)"
-            );
-            let rows = rows(chunk.shape);
-            let before = inner.pool.stats().reads;
-            let bytes =
-                read_chunk_rows(&mut inner.pool, chunk.first_page, chunk.shape, rows.clone())
-                    // lint: allow(expect) — `on_disk` was asserted above: the
-                    // chunk's serialized form reached this pool and pages are
-                    // never reused; rows past the chunk are a documented panic.
-                    .expect("a spilled chunk's rows are readable from its own pool");
-            let cold = inner.pool.stats().reads - before;
+            let rows = rows(shape);
+            let before = pager.pool.stats().reads;
+            let bytes = read_chunk_rows(&mut pager.pool, first_page, shape, rows.clone())
+                // lint: allow(expect) — the chunk's pages were written back
+                // to this file when it was stored and pages are never
+                // reused; rows past the chunk are a documented panic.
+                .expect("a spilled chunk's rows are readable from its own file");
+            let cold = pager.pool.stats().reads - before;
             inner.cold_fetches += 1;
             inner.cold_page_reads += cold;
             (bytes, rows.start as Time, cold)
@@ -288,57 +264,8 @@ impl PagedStorage {
         (Arc::new(bytes.decode()), first, cold)
     }
 
-    /// Cumulative spill writes that failed (those chunks stay memory
-    /// resident; data is never lost to an I/O error).
-    pub fn write_failures(&self) -> u64 {
-        lock(&self.inner).write_failures
-    }
-}
-
-impl ShardStorage for PagedStorage {
-    fn store(&self, chunk: Arc<Dataset>) -> ChunkId {
-        let inner = &mut *lock(&self.inner);
-        let id = inner.dir.len();
-        let first_page = inner.next_page;
-        let on_disk = match write_chunk(&mut inner.pool, first_page, &chunk) {
-            Ok(pages) => {
-                inner.next_page += pages;
-                true
-            }
-            Err(_) => {
-                // Degrade to memory residency: the decoded Arc is kept
-                // forever and the page range is abandoned.
-                inner.write_failures += 1;
-                false
-            }
-        };
-        inner.dir.push(PagedChunk {
-            first_page,
-            shape: ChunkShape::of(&chunk),
-            resident: Some(chunk),
-            on_disk,
-        });
-        if on_disk {
-            inner.resident_order.push_back(id);
-            while inner.resident_order.len() > self.spill_after {
-                // lint: allow(expect) — the loop guard saw len > 0.
-                let victim = inner.resident_order.pop_front().expect("non-empty");
-                inner.dir[victim].resident = None;
-            }
-        }
-        id
-    }
-
-    fn fetch(&self, id: ChunkId) -> (Arc<Dataset>, u64) {
-        let (rows, _, cold) = self.read_rows(id, |shape| 0..shape.records);
-        (rows, cold)
-    }
-
-    fn fetch_rows(&self, id: ChunkId, rows: Window) -> (Arc<Dataset>, Time, u64) {
-        self.read_rows(id, |_| rows.start() as usize..rows.end() as usize + 1)
-    }
-
-    fn stats(&self) -> StorageStats {
+    /// Counter snapshot.
+    pub fn stats(&self) -> StorageStats {
         let inner = lock(&self.inner);
         let resident = inner.dir.iter().filter(|c| c.resident.is_some()).count();
         StorageStats {
@@ -351,7 +278,9 @@ impl ShardStorage for PagedStorage {
         }
     }
 
-    fn resident_bytes(&self) -> usize {
+    /// Heap bytes of the chunks currently held decoded (the resident-set
+    /// figure the storage bench reports).
+    pub fn resident_bytes(&self) -> usize {
         lock(&self.inner)
             .dir
             .iter()
@@ -359,15 +288,18 @@ impl ShardStorage for PagedStorage {
             .map(|c| c.heap_bytes())
             .sum()
     }
-}
 
-/// Keep `PAGE_SIZE` reachable from the core crate's storage vocabulary so
-/// callers sizing pools need not depend on the store crate directly.
-pub use durable_topk_store::PAGE_SIZE as STORAGE_PAGE_SIZE;
+    /// Cumulative chunk writes that failed (those chunks stay resident;
+    /// data is never lost to an I/O error).
+    pub fn write_failures(&self) -> u64 {
+        lock(&self.inner).write_failures
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn chunk(seed: u64, n: usize) -> Arc<Dataset> {
         Arc::new(Dataset::from_rows(
@@ -385,16 +317,19 @@ mod tests {
         dir.join(name)
     }
 
+    /// The pager-less store, the engine's default, shares the stored `Arc`
+    /// and never spills or reads a page.
     #[test]
     fn memory_storage_shares_the_arc() {
-        let storage = MemoryStorage::new();
+        let storage = PagedStorage::in_memory();
         let c = chunk(1, 50);
         let id = storage.store(Arc::clone(&c));
+        storage.store(chunk(2, 50));
         let (back, cold) = storage.fetch(id);
-        assert_eq!(cold, 0);
-        assert!(Arc::ptr_eq(&back, &c), "memory fetches never copy");
-        assert_eq!(storage.stats().chunks, 1);
-        assert_eq!(storage.resident_bytes(), c.heap_bytes());
+        assert!(Arc::ptr_eq(&back, &c) && cold == 0, "memory fetches never copy");
+        let s = storage.stats();
+        assert_eq!((s.chunks, s.spilled_chunks, s.cold_page_reads), (2, 0, 0));
+        assert_eq!(storage.resident_bytes(), 2 * c.heap_bytes());
     }
 
     #[test]
@@ -421,7 +356,7 @@ mod tests {
         let a = storage.store(chunk(7, 800));
         storage.store(chunk(8, 800)); // spills `a`
                                       // Drop the page cache so the fault is genuinely cold.
-        lock(&storage.inner).pool.clear_cache().expect("clear");
+        lock(&storage.inner).pager.as_mut().expect("paged").pool.clear_cache().expect("clear");
         let (_, cold_first) = storage.fetch(a);
         assert!(cold_first > 0, "a spilled chunk must fault pages in");
         // The faulted pages stay in the pool's frames: an immediate repeat
@@ -438,34 +373,51 @@ mod tests {
         let a = storage.store(Arc::clone(&original));
         let newest = chunk(4, 10);
         let b = storage.store(Arc::clone(&newest)); // spills `a`
-        lock(&storage.inner).pool.clear_cache().expect("clear");
+        lock(&storage.inner).pager.as_mut().expect("paged").pool.clear_cache().expect("clear");
         let (rows, first, cold) = storage.fetch_rows(a, Window::new(1_000, 1_009));
         assert_eq!((first, rows.len()), (1_000, 10));
         assert_eq!(rows.raw_attrs(), &original.raw_attrs()[2_000..2_020]);
         assert_eq!(cold, 1, "ten rows inside one page fault that page alone");
         let (_, whole) = storage.fetch(a);
         assert!(whole > cold, "the whole chunk spans more pages: {whole}");
-        // Resident chunks come back whole, shared, from row 0.
+        // Resident chunks come back whole, shared, from row 0 — with or
+        // without a pager.
         let (rows, first, cold) = storage.fetch_rows(b, Window::new(2, 3));
         assert!(Arc::ptr_eq(&rows, &newest) && first == 0 && cold == 0);
-        let memory = MemoryStorage::new();
+        let memory = PagedStorage::in_memory();
         let id = memory.store(Arc::clone(&original));
-        let (rows, first, _) = memory.fetch_rows(id, Window::new(5, 6));
-        assert!(Arc::ptr_eq(&rows, &original) && first == 0);
+        let (rows, first, cold) = memory.fetch_rows(id, Window::new(5, 6));
+        assert!(Arc::ptr_eq(&rows, &original) && first == 0 && cold == 0);
     }
 
     #[test]
     fn resident_bytes_shrink_as_chunks_spill() {
         let storage = PagedStorage::create(tmp("bytes.db"), 16, 2).expect("create");
+        let all = PagedStorage::in_memory();
         for s in 0..5 {
             storage.store(chunk(s, 400));
+            all.store(chunk(s, 400));
         }
         let two_chunks = 2 * chunk(0, 400).heap_bytes();
         assert!(storage.resident_bytes() <= two_chunks);
-        let all = MemoryStorage::new();
-        for s in 0..5 {
-            all.store(chunk(s, 400));
-        }
         assert!(storage.resident_bytes() < all.resident_bytes());
+    }
+
+    /// A chunk counts as spilled only once its pages are in the file, not
+    /// while they sit in dirty pool frames: on a device that takes no
+    /// write, every chunk stays resident and counts as a write failure.
+    #[test]
+    fn chunks_that_never_reach_the_file_stay_resident() {
+        let storage = PagedStorage::create("/dev/full", 16, 1).expect("open /dev/full");
+        let chunks: Vec<_> = (0..3).map(|s| chunk(s, 10)).collect();
+        for c in &chunks {
+            storage.store(Arc::clone(c));
+        }
+        assert_eq!(storage.stats().spilled_chunks, 0);
+        assert_eq!(storage.write_failures(), 3);
+        for (id, c) in chunks.iter().enumerate() {
+            let (back, cold) = storage.fetch(id);
+            assert!(Arc::ptr_eq(&back, c) && cold == 0);
+        }
     }
 }

@@ -232,8 +232,9 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Flushes every dirty page to the file.
-    pub fn flush(&mut self) -> io::Result<()> {
+    /// Writes every dirty page to the file, without syncing it: once this
+    /// returns `Ok`, an eviction never has to write.
+    pub fn write_back(&mut self) -> io::Result<()> {
         for f in &mut self.frames {
             if f.dirty {
                 self.stats.writes += 1;
@@ -241,8 +242,21 @@ impl BufferPool {
                 f.dirty = false;
             }
         }
-        self.file.sync_data()?;
         Ok(())
+    }
+
+    /// Drops every dirty frame unwritten — the pages of a write the caller
+    /// abandons after [`write_back`](BufferPool::write_back) failed, so no
+    /// later eviction retries them.
+    pub fn discard_dirty(&mut self) {
+        self.frames.retain(|f| !f.dirty);
+        self.map = self.frames.iter().enumerate().map(|(i, f)| (f.page, i)).collect();
+    }
+
+    /// Writes every dirty page to the file and syncs it.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.write_back()?;
+        self.file.sync_data()
     }
 }
 
@@ -326,6 +340,24 @@ mod tests {
             assert_eq!(buf, [p as u8 + 1; 32], "page {p}");
         }
         assert!(pool.stats().writes >= 4, "evictions must write dirty pages");
+    }
+
+    #[test]
+    fn write_back_leaves_nothing_for_eviction_and_discard_drops_dirty_frames() {
+        let mut pool = BufferPool::create(tmp("write-back.db"), 2).expect("create");
+        pool.write_bytes(0, &[1u8; 8]).expect("write");
+        pool.write_back().expect("write back");
+        pool.write_bytes(PAGE_SIZE as u64, &[2u8; 8]).expect("write");
+        pool.discard_dirty();
+        let written = pool.stats().writes;
+        // Evicting page 0 writes nothing; the discarded page 1 never
+        // reached the file.
+        let mut buf = [0u8; 8];
+        for (page, byte) in [(2, 0u8), (3, 0), (1, 0), (0, 1)] {
+            pool.read_bytes(page * PAGE_SIZE as u64, &mut buf).expect("read");
+            assert_eq!(buf, [byte; 8], "page {page}");
+        }
+        assert_eq!(pool.stats().writes, written, "no eviction wrote a page");
     }
 
     #[test]

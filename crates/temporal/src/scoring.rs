@@ -134,25 +134,37 @@ impl Scorer for LinearScorer {
 pub enum MonotoneTransform {
     /// Identity: `h(x) = x`.
     Identity,
-    /// `h(x) = ln(1 + max(x, 0))` — the paper's `log` example made total
-    /// over non-negative data.
+    /// `h(x) = ln(1 + x)` for `x ≥ 0`, extended as an odd function
+    /// (`h(−x) = −h(x)`) — the paper's `log` example made total and
+    /// strictly increasing over all reals.
     Log1p,
-    /// `h(x) = sqrt(max(x, 0))`.
+    /// `h(x) = sqrt(x)` for `x ≥ 0`, extended as an odd function.
     Sqrt,
     /// `h(x) = x³` (odd power, monotone over all reals).
     Cube,
 }
 
 impl MonotoneTransform {
-    /// Applies the transform.
+    /// Applies the transform; NaN maps to `0`.
     #[inline]
     pub fn apply(&self, x: f64) -> f64 {
         match self {
             MonotoneTransform::Identity => x,
-            MonotoneTransform::Log1p => x.max(0.0).ln_1p(),
-            MonotoneTransform::Sqrt => x.max(0.0).sqrt(),
+            MonotoneTransform::Log1p => odd(x, f64::ln_1p),
+            MonotoneTransform::Sqrt => odd(x, f64::sqrt),
             MonotoneTransform::Cube => x * x * x,
         }
+    }
+}
+
+/// `h` over `x ≥ 0` extended to negative `x` as `−h(−x)`, so two ordered
+/// negative values stay ordered; NaN maps to `h(0)`.
+#[inline]
+fn odd(x: f64, h: fn(f64) -> f64) -> f64 {
+    if x < 0.0 {
+        -h(-x)
+    } else {
+        h(x.max(0.0))
     }
 }
 
@@ -379,11 +391,17 @@ mod tests {
         ] {
             let mut prev = f64::NEG_INFINITY;
             for i in 0..100 {
-                let v = tr.apply(i as f64 * 0.37 - 5.0);
-                assert!(v >= prev, "{tr:?} not monotone");
+                let x = i as f64 * 0.37 - 5.0;
+                let v = tr.apply(x);
+                assert!(v > prev, "{tr:?} not strictly increasing at {x}");
                 prev = v;
             }
         }
+        for tr in [MonotoneTransform::Log1p, MonotoneTransform::Sqrt] {
+            assert_eq!(tr.apply(f64::NAN), 0.0, "{tr:?}");
+            assert_eq!(tr.apply(-4.0), -tr.apply(4.0), "{tr:?} is odd");
+        }
+        assert_eq!(MonotoneTransform::Sqrt.apply(4.0), 2.0);
     }
 
     #[test]

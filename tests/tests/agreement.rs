@@ -1,7 +1,7 @@
 //! Cross-algorithm agreement: the paper's five algorithms (plus variants)
 //! must return identical answer sets on every workload family.
 
-use durable_topk::{Algorithm, DurableQuery, LinearScorer, Window};
+use durable_topk::{Algorithm, DurableQuery, LinearScorer, MonotoneCombinationScorer, Window};
 use durable_topk_temporal::{Dataset, Scorer};
 use durable_topk_tests::flat;
 use durable_topk_workloads::{anti, ind, nba_attribute, nba_like, network_like, preference_suite};
@@ -70,6 +70,27 @@ fn agreement_on_tie_heavy_data() {
     let rows: Vec<[f64; 2]> =
         (0..500).map(|_| [rng.random_range(0..3) as f64, rng.random_range(0..3) as f64]).collect();
     check_all(Dataset::from_rows(2, rows), 15, 8);
+}
+
+/// `Log1p` below zero: strictly ordered negative values must stay ordered
+/// after the transform, or S-Band's skyband drops records that tie with
+/// their dominators on score.
+#[test]
+fn sband_matches_tbase_on_negative_ties_under_log1p() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let rows: Vec<[f64; 2]> = (0..400)
+        .map(|_| [rng.random_range(-3..2) as f64, rng.random_range(-3..2) as f64])
+        .collect();
+    let ds = Dataset::from_rows(2, rows);
+    let engine = flat(&ds, Some(4));
+    let scorer = MonotoneCombinationScorer::log1p(vec![0.5, 0.5]);
+    for (k, tau) in [(1, 10), (2, 40), (4, 150)] {
+        let q = DurableQuery { k, tau, interval: Window::new(0, 399) };
+        let want = engine.query(Algorithm::TBase, &scorer, &q);
+        let got = engine.query(Algorithm::SBand, &scorer, &q);
+        assert_eq!(got.records, want.records, "k={k} tau={tau}");
+        assert_eq!(got.stats.fallback, None);
+    }
 }
 
 #[test]

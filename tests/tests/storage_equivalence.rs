@@ -1,9 +1,9 @@
-//! Tiered storage exactness: `PagedStorage` ≡ `MemoryStorage`.
+//! Tiered storage exactness: a paged `PagedStorage` ≡ the in-memory one.
 //!
-//! The storage backend is invisible to queries by construction — a sealed
-//! tail's record chunk must decode bit-identically after spilling to
-//! pager-backed pages and reloading on demand. These properties drive two
-//! live engines in lockstep, one per backend, and require record-for-record
+//! The pager is invisible to queries by construction — a sealed tail's
+//! record chunk must decode bit-identically after spilling to pager-backed
+//! pages and reloading on demand. These properties drive two live engines
+//! in lockstep, one with a pager and one without, and require record-for-record
 //! identical answers for **every** algorithm at **every** ingestion prefix,
 //! with `τ` anywhere from 1 to the whole history — windows reaching back
 //! into spilled predecessors fault them in — across at least two spills
@@ -29,8 +29,8 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
     })
 }
 
-/// A live engine over the paged backend, spilling every sealed chunk but
-/// the newest.
+/// A live engine on a paged store, spilling every sealed chunk but the
+/// newest.
 fn paged_live(span: usize, max_tau: u32, k_max: usize) -> ShardedEngine {
     EngineConfig::new(2, span, max_tau)
         .skyband_bound(k_max)
@@ -42,7 +42,7 @@ fn paged_live(span: usize, max_tau: u32, k_max: usize) -> ShardedEngine {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Lockstep ingestion into a memory-backed and a paged engine yields
+    /// Lockstep ingestion into an in-memory and a paged engine yields
     /// identical answers for every algorithm at every prefix, S-Band
     /// without fallback, and the run demonstrably crossed the cold tier
     /// (≥ 2 spills, > 0 cold fetches).
@@ -77,7 +77,7 @@ proptest! {
                 let cold = paged.query(alg, &scorer, &q);
                 prop_assert_eq!(
                     &cold.records, &warm.records,
-                    "backends diverged at prefix {} (alg={} q={:?})", id + 1, alg, q
+                    "engines diverged at prefix {} (alg={} q={:?})", id + 1, alg, q
                 );
                 prop_assert_eq!(
                     (cold.stats.fallback, warm.stats.fallback), (None, None),
@@ -98,7 +98,7 @@ proptest! {
             "queries must have faulted spilled chunks back in"
         );
 
-        // Final state: both backends also agree with the flat unsharded
+        // Final state: both engines also agree with the flat unsharded
         // engine on the full history.
         let flat = flat(&ds, Some(k_max));
         for alg in Algorithm::ALL {
@@ -112,58 +112,6 @@ proptest! {
             let reference = flat.query(alg, &scorer, &q);
             prop_assert_eq!(&cold.records, &warm.records, "alg={} q={:?}", alg, q);
             prop_assert_eq!(&cold.records, &reference.records, "alg={} q={:?}", alg, q);
-        }
-    }
-
-    /// Migrating an already-grown engine onto the paged backend
-    /// (`migrate_storage` mid-life) preserves every answer.
-    #[test]
-    fn migrating_a_grown_engine_preserves_answers(
-        rows in rows_strategy(),
-        max_tau in 1u32..12,
-        seed in 0u32..10_000,
-    ) {
-        let ds = Dataset::from_rows(2, rows);
-        let n = ds.len() as u32;
-        let span = (n as usize / 5).max(1);
-        let scorer = LinearScorer::new(vec![0.45, 0.55]);
-        let mut live = EngineConfig::new(2, span, max_tau).build().expect("config");
-        for id in 0..n {
-            live.append(ds.row(id));
-        }
-        let q = DurableQuery {
-            k: 1 + seed as usize % 4,
-            tau: 1 + seed % n,
-            interval: Window::new(seed % n, n - 1),
-        };
-        let before: Vec<_> =
-            Algorithm::ALL.iter().map(|&alg| live.query(alg, &scorer, &q).records).collect();
-
-        let mut live =
-            live.migrate_storage(Arc::new(PagedStorage::with_temp_file(1).expect("backend")));
-        for (&alg, expected) in Algorithm::ALL.iter().zip(&before) {
-            prop_assert_eq!(
-                &live.query(alg, &scorer, &q).records, expected,
-                "migration changed the answer (alg={})", alg
-            );
-        }
-
-        // The migrated engine keeps ingesting into the paged backend.
-        for id in 0..n {
-            live.append(ds.row(id));
-        }
-        let doubled = Dataset::from_rows(
-            2,
-            (0..2 * n).map(|i| ds.row(i % n).to_vec()),
-        );
-        let flat = flat(&doubled, None);
-        let q2 = DurableQuery { interval: Window::new(q.interval.start(), 2 * n - 1), ..q };
-        for alg in Algorithm::ALL {
-            prop_assert_eq!(
-                &live.query(alg, &scorer, &q2).records,
-                &flat.query(alg, &scorer, &q2).records,
-                "post-migration ingestion diverged (alg={})", alg
-            );
         }
     }
 
@@ -249,4 +197,31 @@ fn narrow_query_over_a_spilled_shard_reads_only_its_leaves_pages() {
     assert!(hits <= spanned, "{hits} cold pages for rows spanning {spanned}");
     let whole = byte(SPAN).div_ceil(PAGE_SIZE) as u64;
     assert!(hits < whole, "a whole-chunk read costs {whole} pages");
+}
+
+/// On a device that takes no write, no chunk ever spills: every one stays
+/// resident, counts as a write failure, and the engine answers like the
+/// default one.
+#[test]
+fn an_engine_on_a_full_device_answers_from_resident_chunks() {
+    let ds =
+        Dataset::from_rows(2, (0..300).map(|i| [((i * 37) % 101) as f64, ((i * 73) % 97) as f64]));
+    let full = Arc::new(PagedStorage::create("/dev/full", 16, 1).expect("open /dev/full"));
+    let cfg = EngineConfig::new(2, 32, 24).skyband_bound(4);
+    let memory = cfg.clone().build_from(&ds, 9).expect("config");
+    let failing = cfg.storage(full).build_from(&ds, 9).expect("config");
+    let stats = failing.storage().stats();
+    assert_eq!((stats.chunks, stats.spilled_chunks), (9, 0));
+    assert_eq!(failing.storage().write_failures(), 9);
+    let scorer = LinearScorer::new(vec![0.4, 0.6]);
+    for (k, tau, a, b) in [(2, 40, 0, 299), (3, 100, 150, 290), (1, 7, 31, 33)] {
+        let q = DurableQuery { k, tau, interval: Window::new(a, b) };
+        for alg in Algorithm::ALL {
+            assert_eq!(
+                failing.query(alg, &scorer, &q).records,
+                memory.query(alg, &scorer, &q).records,
+                "alg={alg} q={q:?}"
+            );
+        }
+    }
 }
