@@ -14,6 +14,12 @@
 //! seen by the previous probe), and `segtree_slide_dyn` is the same probe
 //! reached through `&dyn OracleScorer`, as `ScorerSpec::Custom` is.
 //!
+//! `refill_k20` is S-Hop's refill shape: `k = 20`, floor `−∞`, one
+//! τ = 1 000 window per probe sliding across the seam of two adjacent
+//! trees (one [`top_k_over`] search over both), three attributes as in the
+//! benchmark workloads. With twenty winners the threshold heap and the
+//! frontier see real traffic, so this series isolates their cost.
+//!
 //! The `durable_check` group times one durability check two ways: `floored`
 //! is [`TopKOracle::durable_into`], whose search stops below the record's
 //! score, and `full` is `top_k_into` plus `admits_score`, the search down to
@@ -25,7 +31,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use durable_topk::{
     LinearScorer, OracleScorer, OracleScratch, ScanOracle, Scorer, TopKOracle, TopKResult, Window,
 };
-use durable_topk_index::SkylineSegTree;
+use durable_topk_index::{top_k_over, Part, SkylineSegTree};
 use durable_topk_workloads::ind;
 
 fn bench(c: &mut Criterion) {
@@ -80,6 +86,23 @@ fn bench(c: &mut Criterion) {
             b.iter(|| seg.top_k_into(ds, dynamic, 10, slide(&mut i), &mut scratch, &mut out))
         });
     }
+    let ds3 = &ind(n as usize, 3, 42);
+    let seam = n / 2;
+    let halves = [
+        SkylineSegTree::build_over(ds3, 0, seam - 1, durable_topk_index::DEFAULT_LEAF_SIZE),
+        SkylineSegTree::build_over(ds3, seam, n - 1, durable_topk_index::DEFAULT_LEAF_SIZE),
+    ];
+    let part = |p: usize| Part { tree: &halves[p], rows: ds3.into(), offset: 0 };
+    let scorer3 = LinearScorer::new(vec![0.5, 0.3, 0.2]);
+    let tau = 1_000u32;
+    let mut i = 0u32;
+    g.bench_function("refill_k20", |b| {
+        b.iter(|| {
+            i = (i + 1) % tau;
+            let w = Window::lookback(seam + i, tau - 1);
+            top_k_over(2, part, &scorer3, 20, w, f64::NEG_INFINITY, &mut scratch, &mut out)
+        })
+    });
     g.finish();
 
     let mut g = c.benchmark_group("durable_check");

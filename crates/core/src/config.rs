@@ -142,9 +142,9 @@ impl EngineConfig {
     /// sealed shard owns `ceil(ds.len() / shard_count)` records, and that
     /// figure also becomes the span at which future appends seal.
     ///
-    /// Errors on an empty dataset, an arity mismatch or a zero parameter
-    /// instead of panicking, so a serving front end can surface bad input
-    /// as a response rather than an abort.
+    /// Errors on an empty dataset, an arity mismatch, a NaN or infinite
+    /// attribute or a zero parameter instead of panicking, so a serving
+    /// front end can surface bad input as a response rather than an abort.
     pub fn build_from(self, ds: &Dataset, shard_count: usize) -> Result<ShardedEngine, BuildError> {
         self.validate()?;
         if ds.dim() != self.dim {
@@ -155,6 +155,9 @@ impl EngineConfig {
         }
         if shard_count == 0 {
             return Err(BuildError::ZeroParam("shard_count"));
+        }
+        if let Some(at) = ds.raw_attrs().iter().position(|x| !x.is_finite()) {
+            return Err(BuildError::NonFinite { record: at / ds.dim(), attribute: at % ds.dim() });
         }
         Ok(ShardedEngine::from_config(self, Some((ds, shard_count))))
     }

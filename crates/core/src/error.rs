@@ -54,6 +54,12 @@ pub enum QueryError {
     /// family: a negative or non-finite linear weight, a non-finite or
     /// all-zero cosine vector.
     InvalidScorer(ScorerError),
+    /// An appended record has a NaN or infinite attribute; scores and
+    /// skylines are defined over finite attributes only.
+    NonFinite {
+        /// 0-based index of the first non-finite attribute.
+        attribute: usize,
+    },
 }
 
 impl std::fmt::Display for QueryError {
@@ -74,6 +80,9 @@ impl std::fmt::Display for QueryError {
                 write!(f, "arity mismatch: the data has {expected} attributes, got {got}")
             }
             QueryError::InvalidScorer(e) => write!(f, "invalid scorer: {e}"),
+            QueryError::NonFinite { attribute } => {
+                write!(f, "attribute {attribute} of the record is not a finite number")
+            }
         }
     }
 }
@@ -96,6 +105,13 @@ pub enum BuildError {
         /// Arity of the dataset handed to `build_from`.
         data: usize,
     },
+    /// A record of the dataset has a NaN or infinite attribute.
+    NonFinite {
+        /// Id of the first such record.
+        record: usize,
+        /// 0-based index of its first non-finite attribute.
+        attribute: usize,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -105,6 +121,9 @@ impl std::fmt::Display for BuildError {
             BuildError::ZeroParam(name) => write!(f, "{name} must be positive"),
             BuildError::DimMismatch { config, data } => {
                 write!(f, "configuration declares {config} attributes but the dataset has {data}")
+            }
+            BuildError::NonFinite { record, attribute } => {
+                write!(f, "record {record} has a non-finite attribute {attribute}")
             }
         }
     }

@@ -641,7 +641,9 @@ impl ServeEngine {
     /// appender. Append from one thread to keep queries clear of it.
     ///
     /// Returns the record's global id, or [`ServeError::Query`] with
-    /// [`QueryError::Arity`] on an arity mismatch.
+    /// [`QueryError::Arity`] on an arity mismatch and
+    /// [`QueryError::NonFinite`] on a NaN or infinite attribute; a rejected
+    /// record leaves the engine untouched.
     pub fn append(&self, attrs: &[f64]) -> Result<RecordId, ServeError> {
         let (id, plan) = {
             let mut engine = self.shared.engine.write();
@@ -650,6 +652,9 @@ impl ServeEngine {
                     expected: engine.dim(),
                     got: attrs.len(),
                 }));
+            }
+            if let Some(attribute) = attrs.iter().position(|x| !x.is_finite()) {
+                return Err(ServeError::Query(QueryError::NonFinite { attribute }));
             }
             let id = engine.append(attrs);
             let plan = lock(&self.shared.subs).plan_refresh(&engine, id);

@@ -351,9 +351,13 @@ impl ShardedEngine {
     /// which joins the forest's trees and rebuilds nothing.
     ///
     /// # Panics
-    /// Panics if the attribute arity mismatches.
+    /// Panics if the attribute arity mismatches or an attribute is NaN or
+    /// infinite, before anything is mutated;
+    /// [`ServeEngine::append`](crate::ServeEngine::append) reports both as
+    /// errors instead.
     pub fn append(&mut self, attrs: &[f64]) -> RecordId {
         assert_eq!(attrs.len(), self.shape.dim, "attribute arity mismatch");
+        assert!(attrs.iter().all(|x| x.is_finite()), "attributes must be finite");
         let id = self.len as RecordId;
         self.head.ds.push(attrs);
         self.head.index.append(&self.head.ds);

@@ -55,7 +55,9 @@ fn skyline_2d(ds: &Dataset, ids: &[RecordId]) -> Vec<RecordId> {
         // skyline point are all skyline points.
         let x = ds.value(sorted[i], 0);
         let y = ds.value(sorted[i], 1);
-        let mut j = i;
+        // The run holds at least its first point, so every pass advances
+        // (a NaN coordinate equals nothing, itself included).
+        let mut j = i + 1;
         while j < sorted.len() && ds.value(sorted[j], 0) == x && ds.value(sorted[j], 1) == y {
             j += 1;
         }
@@ -112,6 +114,20 @@ mod tests {
 
     fn all_ids(ds: &Dataset) -> Vec<RecordId> {
         (0..ds.len() as RecordId).collect()
+    }
+
+    #[test]
+    fn skyline_2d_terminates_on_a_nan_point() {
+        // A lone NaN point is never compared by the sort, so only the run
+        // loop sees it; it must still advance. On a thread with a deadline
+        // so a regression fails instead of stalling the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let ds = Dataset::from_rows(2, [[f64::NAN, 1.0]]);
+            let _ = tx.send(skyline_indices(&ds, &[0]));
+        });
+        let got = rx.recv_timeout(std::time::Duration::from_secs(20));
+        assert_eq!(got, Ok(vec![0]));
     }
 
     #[test]

@@ -523,22 +523,29 @@ impl BoundMemo {
     }
 }
 
-/// One part of the search in flight: its memo binding (`None` when the
-/// window misses the part) and the work it was charged.
+/// One part of the search in flight: the part of the window it covers (in
+/// its own ids) with its memo binding — `None` when the window misses the
+/// part — and the work it was charged.
 #[derive(Debug, Clone, Copy)]
 struct PartState {
-    binding: Option<Binding>,
+    reach: Option<(Window, Binding)>,
     opened: u64,
     scanned: u64,
 }
 
-/// A best-first frontier entry: (bound, part, node, window slice in the
-/// part's ids).
-type Frontier = (OrdF64, u32, i32, Time, Time);
+/// A best-first frontier entry, 16 bytes: (bound, part, node).
+///
+/// The slice a node scans is not carried: it is the node's range clipped
+/// to its part's local window ([`PartState::reach`]). `(part, node)`
+/// occurs at most once per search, so entries never compare equal and the
+/// heap's pop order is a function of the set it holds, not of how the set
+/// was built.
+type Frontier = (OrdF64, u32, i32);
 
 /// Reusable scratch space for [`top_k_over`] and [`scan_top_k_into`]: the
-/// best-first frontier, the running best-k threshold heap, the node-bound
-/// memo and the per-part state of the search in flight.
+/// best-first frontier, the running best-k threshold heap, the leaf score
+/// buffer, the node-bound memo and the per-part state of the search in
+/// flight.
 ///
 /// One instance per query thread; reusing it across calls removes every
 /// per-probe heap allocation from the oracle path, and lets the probes of
@@ -552,9 +559,12 @@ type Frontier = (OrdF64, u32, i32, Time, Time);
 /// memo.
 #[derive(Debug, Clone, Default)]
 pub struct OracleScratch {
+    /// Best-first frontier of 16-byte [`Frontier`] entries.
     pq: BinaryHeap<Frontier>,
     /// Min-heap over the best k scores seen; its top is the running s_k.
     best_k: BinaryHeap<Reverse<OrdF64>>,
+    /// Scores of the leaf being scanned ([`Scorer::score_run`]).
+    scores: Vec<f64>,
     /// Node bounds already evaluated for recently probed trees.
     bounds: BoundMemo,
     parts: Vec<PartState>,
@@ -899,9 +909,10 @@ impl Part<'_> {
         (lo <= hi).then(|| Window::new(lo as Time, hi as Time))
     }
 
-    /// Pushes the canonical decomposition of `w` (tree ids) under node
-    /// `idx` onto the frontier as entries of part `p`, leaving off nodes
-    /// bounded below `floor`.
+    /// Collects the canonical decomposition of `w` (tree ids) under node
+    /// `idx` into `seeds` as entries of part `p`, leaving off nodes bounded
+    /// below `floor`. Every internal node collected lies inside `w`; only
+    /// a leaf may straddle its edge.
     #[allow(clippy::too_many_arguments)]
     fn seed<S: OracleScorer + ?Sized>(
         &self,
@@ -911,21 +922,35 @@ impl Part<'_> {
         w: Window,
         floor: f64,
         bounds: &mut BoundMemo,
-        pq: &mut BinaryHeap<Frontier>,
+        seeds: &mut Vec<Frontier>,
     ) {
         let node = &self.tree.nodes[idx as usize];
         let range = Window::new(node.lo, node.hi);
-        let Some(iw) = range.intersect(w) else { return };
+        if range.intersect(w).is_none() {
+            return;
+        }
         if w.contains_window(range) || node.left < 0 {
             let b =
                 bounds.get_or_compute(binding, idx, || scorer.node_bound(self.rows, &node.summary));
             if b >= floor {
-                pq.push((OrdF64(b), p, idx, iw.start(), iw.end()));
+                seeds.push((OrdF64(b), p, idx));
             }
             return;
         }
-        self.seed((p, binding), scorer, node.left, w, floor, bounds, pq);
-        self.seed((p, binding), scorer, node.right, w, floor, bounds, pq);
+        self.seed((p, binding), scorer, node.left, w, floor, bounds, seeds);
+        self.seed((p, binding), scorer, node.right, w, floor, bounds, seeds);
+    }
+}
+
+/// The entry the search opens next once `fresh` is eligible: `fresh` itself
+/// when it outranks the frontier's top (the dive — no push, no pop), else
+/// the top, whose place `fresh` takes in one sift. Either way it is what
+/// pushing `fresh` and then popping would yield, leaving the same set.
+#[inline]
+fn next_after(pq: &mut BinaryHeap<Frontier>, fresh: Frontier) -> Frontier {
+    match pq.peek_mut() {
+        Some(mut top) if *top > fresh => std::mem::replace(&mut *top, fresh),
+        _ => fresh,
     }
 }
 
@@ -935,12 +960,12 @@ impl Part<'_> {
 ///
 /// The one search body of the crate. `part(i)` for `i < parts` names the
 /// trees; their id ranges (after their offsets) must not overlap. One
-/// best-first frontier holds `(bound, part, node, slice)` entries from
-/// every tree the window reaches, so a node is opened only while its bound
-/// can still reach the running threshold of the whole window — the
-/// canonical decomposition of §IV spanning several trees, with no per-tree
-/// answer merged afterwards. Each part's node-bound memo is bound once per
-/// probe; each tree the window reaches counts one query plus the nodes and
+/// best-first frontier holds `(bound, part, node)` entries from every tree
+/// the window reaches, so a node is opened only while its bound can still
+/// reach the running threshold of the whole window — the canonical
+/// decomposition of §IV spanning several trees, with no per-tree answer
+/// merged afterwards. Each part's node-bound memo is bound once per probe;
+/// each tree the window reaches counts one query plus the nodes and
 /// records the search charged to it.
 ///
 /// The threshold is `max(floor, running k-th score)`: seeds, children and
@@ -955,6 +980,28 @@ impl Part<'_> {
 /// Either way `out.admits_score(floor)` is the full search's verdict on a
 /// record scoring `floor` — the durability check of §III–§IV with
 /// `floor = score(p)` — and no part opens more nodes than under `−∞`.
+///
+/// **Cost per node.** The nodes opened, and their order, are those of the
+/// textbook loop "pop the best entry; push its children; repeat"; only the
+/// heap traffic is trimmed:
+///
+/// * a frontier entry is 16 bytes, `(bound, part, node)`; the slice a node
+///   scans is its range clipped to the part's local window;
+/// * the seeds are collected into the frontier's buffer and heapified once;
+/// * after an internal node, the better eligible child is opened next
+///   without touching the heap when it outranks the frontier's top (the
+///   dive; under a skyline bound the best child's bound is its parent's,
+///   so this is the common case), and otherwise takes the top's place in
+///   one sift — the entry a push-then-pop would yield;
+/// * a leaf is scored in one [`Scorer::score_run`] call, bit-identical to
+///   scoring row by row;
+/// * once the threshold heap holds `k` scores, an admitted score replaces
+///   its minimum in one sift instead of a push and a pop — the same
+///   multiset, so the same threshold after every record.
+///
+/// Entries never compare equal (a `(part, node)` pair is pushed at most
+/// once), so the pop order depends only on which entries the frontier
+/// holds, and the trimmed loop opens the same nodes in the same order.
 ///
 /// # Panics
 /// Panics if `k == 0`.
@@ -972,38 +1019,34 @@ pub fn top_k_over<'a, S: OracleScorer + ?Sized>(
     assert!(k > 0, "k must be positive");
     out.clear();
     let floor = if floor.is_nan() { f64::NEG_INFINITY } else { floor };
-    let OracleScratch { pq, best_k, bounds, parts: states, .. } = scratch;
-    pq.clear();
+    let OracleScratch { pq, best_k, scores, bounds, parts: states, .. } = scratch;
     states.clear();
-    // Seed the frontier with every part's canonical decomposition. Heap
-    // entries carry the node's admissible bound and the window slice it
-    // must scan (only partial leaves differ from the node range).
+    // Seed the frontier with every part's canonical decomposition,
+    // collected in the heap's own buffer and heapified once.
+    let mut seeds = std::mem::take(pq).into_vec();
+    seeds.clear();
     let fingerprint = scorer.fingerprint();
     for p in 0..parts {
         let at = part(p);
-        let local = at.local(w);
-        let binding = local.map(|_| bounds.bind(at.tree.id, at.tree.nodes.len(), fingerprint));
-        states.push(PartState { binding, opened: 0, scanned: 0 });
-        if let (Some(local), Some(binding)) = (local, binding) {
-            at.seed((p as u32, binding), scorer, ROOT, local, floor, bounds, pq);
+        let reach = at
+            .local(w)
+            .map(|local| (local, bounds.bind(at.tree.id, at.tree.nodes.len(), fingerprint)));
+        states.push(PartState { reach, opened: 0, scanned: 0 });
+        if let Some((local, binding)) = reach {
+            at.seed((p as u32, binding), scorer, ROOT, local, floor, bounds, &mut seeds);
         }
     }
+    *pq = BinaryHeap::from(seeds);
 
     // Candidates accumulate directly in the output buffer.
     let candidates = &mut out.items;
     best_k.clear();
     // The running threshold: the k-th best score seen so far, never below
-    // the floor.
-    let running_kth = |best_k: &BinaryHeap<Reverse<OrdF64>>| {
-        if best_k.len() >= k {
-            best_k.peek().expect("non-empty").0 .0.max(floor)
-        } else {
-            floor
-        }
-    };
+    // the floor. Only an admission moves it.
+    let mut threshold = floor;
 
-    while let Some((bound, p, idx, lo, hi)) = pq.pop() {
-        let threshold = running_kth(best_k);
+    let mut next = pq.pop();
+    while let Some((bound, p, idx)) = next {
         // Strictly below the threshold: no record inside can enter π≤k
         // (equal bounds may still contain ties of s_k).
         if bound.0 < threshold {
@@ -1011,48 +1054,62 @@ pub fn top_k_over<'a, S: OracleScorer + ?Sized>(
         }
         let Part { tree, rows, offset } = part(p as usize);
         let state = &mut states[p as usize];
+        let (local, binding) = state.reach.expect("only reached parts are seeded");
         state.opened += 1;
         let node = &tree.nodes[idx as usize];
         if node.left < 0 {
-            // Leaf: score records in [lo, hi].
+            // Leaf: score the records of its slice in one run.
+            let slice = Window::new(node.lo, node.hi).intersect(local).expect("seeded slice");
+            let (lo, hi) = (slice.start(), slice.end());
             state.scanned += u64::from(hi - lo) + 1;
-            for (id, row) in (lo..=hi).zip(rows.run(lo, hi).chunks_exact(rows.rows.dim())) {
-                let s = scorer.score(row);
-                if s >= running_kth(best_k) {
-                    candidates.push(((i64::from(id) + offset) as RecordId, s));
+            scorer.score_run(rows.run(lo, hi), rows.rows.dim(), scores);
+            for (id, &s) in (lo..=hi).zip(scores.iter()) {
+                if s < threshold {
+                    continue;
+                }
+                candidates.push(((i64::from(id) + offset) as RecordId, s));
+                if best_k.len() < k {
                     best_k.push(Reverse(OrdF64(s)));
-                    if best_k.len() > k {
-                        best_k.pop();
-                    }
+                } else {
+                    // `s` is at least the minimum: replacing it keeps the
+                    // multiset push-then-pop would leave.
+                    *best_k.peek_mut().expect("k > 0") = Reverse(OrdF64(s));
+                }
+                if best_k.len() >= k {
+                    threshold = best_k.peek().expect("non-empty").0 .0.max(floor);
                 }
             }
             // Keep the candidate buffer from growing without bound on
             // tie-heavy data.
             if candidates.len() > 8 * k + 64 {
-                let thr = running_kth(best_k);
-                candidates.retain(|&(_, s)| s >= thr);
+                candidates.retain(|&(_, s)| s >= threshold);
             }
+            next = pq.pop();
         } else {
-            let binding = state.binding.unwrap_or_default();
-            for child in [node.left, node.right] {
-                let c = &tree.nodes[child as usize];
-                let cw = Window::new(c.lo, c.hi);
-                if let Some(iw) = cw.intersect(Window::new(lo, hi)) {
-                    let b = bounds
-                        .get_or_compute(binding, child, || scorer.node_bound(rows, &c.summary));
-                    // The threshold only rises, so a child already
-                    // strictly below it would be popped only to end the
-                    // search; leave it off the frontier.
-                    if b < threshold {
-                        continue;
-                    }
-                    pq.push((OrdF64(b), p, child, iw.start(), iw.end()));
+            // An internal node on the frontier lies inside the local
+            // window, so both children do. A child already strictly below
+            // the threshold (which only rises) would be popped only to end
+            // the search; leave it off the frontier.
+            let mut child = |c: i32| {
+                let node = &tree.nodes[c as usize];
+                debug_assert!(local.contains_window(Window::new(node.lo, node.hi)));
+                let b =
+                    bounds.get_or_compute(binding, c, || scorer.node_bound(rows, &node.summary));
+                (b >= threshold).then_some((OrdF64(b), p, c))
+            };
+            next = match (child(node.left), child(node.right)) {
+                (Some(l), Some(r)) => {
+                    let (best, other) = if l > r { (l, r) } else { (r, l) };
+                    pq.push(other);
+                    Some(next_after(pq, best))
                 }
-            }
+                (Some(only), None) | (None, Some(only)) => Some(next_after(pq, only)),
+                (None, None) => pq.pop(),
+            };
         }
     }
     for (p, state) in states.iter().enumerate() {
-        if state.binding.is_some() {
+        if state.reach.is_some() {
             let counters = &part(p).tree.counters;
             counters.queries.fetch_add(1, Ordering::Relaxed);
             counters.nodes_opened.fetch_add(state.opened, Ordering::Relaxed);

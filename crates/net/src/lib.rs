@@ -152,6 +152,7 @@ mod tests {
             ServeError::Query(QueryError::InvalidScorer(ScorerError::Empty)),
             ServeError::Query(QueryError::InvalidScorer(ScorerError::InvalidWeight)),
             ServeError::Query(QueryError::InvalidScorer(ScorerError::NoDirection)),
+            ServeError::Query(QueryError::NonFinite { attribute: 3 }),
             ServeError::Panicked("boom — unicode: τ".to_string()),
         ];
         for err in errors {

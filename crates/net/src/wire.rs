@@ -434,6 +434,10 @@ fn encode_query_error(out: &mut Vec<u8>, e: &QueryError) {
                 ScorerError::NoDirection => 2,
             });
         }
+        QueryError::NonFinite { attribute } => {
+            out.push(7);
+            push_u64(out, *attribute as u64);
+        }
     }
 }
 
@@ -452,6 +456,7 @@ fn decode_query_error(r: &mut Reader<'_>) -> Result<QueryError, WireError> {
             2 => ScorerError::NoDirection,
             tag => return Err(WireError::UnknownTag { what: "scorer error", tag }),
         }),
+        7 => QueryError::NonFinite { attribute: usize_from(r.u64()?)? },
         _ => return Err(WireError::UnknownTag { what: "query error", tag }),
     })
 }

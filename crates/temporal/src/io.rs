@@ -20,7 +20,17 @@ pub enum CsvError {
     Parse {
         /// 1-based line number of the offending row.
         line: usize,
-        /// 0-based column index of the offending cell.
+        /// 1-based column index of the offending cell.
+        column: usize,
+        /// The raw cell contents.
+        cell: String,
+    },
+    /// A cell parses as a number but not a finite one (`NaN`, `inf`):
+    /// scores and skylines are only defined over finite attributes.
+    NonFinite {
+        /// 1-based line number of the offending row.
+        line: usize,
+        /// 1-based column index of the offending cell.
         column: usize,
         /// The raw cell contents.
         cell: String,
@@ -44,6 +54,9 @@ impl std::fmt::Display for CsvError {
             CsvError::Io(e) => write!(f, "I/O error: {e}"),
             CsvError::Parse { line, column, cell } => {
                 write!(f, "line {line}, column {column}: cannot parse {cell:?} as a number")
+            }
+            CsvError::NonFinite { line, column, cell } => {
+                write!(f, "line {line}, column {column}: {cell:?} is not a finite number")
             }
             CsvError::Arity { line, expected, got } => {
                 write!(f, "line {line}: expected {expected} columns, got {got}")
@@ -75,7 +88,8 @@ pub struct CsvImport {
 ///
 /// A first row whose cells do not all parse as numbers is treated as a
 /// header. A leading column named `t` (case-insensitive, header required) is
-/// stored as wall-clock timestamps rather than as an attribute.
+/// stored as wall-clock timestamps rather than as an attribute. A cell that
+/// parses to NaN or ±∞ is rejected ([`CsvError::NonFinite`]).
 pub fn read_csv<R: Read>(reader: R) -> Result<CsvImport, CsvError> {
     let reader = BufReader::new(reader);
     let mut dataset: Option<Dataset> = None;
@@ -118,11 +132,12 @@ pub fn read_csv<R: Read>(reader: R) -> Result<CsvImport, CsvError> {
             return Err(CsvError::Arity { line: lineno + 1, expected, got: cells.len() });
         }
         let parse = |idx: usize| -> Result<f64, CsvError> {
-            cells[idx].parse::<f64>().map_err(|_| CsvError::Parse {
-                line: lineno + 1,
-                column: idx + 1,
-                cell: cells[idx].to_string(),
-            })
+            let (line, column, cell) = (lineno + 1, idx + 1, cells[idx].to_string());
+            match cells[idx].parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(x),
+                Ok(_) => Err(CsvError::NonFinite { line, column, cell }),
+                Err(_) => Err(CsvError::Parse { line, column, cell }),
+            }
         };
         let ds = dataset.as_mut().expect("initialized above");
         if time_column {
@@ -233,6 +248,23 @@ mod tests {
                 assert_eq!(cell, "oops");
             }
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_cells_are_rejected_with_their_location() {
+        let text = "a,b\n1,2\n3,1\nNaN,5\n2,2\n4,0\n";
+        match read_csv(text.as_bytes()) {
+            Err(e @ CsvError::NonFinite { .. }) => {
+                assert_eq!(e.to_string(), "line 4, column 1: \"NaN\" is not a finite number");
+            }
+            other => panic!("expected a non-finite error, got {other:?}"),
+        }
+        for (text, cell) in [("1,2\n3,inf\n", "inf"), ("1,-infinity\n", "-infinity")] {
+            match read_csv(text.as_bytes()) {
+                Err(CsvError::NonFinite { cell: got, .. }) => assert_eq!(got, cell),
+                other => panic!("expected a non-finite error, got {other:?}"),
+            }
         }
     }
 

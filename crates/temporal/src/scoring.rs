@@ -24,6 +24,19 @@ pub trait Scorer {
     /// Scores one attribute vector.
     fn score(&self, attrs: &[f64]) -> f64;
 
+    /// Scores a run of rows stored back to back (`dim` values each) into
+    /// `out`, which is cleared first: `out[i]` is the score of row `i`.
+    ///
+    /// **Contract:** every `out[i]` is bit-identical (`to_bits`) to
+    /// `score(&run[i * dim..(i + 1) * dim])`, so a caller may score a leaf
+    /// in one batch without changing a single comparison. The default
+    /// calls [`score`](Scorer::score) per row; an override may only make
+    /// the loop cheaper, never reorder a row's arithmetic.
+    fn score_run(&self, run: &[f64], dim: usize, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(run.chunks_exact(dim).map(|row| self.score(row)));
+    }
+
     /// Whether the scorer is monotone non-decreasing in every attribute,
     /// and a record better in *every* attribute scores strictly higher.
     ///
@@ -121,6 +134,23 @@ impl Scorer for LinearScorer {
             s += w * x;
         }
         s
+    }
+
+    /// Rows of two to four attributes get a loop with the weights held in
+    /// registers; each row still sums `((0 + w₀x₀) + w₁x₁) + …` in the
+    /// order [`score`](Scorer::score) does, so the scores are bit-identical.
+    fn score_run(&self, run: &[f64], dim: usize, out: &mut Vec<f64>) {
+        debug_assert_eq!(dim, self.weights.len());
+        out.clear();
+        let rows = run.chunks_exact(dim);
+        match *self.weights.as_slice() {
+            [w0, w1] => out.extend(rows.map(|x| 0.0 + w0 * x[0] + w1 * x[1])),
+            [w0, w1, w2] => out.extend(rows.map(|x| 0.0 + w0 * x[0] + w1 * x[1] + w2 * x[2])),
+            [w0, w1, w2, w3] => {
+                out.extend(rows.map(|x| 0.0 + w0 * x[0] + w1 * x[1] + w2 * x[2] + w3 * x[3]))
+            }
+            _ => out.extend(rows.map(|x| self.score(x))),
+        }
     }
 
     fn is_monotone(&self) -> bool {

@@ -1,10 +1,14 @@
 //! Edge cases, failure paths, and non-monotone scorer coverage.
 
 use durable_topk::{
-    Algorithm, CosineScorer, DurableQuery, LinearScorer, ScanOracle, Scorer, TopKOracle, Window,
+    Algorithm, Backpressure, BuildError, CosineScorer, DurableQuery, EngineConfig, LinearScorer,
+    QueryError, ScanOracle, Scorer, ScorerSpec, ServeEngine, ServeError, ServeRequest, TopKOracle,
+    Window,
 };
 use durable_topk_temporal::Dataset;
 use durable_topk_tests::flat;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 #[test]
 fn single_record_dataset() {
@@ -179,4 +183,100 @@ fn oracle_counters_are_cumulative_across_queries() {
     assert_eq!(after_one, r1.stats.topk_queries());
     let r2 = engine.query(Algorithm::SHop, &scorer, &q);
     assert_eq!(engine.oracle_queries(), after_one + r2.stats.topk_queries());
+}
+
+/// Runs `f` on a thread of its own: `None` if it panicked or is still
+/// running after 20 s, so a hang fails the test instead of stalling the
+/// suite.
+fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Option<T> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(20)).ok()
+}
+
+fn grid(dim: usize, n: usize) -> Dataset {
+    Dataset::from_rows(
+        dim,
+        (0..n).map(|i| (0..dim).map(|j| ((i * (7 + j)) % 23) as f64).collect::<Vec<_>>()),
+    )
+}
+
+#[test]
+fn non_finite_appends_are_rejected_and_the_engine_keeps_serving() {
+    for dim in [2usize, 3] {
+        let engine = EngineConfig::new(dim, 64, 16).build_from(&grid(dim, 200), 2).expect("build");
+        let serve = Arc::new(ServeEngine::new(engine, 8, Backpressure::Block));
+        let worker = Arc::clone(&serve);
+        let outcome = within_deadline(move || {
+            let bad: Vec<(Vec<f64>, usize)> = (0..dim)
+                .flat_map(|at| {
+                    [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(|x| {
+                        let mut row = vec![1.0; dim];
+                        row[at] = x;
+                        (row, at)
+                    })
+                })
+                .collect();
+            let rejected: Vec<_> = bad.iter().map(|(row, at)| (worker.append(row), *at)).collect();
+            let len_after_rejects = worker.engine().len();
+            let id = worker.append(&vec![2.0; dim]);
+            let request = ServeRequest {
+                alg: Algorithm::THop,
+                query: DurableQuery { k: 2, tau: 20, interval: Window::new(100, 200) },
+                scorer: ScorerSpec::Linear(vec![1.0; dim]),
+            };
+            let answered = worker.submit(request).expect("accepted").wait().is_ok();
+            (rejected, len_after_rejects, id, answered)
+        });
+        let (rejected, len_after_rejects, id, answered) =
+            outcome.unwrap_or_else(|| panic!("dim {dim}: a non-finite append hung or panicked"));
+        for (got, at) in rejected {
+            assert_eq!(got, Err(ServeError::Query(QueryError::NonFinite { attribute: at })));
+        }
+        assert_eq!(len_after_rejects, 200, "dim {dim}: a rejected record was ingested");
+        assert_eq!(id, Ok(200));
+        assert!(answered, "dim {dim}: the engine stopped answering");
+        serve.shutdown();
+    }
+}
+
+#[test]
+fn build_from_rejects_non_finite_attributes() {
+    let outcome = within_deadline(|| {
+        let mut ds = grid(2, 40);
+        ds.push(&[1.0, f64::NAN]);
+        let nan = EngineConfig::new(2, 16, 8).build_from(&ds, 2).map(|_| ()).unwrap_err();
+        // Mixed-sign infinities make a sum-of-attributes sort key NaN.
+        let mut ds = grid(3, 40);
+        ds.push(&[f64::INFINITY, f64::NEG_INFINITY, 1.0]);
+        let inf = EngineConfig::new(3, 16, 8).build_from(&ds, 2).map(|_| ()).unwrap_err();
+        (nan, inf)
+    });
+    assert_eq!(
+        outcome,
+        Some((
+            BuildError::NonFinite { record: 40, attribute: 1 },
+            BuildError::NonFinite { record: 40, attribute: 0 }
+        ))
+    );
+}
+
+#[test]
+fn sharded_append_panics_on_non_finite_before_mutating() {
+    let outcome = within_deadline(|| {
+        let mut engine = EngineConfig::new(2, 64, 16).build_from(&grid(2, 100), 2).expect("build");
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.append(&[f64::NAN, 1.0]);
+        }));
+        let message = caught.err().and_then(|p| p.downcast_ref::<&str>().map(|m| m.to_string()));
+        let len = engine.len();
+        // The engine is intact: it appends and answers as before.
+        engine.append(&[3.0, 4.0]);
+        let q = DurableQuery { k: 1, tau: 10, interval: Window::new(90, 100) };
+        let answered = engine.try_query(Algorithm::THop, &LinearScorer::uniform(2), &q).is_ok();
+        (message, len, engine.len(), answered)
+    });
+    assert_eq!(outcome, Some((Some("attributes must be finite".to_string()), 100, 101, true)));
 }

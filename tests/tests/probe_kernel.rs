@@ -13,8 +13,8 @@
 
 use durable_topk::{Algorithm, DurableQuery, QueryStats};
 use durable_topk_index::{
-    AppendableTopKIndex, NodeSummary, OracleScorer, OracleScratch, SkylineSegTree, TopKResult,
-    TreeRows,
+    top_k_over, AppendableTopKIndex, NodeSummary, OracleScorer, OracleScratch, Part, QueryCounters,
+    SkylineSegTree, TopKResult, TreeRows,
 };
 use durable_topk_temporal::{CosineScorer, Dataset, LinearScorer, Scorer, Time, Window};
 use durable_topk_tests::flat;
@@ -219,4 +219,73 @@ fn algorithm_counts_are_what_they_were_before_memo_and_pruning() {
     ];
     assert_eq!(got, expected, "(durability_checks, refill_queries, candidates, blocked_skips)");
     assert_eq!(records.map(|r| r.len()), Some(49));
+}
+
+/// Integer rows in `0..4` (so many nodes share a bound and many records a
+/// score) split into three adjacent trees of uneven size and leaf width,
+/// searched as one window through `top_k_over` at several `k` and floors.
+/// The counts pin the traversal itself: a faster search must open the
+/// same nodes and scan the same records, ties and floors included.
+#[test]
+fn search_work_under_ties_parts_and_floors_is_pinned() {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        ((state >> 33) % 4) as f64
+    };
+    let sizes = [700u32, 1_100, 900];
+    let leaves = [8usize, 16, 5];
+    let data: Vec<Dataset> = sizes
+        .iter()
+        .map(|&n| Dataset::from_rows(3, (0..n).map(|_| [next(), next(), next()])))
+        .collect();
+    let trees: Vec<SkylineSegTree> = data
+        .iter()
+        .zip(leaves)
+        .map(|(ds, leaf)| SkylineSegTree::with_leaf_size(ds, leaf))
+        .collect();
+    let offsets = [0i64, 700, 1_800];
+    let part = |i: usize| Part { tree: &trees[i], rows: (&data[i]).into(), offset: offsets[i] };
+    let row_of = |id: u32| {
+        let i = offsets.iter().rposition(|&o| i64::from(id) >= o).unwrap();
+        data[i].row((i64::from(id) - offsets[i]) as u32)
+    };
+
+    // Skyline bounds are exact; the cosine scorer's box bounds are loose,
+    // so only it notices a search that opens a child out of turn.
+    let (even, skewed, zero_weight) = (
+        LinearScorer::new(vec![1.0, 1.0, 1.0]),
+        LinearScorer::new(vec![2.0, 0.0, 1.0]),
+        LinearScorer::new(vec![0.5, 0.25, 0.0]),
+    );
+    let cosine = CosineScorer::new(vec![1.0, -0.5, 0.25]);
+    let scorers: [&dyn OracleScorer; 4] = [&even, &skewed, &zero_weight, &cosine];
+    let mut scratch = OracleScratch::new();
+    let mut out = TopKResult::empty();
+    let mut returned = 0usize;
+    for i in 0..120u32 {
+        let scorer = scorers[i as usize % scorers.len()];
+        let k = [1, 5, 20][(i / 3) as usize % 3];
+        // Windows of 40..1 400 records ending anywhere: some inside one
+        // tree, some across two, some across all three.
+        let end: Time = 2_699 - (i * 211) % 2_500;
+        let w = Window::lookback(end, 40 + (i * 97) % 1_360);
+        let own = scorer.score(row_of(end));
+        for floor in [f64::NEG_INFINITY, f64::NAN, own] {
+            top_k_over(3, part, scorer, k, w, floor, &mut scratch, &mut out);
+            returned += out.items.len();
+        }
+    }
+    let sum = |f: fn(&QueryCounters) -> u64| trees.iter().map(|t| f(t.counters())).sum::<u64>();
+    assert_eq!(
+        (
+            sum(QueryCounters::queries),
+            sum(QueryCounters::nodes_opened),
+            sum(QueryCounters::records_scanned),
+            returned
+        ),
+        (564, 43_353, 106_122, 10_956),
+        "(queries, nodes_opened, records_scanned, returned items)"
+    );
 }

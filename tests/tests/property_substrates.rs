@@ -2,8 +2,36 @@
 
 use durable_topk_geom::Fenwick;
 use durable_topk_index::BlockingSet;
-use durable_topk_temporal::{read_csv, write_csv, Dataset};
+use durable_topk_temporal::{
+    read_csv, write_csv, CosineScorer, Dataset, LinearScorer, MonotoneCombinationScorer,
+    MonotoneTransform, Scorer, SingleAttributeScorer,
+};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseResult;
+
+/// A value drawn from a palette of awkward floats (signed zeros,
+/// subnormals, ±1e300) or, otherwise, from `x`.
+fn awkward(pick: usize, x: f64) -> f64 {
+    match pick {
+        0 => -0.0,
+        1 => 0.0,
+        2 => 5e-324,
+        3 => -2.5e-310,
+        4 => 1e300,
+        5 => -1e300,
+        _ => x,
+    }
+}
+
+/// `score_run` over `rows` equals per-row `score`, bit for bit.
+fn run_matches_rows<S: Scorer>(scorer: &S, rows: &[f64], dim: usize) -> TestCaseResult {
+    let mut out = vec![f64::NAN; 3];
+    scorer.score_run(rows, dim, &mut out);
+    let want: Vec<u64> = rows.chunks_exact(dim).map(|r| scorer.score(r).to_bits()).collect();
+    let got: Vec<u64> = out.iter().map(|s| s.to_bits()).collect();
+    prop_assert_eq!(got, want);
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -82,6 +110,39 @@ proptest! {
         write_csv(&mut buf, &ds, Some(&["a", "b", "c"])).expect("write");
         let imported = read_csv(&buf[..]).expect("read").dataset;
         prop_assert_eq!(imported.raw_attrs(), ds.raw_attrs());
+    }
+
+    /// `Scorer::score_run` is bit-identical to scoring row by row, for
+    /// every scorer family and every arity from 1 to 6 (the linear
+    /// scorer's specialised arms and its generic one alike), on signed
+    /// zeros, subnormals, huge values, zero weights and all-zero rows.
+    #[test]
+    fn score_run_is_bit_identical_to_score(
+        dim in 1usize..7,
+        weights in prop::collection::vec((0usize..10, 0.0f64..4.0), 6),
+        cells in prop::collection::vec((0usize..12, -50.0f64..50.0), 0..96),
+        zero_row in 0usize..16,
+    ) {
+        // Weights are non-negative and finite; a pick of 0 or 1 makes a
+        // zero weight, 2 or 3 a subnormal magnitude.
+        let w: Vec<f64> = weights[..dim].iter().map(|&(p, x)| awkward(p, x).abs().min(1e300)).collect();
+        let mut rows: Vec<f64> = cells.iter().map(|&(p, x)| awkward(p, x)).collect();
+        rows.truncate(rows.len() / dim * dim);
+        if zero_row * dim < rows.len() {
+            rows[zero_row * dim..(zero_row + 1) * dim].fill(0.0);
+        }
+        run_matches_rows(&LinearScorer::new(w.clone()), &rows, dim)?;
+        let transforms = (0..dim).map(|j| [MonotoneTransform::Log1p, MonotoneTransform::Identity, MonotoneTransform::Sqrt, MonotoneTransform::Cube][j % 4]).collect();
+        run_matches_rows(&MonotoneCombinationScorer::new(w.clone(), transforms), &rows, dim)?;
+        run_matches_rows(&MonotoneCombinationScorer::log1p(w.clone()), &rows, dim)?;
+        // Cosine takes signed weights, small enough that their norm stays
+        // finite; the first stays away from zero so the vector has a
+        // direction.
+        let mut signed: Vec<f64> =
+            weights[..dim].iter().map(|&(p, x)| awkward(p, x - 2.0).clamp(-1e100, 1e100)).collect();
+        signed[0] = 1.0 + signed[0].abs();
+        run_matches_rows(&CosineScorer::new(signed), &rows, dim)?;
+        run_matches_rows(&SingleAttributeScorer::new(dim - 1), &rows, dim)?;
     }
 }
 
