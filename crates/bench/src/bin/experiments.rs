@@ -8,13 +8,14 @@
 //! `--scale` multiplies them. Numbers are means over `--reps` random
 //! preference vectors, as the paper averages over 100 vectors.
 
-use durable_topk::algorithms::{s_hop, t_hop, RefillMode};
+use durable_topk::algorithms::{s_hop, t_hop};
 use durable_topk::{
     alternatives, Algorithm, DurableQuery, LinearScorer, QueryContext, ScanOracle, ShardedEngine,
     SingleAttributeScorer, SkybandCandidates, Window,
 };
 use durable_topk_bench::{
-    default_query, mean_std, measure, measure_by, one_shard, pm, query_pct, Config, TablePrinter,
+    default_query, mean_std, measure, measure_by, one_shard, pm, query_pct, Config, Measurement,
+    TablePrinter,
 };
 use durable_topk_index::{DurableSkybandIndex, SkylineSegTree};
 use durable_topk_store::{t_base_proc, t_hop_proc, RelStore};
@@ -171,10 +172,6 @@ fn fig7(cfg: &Config) {
     println!("ANTI:\n{}", DatasetStats::compute(&anti_ds));
 }
 
-fn alg_suite() -> [Algorithm; 5] {
-    [Algorithm::TBase, Algorithm::THop, Algorithm::SBase, Algorithm::SBand, Algorithm::SHop]
-}
-
 fn sweep_table(
     title: &str,
     engine: &ShardedEngine,
@@ -182,42 +179,24 @@ fn sweep_table(
     cfg: &Config,
 ) {
     banner(title);
-    let mut time_t = TablePrinter::new(vec![
-        "param".to_string(),
-        "|S|".to_string(),
-        "T-Base ms".to_string(),
-        "T-Hop ms".to_string(),
-        "S-Base ms".to_string(),
-        "S-Band ms".to_string(),
-        "S-Hop ms".to_string(),
-    ]);
-    let mut q_t = TablePrinter::new(vec![
-        "param".to_string(),
-        "T-Hop #topk".to_string(),
-        "S-Band #topk".to_string(),
-        "S-Hop #topk".to_string(),
-        "S-Hop #checks".to_string(),
-        "|C|".to_string(),
+    let names = Algorithm::ALL.map(|a| format!("{a} ms"));
+    let mut time_t = TablePrinter::new(["param", "|S|"].map(String::from).into_iter().chain(names));
+    let mut q_t = TablePrinter::new([
+        "param",
+        "T-Hop #topk",
+        "S-Band #topk",
+        "S-Hop #topk",
+        "S-Hop #checks",
+        "|C|",
     ]);
     for (label, query) in sweeps {
-        let ms: Vec<_> = alg_suite().iter().map(|&a| measure(engine, a, query, cfg)).collect();
-        time_t.row(vec![
-            label.clone(),
-            format!("{:.0}", ms[0].answer_size),
-            pm(ms[0].time_ms, ms[0].time_std),
-            pm(ms[1].time_ms, ms[1].time_std),
-            pm(ms[2].time_ms, ms[2].time_std),
-            pm(ms[3].time_ms, ms[3].time_std),
-            pm(ms[4].time_ms, ms[4].time_std),
-        ]);
-        q_t.row(vec![
-            label.clone(),
-            format!("{:.0}", ms[1].topk_queries),
-            format!("{:.0}", ms[3].topk_queries),
-            format!("{:.0}", ms[4].topk_queries),
-            format!("{:.0}", ms[4].durability_checks),
-            format!("{:.0}", ms[3].candidates),
-        ]);
+        let ms = Algorithm::ALL.map(|a| measure(engine, a, query, cfg));
+        let times = ms.iter().map(|m| pm(m.time_ms, m.time_std));
+        time_t.row([label.clone(), format!("{:.0}", ms[0].answer_size)].into_iter().chain(times));
+        let (t, b, h) = (&ms[1], &ms[3], &ms[4]);
+        let counts = [t.topk_queries, b.topk_queries, h.topk_queries, h.durability_checks];
+        let counts = counts.into_iter().chain([b.candidates]).map(|c| format!("{c:.0}"));
+        q_t.row([label.clone()].into_iter().chain(counts));
     }
     println!("(a) query time\n{}", time_t.render());
     println!("(b) top-k building-block invocations\n{}", q_t.render());
@@ -274,6 +253,16 @@ fn fig10(cfg: &Config) {
     }
 }
 
+/// Fig. 11 and 12's rows for `ms`, measured with `[_, T-Hop, S-Band, S-Hop]`:
+/// `|S|` and each time, then T-Hop's, S-Band's and S-Hop's top-k calls and
+/// S-Band's `|C|`.
+fn four_alg_rows(time_t: &mut TablePrinter, q_t: &mut TablePrinter, p: String, ms: &[Measurement]) {
+    let times = ms.iter().map(|m| pm(m.time_ms, m.time_std));
+    time_t.row([p.clone(), format!("{:.0}", ms[1].answer_size)].into_iter().chain(times));
+    let counts = [ms[1].topk_queries, ms[2].topk_queries, ms[3].topk_queries, ms[2].candidates];
+    q_t.row([p].into_iter().chain(counts.map(|c| format!("{c:.0}"))));
+}
+
 /// Fig. 11: vary dimensionality on Network-X.
 fn fig11(cfg: &Config) {
     banner("Fig 11: vary d (Network-X)");
@@ -290,22 +279,8 @@ fn fig11(cfg: &Config) {
         let build_s = build.elapsed().as_secs_f64();
         let q = default_query(n);
         let algs = [Algorithm::TBase, Algorithm::THop, Algorithm::SBand, Algorithm::SHop];
-        let ms: Vec<_> = algs.iter().map(|&a| measure(&engine, a, &q, cfg)).collect();
-        time_t.row(vec![
-            format!("{d}"),
-            format!("{:.0}", ms[1].answer_size),
-            pm(ms[0].time_ms, ms[0].time_std),
-            pm(ms[1].time_ms, ms[1].time_std),
-            pm(ms[2].time_ms, ms[2].time_std),
-            pm(ms[3].time_ms, ms[3].time_std),
-        ]);
-        q_t.row(vec![
-            format!("{d}"),
-            format!("{:.0}", ms[1].topk_queries),
-            format!("{:.0}", ms[2].topk_queries),
-            format!("{:.0}", ms[3].topk_queries),
-            format!("{:.0}", ms[2].candidates),
-        ]);
+        let ms = algs.map(|a| measure(&engine, a, &q, cfg));
+        four_alg_rows(&mut time_t, &mut q_t, format!("{d}"), &ms);
         eprintln!("  [fig11] d={d} built in {build_s:.1}s");
     }
     println!("(1) query time\n{}", time_t.render());
@@ -329,22 +304,8 @@ fn fig12(cfg: &Config) {
             // The paper grows |I| proportionally with n (fixed percentage).
             let q = default_query(n);
             let algs = [Algorithm::SBase, Algorithm::THop, Algorithm::SBand, Algorithm::SHop];
-            let ms: Vec<_> = algs.iter().map(|&a| measure(&engine, a, &q, cfg)).collect();
-            time_t.row(vec![
-                format!("{n}"),
-                format!("{:.0}", ms[1].answer_size),
-                pm(ms[0].time_ms, ms[0].time_std),
-                pm(ms[1].time_ms, ms[1].time_std),
-                pm(ms[2].time_ms, ms[2].time_std),
-                pm(ms[3].time_ms, ms[3].time_std),
-            ]);
-            q_t.row(vec![
-                format!("{n}"),
-                format!("{:.0}", ms[1].topk_queries),
-                format!("{:.0}", ms[2].topk_queries),
-                format!("{:.0}", ms[3].topk_queries),
-                format!("{:.0}", ms[2].candidates),
-            ]);
+            let ms = algs.map(|a| measure(&engine, a, &q, cfg));
+            four_alg_rows(&mut time_t, &mut q_t, format!("{n}"), &ms);
             eprintln!("  [fig12 {dist}] n={n} built in {build_s:.1}s");
         }
         println!("(a) query time\n{}", time_t.render());
@@ -382,15 +343,8 @@ fn fig13(cfg: &Config) {
         times.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         let quant = |p: f64| times[((times.len() - 1) as f64 * p).round() as usize];
         let (mean, _) = mean_std(&times);
-        t.row(vec![
-            alg.name().to_string(),
-            format!("{:.2}", quant(0.0)),
-            format!("{:.2}", quant(0.25)),
-            format!("{:.2}", quant(0.5)),
-            format!("{:.2}", quant(0.75)),
-            format!("{:.2}", quant(1.0)),
-            format!("{mean:.2}"),
-        ]);
+        let cells = [0.0, 0.25, 0.5, 0.75, 1.0].map(quant).into_iter().chain([mean]);
+        t.row([alg.name().to_string()].into_iter().chain(cells.map(|x| format!("{x:.2}"))));
     }
     println!("{}", t.render());
 }
@@ -575,7 +529,7 @@ fn lemma5(cfg: &Config) {
     println!("{}", t.render());
 }
 
-/// Ablations: leaf size, S-Hop refill mode, oracle choice.
+/// Ablations: leaf size, oracle choice.
 fn ablation(cfg: &Config) {
     banner("Ablation A: oracle LENGTH_THRESHOLD (leaf size)");
     let ds = nba_x(cfg, 100_000, &["points", "assists"]);
@@ -586,28 +540,12 @@ fn ablation(cfg: &Config) {
         let tree = SkylineSegTree::with_leaf_size(&ds, leaf);
         let mut ctx = QueryContext::new();
         let a = measure_by(2, Algorithm::THop, cfg, |u| t_hop(&ds, &tree, u, &q, &mut ctx));
-        let b = measure_by(2, Algorithm::SHop, cfg, |u| {
-            s_hop(&ds, &tree, u, &q, RefillMode::TopK, &mut ctx)
-        });
+        let b = measure_by(2, Algorithm::SHop, cfg, |u| s_hop(&ds, &tree, u, &q, &mut ctx));
         t.row(vec![format!("{leaf}"), pm(a.time_ms, a.time_std), pm(b.time_ms, b.time_std)]);
     }
     println!("{}", t.render());
 
-    banner("Ablation B: S-Hop refill mode (Algorithm 3 vs footnote-5 top-1 variant)");
-    let engine = one_shard(&ds, None);
-    let mut t = TablePrinter::new(vec!["mode", "ms", "#topk", "#checks"]);
-    for alg in [Algorithm::SHop, Algorithm::SHopTop1] {
-        let m = measure(&engine, alg, &q, cfg);
-        t.row(vec![
-            alg.name().to_string(),
-            pm(m.time_ms, m.time_std),
-            format!("{:.0}", m.topk_queries),
-            format!("{:.0}", m.durability_checks),
-        ]);
-    }
-    println!("{}", t.render());
-
-    banner("Ablation C: building-block choice — T-Hop with tree vs scan oracle");
+    banner("Ablation B: building-block choice — T-Hop with tree vs scan oracle");
     let small = nba_x(cfg, 20_000, &["points", "assists"]);
     let ns = small.len();
     let qs = default_query(ns);

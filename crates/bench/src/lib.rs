@@ -143,12 +143,12 @@ pub struct TablePrinter {
 
 impl TablePrinter {
     /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
+    pub fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Self {
         Self { headers: headers.into_iter().map(Into::into).collect(), rows: Vec::new() }
     }
 
     /// Appends one row (must match the header arity).
-    pub fn row<S: Into<String>>(&mut self, cells: Vec<S>) {
+    pub fn row<S: Into<String>>(&mut self, cells: impl IntoIterator<Item = S>) {
         let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);

@@ -112,10 +112,9 @@ pub fn parse_algorithms(s: &str) -> Result<Vec<Algorithm>, String> {
         "sbase" => Ok(vec![Algorithm::SBase]),
         "sband" => Ok(vec![Algorithm::SBand]),
         "shop" => Ok(vec![Algorithm::SHop]),
-        "shop1" => Ok(vec![Algorithm::SHopTop1]),
-        other => Err(format!(
-            "unknown algorithm {other:?} (expected tbase|thop|sbase|sband|shop|shop1|all)"
-        )),
+        other => {
+            Err(format!("unknown algorithm {other:?} (expected tbase|thop|sbase|sband|shop|all)"))
+        }
     }
 }
 
@@ -347,7 +346,7 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let a = parse("stats file.csv");
-        assert_eq!(a.get_or("alg", "shop"), "shop");
+        assert_eq!(a.get_or("alg", "thop"), "thop");
         assert_eq!(a.parse_or::<usize>("k", 10).expect("default"), 10);
         assert!(a.require("k").is_err());
     }
@@ -367,10 +366,12 @@ mod tests {
     #[test]
     fn algorithm_names_resolve() {
         assert_eq!(parse_algorithms("thop").expect("thop"), vec![Algorithm::THop]);
-        assert_eq!(parse_algorithms("shop1").expect("shop1"), vec![Algorithm::SHopTop1]);
+        assert_eq!(parse_algorithms("shop").expect("shop"), vec![Algorithm::SHop]);
         assert_eq!(parse_algorithms("all").expect("all"), Algorithm::ALL.to_vec());
         let err = parse_algorithms("fancy").expect_err("unknown must fail");
-        assert!(err.contains("fancy") && err.contains("all"), "err={err}");
+        assert!(
+            err.contains("fancy") && err.ends_with("(expected tbase|thop|sbase|sband|shop|all)")
+        );
     }
 
     #[test]

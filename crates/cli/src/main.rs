@@ -38,7 +38,7 @@ USAGE:
   durable-topk stats    FILE
   durable-topk topk     FILE --k K --window A:B [--weights W1,W2,..]
   durable-topk query    FILE --k K --tau T [--interval A:B] [--weights ..]
-                             [--alg tbase|thop|sbase|sband|shop|shop1|all]
+                             [--alg tbase|thop|sbase|sband|shop|all]
                              [--threads N] [--lookahead] [--durations] [--limit N]
                              [--stream [--every M]] [--spill-after N]
                              [--result-cache BYTES|off]
@@ -52,7 +52,7 @@ USAGE:
 
 Records are rows in arrival order; an optional header row names columns and
 an optional leading `t` column holds wall-clock stamps. Weights default to
-uniform. `query` defaults to --alg shop over the whole history; --alg all
+uniform. `query` defaults to --alg thop over the whole history; --alg all
 sweeps every algorithm in parallel on the worker pool (--threads 0 =
 use all cores). --stream replays the file into a live sharded engine,
 interleaving appends with a progress query every M arrivals (default: a
@@ -269,7 +269,7 @@ fn query(args: &Args) -> Result<(), String> {
         }
         None => Window::new(0, n - 1),
     };
-    let algs = parse_algorithms(args.get_or("alg", "shop"))?;
+    let algs = parse_algorithms(args.get_or("alg", "thop"))?;
     let threads = parse_threads(args)?;
     let stream = parse_stream(args, &algs)?;
     let spill_after = parse_spill_after(args)?;

@@ -28,7 +28,7 @@ mod thop;
 pub use sband::s_band;
 pub(crate) use sband::sband_fallback_reason;
 pub use sbase::s_base;
+pub use shop::s_hop;
 pub(crate) use shop::ShopScratch;
-pub use shop::{s_hop, RefillMode};
 pub use tbase::t_base;
 pub use thop::t_hop;

@@ -2,7 +2,7 @@
 //! `run_algorithm` runs one over a substrate — every piece of a
 //! [`ShardedEngine`](crate::ShardedEngine) query goes through it.
 
-use crate::algorithms::{s_band, s_base, s_hop, sband_fallback_reason, t_base, t_hop, RefillMode};
+use crate::algorithms::{s_band, s_base, s_hop, sband_fallback_reason, t_base, t_hop};
 use crate::context::QueryContext;
 use crate::oracle::TopKOracle;
 use crate::query::{DurableQuery, QueryResult};
@@ -24,22 +24,15 @@ pub enum Algorithm {
     /// monotone) the engine falls back to S-Hop and flags
     /// [`QueryStats::fallback`](crate::QueryStats).
     SBand,
-    /// Score-prioritized hop algorithm (Section IV-C).
+    /// Score-prioritized hop algorithm (Section IV-C) with the paper's
+    /// footnote-5 top-1 refill.
     SHop,
-    /// S-Hop with the footnote-5 top-1 refill variant.
-    SHopTop1,
 }
 
 impl Algorithm {
     /// All algorithm variants (handy for agreement tests and sweeps).
-    pub const ALL: [Algorithm; 6] = [
-        Algorithm::TBase,
-        Algorithm::THop,
-        Algorithm::SBase,
-        Algorithm::SBand,
-        Algorithm::SHop,
-        Algorithm::SHopTop1,
-    ];
+    pub const ALL: [Algorithm; 5] =
+        [Algorithm::TBase, Algorithm::THop, Algorithm::SBase, Algorithm::SBand, Algorithm::SHop];
 
     /// Short display name matching the paper's figures.
     pub fn name(&self) -> &'static str {
@@ -49,7 +42,6 @@ impl Algorithm {
             Algorithm::SBase => "S-Base",
             Algorithm::SBand => "S-Band",
             Algorithm::SHop => "S-Hop",
-            Algorithm::SHopTop1 => "S-Hop/1",
         }
     }
 }
@@ -93,13 +85,12 @@ where
             Some(reason) => {
                 // Graceful degradation: S-Hop answers the same query
                 // without the candidate index, and the stats carry why.
-                let mut result = s_hop(ds, oracle, scorer, query, RefillMode::TopK, ctx);
+                let mut result = s_hop(ds, oracle, scorer, query, ctx);
                 result.stats.fallback = Some(reason);
                 result
             }
         },
-        Algorithm::SHop => s_hop(ds, oracle, scorer, query, RefillMode::TopK, ctx),
-        Algorithm::SHopTop1 => s_hop(ds, oracle, scorer, query, RefillMode::Top1, ctx),
+        Algorithm::SHop => s_hop(ds, oracle, scorer, query, ctx),
     }
 }
 

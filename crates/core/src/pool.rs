@@ -411,7 +411,7 @@ mod tests {
     /// participants than jobs is harmless.
     #[test]
     fn more_threads_than_jobs_is_fine() {
-        use crate::algorithms::{s_hop, RefillMode};
+        use crate::algorithms::s_hop;
         use crate::DurableQuery;
         use durable_topk_index::SkylineSegTree;
         use durable_topk_temporal::{Dataset, LinearScorer, Window};
@@ -420,9 +420,8 @@ mod tests {
         let tree = SkylineSegTree::build(&ds);
         let scorers = [LinearScorer::uniform(2), LinearScorer::new(vec![3.0, 1.0])];
         let q = DurableQuery { k: 2, tau: 40, interval: Window::new(0, 399) };
-        let run = |scorer: &LinearScorer, ctx: &mut QueryContext| {
-            s_hop(&ds, &tree, scorer, &q, RefillMode::TopK, ctx)
-        };
+        let run =
+            |scorer: &LinearScorer, ctx: &mut QueryContext| s_hop(&ds, &tree, scorer, &q, ctx);
         let out = WorkerPool::global().run_jobs(scorers.len(), 64, |i, ctx| run(&scorers[i], ctx));
         assert_eq!(out.len(), 2);
         for (scorer, got) in scorers.iter().zip(&out) {

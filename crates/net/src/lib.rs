@@ -113,6 +113,19 @@ mod tests {
         }
     }
 
+    /// Tags 0–4 are the whole algorithm vocabulary: 5 is unknown.
+    #[test]
+    fn algorithm_tag_5_is_unknown() {
+        let req = sample_request(Algorithm::SHop, ScorerSpec::Uniform);
+        let mut frame = encode_message(&Message::Query(req)).expect("encodable");
+        assert_eq!(frame[HEADER_LEN], 4, "the algorithm tag leads the payload");
+        frame[HEADER_LEN] = 5;
+        assert!(matches!(
+            decode_message(&frame),
+            Err(WireError::UnknownTag { what: "algorithm", tag: 5 })
+        ));
+    }
+
     #[test]
     fn response_and_errors_roundtrip() {
         let resp = ServeResponse {
@@ -281,7 +294,7 @@ mod tests {
 
         #[test]
         fn random_requests_roundtrip(
-            alg_tag in 0usize..6,
+            alg_tag in 0..Algorithm::ALL.len(),
             k in 1usize..10_000,
             tau in 1u32..100_000,
             start in 0u32..1_000_000,
@@ -336,7 +349,7 @@ mod tests {
             flip_to in 0u8..=255,
             cut in 0usize..64,
         ) {
-            let req = sample_request(Algorithm::SHopTop1, ScorerSpec::Cosine(vec![0.5, 0.5]));
+            let req = sample_request(Algorithm::SHop, ScorerSpec::Cosine(vec![0.5, 0.5]));
             let mut frame = encode_message(&Message::Query(req)).expect("encodable");
             let at = flip_at % frame.len();
             frame[at] = flip_to;

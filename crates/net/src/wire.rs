@@ -248,7 +248,6 @@ fn alg_tag(alg: Algorithm) -> u8 {
         Algorithm::SBase => 2,
         Algorithm::SBand => 3,
         Algorithm::SHop => 4,
-        Algorithm::SHopTop1 => 5,
     }
 }
 
@@ -259,7 +258,6 @@ fn alg_from(tag: u8) -> Result<Algorithm, WireError> {
         2 => Algorithm::SBase,
         3 => Algorithm::SBand,
         4 => Algorithm::SHop,
-        5 => Algorithm::SHopTop1,
         _ => return Err(WireError::UnknownTag { what: "algorithm", tag }),
     })
 }

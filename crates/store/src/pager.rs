@@ -30,8 +30,6 @@ struct Frame {
     data: Box<[u8]>,
     last_used: u64,
     dirty: bool,
-    /// Pinned frames are exempt from LRU eviction until unpinned.
-    pinned: bool,
 }
 
 /// An LRU buffer pool over one backing file.
@@ -57,34 +55,20 @@ impl BufferPool {
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn create<P: AsRef<Path>>(path: P, capacity: usize) -> io::Result<Self> {
-        assert!(capacity > 0, "buffer pool needs at least one frame");
-        let file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(Self {
-            file,
-            frames: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity),
-            capacity,
-            tick: 0,
-            len_pages: 0,
-            stats: IoStats::default(),
-        })
+        let mut options = OpenOptions::new();
+        Self::over(options.read(true).write(true).create(true).truncate(true).open(path)?, capacity)
     }
 
     /// Opens an existing file.
     pub fn open<P: AsRef<Path>>(path: P, capacity: usize) -> io::Result<Self> {
+        Self::over(OpenOptions::new().read(true).write(true).open(path)?, capacity)
+    }
+
+    fn over(file: File, capacity: usize) -> io::Result<Self> {
         assert!(capacity > 0, "buffer pool needs at least one frame");
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.metadata()?.len();
-        Ok(Self {
-            file,
-            frames: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity),
-            capacity,
-            tick: 0,
-            len_pages: len.div_ceil(PAGE_SIZE as u64),
-            stats: IoStats::default(),
-        })
+        let len_pages = file.metadata()?.len().div_ceil(PAGE_SIZE as u64);
+        let (frames, map) = (Vec::with_capacity(capacity), HashMap::with_capacity(capacity));
+        Ok(Self { file, frames, map, capacity, tick: 0, len_pages, stats: IoStats::default() })
     }
 
     /// Number of pages in the backing file (allocated high-water mark).
@@ -103,39 +87,12 @@ impl BufferPool {
     }
 
     /// Drops every cached page (dirty pages are flushed first), simulating a
-    /// cold cache. Pins are released: a cleared pool starts from nothing.
+    /// cold cache.
     pub fn clear_cache(&mut self) -> io::Result<()> {
         self.flush()?;
         self.frames.clear();
         self.map.clear();
         Ok(())
-    }
-
-    /// Pins `page` in the pool: the page is faulted in if absent and its
-    /// frame is exempt from LRU eviction until [`unpin`](BufferPool::unpin)
-    /// (or [`clear_cache`](BufferPool::clear_cache)) releases it.
-    ///
-    /// Callers keeping a working set warm pin well below the pool
-    /// capacity; requesting a new page while every frame is pinned is an
-    /// error.
-    pub fn pin(&mut self, page: PageId) -> io::Result<()> {
-        let idx = self.frame_for(page)?;
-        self.frames[idx].pinned = true;
-        Ok(())
-    }
-
-    /// Releases a pin taken by [`pin`](BufferPool::pin). A no-op if the
-    /// page is not cached (it may have been dropped by
-    /// [`clear_cache`](BufferPool::clear_cache)) or not pinned.
-    pub fn unpin(&mut self, page: PageId) {
-        if let Some(&idx) = self.map.get(&page) {
-            self.frames[idx].pinned = false;
-        }
-    }
-
-    /// Number of currently pinned frames.
-    pub fn pinned_frames(&self) -> usize {
-        self.frames.iter().filter(|f| f.pinned).count()
     }
 
     fn frame_for(&mut self, page: PageId) -> io::Result<usize> {
@@ -152,22 +109,12 @@ impl BufferPool {
                 data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
                 last_used: self.tick,
                 dirty: false,
-                pinned: false,
             });
             self.frames.len() - 1
         } else {
-            // Evict the least-recently-used unpinned frame; the new page
-            // is loaded into its buffer.
-            let idx = self
-                .frames
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| !f.pinned)
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(i, _)| i)
-                .ok_or_else(|| {
-                    io::Error::other("every buffer-pool frame is pinned; cannot evict")
-                })?;
+            // Evict the least-recently-used frame (a full pool has at least
+            // one); the new page is loaded into its buffer.
+            let idx = (0..self.frames.len()).min_by_key(|&i| self.frames[i].last_used).unwrap_or(0);
             let old = &mut self.frames[idx];
             if old.dirty {
                 self.stats.writes += 1;
@@ -257,27 +204,6 @@ impl BufferPool {
     pub fn flush(&mut self) -> io::Result<()> {
         self.write_back()?;
         self.file.sync_data()
-    }
-}
-
-/// Debug-build pin-leak detector: a pool must not be torn down while any
-/// frame is still pinned. A leaked pin means some fetch path took a pin it
-/// never paired with [`unpin`](BufferPool::unpin) (or
-/// [`clear_cache`](BufferPool::clear_cache), which releases every pin
-/// explicitly) — under eviction pressure that pin would have silently
-/// shrunk the evictable pool for the process lifetime. Release builds skip
-/// the check entirely.
-impl Drop for BufferPool {
-    fn drop(&mut self) {
-        if cfg!(debug_assertions) && !std::thread::panicking() {
-            let leaked = self.pinned_frames();
-            assert!(
-                leaked == 0,
-                "buffer-pool pin leak: {leaked} frame(s) still pinned at drop; \
-                 pair every pin with unpin (or clear_cache) before the pool \
-                 releases its last reference"
-            );
-        }
     }
 }
 
@@ -384,63 +310,6 @@ mod tests {
         pool.read_bytes(3 * PAGE_SIZE as u64 + 5, &mut buf).expect("read");
         assert_eq!(&buf, b"persisted");
         assert_eq!(pool.len_pages(), 4);
-    }
-
-    #[test]
-    fn pinned_pages_survive_eviction_pressure() {
-        let mut pool = BufferPool::create(tmp("pin.db"), 2).expect("create");
-        pool.write_bytes(0, &[7u8; 16]).expect("write");
-        pool.pin(0).expect("pin");
-        // Stream enough pages through the remaining frame to evict page 0
-        // many times over, were it evictable.
-        for p in 1..10u64 {
-            pool.write_bytes(p * PAGE_SIZE as u64, &[p as u8; 16]).expect("write");
-        }
-        assert_eq!(pool.pinned_frames(), 1);
-        pool.reset_stats();
-        let mut buf = [0u8; 16];
-        pool.read_bytes(0, &mut buf).expect("read");
-        assert_eq!(buf, [7u8; 16]);
-        assert_eq!(pool.stats().reads, 0, "a pinned page is always a cache hit");
-        pool.unpin(0);
-        assert_eq!(pool.pinned_frames(), 0);
-    }
-
-    #[test]
-    fn fully_pinned_pool_rejects_new_pages() {
-        let mut pool = BufferPool::create(tmp("pin-full.db"), 1).expect("create");
-        pool.pin(0).expect("pin");
-        let mut buf = [0u8; 4];
-        assert!(pool.read_bytes(PAGE_SIZE as u64, &mut buf).is_err());
-        pool.unpin(0);
-        assert!(pool.read_bytes(PAGE_SIZE as u64, &mut buf).is_ok());
-    }
-
-    #[test]
-    fn unpin_of_uncached_page_is_a_noop() {
-        let mut pool = BufferPool::create(tmp("pin-gone.db"), 2).expect("create");
-        pool.pin(3).expect("pin");
-        pool.clear_cache().expect("clear");
-        pool.unpin(3);
-        assert_eq!(pool.pinned_frames(), 0);
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "pin-leak detector is debug-only")]
-    #[should_panic(expected = "pin leak")]
-    fn dropping_a_pool_with_a_live_pin_panics_in_debug() {
-        let mut pool = BufferPool::create(tmp("pin-leak.db"), 2).expect("create");
-        pool.write_bytes(0, &[1u8; 8]).expect("write");
-        pool.pin(0).expect("pin");
-        drop(pool);
-    }
-
-    #[test]
-    fn clear_cache_releases_pins_before_drop() {
-        let mut pool = BufferPool::create(tmp("pin-clear.db"), 2).expect("create");
-        pool.pin(1).expect("pin");
-        pool.clear_cache().expect("clear");
-        // Drop runs the debug pin-leak check; a cleared pool passes it.
     }
 
     #[test]

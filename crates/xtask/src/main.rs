@@ -1,5 +1,6 @@
-//! Workspace automation. The one subcommand, `lint`, is a repo-specific
-//! static-analysis pass over `crates/*/src` — plain line rules, no parser,
+//! Workspace automation. Two subcommands: `bench-pair` runs the repo's
+//! benchmark over two revisions in alternating pairs (see `bench_pair.rs`),
+//! and `lint` is a repo-specific static-analysis pass over `crates/*/src` — plain line rules, no parser,
 //! no dependencies — enforcing the concurrency conventions that
 //! `durable_topk_check` enforces dynamically:
 //!
@@ -25,6 +26,9 @@
 //! from the first `#[cfg(test)]` line to the end of the file, per the
 //! repo's tests-at-the-bottom convention — is exempt from all line rules.
 
+mod bench_pair;
+mod json;
+
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -38,6 +42,12 @@ struct Finding {
     text: String,
 }
 
+impl Finding {
+    fn new(file: &Path, line: usize, rule: &'static str, text: impl Into<String>) -> Self {
+        Self { file: file.to_path_buf(), line, rule, text: text.into() }
+    }
+}
+
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}: [{}] {}", self.file.display(), self.line, self.rule, self.text.trim())
@@ -45,11 +55,12 @@ impl fmt::Display for Finding {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.first().map(String::as_str) {
         Some("lint") => lint(),
+        Some("bench-pair") => bench_pair::main(&args[1..]),
         other => {
-            eprintln!("usage: cargo run -p xtask -- lint");
+            eprintln!("usage: cargo run -p xtask -- lint | bench-pair <rev-a> <rev-b> [options]");
             if let Some(cmd) = other {
                 eprintln!("unknown subcommand: {cmd}");
             }
@@ -73,12 +84,7 @@ fn lint() -> ExitCode {
     let mut findings = Vec::new();
     for file in &files {
         let Ok(source) = fs::read_to_string(file) else {
-            findings.push(Finding {
-                file: file.clone(),
-                line: 0,
-                rule: "io",
-                text: "unreadable source file".into(),
-            });
+            findings.push(Finding::new(file, 0, "io", "unreadable source file"));
             continue;
         };
         let rel = file.strip_prefix(&root).unwrap_or(file);
@@ -169,14 +175,7 @@ fn scan_file(rel: &Path, source: &str, findings: &mut Vec<Finding>) {
             has_allow_marker(line, rule) || block.iter().any(|l| has_allow_marker(l, rule))
         };
         let lineno = idx + 1;
-        let mut hit = |rule: &'static str| {
-            findings.push(Finding {
-                file: rel.to_path_buf(),
-                line: lineno,
-                rule,
-                text: line.to_string(),
-            })
-        };
+        let mut hit = |rule: &'static str| findings.push(Finding::new(rel, lineno, rule, line));
         if rules.raw_locks
             && (contains_word(line, "Mutex") || contains_word(line, "RwLock"))
             && !allowed("lock")
@@ -243,12 +242,7 @@ fn check_rank_completeness(root: &Path) -> Vec<Finding> {
     let rel = PathBuf::from("crates/check/src/lib.rs");
     let path = root.join(&rel);
     let Ok(source) = fs::read_to_string(&path) else {
-        return vec![Finding {
-            file: rel,
-            line: 0,
-            rule: "rank",
-            text: "cannot read the LockClass declaration".into(),
-        }];
+        return vec![Finding::new(&rel, 0, "rank", "cannot read the LockClass declaration")];
     };
 
     let mut variants: Vec<(usize, String)> = Vec::new();
@@ -289,33 +283,33 @@ fn check_rank_completeness(root: &Path) -> Vec<Finding> {
 
     let mut findings = Vec::new();
     if variants.is_empty() || rank_body.is_empty() {
-        findings.push(Finding {
-            file: rel.clone(),
-            line: 0,
-            rule: "rank",
-            text: "LockClass enum or rank() not found — update the xtask parser".into(),
-        });
+        findings.push(Finding::new(
+            &rel,
+            0,
+            "rank",
+            "LockClass enum or rank() not found — update the xtask parser",
+        ));
         return findings;
     }
     for (line, variant) in &variants {
         let arm = format!("LockClass::{variant} =>");
         if !rank_body.iter().any(|(_, l)| l.contains(&arm)) {
-            findings.push(Finding {
-                file: rel.clone(),
-                line: *line,
-                rule: "rank",
-                text: format!("LockClass::{variant} has no explicit rank arm"),
-            });
+            findings.push(Finding::new(
+                &rel,
+                *line,
+                "rank",
+                format!("LockClass::{variant} has no explicit rank arm"),
+            ));
         }
     }
     for (line, text) in &rank_body {
         if text.trim_start().starts_with("_ =>") {
-            findings.push(Finding {
-                file: rel.clone(),
-                line: *line,
-                rule: "rank",
-                text: "wildcard arm in LockClass::rank hides unranked classes".into(),
-            });
+            findings.push(Finding::new(
+                &rel,
+                *line,
+                "rank",
+                "wildcard arm in LockClass::rank hides unranked classes",
+            ));
         }
     }
     findings

@@ -32,9 +32,10 @@ fn main() {
     };
     let scorer = LinearScorer::new(vec![0.7, 0.3]);
 
-    // 4. Run it. S-Hop is the recommended default; every algorithm returns
-    //    the same answer.
-    let result = engine.query(Algorithm::SHop, &scorer, &query);
+    // 4. Run it. Every algorithm returns the same answer; T-Hop was the
+    //    fastest on the benchmark's ad-hoc shape (BENCHMARKS.md, "PR 36:
+    //    one S-Hop", which ranks T-Hop, S-Band and S-Hop).
+    let result = engine.query(Algorithm::THop, &scorer, &query);
     println!(
         "found {} durable records using {} top-k queries ({} durability checks)",
         result.records.len(),
@@ -42,8 +43,8 @@ fn main() {
         result.stats.durability_checks,
     );
 
-    // 5. Cross-check with the time-prioritized algorithm.
-    let check = engine.query(Algorithm::THop, &scorer, &query);
+    // 5. Cross-check with the score-prioritized hop algorithm.
+    let check = engine.query(Algorithm::SHop, &scorer, &query);
     assert_eq!(result.records, check.records);
 
     // 6. For any answer, ask how long its supremacy actually lasted.

@@ -2,22 +2,10 @@
 //! must return identical answer sets on every workload family.
 
 use durable_topk::{Algorithm, DurableQuery, LinearScorer, MonotoneCombinationScorer, Window};
-use durable_topk_temporal::{Dataset, Scorer};
-use durable_topk_tests::flat;
+use durable_topk_temporal::Dataset;
+use durable_topk_tests::{brute_durable, flat};
 use durable_topk_workloads::{anti, ind, nba_attribute, nba_like, network_like, preference_suite};
 use rand::prelude::*;
-
-fn brute_durable(ds: &Dataset, scorer: &dyn Scorer, q: &DurableQuery) -> Vec<u32> {
-    q.interval
-        .clamp_to(ds.len())
-        .iter()
-        .filter(|&t| {
-            let w = Window::lookback(t, q.tau).clamp_to(ds.len());
-            let my = scorer.score(ds.row(t));
-            w.iter().filter(|&u| scorer.score(ds.row(u)) > my).count() < q.k
-        })
-        .collect()
-}
 
 fn check_all(ds: Dataset, seed: u64, queries: usize) {
     let n = ds.len();

@@ -9,10 +9,11 @@
 //! record-for-record with a fresh-context run and with the brute-force
 //! durability definition.
 
-use durable_topk::algorithms::{s_band, s_base, s_hop, t_base, t_hop, RefillMode};
+use durable_topk::algorithms::{s_band, s_base, s_hop, t_base, t_hop};
 use durable_topk::{Algorithm, DurableQuery, LinearScorer, QueryContext, QueryResult, Window};
 use durable_topk_index::{DurableSkybandIndex, SkylineSegTree};
-use durable_topk_temporal::{Dataset, Scorer};
+use durable_topk_temporal::Dataset;
+use durable_topk_tests::{brute_durable, dataset_strategy};
 use proptest::prelude::*;
 
 /// A dataset with its top-k tree and its durable 8-skyband.
@@ -38,19 +39,9 @@ impl Indexed {
             Algorithm::THop => t_hop(ds, tree, scorer, q, ctx),
             Algorithm::SBase => s_base(ds, scorer, q, ctx),
             Algorithm::SBand => s_band(ds, tree, skyband, scorer, q, ctx),
-            Algorithm::SHop => s_hop(ds, tree, scorer, q, RefillMode::TopK, ctx),
-            Algorithm::SHopTop1 => s_hop(ds, tree, scorer, q, RefillMode::Top1, ctx),
+            Algorithm::SHop => s_hop(ds, tree, scorer, q, ctx),
         }
     }
-}
-
-fn dataset_strategy(max_n: usize, vals: u32) -> impl Strategy<Value = Dataset> {
-    prop::collection::vec(prop::collection::vec(0..vals, 2), 2..max_n).prop_map(|rows| {
-        Dataset::from_rows(
-            2,
-            rows.into_iter().map(|r| r.into_iter().map(|v| v as f64).collect::<Vec<_>>()),
-        )
-    })
 }
 
 /// One randomized query shape, instantiated against a dataset at run time.
@@ -75,18 +66,6 @@ fn materialize(spec: &QuerySpec, n: u32) -> (Algorithm, DurableQuery) {
     (Algorithm::ALL[spec.alg_index], q)
 }
 
-fn brute_force(ds: &Dataset, scorer: &LinearScorer, q: &DurableQuery) -> Vec<u32> {
-    q.interval
-        .clamp_to(ds.len())
-        .iter()
-        .filter(|&t| {
-            let w = Window::lookback(t, q.tau).clamp_to(ds.len());
-            let my = scorer.score(ds.row(t));
-            w.iter().filter(|&u| scorer.score(ds.row(u)) > my).count() < q.k
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -94,7 +73,7 @@ proptest! {
     /// fresh contexts and the definition.
     #[test]
     fn reused_context_matches_fresh_and_brute_force(
-        ds in dataset_strategy(70, 6),
+        ds in dataset_strategy(2..70, 2, 6),
         specs in prop::collection::vec(query_strategy(), 1..12),
     ) {
         let n = ds.len() as u32;
@@ -107,7 +86,7 @@ proptest! {
             let fresh = engine.run(alg, &scorer, &q, &mut QueryContext::new());
             prop_assert_eq!(&reused.records, &fresh.records, "alg={} q={:?}", alg, q);
             prop_assert_eq!(reused.stats, fresh.stats, "alg={} q={:?}", alg, q);
-            let expected = brute_force(&engine.0, &scorer, &q);
+            let expected = brute_durable(&engine.0, &scorer, &q);
             prop_assert_eq!(&reused.records, &expected, "alg={} q={:?}", alg, q);
         }
     }
@@ -116,8 +95,8 @@ proptest! {
     /// between queries: every buffer re-sizes cleanly.
     #[test]
     fn reused_context_survives_dataset_switches(
-        ds_a in dataset_strategy(60, 5),
-        ds_b in dataset_strategy(25, 7),
+        ds_a in dataset_strategy(2..60, 2, 5),
+        ds_b in dataset_strategy(2..25, 2, 7),
         specs in prop::collection::vec(query_strategy(), 2..8),
     ) {
         let engines = [Indexed::new(ds_a), Indexed::new(ds_b)];
@@ -127,7 +106,7 @@ proptest! {
             let engine = &engines[i % 2];
             let (alg, q) = materialize(spec, engine.0.len() as u32);
             let reused = engine.run(alg, &scorer, &q, &mut shared);
-            let expected = brute_force(&engine.0, &scorer, &q);
+            let expected = brute_durable(&engine.0, &scorer, &q);
             prop_assert_eq!(&reused.records, &expected, "alg={} q={:?} engine={}", alg, q, i % 2);
         }
     }

@@ -17,7 +17,7 @@ use durable_topk::{
 };
 use durable_topk_index::SkylineSegTree;
 use durable_topk_temporal::Dataset;
-use durable_topk_tests::flat;
+use durable_topk_tests::{brute_durable, flat, rows_strategy};
 use proptest::prelude::*;
 
 /// One randomized query shape, instantiated against a prefix at run time.
@@ -32,29 +32,6 @@ struct QuerySpec {
 fn query_strategy() -> impl Strategy<Value = QuerySpec> {
     (0usize..Algorithm::ALL.len(), 1usize..5, 0u32..10_000, 0u32..10_000)
         .prop_map(|(alg_index, k, tau_raw, seed)| QuerySpec { alg_index, k, tau_raw, seed })
-}
-
-fn rows_strategy(max_n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
-    prop::collection::vec(prop::collection::vec(0u32..8, 2), 2..max_n).prop_map(|rows| {
-        rows.into_iter().map(|r| r.into_iter().map(|v| v as f64).collect()).collect()
-    })
-}
-
-/// Definition-level durability over the first `upto + 1` records: `p` is
-/// reported iff fewer than `k` records in its look-back window beat its
-/// score.
-fn brute_durable(ds: &Dataset, scorer: &LinearScorer, q: &DurableQuery, upto: u32) -> Vec<u32> {
-    use durable_topk::Scorer;
-    let interval = Window::new(q.interval.start(), q.interval.end().min(upto));
-    interval
-        .iter()
-        .filter(|&t| {
-            let lo = t.saturating_sub(q.tau);
-            let my = scorer.score(ds.row(t));
-            let better = (lo..t).filter(|&u| scorer.score(ds.row(u)) > my).count();
-            better < q.k
-        })
-        .collect()
 }
 
 /// Materializes a spec against `n` ingested records, with `τ` anywhere up
@@ -75,7 +52,7 @@ proptest! {
     /// window sequences and shard geometries.
     #[test]
     fn grown_engine_matches_rebuild_and_flat(
-        rows in rows_strategy(90),
+        rows in rows_strategy(2..90),
         span in 1usize..16,
         max_tau in 1u32..24,
         specs in prop::collection::vec(query_strategy(), 1..8),
@@ -126,7 +103,7 @@ proptest! {
     /// ingestion timeline, across at least two seal boundaries.
     #[test]
     fn grown_head_sband_is_native_and_exact_at_every_prefix(
-        rows in rows_strategy(60),
+        rows in rows_strategy(2..60),
         k_max in 1usize..6,
         max_tau in 1u32..16,
         seed in 0u32..10_000,
@@ -152,7 +129,7 @@ proptest! {
                 got.stats.fallback, None,
                 "S-Band fell back at prefix {} (q={:?})", id + 1, q
             );
-            let expected = brute_durable(&ds, &scorer, &q, upto);
+            let expected = brute_durable(&ds, &scorer, &q);
             prop_assert_eq!(
                 &got.records, &expected,
                 "S-Band diverged from brute force at prefix {} (q={:?})", id + 1, q
@@ -183,7 +160,7 @@ proptest! {
     /// probes) is exact for arbitrary windows, including `τ > max_tau`.
     #[test]
     fn sharded_top_k_is_exact_for_any_window(
-        rows in rows_strategy(70),
+        rows in rows_strategy(2..70),
         span in 1usize..12,
         windows in prop::collection::vec((0u32..10_000, 0u32..10_000, 1usize..5), 1..6),
     ) {

@@ -19,7 +19,7 @@ use durable_topk_net::{
     RemoteNode, RemoteOptions,
 };
 use durable_topk_temporal::Dataset;
-use durable_topk_tests::flat;
+use durable_topk_tests::{flat, rows_strategy};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::net::TcpListener;
@@ -32,12 +32,6 @@ const SPAN: usize = 8;
 /// Skyband maintainer bound; queries keep `k ≤ K_MAX` so S-Band stays
 /// native on every head.
 const K_MAX: usize = 4;
-
-fn rows_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
-    prop::collection::vec(prop::collection::vec(0u32..8, 2), 64..112).prop_map(|rows| {
-        rows.into_iter().map(|r| r.into_iter().map(|v| v as f64).collect()).collect()
-    })
-}
 
 /// A serving engine hosting the global slice `[lo, hi]` of `ds`, with
 /// `max_tau` records of left context below `lo` (clamped at the timeline
@@ -269,7 +263,7 @@ proptest! {
     /// sweep at the final prefix.
     #[test]
     fn multi_node_matches_single_node_at_every_prefix(
-        rows in rows_strategy(),
+        rows in rows_strategy(64..112),
         max_tau in 1u32..8,
         seed in 0u32..10_000,
     ) {

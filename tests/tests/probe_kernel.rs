@@ -214,8 +214,7 @@ fn algorithm_counts_are_what_they_were_before_memo_and_pruning() {
         // candidates on these tie-heavy rows than footnote-4 dominance
         // did: (51, 0, 542, 491) before.
         (Algorithm::SBand, (51, 0, 782, 731)),
-        (Algorithm::SHop, (51, 114, 300, 249)),
-        (Algorithm::SHopTop1, (51, 177, 300, 249)),
+        (Algorithm::SHop, (51, 177, 300, 249)),
     ];
     assert_eq!(got, expected, "(durability_checks, refill_queries, candidates, blocked_skips)");
     assert_eq!(records.map(|r| r.len()), Some(49));

@@ -3,18 +3,9 @@
 use durable_topk::{Algorithm, DurableQuery, LinearScorer, Window};
 use durable_topk_geom::{dominates, k_skyband, skyband_durations, skyline_indices};
 use durable_topk_index::{scan_top_k, SkylineSegTree};
-use durable_topk_temporal::{Dataset, Scorer};
-use durable_topk_tests::flat;
+use durable_topk_temporal::Scorer;
+use durable_topk_tests::{dataset_strategy, flat};
 use proptest::prelude::*;
-
-fn dataset_strategy(max_n: usize, d: usize, vals: u32) -> impl Strategy<Value = Dataset> {
-    prop::collection::vec(prop::collection::vec(0..vals, d), 1..max_n).prop_map(move |rows| {
-        Dataset::from_rows(
-            d,
-            rows.into_iter().map(|r| r.into_iter().map(|v| v as f64).collect::<Vec<_>>()),
-        )
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -22,7 +13,7 @@ proptest! {
     /// The segment tree agrees with the scan oracle on arbitrary windows.
     #[test]
     fn segtree_matches_scan(
-        ds in dataset_strategy(120, 2, 9),
+        ds in dataset_strategy(1..120, 2, 9),
         k in 1usize..6,
         leaf in 1usize..16,
         seed in 0u32..1000,
@@ -39,7 +30,7 @@ proptest! {
     /// All algorithms agree with the brute-force durability definition.
     #[test]
     fn algorithms_match_definition(
-        ds in dataset_strategy(80, 2, 5),
+        ds in dataset_strategy(1..80, 2, 5),
         k in 1usize..5,
         tau_raw in 1u32..120,
         seed in 0u32..1000,
@@ -71,7 +62,7 @@ proptest! {
 
     /// Skyline: nothing in the skyline is dominated; everything outside is.
     #[test]
-    fn skyline_is_exact(ds in dataset_strategy(100, 3, 6)) {
+    fn skyline_is_exact(ds in dataset_strategy(1..100, 3, 6)) {
         let ids: Vec<u32> = (0..ds.len() as u32).collect();
         let sky = skyline_indices(&ds, &ids);
         for &p in &ids {
@@ -82,7 +73,7 @@ proptest! {
 
     /// k-skyband nests: the k-skyband is contained in the (k+1)-skyband.
     #[test]
-    fn skyband_nesting(ds in dataset_strategy(80, 2, 6), k in 1usize..5) {
+    fn skyband_nesting(ds in dataset_strategy(1..80, 2, 6), k in 1usize..5) {
         let ids: Vec<u32> = (0..ds.len() as u32).collect();
         let inner = k_skyband(&ds, &ids, k);
         let outer = k_skyband(&ds, &ids, k + 1);
@@ -91,7 +82,7 @@ proptest! {
 
     /// Skyband durations are monotone in k: a larger k never shortens τ_p.
     #[test]
-    fn skyband_durations_monotone_in_k(ds in dataset_strategy(80, 2, 6)) {
+    fn skyband_durations_monotone_in_k(ds in dataset_strategy(1..80, 2, 6)) {
         let d1 = skyband_durations(&ds, 1);
         let d2 = skyband_durations(&ds, 2);
         let d4 = skyband_durations(&ds, 4);
@@ -104,7 +95,7 @@ proptest! {
     /// Answers always arrive sorted, deduplicated, and inside I.
     #[test]
     fn answers_are_canonical(
-        ds in dataset_strategy(60, 2, 8),
+        ds in dataset_strategy(1..60, 2, 8),
         k in 1usize..4,
         tau in 1u32..40,
     ) {

@@ -13,15 +13,9 @@ use durable_topk::{
 };
 use durable_topk_index::{NodeSummary, OracleScorer, TreeRows};
 use durable_topk_temporal::Dataset;
-use durable_topk_tests::flat;
+use durable_topk_tests::{flat, rows_strategy};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn rows_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
-    prop::collection::vec(prop::collection::vec(0u32..8, 2), 24..64).prop_map(|rows| {
-        rows.into_iter().map(|r| r.into_iter().map(|v| v as f64).collect()).collect()
-    })
-}
 
 /// A deterministic dataset for the unit-style tests.
 fn fixed_dataset(n: usize) -> Dataset {
@@ -66,7 +60,7 @@ proptest! {
     /// seals and spilled at least one chunk.
     #[test]
     fn cached_engine_matches_uncached_at_every_prefix(
-        rows in rows_strategy(),
+        rows in rows_strategy(24..64),
         max_tau in 1u32..16,
         k_max in 1usize..5,
         seed in 0u32..10_000,

@@ -1,6 +1,5 @@
-//! Fast agreement gate: the paper's five algorithms (plus the S-Hop top-1
-//! refill variant) must return byte-identical answer sets on a small
-//! synthetic dataset.
+//! Fast agreement gate: the paper's five algorithms must return
+//! byte-identical answer sets on a small synthetic dataset.
 //!
 //! This is the cheap invariant every future optimization PR must keep green
 //! before the heavier `agreement.rs` and property suites run. It checks the
@@ -8,21 +7,8 @@
 //! each other, so a bug shared by all five algorithms still fails.
 
 use durable_topk::{Algorithm, DurableQuery, LinearScorer, Window};
-use durable_topk_temporal::{Dataset, Scorer};
-use durable_topk_tests::flat;
+use durable_topk_tests::{brute_durable, flat};
 use durable_topk_workloads::{anti, ind};
-
-fn brute_force(ds: &Dataset, scorer: &LinearScorer, q: &DurableQuery) -> Vec<u32> {
-    q.interval
-        .clamp_to(ds.len())
-        .iter()
-        .filter(|&t| {
-            let w = Window::lookback(t, q.tau).clamp_to(ds.len());
-            let my = scorer.score(ds.row(t));
-            w.iter().filter(|&u| scorer.score(ds.row(u)) > my).count() < q.k
-        })
-        .collect()
-}
 
 #[test]
 fn all_algorithms_agree_on_smoke_dataset() {
@@ -32,7 +18,7 @@ fn all_algorithms_agree_on_smoke_dataset() {
     for (k, tau, lo, hi) in [(1, 8, 0, 255), (3, 16, 40, 200), (5, 64, 100, 255), (10, 256, 0, 100)]
     {
         let q = DurableQuery { k, tau, interval: Window::new(lo, hi) };
-        let expected = brute_force(&ds, &scorer, &q);
+        let expected = brute_durable(&ds, &scorer, &q);
         for alg in Algorithm::ALL {
             let got = engine.query(alg, &scorer, &q);
             assert_eq!(got.records, expected, "alg={alg} disagrees for {q:?}");
@@ -46,7 +32,7 @@ fn all_algorithms_agree_on_anticorrelated_data() {
     let engine = flat(&ds, Some(8));
     let scorer = LinearScorer::uniform(2);
     let q = DurableQuery { k: 4, tau: 32, interval: Window::new(32, 224) };
-    let expected = brute_force(&ds, &scorer, &q);
+    let expected = brute_durable(&ds, &scorer, &q);
     assert!(!expected.is_empty(), "smoke query should return some records");
     for alg in Algorithm::ALL {
         assert_eq!(engine.query(alg, &scorer, &q).records, expected, "alg={alg}");

@@ -19,15 +19,9 @@ use durable_topk::{
 };
 use durable_topk_store::PAGE_SIZE;
 use durable_topk_temporal::Dataset;
-use durable_topk_tests::flat;
+use durable_topk_tests::{flat, rows_strategy};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn rows_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
-    prop::collection::vec(prop::collection::vec(0u32..8, 2), 24..64).prop_map(|rows| {
-        rows.into_iter().map(|r| r.into_iter().map(|v| v as f64).collect()).collect()
-    })
-}
 
 /// A live engine on a paged store, spilling every sealed chunk but the
 /// newest.
@@ -48,7 +42,7 @@ proptest! {
     /// (≥ 2 spills, > 0 cold fetches).
     #[test]
     fn paged_engine_matches_memory_at_every_prefix(
-        rows in rows_strategy(),
+        rows in rows_strategy(24..64),
         max_tau in 1u32..16,
         k_max in 1usize..5,
         seed in 0u32..10_000,

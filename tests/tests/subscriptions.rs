@@ -13,6 +13,7 @@ use durable_topk::{
     Algorithm, Backpressure, DurableQuery, EngineConfig, PagedStorage, ScorerSpec, ServeEngine,
     ServeRequest, SubscriptionId, Window,
 };
+use durable_topk_tests::rows_strategy;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
@@ -45,12 +46,6 @@ fn sub_strategy() -> impl Strategy<Value = SubSpec> {
             tail,
         },
     )
-}
-
-fn rows_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
-    prop::collection::vec(prop::collection::vec(0u32..8, 2), 48..96).prop_map(|rows| {
-        rows.into_iter().map(|r| r.into_iter().map(|v| v as f64).collect()).collect()
-    })
 }
 
 const MAX_TAU: u32 = 24;
@@ -113,7 +108,7 @@ proptest! {
     /// spill, with no divergence flagged and no fallback anywhere.
     #[test]
     fn standing_results_match_recompute_at_every_prefix(
-        rows in rows_strategy(),
+        rows in rows_strategy(48..96),
         subs in prop::collection::vec(sub_strategy(), 1..=4),
     ) {
         let n = rows.len();
