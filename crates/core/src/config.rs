@@ -50,7 +50,8 @@ impl EngineConfig {
     /// duration truncated at `max_tau` only overestimates, so S-Band's
     /// candidates stay a superset of the answer for any `τ`; a `τ` at or
     /// below `max_tau` keeps that superset tight. It costs memory only in
-    /// the head's skyband state for the `max_tau` records before it.
+    /// the head's skyband context: the rows of the `max_tau` records
+    /// before it.
     pub fn new(dim: usize, shard_span: usize, max_tau: Time) -> Self {
         Self {
             dim,
@@ -135,8 +136,8 @@ impl EngineConfig {
     /// parallel on the worker pool over the records it owns — its skyband
     /// durations looking `max_tau` records back — so a query with any `τ`
     /// matches the unsharded engine. The engine stays appendable: new
-    /// arrivals land in an empty head shard whose skyband state is
-    /// bootstrapped from the trailing `max_tau` records.
+    /// arrivals land in an empty head shard whose skyband context is a
+    /// copy of the trailing `max_tau` records' rows.
     ///
     /// The partition supersedes [`shard_span`](EngineConfig::new): each
     /// sealed shard owns `ceil(ds.len() / shard_count)` records, and that

@@ -122,28 +122,6 @@ impl ScorerSpec {
             ScorerSpec::Custom(scorer) => Ok(visitor.visit(scorer.as_ref())),
         }
     }
-
-    /// The structural fingerprint of the scorer this spec resolves to for
-    /// a `dim`-attribute engine — what the sealed-shard result cache keys
-    /// memoized answers on (see
-    /// [`EngineConfig::result_cache`](crate::EngineConfig::result_cache)).
-    ///
-    /// `Uniform`, `Linear` and `Cosine` hash their resolved weight vectors
-    /// bit-exactly; `Custom` reports whatever the trait object's
-    /// [`fingerprint`](OracleScorer::fingerprint) returns — `None` by
-    /// default, so opaque closures bypass the cache. Specs that would fail
-    /// resolution (wrong arity, invalid weights) return `None` rather than
-    /// panicking.
-    pub fn fingerprint(&self, dim: usize) -> Option<u64> {
-        struct Fingerprint;
-        impl ScorerVisitor for Fingerprint {
-            type Output = Option<u64>;
-            fn visit<S: OracleScorer + Sync + ?Sized>(self, scorer: &S) -> Option<u64> {
-                scorer.fingerprint()
-            }
-        }
-        self.resolve(dim, Fingerprint).ok().flatten()
-    }
 }
 
 // Manual `Debug`: the custom trait object carries no `Debug` bound.
@@ -628,7 +606,7 @@ impl ServeEngine {
     /// reflects the arrival.
     ///
     /// With subscriptions registered, the arrival is classified under the
-    /// same write lock (one head-skyband lookup — the maintainer already
+    /// same write lock (one head-skyband lookup — the head's skyband index already
     /// did the dominance work as part of the append). The common outcome
     /// is the zero-change fast path: no subscription is touched and the
     /// append returns. Otherwise the calling thread runs the bounded
@@ -881,7 +859,6 @@ mod tests {
             let handle = serve.submit(req.clone()).expect("accepted");
             assert_eq!(handle.wait(), Err(ServeError::Query(expected)), "{req:?}");
             assert_eq!(serve.subscribe(req.clone()).unwrap_err(), ServeError::Query(expected));
-            assert_eq!(req.scorer.fingerprint(2), None, "an unresolvable spec has no print");
         }
         assert_eq!(serve.stats().subscriptions, 0);
         // Valid negative cosine weights still serve.

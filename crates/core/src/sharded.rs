@@ -26,12 +26,13 @@
 //!   fresh, empty head starts.
 //!
 //! `max_tau` means one thing: how far back the durable k-skyband durations
-//! that serve S-Band look. A fresh head inherits the outgoing head's
-//! skyband state for the trailing `max_tau` records
-//! ([`IncrementalSkybandIndex::inherit`]) — active entries and their rows,
-//! no tree, no chunk — and sealed shards keep durations for the records
-//! they own. A truncated look-back only overestimates a duration, so the
-//! candidates stay an exact superset for any `τ`.
+//! that serve S-Band look. Built shard and live head compute them with the
+//! same backward scan: a head scans its own rows, then its *context* — a
+//! copy of the rows of the up-to-`max_tau` records before it, no tree, no
+//! chunk — which a seal hands the next head
+//! ([`IncrementalSkybandIndex::inherit`]). Sealed shards keep durations
+//! for the records they own. A truncated look-back only overestimates a
+//! duration, so the candidates stay an exact superset for any `τ`.
 //!
 //! A shard is in one of those two states and nothing about a seal is
 //! concurrent. Joining trees moves their nodes and adds one root per join
@@ -87,13 +88,16 @@ struct Shard {
 }
 
 /// The mutable ingestion shard: every record appended since the last seal,
-/// indexed by the appendable forest (which, with a skyband bound, maintains
-/// the durable k-skyband incrementally so S-Band serves natively from the
-/// first append).
+/// indexed by the appendable forest and, with a skyband bound, by an
+/// incremental skyband index that computes each arrival's durations on
+/// append, so S-Band serves natively from the first append.
 #[derive(Debug)]
 struct Head {
     ds: Dataset,
     index: AppendableTopKIndex,
+    /// Durations of the head's records; its context is the up-to-`max_tau`
+    /// records before the head.
+    skyband: Option<IncrementalSkybandIndex>,
     /// Global id of `ds`'s row 0.
     lo: Time,
 }
@@ -117,11 +121,7 @@ impl Shape {
     /// the skyband state of what came before.
     fn head(&self, lo: Time, skyband: Option<IncrementalSkybandIndex>) -> Head {
         let index = AppendableTopKIndex::new(self.leaf_size);
-        let index = match skyband {
-            Some(skyband) => index.with_skyband(skyband),
-            None => index,
-        };
-        Head { ds: Dataset::with_capacity(self.dim, self.shard_span), index, lo }
+        Head { ds: Dataset::with_capacity(self.dim, self.shard_span), index, skyband, lo }
     }
 
     /// The first record of the skyband look-back ending before record `n`.
@@ -139,14 +139,6 @@ fn rows(ds: &Dataset, lo: usize, hi: usize) -> Dataset {
     out
 }
 
-/// What one job of [`ShardedEngine::from_config`]'s parallel build makes.
-enum Built {
-    /// A tail's record chunk, tree and skyband.
-    Tail(Arc<Dataset>, SkylineSegTree, Option<DurableSkybandIndex>),
-    /// The empty head, its skyband bootstrapped over the trailing records.
-    Head(Head),
-}
-
 /// Resident heap bytes of a [`ShardedEngine`], by structure
 /// ([`ShardedEngine::memory_usage`]). No record row and no tree node is
 /// held twice: every figure but `skyband_head` is independent of
@@ -161,8 +153,8 @@ pub struct MemoryUsage {
     /// Sealed shards' skyband durations — owned records only.
     pub skyband_sealed: usize,
     /// The head's incremental skyband index: durations of its records
-    /// (with `Vec` growth slack) and the active list with its rows, which
-    /// also holds entries for the `max_tau` records before the head.
+    /// (with `Vec` growth slack), the rows of the up-to-`max_tau` records
+    /// before the head that its appends scan, and block corners.
     pub skyband_head: usize,
     /// Memoized answers in the result cache.
     pub result_cache: usize,
@@ -241,19 +233,10 @@ impl ShardedEngine {
                     .step_by(shape.shard_span)
                     .map(|lo| (lo, (lo + shape.shard_span).min(n)))
                     .collect();
-                // Each job copies its records and indexes them; one more
-                // job bootstraps the head's skyband beside them.
-                let jobs = ranges.len() + 1;
+                // Each job copies its records and indexes them.
+                let jobs = ranges.len();
                 let built = WorkerPool::global().run_jobs(jobs, jobs, |s, _ctx| {
-                    let Some(&(lo, hi)) = ranges.get(s) else {
-                        let skyband = shape.k_max.map(|k_max| {
-                            IncrementalSkybandIndex::with_context(
-                                &rows(ds, shape.reach(n), n),
-                                k_max,
-                            )
-                        });
-                        return Built::Head(shape.head(n as Time, skyband));
-                    };
+                    let (lo, hi) = ranges[s];
                     let chunk = rows(ds, lo, hi);
                     // A sealed forest's leaves hold at most half `leaf_size`
                     // records (`SkylineSegTree::join` fuses up to that); a
@@ -267,31 +250,29 @@ impl ShardedEngine {
                         let owned = (lo - from) as RecordId;
                         DurableSkybandIndex::build_owned(&rows(ds, from, hi), k_max, owned)
                     });
-                    Built::Tail(Arc::new(chunk), oracle, skyband)
+                    (Arc::new(chunk), oracle, skyband)
                 });
                 // Store the chunks sequentially after the parallel index
                 // build so chunk ids land in time order — under a paged
                 // store that keeps the *newest* shards resident and
                 // spills the oldest first.
-                let mut tails = Vec::with_capacity(ranges.len());
-                let mut head = None;
-                for built in built {
-                    match built {
-                        Built::Tail(chunk, oracle, skyband) => {
-                            let (lo, hi) = ranges[tails.len()];
-                            tails.push(Shard {
-                                oracle,
-                                skyband,
-                                chunk: storage.store(chunk),
-                                owned: Window::new(lo as Time, (hi - 1) as Time),
-                                generation: next_shard_gen(),
-                            });
-                        }
-                        Built::Head(built) => head = Some(built),
-                    }
-                }
-                // lint: allow(expect) — the job past the last range always builds the head.
-                (tails, head.expect("the last build job makes the head"), n)
+                let tails = built
+                    .into_iter()
+                    .zip(&ranges)
+                    .map(|((chunk, oracle, skyband), &(lo, hi))| Shard {
+                        oracle,
+                        skyband,
+                        chunk: storage.store(chunk),
+                        owned: Window::new(lo as Time, (hi - 1) as Time),
+                        generation: next_shard_gen(),
+                    })
+                    .collect();
+                // The head's skyband context is a copy of the trailing rows;
+                // nothing is scanned until the first append.
+                let context = |k_max| {
+                    IncrementalSkybandIndex::with_context(&rows(ds, shape.reach(n), n), k_max)
+                };
+                (tails, shape.head(n as Time, shape.k_max.map(context)), n)
             }
         };
         Self {
@@ -338,10 +319,10 @@ impl ShardedEngine {
         }
         // The head holds its skyband even while it owns no record, so it
         // is counted directly rather than through `pieces`.
-        let Head { ds, index, .. } = &self.head;
-        usage.skyband_head = index.skyband().map_or(0, |skyband| skyband.heap_bytes());
+        let Head { ds, index, skyband, .. } = &self.head;
+        usage.skyband_head = skyband.as_ref().map_or(0, IncrementalSkybandIndex::heap_bytes);
         usage.records += ds.heap_bytes();
-        usage.trees += index.heap_bytes() - usage.skyband_head;
+        usage.trees += index.heap_bytes();
         usage
     }
 
@@ -359,8 +340,12 @@ impl ShardedEngine {
         assert_eq!(attrs.len(), self.shape.dim, "attribute arity mismatch");
         assert!(attrs.iter().all(|x| x.is_finite()), "attributes must be finite");
         let id = self.len as RecordId;
-        self.head.ds.push(attrs);
-        self.head.index.append(&self.head.ds);
+        let head = &mut self.head;
+        head.ds.push(attrs);
+        head.index.append(&head.ds);
+        if let Some(skyband) = head.skyband.as_mut() {
+            skyband.push(&head.ds);
+        }
         self.len += 1;
         if self.head.ds.len() >= self.shape.shard_span {
             self.seal_head();
@@ -369,21 +354,22 @@ impl ShardedEngine {
     }
 
     /// Turns the full head into the next tail shard — its forest's trees
-    /// joined into one, its records' durations copied out of the
-    /// incremental skyband maintainer, its rows handed to the store as the
+    /// joined into one, its records' durations copied out of its
+    /// incremental skyband index, its rows handed to the store as the
     /// shard's chunk (which, with a pager, writes it to pages) — and
-    /// starts an empty head that inherits the skyband state of the
+    /// starts an empty head whose skyband context is the rows of the
     /// trailing `max_tau` records.
     fn seal_head(&mut self) {
         self.seal_epoch += 1;
-        let skyband = self.head.index.skyband().map(|skyband| {
-            // The maintainer's last record is global record `len − 1`.
-            let covered = skyband.maintainer().len();
-            skyband.inherit((covered + self.shape.reach(self.len) - self.len) as RecordId)
+        let Head { ds, skyband, .. } = &self.head;
+        let heir = skyband.as_ref().map(|skyband| {
+            // The skyband's last record is global record `len − 1`.
+            let covered = skyband.len();
+            skyband.inherit(ds, (covered + self.shape.reach(self.len) - self.len) as RecordId)
         });
-        let fresh = self.shape.head(self.len as Time, skyband);
-        let Head { ds, index, lo } = std::mem::replace(&mut self.head, fresh);
-        let skyband = index.skyband().map(|skyband| skyband.to_static(skyband.base()));
+        let fresh = self.shape.head(self.len as Time, heir);
+        let Head { ds, index, skyband, lo } = std::mem::replace(&mut self.head, fresh);
+        let skyband = skyband.map(|skyband| skyband.to_static(skyband.base()));
         let oracle = index.seal(&ds);
         self.tails.push(Shard {
             oracle,
@@ -477,9 +463,9 @@ impl ShardedEngine {
             let rows = TreeRows { rows, first: *first };
             view.add_sealed(shard.owned.start(), rows, &shard.oracle, shard.skyband.as_ref());
         }
-        let Head { ds, index, lo } = &self.head;
+        let Head { ds, index, skyband, lo } = &self.head;
         if *lo <= hi && !ds.is_empty() {
-            view.add_head(*lo, ds, index);
+            view.add_head(*lo, ds, index, skyband.as_ref());
         }
         f(&view)
     }
@@ -493,7 +479,7 @@ impl ShardedEngine {
     }
 
     /// The newest record's durable k-skyband duration at the level
-    /// serving `k`, read from the head forest's incremental maintainer —
+    /// serving `k`, read from the head's incremental skyband index —
     /// or, when that arrival filled the head and was sealed with it, from
     /// the newest tail's frozen copy (the fresh head keeps no duration for
     /// the records before it).
@@ -512,9 +498,9 @@ impl ShardedEngine {
     /// it, or no record has arrived yet — callers must then run the full
     /// bounded probe instead.
     pub fn arrival_skyband_duration(&self, k: usize) -> Option<Time> {
-        let maintainer = self.head.index.skyband()?.maintainer();
-        let level = maintainer.levels().iter().position(|&lk| lk >= k)?;
-        match maintainer.durations(level).last() {
+        let skyband = self.head.skyband.as_ref()?;
+        let level = skyband.levels().iter().position(|&lk| lk >= k)?;
+        match skyband.durations(level).last() {
             Some(&duration) => Some(duration),
             None => self.tails.last()?.skyband.as_ref()?.durations(level).last().copied(),
         }
@@ -529,7 +515,8 @@ impl ShardedEngine {
     ///
     /// With a skyband bound configured ([`EngineConfig::skyband_bound`]),
     /// [`Algorithm::SBand`] runs natively everywhere — sealed tails and the
-    /// mutable head (whose forest maintains its k-skyband incrementally) —
+    /// mutable head (whose skyband index computes each arrival's durations
+    /// on append) —
     /// so [`QueryStats::fallback`](crate::QueryStats::fallback) stays `None`
     /// at every point of the ingestion timeline for `k` within the bound.
     ///

@@ -21,8 +21,9 @@
 //!
 //! 1. **Zero-change fast path** — the arrival is outside every
 //!    subscription's interval, or (for monotone scorers, `k` within the
-//!    engine's skyband bound) the head shard's [`SkybandMaintainer`]
-//!    verdict — computed on append anyway — shows a skyband duration
+//!    engine's skyband bound) the head shard's
+//!    [`IncrementalSkybandIndex`] verdict — computed on append anyway —
+//!    shows a skyband duration
 //!    `< τ`, proving the arrival can never enter that standing top-k. No
 //!    subscription is touched.
 //! 2. **Bounded refresh** — only the affected subscriptions run the
@@ -40,7 +41,7 @@
 //! write lock and runs the plan on the appending thread once the lock is
 //! released, so the append returns with every subscription current.
 //!
-//! [`SkybandMaintainer`]: durable_topk_geom::SkybandMaintainer
+//! [`IncrementalSkybandIndex`]: durable_topk_index::IncrementalSkybandIndex
 
 use crate::check::{LockClass, TrackedMutex};
 use crate::context::QueryContext;
@@ -381,7 +382,7 @@ impl SubscriptionRegistry {
                 continue;
             }
             if sub.monotone {
-                // The head maintainer classified this arrival on append;
+                // The head's skyband index classified this arrival on append;
                 // a duration below the subscription's τ proves it cannot
                 // be durable there. Sound only for monotone scorers (the
                 // S-Band superset argument), hence the flag.

@@ -7,8 +7,8 @@
 
 use crate::oracle::{Rows, TopKOracle};
 use durable_topk_index::{
-    top_k_over, AppendableTopKIndex, DurableSkybandIndex, OracleScorer, OracleScratch, Part,
-    SkybandCandidates, SkylineSegTree, TopKResult, TreeRows,
+    top_k_over, AppendableTopKIndex, DurableSkybandIndex, IncrementalSkybandIndex, OracleScorer,
+    OracleScratch, Part, SkybandCandidates, SkylineSegTree, TopKResult, TreeRows,
 };
 use durable_topk_temporal::{Dataset, RecordId, Time, Window};
 
@@ -50,14 +50,16 @@ impl<'a> View<'a> {
         self.add(lo, rows, [tree], skyband.map(|s| s as &dyn SkybandCandidates));
     }
 
-    /// Adds the head's rows, whose row 0 is global record `lo`.
+    /// Adds the head's rows, whose row 0 is global record `lo`, with its
+    /// forest and skyband.
     pub(crate) fn add_head(
         &mut self,
         lo: Time,
         rows: &'a Dataset,
         forest: &'a AppendableTopKIndex,
+        skyband: Option<&'a IncrementalSkybandIndex>,
     ) {
-        let skyband = forest.skyband().map(|s| s as &dyn SkybandCandidates);
+        let skyband = skyband.map(|s| s as &dyn SkybandCandidates);
         self.add(lo, rows.into(), forest.trees(), skyband);
         self.forest = Some((i64::from(lo) - i64::from(self.base), forest));
     }

@@ -11,7 +11,8 @@
 //! * [`skyband`] — k-skyband computation and the per-record *durable
 //!   k-skyband duration* `τ_p` (the longest look-back window in which
 //!   fewer than `k` records strictly dominate it), the quantity indexed by
-//!   S-Band, all computed by one block-pruned dominance-scan kernel.
+//!   S-Band, all computed by one block-pruned backward scan, offline and
+//!   on append alike.
 //! * [`domcount`] — the Fenwick tree behind the blocking-interval counts.
 
 pub mod domcount;
@@ -22,7 +23,7 @@ pub mod skyline;
 pub use domcount::Fenwick;
 pub use dominance::{dominates, strictly_dominates, weakly_dominates};
 pub use skyband::{
-    k_skyband, level_ks, skyband_durations, skyband_durations_multi, SkybandMaintainer,
+    k_skyband, level_ks, scan_durations, skyband_durations, skyband_durations_multi, BlockCorners,
     DURATION_UNBOUNDED,
 };
 pub use skyline::{skyline_indices, skyline_merge};

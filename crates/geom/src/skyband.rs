@@ -12,13 +12,16 @@
 //! somewhere, may tie `p` under a scorer that ignores the attribute it is
 //! better in, and a tie does not beat `p`.)
 //!
-//! Every duration is computed by one private dominance-scan kernel:
-//! per-block maximum corners at two granularities let a scan skip whole
-//! blocks that cannot hold a dominator, and inside a block a branch-free
-//! bitmask of dominators is visited in arrival order, stopping as soon as
-//! enough were found.
+//! Every duration — of a built shard, of a live head's newcomer — is
+//! computed by one backward scan ([`scan_durations`]) over runs of rows
+//! with their [`BlockCorners`]: per-block maximum corners at two
+//! granularities let the scan skip whole blocks that cannot hold a
+//! dominator, and inside a block a branch-free bitmask of dominators is
+//! visited newest first, stopping as soon as enough were found. `τ_p` only
+//! looks backwards, so a later arrival never changes it: a run grows one
+//! row and one corner update at a time, and nothing is ever rescanned.
 
-use crate::dominance::{dominates, strictly_dominates};
+use crate::dominance::dominates;
 use durable_topk_temporal::{Dataset, RecordId};
 
 /// Sentinel duration for records that stay in the k-skyband for every window
@@ -30,16 +33,19 @@ const FINE: usize = 16;
 /// Rows per coarse block of the kernel: sixteen fine blocks.
 const COARSE: usize = 256;
 
-/// Block-pruned dominance scans over the rows of one dataset.
-///
-/// Keeps, for every [`FINE`]- and [`COARSE`]-row block, the corner of
+/// The block corners of a run of `dim`-wide rows, grown one row at a time:
+/// for every 16-row and every 256-row block, the corner of
 /// per-dimension maxima. A row strictly dominating `p` is above `p`
 /// everywhere, so a block whose corner is not above `p` in some dimension
-/// holds no dominator and is skipped. A NaN coordinate is never strictly better
-/// ([`strictly_dominates`]), so the corners ignore it, and the kernel's
-/// verdict is exactly `strictly_dominates`, row for row.
-struct DominanceKernel<'a> {
-    attrs: &'a [f64],
+/// holds no dominator and is skipped. A NaN coordinate is never strictly
+/// better ([`strictly_dominates`](crate::strictly_dominates)), so the
+/// corners ignore it, and a scan's verdict is exactly `strictly_dominates`,
+/// row for row.
+///
+/// The corners do not hold the rows: every scan is handed them, so a run
+/// whose rows live elsewhere (a head shard's dataset) is not copied.
+#[derive(Debug, Clone, Default)]
+pub struct BlockCorners {
     dim: usize,
     rows: usize,
     /// Corner of fine block `b` at `fine[b * dim..(b + 1) * dim]`.
@@ -48,12 +54,53 @@ struct DominanceKernel<'a> {
     coarse: Vec<f64>,
 }
 
-impl<'a> DominanceKernel<'a> {
-    fn new(ds: &'a Dataset) -> Self {
-        let (attrs, dim) = (ds.raw_attrs(), ds.dim());
-        let fine = corners(attrs, dim, FINE);
-        let coarse = corners(&fine, dim, COARSE / FINE);
-        Self { attrs, dim, rows: ds.len(), fine, coarse }
+impl BlockCorners {
+    /// The corners of every `dim`-wide row of `attrs`.
+    ///
+    /// # Panics
+    /// Panics if `dim == 0`.
+    pub fn over(attrs: &[f64], dim: usize) -> Self {
+        let mut corners = Self::default();
+        for row in attrs.chunks_exact(dim) {
+            corners.push(row);
+        }
+        corners
+    }
+
+    /// Rows covered.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether no row is covered.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Heap bytes held, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        (self.fine.capacity() + self.coarse.capacity()) * std::mem::size_of::<f64>()
+    }
+
+    /// Covers the next row of the run, NaNs ignored.
+    ///
+    /// # Panics
+    /// Panics if the row's arity differs from earlier rows'.
+    pub fn push(&mut self, row: &[f64]) {
+        if self.rows == 0 {
+            self.dim = row.len();
+        }
+        assert_eq!(row.len(), self.dim, "attribute arity mismatch");
+        for (corners, per_block) in [(&mut self.fine, FINE), (&mut self.coarse, COARSE)] {
+            if self.rows % per_block == 0 {
+                corners.resize(corners.len() + self.dim, f64::NEG_INFINITY);
+            }
+            let corner = corners.len() - self.dim;
+            for (c, &v) in corners[corner..].iter_mut().zip(row) {
+                *c = c.max(v);
+            }
+        }
+        self.rows += 1;
     }
 
     /// Whether block `b` of `corners` may hold a dominator of `row`: its
@@ -64,12 +111,12 @@ impl<'a> DominanceKernel<'a> {
         corner.iter().zip(row).all(|(c, y)| c > y)
     }
 
-    /// Bit `j` set iff row `lo + j` strictly dominates `row`, for rows
-    /// `lo..hi` (at most [`FINE`] of them) — [`strictly_dominates`] without
-    /// branches.
+    /// Bit `j` set iff row `lo + j` of `attrs` strictly dominates `row`,
+    /// for rows `lo..hi` (at most [`FINE`] of them) — `strictly_dominates`
+    /// without branches.
     #[inline]
-    fn mask(&self, lo: usize, hi: usize, row: &[f64]) -> u32 {
-        let rows = &self.attrs[lo * self.dim..hi * self.dim];
+    fn mask(&self, attrs: &[f64], lo: usize, hi: usize, row: &[f64]) -> u32 {
+        let rows = &attrs[lo * self.dim..hi * self.dim];
         // A literal arity lets the inlined test unroll: the benchmark's
         // 3-d shard builds in about a third less time than through the
         // generic call (BENCHMARKS.md, PR 25).
@@ -79,21 +126,22 @@ impl<'a> DominanceKernel<'a> {
         }
     }
 
-    /// Calls `visit` with the rows among `0..end` strictly dominating
-    /// `row`, newest first, until it returns `true`.
-    fn scan_back(&self, row: &[f64], end: usize, mut visit: impl FnMut(usize) -> bool) {
-        let mut hi = end;
+    /// Calls `visit` with the rows of the run strictly dominating `row`,
+    /// newest first, until it returns `true`; returns whether it did.
+    /// `attrs` holds the run's rows, row 0 first.
+    fn scan_back(&self, attrs: &[f64], row: &[f64], mut visit: impl FnMut(usize) -> bool) -> bool {
+        let mut hi = self.rows;
         while hi > 0 {
             let coarse_lo = (hi - 1) / COARSE * COARSE;
             if self.may_dominate(&self.coarse, coarse_lo / COARSE, row) {
                 while hi > coarse_lo {
                     let lo = (hi - 1) / FINE * FINE;
                     if self.may_dominate(&self.fine, lo / FINE, row) {
-                        let mut mask = self.mask(lo, hi, row);
+                        let mut mask = self.mask(attrs, lo, hi, row);
                         while mask != 0 {
                             let j = 31 - mask.leading_zeros() as usize;
                             if visit(lo + j) {
-                                return;
+                                return true;
                             }
                             mask ^= 1 << j;
                         }
@@ -103,31 +151,7 @@ impl<'a> DominanceKernel<'a> {
             }
             hi = coarse_lo;
         }
-    }
-
-    /// Calls `visit` with the rows among `start..` strictly dominating
-    /// `row`, oldest first, until it returns `true`.
-    fn scan_forward(&self, row: &[f64], start: usize, mut visit: impl FnMut(usize) -> bool) {
-        let mut lo = start;
-        while lo < self.rows {
-            let coarse_hi = ((lo / COARSE + 1) * COARSE).min(self.rows);
-            if self.may_dominate(&self.coarse, lo / COARSE, row) {
-                while lo < coarse_hi {
-                    let hi = ((lo / FINE + 1) * FINE).min(self.rows);
-                    if self.may_dominate(&self.fine, lo / FINE, row) {
-                        let mut mask = self.mask(lo, hi, row);
-                        while mask != 0 {
-                            if visit(lo + mask.trailing_zeros() as usize) {
-                                return;
-                            }
-                            mask &= mask - 1;
-                        }
-                    }
-                    lo = hi;
-                }
-            }
-            lo = coarse_hi;
-        }
+        false
     }
 }
 
@@ -146,20 +170,36 @@ fn dominance_mask(rows: &[f64], row: &[f64], dim: usize) -> u32 {
     mask
 }
 
-/// Per-dimension maxima of every `per_block` consecutive `dim`-wide rows of
-/// `attrs`, NaNs ignored (`−∞` where a block has no other value).
-fn corners(attrs: &[f64], dim: usize, per_block: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(attrs.len().div_ceil(per_block));
-    for block in attrs.chunks(per_block * dim) {
-        let corner = out.len();
-        out.resize(corner + dim, f64::NEG_INFINITY);
-        for row in block.chunks_exact(dim) {
-            for (c, &v) in out[corner..].iter_mut().zip(row) {
-                *c = c.max(v);
+/// The durations of `row`, a record arriving right after every run of
+/// `runs`, at the levels `ks` (strictly ascending): one backward scan over
+/// the runs, newest run first, stopping at the largest level. Each run is
+/// its rows and their corners; the runs are consecutive, so a dominator at
+/// row `j` of a run with `m` rows, behind runs holding `skipped` rows in
+/// all, lies `skipped + m − j − 1` records before `row`. Calls
+/// `record(level, τ)` for every level that found its `ks[level]`-th
+/// dominator; the other levels' durations are [`DURATION_UNBOUNDED`].
+pub fn scan_durations(
+    row: &[f64],
+    ks: &[usize],
+    runs: &[(&[f64], &BlockCorners)],
+    mut record: impl FnMut(usize, u32),
+) {
+    let (mut found, mut level, mut skipped) = (0usize, 0usize, 0usize);
+    for &(attrs, corners) in runs {
+        let end = skipped + corners.len();
+        let done = corners.scan_back(attrs, row, |j| {
+            found += 1;
+            while level < ks.len() && ks[level] == found {
+                record(level, (end - j - 1) as u32);
+                level += 1;
             }
+            level == ks.len()
+        });
+        if done {
+            return;
         }
+        skipped = end;
     }
-    out
 }
 
 /// Computes the k-skyband of the records `ids`: those dominated by at most
@@ -208,9 +248,9 @@ pub fn skyband_durations(ds: &Dataset, k: usize) -> Vec<u32> {
 
 /// Computes durable skyband durations for several `k` values in one pass.
 ///
-/// Each record is scanned backwards once, newest dominator first, up to the
-/// largest level, recording the duration at every requested level along the
-/// way. This is how the S-Band index builds its logarithmic family of
+/// Each record is scanned backwards once ([`scan_durations`] over the rows
+/// before it), newest dominator first, up to the largest level, recording
+/// the duration at every requested level along the way. This is how the S-Band index builds its logarithmic family of
 /// levels (`k = 1, 2, 4, …`) without multiplying the build cost.
 ///
 /// Durations are computed for records `first..` only — a shard passes the
@@ -229,25 +269,21 @@ pub fn skyband_durations_multi(ds: &Dataset, ks: &[usize], first: RecordId) -> V
     let (n, first) = (ds.len(), first as usize);
     assert!(first <= n, "first record lies beyond the dataset");
     let mut out = vec![vec![DURATION_UNBOUNDED; n - first]; ks.len()];
-    let kernel = DominanceKernel::new(ds);
-    for i in first..n {
-        let (mut found, mut level) = (0usize, 0usize);
-        kernel.scan_back(ds.row(i as RecordId), i, |j| {
-            found += 1;
-            while level < ks.len() && ks[level] == found {
-                out[level][i - first] = (i - j - 1) as u32;
-                level += 1;
-            }
-            level == ks.len()
-        });
+    let (attrs, dim) = (ds.raw_attrs(), ds.dim());
+    let mut corners = BlockCorners::default();
+    for (i, row) in attrs.chunks_exact(dim).enumerate() {
+        if i >= first {
+            scan_durations(row, ks, &[(attrs, &corners)], |level, dur| out[level][i - first] = dur);
+        }
+        corners.push(row);
     }
     out
 }
 
 /// The logarithmic family of skyband levels serving queries with
 /// `k <= k_max`: `1, 2, 4, …` up to the first power of two at or above
-/// `k_max`. Shared by the static index build and the incremental
-/// maintainer so both produce structurally identical level sets.
+/// `k_max`. Shared by the static index build and the incremental head
+/// index so both produce structurally identical level sets.
 ///
 /// # Panics
 /// Panics if `k_max == 0`.
@@ -260,265 +296,10 @@ pub fn level_ks(k_max: usize) -> Vec<usize> {
     ks
 }
 
-/// A record still worth scanning when classifying future arrivals, plus
-/// how many *later* records dominate it so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ActiveRecord {
-    id: RecordId,
-    later_dominators: u32,
-}
-
-/// Incrementally maintains durable k-skyband durations under append-only
-/// arrivals.
-///
-/// `τ_p` looks only backwards — it is the distance to `p`'s k-th most
-/// recent *past* dominator — so a later arrival never changes an existing
-/// record's duration: appending is pure insertion. The maintainer computes
-/// the newcomer's duration at every level of [`level_ks`] with one backward
-/// pass over an *active list*, applying two classical streaming-skyband
-/// ideas:
-///
-/// * **Dominance-count updates on insert.** Each active record carries the
-///   number of later arrivals dominating it; the newcomer's pass both
-///   collects its own most-recent dominators and bumps these counts for
-///   every active record it dominates.
-/// * **Lazy eviction past `k_max`.** Once a record has `k_max` later
-///   dominators it can never again be among the `k_max` most recent
-///   dominators of any future arrival: strict dominance is transitive, so
-///   all `k_max` of its later dominators also dominate that arrival and
-///   are more recent. Such records are tombstoned (their counter stops the
-///   scan from testing them) and compacted away once they outnumber the
-///   live half of the list.
-///
-/// Records before [`base`](SkybandMaintainer::base) are *context*: they
-/// sit in the active list as potential dominators, but no duration is kept
-/// for them — a head shard never reports them. Context arrives whole,
-/// either [bootstrapped](SkybandMaintainer::with_context) by one forward
-/// kernel pass or [inherited](SkybandMaintainer::inherit) from the
-/// maintainer whose trailing records it is. The maintainer keeps the
-/// attribute row of every active entry, so nobody else has to keep the
-/// context's rows: an append reads nothing but the newcomer.
-///
-/// Per-append cost is `O(|active|)` dominance tests; the active list is
-/// the "k_max-skyband with respect to later arrivals", which stays near
-/// `O(k_max · skyline)` on well-behaved data and degrades to `O(n)` only
-/// when the stream is one large anti-chain — exactly the regime where the
-/// offline build pays the same quadratic cost.
-///
-/// Durations produced are bit-identical to [`skyband_durations_multi`]
-/// over the same rows (property-tested below), so an index sealed from
-/// the maintainer equals one built from scratch.
-#[derive(Debug, Clone)]
-pub struct SkybandMaintainer {
-    ks: Vec<usize>,
-    /// Per level, per owned record (`base..n`): the durable skyband
-    /// duration.
-    durs: Vec<Vec<u32>>,
-    /// Context records: those before `base` have no duration.
-    base: usize,
-    n: usize,
-    active: Vec<ActiveRecord>,
-    /// The attribute row of `active[i]` at `rows[i * dim..(i + 1) * dim]`.
-    rows: Vec<f64>,
-    /// Attribute arity; `0` until the first row arrives.
-    dim: usize,
-    /// Tombstoned entries awaiting compaction.
-    evicted: usize,
-}
-
-impl SkybandMaintainer {
-    /// An empty maintainer covering levels `1, 2, 4, … >= k_max`.
-    ///
-    /// # Panics
-    /// Panics if `k_max == 0`.
-    pub fn new(k_max: usize) -> Self {
-        Self::over_context(k_max, 0, 0, Vec::new(), Vec::new())
-    }
-
-    /// A maintainer whose context is `base` records with the given live
-    /// active entries and their rows, owning nothing yet.
-    fn over_context(
-        k_max: usize,
-        dim: usize,
-        base: usize,
-        active: Vec<ActiveRecord>,
-        rows: Vec<f64>,
-    ) -> Self {
-        let ks = level_ks(k_max);
-        let durs = vec![Vec::new(); ks.len()];
-        Self { ks, durs, base, n: base, active, rows, dim, evicted: 0 }
-    }
-
-    /// The reference replay: every record of `ds` appended in turn, so all
-    /// of them are owned. Context bootstraps and seal inheritance are
-    /// tested against it.
-    pub fn build(ds: &Dataset, k_max: usize) -> Self {
-        let mut m = Self::new(k_max);
-        for id in 0..ds.len() {
-            m.append(ds.row(id as RecordId));
-        }
-        m
-    }
-
-    /// A maintainer whose context is every record of `ds`, owning none.
-    ///
-    /// One forward kernel pass counts each record's later dominators,
-    /// stopping at `k_max`; the records that stay below it form the active
-    /// list — exactly the live entries a replay of `ds` would leave.
-    ///
-    /// # Panics
-    /// Panics if `k_max == 0`.
-    pub fn with_context(ds: &Dataset, k_max: usize) -> Self {
-        let mut m = Self::over_context(k_max, ds.dim(), ds.len(), Vec::new(), Vec::new());
-        let cap = m.k_max() as u32;
-        let kernel = DominanceKernel::new(ds);
-        for i in 0..ds.len() {
-            let row = ds.row(i as RecordId);
-            let mut later_dominators = 0;
-            kernel.scan_forward(row, i + 1, |_| {
-                later_dominators += 1;
-                later_dominators == cap
-            });
-            if later_dominators < cap {
-                m.active.push(ActiveRecord { id: i as RecordId, later_dominators });
-                m.rows.extend_from_slice(row);
-            }
-        }
-        m
-    }
-
-    /// A maintainer whose context is this one's records `from..len()`,
-    /// renumbered from zero, owning none — the state a seal hands the next
-    /// head. Every record after a context record is itself in the context,
-    /// so the live active entries from `from` on, rows included, carry
-    /// exactly the counts a [bootstrap](SkybandMaintainer::with_context)
-    /// would compute.
-    ///
-    /// # Panics
-    /// Panics if `from > self.len()`.
-    pub fn inherit(&self, from: RecordId) -> Self {
-        assert!(from as usize <= self.n, "context starts beyond the covered records");
-        let cap = self.k_max() as u32;
-        let (mut active, mut rows) = (Vec::new(), Vec::new());
-        for (e, row) in self.active.iter().zip(self.rows.chunks_exact(self.dim.max(1))) {
-            if e.id >= from && e.later_dominators < cap {
-                active.push(ActiveRecord { id: e.id - from, ..*e });
-                rows.extend_from_slice(row);
-            }
-        }
-        Self::over_context(self.k_max(), self.dim, self.n - from as usize, active, rows)
-    }
-
-    /// Records covered so far, context included.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether no record is covered, context included.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Id of the first owned record: earlier ones are context.
-    pub fn base(&self) -> RecordId {
-        self.base as RecordId
-    }
-
-    /// The maintained levels, strictly ascending powers of two.
-    pub fn levels(&self) -> &[usize] {
-        &self.ks
-    }
-
-    /// The largest `k` the maintained durations can serve.
-    pub fn k_max(&self) -> usize {
-        *self.ks.last().expect("levels are never empty")
-    }
-
-    /// Durations of level `self.levels()[level]` of the owned records:
-    /// entry `i` belongs to record `base() + i`.
-    pub fn durations(&self, level: usize) -> &[u32] {
-        &self.durs[level]
-    }
-
-    /// Heap bytes held: every level's durations plus the active list and
-    /// its rows, by capacity.
-    pub fn heap_bytes(&self) -> usize {
-        let durs: usize = self.durs.iter().map(Vec::capacity).sum();
-        durs * std::mem::size_of::<u32>()
-            + self.active.capacity() * std::mem::size_of::<ActiveRecord>()
-            + self.rows.capacity() * std::mem::size_of::<f64>()
-    }
-
-    /// Live (non-tombstoned) entries of the active list — instrumentation
-    /// for tests and benches.
-    pub fn active_len(&self) -> usize {
-        self.active.len() - self.evicted
-    }
-
-    /// Ingests the next record in arrival order, record `self.len()`,
-    /// given by its attribute row: computes its duration at every level
-    /// and updates the active list. Only the active entries' own rows are
-    /// read.
-    ///
-    /// # Panics
-    /// Panics if the row's arity differs from earlier rows'.
-    pub fn append(&mut self, row: &[f64]) {
-        if self.dim == 0 {
-            self.dim = row.len();
-        }
-        assert_eq!(row.len(), self.dim, "attribute arity mismatch");
-        let p = self.n as RecordId;
-        let k_max = self.k_max() as u32;
-        for level in &mut self.durs {
-            level.push(DURATION_UNBOUNDED);
-        }
-        let owned = self.n - self.base;
-        let mut found = 0u32;
-        let mut level = 0usize;
-        // One backward pass, most recent first: collect the newcomer's
-        // dominators (recording a duration whenever a level's k is hit)
-        // and charge the newcomer against every active record it
-        // dominates.
-        for (entry, other) in self.active.iter_mut().zip(self.rows.chunks_exact(self.dim)).rev() {
-            if entry.later_dominators >= k_max {
-                continue; // tombstoned
-            }
-            if found < k_max && strictly_dominates(other, row) {
-                found += 1;
-                while level < self.ks.len() && self.ks[level] as u32 == found {
-                    self.durs[level][owned] = p - entry.id - 1;
-                    level += 1;
-                }
-            } else if strictly_dominates(row, other) {
-                entry.later_dominators += 1;
-                if entry.later_dominators == k_max {
-                    self.evicted += 1;
-                }
-            }
-        }
-        self.active.push(ActiveRecord { id: p, later_dominators: 0 });
-        self.rows.extend_from_slice(row);
-        self.n += 1;
-        // Compact once tombstones dominate: O(live) work amortized O(1).
-        if self.evicted * 2 > self.active.len() {
-            let mut kept = 0;
-            for i in 0..self.active.len() {
-                if self.active[i].later_dominators < k_max {
-                    self.active[kept] = self.active[i];
-                    self.rows.copy_within(i * self.dim..(i + 1) * self.dim, kept * self.dim);
-                    kept += 1;
-                }
-            }
-            self.active.truncate(kept);
-            self.rows.truncate(kept * self.dim);
-            self.evicted = 0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dominance::strictly_dominates;
     use durable_topk_temporal::{LinearScorer, Scorer};
     use proptest::prelude::*;
 
@@ -542,11 +323,29 @@ mod tests {
             .collect()
     }
 
-    /// The live active entries with their rows, tombstones dropped.
-    fn live(m: &SkybandMaintainer) -> Vec<(ActiveRecord, Vec<f64>)> {
-        let cap = m.k_max() as u32;
-        let rows = m.rows.chunks_exact(m.dim.max(1)).map(<[f64]>::to_vec);
-        m.active.iter().copied().zip(rows).filter(|(e, _)| e.later_dominators < cap).collect()
+    /// Durations of `ds`'s records `c..`, each computed on arrival as a
+    /// head shard computes it: one scan over the records before it from
+    /// `c` on, then over the context records `..c`, two runs with their
+    /// own corners.
+    fn appended(ds: &Dataset, ks: &[usize], c: usize) -> Vec<Vec<u32>> {
+        let dim = ds.dim();
+        let (context, owned) = ds.raw_attrs().split_at(c * dim);
+        let context_corners = BlockCorners::over(context, dim);
+        let mut corners = BlockCorners::default();
+        let mut out = vec![Vec::new(); ks.len()];
+        for row in owned.chunks_exact(dim) {
+            let i = corners.len();
+            out.iter_mut().for_each(|durs| durs.push(DURATION_UNBOUNDED));
+            let runs = [(owned, &corners), (context, &context_corners)];
+            scan_durations(row, ks, &runs, |level, dur| out[level][i] = dur);
+            corners.push(row);
+        }
+        out
+    }
+
+    /// Records `lo..hi` of `ds`.
+    fn slice(ds: &Dataset, lo: usize, hi: usize) -> Dataset {
+        Dataset::from_rows(ds.dim(), (lo..hi).map(|i| ds.row(i as RecordId)))
     }
 
     /// The dimensionalities the exactness tests cover.
@@ -602,8 +401,47 @@ mod tests {
             }
         }
 
-        /// On tie-heavy rows (three values per attribute) the kernel and
-        /// the streaming maintainer give the brute-force strict-dominance
+        /// After a context of `c` rows straddling the block edges, appending
+        /// degenerate rows one at a time — each scanned over the appended
+        /// rows, then the context — gives exactly the offline durations of
+        /// the context followed by the rows, at every prefix (a duration
+        /// only looks back, so a prefix's durations lead the whole run's;
+        /// a shorter prefix is checked on its own as well). So does the
+        /// head a seal at a random point hands on, whose context is the
+        /// last up-to-`max_tau` rows before the seal, against the offline
+        /// durations of that context followed by the later rows.
+        #[test]
+        fn appends_after_a_context_equal_the_offline_scan(
+            d in dims(),
+            c_at in 0usize..6,
+            len in 1usize..300,
+            codes in prop::collection::vec(0u32..1_000_000, 600 * 5),
+            special in (0usize..4).prop_map(|i| [u32::MAX, 10, 60, 400][i]),
+            constant_col in 0usize..8,
+            seal_frac in 0.0f64..1.0,
+            max_tau in 1usize..300,
+        ) {
+            let c = [0, 15, 16, 255, 256, 300][c_at];
+            let ds = degenerate_rows(&codes[..(c + len) * d], special, d, constant_col);
+            let ks = [1usize, 2, 4, 8];
+            let grown = appended(&ds, &ks, c);
+            prop_assert_eq!(&grown, &skyband_durations_multi(&ds, &ks, c as RecordId), "d={} c={}", d, c);
+            let prefix = c + len / 2;
+            let offline = skyband_durations_multi(&slice(&ds, 0, prefix), &ks, c as RecordId);
+            for level in 0..ks.len() {
+                prop_assert_eq!(&grown[level][..prefix - c], &offline[level][..], "d={} c={}", d, c);
+            }
+            // The seal: the next head's context is the rows `from..seal`.
+            let seal = c + (seal_frac * len as f64) as usize;
+            let from = seal - max_tau.min(seal);
+            let rest = slice(&ds, from, ds.len());
+            let heir = appended(&rest, &ks, seal - from);
+            let offline = skyband_durations_multi(&rest, &ks, (seal - from) as RecordId);
+            prop_assert_eq!(&heir, &offline, "d={} c={} seal={}", d, c, seal);
+        }
+
+        /// On tie-heavy rows (three values per attribute) the offline scan
+        /// and the per-append one give the brute-force strict-dominance
         /// durations, and no duration drops a durable record under a
         /// scorer that ignores an attribute: a record whose look-back
         /// window of length `τ` holds fewer than `k` records scoring
@@ -621,11 +459,12 @@ mod tests {
                 (0..d).map(|i| if i == ignored && d > 1 { 0.0 } else { 1.0 + i as f64 }).collect();
             let scorer = LinearScorer::new(weights);
             let scores: Vec<f64> = (0..len).map(|i| scorer.score(ds.row(i as RecordId))).collect();
-            let m = SkybandMaintainer::build(&ds, 4);
-            for (level, &k) in m.levels().iter().enumerate() {
+            let ks = level_ks(4);
+            let grown = appended(&ds, &ks, 0);
+            for (level, &k) in ks.iter().enumerate() {
                 let durs = skyband_durations(&ds, k);
                 prop_assert_eq!(&durs, &brute_durations(&ds, k), "d={} k={}", d, k);
-                prop_assert_eq!(m.durations(level), &durs[..], "d={} k={}", d, k);
+                prop_assert_eq!(&grown[level], &durs, "d={} k={}", d, k);
                 for (p, &duration) in durs.iter().enumerate() {
                     // The longest look-back over which p stays durable.
                     let mut better = 0;
@@ -657,8 +496,8 @@ mod tests {
 
     /// A NaN coordinate is never strictly better, so a row holding one
     /// dominates nothing and a newcomer holding one has no dominator,
-    /// whichever blocks they share — at both block granularities, forwards
-    /// and backwards.
+    /// whichever blocks they share — at both block granularities, in one
+    /// run and across two.
     #[test]
     fn nan_coordinates_never_strictly_dominate() {
         let mut rows = vec![[0.0, 0.0]; 300];
@@ -673,16 +512,16 @@ mod tests {
         rows.push([f64::NAN, 0.0]);
         let durs = skyband_durations(&Dataset::from_rows(2, rows), 1);
         assert_eq!(durs.last(), Some(&DURATION_UNBOUNDED));
-        let mut ds = Dataset::from_rows(2, [[5.0, 1.0]]);
-        for i in 1..300 {
-            ds.push(match i {
-                150 => &[f64::NAN, 9.0],
-                299 => &[6.0, 2.0],
-                _ => &[0.0, 0.0],
-            });
-        }
-        let m = SkybandMaintainer::with_context(&ds, 2);
-        assert_eq!(live(&m)[0], (ActiveRecord { id: 0, later_dominators: 1 }, vec![5.0, 1.0]));
+        // Across two runs: the newest real dominator sits in the context,
+        // behind a NaN row in each run.
+        let mut rows = vec![[0.0, 0.0]; 320];
+        rows[5] = [9.0, 9.0];
+        rows[200] = [f64::NAN, 9.0];
+        rows[303] = [f64::NAN, 9.0];
+        rows.push([5.0, 1.0]);
+        let durs = appended(&Dataset::from_rows(2, rows), &[1, 2], 300);
+        assert_eq!(durs[0].last(), Some(&(320 - 5 - 1)));
+        assert_eq!(durs[1].last(), Some(&DURATION_UNBOUNDED));
     }
 
     #[test]
@@ -776,139 +615,6 @@ mod tests {
                 assert_eq!(owned[level], multi[level][45..], "d={d} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn maintainer_matches_offline_build_under_appends() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(23);
-        for d in [2usize, 3] {
-            for k_max in [1usize, 3, 8] {
-                let mut ds = Dataset::new(d);
-                let mut m = SkybandMaintainer::new(k_max);
-                assert_eq!(m.levels(), level_ks(k_max).as_slice());
-                for step in 0..150usize {
-                    let row: Vec<f64> = (0..d).map(|_| rng.random_range(0..7) as f64).collect();
-                    ds.push(&row);
-                    m.append(&row);
-                    if step % 29 == 11 {
-                        let offline = skyband_durations_multi(&ds, m.levels(), 0);
-                        for (level, durs) in offline.iter().enumerate() {
-                            assert_eq!(
-                                m.durations(level),
-                                durs.as_slice(),
-                                "d={d} k_max={k_max} step={step} level={level}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn maintainer_build_equals_replay() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(29);
-        let rows: Vec<[f64; 2]> = (0..120)
-            .map(|_| [rng.random_range(0..9) as f64, rng.random_range(0..9) as f64])
-            .collect();
-        let ds = Dataset::from_rows(2, rows);
-        let built = SkybandMaintainer::build(&ds, 4);
-        let mut grown = SkybandMaintainer::new(4);
-        let mut prefix = Dataset::new(2);
-        for i in 0..ds.len() {
-            prefix.push(ds.row(i as RecordId));
-            grown.append(prefix.row(i as RecordId));
-        }
-        assert_eq!(built.len(), grown.len());
-        for level in 0..built.levels().len() {
-            assert_eq!(built.durations(level), grown.durations(level));
-        }
-    }
-
-    /// A context bootstrap followed by appends holds exactly what a replay
-    /// of the context followed by the same appends holds — the same owned
-    /// durations and the same live active list — and so does a maintainer
-    /// inherited at a seal, against a replay over the suffix it inherits.
-    #[test]
-    fn context_bootstrap_and_inheritance_equal_a_replay() {
-        use rand::prelude::*;
-        let mut rng = StdRng::seed_from_u64(31);
-        for (d, vals) in [(1usize, 40u32), (2, 12), (3, 7), (5, 4)] {
-            for k_max in [1usize, 3, 8] {
-                for ctx in [0usize, 1, 17, 300] {
-                    let rows: Vec<Vec<f64>> = (0..ctx + 200)
-                        .map(|_| (0..d).map(|_| f64::from(rng.random_range(0..vals))).collect())
-                        .collect();
-                    let full = Dataset::from_rows(d, rows);
-                    let at = format!("d={d} k_max={k_max} ctx={ctx}");
-                    let mut ds = Dataset::from_rows(d, (0..ctx).map(|i| full.row(i as RecordId)));
-                    let mut booted = SkybandMaintainer::with_context(&ds, k_max);
-                    let mut replay = SkybandMaintainer::build(&ds, k_max);
-                    assert_eq!((booted.base(), booted.len()), (ctx as RecordId, ctx), "{at}");
-                    assert_eq!(live(&booted), live(&replay), "{at}");
-                    assert_eq!(booted.active_len(), replay.active_len(), "{at}");
-                    for i in ctx..full.len() {
-                        ds.push(full.row(i as RecordId));
-                        booted.append(full.row(i as RecordId));
-                        replay.append(full.row(i as RecordId));
-                    }
-                    assert_eq!(live(&booted), live(&replay), "{at}");
-                    for level in 0..replay.levels().len() {
-                        assert_eq!(
-                            booted.durations(level),
-                            &replay.durations(level)[ctx..],
-                            "{at}"
-                        );
-                    }
-
-                    // Seal: the trailing records become the next context.
-                    let from = (ds.len() - ctx.min(ds.len())) as RecordId;
-                    let mut heir = booted.inherit(from);
-                    let suffix =
-                        Dataset::from_rows(d, (from..ds.len() as RecordId).map(|i| ds.row(i)));
-                    let mut replay = SkybandMaintainer::build(&suffix, k_max);
-                    assert_eq!(heir.base() as usize, suffix.len(), "{at}");
-                    assert_eq!(live(&heir), live(&replay), "{at}");
-                    let mut ds = suffix;
-                    for _ in 0..60 {
-                        let row: Vec<f64> =
-                            (0..d).map(|_| f64::from(rng.random_range(0..vals))).collect();
-                        ds.push(&row);
-                        heir.append(&row);
-                        replay.append(&row);
-                    }
-                    let base = heir.base() as usize;
-                    assert_eq!(live(&heir), live(&replay), "{at}");
-                    for level in 0..replay.levels().len() {
-                        assert_eq!(heir.durations(level), &replay.durations(level)[base..], "{at}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn eviction_bounds_the_active_list_on_dominated_chains() {
-        // Strictly increasing chain: every newcomer dominates all previous
-        // records, so each record accrues later-dominators fast and the
-        // active list must stay near k_max instead of growing linearly.
-        let mut ds = Dataset::new(2);
-        let mut m = SkybandMaintainer::new(2);
-        for i in 0..500usize {
-            ds.push(&[i as f64, i as f64]);
-            m.append(&[i as f64, i as f64]);
-        }
-        assert!(
-            m.active_len() <= 8,
-            "dominated records must be evicted, active={}",
-            m.active_len()
-        );
-        // Nobody has a past dominator, so all durations stay unbounded.
-        assert!(m.durations(0).iter().all(|&d| d == DURATION_UNBOUNDED));
-        // A bootstrap over the same chain keeps only the last k_max.
-        assert_eq!(SkybandMaintainer::with_context(&ds, 2).active_len(), 2);
     }
 
     #[test]

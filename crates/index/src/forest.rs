@@ -17,7 +17,6 @@
 use crate::segtree::{
     top_k_over, OracleScorer, OracleScratch, Part, QueryCounters, SkylineSegTree, TopKResult,
 };
-use crate::skyband_index::IncrementalSkybandIndex;
 use durable_topk_temporal::{Dataset, Time, Window};
 
 /// A forest of skyline segment trees supporting appends.
@@ -26,9 +25,6 @@ pub struct AppendableTopKIndex {
     trees: Vec<SkylineSegTree>,
     n: usize,
     leaf_size: usize,
-    /// Incrementally-maintained durable k-skyband candidates — enables
-    /// native S-Band over a still-growing head shard.
-    skyband: Option<IncrementalSkybandIndex>,
     counters: QueryCounters,
 }
 
@@ -39,38 +35,7 @@ impl AppendableTopKIndex {
     /// Panics if `leaf_size == 0`.
     pub fn new(leaf_size: usize) -> Self {
         assert!(leaf_size > 0, "leaf size must be positive");
-        Self {
-            trees: Vec::new(),
-            n: 0,
-            leaf_size,
-            skyband: None,
-            counters: QueryCounters::default(),
-        }
-    }
-
-    /// Attaches an incrementally-maintained durable k-skyband index that
-    /// owns no record yet, so `Algorithm::SBand` runs natively over the
-    /// forest at every point of the append timeline: every later
-    /// [`append`](AppendableTopKIndex::append) is pushed to it. Its left
-    /// *context* — dominators of later arrivals, never candidates — is
-    /// whatever it was given: records [bootstrapped](IncrementalSkybandIndex::with_context)
-    /// or [inherited](IncrementalSkybandIndex::inherit) at a seal.
-    ///
-    /// # Panics
-    /// Panics if the skyband owns any record.
-    pub fn with_skyband(mut self, skyband: IncrementalSkybandIndex) -> Self {
-        let maintainer = skyband.maintainer();
-        assert!(
-            maintainer.len() == maintainer.base() as usize,
-            "a skyband is attached before it owns any record"
-        );
-        self.skyband = Some(skyband);
-        self
-    }
-
-    /// The incremental skyband candidate index, when one was attached.
-    pub fn skyband(&self) -> Option<&IncrementalSkybandIndex> {
-        self.skyband.as_ref()
+        Self { trees: Vec::new(), n: 0, leaf_size, counters: QueryCounters::default() }
     }
 
     /// Builds the index over an existing dataset (one tree), ready for
@@ -105,11 +70,9 @@ impl AppendableTopKIndex {
     }
 
     /// Heap bytes held by the forest's trees (see
-    /// [`SkylineSegTree::heap_bytes`]) plus the attached skyband index, if
-    /// any (see [`IncrementalSkybandIndex::heap_bytes`]).
+    /// [`SkylineSegTree::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        let trees: usize = self.trees.iter().map(SkylineSegTree::heap_bytes).sum();
-        trees + self.skyband.as_ref().map_or(0, IncrementalSkybandIndex::heap_bytes)
+        self.trees.iter().map(SkylineSegTree::heap_bytes).sum()
     }
 
     /// Indexes the most recently appended record of `ds`.
@@ -130,11 +93,6 @@ impl AppendableTopKIndex {
             let last = self.trees.pop().expect("two trees");
             let prev = self.trees.pop().expect("two trees");
             self.trees.push(SkylineSegTree::join(ds, prev, last));
-        }
-        // The skyband is independent of the cascade: durations only look
-        // backwards, so the newcomer's are pushed and nothing is rebuilt.
-        if let Some(skyband) = self.skyband.as_mut() {
-            skyband.push(ds);
         }
     }
 
@@ -322,72 +280,6 @@ mod tests {
             let w = Window::new(5, 30);
             assert_eq!(sealed.top_k(&ds, &scorer, k, w), scan_top_k(&ds, &scorer, k, w));
         }
-    }
-
-    #[test]
-    fn skyband_is_independent_of_the_merge_cascade() {
-        use crate::skyband_index::{DurableSkybandIndex, SkybandCandidates};
-        let mut rng = StdRng::seed_from_u64(53);
-        let mut ds = Dataset::new(2);
-        let mut rows = std::iter::repeat_with(|| {
-            [rng.random_range(0..14) as f64, rng.random_range(0..14) as f64]
-        });
-        // Two forests whose cascades produce different tree shapes: one
-        // counts up from the first record, the other starts from one tree
-        // over the first 37, which its skyband takes as context. Over the
-        // records both own they hold the same durations and candidates.
-        let mut classic = AppendableTopKIndex::new(4).with_skyband(IncrementalSkybandIndex::new(6));
-        for row in rows.by_ref().take(37) {
-            ds.push(&row);
-            classic.append(&ds);
-        }
-        let context = IncrementalSkybandIndex::with_context(&ds, 6);
-        let mut prebuilt = AppendableTopKIndex::build(&ds, 4).with_skyband(context);
-        for (step, row) in rows.take(143).enumerate() {
-            ds.push(&row);
-            prebuilt.append(&ds);
-            classic.append(&ds);
-            let (a, b) =
-                (prebuilt.skyband().expect("attached"), classic.skyband().expect("attached"));
-            let (a, b) = (a.maintainer(), b.maintainer());
-            for level in 0..a.levels().len() {
-                assert_eq!(a.durations(level), &b.durations(level)[37..], "step={step}");
-            }
-            // Asked about every record, the prebuilt skyband still reports
-            // only those from 37 on.
-            let n = ds.len() as Time;
-            let (w, owned) = (Window::new(0, n - 1), Window::new(37, n - 1));
-            let (a, b) =
-                (prebuilt.skyband().expect("attached"), classic.skyband().expect("attached"));
-            for (k, tau) in [(1usize, 2u32), (3, 9), (6, 40)] {
-                assert_eq!(a.candidates(w, tau, k), b.candidates(owned, tau, k), "step={step}");
-                if step % 19 == 3 {
-                    let stat = DurableSkybandIndex::build_owned(&ds, 6, 37);
-                    assert_eq!(a.candidates(w, tau, k), stat.candidates(w, tau, k), "step={step}");
-                }
-            }
-        }
-        assert!(prebuilt.tree_count() > classic.tree_count(), "the cascades did differ");
-        // The sealed skyband equals a from-scratch static build, from the
-        // first owned record and from a later one.
-        for first in [37, 60] {
-            let sealed = prebuilt.skyband().expect("attached").to_static(first);
-            let stat = DurableSkybandIndex::build_owned(&ds, 6, first);
-            let w = Window::new(20, 170);
-            assert_eq!(sealed.candidates(w, 12, 4), stat.candidates(w, 12, 4));
-            assert_eq!(sealed.heap_bytes(), stat.heap_bytes());
-        }
-    }
-
-    #[test]
-    fn skyband_attaches_over_existing_history() {
-        let ds = Dataset::from_rows(2, (0..40).map(|i| [((i * 7) % 13) as f64, (i % 5) as f64]));
-        let mut full = ds.clone();
-        let context = IncrementalSkybandIndex::with_context(&ds, 3);
-        let mut idx = AppendableTopKIndex::build(&ds, 4).with_skyband(context);
-        full.push(&[11.0, 4.0]);
-        idx.append(&full);
-        assert_eq!(idx.skyband().expect("attached").maintainer().len(), 41);
     }
 
     #[test]

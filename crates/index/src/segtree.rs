@@ -27,8 +27,11 @@ use durable_topk_temporal::{
     SingleAttributeScorer, Time, Window,
 };
 use std::cmp::Reverse;
+use std::collections::hash_map::RandomState;
 use std::collections::BinaryHeap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Default leaf granularity; the paper's `LENGTH_THRESHOLD = 128`.
 pub const DEFAULT_LEAF_SIZE: usize = 128;
@@ -123,33 +126,33 @@ pub trait OracleScorer: Scorer {
     /// an unfingerprintable scorer simply bypasses caches, which costs
     /// performance, never correctness.
     ///
-    /// **Collisions are accepted, not excluded.** The print is 64 bits of
-    /// an unkeyed hash ([`structural_fingerprint`]) and both memoization
+    /// **Collisions cannot be chosen.** The print is 64 bits of a hash
+    /// keyed per process ([`structural_fingerprint`]), and both memoization
     /// layers trust it as the scorer's identity without comparing the
-    /// parameters behind it. Two unrelated scorers alias with probability
-    /// about 2⁻⁶⁴; a client that *chooses* its last weight can construct an
-    /// alias of a known vector, after which the result cache may replay
-    /// the other scorer's answer and the node-bound memo may prune with
-    /// the other scorer's (possibly inadmissible) bounds — records dropped
-    /// silently. That is inside the serving layer's trust model (the wire
-    /// protocol authenticates nobody); closing it needs a keyed hash or a
-    /// parameter compare on every lookup, which ROADMAP lists as open.
+    /// parameters behind it. Two scorers alias with probability about
+    /// 2⁻⁶⁴, whoever picks their parameters: a client that does not know
+    /// the key cannot solve for a weight that aliases another client's
+    /// scorer, so it can neither read that scorer's cached answers nor make
+    /// a node-bound memo prune with that scorer's bounds. The key is drawn
+    /// once per process, so a print is meaningful inside one process only.
     fn fingerprint(&self) -> Option<u64> {
         None
     }
 }
 
-/// Order-sensitive FNV-1a over a scorer-family tag and parameter words —
-/// the canonicalization behind [`OracleScorer::fingerprint`]. Word-at-a-time
-/// mixing is deliberate: the fingerprint needs collision resistance between
-/// *structurally different* scorers, not cryptographic strength.
+/// Keyed, order-sensitive hash of a scorer-family tag and parameter words —
+/// the canonicalization behind [`OracleScorer::fingerprint`]. SipHash under
+/// a key drawn at random once per process ([`RandomState`]): the same words
+/// give the same print for the life of the process, and nobody outside it
+/// can pick words that collide with a given print.
 pub fn structural_fingerprint(tag: u64, words: impl IntoIterator<Item = u64>) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = (0xcbf2_9ce4_8422_2325u64 ^ tag).wrapping_mul(PRIME);
+    static KEY: OnceLock<RandomState> = OnceLock::new();
+    let mut h = KEY.get_or_init(RandomState::new).build_hasher();
+    h.write_u64(tag);
     for w in words {
-        h = (h ^ w).wrapping_mul(PRIME);
+        h.write_u64(w);
     }
-    h
+    h.finish()
 }
 
 /// Family tags feeding [`structural_fingerprint`]; distinct per scorer type
@@ -290,11 +293,6 @@ impl TopKResult {
     /// The most recent arrival time among the returned records, if any.
     pub fn max_time(&self) -> Option<Time> {
         self.items.iter().map(|&(id, _)| id).max()
-    }
-
-    /// Number of returned records with score strictly above `score`.
-    pub fn strictly_better(&self, score: f64) -> usize {
-        self.items.iter().take_while(|&&(_, s)| s > score).count()
     }
 
     /// Builds a result from unsorted candidates: sorts best-first, derives
@@ -1191,7 +1189,6 @@ mod tests {
         assert_eq!(ids, vec![0, 2, 3]);
         assert!(r.admits_score(5.0));
         assert!(!r.admits_score(4.9));
-        assert_eq!(r.strictly_better(4.0), 3);
         assert_eq!(r.max_time(), Some(3));
     }
 

@@ -10,21 +10,27 @@
 //! per-block maxima, and one loop reports from it, skipping the blocks
 //! whose maximum is below `τ`. Durations are append-stable (they only look
 //! backwards), so an append pushes one value per level and raises the last
-//! block's maximum; nothing is ever rebuilt, at append or at seal.
+//! block's maximum; nothing is ever rebuilt, at append or at seal. A static
+//! build and a head's append compute durations with the same block-pruned
+//! backward scan ([`scan_durations`]): the head scans its own rows, then
+//! the rows of its left context — the up-to-`max_tau` records before it,
+//! which it keeps — and a seal hands the next head the trailing ones.
 //!
 //! Because `k` is a query parameter, the index keeps a logarithmic family of
 //! levels `k = 1, 2, 4, …, 2^⌈log κ⌉`; a query with parameter `k` uses the
 //! smallest level `k̄ >= k`, whose candidate set is a superset of the answer
 //! (`S ⊆ C`), at the cost of at most doubling the effective `k`.
 
-use durable_topk_geom::{level_ks, skyband_durations_multi, SkybandMaintainer};
+use durable_topk_geom::{
+    level_ks, scan_durations, skyband_durations_multi, BlockCorners, DURATION_UNBOUNDED,
+};
 use durable_topk_temporal::{Dataset, RecordId, Time, Window};
 
 /// A source of S-Band candidate supersets: anything that can answer the
 /// query "records arriving in `I` whose k̄-skyband duration is at least
 /// `τ`". Implemented by the static [`DurableSkybandIndex`] (sealed shards)
-/// and the [`IncrementalSkybandIndex`] of the appendable forest (the
-/// mutable head shard), so the S-Band algorithm runs unchanged over both.
+/// and the [`IncrementalSkybandIndex`] of the mutable head shard, so the
+/// S-Band algorithm runs unchanged over both.
 pub trait SkybandCandidates {
     /// The levels (`k̄` values) kept, strictly ascending powers of two.
     fn levels(&self) -> &[usize];
@@ -192,77 +198,126 @@ impl SkybandCandidates for DurableSkybandIndex {
     }
 }
 
-/// An appendable durable k-skyband index for the mutable head shard: a
-/// [`SkybandMaintainer`] computes every arriving record's duration once,
-/// incrementally, and keeps the per-level duration arrays of the records
-/// it owns; this type adds their block maxima. The head's left context is
-/// the maintainer's: dominators only, never candidates. Candidate
-/// retrieval is the static index's loop over the maintainer's arrays, so
+/// An appendable durable k-skyband index for the mutable head shard. Each
+/// arriving record's durations are computed once, on
+/// [`push`](IncrementalSkybandIndex::push), by the same backward scan a
+/// static build runs ([`scan_durations`]): over the records the index owns,
+/// then over its left *context* — the rows of the records before the head,
+/// dominators only, never candidates. Durations only look backwards, so a
+/// push appends one value per level and raises its last block maximum;
+/// candidate retrieval is the static index's loop over the same arrays, so
 /// [`SkybandCandidates`] serves S-Band over either without the algorithm
 /// noticing.
+///
+/// The index keeps the context's rows and the block corners of both runs;
+/// the owned rows themselves stay in the caller's dataset, which every
+/// push reads.
 #[derive(Debug, Clone)]
 pub struct IncrementalSkybandIndex {
-    maintainer: SkybandMaintainer,
-    /// Per level: block maxima of the maintainer's durations.
-    maxima: Vec<Vec<u32>>,
+    /// Durations of the owned records, from `base` = the context's length.
+    owned: DurableSkybandIndex,
+    /// Block corners of the owned rows.
+    corners: BlockCorners,
+    /// The context's rows, oldest first, and their block corners.
+    context: (Vec<f64>, BlockCorners),
 }
 
 impl IncrementalSkybandIndex {
     /// An empty incremental index serving `k <= k_max` (rounded up to a
-    /// power of two).
+    /// power of two), with no context.
     ///
     /// # Panics
     /// Panics if `k_max == 0`.
     pub fn new(k_max: usize) -> Self {
-        Self::over(SkybandMaintainer::new(k_max))
+        Self::over(Vec::new(), BlockCorners::default(), k_max)
     }
 
-    /// An index whose left context is every record of `ds`, owning none
-    /// (see [`SkybandMaintainer::with_context`]).
+    /// An index whose left context is every record of `ds`, owning none:
+    /// a copy of the rows and their block corners — nothing is scanned.
     ///
     /// # Panics
     /// Panics if `k_max == 0`.
     pub fn with_context(ds: &Dataset, k_max: usize) -> Self {
-        Self::over(SkybandMaintainer::with_context(ds, k_max))
+        let rows = ds.raw_attrs().to_vec();
+        let corners = BlockCorners::over(&rows, ds.dim());
+        Self::over(rows, corners, k_max)
     }
 
-    /// The index a seal hands the next head, whose left context is this
-    /// one's records `from..` (see [`SkybandMaintainer::inherit`]).
+    /// The index a seal hands the next head: its left context is this
+    /// one's records `from..` (context records, then owned ones, numbered
+    /// as in [`len`](IncrementalSkybandIndex::len)). `ds` is the dataset
+    /// this index was pushed from, holding the owned rows last.
     ///
     /// # Panics
-    /// Panics if `from` lies beyond the covered records.
-    pub fn inherit(&self, from: RecordId) -> Self {
-        Self::over(self.maintainer.inherit(from))
+    /// Panics if `from` lies beyond the covered records or `ds` holds
+    /// fewer rows than the index owns.
+    pub fn inherit(&self, ds: &Dataset, from: RecordId) -> Self {
+        let (from, base, dim) = (from as usize, self.base() as usize, ds.dim());
+        assert!(from <= self.len(), "context starts beyond the covered records");
+        let mut rows = self.context.0[from.min(base) * dim..].to_vec();
+        rows.extend_from_slice(&self.owned_rows(ds)[from.saturating_sub(base) * dim..]);
+        let corners = BlockCorners::over(&rows, dim);
+        Self::over(rows, corners, self.max_k())
     }
 
-    /// Wraps a maintainer that owns no record yet.
-    fn over(maintainer: SkybandMaintainer) -> Self {
-        let maxima = vec![Vec::new(); maintainer.levels().len()];
-        Self { maintainer, maxima }
+    /// An index over the given context, owning no record yet.
+    fn over(rows: Vec<f64>, corners: BlockCorners, k_max: usize) -> Self {
+        let ks = level_ks(k_max);
+        let durations = vec![Vec::new(); ks.len()];
+        let owned = DurableSkybandIndex::from_durations(ks, durations, corners.len() as RecordId);
+        Self { owned, corners: BlockCorners::default(), context: (rows, corners) }
     }
 
-    /// The duration maintainer (records covered, arrival verdicts).
-    pub fn maintainer(&self) -> &SkybandMaintainer {
-        &self.maintainer
+    /// The owned rows: the last rows of `ds`, one per owned record.
+    fn owned_rows<'d>(&self, ds: &'d Dataset) -> &'d [f64] {
+        let owned = self.corners.len();
+        assert!(ds.len() >= owned, "the dataset holds every owned row");
+        &ds.raw_attrs()[(ds.len() - owned) * ds.dim()..]
     }
 
-    /// Ingests the most recently appended record of `ds`: one duration per
-    /// level, folded into the last block's maximum. Only that row is read;
-    /// `ds` need not hold the context.
+    /// Records covered, context included: the owned record `i` is record
+    /// `base() + i`.
+    pub fn len(&self) -> usize {
+        self.context.1.len() + self.corners.len()
+    }
+
+    /// Whether no record is covered, context included.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Durations of level `self.levels()[level]` of the owned records:
+    /// entry `i` belongs to record `base() + i`.
+    pub fn durations(&self, level: usize) -> &[u32] {
+        self.owned.durations(level)
+    }
+
+    /// Ingests the last row of `ds` as the next owned record: one backward
+    /// scan over the owned rows — the rows of `ds` before it, as many as
+    /// the index owns — and then the context, newest first, gives its
+    /// duration at every level, each folded into its level's last block
+    /// maximum.
     ///
     /// # Panics
-    /// Panics if `ds` is empty.
+    /// Panics if `ds` holds fewer rows than the index owns plus one.
     pub fn push(&mut self, ds: &Dataset) {
-        // Position of the newcomer among the owned records.
-        let owned = self.maintainer.len() - self.maintainer.base() as usize;
-        self.maintainer.append(ds.row(ds.len() as RecordId - 1));
-        for (level, maxima) in self.maxima.iter_mut().enumerate() {
-            let dur = self.maintainer.durations(level)[owned];
+        let i = self.corners.len();
+        assert!(ds.len() > i, "the dataset holds every owned row and the newcomer");
+        let attrs = &ds.raw_attrs()[(ds.len() - i - 1) * ds.dim()..];
+        let row = &attrs[i * ds.dim()..];
+        let levels = &mut self.owned.levels;
+        for (durs, _) in levels.iter_mut() {
+            durs.push(DURATION_UNBOUNDED);
+        }
+        let runs = [(attrs, &self.corners), (&self.context.0[..], &self.context.1)];
+        scan_durations(row, &self.owned.ks, &runs, |level, dur| levels[level].0[i] = dur);
+        for (durs, maxima) in levels.iter_mut() {
             match maxima.last_mut() {
-                Some(last) if owned % BLOCK != 0 => *last = dur.max(*last),
-                _ => maxima.push(dur),
+                Some(last) if i % BLOCK != 0 => *last = durs[i].max(*last),
+                _ => maxima.push(durs[i]),
             }
         }
+        self.corners.push(row);
     }
 
     /// Does nothing; kept only because the frozen benchmark harness calls it.
@@ -275,30 +330,34 @@ impl IncrementalSkybandIndex {
     /// # Panics
     /// Panics if `first` is context or not a covered record.
     pub fn to_static(&self, first: RecordId) -> DurableSkybandIndex {
-        let base = self.maintainer.base();
+        let base = self.base();
         assert!(first >= base, "context records have no duration to seal");
-        assert!((first as usize) < self.maintainer.len(), "cannot seal an empty skyband index");
-        let durations = (0..self.maxima.len())
-            .map(|level| self.maintainer.durations(level)[(first - base) as usize..].to_vec())
+        assert!((first as usize) < self.len(), "cannot seal an empty skyband index");
+        let durations = (0..self.owned.levels.len())
+            .map(|level| self.durations(level)[(first - base) as usize..].to_vec())
             .collect();
-        DurableSkybandIndex::from_durations(self.maintainer.levels().to_vec(), durations, first)
+        DurableSkybandIndex::from_durations(self.owned.ks.clone(), durations, first)
     }
 
-    /// Heap bytes held: the maintainer (durations, active list) plus the
-    /// block maxima, by capacity.
+    /// Heap bytes held: the owned records' durations with their block
+    /// maxima, the context's rows, and both runs' block corners, by
+    /// capacity.
     pub fn heap_bytes(&self) -> usize {
-        let maxima: usize = self.maxima.iter().map(Vec::capacity).sum();
-        self.maintainer.heap_bytes() + maxima * std::mem::size_of::<u32>()
+        let (rows, corners) = &self.context;
+        self.owned.heap_bytes()
+            + rows.capacity() * std::mem::size_of::<f64>()
+            + corners.heap_bytes()
+            + self.corners.heap_bytes()
     }
 }
 
 impl SkybandCandidates for IncrementalSkybandIndex {
     fn levels(&self) -> &[usize] {
-        self.maintainer.levels()
+        self.owned.levels()
     }
 
     fn base(&self) -> RecordId {
-        self.maintainer.base()
+        self.owned.base()
     }
 
     fn for_each_candidate(
@@ -308,10 +367,7 @@ impl SkybandCandidates for IncrementalSkybandIndex {
         k: usize,
         visit: &mut dyn FnMut(RecordId),
     ) -> usize {
-        let level = level_index(self.levels(), k);
-        let (durs, base) = (self.maintainer.durations(level), self.maintainer.base());
-        report(durs, &self.maxima[level], base, interval, tau, visit);
-        self.levels()[level]
+        self.owned.for_each_candidate(interval, tau, k, visit)
     }
 }
 
@@ -507,7 +563,7 @@ mod tests {
             inc.push(&ds);
         }
         // A seal at 200 keeps the last 50 records as the next context.
-        let mut heir = inc.inherit(150);
+        let mut heir = inc.inherit(&ds, 150);
         let mut next = rows(150, 200);
         for id in 200..290 {
             next.push(full.row(id));
@@ -526,6 +582,94 @@ mod tests {
             let sealed = idx.to_static(base);
             assert_eq!(sealed.heap_bytes(), stat.heap_bytes());
             assert_eq!(sealed.candidates(all, 5, 2), stat.candidates(all, 5, 2));
+        }
+    }
+
+    /// Two indexes over one stream: one owns every record, the other was
+    /// bootstrapped over the first 37 and is pushed from a dataset holding
+    /// its owned rows only, as a head shard's is. Over the records both
+    /// own they hold the same durations and report the same candidates,
+    /// which are a from-scratch static build's.
+    #[test]
+    fn context_bootstrap_matches_a_context_free_index() {
+        let mut rng = StdRng::seed_from_u64(53);
+        let mut rows = std::iter::repeat_with(|| {
+            [rng.random_range(0..14) as f64, rng.random_range(0..14) as f64]
+        });
+        let (mut ds, mut head) = (Dataset::new(2), Dataset::new(2));
+        let mut classic = IncrementalSkybandIndex::new(6);
+        for row in rows.by_ref().take(37) {
+            ds.push(&row);
+            classic.push(&ds);
+        }
+        let mut booted = IncrementalSkybandIndex::with_context(&ds, 6);
+        assert_eq!((booted.base(), booted.len()), (37, 37));
+        for (step, row) in rows.take(143).enumerate() {
+            ds.push(&row);
+            head.push(&row);
+            classic.push(&ds);
+            booted.push(&head);
+            for level in 0..booted.levels().len() {
+                let (a, b) = (booted.durations(level), classic.durations(level));
+                assert_eq!(a, &b[37..], "step={step}");
+            }
+            // Asked about every record, the booted index still reports
+            // only those from 37 on.
+            let n = ds.len() as Time;
+            let (w, owned) = (Window::new(0, n - 1), Window::new(37, n - 1));
+            for (k, tau) in [(1usize, 2u32), (3, 9), (6, 40)] {
+                let got = booted.candidates(w, tau, k);
+                assert_eq!(got, classic.candidates(owned, tau, k), "step={step}");
+                if step % 19 == 3 {
+                    let stat = DurableSkybandIndex::build_owned(&ds, 6, 37);
+                    assert_eq!(got, stat.candidates(w, tau, k), "step={step}");
+                }
+            }
+        }
+        assert_eq!(booted.len(), 180);
+    }
+
+    /// Sealed from the first owned record or a later one, a bootstrapped
+    /// index and the ones handed on at seals — cut inside the owned records
+    /// and inside the context — equal a from-scratch static build over the
+    /// same rows.
+    #[test]
+    fn to_static_equals_build_owned() {
+        let full = Dataset::from_rows(2, (0..260).map(|i| [((i * 7) % 13) as f64, (i % 5) as f64]));
+        let rows = |lo: usize, hi: usize| {
+            Dataset::from_rows(2, (lo..hi).map(|i| full.row(i as RecordId)).collect::<Vec<_>>())
+        };
+        // A head grown over `lo..hi` from `idx`, pushed from its own rows.
+        let grow = |mut idx: IncrementalSkybandIndex, lo: usize, hi: usize| {
+            let mut head = Dataset::new(2);
+            for id in lo..hi {
+                head.push(full.row(id as RecordId));
+                idx.push(&head);
+            }
+            (idx, head)
+        };
+        let (booted, head) = grow(IncrementalSkybandIndex::with_context(&rows(0, 40), 3), 40, 120);
+        // A seal keeping the last 30 records: the cut lies in the owned ones.
+        let heir = booted.inherit(&head, 90);
+        assert_eq!((heir.base(), heir.len()), (30, 30));
+        let (heir, head) = grow(heir, 120, 200);
+        // A seal keeping 100: the cut lies in the context.
+        let next = heir.inherit(&head, 10);
+        assert_eq!((next.base(), next.len()), (100, 100));
+        let (next, _) = grow(next, 200, 260);
+        let cases =
+            [(&booted, rows(0, 120), 40), (&heir, rows(90, 200), 30), (&next, rows(100, 260), 100)];
+        for (idx, ds, base) in cases {
+            for first in [base, base + 23] {
+                let sealed = idx.to_static(first);
+                let stat = DurableSkybandIndex::build_owned(&ds, 3, first);
+                assert_eq!(sealed.heap_bytes(), stat.heap_bytes());
+                for level in 0..stat.levels().len() {
+                    assert_eq!(sealed.durations(level), stat.durations(level), "first={first}");
+                }
+                let w = Window::new(20, 170);
+                assert_eq!(sealed.candidates(w, 12, 3), stat.candidates(w, 12, 3));
+            }
         }
     }
 

@@ -157,12 +157,6 @@ impl Dataset {
         (0..self.len() as RecordId).map(move |id| self.record(id))
     }
 
-    /// Iterates over the records inside `w` (clamped to the dataset).
-    pub fn iter_window(&self, w: Window) -> impl Iterator<Item = RecordRef<'_>> + '_ {
-        let w = w.clamp_to(self.len());
-        w.iter().map(move |id| self.record(id))
-    }
-
     /// The full time domain as a window, `[0, n-1]`.
     ///
     /// # Panics
@@ -355,13 +349,6 @@ mod tests {
         ds.push_with_wall_clock(&[2.0], 1000);
         assert_eq!(ds.wall_clock(0), Some(0));
         assert_eq!(ds.wall_clock(1), Some(1000));
-    }
-
-    #[test]
-    fn iter_window_clamps() {
-        let ds = sample();
-        let got: Vec<_> = ds.iter_window(Window::new(2, 9)).map(|r| r.t).collect();
-        assert_eq!(got, vec![2, 3]);
     }
 
     #[test]

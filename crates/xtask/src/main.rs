@@ -1,6 +1,7 @@
-//! Workspace automation. Two subcommands: `bench-pair` runs the repo's
+//! Workspace automation. Three subcommands: `bench-pair` runs the repo's
 //! benchmark over two revisions in alternating pairs (see `bench_pair.rs`),
-//! and `lint` is a repo-specific static-analysis pass over `crates/*/src` — plain line rules, no parser,
+//! `bench-gate` checks a quick benchmark run's exact counts against
+//! `BENCH_gate.json` (see `bench_gate.rs`), and `lint` is a repo-specific static-analysis pass over `crates/*/src` — plain line rules, no parser,
 //! no dependencies — enforcing the concurrency conventions that
 //! `durable_topk_check` enforces dynamically:
 //!
@@ -26,6 +27,7 @@
 //! from the first `#[cfg(test)]` line to the end of the file, per the
 //! repo's tests-at-the-bottom convention — is exempt from all line rules.
 
+mod bench_gate;
 mod bench_pair;
 mod json;
 
@@ -59,8 +61,12 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
         Some("bench-pair") => bench_pair::main(&args[1..]),
+        Some("bench-gate") => bench_gate::main(&args[1..]),
         other => {
-            eprintln!("usage: cargo run -p xtask -- lint | bench-pair <rev-a> <rev-b> [options]");
+            eprintln!(
+                "usage: cargo run -p xtask -- lint | bench-pair <rev-a> <rev-b> [options] \
+                 | bench-gate [--record]"
+            );
             if let Some(cmd) = other {
                 eprintln!("unknown subcommand: {cmd}");
             }

@@ -28,7 +28,7 @@ fn sealed_skyband_bytes_follow_owned_records_not_context() {
     // Rows and trees are the owned records', whatever `max_tau` is.
     assert_eq!((narrow.records, narrow.trees), (wide.records, wide.trees));
     // The head is where `max_tau` legitimately shows: it owns nothing yet
-    // but keeps the skyband's active entries, rows included, for the
-    // `max_tau` records before it.
+    // but keeps the rows of the `max_tau` records before it, which its
+    // appends scan for dominators.
     assert!(wide.skyband_head > narrow.skyband_head);
 }

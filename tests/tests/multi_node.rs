@@ -29,7 +29,7 @@ use std::sync::Arc;
 /// enough that both the static slices and the live tail cross several
 /// seal boundaries.
 const SPAN: usize = 8;
-/// Skyband maintainer bound; queries keep `k ≤ K_MAX` so S-Band stays
+/// Skyband bound; queries keep `k ≤ K_MAX` so S-Band stays
 /// native on every head.
 const K_MAX: usize = 4;
 

@@ -231,3 +231,58 @@ fn serve_stats_surface_cache_counters() {
     assert!(per_request_hits > 0, "response stats must report hits");
     assert!(per_request_misses > 0, "response stats must report misses");
 }
+
+/// Order-sensitive FNV-1a over 64-bit words: family tag 1 (linear), then
+/// each weight's bits — an unkeyed scorer print, which anyone can solve.
+fn fnv_linear(weights: &[f64]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = (0xcbf2_9ce4_8422_2325u64 ^ 1).wrapping_mul(PRIME);
+    for w in weights {
+        h = (h ^ w.to_bits()).wrapping_mul(PRIME);
+    }
+    h
+}
+
+/// A client cannot choose its weights to alias another client's scorer.
+/// Under an unkeyed FNV-1a print it could: multiplying by the odd prime is
+/// invertible mod 2⁶⁴, so the second weight's bits solve from the first.
+/// Both scorers, served one after the other through a result-cached
+/// engine, get exactly their uncached answers — which differ.
+#[test]
+fn a_solved_weight_vector_does_not_alias_another_scorer() {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    // The prime's inverse mod 2⁶⁴ by Newton's iteration: each step
+    // doubles the correct low bits, from 3 (an odd number is its own
+    // inverse mod 8).
+    let inverse =
+        (0..5).fold(PRIME, |x, _| x.wrapping_mul(2u64.wrapping_sub(PRIME.wrapping_mul(x))));
+    assert_eq!(PRIME.wrapping_mul(inverse), 1);
+    let victim = [0.6, 0.4];
+    let target = fnv_linear(&victim);
+    // The state after the tag, before the first weight.
+    let h0 = fnv_linear(&[]);
+    let forged = (1..10_000)
+        .map(|i| f64::from(i) / 1_000.0)
+        .find_map(|w0: f64| {
+            let h1 = (h0 ^ w0.to_bits()).wrapping_mul(PRIME);
+            let w1 = f64::from_bits(target.wrapping_mul(inverse) ^ h1);
+            (w1.is_finite() && w1 >= 0.0).then_some([w0, w1])
+        })
+        .expect("a first weight whose solved second weight is a valid weight");
+    assert_eq!(fnv_linear(&forged), target, "the forged vector aliases under FNV-1a");
+
+    let ds = fixed_dataset(400);
+    let plain = EngineConfig::new(2, 1, 50).build_from(&ds, 4).expect("build");
+    let cached =
+        EngineConfig::new(2, 1, 50).result_cache(1 << 20).build_from(&ds, 4).expect("build");
+    let q = DurableQuery { k: 3, tau: 20, interval: Window::new(0, 399) };
+    let mut answers = Vec::new();
+    for weights in [victim, forged, victim, forged] {
+        let scorer = LinearScorer::new(weights.to_vec());
+        let want = plain.query(Algorithm::THop, &scorer, &q).records;
+        let got = cached.query(Algorithm::THop, &scorer, &q).records;
+        assert_eq!(got, want, "weights {weights:?}");
+        answers.push(want);
+    }
+    assert_ne!(answers[0], answers[1], "the two scorers answer differently");
+}
