@@ -74,9 +74,10 @@ pub fn s_band<O: TopKOracle + ?Sized, C: SkybandCandidates + ?Sized, S: OracleSc
         scored.push((id, scorer.score(ds.row(id))));
     });
     stats.candidates = scored.len() as u64;
+    // Documented scorer contract: scores are total-ordered (no NaN); see
+    // OracleScorer.
+    #[allow(clippy::expect_used)]
     scored.sort_unstable_by(|a, b| {
-        // lint: allow(expect) — documented scorer contract: scores are
-        // total-ordered (no NaN); see OracleScorer.
         b.1.partial_cmp(&a.1).expect("scores must not be NaN").then(a.0.cmp(&b.0))
     });
 

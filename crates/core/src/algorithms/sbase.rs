@@ -35,9 +35,10 @@ pub fn s_base<D: Rows + ?Sized, S: Scorer + ?Sized>(
     let order = &mut ctx.scored;
     order.clear();
     order.extend((lo..=hi).map(|id| (id, scorer.score(ds.row(id)))));
+    // Documented scorer contract: scores are total-ordered (no NaN); see
+    // OracleScorer.
+    #[allow(clippy::expect_used)]
     order.sort_unstable_by(|a, b| {
-        // lint: allow(expect) — documented scorer contract: scores are
-        // total-ordered (no NaN); see OracleScorer.
         b.1.partial_cmp(&a.1).expect("scores must not be NaN").then(a.0.cmp(&b.0))
     });
     stats.candidates = order.len() as u64;

@@ -50,7 +50,8 @@ pub fn t_hop<O: TopKOracle + ?Sized, S: OracleScorer + ?Sized>(
             // Hop: the most recent arrival in π≤k. It is strictly earlier
             // than t (t itself is not in π≤k), and every record in between
             // has at least k strictly-better records inside its own window.
-            // lint: allow(expect) — a rejecting top-k set cannot be empty.
+            // A rejecting top-k set cannot be empty.
+            #[allow(clippy::expect_used)]
             let hop = ctx.pi.max_time().expect("non-durable implies non-empty top-k");
             debug_assert!(hop < t);
             if hop < interval.start() {

@@ -77,8 +77,9 @@ where
         Algorithm::SBase => s_base(ds, scorer, query, ctx),
         Algorithm::SBand => match sband_fallback_reason(skyband, scorer, query.k) {
             None => {
-                // lint: allow(expect) — sband_fallback_reason returned None,
-                // which requires the index to be present.
+                // sband_fallback_reason returned None, which requires the
+                // index to be present.
+                #[allow(clippy::expect_used)]
                 let idx = skyband.expect("reason checked Some");
                 s_band(ds, oracle, idx, scorer, query, ctx)
             }

@@ -24,6 +24,9 @@
 //! queries out over time shards, and it keeps ingesting either way.
 //! [`ServeEngine`] puts a request queue in front of it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 pub mod algorithms;
 pub mod alternatives;
 pub mod config;

@@ -219,14 +219,15 @@ impl WorkerPool {
         };
         let (tx, rx) = channel::<Token>();
         let rx = Arc::new(TrackedMutex::new(LockClass::PoolQueue, rx));
+        // The pool owns every compute thread in the workspace; an OS
+        // refusing to spawn at pool construction is unrecoverable by design.
+        #[allow(clippy::disallowed_methods, clippy::expect_used)]
         let handles = (0..workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 std::thread::Builder::new()
                     .name(format!("durable-topk-worker-{i}"))
                     .spawn(move || worker_loop(&rx))
-                    // lint: allow(expect) — OS refusing to spawn at pool
-                    // construction is unrecoverable by design.
                     .expect("spawn pool worker")
             })
             .collect();
@@ -270,6 +271,7 @@ impl WorkerPool {
     ///
     /// # Panics
     /// Propagates the first panic raised by any job.
+    #[allow(clippy::expect_used)]
     pub fn run_jobs<T, F>(&self, jobs: usize, parallelism: usize, job: F) -> Vec<T>
     where
         T: Send,
@@ -331,8 +333,8 @@ impl WorkerPool {
         if let Some(payload) = lock(&batch.panic).take() {
             std::panic::resume_unwind(payload);
         }
-        // lint: allow(expect) — `pending == 0` and no panic payload imply
-        // every output slot was filled by exactly one participant.
+        // `pending == 0` and no panic payload imply every output slot was
+        // filled by exactly one participant.
         results.into_iter().map(|r| r.expect("every chunk drained")).collect()
     }
 
@@ -408,8 +410,11 @@ mod tests {
     /// How callers batch queries now that no executor type wraps the pool:
     /// `run_jobs` over an algorithm, each job on its participant's reused
     /// context. Results answer their inputs in order, and asking for more
-    /// participants than jobs is harmless.
+    /// participants than jobs is harmless. Not under Miri: the global
+    /// pool's workers outlive the harness's main thread, which Miri
+    /// reports as an error.
     #[test]
+    #[cfg_attr(miri, ignore)]
     fn more_threads_than_jobs_is_fine() {
         use crate::algorithms::s_hop;
         use crate::DurableQuery;
@@ -443,6 +448,7 @@ mod tests {
     #[test]
     fn empty_batches_return_empty() {
         let pool = WorkerPool::new(1);
+        #[allow(clippy::unreachable)]
         let out: Vec<u32> = pool.run_jobs(0, 4, |_, _| unreachable!("no jobs"));
         assert!(out.is_empty());
     }
@@ -537,6 +543,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)] // uses the global pool, as above
     fn nested_submission_completes() {
         // A batch job that itself submits to the same pool must finish
         // even when every worker is busy: submitters drain their own work.

@@ -48,8 +48,9 @@ impl DurableQuery {
     /// Panics if `k == 0`, `tau == 0`, or the interval lies outside the
     /// dataset. Fallible callers (the serving layer) use
     /// [`check`](DurableQuery::check) instead.
+    // Documented-panic wrapper over check().
+    #[allow(clippy::panic)]
     pub fn validate(&self, n: usize) -> Window {
-        // lint: allow(panic) — documented-panic wrapper over check().
         self.check(n).unwrap_or_else(|e| panic!("{e}"))
     }
 }

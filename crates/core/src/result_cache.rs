@@ -12,14 +12,13 @@
 //!
 //! # Key structure and invalidation
 //!
-//! Entries are keyed by `(shard generation, algorithm, scorer fingerprint,
-//! k, τ)`:
+//! Entries are keyed by `(shard start, algorithm, scorer fingerprint, k,
+//! τ)`:
 //!
-//! * **Shard generation** — a process-global, never-reused id
-//!   (`next_shard_gen`, crate-private) stamped onto each shard when it is
-//!   sealed. Seal cascades and head splices therefore invalidate *for
-//!   free*: the superseded generation can never be probed again, and its
-//!   entries age out of the LRU. Nothing is ever flushed wholesale.
+//! * **Shard start** — the first global id the sealed shard owns. Each
+//!   engine owns its cache, and a sealed shard is never replaced, so its
+//!   start names it for the engine's life: nothing is ever invalidated,
+//!   and entries only age out of the LRU.
 //! * **Scorer fingerprint** — the bit-exact structural hash of
 //!   [`OracleScorer::fingerprint`](durable_topk_index::OracleScorer::fingerprint).
 //!   Scorers without one (opaque [`ScorerSpec::Custom`](crate::ScorerSpec)
@@ -44,21 +43,11 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-global allocator for shard generation ids. Never reused: a
-/// superseded generation's cache entries can never be probed again, which
-/// is the entire invalidation story.
-static NEXT_SHARD_GEN: AtomicU64 = AtomicU64::new(0);
-
-/// Allocates a fresh shard generation id (see [`ShardResultCache`]).
-pub(crate) fn next_shard_gen() -> u64 {
-    NEXT_SHARD_GEN.fetch_add(1, Ordering::Relaxed)
-}
-
 /// The identity of one cacheable per-shard probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
-    /// The shard's generation id ([`next_shard_gen`]).
-    pub(crate) shard_gen: u64,
+    /// The first global id the sealed shard owns.
+    pub(crate) shard_start: Time,
     pub(crate) alg: Algorithm,
     /// The scorer's structural fingerprint.
     pub(crate) scorer: u64,
@@ -192,15 +181,16 @@ impl ShardResultCache {
             // Oldest-first eviction by scan: shards stay small enough
             // (bounded by the budget slice) that a scan beats maintaining
             // an intrusive list under the same lock.
+            // The loop guard saw bytes > 0.
+            #[allow(clippy::expect_used)]
             let oldest = shard
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k)
-                // lint: allow(expect) — the loop guard saw bytes > 0.
                 .expect("over-budget shard cannot be empty");
-            // lint: allow(expect) — `oldest` was read out of this map
-            // under the same shard lock.
+            // `oldest` was read out of this map under the same shard lock.
+            #[allow(clippy::expect_used)]
             let evicted = shard.map.remove(&oldest).expect("key just observed");
             shard.bytes -= evicted.bytes;
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -230,8 +220,8 @@ impl ShardResultCache {
 mod tests {
     use super::*;
 
-    fn key(shard_gen: u64, k: usize) -> CacheKey {
-        CacheKey { shard_gen, alg: Algorithm::THop, scorer: 0xfeed, k, tau: 8 }
+    fn key(shard_start: Time, k: usize) -> CacheKey {
+        CacheKey { shard_start, alg: Algorithm::THop, scorer: 0xfeed, k, tau: 8 }
     }
 
     #[test]
@@ -251,10 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn distinct_generations_never_alias() {
+    fn distinct_shards_never_alias() {
         let cache = ShardResultCache::new(1 << 20);
         cache.insert(key(1, 3), &[1], QueryStats::default());
-        assert!(cache.get(&key(2, 3)).is_none(), "a resealed shard has a new generation");
+        assert!(cache.get(&key(2, 3)).is_none(), "another shard starts elsewhere");
         assert!(cache.get(&key(1, 4)).is_none(), "k is part of the key");
     }
 
@@ -263,7 +253,7 @@ mod tests {
         // A tiny budget: each entry is ~200 bytes, so a few inserts into
         // one lock shard must evict.
         let cache = ShardResultCache::new(LOCK_SHARDS * 4 * Entry::footprint(&[0; 8]));
-        for g in 0..256u64 {
+        for g in 0..256 {
             cache.insert(key(g, 1), &[0; 8], QueryStats::default());
         }
         let s = cache.stats();
@@ -278,12 +268,5 @@ mod tests {
         cache.insert(key(1, 1), &vec![0; 10_000], QueryStats::default());
         let s = cache.stats();
         assert_eq!((s.entries, s.evictions, s.resident_bytes), (0, 0, 0));
-    }
-
-    #[test]
-    fn generation_ids_are_never_reused() {
-        let a = next_shard_gen();
-        let b = next_shard_gen();
-        assert_ne!(a, b);
     }
 }

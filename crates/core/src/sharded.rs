@@ -57,7 +57,7 @@ use crate::error::QueryError;
 use crate::plan::{merge, route, OwnedRange};
 use crate::pool::WorkerPool;
 use crate::query::{DurableQuery, QueryResult};
-use crate::result_cache::{next_shard_gen, CacheKey, ShardResultCache};
+use crate::result_cache::{CacheKey, ShardResultCache};
 use crate::storage::{ChunkId, PagedStorage};
 use crate::view::View;
 use durable_topk_index::{
@@ -78,13 +78,9 @@ struct Shard {
     skyband: Option<DurableSkybandIndex>,
     /// Handle to the shard's record chunk in storage.
     chunk: ChunkId,
-    /// The global ids the shard owns; chunk row 0 is the first.
+    /// The global ids the shard owns; chunk row 0 is the first. Its start
+    /// keys the shard's entries in the [`ShardResultCache`].
     owned: Window,
-    /// Process-global, never-reused generation id keying this shard's
-    /// entries in the [`ShardResultCache`]: any shard replacement stamps a
-    /// fresh generation, so stale memoized answers can never be probed
-    /// again.
-    generation: u64,
 }
 
 /// The mutable ingestion shard: every record appended since the last seal,
@@ -197,10 +193,6 @@ pub struct ShardedEngine {
     /// of [`try_query`](ShardedEngine::try_query) before `storage.fetch`
     /// — `None` (the default) disables memoization entirely.
     result_cache: Option<Arc<ShardResultCache>>,
-    /// Head rotations so far — bumps when a full head is sealed.
-    /// Standing-query consumers compare epochs across appends to notice a
-    /// freshly crossed shard boundary.
-    seal_epoch: u64,
 }
 
 impl ShardedEngine {
@@ -264,7 +256,6 @@ impl ShardedEngine {
                         skyband,
                         chunk: storage.store(chunk),
                         owned: Window::new(lo as Time, (hi - 1) as Time),
-                        generation: next_shard_gen(),
                     })
                     .collect();
                 // The head's skyband context is a copy of the trailing rows;
@@ -282,7 +273,6 @@ impl ShardedEngine {
             shape,
             len,
             result_cache: cfg.result_cache_bytes.map(|b| Arc::new(ShardResultCache::new(b))),
-            seal_epoch: 0,
         }
     }
 
@@ -360,7 +350,6 @@ impl ShardedEngine {
     /// starts an empty head whose skyband context is the rows of the
     /// trailing `max_tau` records.
     fn seal_head(&mut self) {
-        self.seal_epoch += 1;
         let Head { ds, skyband, .. } = &self.head;
         let heir = skyband.as_ref().map(|skyband| {
             // The skyband's last record is global record `len − 1`.
@@ -376,7 +365,6 @@ impl ShardedEngine {
             skyband,
             chunk: self.storage.store(Arc::new(ds)),
             owned: Window::new(lo, (self.len - 1) as Time),
-            generation: next_shard_gen(),
         });
     }
 
@@ -409,14 +397,6 @@ impl ShardedEngine {
     /// Attribute arity of the engine's records.
     pub fn dim(&self) -> usize {
         self.shape.dim
-    }
-
-    /// Head rotations so far: increments every time a full head is
-    /// sealed. The subscription layer compares this across appends to
-    /// notice a freshly crossed shard boundary and re-anchor standing
-    /// queries that straddle it.
-    pub fn seal_epoch(&self) -> u64 {
-        self.seal_epoch
     }
 
     /// Every shard in time order — the sealed tails, then the mutable head
@@ -524,13 +504,14 @@ impl ShardedEngine {
     /// Panics on invalid parameters. Serving callers use
     /// [`try_query`](ShardedEngine::try_query), which returns them as
     /// typed [`QueryError`]s instead.
+    // Documented-panic wrapper over try_query.
+    #[allow(clippy::panic)]
     pub fn query<S: OracleScorer + Sync + ?Sized>(
         &self,
         alg: Algorithm,
         scorer: &S,
         query: &DurableQuery,
     ) -> QueryResult {
-        // lint: allow(panic) — documented-panic wrapper over try_query.
         self.try_query(alg, scorer, query).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -571,7 +552,7 @@ impl ShardedEngine {
             let cached = match (jobs[i].owner, &self.result_cache, scorer_fp) {
                 (Some(shard), Some(cache), Some(fp)) if piece == shard.owned => {
                     let key = CacheKey {
-                        shard_gen: shard.generation,
+                        shard_start: shard.owned.start(),
                         alg,
                         scorer: fp,
                         k: local.k,

@@ -240,20 +240,23 @@ impl PagedStorage {
             if let Some(resident) = &chunk.resident {
                 return (Arc::clone(resident), 0, 0);
             }
-            let (Some(pager), Some((first_page, shape))) = (inner.pager.as_mut(), chunk.on_file)
+            let spilled = (inner.pager.as_mut(), chunk.on_file);
+            // Only a chunk whose pages reached its store's pager file ever
+            // stops being resident.
+            #[allow(clippy::unreachable)]
+            let (Some(pager), Some((first_page, shape))) = spilled
             else {
-                // lint: allow(panic) — only a chunk whose pages reached its
-                // store's pager file ever stops being resident.
                 unreachable!("a spilled chunk lives on its store's pager file")
             };
             // Cold: copy the rows' bytes out of the pool. Pages still
             // cached cost no physical I/O — only true faults count.
             let rows = rows(shape);
             let before = pager.pool.stats().reads;
+            // The chunk's pages were written back to this file when it was
+            // stored and pages are never reused; rows past the chunk are a
+            // documented panic.
+            #[allow(clippy::expect_used)]
             let bytes = read_chunk_rows(&mut pager.pool, first_page, shape, rows.clone())
-                // lint: allow(expect) — the chunk's pages were written back
-                // to this file when it was stored and pages are never
-                // reused; rows past the chunk are a documented panic.
                 .expect("a spilled chunk's rows are readable from its own file");
             let cold = pager.pool.stats().reads - before;
             inner.cold_fetches += 1;

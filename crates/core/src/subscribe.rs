@@ -299,19 +299,19 @@ impl RefreshPlan {
 pub(crate) struct SubscriptionRegistry {
     subs: Vec<Arc<Subscription>>,
     next_id: u64,
-    /// Engine seal epoch as of the last planned append — a difference
-    /// means a shard boundary was crossed since.
-    last_seal_epoch: u64,
+    /// The engine's sealed shards as of the last planned append — a
+    /// difference means a shard boundary was crossed since.
+    last_sealed: usize,
     refreshes: u64,
     fast_path_skips: u64,
     full_recomputes: u64,
 }
 
 impl SubscriptionRegistry {
-    /// An empty registry anchored at the engine's current seal epoch (so
-    /// pre-existing shards never trigger a spurious boundary event).
+    /// An empty registry anchored at the engine's current sealed shards
+    /// (so pre-existing shards never trigger a spurious boundary event).
     pub(crate) fn anchored(engine: &ShardedEngine) -> Self {
-        Self { last_seal_epoch: engine.seal_epoch(), ..Self::default() }
+        Self { last_sealed: engine.sealed_shards(), ..Self::default() }
     }
 
     /// Registers a standing request and materializes its initial answer
@@ -359,9 +359,9 @@ impl SubscriptionRegistry {
     /// Returns the (possibly empty) plan of probes and verifications to
     /// execute once the lock is released.
     pub(crate) fn plan_refresh(&mut self, engine: &ShardedEngine, id: RecordId) -> RefreshPlan {
-        let epoch = engine.seal_epoch();
-        let seal_crossed = epoch != self.last_seal_epoch;
-        self.last_seal_epoch = epoch;
+        let sealed = engine.sealed_shards();
+        let seal_crossed = sealed != self.last_sealed;
+        self.last_sealed = sealed;
         let mut plan = RefreshPlan::default();
         if self.subs.is_empty() {
             return plan;

@@ -68,6 +68,8 @@ mod tests {
     #[test]
     fn publish_wakes_a_blocked_taker() {
         let slot = Arc::new(OnceSlot::<u32>::new());
+        // The taker must block on a thread of its own, outside the pool.
+        #[allow(clippy::disallowed_methods)]
         let taker = {
             let slot = Arc::clone(&slot);
             std::thread::spawn(move || slot.take_blocking())

@@ -113,7 +113,8 @@ impl Rows for View<'_> {
         let at = self.base + id;
         // Most reads fall in the newest chunk, the one owning the piece.
         let chunk = self.chunks.iter().rev().find(|(lo, _)| *lo <= at);
-        // lint: allow(expect) — a view holds every chunk its records lie in.
+        // A view holds every chunk its records lie in.
+        #[allow(clippy::expect_used)]
         let &(lo, rows) = chunk.expect("a record of the view");
         rows.row(at - lo)
     }

@@ -15,6 +15,8 @@
 //!   on append alike.
 //! * [`domcount`] — the Fenwick tree behind the blocking-interval counts.
 
+#![deny(clippy::panic, clippy::unreachable)]
+
 pub mod domcount;
 pub mod dominance;
 pub mod skyband;

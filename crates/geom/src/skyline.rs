@@ -122,6 +122,7 @@ mod tests {
         // loop sees it; it must still advance. On a thread with a deadline
         // so a regression fails instead of stalling the suite.
         let (tx, rx) = std::sync::mpsc::channel();
+        #[allow(clippy::disallowed_methods)]
         std::thread::spawn(move || {
             let ds = Dataset::from_rows(2, [[f64::NAN, 1.0]]);
             let _ = tx.send(skyline_indices(&ds, &[0]));

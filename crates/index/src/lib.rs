@@ -24,6 +24,8 @@
 //!   logarithmic forest of segment trees supporting amortized-cheap appends
 //!   for streaming arrivals.
 
+#![deny(clippy::panic, clippy::unreachable)]
+
 pub mod blocking;
 pub mod forest;
 pub mod segtree;

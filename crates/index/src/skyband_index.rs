@@ -74,11 +74,12 @@ pub trait SkybandCandidates {
 const BLOCK: usize = 64;
 
 /// Position in `ks` of the level serving `k`.
+// Documented-panic API: k beyond the build bound is a caller bug, not a
+// query-path state.
+#[allow(clippy::panic)]
 fn level_index(ks: &[usize], k: usize) -> usize {
     assert!(k >= 1, "k must be positive");
     ks.iter().position(|&lk| lk >= k).unwrap_or_else(|| {
-        // lint: allow(panic) — documented-panic API: k beyond the build
-        // bound is a caller bug, not a query-path state.
         panic!("index built for k <= {}, got {k}", ks.last().copied().unwrap_or(0))
     })
 }

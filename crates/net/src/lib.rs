@@ -24,6 +24,9 @@
 //! stack's, and no lock is ever held across a socket operation that the
 //! engine side could be waiting on.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
+
 pub mod coordinator;
 pub mod error;
 pub mod node;

@@ -89,10 +89,11 @@ impl NodeServer {
             handlers: TrackedMutex::new(LockClass::NetServer, Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
-        // lint: allow(spawn) — the worker pool owns compute threads, but a
-        // TCP acceptor must block in `accept` indefinitely; parking a pool
-        // worker there would steal a query-execution slot forever. One
-        // dedicated I/O thread per server, joined on shutdown.
+        // The worker pool owns compute threads, but a TCP acceptor must
+        // block in `accept` indefinitely; parking a pool worker there would
+        // steal a query-execution slot forever. One dedicated I/O thread
+        // per server, joined on shutdown.
+        #[allow(clippy::disallowed_methods)]
         let acceptor = std::thread::Builder::new()
             .name("dtk-net-accept".to_string())
             .spawn(move || accept_loop(listener, accept_shared))?;
@@ -152,10 +153,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
         }
         shared.live.fetch_add(1, Ordering::SeqCst);
         let handler_shared = Arc::clone(&shared);
-        // lint: allow(spawn) — connection handlers block in socket reads
-        // between requests; see the NodeServer docs for why they must not
-        // occupy worker-pool slots. Bounded by `max_connections`, joined
-        // on shutdown.
+        // Connection handlers block in socket reads between requests; see
+        // the NodeServer docs for why they must not occupy worker-pool
+        // slots. Bounded by `max_connections`, joined on shutdown.
+        #[allow(clippy::disallowed_methods)]
         let spawned = std::thread::Builder::new()
             .name("dtk-net-conn".to_string())
             .spawn(move || handle_connection(stream, handler_shared));

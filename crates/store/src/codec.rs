@@ -3,18 +3,18 @@
 //! Every on-disk structure in this crate stores fixed-width little-endian
 //! fields. These decoders centralize the one slice-width proof obligation
 //! (the input must be exactly the field width) so call sites stay free of
-//! `try_into().expect(..)` noise — and the workspace lint
-//! (`cargo run -p xtask -- lint`) can hold the rest of the crate to a
-//! no-expect rule.
+//! `try_into().expect(..)` noise — and the crate's `clippy::expect_used`
+//! denial holds everywhere else.
 
 /// Decodes a little-endian `u64` from exactly 8 bytes.
 ///
 /// # Panics
 /// Panics if `bytes.len() != 8` — a caller bug: every field offset in this
 /// crate is a compile-time constant.
+#[allow(clippy::expect_used)]
 pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
-    // lint: allow(expect) — the single place the fixed-width contract is
-    // enforced; callers slice compile-time-constant widths.
+    // The single place the fixed-width contract is enforced; callers slice
+    // compile-time-constant widths.
     u64::from_le_bytes(bytes.try_into().expect("le_u64 needs exactly 8 bytes"))
 }
 
@@ -22,8 +22,9 @@ pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
 ///
 /// # Panics
 /// Panics if `bytes.len() != 4` (see [`le_u64`]).
+#[allow(clippy::expect_used)]
 pub(crate) fn le_u32(bytes: &[u8]) -> u32 {
-    // lint: allow(expect) — see le_u64.
+    // See le_u64.
     u32::from_le_bytes(bytes.try_into().expect("le_u32 needs exactly 4 bytes"))
 }
 
@@ -31,8 +32,9 @@ pub(crate) fn le_u32(bytes: &[u8]) -> u32 {
 ///
 /// # Panics
 /// Panics if `bytes.len() != 8` (see [`le_u64`]).
+#[allow(clippy::expect_used)]
 pub(crate) fn le_i64(bytes: &[u8]) -> i64 {
-    // lint: allow(expect) — see le_u64.
+    // See le_u64.
     i64::from_le_bytes(bytes.try_into().expect("le_i64 needs exactly 8 bytes"))
 }
 
@@ -40,8 +42,9 @@ pub(crate) fn le_i64(bytes: &[u8]) -> i64 {
 ///
 /// # Panics
 /// Panics if `bytes.len() != 8` (see [`le_u64`]).
+#[allow(clippy::expect_used)]
 pub(crate) fn le_f64(bytes: &[u8]) -> f64 {
-    // lint: allow(expect) — see le_u64.
+    // See le_u64.
     f64::from_le_bytes(bytes.try_into().expect("le_f64 needs exactly 8 bytes"))
 }
 

@@ -28,6 +28,8 @@
 //! the pages holding them alone ([`read_chunk_rows`]).
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unreachable)]
 
 pub mod chunk;
 mod codec;

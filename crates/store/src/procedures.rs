@@ -70,8 +70,9 @@ pub fn t_hop_proc<S: OracleScorer + ?Sized>(
             }
             t -= 1;
         } else {
-            // lint: allow(expect) — a record is non-durable only when some
-            // top-k set rejected it, and a rejecting set cannot be empty.
+            // A record is non-durable only when some top-k set rejected it,
+            // and a rejecting set cannot be empty.
+            #[allow(clippy::expect_used)]
             let hop = pi.max_time().expect("non-durable implies non-empty top-k");
             if hop < interval.start() {
                 break;

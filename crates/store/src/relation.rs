@@ -178,9 +178,10 @@ impl RelStore {
         // Extract max-bound entries until the bound falls below the running
         // k-th best score; candidates accumulate directly in `out`.
         while let Some((bound, off, lo, hi)) = scratch.pq_ext.pop() {
+            // `k > 0` is asserted at top_k entry, so len() >= k implies a
+            // non-empty heap.
+            #[allow(clippy::expect_used)]
             let threshold = if scratch.best_ext.len() >= k {
-                // lint: allow(expect) — `k > 0` is asserted at top_k entry,
-                // so len() >= k implies a non-empty heap.
                 scratch.best_ext.peek().expect("non-empty").0 .0
             } else {
                 f64::NEG_INFINITY
@@ -193,8 +194,9 @@ impl RelStore {
                 for id in lo..=hi {
                     self.table.read_row(&mut self.pool, id, &mut scratch.row)?;
                     let s = scorer.score(&scratch.row);
+                    // k > 0 asserted at entry.
+                    #[allow(clippy::expect_used)]
                     let threshold = if scratch.best_ext.len() >= k {
-                        // lint: allow(expect) — k > 0 asserted at entry.
                         scratch.best_ext.peek().expect("non-empty").0 .0
                     } else {
                         f64::NEG_INFINITY

@@ -20,6 +20,8 @@
 //!   with the three concrete preference-function families from the paper
 //!   (linear, linear combination of monotone transforms, cosine).
 
+#![deny(clippy::panic, clippy::unreachable)]
+
 pub mod dataset;
 pub mod io;
 pub mod scoring;

@@ -96,8 +96,9 @@ impl LinearScorer {
     /// # Panics
     /// Panics if `weights` is empty, contains a negative or non-finite
     /// weight (see [`try_new`](LinearScorer::try_new)).
+    // Documented-panic wrapper over try_new.
+    #[allow(clippy::panic)]
     pub fn new(weights: Vec<f64>) -> Self {
-        // lint: allow(panic) — documented-panic wrapper over try_new.
         Self::try_new(weights).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -271,8 +272,9 @@ impl CosineScorer {
     ///
     /// # Panics
     /// Panics if `u` is empty, non-finite, or has zero norm.
+    // Documented-panic wrapper over try_new.
+    #[allow(clippy::panic)]
     pub fn new(weights: Vec<f64>) -> Self {
-        // lint: allow(panic) — documented-panic wrapper over try_new.
         Self::try_new(weights).unwrap_or_else(|e| panic!("{e}"))
     }
 

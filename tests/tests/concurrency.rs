@@ -37,10 +37,12 @@ fn inverted_registry_engine_acquisition_is_caught_with_a_witness() {
     let registry = Arc::new(TrackedMutex::new(LockClass::SubscriptionRegistry, ()));
 
     // Establish the legal direction on a named thread, so the inversion
-    // report below has a recorded witness to quote.
+    // report below has a recorded witness to quote. Named threads of their
+    // own, so each acquisition order is tied to one thread.
     {
         let engine = Arc::clone(&engine);
         let registry = Arc::clone(&registry);
+        #[allow(clippy::disallowed_methods)]
         std::thread::Builder::new()
             .name("legal-order".into())
             .spawn(move || {
@@ -55,6 +57,7 @@ fn inverted_registry_engine_acquisition_is_caught_with_a_witness() {
     }
 
     // Now invert it: registry first, engine second.
+    #[allow(clippy::disallowed_methods)]
     let payload = std::thread::Builder::new()
         .name("inverter".into())
         .spawn(move || {
@@ -163,8 +166,8 @@ fn seeded_yield_stress_completes_deadlock_free_without_fallbacks() {
         assert!(!snap.diverged, "seed {seed}");
         assert_eq!(Ok(snap.records), recompute.map(|(records, _)| records), "seed {seed}");
 
-        // Repeat one sealed-range query: with the stream stopped, shard
-        // generations are stable, so the second run must replay memoized
+        // Repeat one sealed-range query: with the stream stopped, no shard
+        // is sealed in between, so the second run must replay memoized
         // per-shard answers.
         let cached_req = ServeRequest {
             alg: Algorithm::THop,

@@ -190,6 +190,7 @@ fn oracle_counters_are_cumulative_across_queries() {
 /// suite.
 fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> Option<T> {
     let (tx, rx) = mpsc::channel();
+    #[allow(clippy::disallowed_methods)]
     std::thread::spawn(move || {
         let _ = tx.send(f());
     });

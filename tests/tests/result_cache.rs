@@ -1,11 +1,11 @@
 //! Sealed-shard result cache exactness: cache-on ≡ cache-off.
 //!
 //! The result cache memoizes full-range answers of immutable sealed tails,
-//! keyed on `(shard generation, algorithm, scorer fingerprint, k, τ)`.
+//! keyed on `(shard start, algorithm, scorer fingerprint, k, τ)`.
 //! Correctness rests on two invariants these tests drive end to end:
 //! a cached answer must be **bit-identical** to a recomputation (across
-//! seals and paged spills), and a shard that changes identity must never
-//! serve a stale entry.
+//! seals and paged spills), and no entry may answer for another shard or
+//! another scorer.
 
 use durable_topk::{
     Algorithm, Backpressure, DurableQuery, EngineConfig, LinearScorer, PagedStorage, Scorer,
