@@ -2,7 +2,7 @@
 //!
 //! The serving stack is genuinely concurrent — a worker pool with detached
 //! jobs, subscription refresh planned under the engine lock, a sharded-lock
-//! result cache, page pinning in the buffer pool — and its deadlock-freedom argument is a **total order over lock
+//! result cache, a paged chunk store behind a buffer pool — and its deadlock-freedom argument is a **total order over lock
 //! classes**: a thread may only acquire a lock whose class ranks *strictly
 //! higher* than every class it already holds. This crate turns that
 //! argument from comments into an executable specification.
@@ -91,8 +91,8 @@ pub enum LockClass {
     /// A single `Subscription`'s state mutex (locked under the registry
     /// while planning, under the engine read lock while refreshing).
     SubscriptionState,
-    /// The serve queue bookkeeping (`QueueState`) — short critical
-    /// sections around condvar waits.
+    /// The serve engine's admission counts (`QueueState`) — short
+    /// critical sections around condvar waits.
     ServeQueue,
     /// One lock shard of the `ShardResultCache` LRU.
     CacheShard,

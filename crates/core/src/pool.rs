@@ -8,7 +8,9 @@
 //! not just within one, and the query path issues zero `thread::spawn`
 //! calls. Batches reach the workers through a channel of wake-up tokens;
 //! the actual work items live in a per-batch chunk queue that workers and
-//! the submitting thread drain cooperatively.
+//! the submitting thread drain cooperatively. The same channel carries
+//! detached jobs ([`WorkerPool::submit`]): each serving request travels in
+//! one, so the channel is the serve layer's request queue.
 //!
 //! The submitting thread always participates in its own batch, so a busy
 //! (or small) pool degrades to caller-inline execution instead of queueing
@@ -16,9 +18,9 @@
 //! submitted the batch can always finish it alone.
 //!
 //! One process-wide pool ([`WorkerPool::global`]) is shared by every
-//! [`ShardedEngine`](crate::ShardedEngine), the serve queue and callers
-//! batching their own queries through [`WorkerPool::run_jobs`]; dedicated
-//! pools can be built for tests or isolation.
+//! [`ShardedEngine`](crate::ShardedEngine), every serving engine and
+//! callers batching their own queries through [`WorkerPool::run_jobs`];
+//! dedicated pools can be built for tests or isolation.
 
 use crate::check::{LockClass, TrackedCondvar, TrackedMutex};
 use crate::context::QueryContext;
@@ -97,16 +99,16 @@ struct BatchState {
 }
 
 /// A standalone fire-and-forget job: runs once on whichever worker pops
-/// it, with that worker's persistent context. Used for queued serving
-/// requests — work that outlives the submitting call instead of being
-/// awaited by it.
+/// it, with that worker's persistent context. A serving request travels
+/// as one, owning the request and its response slot: work that outlives
+/// the submitting call instead of being awaited by it.
 type DetachedJob = Box<dyn FnOnce(&mut QueryContext) + Send + 'static>;
 
 /// What travels down the wake-up channel.
 enum Token {
     /// Join a cooperative batch (the `run_jobs` path).
     Batch(Arc<Batch>),
-    /// Run one detached job to completion.
+    /// Run one detached job (a queued serving request) to completion.
     Detached(DetachedJob),
 }
 
@@ -198,8 +200,8 @@ impl Batch {
 /// docs for the cooperative draining model.
 #[derive(Debug)]
 pub struct WorkerPool {
-    /// Wake-up channel; `None` only during drop.
-    injector: Option<Sender<Token>>,
+    /// Wake-up channel; only `Drop` closes it.
+    injector: Sender<Token>,
     handles: Vec<JoinHandle<()>>,
     workers: usize,
     /// Contexts loaned to submitting threads for their own participation,
@@ -233,7 +235,7 @@ impl WorkerPool {
             .collect();
         THREADS_SPAWNED.fetch_add(workers as u64, Ordering::Relaxed);
         Self {
-            injector: Some(tx),
+            injector: tx,
             handles,
             workers,
             spares: TrackedMutex::new(LockClass::PoolQueue, Vec::new()),
@@ -320,12 +322,9 @@ impl WorkerPool {
             work,
         });
         let helpers = (parallelism - 1).min(self.workers);
-        if let Some(tx) = &self.injector {
-            for _ in 0..helpers {
-                // A send can only fail if every worker exited (pool mid-
-                // drop); the caller then drains the batch alone.
-                let _ = tx.send(Token::Batch(Arc::clone(&batch)));
-            }
+        for _ in 0..helpers {
+            // Workers outlive every `&self` borrow, so the send succeeds.
+            let _ = self.injector.send(Token::Batch(Arc::clone(&batch)));
         }
         batch.participate(&mut ctx);
         batch.wait();
@@ -339,18 +338,17 @@ impl WorkerPool {
     }
 
     /// Hands a standalone job to the pool: it runs once, on whichever
-    /// worker pops it, with that worker's persistent [`QueryContext`] —
-    /// the substrate for queued serving requests. Submission never blocks
-    /// and never spawns.
+    /// worker pops it, with that worker's persistent [`QueryContext`].
+    /// Jobs start in submission order. Submission never blocks and never
+    /// spawns.
     ///
     /// A panic inside the job is caught at the worker (the worker
     /// survives and keeps serving); the job itself is responsible for
     /// reporting failures to whoever awaits its effect.
-    ///
-    /// Returns `false` when the pool is shutting down and cannot take the
-    /// job — the caller should then run it inline.
-    pub fn submit(&self, job: impl FnOnce(&mut QueryContext) + Send + 'static) -> bool {
-        self.injector.as_ref().is_some_and(|tx| tx.send(Token::Detached(Box::new(job))).is_ok())
+    pub fn submit(&self, job: impl FnOnce(&mut QueryContext) + Send + 'static) {
+        // Workers leave their loop only when `Drop` closes the channel,
+        // which no `&self` borrow can outlive: the send succeeds.
+        let _ = self.injector.send(Token::Detached(Box::new(job)));
     }
 
     /// Borrows a spare context (or creates one on cold start).
@@ -367,7 +365,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channel wakes every idle worker with a disconnect.
-        drop(self.injector.take());
+        drop(std::mem::replace(&mut self.injector, channel().0));
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -509,11 +507,11 @@ mod tests {
             Arc::new((TrackedMutex::new(LockClass::ServeQueue, 0usize), TrackedCondvar::new()));
         for _ in 0..16 {
             let pair = Arc::clone(&pair);
-            assert!(pool.submit(move |_ctx| {
+            pool.submit(move |_ctx| {
                 let mut done = lock(&pair.0);
                 *done += 1;
                 pair.1.notify_all();
-            }));
+            });
         }
         let mut done = lock(&pair.0);
         while *done < 16 {
@@ -526,14 +524,14 @@ mod tests {
         let pool = WorkerPool::new(1);
         let pair =
             Arc::new((TrackedMutex::new(LockClass::ServeQueue, false), TrackedCondvar::new()));
-        assert!(pool.submit(|_ctx| panic!("request blew up")));
+        pool.submit(|_ctx| panic!("request blew up"));
         // The single worker must survive to run both the next detached job
         // and cooperative batches.
         let after = Arc::clone(&pair);
-        assert!(pool.submit(move |_ctx| {
+        pool.submit(move |_ctx| {
             *lock(&after.0) = true;
             after.1.notify_all();
-        }));
+        });
         let mut done = lock(&pair.0);
         while !*done {
             done = pair.1.wait(done);

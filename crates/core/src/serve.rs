@@ -12,10 +12,11 @@
 //!   `capacity` of them. When full, [`Backpressure::Block`] parks the
 //!   submitter until space frees, [`Backpressure::Reject`] fails fast with
 //!   [`ServeError::QueueFull`].
-//! * **Pool-executed** — each accepted request sends one wake token to the
-//!   process-wide [`WorkerPool`]; whichever persistent worker pops it
-//!   drains one request. No thread is ever spawned on the request path
-//!   (guarded by [`WorkerPool::threads_spawned`]).
+//! * **Pool-executed** — each accepted request travels in one job on the
+//!   process-wide [`WorkerPool`]'s channel, the only queue it waits in;
+//!   whichever persistent worker pops the job serves the request. No
+//!   thread is ever spawned on the request path (guarded by
+//!   [`WorkerPool::threads_spawned`]).
 //! * **Completion handles** — `submit` returns a [`ResponseHandle`]
 //!   immediately; the response (records, per-request [`QueryStats`], queue
 //!   and service latency) arrives on it oneshot-style.
@@ -51,7 +52,6 @@ use crate::subscribe::{
 use crate::sync::{lock, OnceSlot};
 use durable_topk_index::{OracleScorer, TopKResult};
 use durable_topk_temporal::{CosineScorer, LinearScorer, RecordId};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -221,16 +221,11 @@ impl ResponseHandle {
     }
 }
 
-/// A queued request together with its completion slot and arrival stamp.
-struct QueuedRequest {
-    req: ServeRequest,
-    slot: Arc<ResponseSlot>,
-    enqueued: Instant,
-}
-
-/// Queue state guarded by one mutex.
+/// Queue accounting guarded by one mutex; the requests themselves wait
+/// in the pool's channel.
 struct QueueState {
-    queue: VecDeque<QueuedRequest>,
+    /// Requests accepted whose job no worker has started yet.
+    queued: usize,
     /// Requests accepted but not yet published (queued + executing) —
     /// what shutdown drains.
     outstanding: usize,
@@ -326,22 +321,16 @@ impl Shared {
         self.engine.read()
     }
 
-    /// Pops and serves one request — the body of the detached pool job
-    /// each submission sends. Tokens and requests are 1:1, so a pop can
-    /// only come up empty if an inline fallback already served the
-    /// request; that token is then a harmless no-op.
-    fn serve_one(&self) {
-        let item = {
+    /// Serves one accepted request — the body of the pool job each
+    /// submission sends, which owns the request, its arrival stamp and its
+    /// completion slot.
+    fn serve(&self, req: &ServeRequest, enqueued: Instant, slot: &ResponseSlot) {
+        {
             let mut state = lock(&self.state);
-            let item = state.queue.pop_front();
-            if item.is_some() {
-                self.space.notify_one();
-            }
-            item
-        };
-        let Some(item) = item else { return };
-        let result = self.execute_isolated(&item.req, item.enqueued.elapsed());
-        item.slot.publish(result);
+            state.queued -= 1;
+            self.space.notify_one();
+        }
+        slot.publish(self.execute_isolated(req, enqueued.elapsed()));
         let mut state = lock(&self.state);
         state.outstanding -= 1;
         if state.outstanding == 0 {
@@ -522,11 +511,7 @@ impl ServeEngine {
                 engine: TrackedRwLock::new(LockClass::Engine, engine),
                 state: TrackedMutex::new(
                     LockClass::ServeQueue,
-                    QueueState {
-                        queue: VecDeque::with_capacity(capacity),
-                        outstanding: 0,
-                        accepting: true,
-                    },
+                    QueueState { queued: 0, outstanding: 0, accepting: true },
                 ),
                 space: TrackedCondvar::new(),
                 idle: TrackedCondvar::new(),
@@ -547,14 +532,14 @@ impl ServeEngine {
     /// [`ServeError::ShuttingDown`].
     pub fn submit(&self, req: ServeRequest) -> Result<ResponseHandle, ServeError> {
         let slot = Arc::new(ResponseSlot::new());
-        {
+        let enqueued = {
             let mut state = lock(&self.shared.state);
             loop {
                 if !state.accepting {
                     self.shared.counters.rejected.fetch_add(1, Ordering::Relaxed);
                     return Err(ServeError::ShuttingDown);
                 }
-                if state.queue.len() < self.shared.capacity {
+                if state.queued < self.shared.capacity {
                     break;
                 }
                 match self.shared.backpressure {
@@ -567,23 +552,14 @@ impl ServeEngine {
                     }
                 }
             }
-            state.queue.push_back(QueuedRequest {
-                req,
-                slot: Arc::clone(&slot),
-                enqueued: Instant::now(),
-            });
+            state.queued += 1;
             state.outstanding += 1;
-            let depth = state.queue.len() as u64;
             self.shared.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-            self.shared.counters.max_depth.fetch_max(depth, Ordering::Relaxed);
-        }
-        // One wake token per accepted request: whichever persistent worker
-        // pops it serves exactly one queue entry. If the pool is mid-drop
-        // (tests tearing down), serve inline so the handle always resolves.
-        let shared = Arc::clone(&self.shared);
-        if !WorkerPool::global().submit(move |_ctx| shared.serve_one()) {
-            self.shared.serve_one();
-        }
+            self.shared.counters.max_depth.fetch_max(state.queued as u64, Ordering::Relaxed);
+            Instant::now()
+        };
+        let (shared, job_slot) = (Arc::clone(&self.shared), Arc::clone(&slot));
+        WorkerPool::global().submit(move |_ctx| shared.serve(&req, enqueued, &job_slot));
         Ok(ResponseHandle { slot })
     }
 
@@ -729,7 +705,7 @@ impl ServeEngine {
 
     /// A snapshot of the queue-depth, latency, and subscription counters.
     pub fn stats(&self) -> ServeStats {
-        let depth = lock(&self.shared.state).queue.len();
+        let depth = lock(&self.shared.state).queued;
         let cache =
             self.shared.read_engine().result_cache().map(|cache| cache.stats()).unwrap_or_default();
         let totals: SubscriptionTotals = lock(&self.shared.subs).totals();
@@ -872,9 +848,9 @@ mod tests {
 
     #[test]
     fn reject_mode_sheds_load_when_full() {
-        // Capacity 1 with no worker able to run yet is hard to force
-        // deterministically; instead, saturate with slow-ish requests and
-        // accept that at least the accounting holds.
+        // Saturate with slow-ish requests and check the accounting. The
+        // serving integration tests force a full queue by holding every
+        // pool worker.
         let engine = EngineConfig::new(2, 25, 10).build_from(&dataset(50), 2).expect("build");
         let serve = ServeEngine::new(engine, 1, Backpressure::Reject);
         let mut outcomes = Vec::new();
@@ -972,9 +948,9 @@ mod tests {
         assert_eq!(first_stale_append(&serve, id, 0..150), None, "from a plain thread");
         let (tx, rx) = std::sync::mpsc::channel();
         let worker_side = serve.clone();
-        assert!(WorkerPool::global().submit(move |_ctx| {
+        WorkerPool::global().submit(move |_ctx| {
             let _ = tx.send(first_stale_append(&worker_side, id, 150..300));
-        }));
+        });
         let stale = rx.recv_timeout(Duration::from_secs(60)).expect("pool appends finish");
         assert_eq!(stale, None, "from inside a pool job");
         assert!(serve.engine().sealed_shards() >= 8, "the run crosses seal boundaries");

@@ -11,7 +11,7 @@
 //!           wall-clock column: records × i64 (only when flagged)
 //! ```
 //!
-//! Every chunk starts on a page boundary so chunks can be pinned, evicted
+//! Every chunk starts on a page boundary so chunks can be cached, evicted
 //! and read back independently. All scalars are fixed-width little-endian;
 //! `f64` values travel through [`f64::to_le_bytes`]/[`f64::from_le_bytes`],
 //! so a spill/reload roundtrip is **bit-identical** — the exactness

@@ -23,7 +23,9 @@ use durable_topk::{
 use durable_topk_index::{NodeSummary, TreeRows};
 use durable_topk_tests::flat;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 fn row(i: usize) -> [f64; 2] {
     [((i * 37) % 101) as f64, ((i * 73) % 97) as f64]
@@ -156,6 +158,81 @@ fn append_backpressure_never_deadlocks_against_busy_workers() {
     let engine = serve.engine();
     assert_eq!(engine.len(), 3_000);
     assert!(engine.sealed_shards() >= (3_000 - SPAN) / SPAN);
+}
+
+/// Releases the held pool workers when dropped, so a failing assertion
+/// cannot leave them parked and wedge the rest of the binary.
+struct ReleaseOnDrop(Arc<Barrier>);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        self.0.wait();
+    }
+}
+
+/// The capacity bound counts requests no worker has started: with every
+/// pool worker held, a capacity-1 queue is full after one request, so
+/// `Reject` sheds the next and `Block` parks its submitter until a worker
+/// takes the first one.
+#[test]
+fn a_full_queue_rejects_or_blocks_until_a_worker_takes_a_request() {
+    let build = || EngineConfig::new(2, 25, 10).build_from(&dataset(50), 2).expect("build");
+    let (reject, block) = (
+        ServeEngine::new(build(), 1, Backpressure::Reject),
+        ServeEngine::new(build(), 1, Backpressure::Block),
+    );
+    let req = || ServeRequest {
+        alg: Algorithm::TBase,
+        query: DurableQuery { k: 1, tau: 10, interval: Window::new(0, 49) },
+        scorer: ScorerSpec::Uniform,
+    };
+    let pool = WorkerPool::global();
+    let barrier = Arc::new(Barrier::new(pool.threads() + 1));
+    let (started_tx, started) = mpsc::channel();
+    for _ in 0..pool.threads() {
+        let (barrier, started_tx) = (Arc::clone(&barrier), started_tx.clone());
+        pool.submit(move |_ctx| {
+            let _ = started_tx.send(());
+            barrier.wait();
+        });
+    }
+    let release = ReleaseOnDrop(barrier);
+    for _ in 0..pool.threads() {
+        started.recv_timeout(Duration::from_secs(60)).expect("every worker is held");
+    }
+
+    let accepted = reject.submit(req()).expect("an empty queue accepts");
+    assert_eq!(reject.stats().depth, 1, "no worker can take the request");
+    assert_eq!(reject.submit(req()).map(|_| ()), Err(ServeError::QueueFull));
+
+    let first = block.submit(req()).expect("an empty queue accepts");
+    let (done_tx, done) = mpsc::channel();
+    let handles = std::thread::scope(|scope| {
+        let submitter = scope.spawn(|| {
+            let handle = block.submit(req());
+            let _ = done_tx.send(());
+            handle
+        });
+        assert_eq!(
+            done.recv_timeout(Duration::from_millis(200)),
+            Err(RecvTimeoutError::Timeout),
+            "the second submitter waits while the queue is full"
+        );
+        drop(release);
+        done.recv_timeout(Duration::from_secs(60)).expect("a freed slot admits the submitter");
+        [accepted, first, submitter.join().expect("submitter").expect("accepted")]
+    });
+    for handle in handles {
+        assert!(handle.wait().is_ok());
+    }
+    for serve in [&reject, &block] {
+        serve.shutdown();
+        let stats = serve.stats();
+        assert_eq!(stats.completed, stats.enqueued);
+        assert_eq!(stats.max_depth, 1);
+    }
+    assert_eq!(reject.stats().rejected, 1);
+    assert_eq!(block.stats().enqueued, 2);
 }
 
 /// Shutdown must serve (not discard) every request accepted before it.
