@@ -25,80 +25,71 @@ use durable_topk_workloads::{
 };
 use std::time::Instant;
 
+/// A named section of the evaluation and the function that prints it.
+type Section = (&'static str, fn(&Config));
+
+/// Every section, in the order `all` runs them.
+const SECTIONS: &[Section] = &[
+    ("fig1", fig1),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("tab4", tab4),
+    ("tab5", tab5),
+    ("tab6", tab6),
+    ("lemma4", lemma4),
+    ("lemma5", lemma5),
+    ("ablation", ablation),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Vec<String> = Vec::new();
-    let mut cfg = Config::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                cfg.scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
-            }
-            "--reps" => {
-                cfg.reps = args[i + 1].parse().expect("--reps takes an integer");
-                i += 2;
-            }
-            "--seed" => {
-                cfg.seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            other => {
-                which.push(other.to_string());
-                i += 1;
-            }
+    let (which, cfg) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+        eprintln!("error: {e}");
+        eprintln!("usage: experiments [all|{}] [--scale X] [--reps N] [--seed S]", names.join("|"));
+        std::process::exit(2);
+    });
+    let all = which.is_empty() || which.iter().any(|w| w == "all");
+    println!("durable top-k experiment harness (scale={}, reps={})", cfg.scale, cfg.reps);
+    for &(name, run) in SECTIONS {
+        if all || which.iter().any(|w| w == name) {
+            run(&cfg);
         }
     }
-    if which.is_empty() {
-        which.push("all".to_string());
-    }
-    let all = which.iter().any(|w| w == "all");
-    let want = |name: &str| all || which.iter().any(|w| w == name);
+}
 
-    println!("durable top-k experiment harness (scale={}, reps={})", cfg.scale, cfg.reps);
-    if want("fig1") {
-        fig1(&cfg);
+/// The requested sections (none means all) and the configuration; an
+/// unknown section, a missing or unparsable flag value, a scale that is not
+/// positive and finite, or `--reps 0` is an error.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(Vec<String>, Config), String> {
+    fn value<T: std::str::FromStr>(flag: &str, arg: Option<String>) -> Result<T, String> {
+        let arg = arg.ok_or_else(|| format!("{flag} takes a value"))?;
+        arg.parse().map_err(|_| format!("{flag}: cannot parse {arg:?}"))
     }
-    if want("fig7") {
-        fig7(&cfg);
+    let mut which = Vec::new();
+    let mut cfg = Config::default();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--scale" => cfg.scale = value("--scale", args.next())?,
+            "--reps" => cfg.reps = value("--reps", args.next())?,
+            "--seed" => cfg.seed = value("--seed", args.next())?,
+            name if name == "all" || SECTIONS.iter().any(|(known, _)| *known == name) => {
+                which.push(arg);
+            }
+            other => return Err(format!("unknown experiment or flag {other:?}")),
+        }
     }
-    if want("fig8") {
-        fig8(&cfg);
+    if !(cfg.scale.is_finite() && cfg.scale > 0.0) {
+        return Err(format!("--scale must be positive and finite, got {}", cfg.scale));
     }
-    if want("fig9") {
-        fig9(&cfg);
+    if cfg.reps == 0 {
+        return Err("--reps must be at least 1".to_string());
     }
-    if want("fig10") {
-        fig10(&cfg);
-    }
-    if want("fig11") {
-        fig11(&cfg);
-    }
-    if want("fig12") {
-        fig12(&cfg);
-    }
-    if want("fig13") {
-        fig13(&cfg);
-    }
-    if want("tab4") {
-        tab4(&cfg);
-    }
-    if want("tab5") {
-        tab5(&cfg);
-    }
-    if want("tab6") {
-        tab6(&cfg);
-    }
-    if want("lemma4") {
-        lemma4(&cfg);
-    }
-    if want("lemma5") {
-        lemma5(&cfg);
-    }
-    if want("ablation") {
-        ablation(&cfg);
-    }
+    Ok((which, cfg))
 }
 
 fn banner(title: &str) {
@@ -568,4 +559,36 @@ fn ablation(cfg: &Config) {
     let (sm, ss) = mean_std(&scan_ms);
     println!("tree oracle: {} ms   scan oracle: {} ms", pm(tm, ts), pm(sm, ss));
     let _ = scan.queries_issued();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Vec<String>, Config), String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn known_sections_and_flags_parse() {
+        let (which, cfg) = parse(&["fig8", "ablation", "--scale", "0.5", "--reps", "2"]).unwrap();
+        assert_eq!(which, ["fig8", "ablation"]);
+        assert_eq!((cfg.scale, cfg.reps), (0.5, 2));
+        assert!(parse(&[]).unwrap().0.is_empty());
+    }
+
+    #[test]
+    fn what_cannot_run_is_an_error() {
+        for args in [
+            &["fig99"][..],
+            &["--scale"],
+            &["--scale", "abc"],
+            &["--bogus"],
+            &["--reps", "0"],
+            &["--scale", "-1"],
+            &["--scale", "NaN"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?}");
+        }
+    }
 }

@@ -168,7 +168,7 @@ impl QueryStats {
 /// The `p`-th percentile (`0.0..=1.0`) of an ascending latency list by the
 /// nearest-rank rule — the smallest sample with at least `p·n` samples at
 /// or below it; zero for an empty list. The one rank rule every summary
-/// line in the workspace (CLI, coordinator, benches) reports with, so a
+/// line in the workspace (CLI, coordinator) reports with, so a
 /// cluster p50 and its per-node p50s are comparable.
 pub fn percentile(sorted: &[Duration], p: f64) -> Duration {
     if sorted.is_empty() {

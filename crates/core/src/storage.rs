@@ -167,8 +167,10 @@ impl PagedStorage {
 
     /// A store paging to a fresh file in the system temp directory (unique
     /// per process and instance) through 64 frames — what the CLI's
-    /// `--spill-after` uses. The file is not cleaned up on drop; chunk
-    /// files are scratch space sized by the spilled history.
+    /// `--spill-after` uses. The file is unlinked as soon as it is open:
+    /// the pager keeps its handle and never reopens the path, so the pages
+    /// stay readable while no file outlives the store, even if the process
+    /// is killed.
     pub fn with_temp_file(spill_after: usize) -> io::Result<Self> {
         static INSTANCE: AtomicU64 = AtomicU64::new(0);
         let name = format!(
@@ -176,7 +178,10 @@ impl PagedStorage {
             std::process::id(),
             INSTANCE.fetch_add(1, Ordering::Relaxed)
         );
-        Self::create(std::env::temp_dir().join(name), 64, spill_after)
+        let path = std::env::temp_dir().join(name);
+        let store = Self::create(&path, 64, spill_after)?;
+        std::fs::remove_file(&path)?;
+        Ok(store)
     }
 
     /// Stores an immutable chunk, returning its handle. Runs once per
@@ -282,7 +287,7 @@ impl PagedStorage {
     }
 
     /// Heap bytes of the chunks currently held decoded (the resident-set
-    /// figure the storage bench reports).
+    /// figure the benchmark reports as `core.storage.resident_mb`).
     pub fn resident_bytes(&self) -> usize {
         lock(&self.inner)
             .dir

@@ -792,7 +792,7 @@ impl SkylineSegTree {
 
     /// Heap bytes held by the tree: the node array plus every node's
     /// skyline and per-dimension bound vectors (capacities, not lengths).
-    /// Resident-set accounting for the storage-tier bench.
+    /// Resident-set accounting (`MemoryUsage`).
     pub fn heap_bytes(&self) -> usize {
         let summaries: usize = self
             .nodes

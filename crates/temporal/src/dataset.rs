@@ -274,8 +274,7 @@ impl Dataset {
     }
 
     /// Heap bytes held by the attribute and wall-clock storage (capacity,
-    /// not just length) — the resident-set accounting the storage bench
-    /// reports chunk-deduplication savings with.
+    /// not just length) — the resident-set accounting behind `MemoryUsage`.
     pub fn heap_bytes(&self) -> usize {
         self.attrs.capacity() * std::mem::size_of::<f64>()
             + self.wall_clock.as_ref().map_or(0, |wc| wc.capacity() * std::mem::size_of::<i64>())

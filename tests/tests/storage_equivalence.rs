@@ -158,15 +158,11 @@ proptest! {
 fn narrow_query_over_a_spilled_shard_reads_only_its_leaves_pages() {
     const SPAN: u32 = 4_096;
     // Four frames: writing later chunks evicts the first one's pages, so
-    // the query below finds them cold.
-    let paged = Arc::new(
-        PagedStorage::create(
-            std::env::temp_dir().join(format!("durable-topk-narrow-{}.db", std::process::id())),
-            4,
-            1,
-        )
-        .expect("paged backend"),
-    );
+    // the query below finds them cold. The pager keeps its file open, so
+    // the path can go at once.
+    let path = std::env::temp_dir().join(format!("durable-topk-narrow-{}.db", std::process::id()));
+    let paged = Arc::new(PagedStorage::create(&path, 4, 1).expect("paged backend"));
+    std::fs::remove_file(&path).expect("unlink the pager's file");
     let mut engine = EngineConfig::new(2, SPAN as usize, 64)
         .leaf_size(4)
         .storage(paged)
