@@ -307,7 +307,6 @@ impl PagedStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     fn chunk(seed: u64, n: usize) -> Arc<Dataset> {
         Arc::new(Dataset::from_rows(
@@ -319,10 +318,14 @@ mod tests {
         ))
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("durable-topk-storage-tests");
-        std::fs::create_dir_all(&dir).expect("mk tmpdir");
-        dir.join(name)
+    /// A store with a pager over a file that is unlinked once open, so
+    /// the test leaves nothing in the temp dir.
+    fn paged(name: &str, frames: usize, spill_after: usize) -> PagedStorage {
+        let path = std::env::temp_dir()
+            .join(format!("durable-topk-storage-{}-{name}", std::process::id()));
+        let storage = PagedStorage::create(&path, frames, spill_after).expect("create");
+        std::fs::remove_file(&path).expect("unlink the pager's file");
+        storage
     }
 
     /// The pager-less store, the engine's default, shares the stored `Arc`
@@ -342,7 +345,7 @@ mod tests {
 
     #[test]
     fn paged_storage_spills_old_chunks_and_reloads_bit_identically() {
-        let storage = PagedStorage::create(tmp("spill.db"), 16, 1).expect("create");
+        let storage = paged("spill.db", 16, 1);
         let chunks: Vec<_> = (0..4).map(|s| chunk(s, 600)).collect();
         let ids: Vec<_> = chunks.iter().map(|c| storage.store(Arc::clone(c))).collect();
         let s = storage.stats();
@@ -360,7 +363,7 @@ mod tests {
 
     #[test]
     fn cold_fetch_reports_page_reads_and_the_lru_warms_repeats() {
-        let storage = PagedStorage::create(tmp("lru.db"), 16, 1).expect("create");
+        let storage = paged("lru.db", 16, 1);
         let a = storage.store(chunk(7, 800));
         storage.store(chunk(8, 800)); // spills `a`
                                       // Drop the page cache so the fault is genuinely cold.
@@ -375,7 +378,7 @@ mod tests {
 
     #[test]
     fn row_fetches_read_only_the_pages_holding_the_rows() {
-        let storage = PagedStorage::create(tmp("rows.db"), 16, 1).expect("create");
+        let storage = paged("rows.db", 16, 1);
         // 2 000 two-attribute rows: 4 pages of attributes after the header.
         let original = chunk(3, 2_000);
         let a = storage.store(Arc::clone(&original));
@@ -400,7 +403,7 @@ mod tests {
 
     #[test]
     fn resident_bytes_shrink_as_chunks_spill() {
-        let storage = PagedStorage::create(tmp("bytes.db"), 16, 2).expect("create");
+        let storage = paged("bytes.db", 16, 2);
         let all = PagedStorage::in_memory();
         for s in 0..5 {
             storage.store(chunk(s, 400));

@@ -37,6 +37,8 @@ pub mod pager;
 pub mod procedures;
 pub mod relation;
 pub mod table;
+#[cfg(test)]
+mod test_path;
 
 pub use chunk::{
     chunk_page_len, read_chunk, read_chunk_rows, write_chunk, ChunkRowBytes, ChunkShape,

@@ -227,10 +227,8 @@ fn read_full_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("durable-topk-store-tests");
-        std::fs::create_dir_all(&dir).expect("mk tmpdir");
-        dir.join(name)
+    fn tmp(name: &str) -> crate::test_path::TempPath {
+        crate::test_path::TempPath::new("pager", name)
     }
 
     #[test]

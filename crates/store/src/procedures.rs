@@ -147,10 +147,8 @@ mod tests {
     use durable_topk_temporal::{Dataset, LinearScorer, Scorer};
     use rand::prelude::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("durable-topk-proc-tests");
-        std::fs::create_dir_all(&dir).expect("mk tmpdir");
-        dir.join(name)
+    fn tmp(name: &str) -> crate::test_path::TempPath {
+        crate::test_path::TempPath::new("procedures", name)
     }
 
     fn brute_durable(

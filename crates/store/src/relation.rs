@@ -362,10 +362,8 @@ mod tests {
     use durable_topk_temporal::LinearScorer;
     use rand::prelude::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("durable-topk-rel-tests");
-        std::fs::create_dir_all(&dir).expect("mk tmpdir");
-        dir.join(name)
+    fn tmp(name: &str) -> crate::test_path::TempPath {
+        crate::test_path::TempPath::new("relation", name)
     }
 
     #[test]

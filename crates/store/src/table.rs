@@ -100,10 +100,8 @@ impl Table {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("durable-topk-table-tests");
-        std::fs::create_dir_all(&dir).expect("mk tmpdir");
-        dir.join(name)
+    fn tmp(name: &str) -> crate::test_path::TempPath {
+        crate::test_path::TempPath::new("table", name)
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Integration-test-only crate; see `tests/tests/`. Holds the references
-//! and generators the suites share.
+//! and generators the suites share, and the [`model`] they check every
+//! front door against.
 
 use durable_topk::{DurableQuery, EngineConfig, Scorer, ShardedEngine};
 use durable_topk_temporal::{Dataset, RecordId, Time, Window};
 use proptest::prelude::*;
 use std::ops::Range;
+use std::path::{Path, PathBuf};
+
+pub mod model;
 
 /// The paper's single-index engine over `ds`: one shard owning every
 /// record, with the durable k-skyband for `k <= k_max` when given — its
@@ -20,7 +24,11 @@ pub fn flat(ds: &Dataset, k_max: Option<usize>) -> ShardedEngine {
 
 /// Definition-level durability: `t ∈ I` is durable iff fewer than `k`
 /// records in its look-back window `[t − τ, t]` score above it.
-pub fn brute_durable(ds: &Dataset, scorer: &dyn Scorer, q: &DurableQuery) -> Vec<RecordId> {
+pub fn brute_durable<S: Scorer + ?Sized>(
+    ds: &Dataset,
+    scorer: &S,
+    q: &DurableQuery,
+) -> Vec<RecordId> {
     q.interval
         .clamp_to(ds.len())
         .iter()
@@ -47,4 +55,28 @@ pub fn dataset_strategy(len: Range<usize>, d: usize, vals: u32) -> impl Strategy
             rows.into_iter().map(|r| r.into_iter().map(|v| v as f64).collect::<Vec<_>>()),
         )
     })
+}
+
+/// `durable-topk-<pid>-<name>` in the temp dir, its file removed when the
+/// guard drops, pass or fail. Handed by value to a call that opens it, the
+/// file goes once that call returns; the open handle keeps it readable.
+pub struct TempPath(PathBuf);
+
+impl TempPath {
+    /// The path for `name`, unique to this process.
+    pub fn new(name: &str) -> TempPath {
+        TempPath(std::env::temp_dir().join(format!("durable-topk-{}-{name}", std::process::id())))
+    }
+}
+
+impl AsRef<Path> for TempPath {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
 }

@@ -2,19 +2,13 @@
 
 use durable_topk::{Algorithm, DurableQuery, LinearScorer, Window};
 use durable_topk_temporal::{read_csv_file, write_csv_file};
-use durable_topk_tests::flat;
+use durable_topk_tests::{flat, TempPath};
 use durable_topk_workloads::{nba_attribute, nba_like, NBA_ATTRIBUTES};
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("durable-topk-csv-tests");
-    std::fs::create_dir_all(&dir).expect("mk tmpdir");
-    dir.join(name)
-}
 
 #[test]
 fn csv_roundtrip_preserves_query_answers() {
     let ds = nba_like(3_000, 9);
-    let path = tmp("nba.csv");
+    let path = TempPath::new("nba.csv");
     write_csv_file(&path, &ds, Some(&NBA_ATTRIBUTES)).expect("export");
     let imported = read_csv_file(&path).expect("import");
     assert_eq!(imported.columns.as_deref().map(|c| c.len()), Some(NBA_ATTRIBUTES.len()));
@@ -38,7 +32,7 @@ fn projected_export_matches_projected_query() {
     let full = nba_like(2_000, 10);
     let cols = [nba_attribute("points"), nba_attribute("assists")];
     let nba2 = full.project(&cols);
-    let path = tmp("nba2.csv");
+    let path = TempPath::new("nba2.csv");
     write_csv_file(&path, &nba2, Some(&["points", "assists"])).expect("export");
     let imported = read_csv_file(&path).expect("import").dataset;
     assert_eq!(imported.dim(), 2);

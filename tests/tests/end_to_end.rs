@@ -6,20 +6,14 @@ use durable_topk::{
 };
 use durable_topk_index::DurableSkybandIndex;
 use durable_topk_store::{t_base_proc, t_hop_proc, RelStore};
-use durable_topk_tests::flat;
+use durable_topk_tests::{flat, TempPath};
 use durable_topk_workloads::{ind, nba_attribute, nba_like, random_permutation_dataset};
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("durable-topk-integration");
-    std::fs::create_dir_all(&dir).expect("mk tmpdir");
-    dir.join(name)
-}
 
 #[test]
 fn stored_procedures_match_in_memory_engine() {
     let ds = nba_like(4_000, 77).project(&[nba_attribute("points"), nba_attribute("rebounds")]);
     let engine = flat(&ds, None);
-    let mut store = RelStore::create(tmp("e2e.db"), &ds, 64, 128).expect("create");
+    let mut store = RelStore::create(TempPath::new("e2e.db"), &ds, 64, 128).expect("create");
     let scorer = LinearScorer::new(vec![0.3, 0.7]);
     for (k, tau, lo, hi) in
         [(1usize, 100u32, 500u32, 3999u32), (5, 800, 0, 3999), (10, 2000, 2000, 3500)]

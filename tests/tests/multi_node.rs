@@ -1,36 +1,28 @@
-//! Scatter-gather cluster vs the single-node oracle.
+//! Scatter-gather cluster exactness, failure paths and stats.
 //!
-//! The acceptance gate for the network layer: a [`Coordinator`] over a
-//! cluster of nodes — three static slices plus one live tail, with one
-//! member reached through a real loopback TCP round-trip — must answer
-//! every `DurTop(k, I, τ)` **bit-identically** to one in-process
-//! [`ShardedEngine`] over the same timeline, at every ingestion prefix,
-//! for every algorithm, with zero fallbacks anywhere. The partitioning,
-//! the left-context overlap, the wire codec and the merge must all be
-//! *observationally absent*.
+//! A cluster answers every `DurTop(k, I, τ)` exactly at every ingestion
+//! prefix: the model in `durable_topk_tests::model`, run on a coordinator.
+//! A [`Coordinator`] answers bad requests with typed errors — in process
+//! and across a loopback `NodeServer` — keeps serving after a panicking
+//! request, and reports each node's traffic.
 
 use durable_topk::{
     Algorithm, Backpressure, DurableQuery, EngineConfig, LinearScorer, QueryError, ScorerError,
-    ScorerSpec, ServeEngine, ServeError, ServeRequest, ShardedEngine, SingleAttributeScorer,
-    Window,
+    ScorerSpec, ServeEngine, ServeError, ServeRequest, SingleAttributeScorer, Window,
 };
 use durable_topk_net::{
     Coordinator, LocalNode, NetError, Node, NodeIdentity, NodeServer, NodeServerOptions,
     RemoteNode, RemoteOptions,
 };
 use durable_topk_temporal::Dataset;
-use durable_topk_tests::{flat, rows_strategy};
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
+use durable_topk_tests::flat;
+use durable_topk_tests::model::{check, Front};
 use std::net::TcpListener;
 use std::sync::Arc;
 
-/// Shard span for every engine in the cluster and the reference: small
-/// enough that both the static slices and the live tail cross several
-/// seal boundaries.
+/// Shard span of every slice engine.
 const SPAN: usize = 8;
-/// Skyband bound; queries keep `k ≤ K_MAX` so S-Band stays
-/// native on every head.
+/// Skyband bound of every slice engine.
 const K_MAX: usize = 4;
 
 /// A serving engine hosting the global slice `[lo, hi]` of `ds`, with
@@ -46,60 +38,6 @@ fn slice_node(ds: &Dataset, lo: u32, hi: u32, max_tau: u32) -> (ServeEngine, Nod
         engine.append(ds.row(id));
     }
     (ServeEngine::new(engine, 16, Backpressure::Block), NodeIdentity { base: ext_lo, owned_lo: lo })
-}
-
-/// The scorer `execute_request` materializes for `spec` — the reference
-/// engine must score exactly the same way.
-fn materialize(spec: &ScorerSpec, dim: usize) -> LinearScorer {
-    match spec {
-        ScorerSpec::Uniform => LinearScorer::uniform(dim),
-        ScorerSpec::Linear(w) => LinearScorer::new(w.clone()),
-        _ => unreachable!("test only uses uniform/linear specs"),
-    }
-}
-
-/// One cluster query checked against the reference engine: identical
-/// records, no fallback on either side.
-fn check_query(
-    cluster: &Coordinator,
-    reference: &ShardedEngine,
-    alg: Algorithm,
-    spec: &ScorerSpec,
-    q: &DurableQuery,
-    context: &str,
-) -> Result<(), TestCaseError> {
-    let req = ServeRequest { alg, query: *q, scorer: spec.clone() };
-    let response = match cluster.query(&req) {
-        Ok(r) => r,
-        Err(e) => return Err(TestCaseError::fail(format!("{context}: cluster query: {e}"))),
-    };
-    let scorer = materialize(spec, reference.dim());
-    let want = reference.query(alg, &scorer, q);
-    prop_assert_eq!(
-        &response.records,
-        &want.records,
-        "{}: cluster diverged (alg={} q={:?})",
-        context,
-        alg,
-        q
-    );
-    prop_assert_eq!(
-        response.stats.fallback,
-        None,
-        "{}: cluster fell back (alg={} q={:?})",
-        context,
-        alg,
-        q
-    );
-    prop_assert_eq!(
-        want.stats.fallback,
-        None,
-        "{}: reference fell back (alg={} q={:?})",
-        context,
-        alg,
-        q
-    );
-    Ok(())
 }
 
 /// A preference vector its scorer family cannot take is request data like
@@ -253,129 +191,11 @@ fn cluster_stats_reports_each_local_nodes_traffic() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Four nodes tile the timeline — three static, one ingesting live,
-    /// the second reached over loopback TCP — and the coordinator's
-    /// answer matches the single-engine answer for every algorithm at
-    /// every prefix of the live tail, plus a randomized sub-interval
-    /// sweep at the final prefix.
-    #[test]
-    fn multi_node_matches_single_node_at_every_prefix(
-        rows in rows_strategy(64..112),
-        max_tau in 1u32..8,
-        seed in 0u32..10_000,
-    ) {
-        let ds = Dataset::from_rows(2, rows);
-        let n = ds.len() as u32;
-        // Static slices cover the first three quarters; the last quarter
-        // streams into the live node one record at a time.
-        let (b1, b2, b3) = (n / 4, n / 2, 3 * n / 4);
-
-        let (serve0, id0) = slice_node(&ds, 0, b1 - 1, max_tau);
-        let (serve1, id1) = slice_node(&ds, b1, b2 - 1, max_tau);
-        let (serve2, id2) = slice_node(&ds, b2, b3 - 1, max_tau);
-        // The live node starts with its left context plus the first owned
-        // record (the coordinator requires every member to own something).
-        let (serve3, id3) = slice_node(&ds, b3, b3, max_tau);
-
-        // Node 1 joins through a real TCP round-trip: a loopback server
-        // over a clone of its serving engine, dialed by a RemoteNode.
-        let listener = TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| TestCaseError::fail(format!("bind: {e}")))?;
-        let server =
-            NodeServer::spawn(listener, serve1.clone(), id1, NodeServerOptions::default())
-                .map_err(|e| TestCaseError::fail(format!("spawn server: {e}")))?;
-        let remote1 = RemoteNode::connect(server.addr().to_string(), RemoteOptions::default());
-
-        let nodes: Vec<Arc<dyn Node>> = vec![
-            Arc::new(LocalNode::new(serve0.clone(), id0)),
-            Arc::new(remote1),
-            Arc::new(LocalNode::new(serve2.clone(), id2)),
-            Arc::new(LocalNode::new(serve3.clone(), id3)),
-        ];
-        let cluster = match Coordinator::new(nodes) {
-            Ok(c) => c,
-            Err(e) => return Err(TestCaseError::fail(format!("build cluster: {e}"))),
-        };
-        prop_assert_eq!(cluster.cluster_max_tau(), max_tau, "context must back the full τ range");
-
-        // The single-engine oracle over the same prefix of the timeline.
-        let mut reference = EngineConfig::new(2, SPAN, max_tau)
-            .skyband_bound(K_MAX)
-            .build()
-            .expect("reference config");
-        for id in 0..=b3 {
-            reference.append(ds.row(id));
-        }
-
-        // Walk the live tail: append to the live node and the reference in
-        // lockstep, refresh the routing table, and compare every algorithm
-        // over the full prefix.
-        for upto in b3..n {
-            if upto > b3 {
-                serve3
-                    .append(ds.row(upto))
-                    .map_err(|e| TestCaseError::fail(format!("append: {e}")))?;
-                reference.append(ds.row(upto));
-                if let Err(e) = cluster.refresh_ranges() {
-                    return Err(TestCaseError::fail(format!("refresh: {e}")));
-                }
-            }
-            prop_assert_eq!(cluster.total_len(), upto as usize + 1, "routing table must track growth");
-            let step = (upto - b3) as usize;
-            let spec = if step % 2 == 0 {
-                ScorerSpec::Linear(vec![0.6, 0.4])
-            } else {
-                ScorerSpec::Uniform
-            };
-            let k = 1 + (step + seed as usize) % K_MAX;
-            let tau = 1 + (seed + upto) % max_tau;
-            let q = DurableQuery { k, tau, interval: Window::new(0, upto) };
-            for alg in Algorithm::ALL {
-                check_query(&cluster, &reference, alg, &spec, &q, "prefix walk")?;
-            }
-        }
-
-        // Randomized sub-intervals at the final prefix: pieces that hit
-        // one node, several nodes, and cross every boundary.
-        let spec = ScorerSpec::Linear(vec![0.55, 0.45]);
-        for i in 0..48u32 {
-            let b = (seed.wrapping_mul(31).wrapping_add(i.wrapping_mul(7919))) % n;
-            let a = b.saturating_sub(1 + i.wrapping_mul(104_729) % n);
-            let q = DurableQuery {
-                k: 1 + i as usize % K_MAX,
-                tau: 1 + (seed + i) % max_tau,
-                interval: Window::new(a, b),
-            };
-            for alg in Algorithm::ALL {
-                check_query(&cluster, &reference, alg, &spec, &q, "interval sweep")?;
-            }
-        }
-
-        // The run must have exercised what it claims: several seals on
-        // both sides of the comparison, and real frames over the wire.
-        prop_assert!(
-            reference.sealed_shards() >= 2,
-            "reference must cross at least two seal boundaries"
-        );
-        prop_assert!(
-            serve3.engine().sealed_shards() >= 2,
-            "the live node must cross at least two seal boundaries"
-        );
-        prop_assert!(server.served() > 0, "node 1 must have answered over TCP");
-        prop_assert_eq!(server.failed(), 0, "no TCP query may fail");
-        let stats = cluster.stats();
-        prop_assert_eq!(stats.nodes.len(), 4);
-        for node in &stats.nodes {
-            prop_assert!(node.requests > 0, "every node must be routed to ({})", node.label);
-            prop_assert_eq!(node.errors, 0, "no node may report errors ({})", &node.label);
-        }
-
-        drop(server);
-        for serve in [serve0, serve1, serve2, serve3] {
-            serve.shutdown();
-        }
-    }
+/// A coordinator over a random tiling of one to four slice nodes, one
+/// over TCP and the last one live, answers like brute force at every
+/// prefix; its `τ` bound, length and per-node traffic are checked too.
+#[test]
+fn multi_node_matches_single_node_at_every_prefix() {
+    let exercised = ["a multi-node cluster, its live node sealed twice"];
+    check("multi_node_matches_single_node", 16, &[Front::Cluster], |_, _| {}, &exercised);
 }

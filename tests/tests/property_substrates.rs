@@ -151,6 +151,7 @@ mod stored_oracle {
     use durable_topk_index::scan_top_k;
     use durable_topk_store::RelStore;
     use durable_topk_temporal::{Dataset, Window};
+    use durable_topk_tests::TempPath;
     use proptest::prelude::*;
 
     proptest! {
@@ -173,15 +174,11 @@ mod stored_oracle {
             let a = seed % n;
             let b = (seed / 13) % n;
             let w = Window::new(a.min(b), a.max(b));
-            let dir = std::env::temp_dir().join("durable-topk-prop-store");
-            std::fs::create_dir_all(&dir).expect("mk tmpdir");
-            let path = dir.join(format!("case-{seed}-{k}-{leaf}.db"));
+            let path = TempPath::new(&format!("prop-store-{seed}-{k}-{leaf}.db"));
             let mut store = RelStore::create(&path, &ds, leaf, 16).expect("create");
             let scorer = LinearScorer::new(vec![0.4, 0.6]);
             let got = store.top_k(&scorer, k, w).expect("stored top-k");
             prop_assert_eq!(got, scan_top_k(&ds, &scorer, k, w));
-            drop(store);
-            let _ = std::fs::remove_file(&path);
         }
     }
 }

@@ -2,20 +2,20 @@
 //!
 //! The result cache memoizes full-range answers of immutable sealed tails,
 //! keyed on `(shard start, algorithm, scorer fingerprint, k, τ)`.
-//! Correctness rests on two invariants these tests drive end to end:
-//! a cached answer must be **bit-identical** to a recomputation (across
-//! seals and paged spills), and no entry may answer for another shard or
-//! another scorer.
+//! Correctness rests on two invariants: a cached answer must be
+//! **bit-identical** to a recomputation, and no entry may answer for
+//! another shard or another scorer. These tests drive the edges (opaque
+//! scorers, a starved budget, forged weights, the serve counters);
+//! the model in `durable_topk_tests::model` runs cache-on engines, paged
+//! ones too, against brute force at every prefix.
 
 use durable_topk::{
-    Algorithm, Backpressure, DurableQuery, EngineConfig, LinearScorer, PagedStorage, Scorer,
-    ScorerSpec, ServeEngine, ServeRequest, Window,
+    Algorithm, Backpressure, DurableQuery, EngineConfig, LinearScorer, Scorer, ScorerSpec,
+    ServeEngine, ServeRequest, Window,
 };
 use durable_topk_index::{NodeSummary, OracleScorer, TreeRows};
 use durable_topk_temporal::Dataset;
-use durable_topk_tests::{flat, rows_strategy};
-use proptest::prelude::*;
-use std::sync::Arc;
+use durable_topk_tests::model::{check, Op, Setup, EVERY_DOOR};
 
 /// A deterministic dataset for the unit-style tests.
 fn fixed_dataset(n: usize) -> Dataset {
@@ -48,82 +48,6 @@ impl OracleScorer for OpaqueScorer {
         self.0.node_bound(rows, node)
     }
     // fingerprint() deliberately left at the default `None`.
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Lockstep ingestion into a cache-off memory engine and a cache-on
-    /// paged engine yields identical answers (records *and* fallback
-    /// classification) for every algorithm at every prefix — and the run
-    /// demonstrably exercised the cache (hits > 0), crossed at least two
-    /// seals and spilled at least one chunk.
-    #[test]
-    fn cached_engine_matches_uncached_at_every_prefix(
-        rows in rows_strategy(24..64),
-        max_tau in 1u32..16,
-        k_max in 1usize..5,
-        seed in 0u32..10_000,
-    ) {
-        let ds = Dataset::from_rows(2, rows);
-        let n = ds.len();
-        // Small spans force several seals; spill_after = 1 keeps only the
-        // newest sealed chunk resident, so cache hits must stay exact
-        // without faulting spilled pages back in.
-        let span = (n / 6).max(1);
-        let scorer = LinearScorer::new(vec![0.6, 0.4]);
-        let mut plain = EngineConfig::new(2, span, max_tau)
-            .skyband_bound(k_max)
-            .build()
-            .expect("plain live config");
-        let mut cached = EngineConfig::new(2, span, max_tau)
-            .skyband_bound(k_max)
-            .storage(Arc::new(PagedStorage::with_temp_file(1).expect("temp-file backend")))
-            .result_cache(1 << 20)
-            .build()
-            .expect("cached live config");
-
-        // Fixed k and τ so every prefix re-probes sealed shards with the
-        // same cache key — sealed-tail answers repeat, guaranteeing hits.
-        let k = 1 + seed as usize % k_max;
-        let tau = 1 + seed % max_tau;
-        for id in 0..n as u32 {
-            plain.append(ds.row(id));
-            cached.append(ds.row(id));
-            let q = DurableQuery { k, tau, interval: Window::new(0, id) };
-            for alg in Algorithm::ALL {
-                let want = plain.query(alg, &scorer, &q);
-                let got = cached.query(alg, &scorer, &q);
-                prop_assert_eq!(
-                    &got.records, &want.records,
-                    "cache diverged at prefix {} (alg={} q={:?})", id + 1, alg, q
-                );
-                prop_assert_eq!(
-                    got.stats.fallback, want.stats.fallback,
-                    "fallback state diverged at prefix {} (alg={} q={:?})", id + 1, alg, q
-                );
-            }
-        }
-
-        // The equivalence must actually have replayed memoized answers
-        // over a run with enough seals and at least one spilled chunk.
-        prop_assert!(cached.sealed_shards() >= 2, "run must cross at least two seals");
-        let storage = cached.storage().stats();
-        prop_assert!(storage.spilled_chunks >= 1, "run must spill at least one chunk");
-        let stats = cached.result_cache().expect("cache configured").stats();
-        prop_assert!(stats.hits > 0, "sealed-tail re-probes must hit ({stats:?})");
-
-        // Final state agrees with the flat unsharded reference engine.
-        let flat = flat(&ds, Some(k_max));
-        let q = DurableQuery { k, tau, interval: Window::new(0, (n - 1) as u32) };
-        for alg in Algorithm::ALL {
-            prop_assert_eq!(
-                &cached.query(alg, &scorer, &q).records,
-                &flat.query(alg, &scorer, &q).records,
-                "alg={} q={:?}", alg, q
-            );
-        }
-    }
 }
 
 /// Opaque scorers (no structural fingerprint) bypass the cache entirely:
@@ -285,4 +209,15 @@ fn a_solved_weight_vector_does_not_alias_another_scorer() {
         answers.push(want);
     }
     assert_ne!(answers[0], answers[1], "the two scorers answer differently");
+}
+
+/// Cache-on engines, roomy or evicting, paged or not, behind every door,
+/// answer like brute force with the expected fallback at every prefix.
+#[test]
+fn cached_engine_matches_uncached_at_every_prefix() {
+    let cached = |s: &mut Setup, _: &mut [Op]| {
+        s.cache.get_or_insert(1 << 20);
+    };
+    let exercised = ["cache hits across two seals and a spill", "cache evictions"];
+    check("cached_engine_matches_uncached", 16, &EVERY_DOOR, cached, &exercised);
 }

@@ -1,156 +1,16 @@
-//! Tiered storage exactness: a paged `PagedStorage` ≡ the in-memory one.
-//!
-//! The pager is invisible to queries by construction — a sealed tail's
-//! record chunk must decode bit-identically after spilling to pager-backed
-//! pages and reloading on demand. These properties drive two live engines
-//! in lockstep, one with a pager and one without, and require record-for-record
-//! identical answers for **every** algorithm at **every** ingestion prefix,
-//! with `τ` anywhere from 1 to the whole history — windows reaching back
-//! into spilled predecessors fault them in — across at least two spills
-//! (`spill_after = 1` keeps only the newest sealed chunk resident).
+//! Tiered storage at its edges: what a spilled chunk costs to read, and
+//! an engine whose device takes no write.
 //!
 //! A spilled chunk is read by the rows a piece can touch, aligned to the
-//! leaves of its tree; with four-record leaves the window and `τ` edges
-//! land mid-leaf, and the answers must not notice.
+//! leaves of its tree, not as a whole. A paged engine answers like brute
+//! force for every algorithm at every prefix across spills: the model in
+//! `durable_topk_tests::model`, run on paged storage.
 
-use durable_topk::{
-    Algorithm, DurableQuery, EngineConfig, LinearScorer, PagedStorage, QueryContext, ShardedEngine,
-    TopKResult, Window,
-};
+use durable_topk::{Algorithm, DurableQuery, EngineConfig, LinearScorer, PagedStorage, Window};
 use durable_topk_store::PAGE_SIZE;
 use durable_topk_temporal::Dataset;
-use durable_topk_tests::{flat, rows_strategy};
-use proptest::prelude::*;
+use durable_topk_tests::model::{check, Front, Op, Setup, EVERY_DOOR};
 use std::sync::Arc;
-
-/// A live engine on a paged store, spilling every sealed chunk but the
-/// newest.
-fn paged_live(span: usize, max_tau: u32, k_max: usize) -> ShardedEngine {
-    EngineConfig::new(2, span, max_tau)
-        .skyband_bound(k_max)
-        .storage(Arc::new(PagedStorage::with_temp_file(1).expect("temp-file backend")))
-        .build()
-        .expect("paged live config")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Lockstep ingestion into an in-memory and a paged engine yields
-    /// identical answers for every algorithm at every prefix, S-Band
-    /// without fallback, and the run demonstrably crossed the cold tier
-    /// (≥ 2 spills, > 0 cold fetches).
-    #[test]
-    fn paged_engine_matches_memory_at_every_prefix(
-        rows in rows_strategy(24..64),
-        max_tau in 1u32..16,
-        k_max in 1usize..5,
-        seed in 0u32..10_000,
-    ) {
-        let ds = Dataset::from_rows(2, rows);
-        let n = ds.len();
-        // Small spans force several seals, so spill_after = 1 spills ≥ 2
-        // chunks well before ingestion ends.
-        let span = (n / 6).max(1);
-        let scorer = LinearScorer::new(vec![0.6, 0.4]);
-        let mut memory = EngineConfig::new(2, span, max_tau)
-            .skyband_bound(k_max)
-            .build()
-            .expect("memory live config");
-        let mut paged = paged_live(span, max_tau, k_max);
-
-        for id in 0..n as u32 {
-            memory.append(ds.row(id));
-            paged.append(ds.row(id));
-            let k = 1 + (id as usize + seed as usize) % k_max;
-            let tau = 1 + (seed + id) % (id + 1);
-            let a = (seed.wrapping_mul(31) + id) % (id + 1);
-            let q = DurableQuery { k, tau, interval: Window::new(a, id) };
-            for alg in Algorithm::ALL {
-                let warm = memory.query(alg, &scorer, &q);
-                let cold = paged.query(alg, &scorer, &q);
-                prop_assert_eq!(
-                    &cold.records, &warm.records,
-                    "engines diverged at prefix {} (alg={} q={:?})", id + 1, alg, q
-                );
-                prop_assert_eq!(
-                    (cold.stats.fallback, warm.stats.fallback), (None, None),
-                    "fell back at prefix {} (alg={} q={:?})", id + 1, alg, q
-                );
-            }
-        }
-
-        // The equivalence must have been exercised against spilled chunks,
-        // not a run where everything stayed resident.
-        let stats = paged.storage().stats();
-        prop_assert!(
-            stats.spilled_chunks >= 2,
-            "the run must spill at least twice (spilled={})", stats.spilled_chunks
-        );
-        prop_assert!(
-            stats.cold_fetches > 0,
-            "queries must have faulted spilled chunks back in"
-        );
-
-        // Final state: both engines also agree with the flat unsharded
-        // engine on the full history.
-        let flat = flat(&ds, Some(k_max));
-        for alg in Algorithm::ALL {
-            let q = DurableQuery {
-                k: 1 + seed as usize % k_max,
-                tau: 1 + seed % n as u32,
-                interval: Window::new(0, (n - 1) as u32),
-            };
-            let warm = memory.query(alg, &scorer, &q);
-            let cold = paged.query(alg, &scorer, &q);
-            let reference = flat.query(alg, &scorer, &q);
-            prop_assert_eq!(&cold.records, &warm.records, "alg={} q={:?}", alg, q);
-            prop_assert_eq!(&cold.records, &reference.records, "alg={} q={:?}", alg, q);
-        }
-    }
-
-    /// With leaf size 4, windows and `τ` reaching into spilled chunks cut
-    /// leaves in two: every algorithm and the building-block `top_k_into`
-    /// still answer exactly as over memory.
-    #[test]
-    fn mid_leaf_edges_over_spilled_chunks_match_memory(
-        rows in prop::collection::vec(prop::collection::vec(0u32..8, 2), 60..160),
-        max_tau in 1u32..24,
-        probes in prop::collection::vec((1usize..5, 1u32..200, 0u32..200, 0u32..200), 8..16),
-    ) {
-        let ds = Dataset::from_rows(
-            2,
-            rows.into_iter().map(|r| r.into_iter().map(f64::from).collect::<Vec<_>>()),
-        );
-        let n = ds.len() as u32;
-        let cfg = EngineConfig::new(2, (n as usize / 6).max(1), max_tau).skyband_bound(4).leaf_size(4);
-        let mut memory = cfg.clone().build().expect("memory config");
-        let paged = Arc::new(PagedStorage::with_temp_file(1).expect("temp-file backend"));
-        let mut spilled = cfg.storage(paged).build().expect("paged config");
-        for id in 0..n {
-            memory.append(ds.row(id));
-            spilled.append(ds.row(id));
-        }
-        let scorer = LinearScorer::new(vec![0.3, 0.7]);
-        let (mut ctx, mut got, mut want) = (QueryContext::new(), TopKResult::empty(), TopKResult::empty());
-        for (k, tau, a, b) in probes {
-            let (a, b) = (a % n, b % n);
-            let interval = Window::new(a.min(b), a.max(b));
-            let q = DurableQuery { k, tau, interval };
-            for alg in Algorithm::ALL {
-                prop_assert_eq!(
-                    &spilled.query(alg, &scorer, &q).records,
-                    &memory.query(alg, &scorer, &q).records,
-                    "alg={} q={:?}", alg, q
-                );
-            }
-            spilled.top_k_into(&scorer, k, interval, &mut ctx, &mut got);
-            memory.top_k_into(&scorer, k, interval, &mut ctx, &mut want);
-            prop_assert_eq!(&got, &want, "top_k_into k={} w={:?}", k, interval);
-        }
-        prop_assert!(spilled.storage().stats().cold_fetches > 0, "spilled chunks must be read");
-    }
-}
 
 /// A narrow query over one spilled shard faults in only the pages its
 /// leaf-aligned rows span, not the chunk.
@@ -214,4 +74,23 @@ fn an_engine_on_a_full_device_answers_from_resident_chunks() {
             );
         }
     }
+}
+
+/// Paged engines, one chunk resident, answer every algorithm like brute
+/// force at every prefix, behind every door, across spills.
+#[test]
+fn paged_engine_matches_memory_at_every_prefix() {
+    let paged = |s: &mut Setup, _: &mut [Op]| s.paged = true;
+    let exercised = ["two spills, read back"];
+    check("paged_engine_matches_memory", 12, &EVERY_DOOR, paged, &exercised);
+}
+
+/// Leaves of 2, 4 and 8 records over spilled chunks: queries and
+/// `top_k_into` whose windows end mid-leaf read the right rows back.
+#[test]
+fn mid_leaf_edges_over_spilled_chunks_match_memory() {
+    let paged = |s: &mut Setup, _: &mut [Op]| s.paged = true;
+    let exercised = ["two spills, read back", "a top-k probe"];
+    let doors = &[Front::Direct, Front::Serve];
+    check("mid_leaf_edges_over_spilled_chunks", 12, doors, paged, &exercised);
 }

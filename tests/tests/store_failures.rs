@@ -3,12 +3,7 @@
 use durable_topk::LinearScorer;
 use durable_topk_store::{t_base_proc, t_hop_proc, BufferPool, RelStore, PAGE_SIZE};
 use durable_topk_temporal::{Dataset, Window};
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("durable-topk-failure-tests");
-    std::fs::create_dir_all(&dir).expect("mk tmpdir");
-    dir.join(name)
-}
+use durable_topk_tests::TempPath;
 
 fn dataset(n: usize) -> Dataset {
     Dataset::from_rows(2, (0..n).map(|i| [((i * 31) % 211) as f64, ((i * 17) % 89) as f64]))
@@ -16,7 +11,7 @@ fn dataset(n: usize) -> Dataset {
 
 #[test]
 fn corrupted_magic_is_rejected() {
-    let path = tmp("magic.db");
+    let path = TempPath::new("magic.db");
     let ds = dataset(100);
     {
         RelStore::create(&path, &ds, 16, 32).expect("create");
@@ -33,7 +28,7 @@ fn results_identical_under_extreme_memory_pressure() {
     // A single-frame buffer pool thrashes on every access but must still
     // produce exact answers.
     let ds = dataset(2_000);
-    let path = tmp("thrash.db");
+    let path = TempPath::new("thrash.db");
     let roomy_answers = {
         let mut store = RelStore::create(&path, &ds, 32, 256).expect("create");
         let scorer = LinearScorer::uniform(2);
@@ -54,7 +49,7 @@ fn results_identical_under_extreme_memory_pressure() {
 #[test]
 fn reopened_store_equals_fresh_store() {
     let ds = dataset(1_500);
-    let path = tmp("reopen.db");
+    let path = TempPath::new("reopen.db");
     let scorer = LinearScorer::new(vec![0.2, 0.8]);
     let fresh = {
         let mut store = RelStore::create(&path, &ds, 64, 64).expect("create");
@@ -73,7 +68,7 @@ fn pool_flush_then_crash_recovers_committed_pages() {
     // Simulate a crash after flush: data written + flushed must be visible
     // through a new pool even though the first pool was dropped without
     // further writes.
-    let path = tmp("crash.db");
+    let path = TempPath::new("crash.db");
     {
         let mut pool = BufferPool::create(&path, 4).expect("create");
         pool.write_bytes(2 * PAGE_SIZE as u64 + 7, b"committed").expect("write");
@@ -102,7 +97,7 @@ fn stored_and_memory_answers_agree_under_every_pool_size() {
             .records
     };
     for pool_pages in [1usize, 2, 8, 64, 1024] {
-        let path = tmp(&format!("pool{pool_pages}.db"));
+        let path = TempPath::new(&format!("pool{pool_pages}.db"));
         let mut store = RelStore::create(&path, &ds, 16, pool_pages).expect("create");
         let (a, _) = t_hop_proc(&mut store, &scorer, 4, Window::new(100, 799), 100).expect("t-hop");
         assert_eq!(a, reference, "pool_pages={pool_pages}");
