@@ -1,77 +1,249 @@
-//! Minimal argument parsing (std-only).
+//! Argument parsing (std-only): one table lists every mode of the CLI
+//! with the flags it takes, and a command line is checked against it.
 
 use durable_topk::Algorithm;
 use std::collections::HashMap;
 
-/// Parsed command line: a subcommand, positional arguments, and `--flag
-/// value` / `--flag` options.
-#[derive(Debug, Default)]
+pub const USAGE: &str = "\
+durable-topk — durable top-k queries over instant-stamped CSV data
+
+USAGE (each command takes only the flags on its lines):
+  durable-topk generate ind --n N [--dim D] [--seed S] --out FILE
+  durable-topk generate <anti|nba|network> --n N [--seed S] --out FILE
+  durable-topk stats    FILE
+  durable-topk topk     FILE --k K --window A:B [--weights W1,W2,..]
+  durable-topk query    FILE --k K --tau T [--interval A:B] [--weights ..]
+                             [--alg tbase|thop|sbase|sband|shop|all]
+                             [--threads N] [--lookahead] [--durations] [--limit N]
+  durable-topk query    FILE --stream [--every M] --k K --tau T [--interval A:B]
+                             [--weights ..] [--alg ..] [--limit N]
+                             [--spill-after N] [--result-cache BYTES|off]
+  durable-topk serve    FILE --k K --tau T [--weights ..] [--alg ..]
+                             [--clients C] [--requests R] [--queue-cap Q]
+                             [--reject] [--ingest M] [--subscribe S]
+                             [--spill-after N] [--result-cache BYTES|off]
+  durable-topk serve    FILE --nodes HOST:PORT,HOST:PORT,.. --k K --tau T
+                             [--weights ..] [--alg ..] [--clients C] [--requests R]
+  durable-topk serve-node FILE --listen HOST:PORT --range A:B [--k K] [--tau T]
+
+Records are rows in arrival order; an optional header row names columns and
+an optional leading `t` column holds wall-clock stamps. Weights default to
+uniform. `query` defaults to --alg thop over the whole history; --alg all
+sweeps every algorithm in parallel on the worker pool (--threads 0 = use all
+cores). --stream replays the file into a live sharded engine, interleaving
+appends with a progress query every M arrivals (default: a tenth of the
+file) under one algorithm. `serve` replays a mixed workload through the
+bounded request queue on the persistent worker pool: C client threads submit
+R requests total (parameters varied around --k/--tau, algorithms cycled)
+while the last M records (default: a tenth of the file) are ingested live;
+--reject sheds load when the queue is full instead of blocking, and a sample
+of the served answers is re-checked against the engine before the summary
+prints throughput and p50/p99 latency. --subscribe registers S standing
+queries before the client storm; the live appends keep their materialized
+answer sets current incrementally and each is verified against a full
+recompute at the end. The live modes (--stream and serve) keep every sealed
+chunk in memory; --spill-after N spills chunks beyond the newest N to
+pager-backed pages in a temporary file, reloading them transparently — and
+bit-identically — at query time. --result-cache puts a byte-budgeted
+memoization cache in front of the sealed shards of the live modes: repeated
+full-range probes of an immutable tail replay their answer without touching
+storage (default 33554432 bytes = 32 MiB; `off` disables it). `serve-node`
+hosts one contiguous slice [A, B] of the file behind the binary wire
+protocol on --listen (loading tau extra records of left context so every
+durability window it owns is exact); `serve --nodes` drives a query-only
+client storm through the scatter-gather coordinator over those nodes instead
+of an in-process queue, spot-checks sampled answers against a local
+reference engine, and prints per-node request counts and latency
+percentiles. Every node and the coordinator must agree on --k/--tau.";
+
+/// One mode of the CLI and every flag it takes. Every mode also takes one
+/// positional argument: the input file, or `generate`'s family.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Mode {
+    /// The command, then what selects this mode among the command's
+    /// modes: `--flag` when that flag is given, `a|b|…` when the
+    /// positional is one of those words, nothing for the mode that
+    /// applies otherwise (listed after its command's other modes).
+    pub name: &'static str,
+    /// The flags that take a value, separated by spaces.
+    pub values: &'static str,
+    /// The flags that take none, separated by spaces.
+    pub switches: &'static str,
+}
+
+/// Every mode of the CLI. No flag is a switch in one mode and takes a
+/// value in another, so a command line splits into flags and positionals
+/// before its mode is known.
+pub const MODES: &[Mode] = &[
+    Mode { name: "generate ind", values: "n dim seed out", switches: "" },
+    Mode { name: "generate anti|nba|network", values: "n seed out", switches: "" },
+    Mode { name: "stats", values: "", switches: "" },
+    Mode { name: "topk", values: "k window weights", switches: "" },
+    Mode {
+        name: "query --stream",
+        values: "k tau interval weights alg limit every spill-after result-cache",
+        switches: "stream",
+    },
+    Mode {
+        name: "query",
+        values: "k tau interval weights alg threads limit",
+        switches: "lookahead durations",
+    },
+    Mode {
+        name: "serve --nodes",
+        values: "k tau weights alg clients requests nodes",
+        switches: "",
+    },
+    Mode {
+        name: "serve",
+        values: "k tau weights alg clients requests queue-cap ingest subscribe \
+                 spill-after result-cache",
+        switches: "reject",
+    },
+    Mode { name: "serve-node", values: "listen range k tau", switches: "" },
+];
+
+/// Whether some mode takes `flag` with a value.
+fn takes_value(flag: &str) -> bool {
+    MODES.iter().any(|m| m.values.split_whitespace().any(|f| f == flag))
+}
+
+impl Mode {
+    /// The command this mode belongs to.
+    pub fn command(&self) -> &'static str {
+        self.name.split_once(' ').map_or(self.name, |(command, _)| command)
+    }
+
+    /// What selects this mode among its command's (empty: the default).
+    fn selector(&self) -> &'static str {
+        self.name.split_once(' ').map_or("", |(_, selector)| selector)
+    }
+
+    /// Every flag this mode takes.
+    fn flags(&self) -> impl Iterator<Item = &'static str> {
+        self.values.split_whitespace().chain(self.switches.split_whitespace())
+    }
+
+    fn takes(&self, flag: &str) -> bool {
+        self.flags().any(|f| f == flag)
+    }
+
+    /// The error for a flag this mode does not take: it names the modes
+    /// that take the flag or, when none does, every flag this mode takes.
+    fn rejects(&self, flag: &str) -> String {
+        let takers: Vec<&str> = MODES.iter().filter(|m| m.takes(flag)).map(|m| m.name).collect();
+        let own: Vec<String> = self.flags().map(|f| format!("--{f}")).collect();
+        let hint = match (takers.is_empty(), own.is_empty()) {
+            (false, _) => format!("taken by {}", takers.join(", ")),
+            (true, false) => format!("it takes {}", own.join(" ")),
+            (true, true) => "it takes no flags".to_string(),
+        };
+        format!("{} does not take --{flag} ({hint})", self.name)
+    }
+}
+
+/// A command line checked against its mode's table.
+#[derive(Debug)]
 pub struct Args {
-    /// The subcommand (first non-flag argument).
-    pub command: String,
-    /// Remaining positional arguments.
-    pub positional: Vec<String>,
-    /// `--key value` options (last occurrence wins).
-    pub options: HashMap<String, String>,
-    /// Bare `--key` switches.
-    pub switches: Vec<String>,
+    /// The mode the command line selected.
+    pub mode: &'static Mode,
+    /// The positional argument: the input file, or `generate`'s family.
+    pub positional: String,
+    /// The flags given, each with its value (`None` for a switch); the
+    /// last occurrence wins.
+    flags: HashMap<String, Option<String>>,
 }
 
 impl Args {
-    /// Parses `std::env::args`-style input (program name excluded).
-    ///
-    /// A flag is a switch when the next token is absent or itself a flag.
-    pub fn parse<I: IntoIterator<Item = String>>(input: I) -> Args {
-        let tokens: Vec<String> = input.into_iter().collect();
-        let mut args = Args::default();
-        let mut i = 0;
-        while i < tokens.len() {
-            let tok = &tokens[i];
-            if let Some(key) = tok.strip_prefix("--") {
-                let next_is_value = i + 1 < tokens.len() && !tokens[i + 1].starts_with("--");
-                if next_is_value {
-                    args.options.insert(key.to_string(), tokens[i + 1].clone());
-                    i += 2;
-                } else {
-                    args.switches.push(key.to_string());
-                    i += 1;
-                }
-            } else {
-                if args.command.is_empty() {
-                    args.command = tok.clone();
-                } else {
-                    args.positional.push(tok.clone());
-                }
-                i += 1;
-            }
+    /// Parses `std::env::args`-style input (program name excluded): the
+    /// command, then its one positional and its flags in any order.
+    pub fn parse<I: IntoIterator<Item = String>>(input: I) -> Result<Args, String> {
+        let mut tokens = input.into_iter().peekable();
+        let command = tokens.next().unwrap_or_default();
+        let modes = || MODES.iter().filter(|m| m.command() == command);
+        if modes().next().is_none() {
+            return Err(format!("unknown command {command:?}\n\n{USAGE}"));
         }
-        args
+        let (mut flags, mut positionals) = (Vec::new(), Vec::new());
+        while let Some(token) = tokens.next() {
+            let Some(name) = token.strip_prefix("--") else {
+                positionals.push(token);
+                continue;
+            };
+            // A name no mode lists takes no value: it is rejected below.
+            let value = if takes_value(name) {
+                let value = tokens.next_if(|v| !v.starts_with("--"));
+                Some(value.ok_or_else(|| format!("--{name} needs a value"))?)
+            } else {
+                None
+            };
+            flags.push((name.to_string(), value));
+        }
+        let selected = |m: &&Mode| match m.selector() {
+            "" => true,
+            selector => match selector.strip_prefix("--") {
+                Some(flag) => flags.iter().any(|(name, _)| name == flag),
+                None => positionals.first().is_some_and(|p| selector.split('|').any(|w| w == p)),
+            },
+        };
+        let Some(mode) = modes().find(selected) else {
+            // Only `generate` has no default mode: its family selects one.
+            let words: Vec<&str> = modes().map(Mode::selector).collect();
+            return Err(match positionals.first() {
+                None => format!("{command} needs a family: {}", words.join("|")),
+                Some(word) => format!("unknown family {word:?} (expected {})", words.join("|")),
+            });
+        };
+        if let Some((name, _)) = flags.iter().find(|(name, _)| !mode.takes(name)) {
+            return Err(mode.rejects(name));
+        }
+        let mut positionals = positionals.into_iter();
+        let positional = positionals.next().ok_or("missing input file")?;
+        if let Some(extra) = positionals.next() {
+            return Err(format!("unexpected argument {extra:?} ({} takes one)", mode.name));
+        }
+        Ok(Args { mode, positional, flags: flags.into_iter().collect() })
+    }
+
+    /// A flag's value, if given.
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.flags.get(key)?.as_deref()
     }
 
     /// A required option, or an error message naming it.
     pub fn require(&self, key: &str) -> Result<&str, String> {
-        self.options
-            .get(key)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing required option --{key}"))
+        self.get(key).ok_or_else(|| format!("missing required option --{key}"))
     }
 
     /// An optional option with a default.
     pub fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.options.get(key).map(String::as_str).unwrap_or(default)
+        self.get(key).unwrap_or(default)
     }
 
     /// Parses an option as `T`, with a default.
     pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.options.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse::<T>().map_err(|_| format!("--{key}: cannot parse {v:?}")),
         }
     }
 
-    /// Whether a bare switch was given.
+    /// Parses `--key` as a positive integer; the engine asserts positivity,
+    /// so catch it here with a proper error instead of a panic.
+    pub fn positive<T>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + Default,
+    {
+        let v: T = self.parse_or(key, default)?;
+        if v <= T::default() {
+            return Err(format!("--{key} must be at least 1"));
+        }
+        Ok(v)
+    }
+
+    /// Whether a flag was given.
     pub fn has(&self, key: &str) -> bool {
-        self.switches.iter().any(|s| s == key)
+        self.flags.contains_key(key)
     }
 }
 
@@ -118,51 +290,16 @@ pub fn parse_algorithms(s: &str) -> Result<Vec<Algorithm>, String> {
     }
 }
 
-/// Options of the `--stream` replay mode: ingest the file record by
-/// record into a live sharded engine, interleaving appends and queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamMode {
-    /// Run a progress query every this many appends (`--every`; `None`
-    /// defaults to a tenth of the dataset).
-    pub every: Option<usize>,
-}
-
-/// Parses and validates the `--stream` replay flags.
-///
-/// Mirrors the `--threads` validation style: plain error strings naming
-/// the offending flag combination.
-pub fn parse_stream(args: &Args, algs: &[Algorithm]) -> Result<Option<StreamMode>, String> {
-    if !args.has("stream") {
-        if args.options.contains_key("every") || args.switches.iter().any(|s| s == "every") {
-            return Err("--every requires --stream".to_string());
-        }
-        return Ok(None);
+/// Parses `query`'s `--alg` (default `thop`). `all` is a batch sweep of
+/// look-back answers, so `--stream` and `--lookahead` take one algorithm.
+pub fn parse_query_algorithms(args: &Args) -> Result<Vec<Algorithm>, String> {
+    let algs = parse_algorithms(args.get_or("alg", "thop"))?;
+    if algs.len() > 1 && (args.has("stream") || args.has("lookahead")) {
+        return Err("--alg all is a batch look-back sweep; --stream and --lookahead \
+                    run one algorithm"
+            .to_string());
     }
-    if algs.len() > 1 {
-        return Err("--stream cannot be combined with --alg all".to_string());
-    }
-    if args.has("lookahead") {
-        return Err("--stream cannot be combined with --lookahead".to_string());
-    }
-    if args.has("durations") {
-        return Err("--stream cannot be combined with --durations".to_string());
-    }
-    if args.options.contains_key("threads") || args.switches.iter().any(|s| s == "threads") {
-        // Replay queries fan out through the global worker pool; a per-run
-        // worker cap is not honored, so reject it instead of ignoring it.
-        return Err("--stream cannot be combined with --threads".to_string());
-    }
-    let every = match args.options.get("every") {
-        None => None,
-        Some(v) => {
-            let every: usize = v.parse().map_err(|_| format!("--every: cannot parse {v:?}"))?;
-            if every == 0 {
-                return Err("--every must be at least 1".to_string());
-            }
-            Some(every)
-        }
-    };
-    Ok(Some(StreamMode { every }))
+    Ok(algs)
 }
 
 /// Options of the `serve` replay mode: drive a workload through the
@@ -190,11 +327,6 @@ pub struct ServeMode {
 
 /// Parses and validates the `serve` subcommand flags.
 pub fn parse_serve(args: &Args) -> Result<ServeMode, String> {
-    for conflicting in ["stream", "every", "lookahead", "durations", "threads"] {
-        if args.options.contains_key(conflicting) || args.has(conflicting) {
-            return Err(format!("serve cannot be combined with --{conflicting}"));
-        }
-    }
     let clients: usize = args.parse_or("clients", 4)?;
     if clients == 0 || clients > MAX_THREADS {
         return Err(format!("--clients must be between 1 and {MAX_THREADS}, got {clients}"));
@@ -207,7 +339,7 @@ pub fn parse_serve(args: &Args) -> Result<ServeMode, String> {
     if queue_cap == 0 {
         return Err("--queue-cap must be at least 1".to_string());
     }
-    let ingest = match args.options.get("ingest") {
+    let ingest = match args.get("ingest") {
         None => None,
         Some(v) => Some(v.parse::<usize>().map_err(|_| format!("--ingest: cannot parse {v:?}"))?),
     };
@@ -221,10 +353,7 @@ pub fn parse_serve(args: &Args) -> Result<ServeMode, String> {
 /// Parses `--nodes host:port,host:port,…` into the coordinator's member
 /// list (`None` when the flag is absent — single-process serving).
 pub fn parse_nodes(args: &Args) -> Result<Option<Vec<String>>, String> {
-    if args.switches.iter().any(|s| s == "nodes") {
-        return Err("--nodes needs a value: a comma-separated host:port list".to_string());
-    }
-    let Some(v) = args.options.get("nodes") else { return Ok(None) };
+    let Some(v) = args.get("nodes") else { return Ok(None) };
     let nodes: Vec<String> =
         v.split(',').map(|a| a.trim().to_string()).filter(|a| !a.is_empty()).collect();
     if nodes.is_empty() {
@@ -245,24 +374,6 @@ pub struct ServeNodeMode {
 
 /// Parses and validates the `serve-node` subcommand flags.
 pub fn parse_serve_node(args: &Args) -> Result<ServeNodeMode, String> {
-    parse_spill_after(args)?;
-    for conflicting in [
-        "stream",
-        "every",
-        "lookahead",
-        "durations",
-        "threads",
-        "clients",
-        "requests",
-        "ingest",
-        "subscribe",
-        "nodes",
-        "spill-after",
-    ] {
-        if args.options.contains_key(conflicting) || args.has(conflicting) {
-            return Err(format!("serve-node cannot be combined with --{conflicting}"));
-        }
-    }
     let listen = args.require("listen")?.to_string();
     let range = parse_range(args.require("range")?)?;
     Ok(ServeNodeMode { listen, range })
@@ -270,15 +381,9 @@ pub fn parse_serve_node(args: &Args) -> Result<ServeNodeMode, String> {
 
 /// Parses `--spill-after N`: spill the live engine's sealed chunks to a
 /// temp-file pager, keeping the newest `N` resident. `None` (no flag)
-/// keeps every chunk in memory. The removed `--storage` flag is rejected
-/// rather than ignored.
+/// keeps every chunk in memory.
 pub fn parse_spill_after(args: &Args) -> Result<Option<usize>, String> {
-    if args.options.contains_key("storage") || args.has("storage") {
-        return Err("--storage is gone: sealed chunks stay in memory unless \
-                    --spill-after N spills them to a temp-file pager"
-            .to_string());
-    }
-    let Some(v) = args.options.get("spill-after") else { return Ok(None) };
+    let Some(v) = args.get("spill-after") else { return Ok(None) };
     let n: usize = v.parse().map_err(|_| format!("--spill-after: cannot parse {v:?}"))?;
     if n == 0 {
         return Err("--spill-after must be at least 1".to_string());
@@ -294,10 +399,7 @@ pub const DEFAULT_RESULT_CACHE_BYTES: usize = 32 * 1024 * 1024;
 /// result cache the live modes (`--stream` replay and `serve`) put in front
 /// of their sealed tails. `None` means the cache is disabled.
 pub fn parse_result_cache(args: &Args) -> Result<Option<usize>, String> {
-    if args.switches.iter().any(|s| s == "result-cache") {
-        return Err("--result-cache needs a value: a byte budget or off".to_string());
-    }
-    match args.options.get("result-cache").map(String::as_str) {
+    match args.get("result-cache") {
         None => Ok(Some(DEFAULT_RESULT_CACHE_BYTES)),
         Some("off") => Ok(None),
         Some(v) => {
@@ -328,15 +430,24 @@ pub fn parse_threads(args: &Args) -> Result<usize, String> {
 mod tests {
     use super::*;
 
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     fn parse(line: &str) -> Args {
-        Args::parse(line.split_whitespace().map(String::from))
+        Args::parse(words(line)).unwrap_or_else(|e| panic!("{line}: {e}"))
+    }
+
+    /// The error for a command line the table rejects.
+    fn reject(line: &str) -> String {
+        Args::parse(words(line)).expect_err(line)
     }
 
     #[test]
     fn command_options_and_switches() {
         let a = parse("query data.csv --k 5 --durations --tau 100");
-        assert_eq!(a.command, "query");
-        assert_eq!(a.positional, vec!["data.csv"]);
+        assert_eq!(a.mode.name, "query");
+        assert_eq!(a.positional, "data.csv");
         assert_eq!(a.require("k").expect("k"), "5");
         assert_eq!(a.parse_or::<u32>("tau", 1).expect("tau"), 100);
         assert!(a.has("durations"));
@@ -349,6 +460,75 @@ mod tests {
         assert_eq!(a.get_or("alg", "thop"), "thop");
         assert_eq!(a.parse_or::<usize>("k", 10).expect("default"), 10);
         assert!(a.require("k").is_err());
+    }
+
+    /// A command line (its mode selected) for every mode.
+    fn base_line(mode: &Mode) -> String {
+        let (command, selector) = (mode.command(), mode.selector());
+        match selector.strip_prefix("--") {
+            Some(flag) if takes_value(flag) => format!("{command} f.csv {selector} v"),
+            Some(_) => format!("{command} f.csv {selector}"),
+            None if selector.is_empty() => format!("{command} f.csv"),
+            None => format!("{command} {}", selector.split('|').next().expect("a word")),
+        }
+    }
+
+    /// Every mode against every flag of every table plus an unknown one: a
+    /// flag is accepted if and only if the mode lists it (or selects a
+    /// sibling mode), and each rejection names the flag. Then what the
+    /// split into flags and positionals must get right, and the usage.
+    #[test]
+    fn each_mode_takes_exactly_its_tables_flags() {
+        let mut every: Vec<&str> = MODES.iter().flat_map(Mode::flags).collect();
+        every.sort_unstable();
+        every.dedup();
+        for flag in &every {
+            let switch = MODES.iter().any(|m| m.switches.split_whitespace().any(|f| f == *flag));
+            assert!(switch != takes_value(flag), "--{flag} is both a switch and a value flag");
+        }
+        for mode in MODES {
+            let base = base_line(mode);
+            assert_eq!(parse(&base).mode, mode, "{base}");
+            for flag in every.iter().copied().chain(["no-such-flag"]) {
+                let line = format!("{base} --{flag}{}", if takes_value(flag) { " 1" } else { "" });
+                let sibling = MODES
+                    .iter()
+                    .find(|m| m.command() == mode.command() && m.selector() == format!("--{flag}"));
+                match Args::parse(words(&line)) {
+                    Ok(args) => {
+                        assert!(mode.takes(flag) || sibling.is_some(), "{line} was accepted");
+                        assert_eq!(args.mode, sibling.unwrap_or(mode), "{line}");
+                        assert_eq!(args.positional, parse(&base).positional, "{line}");
+                    }
+                    Err(err) => {
+                        assert!(!mode.takes(flag) && sibling.is_none(), "{line}: {err}");
+                        assert!(err.contains(&format!("--{flag} ")), "{line}: {err}");
+                    }
+                }
+            }
+            // A value flag at the end of the line or right before another
+            // flag has no value; a second positional is an error.
+            for flag in mode.values.split_whitespace() {
+                assert_eq!(reject(&format!("{base} --{flag}")), format!("--{flag} needs a value"));
+                let before = format!("{base} --{flag} --k 3");
+                assert_eq!(reject(&before), format!("--{flag} needs a value"));
+            }
+            let err = reject(&format!("{base} extra"));
+            assert!(err.starts_with("unexpected argument \"extra\""), "{base}: {err}");
+        }
+        // A switch never swallows the input file.
+        let a = parse("query --lookahead f.csv --k 3 --tau 50");
+        assert_eq!((a.positional.as_str(), a.has("lookahead")), ("f.csv", true));
+        let a = parse("query --stream f.csv");
+        assert_eq!((a.mode.name, a.positional.as_str()), ("query --stream", "f.csv"));
+        // The usage names every flag of every table and no other.
+        let mut in_usage: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .collect();
+        in_usage.sort_unstable();
+        in_usage.dedup();
+        assert_eq!(in_usage, every);
     }
 
     #[test]
@@ -419,10 +599,10 @@ mod tests {
         assert!(parse_serve(&parse("serve f.csv --ingest lots")).is_err());
         assert!(parse_serve(&parse("serve f.csv --subscribe many")).is_err());
         assert!(parse_serve(&parse("serve f.csv --subscribe 20000")).is_err());
-        let err = parse_serve(&parse("serve f.csv --threads 4")).expect_err("threads conflicts");
-        assert!(err.contains("--threads"), "err={err}");
-        let err = parse_serve(&parse("serve f.csv --stream")).expect_err("stream conflicts");
-        assert!(err.contains("--stream"), "err={err}");
+        let err = reject("serve f.csv --threads 4");
+        assert!(err.starts_with("serve does not take --threads"), "err={err}");
+        let err = reject("serve f.csv --stream");
+        assert!(err.starts_with("serve does not take --stream"), "err={err}");
     }
 
     #[test]
@@ -436,8 +616,7 @@ mod tests {
             parse_nodes(&parse("serve f.csv --nodes a:1,b:2,c:3")).expect("three"),
             Some(vec!["a:1".to_string(), "b:2".to_string(), "c:3".to_string()])
         );
-        let err = parse_nodes(&parse("serve f.csv --nodes")).expect_err("missing value");
-        assert!(err.contains("host:port"), "err={err}");
+        assert_eq!(reject("serve f.csv --nodes"), "--nodes needs a value");
         assert!(parse_nodes(&parse("serve f.csv --nodes ,,")).is_err());
     }
 
@@ -453,12 +632,10 @@ mod tests {
             parse_serve_node(&parse("serve-node f.csv --listen a:1")).expect_err("needs range");
         assert!(err.contains("--range"), "err={err}");
         assert!(parse_serve_node(&parse("serve-node f.csv --listen a:1 --range 9:3")).is_err());
-        let err = parse_serve_node(&parse("serve-node f.csv --listen a:1 --range 0:9 --clients 4"))
-            .expect_err("clients conflicts");
-        assert!(err.contains("--clients"), "err={err}");
-        let err = parse_serve_node(&parse("serve-node f.csv --listen a:1 --range 0:9 --stream"))
-            .expect_err("stream conflicts");
-        assert!(err.contains("--stream"), "err={err}");
+        let err = reject("serve-node f.csv --listen a:1 --range 0:9 --clients 4");
+        assert!(err.starts_with("serve-node does not take --clients"), "err={err}");
+        let err = reject("serve-node f.csv --listen a:1 --range 0:9 --stream");
+        assert!(err.starts_with("serve-node does not take --stream"), "err={err}");
     }
 
     #[test]
@@ -467,11 +644,12 @@ mod tests {
         assert_eq!(parse_spill_after(&parse("serve f.csv --spill-after 2")).expect("2"), Some(2));
         assert!(parse_spill_after(&parse("serve f.csv --spill-after 0")).is_err());
         assert!(parse_spill_after(&parse("serve f.csv --spill-after lots")).is_err());
+        // The removed `--storage` is an unknown flag; the error lists what
+        // serve takes, `--spill-after` among it.
         for removed in
             ["--storage paged", "--storage memory", "--storage", "--storage paged --spill-after 2"]
         {
-            let err = parse_spill_after(&parse(&format!("serve f.csv {removed}")))
-                .expect_err("--storage is rejected");
+            let err = reject(&format!("serve f.csv {removed}"));
             assert!(err.contains("--storage") && err.contains("--spill-after"), "err={err}");
         }
     }
@@ -496,38 +674,29 @@ mod tests {
         let err = parse_result_cache(&parse("serve f.csv --result-cache lots"))
             .expect_err("non-numeric must fail");
         assert!(err.contains("lots"), "err={err}");
-        let err = parse_result_cache(&parse("serve f.csv --result-cache"))
-            .expect_err("missing value must fail");
-        assert!(err.contains("byte budget"), "err={err}");
+        assert_eq!(reject("serve f.csv --result-cache"), "--result-cache needs a value");
     }
 
     #[test]
     fn stream_validation() {
-        let one = [Algorithm::THop];
-        let all = Algorithm::ALL;
-        assert_eq!(parse_stream(&parse("query f.csv"), &one).expect("off"), None);
-        assert_eq!(
-            parse_stream(&parse("query f.csv --stream"), &one).expect("on"),
-            Some(StreamMode { every: None })
-        );
-        assert_eq!(
-            parse_stream(&parse("query f.csv --stream --every 500"), &one).expect("every"),
-            Some(StreamMode { every: Some(500) })
-        );
-        let err = parse_stream(&parse("query f.csv --stream"), &all).expect_err("alg all");
+        assert!(!parse("query f.csv").has("stream"));
+        let on = parse("query f.csv --stream");
+        assert_eq!(on.mode.name, "query --stream");
+        assert_eq!(on.positive::<usize>("every", 7).expect("default"), 7);
+        let every = parse("query f.csv --stream --every 500");
+        assert_eq!(every.positive::<usize>("every", 7).expect("every"), 500);
+        let err =
+            parse_query_algorithms(&parse("query f.csv --stream --alg all")).expect_err("alg all");
         assert!(err.contains("--alg all"), "err={err}");
-        let err = parse_stream(&parse("query f.csv --stream --lookahead"), &one)
-            .expect_err("lookahead conflicts");
-        assert!(err.contains("--lookahead"), "err={err}");
-        let err = parse_stream(&parse("query f.csv --stream --durations"), &one)
-            .expect_err("durations conflicts");
-        assert!(err.contains("--durations"), "err={err}");
-        let err = parse_stream(&parse("query f.csv --stream --threads 4"), &one)
-            .expect_err("threads conflicts");
-        assert!(err.contains("--threads"), "err={err}");
-        assert!(parse_stream(&parse("query f.csv --stream --every 0"), &one).is_err());
-        assert!(parse_stream(&parse("query f.csv --stream --every lots"), &one).is_err());
-        let err = parse_stream(&parse("query f.csv --every 5"), &one).expect_err("orphan every");
-        assert!(err.contains("requires --stream"), "err={err}");
+        let err = reject("query f.csv --stream --lookahead");
+        assert!(err.starts_with("query --stream does not take --lookahead"), "err={err}");
+        let err = reject("query f.csv --stream --durations");
+        assert!(err.starts_with("query --stream does not take --durations"), "err={err}");
+        let err = reject("query f.csv --stream --threads 4");
+        assert!(err.starts_with("query --stream does not take --threads"), "err={err}");
+        assert!(parse("query f.csv --stream --every 0").positive::<usize>("every", 7).is_err());
+        assert!(parse("query f.csv --stream --every lots").positive::<usize>("every", 7).is_err());
+        let err = reject("query f.csv --every 5");
+        assert_eq!(err, "query does not take --every (taken by query --stream)");
     }
 }

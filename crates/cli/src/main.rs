@@ -11,9 +11,9 @@
 mod args;
 
 use args::{
-    parse_algorithms, parse_nodes, parse_range_in, parse_result_cache, parse_serve,
-    parse_serve_node, parse_spill_after, parse_stream, parse_threads, parse_weights, Args,
-    ServeMode,
+    parse_algorithms, parse_nodes, parse_query_algorithms, parse_range_in, parse_result_cache,
+    parse_serve, parse_serve_node, parse_spill_after, parse_threads, parse_weights, Args,
+    ServeMode, USAGE,
 };
 use durable_topk::{
     percentile, Algorithm, Backpressure, DurableQuery, EngineConfig, FallbackReason, LinearScorer,
@@ -30,72 +30,22 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "\
-durable-topk — durable top-k queries over instant-stamped CSV data
-
-USAGE:
-  durable-topk generate <ind|anti|nba|network> --n N [--dim D] [--seed S] --out FILE
-  durable-topk stats    FILE
-  durable-topk topk     FILE --k K --window A:B [--weights W1,W2,..]
-  durable-topk query    FILE --k K --tau T [--interval A:B] [--weights ..]
-                             [--alg tbase|thop|sbase|sband|shop|all]
-                             [--threads N] [--lookahead] [--durations] [--limit N]
-                             [--stream [--every M]] [--spill-after N]
-                             [--result-cache BYTES|off]
-  durable-topk serve    FILE --k K --tau T [--weights ..] [--alg ..]
-                             [--clients C] [--requests R] [--queue-cap Q]
-                             [--reject] [--ingest M] [--subscribe S]
-                             [--spill-after N] [--result-cache BYTES|off]
-                             [--nodes HOST:PORT,HOST:PORT,..]
-  durable-topk serve-node FILE --listen HOST:PORT --range A:B
-                             [--k K] [--tau T]
-
-Records are rows in arrival order; an optional header row names columns and
-an optional leading `t` column holds wall-clock stamps. Weights default to
-uniform. `query` defaults to --alg thop over the whole history; --alg all
-sweeps every algorithm in parallel on the worker pool (--threads 0 =
-use all cores). --stream replays the file into a live sharded engine,
-interleaving appends with a progress query every M arrivals (default: a
-tenth of the file); incompatible with --alg all, --lookahead, --durations,
-and --threads. `serve` replays a mixed workload through the bounded
-request queue on the persistent worker pool: C client threads submit R
-requests total (parameters varied around --k/--tau, algorithms cycled)
-while the last M records (default: a tenth of the file) are ingested
-live; --reject sheds load when the queue is full instead of blocking, and
-a sample of the served answers is re-checked against the engine before
-the summary prints throughput and p50/p99 latency. --subscribe registers
-S standing queries before the client storm; the live appends keep their
-materialized answer sets current incrementally and each is verified
-against a full recompute at the end. The live modes (--stream and serve)
-keep every sealed chunk in memory; --spill-after N spills chunks beyond
-the newest N to pager-backed pages in a temporary file, reloading them
-transparently — and bit-identically — at query time. --result-cache
-puts a byte-budgeted memoization cache in front of the sealed shards of
-the live modes: repeated full-range probes of an immutable tail replay
-their answer without touching storage (default 33554432 bytes = 32 MiB;
-`off` disables it). `serve-node` hosts one contiguous slice [A, B] of
-the file behind the binary wire protocol on --listen (loading tau extra
-records of left context so every durability window it owns is exact);
-`serve --nodes` drives a query-only client storm through the
-scatter-gather coordinator over those nodes instead of an in-process
-queue, spot-checks sampled answers against a local reference engine, and
-prints per-node request counts and latency percentiles. Every node and
-the coordinator must agree on --k/--tau.";
-
 fn main() -> ExitCode {
-    let args = Args::parse(std::env::args().skip(1));
-    let result = match args.command.as_str() {
-        "generate" => generate(&args),
-        "stats" => stats(&args),
-        "topk" => topk(&args),
-        "query" => query(&args),
-        "serve" => serve(&args),
-        "serve-node" => serve_node(&args),
-        "" | "help" | "--help" => {
+    let tokens: Vec<String> = std::env::args().skip(1).collect();
+    let result = match tokens.first().map(String::as_str) {
+        None | Some("help" | "--help") => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+        Some(_) => Args::parse(tokens).and_then(|args| match args.mode.command() {
+            "generate" => generate(&args),
+            "stats" => stats(&args),
+            "topk" => topk(&args),
+            "query" => query(&args),
+            "serve" => serve(&args),
+            // `Args::parse` admits only the table's commands.
+            _ => serve_node(&args),
+        }),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -106,8 +56,9 @@ fn main() -> ExitCode {
     }
 }
 
+/// Reads the input file; a file without records is a load error.
 fn load(args: &Args) -> Result<Dataset, String> {
-    let path = args.positional.first().ok_or_else(|| "missing input file".to_string())?;
+    let path = &args.positional;
     let imp = read_csv_file(path).map_err(|e| format!("{path}: {e}"))?;
     if let Some(cols) = &imp.columns {
         eprintln!(
@@ -120,15 +71,6 @@ fn load(args: &Args) -> Result<Dataset, String> {
         eprintln!("loaded {} records x {} attributes", imp.dataset.len(), imp.dataset.dim());
     }
     Ok(imp.dataset)
-}
-
-/// Rejects an empty input file with a proper error (nonzero exit) instead
-/// of letting an engine build abort the process.
-fn non_empty(ds: &Dataset, path_hint: &str) -> Result<(), String> {
-    if ds.is_empty() {
-        return Err(format!("{path_hint}: the input holds no records; nothing to query"));
-    }
-    Ok(())
 }
 
 /// Renders a query's fallback state as a summary-line suffix.
@@ -149,8 +91,15 @@ fn fallback_cell(stats: &QueryStats) -> &'static str {
     }
 }
 
-/// Translates the CLI's engine flags into one [`EngineConfig`] for the
-/// live modes (`--stream` replay, `serve`, `serve-node`).
+/// Shard span of a live engine: a few durability windows per shard keeps
+/// sealing amortized while bounding per-shard index size.
+fn live_span(tau: u32) -> usize {
+    (tau as usize * 4).clamp(1_024, 262_144)
+}
+
+/// Translates the CLI's engine flags into one [`EngineConfig`], the one
+/// build of every engine: the live modes (`--stream` replay, `serve`,
+/// `serve-node`) and the one-shard engine.
 fn engine_config(
     dim: usize,
     span: usize,
@@ -185,7 +134,7 @@ fn one_shard(ds: &Dataset, max_tau: u32, skyband: Option<usize>) -> Result<Shard
 
 /// `--weights`, arity-checked against the data; `None` means uniform.
 fn weights_for(args: &Args, dim: usize) -> Result<Option<Vec<f64>>, String> {
-    let Some(w) = args.options.get("weights") else { return Ok(None) };
+    let Some(w) = args.get("weights") else { return Ok(None) };
     let weights = parse_weights(w)?;
     if weights.len() != dim {
         return Err(format!(
@@ -201,10 +150,7 @@ fn scorer_for(args: &Args, dim: usize) -> Result<LinearScorer, String> {
 }
 
 fn generate(args: &Args) -> Result<(), String> {
-    let family = args
-        .positional
-        .first()
-        .ok_or_else(|| "generate needs a family: ind|anti|nba|network".to_string())?;
+    let family = &args.positional;
     let n: usize = args.parse_or("n", 100_000)?;
     let seed: u64 = args.parse_or("seed", 42)?;
     let out = args.require("out")?;
@@ -229,23 +175,9 @@ fn stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--flag` as a positive integer; the engine asserts positivity, so
-/// catch it here with a proper error instead of a panic.
-fn parse_positive<T>(args: &Args, key: &str, default: T) -> Result<T, String>
-where
-    T: std::str::FromStr + PartialOrd + Default,
-{
-    let v: T = args.parse_or(key, default)?;
-    if v <= T::default() {
-        return Err(format!("--{key} must be at least 1"));
-    }
-    Ok(v)
-}
-
 fn topk(args: &Args) -> Result<(), String> {
     let ds = load(args)?;
-    non_empty(&ds, args.positional.first().map_or("input", String::as_str))?;
-    let k: usize = parse_positive(args, "k", 10)?;
+    let k: usize = args.positive("k", 10)?;
     let (a, b) = parse_range_in("window", args.require("window")?, ds.len())?;
     let scorer = scorer_for(args, ds.dim())?;
     let result = one_shard(&ds, 1, None)?.top_k(&scorer, k, Window::new(a, b));
@@ -258,40 +190,25 @@ fn topk(args: &Args) -> Result<(), String> {
 
 fn query(args: &Args) -> Result<(), String> {
     let ds = load(args)?;
-    non_empty(&ds, args.positional.first().map_or("input", String::as_str))?;
     let n = ds.len() as u32;
-    let k: usize = parse_positive(args, "k", 10)?;
-    let tau: u32 = parse_positive(args, "tau", (n / 10).max(1))?;
-    let interval = match args.options.get("interval") {
+    let k: usize = args.positive("k", 10)?;
+    let tau: u32 = args.positive("tau", (n / 10).max(1))?;
+    let interval = match args.get("interval") {
         Some(r) => {
             let (a, b) = parse_range_in("interval", r, ds.len())?;
             Window::new(a, b.min(n - 1))
         }
         None => Window::new(0, n - 1),
     };
-    let algs = parse_algorithms(args.get_or("alg", "thop"))?;
-    let threads = parse_threads(args)?;
-    let stream = parse_stream(args, &algs)?;
-    let spill_after = parse_spill_after(args)?;
-    let result_cache = parse_result_cache(args)?;
-    if stream.is_none() && spill_after.is_some() {
-        return Err(
-            "--spill-after spills the live engine's sealed chunks; add --stream".to_string()
-        );
-    }
-    if stream.is_none() && args.options.contains_key("result-cache") {
-        return Err("--result-cache configures the live engine; add --stream".to_string());
-    }
+    let algs = parse_query_algorithms(args)?;
     let scorer = scorer_for(args, ds.dim())?;
     let limit: usize = args.parse_or("limit", 50)?;
-    let lookahead = args.has("lookahead");
-    if lookahead && algs.len() > 1 {
-        return Err("--alg all cannot be combined with --lookahead".to_string());
-    }
     let q = DurableQuery { k, tau, interval };
-    if let Some(mode) = stream {
-        return stream_replay(&ds, algs[0], &scorer, &q, mode, spill_after, result_cache, limit);
+    if args.has("stream") {
+        return stream_replay(args, &ds, algs[0], &scorer, &q, limit);
     }
+    let threads = parse_threads(args)?;
+    let lookahead = args.has("lookahead");
 
     // Look-ahead queries run on an engine over the reversed history.
     let skyband = algs.contains(&Algorithm::SBand).then_some(k);
@@ -340,24 +257,19 @@ fn query(args: &Args) -> Result<(), String> {
 /// (`--stream`), interleaving appends with progress queries and finishing
 /// with the full query — the ingestion-time view of the same answer the
 /// offline path computes at rest.
-#[allow(clippy::too_many_arguments)]
 fn stream_replay(
-    ds: &durable_topk::Dataset,
+    args: &Args,
+    ds: &Dataset,
     alg: Algorithm,
     scorer: &LinearScorer,
     q: &DurableQuery,
-    mode: args::StreamMode,
-    spill_after: Option<usize>,
-    result_cache: Option<usize>,
     limit: usize,
 ) -> Result<(), String> {
     let n = ds.len();
-    let every = mode.every.unwrap_or_else(|| (n / 10).max(1));
-    // A few durability windows per shard keeps sealing amortized while
-    // bounding per-shard index size.
-    let span = (q.tau as usize * 4).clamp(1_024, 262_144);
+    let every: usize = args.positive("every", (n / 10).max(1))?;
+    let (spill_after, cache) = (parse_spill_after(args)?, parse_result_cache(args)?);
     let skyband = (alg == Algorithm::SBand).then_some(q.k);
-    let mut engine = engine_config(ds.dim(), span, q.tau, skyband, spill_after, result_cache)?
+    let mut engine = engine_config(ds.dim(), live_span(q.tau), q.tau, skyband, spill_after, cache)?
         .build()
         .map_err(|e| e.to_string())?;
 
@@ -486,24 +398,9 @@ struct Sweep {
 /// or, with `--nodes`, at a scatter-gather coordinator.
 fn serve(args: &Args) -> Result<(), String> {
     let nodes = parse_nodes(args)?;
-    parse_spill_after(args)?;
-    if nodes.is_some() {
-        for flag in ["ingest", "subscribe", "queue-cap", "spill-after", "result-cache"] {
-            if args.options.contains_key(flag) || args.has(flag) {
-                return Err(format!(
-                    "--nodes serving is query-only over remote engines; \
-                     --{flag} applies to single-process serve"
-                ));
-            }
-        }
-        if args.has("reject") {
-            return Err("--nodes serving has no local queue; --reject does not apply".to_string());
-        }
-    }
     let ds = load(args)?;
-    non_empty(&ds, args.positional.first().map_or("input", String::as_str))?;
-    let k: usize = parse_positive(args, "k", 10)?;
-    let tau: u32 = parse_positive(args, "tau", ((ds.len() as u32) / 10).max(1))?;
+    let k: usize = args.positive("k", 10)?;
+    let tau: u32 = args.positive("tau", ((ds.len() as u32) / 10).max(1))?;
     let algs = parse_algorithms(args.get_or("alg", "all"))?;
     let mode = parse_serve(args)?;
     let scorer = scorer_for(args, ds.dim())?;
@@ -647,11 +544,10 @@ impl<'a> QueueTarget<'a> {
         // the base so the queue has something to serve from the first request.
         let ingest = mode.ingest.unwrap_or(n / 10).min(n - 1);
         let base = n - ingest;
-        let span = (tau as usize * 4).clamp(1_024, 262_144);
         let skyband = sweep.algs.contains(&Algorithm::SBand).then_some(k);
         let mut engine = engine_config(
             ds.dim(),
-            span,
+            live_span(tau),
             tau,
             skyband,
             parse_spill_after(args)?,
@@ -904,21 +800,18 @@ impl ReplayTarget for ClusterTarget {
 fn serve_node(args: &Args) -> Result<(), String> {
     let mode = parse_serve_node(args)?;
     let ds = load(args)?;
-    non_empty(&ds, args.positional.first().map_or("input", String::as_str))?;
     let n = ds.len() as u32;
     let (lo, hi) = mode.range;
     if hi >= n {
         return Err(format!("--range end {hi} is past the last record {}", n - 1));
     }
-    let k: usize = parse_positive(args, "k", 10)?;
-    let tau: u32 = parse_positive(args, "tau", (n / 10).max(1))?;
+    let k: usize = args.positive("k", 10)?;
+    let tau: u32 = args.positive("tau", (n / 10).max(1))?;
     let ext_lo = lo.saturating_sub(tau);
     let slice = Dataset::from_rows(ds.dim(), (ext_lo..=hi).map(|id| ds.row(id).to_vec()));
-    let span = (tau as usize * 4).clamp(1_024, 262_144);
-    let shard_count = (slice.len() / span).max(1);
-    let engine = EngineConfig::new(ds.dim(), span, tau)
-        .skyband_bound(k)
-        .build_from(&slice, shard_count)
+    let span = live_span(tau);
+    let engine = engine_config(ds.dim(), span, tau, Some(k), None, None)?
+        .build_from(&slice, (slice.len() / span).max(1))
         .map_err(|e| e.to_string())?;
     let serving = ServeEngine::new(engine, 256, Backpressure::Block);
     let listener = std::net::TcpListener::bind(&mode.listen)

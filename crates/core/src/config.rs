@@ -74,9 +74,13 @@ impl EngineConfig {
         self
     }
 
-    /// Maintains the durable k-skyband for `k <= k_max`, serving
+    /// Maintains the durable k-skyband levels `1, 2, 4, …` up to the first
+    /// power of two at or above `k_max`, serving
     /// [`Algorithm::SBand`](crate::Algorithm::SBand) natively (without
-    /// fallback) on every substrate — head and sealed tails.
+    /// fallback) on every substrate — head and sealed tails — for every `k`
+    /// up to that power: `skyband_bound(3)` serves `k = 4` natively too.
+    /// A larger `k` falls back with
+    /// [`FallbackReason::SkybandBoundExceeded`](crate::FallbackReason::SkybandBoundExceeded).
     pub fn skyband_bound(mut self, k_max: usize) -> Self {
         self.skyband_bound = Some(k_max);
         self

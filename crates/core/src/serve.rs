@@ -403,7 +403,7 @@ impl Shared {
         self.counters.cold_page_hits.fetch_add(ctx.take_cold_page_hits(), Ordering::Relaxed);
         if outcome.is_err() {
             for sub in plan.probes.iter().chain(&plan.verifies) {
-                sub.mark_diverged();
+                sub.mark_diverged(id);
             }
         }
     }

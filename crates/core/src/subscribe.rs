@@ -73,8 +73,8 @@ pub struct SubscriptionSnapshot {
     /// Full `try_query` recomputes (initial materialization plus any
     /// seal-boundary verifications).
     pub full_recomputes: u64,
-    /// Whether the stream has passed the subscribed interval — the result
-    /// set is final (durability never changes retroactively).
+    /// Whether the interval's last record has arrived and been refreshed —
+    /// the result set is final (durability never changes retroactively).
     pub complete: bool,
     /// Whether a seal-boundary verification ever contradicted the
     /// incremental state, or a refresh failed. Should stay `false`; a
@@ -210,6 +210,9 @@ impl Subscription {
         let admitted = self.req.scorer.resolve(engine.dim(), probe);
         let mut state = lock(&self.state);
         state.refreshes += 1;
+        // Under the lock that admits `id`: no poll sees the interval
+        // complete before its last arrival's admission.
+        state.complete |= id == self.req.query.interval.end();
         match admitted {
             Ok(true) => state.admit(id),
             Ok(false) => {}
@@ -247,9 +250,12 @@ impl Subscription {
         }
     }
 
-    /// Marks the subscription diverged (its refresh panicked mid-plan).
-    pub(crate) fn mark_diverged(&self) {
-        lock(&self.state).diverged = true;
+    /// Marks the subscription diverged: the plan for arrival `id` panicked.
+    /// The interval still ends if `id` is its last record.
+    pub(crate) fn mark_diverged(&self, id: RecordId) {
+        let mut state = lock(&self.state);
+        state.diverged = true;
+        state.complete |= id == self.req.query.interval.end();
     }
 
     /// A point-in-time copy of the materialized state.
@@ -368,13 +374,7 @@ impl SubscriptionRegistry {
         }
         for sub in &self.subs {
             let q = &sub.req.query;
-            let complete = {
-                let mut state = lock(&sub.state);
-                if !state.complete && q.interval.end() < id {
-                    state.complete = true;
-                }
-                state.complete
-            };
+            let complete = lock(&sub.state).complete;
             if seal_crossed && sub.verify_on_seal && !complete {
                 plan.verifies.push(Arc::clone(sub));
             }
@@ -388,7 +388,10 @@ impl SubscriptionRegistry {
                 // S-Band superset argument), hence the flag.
                 if let Some(duration) = engine.arrival_skyband_duration(q.k) {
                     if duration < q.tau {
-                        lock(&sub.state).fast_path_skips += 1;
+                        let mut state = lock(&sub.state);
+                        state.fast_path_skips += 1;
+                        // Skipping the interval's last arrival settles it.
+                        state.complete |= id == q.interval.end();
                         continue;
                     }
                 }

@@ -3,7 +3,7 @@
 //! treat it as a cluster member.
 
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -18,9 +18,9 @@ use crate::wire::{read_message, write_message, Message, WireError};
 /// Tunables for [`NodeServer::spawn`].
 #[derive(Debug, Clone)]
 pub struct NodeServerOptions {
-    /// Per-read socket timeout on connection handlers. Doubles as the
-    /// shutdown poll interval: a handler notices the stop flag at most one
-    /// timeout after it is raised.
+    /// Per-read socket timeout on connection handlers: an idle handler
+    /// re-checks the stop flag this often. Shutdown does not wait for it,
+    /// since it shuts every accepted socket down.
     pub read_timeout: Duration,
     /// Concurrent connections accepted; further dials are closed
     /// immediately.
@@ -47,8 +47,9 @@ struct ServerShared {
     /// which include them).
     served: AtomicU64,
     failed: AtomicU64,
-    /// Join handles of spawned connection handlers.
-    handlers: TrackedMutex<Vec<JoinHandle<()>>>,
+    /// Spawned connection handlers, each with a clone of its socket that
+    /// shutdown closes to end the handler's blocking read.
+    handlers: TrackedMutex<Vec<(JoinHandle<()>, TcpStream)>>,
 }
 
 /// A running TCP node: an acceptor thread plus one handler thread per
@@ -125,8 +126,9 @@ impl NodeServer {
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
-        let handles = std::mem::take(&mut *self.shared.handlers.lock());
-        for handle in handles {
+        let handlers = std::mem::take(&mut *self.shared.handlers.lock());
+        for (handle, stream) in handlers {
+            let _ = stream.shutdown(Shutdown::Both);
             let _ = handle.join();
         }
     }
@@ -151,6 +153,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
             drop(stream); // admission control: refuse by closing
             continue;
         }
+        let Ok(closer) = stream.try_clone() else { continue };
         shared.live.fetch_add(1, Ordering::SeqCst);
         let handler_shared = Arc::clone(&shared);
         // Connection handlers block in socket reads between requests; see
@@ -165,8 +168,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                 let mut handlers = shared.handlers.lock();
                 // Opportunistically reap exited handlers so the registry
                 // stays proportional to live connections.
-                handlers.retain(|h| !h.is_finished());
-                handlers.push(handle);
+                handlers.retain(|(h, _)| !h.is_finished());
+                handlers.push((handle, closer));
             }
             Err(_) => {
                 shared.live.fetch_sub(1, Ordering::SeqCst);
@@ -218,6 +221,8 @@ fn handle_connection(stream: TcpStream, shared: Arc<ServerShared>) {
             break;
         }
     }
+    // The registry's clone keeps the socket open; close it for the peer now.
+    let _ = writer.shutdown(Shutdown::Both);
     shared.live.fetch_sub(1, Ordering::SeqCst);
 }
 

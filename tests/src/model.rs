@@ -570,7 +570,7 @@ fn run(setup: &Setup, ops: &[Op]) -> Result<(), TestCaseError> {
                 let end = sub.req.query.interval.end() as usize;
                 prop_assert!(!snap.diverged, "step {}: diverged {:?}", step, sub.req);
                 prop_assert_eq!(&snap.records, &brute(&prefix, sub.pref, &sub.req.query));
-                prop_assert!(snap.complete == (end < n) || end + 1 == n, "step {}", step);
+                prop_assert_eq!(snap.complete, end < n, "step {}", step);
                 note("fast-path skips", snap.fast_path_skips > 0);
             }
         }

@@ -19,6 +19,7 @@ use durable_topk_tests::flat;
 use durable_topk_tests::model::{check, Front};
 use std::net::TcpListener;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Shard span of every slice engine.
 const SPAN: usize = 8;
@@ -172,6 +173,25 @@ fn cluster_stats_reports_each_nodes_connection_traffic() {
         drop(server);
         serve.shutdown();
     }
+}
+
+/// Shutdown closes the sockets of live connections instead of waiting
+/// out their handlers' blocking reads: a server whose `read_timeout` is
+/// ten seconds stops at once while a connected `RemoteNode` outlives it.
+#[test]
+fn shutdown_does_not_wait_for_idle_connections() {
+    let [(serve, id), _] = two_slices();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let opts = NodeServerOptions { read_timeout: Duration::from_secs(10), ..Default::default() };
+    let mut server = NodeServer::spawn(listener, serve.clone(), id, opts).expect("spawn server");
+    let remote = RemoteNode::connect(server.addr().to_string(), RemoteOptions::default());
+    remote.stats().expect("the first RPC connects");
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    drop(remote);
+    serve.shutdown();
 }
 
 /// In-process members count their traffic too: `ServeEngine::execute`
